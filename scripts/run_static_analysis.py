@@ -29,10 +29,11 @@ falls behind heap by more than 1.5x at any depth.
 
 Default-path runs finish with an energy-ledger leg: one small
 gateway_slo point with the ledger armed must satisfy the DESIGN §15
-conservation identity, and an identical rerun must produce a
-byte-identical canonical energy export.  The unarmed-overhead half of
-that gate rides the 1.1x gateway perf leg, which runs with the ledger
-disarmed.
+conservation identity, its non-overhead accounts times
+``PSU_EFFICIENCY`` must equal the summary's DC ``energy_joules``, and
+an identical rerun must produce a byte-identical canonical energy
+export.  The unarmed-overhead half of that gate rides the 1.1x gateway
+perf leg, which runs with the ledger disarmed.
 
 Usage::
 
@@ -66,6 +67,10 @@ GATEWAY_TRACING_OFF_FACTOR = 1.1
 #: matches at fan 16 and pulls ahead at 240/1920; 1.5 absorbs
 #: single-core scheduler noise at smoke sizes).
 KERNEL_SCHEDULER_FACTOR = 1.5
+#: The ledger's disk books and the gateway's residency-based disk
+#: energy are two routes to the same exact integral; they may differ
+#: only by float summation order.
+ENERGY_CROSS_CHECK_REL = 1e-9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -335,17 +340,23 @@ def run_perf_smoke() -> int:
 
 
 def run_energy_smoke() -> int:
-    """Energy-ledger gate: conservation identity + deterministic export.
+    """Energy-ledger gate: conservation identity, one disk-energy
+    source, deterministic export.
 
     Runs one small gateway_slo point with the ledger armed and checks
     the DESIGN §15 identity (attributed joules == meter wall-energy
-    integral within the auditor tolerance), then reruns the identical
-    point and requires the canonical JSON energy exports to match byte
-    for byte.  The unarmed-overhead side of the gate is carried by the
+    integral within the auditor tolerance) and that the ledger's
+    non-overhead (disk) accounts, converted back to DC by
+    ``PSU_EFFICIENCY``, equal the summary's residency-based
+    ``energy_joules`` to ``ENERGY_CROSS_CHECK_REL``.  It then reruns the
+    identical point and requires the canonical JSON energy exports to
+    match byte for byte.  The unarmed-overhead side of the gate is carried by the
     gateway perf leg above: its smoke sweep runs with the ledger (and
     tracer) disarmed and is held to GATEWAY_TRACING_OFF_FACTOR = 1.1x.
     """
     from repro.experiments import gateway_slo
+    from repro.obs import ACCOUNT_OVERHEAD
+    from repro.power.systems import PSU_EFFICIENCY
 
     status = 0
     exports = []
@@ -363,6 +374,20 @@ def run_energy_smoke() -> int:
         f"(tolerance {identity['tolerance']:.3e}) {verdict}"
     )
     if not identity["conserved"]:
+        status = 1
+    disk_wall = sum(
+        joules
+        for account, joules in energy["accounts"].items()
+        if account != ACCOUNT_OVERHEAD
+    )
+    dc = summary["energy_joules"]
+    cross = abs(disk_wall * PSU_EFFICIENCY - dc) / max(1.0, abs(dc))
+    verdict = "OK" if cross <= ENERGY_CROSS_CHECK_REL else "DRIFT"
+    print(
+        f"energy: ledger disk books x PSU efficiency vs summary "
+        f"energy_joules {dc:.3f} J: relative error {cross:.3e} {verdict}"
+    )
+    if cross > ENERGY_CROSS_CHECK_REL:
         status = 1
     identical = exports[0] == exports[1]
     verdict = "OK" if identical else "MISMATCH"

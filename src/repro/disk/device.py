@@ -32,6 +32,8 @@ __all__ = [
     "IoRequest",
     "SimulatedDisk",
     "SpinUpListener",
+    "StateListener",
+    "state_watts",
 ]
 
 #: ``(disk_id, sim_now, blame_scope)`` — fired synchronously inside
@@ -41,6 +43,24 @@ SpinUpListener = Callable[[str, float, TraceScope], None]
 
 #: ``(tenant, trace_id)`` ownership stamp for a busy/spin-up interval.
 OwnerStamp = Optional[Tuple[Optional[str], int]]
+
+#: ``(disk_id, state, span, owner)`` of the power-state interval that just
+#: ended, fired from every transition.  Draw is constant within an
+#: interval, so listeners (the energy ledger) integrate it exactly.
+StateListener = Callable[[str, DiskPowerState, float, OwnerStamp], None]
+
+
+def state_watts(profile: DiskPowerProfile, state: DiskPowerState) -> float:
+    """DC watts a disk draws in ``state`` under ``profile``."""
+    if state is DiskPowerState.POWERED_OFF:
+        return 0.0
+    if state is DiskPowerState.SPUN_DOWN:
+        return profile.spun_down
+    if state is DiskPowerState.IDLE:
+        return profile.idle
+    # ACTIVE, and SPINNING_UP: spin-up draws peak current, modelled as
+    # active draw.
+    return profile.active
 
 
 class DiskOfflineError(Exception):
@@ -99,6 +119,7 @@ class SimulatedDisk:
         self.busy_owner: OwnerStamp = None
         self.spinup_owner: OwnerStamp = None
         self._spin_listeners: List[SpinUpListener] = []
+        self._state_listeners: List[StateListener] = []
         # Obs instruments, fetched once; aggregated across all disks of a
         # simulator so the dump stays small at deployment scale.
         metrics = sim.metrics
@@ -118,9 +139,28 @@ class SimulatedDisk:
         return self.states.state
 
     def _enter_state(self, new_state: DiskPowerState) -> None:
-        self._residency[self.states.state] += self.sim.now - self._state_entered
+        state, span, owner = self.open_interval()
         self.states.transition(new_state)
+        self._residency[state] += span
         self._state_entered = self.sim.now
+        for listener in self._state_listeners:
+            listener(self.disk_id, state, span, owner)
+
+    def open_interval(self) -> Tuple[DiskPowerState, float, OwnerStamp]:
+        """The current power-state interval: state, span so far, owner.
+
+        The owner is :attr:`busy_owner` for ACTIVE, :attr:`spinup_owner`
+        for SPINNING_UP and ``None`` otherwise; both stamps stay set
+        until their interval has closed.
+        """
+        state = self.states.state
+        if state is DiskPowerState.ACTIVE:
+            owner = self.busy_owner
+        elif state is DiskPowerState.SPINNING_UP:
+            owner = self.spinup_owner
+        else:
+            owner = None
+        return state, self.sim.now - self._state_entered, owner
 
     def residency(self, state: DiskPowerState) -> float:
         """Total time spent in ``state`` so far (including current)."""
@@ -131,17 +171,7 @@ class SimulatedDisk:
 
     def power_draw(self, profile: DiskPowerProfile) -> float:
         """Instantaneous watts for a given power profile."""
-        state = self.states.state
-        if state is DiskPowerState.POWERED_OFF:
-            return 0.0
-        if state is DiskPowerState.SPUN_DOWN:
-            return profile.spun_down
-        if state is DiskPowerState.ACTIVE:
-            return profile.active
-        if state is DiskPowerState.SPINNING_UP:
-            # Spin-up draws peak current; model as active draw.
-            return profile.active
-        return profile.idle
+        return state_watts(profile, self.states.state)
 
     def default_power_profile(self) -> DiskPowerProfile:
         if self.connection is ConnectionType.SATA:
@@ -151,14 +181,10 @@ class SimulatedDisk:
     def energy_joules(self, profile: Optional[DiskPowerProfile] = None) -> float:
         """Energy integrated over state residencies so far."""
         prof = profile or self.default_power_profile()
-        watts = {
-            DiskPowerState.POWERED_OFF: 0.0,
-            DiskPowerState.SPUN_DOWN: prof.spun_down,
-            DiskPowerState.SPINNING_UP: prof.active,
-            DiskPowerState.IDLE: prof.idle,
-            DiskPowerState.ACTIVE: prof.active,
-        }
-        return sum(self.residency(state) * watts[state] for state in DiskPowerState)
+        return sum(
+            self.residency(state) * state_watts(prof, state)
+            for state in DiskPowerState
+        )
 
     def spin_down(self) -> None:
         if self.states.state is DiskPowerState.IDLE:
@@ -179,6 +205,11 @@ class SimulatedDisk:
     def remove_spin_up_listener(self, listener: SpinUpListener) -> None:
         if listener in self._spin_listeners:
             self._spin_listeners.remove(listener)
+
+    def add_state_listener(self, listener: StateListener) -> None:
+        """Notify ``listener(disk_id, state, span, owner)`` as each
+        power-state interval closes."""
+        self._state_listeners.append(listener)
 
     def spin_up(self, blame: TraceScope = NULL_SCOPE) -> Event:
         """Begin spinning up; the returned event fires when ready.
@@ -282,6 +313,11 @@ class SimulatedDisk:
             self._last_is_read = request.is_read
             service_started = self.sim.now
             yield self.sim.timeout(service)
+            # Leave ACTIVE before the failure check below, so a disk that
+            # fails mid-transfer is not billed active watts (and pinned
+            # spinning) until its next I/O.
+            if self.states.state is DiskPowerState.ACTIVE:
+                self._enter_state(DiskPowerState.IDLE)
             if scope.enabled:
                 # Decompose the single already-elapsed service interval
                 # retroactively (no extra sim events, so traced and
@@ -310,8 +346,6 @@ class SimulatedDisk:
             else:
                 self.bytes_written += request.size
                 self._m_bytes_written.inc(request.size)
-            if self.states.state is DiskPowerState.ACTIVE:
-                self._enter_state(DiskPowerState.IDLE)
             return service
         finally:
             self.busy_owner = None

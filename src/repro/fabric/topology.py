@@ -11,7 +11,7 @@ property the paper relies on (§III-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.fabric.components import (
     Bridge,
@@ -69,14 +69,26 @@ class Fabric:
         self._epoch = 0
         self._trace_cache: Dict[Tuple[str, bool], Tuple[str, ...]] = {}
         self._trace_cache_epoch = -1
+        self._epoch_listeners: List[Callable[[], None]] = []
 
     @property
     def epoch(self) -> int:
         """Monotone counter identifying the current routing state."""
         return self._epoch
 
+    def add_epoch_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` after every epoch bump.
+
+        Switch turns, failures and repairs are the only runtime events
+        that bump the epoch, so state derived from the routing (hub
+        loads, hence fabric power) can only change at these calls.
+        """
+        self._epoch_listeners.append(listener)
+
     def _bump_epoch(self) -> None:
         self._epoch += 1
+        for listener in self._epoch_listeners:
+            listener()
 
     # -- construction ----------------------------------------------------
 

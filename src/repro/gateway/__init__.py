@@ -17,11 +17,9 @@ See DESIGN.md §9 and the ``gateway_slo`` experiment.
 
 The request surface is object-level (DESIGN.md §12): callers build an
 :class:`ObjectRef` and submit :class:`ReadObject` / :class:`WriteObject`
-/ :class:`ReadRange` ops; the legacy positional
-``submit(tenant, space_id, offset, size)`` shape survives behind a
-``DeprecationWarning`` shim.  Everything callers need — the op types
-and the typed error hierarchy included — is importable from this
-package root.
+/ :class:`ReadRange` ops.  Everything callers need — the op types and
+the typed error hierarchy included — is importable from this package
+root.
 """
 
 from repro.gateway.api import (  # noqa: F401

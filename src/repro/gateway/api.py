@@ -17,8 +17,7 @@ an :class:`ObjectRef` (the named, placed extent):
   to the ref, so callers never re-derive absolute disk offsets).
 
 Every op resolves to the physical ``(space_id, offset, size, is_read)``
-tuple via :func:`resolve_op`; the gateway keeps the old positional
-signature alive behind a ``DeprecationWarning`` shim.
+tuple via :func:`resolve_op`.
 """
 
 from __future__ import annotations
@@ -107,9 +106,6 @@ class ReadRange:
 
 
 GatewayOp = Union[ReadObject, WriteObject, ReadRange]
-
-#: isinstance tuple for shim dispatch in :meth:`Gateway.submit`.
-GATEWAY_OP_TYPES: Tuple[type, ...] = (ReadObject, WriteObject, ReadRange)
 
 
 def resolve_op(op: GatewayOp) -> Tuple[str, int, int, bool]:

@@ -26,7 +26,6 @@ instead of waiting out the policy's idle timeout.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -37,7 +36,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.cluster.clientlib import MountedSpace, StorageUnavailableError
@@ -50,11 +48,7 @@ from repro.sim import Event, Simulator
 from repro.units import SimSeconds, Watts
 
 from repro.gateway.api import (
-    GATEWAY_OP_TYPES,
     GatewayOp,
-    ObjectRef,
-    ReadObject,
-    WriteObject,
     resolve_op,
 )
 from repro.gateway.queues import WeightedFairQueue
@@ -318,60 +312,14 @@ class Gateway:
 
     # -- admission --------------------------------------------------------
 
-    def submit(
-        self,
-        request: Union[GatewayOp, str, None] = None,
-        space_id: Optional[str] = None,
-        offset: Optional[int] = None,
-        size: Optional[int] = None,
-        is_read: bool = True,
-        *,
-        tenant: Optional[str] = None,
-    ) -> GatewayRequest:
-        """Admit one typed op (or raise a typed admission error).
-
-        The supported call shape is a single :class:`ReadObject`,
-        :class:`WriteObject` or :class:`ReadRange`.  The legacy
-        positional shape ``submit(tenant, space_id, offset, size,
-        is_read)`` (and its keyword spelling with ``tenant=``) still
-        works but emits a :class:`DeprecationWarning` and adapts onto
-        the typed path.
-        """
-        if isinstance(request, GATEWAY_OP_TYPES):
-            if space_id is not None or offset is not None or size is not None:
-                raise TypeError(
-                    "submit() takes a single typed op; positional block "
-                    "coordinates cannot be combined with it"
-                )
-            op = request
-        else:
-            legacy_tenant = tenant if tenant is not None else request
-            if (
-                not isinstance(legacy_tenant, str)
-                or space_id is None
-                or offset is None
-                or size is None
-            ):
-                raise TypeError(
-                    "submit() expects a ReadObject/WriteObject/ReadRange "
-                    "(or the deprecated tenant/space_id/offset/size shape)"
-                )
-            warnings.warn(
-                "Gateway.submit(tenant, space_id, offset, size, is_read) is "
-                "deprecated; submit a ReadObject/WriteObject/ReadRange "
-                "carrying an ObjectRef instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            ref = ObjectRef(space_id=space_id, offset=offset, size=size)
-            if is_read:
-                op = ReadObject(tenant=legacy_tenant, ref=ref)
-            else:
-                op = WriteObject(tenant=legacy_tenant, ref=ref)
+    def submit(self, op: GatewayOp) -> GatewayRequest:
+        """Admit one :class:`ReadObject`, :class:`WriteObject` or
+        :class:`ReadRange` (or raise a typed admission error)."""
         return self.submit_op(op)
 
     def submit_op(self, op: GatewayOp) -> GatewayRequest:
-        """Admit one typed op (the non-overloaded entry point)."""
+        """Admit one typed op: the body behind :meth:`submit`, which
+        instrumentation wraps to see every admission."""
         op_space, op_offset, op_size, op_is_read = resolve_op(op)
         op_tenant = op.tenant
         self.stats.submitted += 1

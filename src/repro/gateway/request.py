@@ -92,8 +92,8 @@ class GatewayRequest:
     #: path (gateway -> ClientLib -> iSCSI -> disk).  Defaults to the
     #: shared no-op context, so untraced runs pay nothing.
     trace: TraceContext = field(default=NULL_TRACE, repr=False)
-    #: The object-level ref this request resolved from (``None`` for
-    #: legacy positional submissions).  ``offset``/``size`` stay the
+    #: The object-level ref this request resolved from (``None`` for a
+    #: request built without one).  ``offset``/``size`` stay the
     #: physical coordinates; the ref preserves the logical extent so
     #: the scheduler can coalesce same-extent sub-reads.
     ref: Optional[ObjectRef] = None

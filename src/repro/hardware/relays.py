@@ -18,7 +18,7 @@ __all__ = ["RelayBank", "RelayListener", "rolling_spin_up"]
 
 #: ``(disk_id, powered)`` — fired on every relay state *change*, so
 #: observers (the power meter's fabric-gating model) can track relay
-#: state by subscription instead of re-scanning the bank every sample.
+#: state by subscription instead of re-scanning the bank.
 RelayListener = Callable[[str, bool], None]
 
 

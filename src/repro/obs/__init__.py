@@ -15,7 +15,6 @@ from repro.obs.energy import (
     DiskEnergyBook,
     EnergyConservationError,
     EnergyLedger,
-    EnergyRow,
     SpinUpBlame,
     tenant_account,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "DiskEnergyBook",
     "EnergyConservationError",
     "EnergyLedger",
-    "EnergyRow",
     "SpinUpBlame",
     "DEFAULT_DEPTH_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",

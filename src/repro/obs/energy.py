@@ -1,58 +1,52 @@
 """Per-tenant / per-request energy attribution with a conservation identity.
 
-The :class:`EnergyLedger` splits every sampled watt-interval of a
-deployment into attributable components — per-disk active / spin-up /
-idle / standby energy plus a fixed ``overhead`` account (fabric, fans,
-host adapters, PSU loss) — and charges disk-active and spin-up energy
-to the tenant and request that caused it, using the ownership stamps
-the disk layer records from the existing ``TraceContext`` threading
-(gateway admission → batch scheduler → ClientLib → iSCSI → disk).
+The :class:`EnergyLedger` books every joule a deployment draws into
+attributable components — per-disk active / spin-up / idle / standby
+energy plus an ``overhead`` account (fabric, fans, host adapters) — and
+charges disk-active and spin-up energy to the tenant and request that
+caused it, using the ownership stamps the disk layer records from the
+existing ``TraceContext`` threading (gateway admission → batch
+scheduler → ClientLib → iSCSI → disk).
+
+Books are kept in wall joules: DC draw divided by the PSU efficiency,
+so disk accounts carry their share of conversion loss.
 
 Accounts (DESIGN §15):
 
-* ``tenant:<name>`` — active/spin-up watts on a disk whose current
-  busy interval is owned by a live trace of that tenant.
+* ``tenant:<name>`` — active/spin-up joules of a disk interval owned by
+  a live trace of that tenant.
 * ``system`` — owned disk work with no tenant (settle-phase I/O,
   traces minted without a tenant, stale scopes after crash/remount).
-* ``idle`` — idle and spun-down (standby electronics) disk watts; no
+* ``idle`` — idle and spun-down (standby electronics) disk joules; no
   request caused them, so no tenant is blamed.
 * ``overhead`` — everything that is not a disk: fabric switches/hubs,
-  fans, USB host adapters, and PSU conversion loss.
+  fans and USB host adapters.
 
+Draw is constant between disk power-state transitions and fabric power
+changes (relay flips, switch turns), so the ledger books at exactly
+those points and the books are the true integral, not a sample of it.
 The headline invariant mirrors the latency-attribution identity: the
-per-account joules **sum to the PowerMeter wall-energy integral** over
-any window.  It holds by construction — each sample's account watts
-are derived from the very same wall figure the meter records, with
-``overhead`` defined as the exact residual — so the only slack is
-floating-point summation order, bounded by the documented relative
-tolerance of :class:`ConservationAuditor` (default ``1e-9``).
+per-account joules **sum to the PowerMeter wall-energy integral**,
+which the meter computes by a separate route (disk state residencies).
+The only slack is floating-point summation order, bounded by the
+documented relative tolerance of :class:`ConservationAuditor`
+(default ``1e-9``).
 
-The ledger is sample-driven and passive: it allocates nothing on the
-I/O path, and when unarmed (no ledger passed to ``PowerMeter``) the
-only cost on the request path is the ownership stamp — two attribute
-writes per I/O — gated with the tracer under the ≤1.1x overhead check
-in the gateway smoke.
+When unarmed (no ledger passed to ``PowerMeter``) the only cost on the
+request path is the ownership stamp — two attribute writes per I/O.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Any, Dict, List, Mapping, Optional, Protocol, TYPE_CHECKING
 
-from repro.units import Joules, SimSeconds, Watts
+from repro.units import Joules, SimSeconds
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (power -> obs)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (disk -> obs)
+    from repro.disk.device import OwnerStamp, SimulatedDisk
+    from repro.disk.states import DiskPowerState
     from repro.obs.trace import TraceScope
 
 __all__ = [
@@ -63,14 +57,13 @@ __all__ = [
     "DiskEnergyBook",
     "EnergyConservationError",
     "EnergyLedger",
-    "EnergyRow",
     "SpinUpBlame",
     "tenant_account",
 ]
 
 #: Idle + standby disk watts: no request caused them.
 ACCOUNT_IDLE = "idle"
-#: Fabric + fans + host adapters + PSU loss: the non-disk residual.
+#: Fabric + fans + host adapters: the non-disk draw.
 ACCOUNT_OVERHEAD = "overhead"
 #: Owned disk work with no tenant attached (settle I/O, stale scopes).
 ACCOUNT_SYSTEM = "system"
@@ -80,6 +73,17 @@ TENANT_PREFIX = "tenant:"
 #: Default tier name for disks never classified via :meth:`EnergyLedger.set_tier`.
 DEFAULT_TIER = "default"
 
+#: ``DiskPowerState`` value -> disk energy bucket (powered off draws 0 W
+#: and is never booked).
+_BUCKETS = {
+    "active": "active",
+    "spinning_up": "spinup",
+    "idle": "idle",
+    "spun_down": "standby",
+}
+#: Buckets billed to the owner of the interval rather than to ``idle``.
+_OWNED_BUCKETS = ("active", "spinup")
+
 
 def tenant_account(tenant: Optional[str]) -> str:
     """Account name for a tenant (``system`` when no tenant is known)."""
@@ -88,17 +92,6 @@ def tenant_account(tenant: Optional[str]) -> str:
 
 class EnergyConservationError(AssertionError):
     """The attributed joules failed to sum to the wall-energy integral."""
-
-
-@dataclass(frozen=True)
-class EnergyRow:
-    """One attributed component of one power sample (wall watts)."""
-
-    account: str
-    disk_id: str  # "" for non-disk rows (overhead)
-    bucket: str  # active | spinup | idle | standby | overhead
-    trace_id: int  # -1 when no owning request
-    watts: Watts
 
 
 @dataclass(frozen=True)
@@ -155,14 +148,13 @@ class DiskEnergyBook:
 
 
 class EnergyLedger:
-    """Double-entry joule books over a sampled power series.
+    """Double-entry joule books, booked whenever draw changes.
 
-    Fed by ``PowerMeter`` (pass ``ledger=`` at construction): each
-    sample closes the previous watt-interval ``[t_prev, t_now)`` at the
-    *previously* recorded per-account watts — the same step-function
-    semantics the meter's ``TimeSeries`` integrates — then records the
-    fresh breakdown.  :meth:`finalize` rolls the books forward to an
-    arbitrary end time exactly like ``PowerMeter.energy_joules`` does.
+    ``PowerMeter.start`` wires it up (pass ``ledger=`` at construction):
+    :meth:`watch` subscribes to each disk's state transitions, and
+    :meth:`step_overhead` receives every change of the non-disk draw.
+    Each closed interval is booked once, at ``watts × span``.
+    :meth:`finalize` books the still-open intervals up to an end time.
     """
 
     def __init__(self) -> None:
@@ -176,16 +168,14 @@ class EnergyLedger:
         self.blames: List[SpinUpBlame] = []
         #: disk id -> tier name (see :meth:`set_tier`).
         self.tiers: Dict[str, str] = {}
-        #: (time, cumulative per-account joules) after every sample.
-        self.checkpoints: List[Tuple[float, Dict[str, float]]] = []
-        self.samples = 0
-        self._checkpoint_times: List[float] = []
-        self._last_time: Optional[float] = None
-        self._last_rows: Tuple[EnergyRow, ...] = ()
-
-    def _checkpoint(self, now: float) -> None:
-        self.checkpoints.append((now, dict(self.accounts)))
-        self._checkpoint_times.append(now)
+        self._watched: Dict[str, "SimulatedDisk"] = {}
+        # disk id -> wall watts per power state.
+        self._wall_watts: Dict[str, Mapping["DiskPowerState", float]] = {}
+        # disk id -> seconds of its open interval already booked (by
+        # finalize, or before the disk was watched).
+        self._booked_span: Dict[str, float] = {}
+        self._overhead_watts = 0.0
+        self._overhead_since: Optional[float] = None
 
     # -- classification ---------------------------------------------------
 
@@ -198,6 +188,20 @@ class EnergyLedger:
 
     # -- feed (called by PowerMeter / disk listeners) ----------------------
 
+    def watch(
+        self, disk: "SimulatedDisk", wall_watts: Mapping["DiskPowerState", float]
+    ) -> None:
+        """Book ``disk`` from now on at ``wall_watts[state]``.
+
+        The part of the open interval that lies before this call is
+        never booked.
+        """
+        self._watched[disk.disk_id] = disk
+        self._wall_watts[disk.disk_id] = wall_watts
+        self._booked_span[disk.disk_id] = disk.open_interval()[1]
+        disk.add_state_listener(self.on_interval)
+        disk.add_spin_up_listener(self.on_spin_up)
+
     def on_spin_up(self, disk_id: str, now: float, blame: "TraceScope") -> None:
         """Disk spin-up listener: record exact-time blame for the surge."""
         owner = blame.owner()
@@ -207,48 +211,80 @@ class EnergyLedger:
             SpinUpBlame(SimSeconds(now), disk_id, account, trace_id)
         )
 
-    def record_sample(self, now: float, rows: Sequence[EnergyRow]) -> None:
-        """Record the attributed breakdown of one power sample at ``now``.
+    def on_interval(
+        self,
+        disk_id: str,
+        state: "DiskPowerState",
+        span: float,
+        owner: "OwnerStamp",
+    ) -> None:
+        """Disk state listener: book the power-state interval that closed."""
+        self._book_disk(disk_id, state, span, owner)
+        self._booked_span[disk_id] = 0.0
 
-        ``rows`` must sum (in order) to the wall watts the meter stored
-        for the same instant — the conservation identity inherits its
-        exactness from that per-sample equality.
-        """
-        if self._last_time is not None and now > self._last_time:
-            self._apply(self._last_rows, now - self._last_time)
-        self._last_time = now
-        self._last_rows = tuple(rows)
-        self.samples += 1
-        self._checkpoint(now)
+    def step_overhead(self, now: float, watts: float) -> None:
+        """The non-disk wall draw changes to ``watts`` at ``now``."""
+        self._close_overhead(now)
+        self._overhead_watts = watts
+        self._overhead_since = now
 
     def finalize(self, end: float) -> None:
-        """Roll the books forward to ``end`` at the last sampled watts.
+        """Book every still-open interval up to ``end``.
 
-        Mirrors the meter's integral, which extends the final sample's
-        value to the end of the window.  Idempotent for a fixed ``end``;
-        later samples simply continue from there.
+        Idempotent for a fixed ``end``; a later transition books only
+        the part of its interval that lies beyond ``end``.
         """
-        if self._last_time is None or end <= self._last_time:
-            return
-        self._apply(self._last_rows, end - self._last_time)
-        self._last_time = end
-        self._checkpoint(end)
+        self._close_overhead(end)
+        for disk_id, disk in self._watched.items():
+            state, span, owner = disk.open_interval()
+            span += end - disk.sim.now
+            if span > self._booked_span[disk_id]:
+                self._book_disk(disk_id, state, span, owner)
+                self._booked_span[disk_id] = span
 
-    def _apply(self, rows: Sequence[EnergyRow], span: float) -> None:
-        for row in rows:
-            joules = row.watts * span
-            self.accounts[row.account] = (
-                self.accounts.get(row.account, 0.0) + joules
-            )
-            if row.disk_id:
-                book = self.disks.get(row.disk_id)
-                if book is None:
-                    book = self.disks.setdefault(row.disk_id, DiskEnergyBook())
-                book.add(row.bucket, joules)
-            if row.trace_id >= 0:
-                self.requests[row.trace_id] = (
-                    self.requests.get(row.trace_id, 0.0) + joules
-                )
+    def _close_overhead(self, now: float) -> None:
+        since = self._overhead_since
+        if since is not None and now > since:
+            self.book(ACCOUNT_OVERHEAD, self._overhead_watts * (now - since))
+            self._overhead_since = now
+
+    def _book_disk(
+        self,
+        disk_id: str,
+        state: "DiskPowerState",
+        span: float,
+        owner: "OwnerStamp",
+    ) -> None:
+        span -= self._booked_span[disk_id]
+        watts = self._wall_watts[disk_id][state]
+        if span <= 0.0 or watts == 0.0:
+            return
+        bucket = _BUCKETS[state.value]
+        if bucket in _OWNED_BUCKETS:
+            account = tenant_account(owner[0] if owner else None)
+            trace_id = owner[1] if owner is not None else -1
+        else:
+            account = ACCOUNT_IDLE
+            trace_id = -1
+        self.book(account, watts * span, disk_id, bucket, trace_id)
+
+    def book(
+        self,
+        account: str,
+        joules: float,
+        disk_id: str = "",
+        bucket: str = "",
+        trace_id: int = -1,
+    ) -> None:
+        """Credit ``joules`` to an account, a disk bucket and a trace."""
+        self.accounts[account] = self.accounts.get(account, 0.0) + joules
+        if disk_id:
+            book = self.disks.get(disk_id)
+            if book is None:
+                book = self.disks.setdefault(disk_id, DiskEnergyBook())
+            book.add(bucket, joules)
+        if trace_id >= 0:
+            self.requests[trace_id] = self.requests.get(trace_id, 0.0) + joules
 
     # -- queries -----------------------------------------------------------
 
@@ -274,69 +310,11 @@ class EnergyLedger:
             agg.standby += book.standby
         return {name: tiers[name].as_dict() for name in sorted(tiers)}
 
-    def _cumulative_at(self, t: float) -> Dict[str, float]:
-        """Cumulative per-account joules at time ``t``.
-
-        Linear interpolation between checkpoints is *exact*: watts are
-        stepwise-constant per sample interval, so cumulative energy is
-        piecewise-linear in time.  Beyond the last checkpoint the last
-        recorded breakdown extrapolates, matching :meth:`finalize`.
-        """
-        points = self.checkpoints
-        if not points or t <= points[0][0]:
-            return {}
-        index = bisect_right(self._checkpoint_times, t)
-        if index >= len(points):
-            totals = dict(points[-1][1])
-            span = t - points[-1][0]
-            for row in self._last_rows:
-                totals[row.account] = totals.get(row.account, 0.0) + row.watts * span
-            return totals
-        t0, before = points[index - 1]
-        t1, after = points[index]
-        if t1 <= t0:
-            return dict(after)
-        frac = (t - t0) / (t1 - t0)
-        names = set(before) | set(after)
-        return {
-            name: before.get(name, 0.0)
-            + frac * (after.get(name, 0.0) - before.get(name, 0.0))
-            for name in names
-        }
-
-    def window(self, t0: float, t1: float) -> Dict[str, float]:
-        """Exact per-account joules spent in the window ``[t0, t1]``."""
-        if t1 < t0:
-            raise ValueError(f"bad window [{t0}, {t1}]")
-        start = self._cumulative_at(t0)
-        end = self._cumulative_at(t1)
-        names = sorted(set(start) | set(end))
-        return {n: end.get(n, 0.0) - start.get(n, 0.0) for n in names}
-
-    def windowed_series(self, step: SimSeconds) -> List[Dict[str, Any]]:
-        """Per-account joules in consecutive ``step``-wide windows."""
-        if step <= 0:
-            raise ValueError("step must be positive")
-        if not self.checkpoints:
-            return []
-        start = self.checkpoints[0][0]
-        end = self.checkpoints[-1][0]
-        out: List[Dict[str, Any]] = []
-        t = start
-        while t < end:
-            upper = min(t + step, end)
-            out.append(
-                {"t0": t, "t1": upper, "accounts": self.window(t, upper)}
-            )
-            t = upper
-        return out
-
     # -- export ------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe, key-sorted snapshot of every book."""
         return {
-            "samples": self.samples,
             "accounts": self.account_joules(),
             "attributed_joules": self.attributed_joules(),
             "tiers": self.tier_joules(),
@@ -357,14 +335,15 @@ class EnergyLedger:
 
 
 class ConservationAuditor:
-    """Asserts the energy conservation identity over any window.
+    """Asserts the energy conservation identity against the true integral.
 
     ``attributed == wall`` up to floating-point summation order: the
-    ledger derives each sample's rows from the very watts figure the
-    meter integrates, with ``overhead`` the exact residual, so the only
-    slack is reassociation error — bounded by ``rel_tolerance`` scaled
-    by the wall energy (documented default ``1e-9``, i.e. nanojoules
-    per joule).
+    ledger books each disk interval as it closes, while the meter sums
+    the disks' own state residencies, and both integrate the same
+    overhead step function.  Both are exact, so the only slack is
+    reassociation error — bounded by ``rel_tolerance`` scaled by the
+    wall energy (documented default ``1e-9``, i.e. nanojoules per
+    joule).
     """
 
     def __init__(
@@ -409,5 +388,5 @@ class MeterLike(Protocol):
     """Structural stand-in for ``PowerMeter`` (avoids an import cycle)."""
 
     def energy_joules(self, end_time: Optional[SimSeconds] = None) -> Joules:
-        """Wall-energy integral of the sampled series up to ``end_time``."""
+        """Wall-energy integral from the meter's start up to ``end_time``."""
         ...

@@ -16,19 +16,11 @@ from repro.sim.kernel import (
 from repro.sim.process import Process
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import (
-    Counter,
-    EventDigest,
-    TimeSeries,
-    TraceRecord,
-    Tracer,
-    records_digest,
-)
+from repro.sim.trace import EventDigest
 
 __all__ = [
     "CalendarQueue",
     "Container",
-    "Counter",
     "Event",
     "EventDigest",
     "HeapScheduler",
@@ -40,12 +32,8 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
-    "TimeSeries",
-    "TraceRecord",
-    "Tracer",
     "Timeout",
     "default_scheduler",
-    "records_digest",
     "set_default_scheduler",
     "use_scheduler",
 ]

@@ -1,56 +1,20 @@
-"""Tracing and metric collection for simulations.
+"""Replay fingerprinting for simulations.
 
-A :class:`Tracer` records timestamped events into typed channels; a
-:class:`TimeSeries` accumulates (time, value) samples and computes
-summary statistics; :class:`Counter` tracks monotonically increasing
-counts.  All are plain in-memory structures so tests can assert on them
-directly.
+:class:`EventDigest` folds every processed kernel event into a running
+SHA-256, so two runs can be compared for exact replay equality without
+storing their event streams.  Telemetry (counters, gauges, request
+traces) lives in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.sim.kernel import Simulator
 
-__all__ = [
-    "Counter",
-    "EventDigest",
-    "TimeSeries",
-    "TraceRecord",
-    "Tracer",
-    "records_digest",
-]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    time: float
-    channel: str
-    message: str
-    data: Dict[str, Any] = field(default_factory=dict)
-
-    def canonical(self) -> str:
-        """A stable one-line serialization for digesting."""
-        payload = ",".join(f"{k}={self.data[k]!r}" for k in sorted(self.data))
-        return f"{self.time!r}|{self.channel}|{self.message}|{payload}"
-
-
-def records_digest(records: Iterable[TraceRecord]) -> str:
-    """SHA-256 over a canonical serialization of ``records``.
-
-    Two runs are replay-identical iff their digests match byte for
-    byte; the replay-determinism regression tests rely on this.
-    """
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(record.canonical().encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+__all__ = ["EventDigest"]
 
 
 class EventDigest:
@@ -77,127 +41,3 @@ class EventDigest:
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
-
-
-class Tracer:
-    """Append-only trace log with per-channel filtering and subscribers."""
-
-    def __init__(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-        self.records: List[TraceRecord] = []
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
-        self.enabled = True
-
-    def emit(self, channel: str, message: str, **data: Any) -> None:
-        if not self.enabled:
-            return
-        record = TraceRecord(self._clock(), channel, message, data)
-        self.records.append(record)
-        for subscriber in self._subscribers:
-            subscriber(record)
-
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
-        self._subscribers.append(fn)
-
-    def channel(self, channel: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.channel == channel]
-
-    def since(self, time: float) -> List[TraceRecord]:
-        return [r for r in self.records if r.time >= time]
-
-    def digest(self) -> str:
-        """Replay fingerprint of everything recorded so far."""
-        return records_digest(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-
-class TimeSeries:
-    """(time, value) samples with simple statistics."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def sample(self, time: float, value: float) -> None:
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
-
-    def mean(self) -> float:
-        if not self.values:
-            return 0.0
-        return sum(self.values) / len(self.values)
-
-    def stddev(self) -> float:
-        n = len(self.values)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(sum((v - mu) ** 2 for v in self.values) / (n - 1))
-
-    def minimum(self) -> float:
-        return min(self.values) if self.values else 0.0
-
-    def maximum(self) -> float:
-        return max(self.values) if self.values else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile, q in [0, 100]."""
-        if not self.values:
-            return 0.0
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile q must be in [0, 100], got {q}")
-        ordered = sorted(self.values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-    def time_weighted_mean(self, end_time: Optional[float] = None) -> float:
-        """Mean of a step function defined by the samples."""
-        if not self.values:
-            return 0.0
-        if len(self.values) == 1:
-            return self.values[0]
-        end = end_time if end_time is not None else self.times[-1]
-        total = 0.0
-        duration = 0.0
-        for i in range(len(self.values)):
-            t0 = self.times[i]
-            t1 = self.times[i + 1] if i + 1 < len(self.times) else end
-            span = max(0.0, t1 - t0)
-            total += self.values[i] * span
-            duration += span
-        return total / duration if duration > 0 else self.values[-1]
-
-
-class Counter:
-    """Named monotonically increasing counters."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only increase; got {amount}")
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import ControllerConfig, DeploymentConfig, build_deployment
 from repro.net import RemoteError, RpcClient
-from repro.sim import Counter
 
 
 class TestControllerRollback:
@@ -74,16 +73,6 @@ class TestControllerRollback:
 
 
 class TestMiscGaps:
-    def test_counter(self):
-        counter = Counter()
-        counter.incr("a")
-        counter.incr("a", 4)
-        assert counter.get("a") == 5
-        assert counter.get("missing") == 0
-        assert counter.as_dict() == {"a": 5}
-        with pytest.raises(ValueError):
-            counter.incr("a", -1)
-
     def test_fabric_subtree_nodes(self):
         from repro.fabric import prototype_fabric
 

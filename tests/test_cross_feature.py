@@ -5,7 +5,7 @@ import pytest
 from repro.backup import BackupService, provision_archive, synthetic_dataset
 from repro.cluster import build_deployment, build_multi_unit_deployment
 from repro.net import RemoteError, RpcClient
-from repro.sim import RngRegistry, Tracer
+from repro.sim import RngRegistry
 from repro.workload import MB
 
 
@@ -90,15 +90,3 @@ class TestMultiUnitEdges:
             dep.sim.run_until_event(dep.sim.process(scenario()))
         # The disk stayed put.
         assert dep.units["unit0"].fabric.attached_host("unit0.disk0") == "unit0.host0"
-
-
-class TestTracerGaps:
-    def test_since_and_clear(self):
-        clock = {"t": 0.0}
-        tracer = Tracer(lambda: clock["t"])
-        tracer.emit("a", "early")
-        clock["t"] = 5.0
-        tracer.emit("a", "late")
-        assert [r.message for r in tracer.since(1.0)] == ["late"]
-        tracer.clear()
-        assert tracer.records == []

@@ -211,6 +211,23 @@ class TestSimulatedDisk:
         with pytest.raises(DiskOfflineError):
             sim.run_until_event(done)
 
+    def test_failure_mid_transfer_leaves_active(self):
+        """A disk that fails mid-service must not stay ACTIVE: it would be
+        billed active watts for the whole failure and never spin down."""
+        sim, disk = self.make_disk()
+        request = IoRequest(offset=0, size=256 * MB, is_read=True)
+        service = disk.model.service_time(disk._spec_for(request))
+        done = disk.submit(request)
+        sim.call_in(service / 2, disk.fail)
+        with pytest.raises(DiskOfflineError):
+            sim.run_until_event(done)
+        assert disk.power_state is DiskPowerState.IDLE
+        assert disk.busy_owner is None
+        sim.run(until=sim.now + 100.0)
+        assert disk.residency(DiskPowerState.ACTIVE) == pytest.approx(service)
+        disk.spin_down()
+        assert disk.power_state is DiskPowerState.SPUN_DOWN
+
     def test_powered_off_rejects_io(self):
         sim, disk = self.make_disk()
         disk.spin_down()

@@ -1,13 +1,14 @@
 """Energy attribution ledger and its conservation identity.
 
 Property under test — the *energy conservation identity* (DESIGN §15):
-over any window, the per-account joules booked by the
-:class:`EnergyLedger` (``tenant:*`` + ``system`` + ``idle`` +
-``overhead``) sum exactly to the :class:`PowerMeter` wall-energy
-integral, up to the auditor's floating-point tolerance.  Checked on
-synthetic samples, on a clean end-to-end gateway run, under a
-mid-batch host crash with remount, and across a double run for
-byte-identical canonical exports.
+the per-account joules booked by the :class:`EnergyLedger` at disk and
+fabric power transitions (``tenant:*`` + ``system`` + ``idle`` +
+``overhead``) sum to the :class:`PowerMeter` wall-energy integral,
+which the meter computes separately from disk state residencies, up to
+the auditor's floating-point tolerance.  Checked on booked intervals,
+against a closed form on one disk, against a fine-step sampling oracle,
+on a clean end-to-end gateway run, under a mid-batch host crash with
+remount, and across a double run for byte-identical canonical exports.
 """
 
 import json
@@ -15,7 +16,8 @@ import json
 import pytest
 
 from repro.cluster.deployment import DeploymentConfig, build_deployment
-from repro.disk.device import IoRequest, SimulatedDisk
+from repro.disk.device import IoRequest, SimulatedDisk, state_watts
+from repro.disk.states import DiskPowerState
 from repro.experiments import gateway_slo, tiering_staging
 from repro.gateway import (
     Gateway,
@@ -29,24 +31,21 @@ from repro.obs import (
     ConservationAuditor,
     EnergyConservationError,
     EnergyLedger,
-    EnergyRow,
     RequestTracer,
     tenant_account,
 )
 from repro.power import PowerMeter
+from repro.power.systems import PSU_EFFICIENCY
 from repro.sim import Simulator
-from repro.units import SimSeconds, Watts
 from repro.workload import MB
 
 TENANT = TenantSpec(name="t0", weight=1.0, slo_seconds=600.0, max_queue_depth=64)
 
 
-def row(account, watts, disk_id="", bucket="overhead", trace_id=-1):
-    return EnergyRow(account, disk_id, bucket, trace_id, Watts(watts))
-
-
 class FakeScope:
-    """Stand-in for a TraceScope: just the ``owner()`` contract."""
+    """Stand-in for a TraceScope: the ``owner()`` contract, no phases."""
+
+    enabled = False
 
     def __init__(self, owner):
         self._owner = owner
@@ -54,79 +53,49 @@ class FakeScope:
     def owner(self):
         return self._owner
 
+    def phase(self, component):
+        pass
+
+
+def dc_watts(disk):
+    """State -> DC watts for ``disk``: books in DC joules."""
+    profile = disk.default_power_profile()
+    return {state: state_watts(profile, state) for state in DiskPowerState}
+
 
 class TestLedgerArithmetic:
     def test_step_function_integration(self):
-        """Intervals close at the *previous* sample's watts — the same
-        step-function semantics TimeSeries integrates."""
+        """Each overhead step closes at the watts it opened with."""
         ledger = EnergyLedger()
-        ledger.record_sample(0.0, [row("tenant:a", 10.0)])
-        ledger.record_sample(2.0, [row("tenant:a", 99.0)])
-        assert ledger.accounts == {"tenant:a": 20.0}
+        ledger.step_overhead(0.0, 10.0)
+        ledger.step_overhead(2.0, 99.0)
+        assert ledger.accounts == {"overhead": 20.0}
         ledger.finalize(5.0)
-        assert ledger.accounts == {"tenant:a": 20.0 + 3 * 99.0}
+        assert ledger.accounts == {"overhead": 20.0 + 3 * 99.0}
 
     def test_finalize_is_idempotent(self):
         ledger = EnergyLedger()
-        ledger.record_sample(0.0, [row("idle", 4.0)])
+        ledger.step_overhead(0.0, 4.0)
         ledger.finalize(10.0)
         ledger.finalize(10.0)
         ledger.finalize(7.0)  # never rolls backwards
-        assert ledger.accounts == {"idle": 40.0}
+        assert ledger.accounts == {"overhead": 40.0}
 
     def test_disk_books_and_request_charges(self):
         ledger = EnergyLedger()
-        rows = [
-            row("tenant:a", 8.0, disk_id="disk0", bucket="active", trace_id=7),
-            row("idle", 5.0, disk_id="disk1", bucket="idle"),
-            row("overhead", 3.0),
-        ]
-        ledger.record_sample(0.0, rows)
-        ledger.finalize(2.0)
+        ledger.book("tenant:a", 16.0, disk_id="disk0", bucket="active", trace_id=7)
+        ledger.book("idle", 10.0, disk_id="disk1", bucket="idle")
+        ledger.book("overhead", 6.0)
         assert ledger.disks["disk0"].active == 16.0
         assert ledger.disks["disk1"].idle == 10.0
         assert ledger.requests == {7: 16.0}
         assert ledger.attributed_joules() == pytest.approx(32.0)
 
-    def test_window_queries_are_exact(self):
-        """Cumulative energy is piecewise-linear, so interpolated
-        window queries are exact, including mid-interval bounds."""
-        ledger = EnergyLedger()
-        ledger.record_sample(0.0, [row("tenant:a", 10.0)])
-        ledger.record_sample(4.0, [row("tenant:a", 2.0)])
-        ledger.finalize(8.0)
-        assert ledger.window(0.0, 4.0) == {"tenant:a": pytest.approx(40.0)}
-        assert ledger.window(1.0, 3.0) == {"tenant:a": pytest.approx(20.0)}
-        assert ledger.window(3.0, 5.0) == {"tenant:a": pytest.approx(12.0)}
-        # Windows partition: adjacent windows sum to the containing one.
-        full = ledger.window(0.0, 8.0)["tenant:a"]
-        split = (
-            ledger.window(0.0, 3.5)["tenant:a"]
-            + ledger.window(3.5, 8.0)["tenant:a"]
-        )
-        assert split == pytest.approx(full)
-
-    def test_windowed_series_covers_the_books(self):
-        ledger = EnergyLedger()
-        ledger.record_sample(0.0, [row("tenant:a", 3.0), row("overhead", 1.0)])
-        ledger.record_sample(2.0, [row("tenant:a", 5.0), row("overhead", 1.0)])
-        ledger.finalize(5.0)
-        series = ledger.windowed_series(SimSeconds(2.0))
-        assert [w["t0"] for w in series] == [0.0, 2.0, 4.0]
-        total = sum(sum(w["accounts"].values()) for w in series)
-        assert total == pytest.approx(float(ledger.attributed_joules()))
-
     def test_tier_aggregation(self):
         ledger = EnergyLedger()
         ledger.set_tier("disk0", "hot")
-        ledger.record_sample(
-            0.0,
-            [
-                row("tenant:a", 6.0, disk_id="disk0", bucket="active", trace_id=1),
-                row("idle", 4.0, disk_id="disk1", bucket="standby"),
-            ],
-        )
-        ledger.finalize(1.0)
+        ledger.book("tenant:a", 6.0, disk_id="disk0", bucket="active", trace_id=1)
+        ledger.book("idle", 4.0, disk_id="disk1", bucket="standby")
         tiers = ledger.tier_joules()
         assert tiers["hot"]["active"] == pytest.approx(6.0)
         # Unclassified disks fall into the "default" tier.
@@ -144,8 +113,7 @@ class TestLedgerArithmetic:
 
     def test_export_is_canonical_json(self):
         ledger = EnergyLedger()
-        ledger.record_sample(0.0, [row("tenant:a", 1.0)])
-        ledger.finalize(1.0)
+        ledger.book("tenant:a", 1.0)
         text = ledger.to_json()
         assert text == json.dumps(
             ledger.to_dict(), sort_keys=True, separators=(",", ":")
@@ -164,7 +132,7 @@ class TestConservationAuditor:
                 return 100.0
 
         ledger = EnergyLedger()
-        ledger.record_sample(0.0, [row("tenant:a", 1.0)])
+        ledger.step_overhead(0.0, 1.0)
         auditor = ConservationAuditor(ConstantMeter(), ledger)
         with pytest.raises(EnergyConservationError):
             auditor.assert_conserved(1.0)
@@ -175,11 +143,50 @@ class TestConservationAuditor:
                 return 30.0
 
         ledger = EnergyLedger()
-        ledger.record_sample(0.0, [row("tenant:a", 2.0), row("overhead", 1.0)])
+        ledger.book("tenant:a", 20.0)
+        ledger.step_overhead(0.0, 1.0)
         auditor = ConservationAuditor(ConstantMeter(), ledger)
         report = auditor.assert_conserved(10.0)
         assert report["conserved"]
         assert report["residual"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_closed_form_single_disk():
+    """Standby, a tenant-blamed spin-up, one I/O, idle, spin-down: the
+    books equal the hand-computed joules of each interval."""
+    sim = Simulator()
+    disk = SimulatedDisk(sim, "disk0", initial_state=DiskPowerState.SPUN_DOWN)
+    ledger = EnergyLedger()
+    ledger.watch(disk, dc_watts(disk))
+    request = IoRequest(offset=0, size=8 * MB, is_read=True)
+    service = disk.model.service_time(disk._spec_for(request))
+    spin_up = disk.spec.spin_up_time
+
+    def io():
+        yield disk.submit(request, scope=FakeScope(("t0", 5)))
+
+    sim.call_in(2.0, lambda: sim.process(io()))
+    sim.call_in(30.0, disk.spin_down)
+    sim.run(until=40.0)
+    ledger.finalize(sim.now)
+
+    profile = disk.default_power_profile()
+    idle = 30.0 - (2.0 + spin_up + service)
+    standby = 2.0 + (40.0 - 30.0)
+    expected = {
+        "tenant:t0": (spin_up + service) * profile.active,
+        "idle": idle * profile.idle + standby * profile.spun_down,
+    }
+    assert set(ledger.accounts) == set(expected)
+    for account, joules in expected.items():
+        assert ledger.accounts[account] == pytest.approx(joules, rel=1e-9)
+    book = ledger.disks["disk0"]
+    assert book.spinup == pytest.approx(spin_up * profile.active, rel=1e-9)
+    assert book.active == pytest.approx(service * profile.active, rel=1e-9)
+    assert ledger.requests == {5: pytest.approx(expected["tenant:t0"], rel=1e-9)}
+    assert float(ledger.attributed_joules()) == pytest.approx(
+        disk.energy_joules(), rel=1e-9
+    )
 
 
 def build_metered(seed=13, **config_kwargs):
@@ -199,15 +206,6 @@ def build_metered(seed=13, **config_kwargs):
     gateway.attach(objects, spaces, dep.disks, host_of=dep.host_of_disk)
     gateway.start()
     return dep, gateway, objects, ledger, meter
-
-
-def series_integral(series, end):
-    """Exact step-function integral of a TimeSeries up to ``end``."""
-    total = 0.0
-    for i, t0 in enumerate(series.times):
-        t1 = series.times[i + 1] if i + 1 < len(series.times) else end
-        total += series.values[i] * max(0.0, min(t1, end) - t0)
-    return total
 
 
 def drain(dep, gateway, cap=300.0):
@@ -244,7 +242,7 @@ def test_clean_run_conservation_and_tenant_charges():
 
 def test_spin_up_blame_carries_exact_time():
     """Blame events fire from the disk's spin-up transition itself, so
-    they carry the exact sim time — not the next 1 Hz sample boundary."""
+    they carry the exact sim time, not a whole-second boundary."""
     dep, gateway, objects, ledger, meter = build_metered()
     target = objects[0]
     dep.sim.call_in(
@@ -257,7 +255,7 @@ def test_spin_up_blame_carries_exact_time():
     assert ledger.blames
     blame = ledger.blames[0]
     # The surge started when the request reached the disk, strictly
-    # between meter samples (which land on whole seconds here).
+    # between whole seconds.
     assert blame.time > 0.333
     assert blame.time != int(blame.time)
 
@@ -284,17 +282,9 @@ def test_mid_batch_crash_remount_conservation():
     drain(dep, gateway)
 
     assert gateway.stats.completed == 6
+    # The meter's disk part comes from residencies, not from the ledger.
     report = ConservationAuditor(meter, ledger).assert_conserved(dep.sim.now)
     assert report["conserved"]
-    # The identity also holds over sub-windows straddling the crash:
-    # the ledger window must match the step-integral of the very series
-    # the meter sampled.  (``meter.energy_joules`` itself is only exact
-    # at/after the last sample, so integrate the series directly.)
-    mid = ledger.checkpoints[len(ledger.checkpoints) // 2][0]
-    window = ledger.window(0.0, mid)
-    assert sum(window.values()) == pytest.approx(
-        series_integral(meter.series, mid), rel=1e-9
-    )
     # Retried work re-stamped under live scopes still bills the tenant.
     assert ledger.account_joules().get("tenant:t0", 0.0) > 0.0
 
@@ -356,30 +346,120 @@ def test_meter_tracks_relay_flips_by_subscription():
     assert meter.fabric_model.powered["disk0"] is True
 
 
+def test_overhead_steps_only_where_draw_changes():
+    """Relay flips move the fabric draw and add a breakpoint; a switch
+    turn or a failure bumps the fabric epoch but adds one only if the
+    draw actually changed.  The overhead book is the step integral."""
+    dep = build_deployment(config=DeploymentConfig(seed=3))
+    dep.settle(5.0)
+    ledger = EnergyLedger()
+    meter = PowerMeter(dep, ledger=ledger)
+    meter.start()
+    t0 = dep.sim.now
+    dep.sim.call_in(1.0, lambda: dep.relays.open_relay("disk0"))
+    dep.sim.call_in(2.0, lambda: dep.fabric.node("disk5").fail())
+    dep.sim.call_in(3.0, lambda: dep.relays.close_relay("disk0"))
+    dep.sim.run(until=t0 + 5.0)
+    ConservationAuditor(meter, ledger).assert_conserved(dep.sim.now)
+    (start, on), (flip, off), (back, on_again) = meter.series
+    assert (start, flip, back) == (t0, t0 + 1.0, t0 + 3.0)
+    assert off < on == on_again
+    assert ledger.accounts["overhead"] == pytest.approx(
+        on * 1.0 + off * 2.0 + on * 2.0, rel=1e-12
+    )
+
+
 def test_unowned_disk_activity_books_to_system():
     """Direct disk I/O outside any trace scope is owned by nobody; its
-    active watts must land on the ``system`` account, never a tenant."""
+    active joules must land on the ``system`` account, never a tenant."""
     sim = Simulator()
     disk = SimulatedDisk(sim, "disk0")
     ledger = EnergyLedger()
-    disk.add_spin_up_listener(ledger.on_spin_up)
+    ledger.watch(disk, dc_watts(disk))
 
     def io():
-        # A long transfer so 1 Hz samples land inside the busy window.
         yield disk.submit(IoRequest(offset=0, size=256 * MB, is_read=True))
 
-    rows_seen = []
-
-    def sample():
-        state = disk.states.state.value
-        owner = disk.busy_owner
-        rows_seen.append((sim.now, state, owner))
-
-    for t in range(12):
-        sim.call_in(float(t), sample)
     sim.call_in(0.5, lambda: sim.process(io()))
     sim.run(until=12.0)
-    active = [r for r in rows_seen if r[1] == "active"]
-    assert active, "transfer never observed active"
-    assert all(owner is None for (_, _, owner) in active)
+    ledger.finalize(sim.now)
+    active = disk.residency(DiskPowerState.ACTIVE)
+    assert active > 1.0, "transfer never ran"
+    profile = disk.default_power_profile()
+    assert set(ledger.accounts) == {"idle", "system"}
+    assert ledger.accounts["system"] == pytest.approx(active * profile.active)
+    assert ledger.requests == {}
     assert ledger.blames == []  # disk started spinning; no surge
+
+
+def sample_accounts(dep, meter, step, horizon):
+    """Test-local oracle: sample every account's wall watts each ``step``.
+
+    Reads the same ownership stamps the ledger books, but holds each
+    reading for a whole step up to ``horizon``, as a sampling meter would.
+    """
+    sim = dep.sim
+    totals = {}
+
+    def loop():
+        while True:
+            watts = {"overhead": float(meter.overhead_watts())}
+            for disk in dep.disks.values():
+                state, _, owner = disk.open_interval()
+                draw = disk.power_draw(disk.default_power_profile()) / PSU_EFFICIENCY
+                if state in (DiskPowerState.ACTIVE, DiskPowerState.SPINNING_UP):
+                    account = tenant_account(owner[0] if owner else None)
+                else:
+                    account = "idle"
+                watts[account] = watts.get(account, 0.0) + draw
+            assert sum(watts.values()) == pytest.approx(
+                float(meter.instantaneous_watts()), rel=1e-12
+            )
+            span = min(step, horizon - sim.now)
+            for account, value in watts.items():
+                totals[account] = totals.get(account, 0.0) + value * span
+            yield sim.timeout(step)
+
+    sim.process(loop())
+    return totals
+
+
+def test_fine_sampling_converges_on_the_books():
+    """A sampler of the same draw converges on the ledger as its step
+    shrinks: the books are the limit, not an approximation of it."""
+    dep, gateway, objects, ledger, meter = build_metered()
+    horizon = dep.sim.now + 60.0
+    oracles = {
+        step: sample_accounts(dep, meter, step, horizon) for step in (1.0, 0.1, 0.01)
+    }
+
+    def burst(space, count):
+        for i in range(count):
+            gateway.submit(ReadObject("t0", ObjectRef(space, i * MB, 1 * MB)))
+
+    for at, target in ((0.3, 0), (11.7, 5), (23.1, 9), (37.9, 0)):
+        dep.sim.call_in(at, lambda t=target: burst(objects[t].space_id, 3))
+    dep.sim.run(until=horizon)
+    ConservationAuditor(meter, ledger).assert_conserved(horizon)
+    books = ledger.account_joules()
+
+    def worst(step):
+        return max(
+            abs(oracles[step].get(name, 0.0) - joules) / joules
+            for name, joules in books.items()
+            if joules > 100.0
+        )
+
+    assert worst(0.01) < 1e-3
+    assert worst(0.01) < worst(0.1) < worst(1.0)
+
+
+def test_ledger_disk_books_equal_gateway_energy():
+    """One source for disk energy: the ledger's non-overhead books, in
+    DC joules, equal the gateway's residency-based disk energy."""
+    summary = gateway_slo.run_point("batch", seed=11, duration=180.0, energy=True)
+    accounts = summary["energy"]["accounts"]
+    disk_wall = sum(j for name, j in accounts.items() if name != "overhead")
+    assert disk_wall * PSU_EFFICIENCY == pytest.approx(
+        summary["energy_joules"], rel=1e-9
+    )

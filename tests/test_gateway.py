@@ -564,39 +564,8 @@ class TestGatewayDispatch:
 
 
 class TestLegacySubmitShim:
-    def test_positional_submit_warns_and_still_works(self):
-        """The pre-§12 positional shape keeps working but deprecates."""
-        dep, gateway, objects = build_gateway("batch")
-        target = objects[0]
-        holder = []
-
-        def legacy_submit():
-            with pytest.warns(DeprecationWarning):
-                holder.append(
-                    gateway.submit("t0", target.space_id, 0, 1 * MB)
-                )
-            with pytest.warns(DeprecationWarning):
-                holder.append(
-                    gateway.submit(
-                        space_id=target.space_id,
-                        offset=1 * MB,
-                        size=1 * MB,
-                        is_read=False,
-                        tenant="t0",
-                    )
-                )
-
-        dep.sim.call_in(0.0, legacy_submit)
-        drain(dep, gateway)
-        read, write = holder
-        assert read.state is RequestState.COMPLETED
-        assert write.state is RequestState.COMPLETED
-        assert read.is_read and not write.is_read
-        # The shim adapts onto the typed path: the request carries a ref.
-        assert read.ref == ObjectRef(target.space_id, 0, 1 * MB)
-        assert write.ref == ObjectRef(target.space_id, 1 * MB, 1 * MB)
-
     def test_mixed_shapes_are_rejected(self):
+        """Only the typed op is accepted; the positional shape is gone."""
         dep, gateway, objects = build_gateway("batch")
         target = objects[0]
         op = ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))
@@ -605,7 +574,7 @@ class TestLegacySubmitShim:
         with pytest.raises(TypeError):
             gateway.submit()
         with pytest.raises(TypeError):
-            gateway.submit("t0", target.space_id)  # missing offset/size
+            gateway.submit("t0", target.space_id, 0, 1 * MB)
 
     def test_typed_submit_does_not_warn(self):
         dep, gateway, objects = build_gateway("batch")

@@ -117,7 +117,7 @@ class TestPowerMeter:
 
         dep = build_deployment()
         dep.settle(15.0)
-        meter = PowerMeter(dep, interval=1.0)
+        meter = PowerMeter(dep)
         spinning = meter.instantaneous_watts()
         for disk in dep.disks.values():
             disk.spin_down()
@@ -132,8 +132,9 @@ class TestPowerMeter:
 
         dep = build_deployment()
         dep.settle(5.0)
-        meter = PowerMeter(dep, interval=0.5)
+        meter = PowerMeter(dep)
         meter.start()
         dep.settle(5.0)
-        assert len(meter.series) >= 9
+        # The series holds overhead breakpoints only: no flips, one step.
+        assert len(meter.series) == 1
         assert meter.energy_joules() > 0

@@ -10,8 +10,6 @@ from repro.sim import (
     SimulationError,
     Simulator,
     Store,
-    TimeSeries,
-    Tracer,
 )
 
 
@@ -451,63 +449,3 @@ class TestRng:
         f2 = RngRegistry(7).fork("trial")
         assert f1.master_seed == f2.master_seed
         assert f1.master_seed != reg.master_seed
-
-
-class TestTrace:
-    def test_tracer_records_with_time(self):
-        sim = Simulator()
-        tracer = Tracer(lambda: sim.now)
-        sim.call_in(2.0, lambda: tracer.emit("chan", "hello", n=1))
-        sim.run()
-        assert len(tracer.records) == 1
-        rec = tracer.records[0]
-        assert rec.time == 2.0 and rec.channel == "chan" and rec.data == {"n": 1}
-
-    def test_tracer_channel_filter(self):
-        tracer = Tracer(lambda: 0.0)
-        tracer.emit("a", "1")
-        tracer.emit("b", "2")
-        tracer.emit("a", "3")
-        assert [r.message for r in tracer.channel("a")] == ["1", "3"]
-
-    def test_tracer_disable(self):
-        tracer = Tracer(lambda: 0.0)
-        tracer.enabled = False
-        tracer.emit("a", "dropped")
-        assert tracer.records == []
-
-    def test_tracer_subscriber(self):
-        tracer = Tracer(lambda: 0.0)
-        seen = []
-        tracer.subscribe(lambda rec: seen.append(rec.message))
-        tracer.emit("a", "x")
-        assert seen == ["x"]
-
-    def test_timeseries_stats(self):
-        ts = TimeSeries("t")
-        for t, v in [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]:
-            ts.sample(t, v)
-        assert ts.mean() == 2.5
-        assert ts.minimum() == 1.0
-        assert ts.maximum() == 4.0
-        assert ts.percentile(50) == 2.5
-        assert ts.last == 4.0
-
-    def test_timeseries_percentile_bounds(self):
-        ts = TimeSeries()
-        ts.sample(0, 5.0)
-        with pytest.raises(ValueError):
-            ts.percentile(101)
-
-    def test_timeseries_time_weighted_mean(self):
-        ts = TimeSeries()
-        ts.sample(0.0, 10.0)
-        ts.sample(9.0, 0.0)
-        # 9s at 10, 1s at 0 over [0, 10]
-        assert ts.time_weighted_mean(end_time=10.0) == pytest.approx(9.0)
-
-    def test_empty_timeseries(self):
-        ts = TimeSeries()
-        assert ts.mean() == 0.0
-        assert ts.last is None
-        assert len(ts) == 0
