@@ -17,7 +17,7 @@ from repro.coord.client import CoordSession
 from repro.net.iscsi import IscsiInitiator, IscsiSession, SessionError
 from repro.net.network import Network
 from repro.net.rpc import RemoteError, RpcTimeout
-from repro.obs.trace import NULL_TRACE, TraceContext
+from repro.obs.trace import NULL_TRACE, TraceContext, TraceScope
 from repro.sim import Event, Simulator
 
 __all__ = ["ClientLib", "MountedSpace", "StorageUnavailableError"]
@@ -57,12 +57,22 @@ class MountedSpace:
     def read(
         self, offset: int, size: int, trace: TraceContext = NULL_TRACE
     ) -> Generator[Event, None, dict]:
-        return self._io(offset, size, is_read=True, trace=trace)
+        result = yield from self._retrying(
+            lambda scope: self.session.read(offset, size, scope), trace
+        )
+        self.stats.reads += 1
+        self.stats.bytes_read += size
+        return result
 
     def write(
         self, offset: int, size: int, trace: TraceContext = NULL_TRACE
     ) -> Generator[Event, None, dict]:
-        return self._io(offset, size, is_read=False, trace=trace)
+        result = yield from self._retrying(
+            lambda scope: self.session.write(offset, size, scope), trace
+        )
+        self.stats.writes += 1
+        self.stats.bytes_written += size
+        return result
 
     def readv(
         self,
@@ -79,38 +89,22 @@ class MountedSpace:
         """
         if not extents:
             raise ValueError("readv needs at least one extent")
-        attempts = 0
-        while True:
-            scope = trace.scope()
-            try:
-                result = yield from self.session.readv(list(extents), scope)
-                self.stats.reads += len(extents)
-                self.stats.readv_passes += 1
-                self.stats.bytes_read += sum(size for _, size in extents)
-                return result
-            except SessionError as exc:
-                trace.invalidate_scopes()
-                if trace.enabled:
-                    trace.event(
-                        "iscsi.session_error",
-                        host=self.session.host_address,
-                        attempt=attempts + 1,
-                        error=str(exc),
-                    )
-                self.stats.errors_seen += 1
-                attempts += 1
-                if attempts > self.client.max_remount_attempts:
-                    trace.phase("failover")
-                    raise StorageUnavailableError(self.space_id)
-                yield from self._remount(trace)
+        result = yield from self._retrying(
+            lambda scope: self.session.readv(list(extents), scope), trace
+        )
+        self.stats.reads += len(extents)
+        self.stats.readv_passes += 1
+        self.stats.bytes_read += sum(size for _, size in extents)
+        return result
 
-    def _io(
+    def _retrying(
         self,
-        offset: int,
-        size: int,
-        is_read: bool,
-        trace: TraceContext = NULL_TRACE,
+        attempt: Callable[[TraceScope], Generator[Event, None, dict]],
+        trace: TraceContext,
     ) -> Generator[Event, None, dict]:
+        """Run ``attempt`` on the current session; after each
+        :class:`SessionError` remount and retry, up to
+        ``max_remount_attempts`` times."""
         attempts = 0
         while True:
             # Fresh epoch-stamped scope per attempt: if this attempt is
@@ -118,14 +112,7 @@ class MountedSpace:
             # any stale server-side holder of it inert.
             scope = trace.scope()
             try:
-                if is_read:
-                    result = yield from self.session.read(offset, size, scope)
-                    self.stats.reads += 1
-                    self.stats.bytes_read += size
-                else:
-                    result = yield from self.session.write(offset, size, scope)
-                    self.stats.writes += 1
-                    self.stats.bytes_written += size
+                result = yield from attempt(scope)
                 return result
             except SessionError as exc:
                 trace.invalidate_scopes()

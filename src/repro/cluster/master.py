@@ -17,7 +17,7 @@ does with ZooKeeper, §V-B).  The active master:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.metadata import DiskStatus, HostStatus, SpaceRecord, SysConf, SysStat
 from repro.cluster.namespace import (
@@ -362,36 +362,13 @@ class Master:
         """Explicit topology scheduling (§IV-C): move one disk, keeping
         its exposed targets reachable at the new host."""
         self._require_active()
-        unit = self.sysconf.unit_of_disk(disk_id)
-        if unit is None:
-            raise KeyError(f"unknown disk {disk_id!r}")
         if target_host not in self.sysconf.host_addresses:
             raise KeyError(f"unknown host {target_host!r}")
-        controllers = self._controller_addresses(unit)
-
-        def run() -> Generator[Event, None, dict]:
-            watcher = self.sim.process(self._re_expose({disk_id: target_host}))
-            last_error: Optional[Exception] = None
-            for controller in controllers:
-                try:
-                    result = yield from self.rpc_client.call(
-                        controller,
-                        "controller.execute",
-                        [(disk_id, target_host)],
-                        timeout=40.0,
-                    )
-                    break
-                except (RpcTimeout, RemoteError) as exc:
-                    last_error = exc
-            else:
-                if watcher.is_alive:
-                    watcher.interrupt("command failed")
-                watcher.defuse()
-                raise last_error or RuntimeError("no controller reachable")
-            yield watcher
-            return {"disk_id": disk_id, "host": target_host, "turned": result["turned"]}
-
-        return run()
+        return self._switch(
+            [(disk_id, target_host)],
+            40.0,
+            lambda turned: {"disk_id": disk_id, "host": target_host, "turned": turned},
+        )
 
     def _on_migrate_batch(self, pairs: List):
         """Batch topology command: several disks switched as one turn
@@ -400,6 +377,18 @@ class Master:
         pairs = [tuple(p) for p in pairs]
         if not pairs:
             raise ValueError("empty migration batch")
+        return self._switch(
+            pairs, 60.0, lambda turned: {"moved": len(pairs), "turned": turned}
+        )
+
+    def _switch(
+        self,
+        pairs: List[Tuple[str, str]],
+        timeout: float,
+        reply: Callable[[Any], dict],
+    ) -> Generator[Event, None, dict]:
+        """Send one switch command for ``pairs`` to the unit's controllers,
+        failing over between them; the generator returns ``reply(turned)``."""
         unit = self.sysconf.unit_of_disk(pairs[0][0])
         if unit is None:
             raise KeyError(f"unknown disk {pairs[0][0]!r}")
@@ -413,7 +402,7 @@ class Master:
             for controller in controllers:
                 try:
                     result = yield from self.rpc_client.call(
-                        controller, "controller.execute", pairs, timeout=60.0
+                        controller, "controller.execute", pairs, timeout=timeout
                     )
                     break
                 except (RpcTimeout, RemoteError) as exc:
@@ -424,7 +413,7 @@ class Master:
                 watcher.defuse()
                 raise last_error or RuntimeError("no controller reachable")
             yield watcher
-            return {"moved": len(pairs), "turned": result["turned"]}
+            return reply(result["turned"])
 
         return run()
 

@@ -3,9 +3,10 @@
 A :class:`CoordSession` mirrors the ZooKeeper client the prototype's
 hosts use: it discovers the current leader, keeps its session alive
 with pings (so its ephemeral znodes survive), registers watches, and
-transparently retries operations across leader failovers — including
-re-registering its outstanding watches with a new leader, which is what
-a real ZooKeeper client does on reconnect.
+transparently retries operations across leader failovers.  A watch
+lives on the leader that accepted it and is lost with that leader;
+unlike a real ZooKeeper client, a session does not re-register its
+watches after a failover.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.coord.service import CoordConfig
-from repro.net.network import Network
+from repro.net.network import Message, Network
 from repro.net.rpc import RemoteError, RpcClient, RpcTimeout
 from repro.sim import Event, Simulator
 
@@ -50,7 +51,7 @@ class CoordSession:
         self._watch_callbacks: Dict[Tuple[str, str], List[Callable[[str, str], None]]] = {}
         self.started = False
         self.expired = False
-        sim.process(self._watch_event_loop())
+        network.node(address).on("watch_event", self._on_watch_event)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -153,30 +154,19 @@ class CoordSession:
     def watch(
         self, path: str, callback: Callable[[str, str], None], kind: str = "node"
     ) -> Generator[Event, None, None]:
-        """One-shot watch; ``callback(path, event_type)`` fires on change."""
+        """One-shot watch; ``callback(path, event_type)`` fires on change.
+
+        The watch lives on the leader that accepts it and is lost if
+        that leader fails.
+        """
         self._watch_callbacks.setdefault((path, kind), []).append(callback)
         yield from self._leader_call("coord.watch", self.address, path, kind)
 
-    def _rearm_watches(self) -> Generator[Event, None, None]:
-        """Re-register outstanding watches (after a leader change)."""
-        for (path, kind), callbacks in list(self._watch_callbacks.items()):
-            if callbacks:
-                try:
-                    yield from self._leader_call("coord.watch", self.address, path, kind)
-                except (RpcTimeout, RemoteError):
-                    pass
-
-    def _watch_event_loop(self) -> Generator[Event, None, None]:
-        node = self.network.node(self.address)
-        while True:
-            message = yield node.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("kind") == "watch_event"
-            )
-            path = message.payload["path"]
-            event_type = message.payload["type"]
-            fired: List[Callable[[str, str], None]] = []
-            for kind in ("node", "children"):
-                fired.extend(self._watch_callbacks.pop((path, kind), []))
-            for callback in fired:
-                callback(path, event_type)
+    def _on_watch_event(self, message: Message) -> None:
+        path = message.payload["path"]
+        event_type = message.payload["type"]
+        fired: List[Callable[[str, str], None]] = []
+        for kind in ("node", "children"):
+            fired.extend(self._watch_callbacks.pop((path, kind), []))
+        for callback in fired:
+            callback(path, event_type)

@@ -10,9 +10,9 @@ network, applying committed operations to a :class:`ZnodeTree`.
 
 Simplifications relative to a production system, chosen deliberately
 and documented here: log compaction/snapshots are omitted (runs are
-finite), reads are served by the leader from applied state, and client
-watches live on the leader with clients re-registering after failover
-(as ZooKeeper clients do on reconnect).
+finite), reads are served by the leader from applied state, and a
+client watch lives on the leader that accepted it and is lost with that
+leader (clients do not re-register watches after a failover).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.net.network import Network
-from repro.net.rpc import RpcServer
+from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
 from repro.sim import Event, Simulator
 from repro.sim.rng import RngRegistry
 from repro.coord.znode import ZnodeError, ZnodeTree
@@ -104,6 +104,7 @@ class CoordReplica:
 
         self._election_deadline = 0.0
         self.rpc = RpcServer(sim, network, address)
+        self.peer_rpc = RpcClient(sim, network, f"{address}.peerclient")
         self.rpc.register("coord.request_vote", self._on_request_vote)
         self.rpc.register("coord.append_entries", self._on_append_entries)
         self.rpc.register("coord.client_op", self._on_client_op)
@@ -164,13 +165,9 @@ class CoordReplica:
         self.voted_for = self.address
         votes = 1
         last_epoch, last_index = self._last_log_position()
-        from repro.net.rpc import RpcClient  # local import to avoid cycle at module load
-
-        client = _replica_client(self)
         pending = [
             self.sim.process(
-                _safe_call(
-                    client,
+                self.peer_rpc.call(
                     peer,
                     "coord.request_vote",
                     epoch,
@@ -183,7 +180,12 @@ class CoordReplica:
             for peer in self.peers
         ]
         for proc in pending:
-            reply = yield proc
+            proc.defuse()  # the election may end before every vote is read
+        for proc in pending:
+            try:
+                reply = yield proc
+            except (RpcTimeout, RemoteError):
+                reply = None
             if self.crashed or self.current_epoch != epoch or self.role is not Role.CANDIDATE:
                 return
             if reply is None:
@@ -244,10 +246,8 @@ class CoordReplica:
         next_index = self._next_index.get(peer, len(self.log))
         prev_epoch = self.log[next_index - 1].epoch if next_index > 0 else 0
         entries = self.log[next_index:]
-        client = _replica_client(self)
-        reply = yield self.sim.process(
-            _safe_call(
-                client,
+        try:
+            reply = yield from self.peer_rpc.call(
                 peer,
                 "coord.append_entries",
                 epoch,
@@ -258,8 +258,9 @@ class CoordReplica:
                 self.commit_index,
                 timeout=self.config.heartbeat_interval * 2,
             )
-        )
-        if reply is None or self.crashed or self.role is not Role.LEADER:
+        except (RpcTimeout, RemoteError):
+            return
+        if self.crashed or self.role is not Role.LEADER:
             return
         success, peer_epoch, peer_match = reply
         if peer_epoch > self.current_epoch:
@@ -497,37 +498,3 @@ class CoordReplica:
                 proc = self.sim.process(generator)
                 proc.defuse()
 
-
-# ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
-
-_CLIENTS: Dict[str, Any] = {}
-
-
-def _replica_client(replica: CoordReplica):
-    """One shared RpcClient per replica (lazy, avoids inbox contention)."""
-    from repro.net.rpc import RpcClient
-
-    key = replica.address
-    client = _CLIENTS.get(key)
-    if client is None or client.sim is not replica.sim:
-        client = RpcClient(replica.sim, replica.network, f"{key}.peerclient")
-        _CLIENTS[key] = client
-    return client
-
-
-def _safe_call(client, target: str, method: str, *args, timeout: float):
-    """RPC call that yields None instead of raising on failure."""
-    from repro.net.rpc import RemoteError, RpcTimeout
-
-    def run() -> Generator[Event, None, Any]:
-        try:
-            result = yield client.sim.process(
-                client.call(target, method, *args, timeout=timeout)
-            )
-            return result
-        except (RpcTimeout, RemoteError):
-            return None
-
-    return run()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.disk.device import IoRequest, SimulatedDisk
 from repro.net.network import Network
@@ -188,12 +188,12 @@ class IscsiSession:
     def read(
         self, offset: Bytes, size: Bytes, scope: TraceScope = NULL_SCOPE
     ) -> Generator[Event, None, dict]:
-        return self._io(offset, size, is_read=True, scope=scope)
+        return self._call("iscsi.io", (offset, size, True), 256, 256 + size, scope)
 
     def write(
         self, offset: Bytes, size: Bytes, scope: TraceScope = NULL_SCOPE
     ) -> Generator[Event, None, dict]:
-        return self._io(offset, size, is_read=False, scope=scope)
+        return self._call("iscsi.io", (offset, size, False), 256 + size, 256, scope)
 
     def readv(
         self,
@@ -206,46 +206,30 @@ class IscsiSession:
         the covering envelope's bytes back — the transfer cost of
         coalescing is modelled honestly, passengers included.
         """
-        if not self.connected:
-            raise SessionError("session closed")
         if not extents:
             raise ValueError("readv needs at least one extent")
         start = min(offset for offset, _ in extents)
         end = max(offset + size for offset, size in extents)
-        request_size = 256 + 16 * len(extents)
-        response_size = 256 + (end - start)
-        extra = {}
-        if scope.enabled:
-            extra["trace_scope"] = scope
-        try:
-            result = yield from self.initiator.rpc.call(
-                self.host_address,
-                "iscsi.readv",
-                self.session_id,
-                tuple(extents),
-                timeout=self.initiator.io_timeout,
-                request_size=request_size,
-                response_size=response_size,
-                **extra,
-            )
-        except (RpcTimeout, RemoteError) as exc:
-            self.connected = False
-            self.initiator._m_session_errors.inc()
-            raise SessionError(str(exc)) from exc
-        scope.phase("network")
-        return result
+        return self._call(
+            "iscsi.readv",
+            (tuple(extents),),
+            256 + 16 * len(extents),
+            256 + (end - start),
+            scope,
+        )
 
-    def _io(
+    def _call(
         self,
-        offset: Bytes,
-        size: Bytes,
-        is_read: bool,
-        scope: TraceScope = NULL_SCOPE,
+        method: str,
+        args: Tuple[Any, ...],
+        request_size: int,
+        response_size: int,
+        scope: TraceScope,
     ) -> Generator[Event, None, dict]:
+        """One request on this session; any RPC failure closes the session
+        and surfaces as :class:`SessionError`."""
         if not self.connected:
             raise SessionError("session closed")
-        request_size = 256 if is_read else 256 + size
-        response_size = 256 + size if is_read else 256
         extra = {}
         if scope.enabled:
             # The simulated RPC passes kwargs by reference in-process,
@@ -255,11 +239,9 @@ class IscsiSession:
         try:
             result = yield from self.initiator.rpc.call(
                 self.host_address,
-                "iscsi.io",
+                method,
                 self.session_id,
-                offset,
-                size,
-                is_read,
+                *args,
                 timeout=self.initiator.io_timeout,
                 request_size=request_size,
                 response_size=response_size,

@@ -1,18 +1,19 @@
 """A simulated data-center network.
 
 Message passing with configurable latency and (optional) per-message
-serialization delay.  Nodes are addressed by name; a crashed node
-silently drops traffic in both directions, and explicit partitions can
-sever pairs of nodes — enough to exercise heartbeat loss, failover and
-remount behaviour in the management stack.
+serialization delay.  Nodes are addressed by name; delivery calls the
+one handler the destination registered for the payload's ``kind``.  A
+crashed node silently drops traffic in both directions, and explicit
+partitions can sever pairs of nodes — enough to exercise heartbeat
+loss, failover and remount behaviour in the management stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 
 __all__ = ["Message", "NetNode", "Network"]
@@ -28,17 +29,19 @@ class Message:
 
 
 class NetNode:
-    """One addressable endpoint with an inbox."""
+    """One addressable endpoint with a handler per payload kind."""
 
-    def __init__(self, sim: Simulator, address: str):
-        self.sim = sim
+    def __init__(self, address: str):
         self.address = address
-        self.inbox: Store = Store(sim)
         self.alive = True
+        self._handlers: Dict[str, Callable[[Message], None]] = {}
 
-    def receive(self):
-        """Event yielding the next :class:`Message`."""
-        return self.inbox.get()
+    def on(self, kind: str, handler: Callable[[Message], None]) -> None:
+        """Deliver every message whose payload ``kind`` is ``kind`` to
+        ``handler``, called at arrival time inside the delivery."""
+        if kind in self._handlers:
+            raise ValueError(f"{self.address!r} already handles {kind!r} messages")
+        self._handlers[kind] = handler
 
 
 class Network:
@@ -68,7 +71,7 @@ class Network:
     def add_node(self, address: str) -> NetNode:
         if address in self._nodes:
             raise ValueError(f"duplicate network address {address!r}")
-        node = NetNode(self.sim, address)
+        node = NetNode(address)
         self._nodes[address] = node
         return node
 
@@ -102,7 +105,12 @@ class Network:
     # -- transmission ------------------------------------------------------
 
     def send(self, src: str, dst: str, payload: Any, size: int = 256) -> None:
-        """Fire-and-forget message; dropped if either side is down."""
+        """Fire-and-forget message; dropped if either side is down.
+
+        ``payload`` is a dict whose ``"kind"`` names the handler ``dst``
+        registered with :meth:`NetNode.on`; without one the message is
+        dropped on arrival.
+        """
         if src not in self._nodes:
             raise ValueError(f"unknown sender {src!r}")
         if dst not in self._nodes:
@@ -113,23 +121,23 @@ class Network:
             return
         message = Message(src=src, dst=dst, payload=payload, size=size, sent_at=self.sim.now)
         delay = self.latency + size / self.bandwidth
+        # Drawn even when a partition drops the message, so partitions
+        # do not shift the jitter of every later message.
         if self.jitter > 0:
             delay += self._rng.uniform(0, self.jitter)
-
-        def deliver() -> None:
-            node = self._nodes.get(dst)
-            if node is None or not node.alive or self._blocked(src, dst):
-                self.dropped_count += 1
-                return
-            if not self._nodes[src].alive:
-                # Sender died mid-flight; the packet is already on the
-                # wire, deliver it anyway (TCP would too).
-                pass
-            self.delivered_count += 1
-            self.bytes_carried += size
-            node.inbox.put(message)
-
         if self._blocked(src, dst):
             self.dropped_count += 1
             return
-        self.sim.call_in(delay, deliver)
+        self.sim.defer(delay, lambda: self._deliver(message))
+
+    def _deliver(self, message: Message) -> None:
+        # A sender that died mid-flight does not matter: the packet is
+        # already on the wire (TCP would deliver it too).
+        node = self._nodes[message.dst]
+        handler = node._handlers.get(message.payload["kind"])
+        if handler is None or not node.alive or self._blocked(message.src, message.dst):
+            self.dropped_count += 1
+            return
+        self.delivered_count += 1
+        self.bytes_carried += message.size
+        handler(message)

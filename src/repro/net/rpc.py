@@ -2,17 +2,18 @@
 
 Handlers may return either a plain value or a generator (a simulation
 process) whose return value becomes the response — so a handler can
-perform simulated disk I/O before replying.  Remote exceptions are
-re-raised at the caller as :class:`RemoteError`; lost messages surface
-as :class:`RpcTimeout`.
+perform simulated disk I/O before replying.  A plain handler answers
+inside the request's delivery; only a generator handler runs as a
+process.  Remote exceptions are re-raised at the caller as
+:class:`RemoteError`; lost messages surface as :class:`RpcTimeout`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator
 
-from repro.net.network import Message, Network
+from repro.net.network import Message, NetNode, Network
 from repro.sim import Event, Interrupt, Simulator
 
 __all__ = ["RemoteError", "RpcClient", "RpcServer", "RpcTimeout"]
@@ -30,6 +31,12 @@ _REQUEST = "rpc_request"
 _RESPONSE = "rpc_response"
 
 
+def _node(network: Network, address: str) -> NetNode:
+    if address not in network:
+        network.add_node(address)
+    return network.node(address)
+
+
 class RpcServer:
     """Dispatches incoming requests on one network node."""
 
@@ -37,50 +44,57 @@ class RpcServer:
         self.sim = sim
         self.network = network
         self.address = address
-        if address not in network:
-            network.add_node(address)
-        self._node = network.node(address)
         self._handlers: Dict[str, Callable[..., Any]] = {}
         self.requests_served = 0
-        sim.process(self._serve_loop())
+        _node(network, address).on(_REQUEST, self._on_request)
 
     def register(self, method: str, handler: Callable[..., Any]) -> None:
         if method in self._handlers:
             raise ValueError(f"handler for {method!r} already registered")
         self._handlers[method] = handler
 
-    def _serve_loop(self) -> Generator[Event, Message, None]:
-        while True:
-            # Predicate get: responses and raw messages on the same node
-            # stay available for their own consumers.
-            message = yield self._node.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("kind") == _REQUEST
-            )
-            self.sim.process(self._handle(message, message.payload))
-
-    def _handle(self, message: Message, payload: dict) -> Generator[Event, Any, None]:
-        method = payload["method"]
-        request_id = payload["id"]
-        response: Dict[str, Any] = {"kind": _RESPONSE, "id": request_id}
-        handler = self._handlers.get(method)
+    def _on_request(self, message: Message) -> None:
+        payload = message.payload
+        handler = self._handlers.get(payload["method"])
         if handler is None:
-            response["error"] = f"no such method {method!r}"
+            self._reply(message, error=f"no such method {payload['method']!r}")
+            return
+        try:
+            result = handler(*payload.get("args", ()), **payload.get("kwargs", {}))
+        except Exception as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(message, error=f"{type(exc).__name__}: {exc}")
+            return
+        if hasattr(result, "send") and hasattr(result, "throw"):
+            self.sim.process(self._finish(message, result))
         else:
-            try:
-                result = handler(*payload.get("args", ()), **payload.get("kwargs", {}))
-                if hasattr(result, "send") and hasattr(result, "throw"):
-                    result = yield self.sim.process(result)
-                response["result"] = result
-            except Interrupt:
-                # A kernel interrupt (server torn down mid-request) must
-                # reach the kernel, not be forwarded as an RPC error.
-                raise
-            except Exception as exc:  # noqa: BLE001 - forwarded to caller
-                response["error"] = f"{type(exc).__name__}: {exc}"
+            self._reply(message, result=result)
+
+    def _finish(
+        self, message: Message, work: Generator[Event, Any, Any]
+    ) -> Generator[Event, Any, None]:
+        try:
+            # A child process rather than ``yield from``: the reply then
+            # leaves when the handler's completion event is processed,
+            # which fixes its place (and jitter draw) among other events
+            # at the same timestamp.
+            result = yield self.sim.process(work)
+        except Interrupt:
+            # A kernel interrupt (server torn down mid-request) must
+            # reach the kernel, not be forwarded as an RPC error.
+            raise
+        except Exception as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(message, error=f"{type(exc).__name__}: {exc}")
+            return
+        self._reply(message, result=result)
+
+    def _reply(self, message: Message, **outcome: Any) -> None:
         self.requests_served += 1
+        payload = message.payload
         self.network.send(
-            self.address, message.src, response, size=payload.get("response_size", 256)
+            self.address,
+            message.src,
+            {"kind": _RESPONSE, "id": payload["id"], **outcome},
+            size=payload.get("response_size", 256),
         )
 
 
@@ -91,27 +105,19 @@ class RpcClient:
         self.sim = sim
         self.network = network
         self.address = address
-        if address not in network:
-            network.add_node(address)
-        self._node = network.node(address)
         self._ids = itertools.count(1)
         self._pending: Dict[int, Event] = {}
-        sim.process(self._response_loop())
+        _node(network, address).on(_RESPONSE, self._on_response)
 
-    def _response_loop(self) -> Generator[Event, Message, None]:
-        while True:
-            message = yield self._node.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("kind") == _RESPONSE
-            )
-            payload = message.payload
-            waiter = self._pending.pop(payload["id"], None)
-            if waiter is None or waiter.triggered:
-                continue  # response after timeout: drop
-            if "error" in payload:
-                waiter.fail(RemoteError(payload["error"]))
-            else:
-                waiter.succeed(payload.get("result"))
+    def _on_response(self, message: Message) -> None:
+        payload = message.payload
+        waiter = self._pending.pop(payload["id"], None)
+        if waiter is None:
+            return  # response after its deadline: drop
+        if "error" in payload:
+            waiter.fail(RemoteError(payload["error"]))
+        else:
+            waiter.succeed(payload.get("result"))
 
     def call(
         self,
@@ -140,11 +146,11 @@ class RpcClient:
         waiter = self.sim.event()
         self._pending[request_id] = waiter
         self.network.send(self.address, target, payload, size=request_size)
-        deadline = self.sim.timeout(timeout)
-        result = yield self.sim.any_of([waiter, deadline])
-        if not waiter.triggered:
-            self._pending.pop(request_id, None)
-            raise RpcTimeout(f"{method} to {target} timed out after {timeout}s")
-        if not waiter.ok:
-            raise waiter.value
-        return waiter.value
+
+        def expire() -> None:
+            if self._pending.pop(request_id, None) is not None:
+                waiter.fail(RpcTimeout(f"{method} to {target} timed out after {timeout}s"))
+
+        self.sim.defer(timeout, expire)
+        result = yield waiter
+        return result

@@ -3,7 +3,7 @@
 Provides the classic trio:
 
 * :class:`Resource` — a capacity-limited server with a FIFO queue.
-* :class:`Store` — a buffer of Python objects (used for mailboxes).
+* :class:`Store` — a FIFO buffer of Python objects.
 * :class:`Container` — a continuous quantity (used for power budgets).
 
 All requests are events, so processes compose them with timeouts via
@@ -13,7 +13,7 @@ All requests are events, so processes compose them with timeouts via
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque, Optional
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 
@@ -92,7 +92,7 @@ class Store:
         self.capacity = capacity
         self.name = name
         self.items: Deque[Any] = deque()
-        self._getters: Deque[tuple[Event, Optional[Callable[[Any], bool]]]] = deque()
+        self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
@@ -104,10 +104,9 @@ class Store:
             self.sim.touch_resource(self.name, write=True)
         event = self.sim.event()
         if self._getters:
-            matched = self._dispatch_to_getter(item)
-            if matched:
-                event.succeed()
-                return event
+            self._getters.popleft().succeed(item)
+            event.succeed()
+            return event
         if len(self.items) < self.capacity:
             self.items.append(item)
             event.succeed()
@@ -115,44 +114,23 @@ class Store:
             self._putters.append((event, item))
         return event
 
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Event that fires with the next item (matching ``predicate`` if given)."""
+    def get(self) -> Event:
+        """Event that fires with the next item."""
         if self.name is not None:
             self.sim.touch_resource(self.name, write=True)
         event = self.sim.event()
-        item = self._take_matching(predicate)
-        if item is not _NOTHING:
-            event.succeed(item)
+        if self.items:
+            event.succeed(self.items.popleft())
             self._admit_putter()
         else:
-            self._getters.append((event, predicate))
+            self._getters.append(event)
         return event
-
-    def _take_matching(self, predicate: Optional[Callable[[Any], bool]]) -> Any:
-        if predicate is None:
-            return self.items.popleft() if self.items else _NOTHING
-        for i, item in enumerate(self.items):
-            if predicate(item):
-                del self.items[i]
-                return item
-        return _NOTHING
-
-    def _dispatch_to_getter(self, item: Any) -> bool:
-        for i, (event, predicate) in enumerate(self._getters):
-            if predicate is None or predicate(item):
-                del self._getters[i]
-                event.succeed(item)
-                return True
-        return False
 
     def _admit_putter(self) -> None:
         if self._putters and len(self.items) < self.capacity:
             event, item = self._putters.popleft()
             self.items.append(item)
             event.succeed()
-
-
-_NOTHING = object()
 
 
 class Container:

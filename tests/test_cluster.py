@@ -10,6 +10,7 @@ from repro.cluster import (
     space_znode_path,
     target_name,
 )
+from repro.sim import EventDigest
 from repro.workload import KB, MB
 
 
@@ -79,6 +80,23 @@ class TestBootstrap:
         assert set(leader.tree.get_children("/ustore/hosts")) == {
             f"host{i}" for i in range(4)
         }
+
+    def test_idle_control_plane_cost(self, monkeypatch):
+        # An idle deployment's traffic is set by its timers alone.  The
+        # message count is exact; the event count is pinned at what the
+        # handler-per-kind message path pops, so any regression in the
+        # plumbing beneath the messages shows up here.
+        dep = build_deployment()
+        dep.settle()
+        sent = []
+        send = dep.network.send
+        monkeypatch.setattr(
+            dep.network, "send", lambda *args, **kw: (sent.append(args), send(*args, **kw))
+        )
+        digest = EventDigest().attach(dep.sim)
+        dep.sim.run(until=dep.sim.now + 100.0)
+        assert len(sent) == 8_400
+        assert digest.events <= 31_403
 
 
 class TestAllocation:

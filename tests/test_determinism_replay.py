@@ -9,6 +9,7 @@ cover value-level determinism (figure5 is closed-form and processes no
 events, so its digest alone would be vacuous).
 """
 
+from repro.cluster import build_deployment
 from repro.experiments import figure5, reliability
 from repro.sim import EventDigest
 
@@ -44,3 +45,19 @@ def test_reliability_replays_identically():
 def test_reliability_reports_no_races():
     _, results = run_twice(reliability)
     assert results[0]["races"] == []
+
+
+def test_deployment_replay_ignores_other_deployments():
+    # Regression: coordination replicas once cached their peer RPC
+    # clients in a module-global table keyed by address, so a second
+    # deployment built in between rewired the first one's replies.
+    def run_first(build_second):
+        first = build_deployment()
+        first.settle()
+        if build_second:
+            build_deployment().settle()
+        digest = EventDigest().attach(first.sim)
+        first.sim.run(until=first.sim.now + 30.0)
+        return digest.hexdigest(), digest.events
+
+    assert run_first(build_second=True) == run_first(build_second=False)

@@ -14,7 +14,7 @@ from repro.net import (
     SessionError,
     StorageVolume,
 )
-from repro.sim import Interrupt, Simulator
+from repro.sim import EventDigest, Interrupt, Simulator
 from repro.workload import KB, MB
 
 
@@ -23,33 +23,50 @@ def make_net():
     return sim, Network(sim, jitter=0.0)
 
 
+def note(text):
+    return {"kind": "note", "text": text}
+
+
+def listen(net, address):
+    """Register a ``note`` handler on ``address``; returns (time, message) log."""
+    received = []
+    net.node(address).on("note", lambda m: received.append((net.sim.now, m)))
+    return received
+
+
 class TestNetwork:
     def test_delivery_with_latency(self):
         sim, net = make_net()
         net.add_node("a")
-        b = net.add_node("b")
-        net.send("a", "b", "hello", size=0)
-        message = sim.run_until_event(b.receive())
-        assert message.payload == "hello"
-        assert sim.now == pytest.approx(net.latency)
+        net.add_node("b")
+        received = listen(net, "b")
+        net.send("a", "b", note("hello"), size=0)
+        sim.run()
+        [(at, message)] = received
+        assert message.payload["text"] == "hello"
+        assert (message.src, message.sent_at) == ("a", 0.0)
+        assert at == pytest.approx(net.latency)
 
     def test_size_adds_serialization_delay(self):
         sim, net = make_net()
         net.add_node("a")
-        b = net.add_node("b")
-        net.send("a", "b", "big", size=1_250_000)  # 10 ms at 1 GbE
-        sim.run_until_event(b.receive())
-        assert sim.now == pytest.approx(net.latency + 0.01)
+        net.add_node("b")
+        received = listen(net, "b")
+        net.send("a", "b", note("big"), size=1_250_000)  # 10 ms at 1 GbE
+        sim.run()
+        [(at, _)] = received
+        assert at == pytest.approx(net.latency + 0.01)
 
     def test_dead_receiver_drops(self):
         sim, net = make_net()
         net.add_node("a")
         net.add_node("b")
+        received = listen(net, "b")
         net.set_alive("b", False)
-        net.send("a", "b", "x")
+        net.send("a", "b", note("x"))
         sim.run()
         assert net.dropped_count == 1
-        assert len(net.node("b").inbox.items) == 0
+        assert received == []
 
     def test_dead_sender_drops(self):
         sim, net = make_net()
@@ -75,15 +92,34 @@ class TestNetwork:
         sim, net = make_net()
         net.add_node("a")
         net.add_node("b")
+        at_a, at_b = listen(net, "a"), listen(net, "b")
         net.partition("a", "b")
-        net.send("a", "b", "x")
-        net.send("b", "a", "y")
+        net.send("a", "b", note("x"))
+        net.send("b", "a", note("y"))
         sim.run()
         assert net.dropped_count == 2
+        assert at_a == at_b == []
         net.heal("a", "b")
-        net.send("a", "b", "z")
+        net.send("a", "b", note("z"))
         sim.run()
         assert net.delivered_count == 1
+        assert [m.payload["text"] for _, m in at_b] == ["z"]
+
+    def test_unhandled_kind_drops(self):
+        sim, net = make_net()
+        net.add_node("a")
+        net.add_node("b")
+        received = listen(net, "b")
+        net.send("a", "b", {"kind": "other"})
+        sim.run()
+        assert (net.dropped_count, net.delivered_count, received) == (1, 0, [])
+
+    def test_second_handler_for_a_kind_rejected(self):
+        _, net = make_net()
+        node = net.add_node("a")
+        node.on("note", lambda m: None)
+        with pytest.raises(ValueError):
+            node.on("note", lambda m: None)
 
     def test_duplicate_address_rejected(self):
         _, net = make_net()
@@ -189,6 +225,63 @@ class TestRpc:
         procs = [sim.process(client.call("server", "echo", i)) for i in range(10)]
         results = sim.run_until_event(sim.all_of(procs))
         assert results == list(range(10))
+
+    def test_generator_handler_error_reaches_caller(self):
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+
+        def failing():
+            yield sim.timeout(1.0)
+            raise ValueError("disk on fire")
+
+        server.register("failing", failing)
+        client = RpcClient(sim, net, "client")
+        with pytest.raises(RemoteError, match="ValueError: disk on fire"):
+            sim.run_until_event(sim.process(client.call("server", "failing")))
+        assert server.requests_served == 1
+
+    def test_late_reply_is_dropped(self):
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+
+        def slow():
+            yield sim.timeout(2.0)
+            return "late"
+
+        server.register("slow", slow)
+        client = RpcClient(sim, net, "client")
+        call = sim.process(client.call("server", "slow", timeout=1.0))
+        with pytest.raises(RpcTimeout, match="slow to server timed out after 1.0s"):
+            sim.run_until_event(call)
+        sim.run()  # the reply lands after the deadline: dropped quietly
+        assert server.requests_served == 1
+        assert net.delivered_count == 2
+        assert client._pending == {}
+
+    def test_client_and_server_handle_their_own_kinds(self):
+        # One address may host a server and a client; a second client on
+        # it would claim the same responses, so it is refused.
+        sim, net = make_net()
+        server = RpcServer(sim, net, "node")
+        server.register("echo", lambda x: x)
+        client = RpcClient(sim, net, "node")
+        result = sim.run_until_event(sim.process(client.call("node", "echo", 7)))
+        assert result == 7
+        with pytest.raises(ValueError):
+            RpcClient(sim, net, "node")
+
+    def test_plain_call_event_count(self):
+        # Caller start, request delivery, reply delivery, the caller's
+        # wake-up, its finish and the spent deadline: nothing else.
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        server.register("add", lambda a, b: a + b)
+        client = RpcClient(sim, net, "client")
+        digest = EventDigest().attach(sim)
+        call = sim.process(client.call("server", "add", 2, 3))
+        sim.run()
+        assert call.value == 5
+        assert digest.events == 6
 
 
 class TestIscsi:

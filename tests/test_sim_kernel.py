@@ -359,16 +359,6 @@ class TestStore:
         sim.run()
         assert results == [(4.0, "late")]
 
-    def test_predicate_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        store.put(3)
-        got = store.get(lambda x: x % 2 == 0)
-        assert sim.run_until_event(got) == 2
-        assert list(store.items) == [1, 3]
-
     def test_bounded_capacity_blocks_put(self):
         sim = Simulator()
         store = Store(sim, capacity=1)
