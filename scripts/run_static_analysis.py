@@ -35,6 +35,12 @@ an identical rerun must produce a byte-identical canonical energy
 export.  The unarmed-overhead half of that gate rides the 1.1x gateway
 perf leg, which runs with the ledger disarmed.
 
+Default-path runs also run a control-plane leg (even with
+``--no-perf``: it counts, it does not time): a deployment settled and
+left idle for 100 sim-s must send exactly ``IDLE_SENDS`` messages in at
+most ``IDLE_EVENTS`` kernel events plus ``IDLE_EVENT_SLACK``.  Both
+counts are exact for the code, so any change to the timers shows.
+
 Usage::
 
     python scripts/run_static_analysis.py               # lint src/repro
@@ -71,6 +77,12 @@ KERNEL_SCHEDULER_FACTOR = 1.5
 #: energy are two routes to the same exact integral; they may differ
 #: only by float summation order.
 ENERGY_CROSS_CHECK_REL = 1e-9
+#: Idle control plane: ``build_deployment()``, ``settle()``, 100 sim-s.
+#: Messages are set by the protocol's intervals and must not change;
+#: events are what the armed-deadline timers pop for them.
+IDLE_SENDS = 8_400
+IDLE_EVENTS = 13_906
+IDLE_EVENT_SLACK = 0.02
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -397,6 +409,35 @@ def run_energy_smoke() -> int:
     return status
 
 
+def run_control_plane_gate() -> int:
+    """Idle control-plane gate: exact message count, event budget."""
+    from repro.cluster import build_deployment
+    from repro.sim import EventDigest
+
+    deployment = build_deployment()
+    deployment.settle()
+    network = deployment.network
+    send = network.send
+    sends = [0]
+
+    def counted_send(*args, **kwargs) -> None:
+        sends[0] += 1
+        send(*args, **kwargs)
+
+    network.send = counted_send  # type: ignore[method-assign]
+    digest = EventDigest().attach(deployment.sim)
+    deployment.sim.run(until=deployment.sim.now + 100.0)
+    budget = IDLE_EVENTS * (1.0 + IDLE_EVENT_SLACK)
+    sends_ok = sends[0] == IDLE_SENDS
+    events_ok = digest.events <= budget
+    print(
+        f"control plane: idle 100 sim-s: {sends[0]} sends (pinned {IDLE_SENDS}) "
+        f"{'OK' if sends_ok else 'CHANGED'}, {digest.events} events "
+        f"(budget {budget:.0f}) {'OK' if events_ok else 'OVER BUDGET'}"
+    )
+    return 0 if sends_ok and events_ok else 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -431,6 +472,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.paths:
         if check_lint_baseline(report, update=args.update_baseline) != 0:
             status = 1
+    if not args.paths and run_control_plane_gate() != 0:
+        status = 1
     if not args.no_mypy:
         mypy_status = run_mypy(paths)
         if mypy_status != 0:

@@ -270,9 +270,9 @@ class ProcBlockingCallRule(_ProcRule):
 
 #: Callback-registration shapes: <x>.callbacks.append(fn),
 #: <x>.add_callback(fn), sim.call_at(t, fn) / sim.call_in(dt, fn) /
-#: sim.defer(dt, fn).
+#: sim.defer(dt, fn) / sim.defer_at(t, fn).
 _REGISTER_ATTRS = {"add_callback"}
-_SCHEDULE_ATTRS = {"call_at", "call_in", "defer"}
+_SCHEDULE_ATTRS = {"call_at", "call_in", "defer", "defer_at"}
 
 #: Mutating method names on enclosing-scope containers.
 _MUTATING_METHODS = {

@@ -230,10 +230,13 @@ class WallClockRule(Rule):
 # Calls that (transitively) schedule events on the kernel: if reached
 # from inside a set iteration, the schedule order inherits hash order.
 _SCHEDULING_CALLS = {
+    "arm",
     "call_at",
     "call_in",
     "defer",
+    "defer_at",
     "fail",
+    "invoke",
     "process",
     "put",
     "request",

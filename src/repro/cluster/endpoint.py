@@ -16,7 +16,7 @@ Responsibilities, per the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.cluster.metadata import SpaceRecord
 from repro.cluster.namespace import target_name
@@ -25,8 +25,8 @@ from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
 from repro.net.iscsi import IscsiTargetServer, StorageVolume
 from repro.net.network import Network
-from repro.net.rpc import RemoteError, RpcClient, RpcTimeout
-from repro.sim import Event, Simulator
+from repro.net.rpc import RemoteError, RpcClient
+from repro.sim import Event, Grid, Simulator
 from repro.usbsim.bus import UsbBus
 
 __all__ = ["EndPoint", "EndPointConfig"]
@@ -79,6 +79,9 @@ class EndPoint:
         self._idle_timeout: Dict[str, float] = {}
         self._spin_up_times: Dict[str, List[float]] = {}
         self.heartbeats_sent = 0
+        # Set while the heartbeat chain is stopped (host dead): the grid
+        # its ticks would have followed, on which recover() resumes it.
+        self._heartbeat_grid: Optional[Grid] = None
 
         self.targets.rpc.register("endpoint.expose", self._on_expose)
         self.targets.rpc.register("endpoint.withdraw", self._on_withdraw)
@@ -88,7 +91,7 @@ class EndPoint:
         bus.register_listener(host_id, self)
 
         sim.process(self._startup())
-        sim.process(self._heartbeat_loop())
+        sim.defer(config.heartbeat_interval, self._heartbeat)
         if config.power_policy_enabled:
             sim.process(self._power_policy_loop())
 
@@ -120,6 +123,9 @@ class EndPoint:
                 self.coord.servers,
             )
             self.sim.process(self._startup())
+        grid, self._heartbeat_grid = self._heartbeat_grid, None
+        if grid is not None:
+            self.sim.defer_at(grid.first_after(self.sim.now), self._heartbeat)
 
     def _startup(self) -> Generator[Event, None, None]:
         yield from self.coord.start()
@@ -166,38 +172,55 @@ class EndPoint:
             report[disk_id] = state
         return report
 
-    def _heartbeat_loop(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(self.config.heartbeat_interval)
-            if not self.alive:
-                continue
-            master = yield from self._discover_master()
-            if master is None:
-                continue
-            payload = {
-                "host_id": self.host_id,
-                "address": self.address,
-                "disks": self._disk_report(),
-                "exposed": len(self._exposed),
-            }
-            try:
-                yield from self.rpc_client.call(
-                    master, "master.heartbeat", payload, timeout=1.0
-                )
-                self.heartbeats_sent += 1
-            except (RpcTimeout, RemoteError):
-                self._master_address = None  # re-discover next round
+    def _heartbeat(self) -> None:
+        """One heartbeat round: discover the master if needed, then report.
 
-    def _discover_master(self) -> Generator[Event, None, Optional[str]]:
+        The next round is scheduled one interval after this one's reply
+        or failure.  The chain stops while the host is dead.
+        """
+        if not self.alive:
+            self._heartbeat_grid = Grid(self.sim.now, self.config.heartbeat_interval)
+            return
         if self._master_address is not None:
-            return self._master_address
-        try:
-            exists = yield from self.coord.exists(MASTER_POINTER)
-            if exists:
-                self._master_address = yield from self.coord.get_data(MASTER_POINTER)
-        except (RpcTimeout, RemoteError):
-            return None
-        return self._master_address
+            self._send_heartbeat(self._master_address)
+            return
+        self.coord.leader_request(
+            "coord.read", ("exists", MASTER_POINTER), self._on_pointer_exists
+        )
+
+    def _next_heartbeat(self) -> None:
+        self.sim.defer(self.config.heartbeat_interval, self._heartbeat)
+
+    def _on_pointer_exists(self, exists: Any, error: Optional[Exception]) -> None:
+        if error is not None or not exists:
+            self._next_heartbeat()
+            return
+        self.coord.leader_request("coord.read", ("get", MASTER_POINTER), self._on_pointer)
+
+    def _on_pointer(self, address: Any, error: Optional[Exception]) -> None:
+        if error is not None or address is None:
+            self._next_heartbeat()
+            return
+        self._master_address = address
+        self._send_heartbeat(address)
+
+    def _send_heartbeat(self, master: str) -> None:
+        payload = {
+            "host_id": self.host_id,
+            "address": self.address,
+            "disks": self._disk_report(),
+            "exposed": len(self._exposed),
+        }
+        self.rpc_client.invoke(
+            master, "master.heartbeat", (payload,), self._on_heartbeat_reply, timeout=1.0
+        )
+
+    def _on_heartbeat_reply(self, _result: Any, error: Optional[Exception]) -> None:
+        if error is None:
+            self.heartbeats_sent += 1
+        else:
+            self._master_address = None  # re-discover next round
+        self._next_heartbeat()
 
     # -- RPC handlers ---------------------------------------------------------
 

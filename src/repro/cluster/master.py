@@ -31,7 +31,7 @@ from repro.coord.client import CoordSession
 from repro.net.network import Network
 from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
 from repro.obs.trace import NULL_TRACE
-from repro.sim import Event, Simulator
+from repro.sim import Deadline, Event, Grid, Simulator
 
 __all__ = ["AllocationError", "Master", "MasterConfig"]
 
@@ -77,6 +77,11 @@ class Master:
         self.active = False
         self.alive = True
         self.failovers_completed = 0
+        # Failure detection: one armed check on the grid of
+        # failure_check_interval from activation (DESIGN.md §8); the
+        # grid is replaced at each activation.
+        self._detector = Deadline(sim, self._check_hosts)
+        self._detector_grid = Grid(sim.now, config.failure_check_interval)
         self._m_heartbeats = sim.metrics.counter("master.heartbeats")
         self._m_allocations = sim.metrics.counter("master.allocations")
         self._m_failovers = sim.metrics.counter("master.failovers")
@@ -99,14 +104,33 @@ class Master:
 
     def crash(self) -> None:
         self.alive = False
-        self.active = False
+        self.coord.on_lapse(None)
+        self._step_down()
         self.network.set_alive(self.address, False)
         self.network.set_alive(f"{self.address}.client", False)
-        self.network.set_alive(f"{self.address}.coord", False)
+        self.network.set_alive(self.coord.address, False)
 
     # -- election ----------------------------------------------------------------
 
     def _candidate_loop(self) -> Generator[Event, None, None]:
+        generation = 0
+        while True:
+            yield from self._stand_for_election()
+            if not self.alive:
+                return
+            # The cluster expired our session and our election node with
+            # it: stand again on a fresh session, as a ZooKeeper client
+            # does.  The old session's address is retired.
+            generation += 1
+            self.network.set_alive(self.coord.address, False)
+            self.coord = CoordSession(
+                self.sim,
+                self.network,
+                f"{self.address}.coord{generation}",
+                self.coord.servers,
+            )
+
+    def _stand_for_election(self) -> Generator[Event, None, None]:
         yield from self.coord.start()
         for path in ("/ustore", ELECTION_ROOT, STORALLOC_ROOT):
             try:
@@ -117,14 +141,15 @@ class Master:
             f"{ELECTION_ROOT}/c-", data=self.address, ephemeral=True, sequential=True
         )
         my_name = my_node.rsplit("/", 1)[-1]
-        while self.alive:
+        while self.alive and not self.coord.expired:
             try:
                 children = yield from self.coord.get_children(ELECTION_ROOT)
             except (RpcTimeout, RemoteError):
                 yield self.sim.timeout(self.config.election_poll_interval)
                 continue
             if children and min(children) == my_name:
-                if not self.active:
+                # Never activate on a lapsed lease: it would step down at once.
+                if not self.active and self.coord.holds_lease():
                     yield from self._activate()
             yield self.sim.timeout(self.config.election_poll_interval)
 
@@ -144,7 +169,15 @@ class Master:
         # memory-only and reconstructible).
         yield from self._interrogate_hosts()
         self.active = True
-        self.sim.process(self._failure_detector())
+        self._detector_grid = Grid(self.sim.now, self.config.failure_check_interval)
+        self._arm_detector()
+        # Step down when the coordination session can no longer be
+        # vouched for, before a rival can be elected (SNIPPETS.md 3).
+        self.coord.on_lapse(self._step_down)
+
+    def _step_down(self) -> None:
+        self.active = False
+        self._detector.disarm()
 
     def _load_records(self) -> Generator[Event, None, None]:
         self.records.clear()
@@ -189,8 +222,11 @@ class Master:
         self._require_active()
         self._m_heartbeats.inc()
         host_id = payload["host_id"]
+        returning = self.sysstat.host_status.get(host_id) is not HostStatus.ONLINE
         self.sysstat.last_heartbeat[host_id] = self.sim.now
         self.sysstat.host_status[host_id] = HostStatus.ONLINE
+        if returning:
+            self._arm_detector()
         self.sysstat.host_load[host_id] = payload.get("exposed", 0)
         for disk_id, state in payload.get("disks", {}).items():
             self.sysstat.disk_to_host[disk_id] = host_id
@@ -427,18 +463,41 @@ class Master:
 
     # -- failure detection and failover (§IV-E) ---------------------------------
 
-    def _failure_detector(self) -> Generator[Event, None, None]:
-        while self.alive and self.active:
-            yield self.sim.timeout(self.config.failure_check_interval)
-            now = self.sim.now
-            for host_id in list(self.sysconf.host_addresses):
-                status = self.sysstat.host_status.get(host_id)
-                last = self.sysstat.last_heartbeat.get(host_id)
-                if status is not HostStatus.ONLINE or last is None:
-                    continue
-                if now - last > self.config.heartbeat_timeout:
-                    self.sysstat.host_status[host_id] = HostStatus.CRASHED
-                    self.sim.process(self._fail_over_host(host_id))
+    def _silent_hosts(self, now: float) -> List[str]:
+        """ONLINE hosts whose last heartbeat is too old at ``now``."""
+        silent = []
+        for host_id in self.sysconf.host_addresses:
+            last = self.sysstat.last_heartbeat.get(host_id)
+            if (
+                self.sysstat.host_status.get(host_id) is HostStatus.ONLINE
+                and last is not None
+                and now - last > self.config.heartbeat_timeout
+            ):
+                silent.append(host_id)
+        return silent
+
+    def _arm_detector(self) -> None:
+        """Arm the check at the first tick on which some host is overdue."""
+        watched = any(
+            self.sysstat.host_status.get(h) is HostStatus.ONLINE
+            and h in self.sysstat.last_heartbeat
+            for h in self.sysconf.host_addresses
+        )
+        if not (self.alive and self.active and watched):
+            return
+        self._detector.arm(
+            self._detector_grid.first_after(
+                self.sim.now, lambda tick: bool(self._silent_hosts(tick))
+            )
+        )
+
+    def _check_hosts(self) -> None:
+        if not (self.alive and self.active):
+            return
+        for host_id in self._silent_hosts(self.sim.now):
+            self.sysstat.host_status[host_id] = HostStatus.CRASHED
+            self.sim.process(self._fail_over_host(host_id))
+        self._arm_detector()
 
     def _controller_addresses(self, unit: str) -> List[str]:
         return list(self.sysconf.controller_hosts.get(unit, []))

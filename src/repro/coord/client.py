@@ -15,10 +15,14 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.coord.service import CoordConfig
 from repro.net.network import Message, Network
-from repro.net.rpc import RemoteError, RpcClient, RpcTimeout
-from repro.sim import Event, Simulator
+from repro.net.rpc import Done, RpcClient, RpcTimeout, settle
+from repro.sim import Deadline, Event, Simulator
 
 __all__ = ["CoordSession", "SessionExpiredError"]
+
+#: Pause between rounds over the candidate servers, giving an election
+#: time to finish.
+_ROUND_BACKOFF = 0.25
 
 
 class SessionExpiredError(Exception):
@@ -51,28 +55,80 @@ class CoordSession:
         self._watch_callbacks: Dict[Tuple[str, str], List[Callable[[str, str], None]]] = {}
         self.started = False
         self.expired = False
+        # Client-side lease: the cluster cannot expire this session
+        # before ``session_timeout`` after the send time of its last
+        # acknowledged ping (or of create_session).
+        self._lease_end = float("-inf")
+        self._lease = Deadline(sim, self._check_lease)
+        self._on_lapse: Optional[Callable[[], None]] = None
         network.node(address).on("watch_event", self._on_watch_event)
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> Generator[Event, None, None]:
         """Create the session on the cluster and start keepalives."""
-        yield from self._op(["create_session", self.session_id, self.session_timeout])
+        waiter = self.sim.event()
+        _LeaderCall(
+            self,
+            "coord.client_op",
+            (["create_session", self.session_id, self.session_timeout],),
+            settle(waiter),
+            keepalive=True,
+        )
+        yield waiter
         self.started = True
-        self.sim.process(self._ping_loop())
+        self.sim.defer(self.ping_interval, self._ping)
 
-    def _ping_loop(self) -> Generator[Event, None, None]:
-        while not self.expired:
-            yield self.sim.timeout(self.ping_interval)
-            try:
-                yield from self._leader_call(
-                    "coord.ping_session", self.session_id, retries=2
-                )
-            except SessionExpiredError:
-                return  # ephemerals are gone; the owner must start anew
-            except (RpcTimeout, RemoteError):
-                # Keep trying; the expirer decides when we are gone.
-                continue
+    def _ping(self) -> None:
+        """One keepalive; the next is scheduled after its reply or failure."""
+        if self.expired:
+            return
+        _LeaderCall(
+            self,
+            "coord.ping_session",
+            (self.session_id,),
+            self._pinged,
+            retries=2,
+            keepalive=True,
+        )
+
+    def _pinged(self, _result: Any, error: Optional[Exception]) -> None:
+        if isinstance(error, SessionExpiredError):
+            return  # ephemerals are gone; the owner must start anew
+        # On failure keep trying; the expirer decides when we are gone.
+        self.sim.defer(self.ping_interval, self._ping)
+
+    # -- lease ---------------------------------------------------------------
+
+    def on_lapse(self, callback: Optional[Callable[[], None]]) -> None:
+        """Call ``callback()`` once when the lease lapses (``None`` stops).
+
+        The lease is armed only while someone listens.  A lapse comes no
+        later than the cluster could expire the session, so an owner that
+        steps down on it has let go before a rival can take over.
+        """
+        self._on_lapse = callback
+        if callback is None:
+            self._lease.disarm()
+        else:
+            self._lease.arm(max(self._lease_end, self.sim.now))
+
+    def holds_lease(self) -> bool:
+        """True until ``session_timeout`` after the last acknowledged ping."""
+        return self.sim.now < self._lease_end
+
+    def _renew(self, sent_at: float) -> None:
+        self._lease_end = sent_at + self.session_timeout
+        if self._on_lapse is not None:
+            self._lease.arm(self._lease_end)
+
+    def _check_lease(self) -> None:
+        if self.sim.now < self._lease_end:
+            self._lease.arm(self._lease_end)  # renewed since it was armed
+            return
+        callback, self._on_lapse = self._on_lapse, None
+        if callback is not None:
+            callback()
 
     # -- leader discovery -----------------------------------------------------
 
@@ -83,34 +139,22 @@ class CoordSession:
         ordered.extend(s for s in self.servers if s not in ordered)
         return ordered
 
+    def leader_request(self, method: str, args: Tuple[Any, ...], done: Done) -> None:
+        """Call ``method`` on the leader; ``done(result, error)`` reports.
+
+        Follows ``NotLeader`` hints, tries every server per round and
+        backs off between rounds; "unknown session" marks the session
+        expired and reports :class:`SessionExpiredError`.
+        """
+        _LeaderCall(self, method, args, done)
+
     def _leader_call(
         self, method: str, *args: Any, retries: int = 6, timeout: float = 1.0
     ) -> Generator[Event, None, Any]:
-        last_error: Optional[Exception] = None
-        for _ in range(retries):
-            for server in self._candidates():
-                try:
-                    result = yield from self.rpc.call(
-                        server, method, *args, timeout=timeout
-                    )
-                    self._leader_guess = server
-                    return result
-                except RpcTimeout as exc:
-                    last_error = exc
-                    continue
-                except RemoteError as exc:
-                    message = str(exc)
-                    if "NotLeader:" in message:
-                        hint = message.rsplit("NotLeader:", 1)[1].strip()
-                        self._leader_guess = hint if hint in self.servers else None
-                        last_error = exc
-                        continue
-                    if "unknown session" in message:
-                        self.expired = True
-                        raise SessionExpiredError(self.session_id) from exc
-                    raise
-            yield self.sim.timeout(0.25)  # give an election time to finish
-        raise last_error or RpcTimeout(f"no leader found for {method}")
+        waiter = self.sim.event()
+        _LeaderCall(self, method, args, settle(waiter), retries, timeout)
+        result = yield waiter
+        return result
 
     def _op(self, op: list) -> Generator[Event, None, Any]:
         result = yield from self._leader_call("coord.client_op", op)
@@ -170,3 +214,82 @@ class CoordSession:
             fired.extend(self._watch_callbacks.pop((path, kind), []))
         for callback in fired:
             callback(path, event_type)
+
+
+class _LeaderCall:
+    """One operation's walk over the candidate servers, round by round."""
+
+    __slots__ = (
+        "session", "method", "args", "done", "rounds_left", "timeout",
+        "keepalive", "servers", "tried", "last_error", "sent_at",
+    )
+
+    def __init__(
+        self,
+        session: CoordSession,
+        method: str,
+        args: Tuple[Any, ...],
+        done: Done,
+        retries: int = 6,
+        timeout: float = 1.0,
+        keepalive: bool = False,
+    ) -> None:
+        self.session = session
+        self.method = method
+        self.args = args
+        self.done = done
+        self.rounds_left = retries
+        self.timeout = timeout
+        #: An acknowledged keepalive renews the session's lease from the
+        #: send time of the attempt that was answered.
+        self.keepalive = keepalive
+        self.servers: List[str] = []
+        self.tried = 0
+        self.last_error: Optional[Exception] = None
+        self._round()
+
+    def _round(self) -> None:
+        if self.rounds_left == 0:
+            self.done(None, self.last_error or RpcTimeout(f"no leader found for {self.method}"))
+            return
+        self.rounds_left -= 1
+        self.servers = self.session._candidates()
+        self.tried = 0
+        self._next()
+
+    def _next(self) -> None:
+        session = self.session
+        if self.tried == len(self.servers):
+            session.sim.defer(_ROUND_BACKOFF, self._round)
+            return
+        server = self.servers[self.tried]
+        self.tried += 1
+        self.sent_at = session.sim.now
+        session.rpc.invoke(server, self.method, self.args, self._reply, timeout=self.timeout)
+
+    def _reply(self, result: Any, error: Optional[Exception]) -> None:
+        session = self.session
+        if error is None:
+            session._leader_guess = self.servers[self.tried - 1]
+            if self.keepalive:
+                session._renew(self.sent_at)
+            self.done(result, None)
+            return
+        if isinstance(error, RpcTimeout):
+            self.last_error = error
+            self._next()
+            return
+        message = str(error)
+        if "NotLeader:" in message:
+            hint = message.rsplit("NotLeader:", 1)[1].strip()
+            session._leader_guess = hint if hint in session.servers else None
+            self.last_error = error
+            self._next()
+            return
+        if "unknown session" in message:
+            session.expired = True
+            expired = SessionExpiredError(session.session_id)
+            expired.__cause__ = error
+            self.done(None, expired)
+            return
+        self.done(None, error)

@@ -23,11 +23,14 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.net.network import Network
 from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
-from repro.sim import Event, Simulator
+from repro.sim import Deadline, Event, Simulator
 from repro.sim.rng import RngRegistry
 from repro.coord.znode import ZnodeError, ZnodeTree
 
 __all__ = ["CoordConfig", "CoordReplica", "LogEntry", "NotLeaderError", "Role"]
+
+#: Period of the grid on which a replica checks its election deadline.
+ELECTION_CHECK_INTERVAL = 0.05
 
 
 class NotLeaderError(Exception):
@@ -103,6 +106,14 @@ class CoordReplica:
         self._watches: Dict[str, List[Tuple[str, str]]] = {}
 
         self._election_deadline = 0.0
+        # Timers: each is one armed deadline on the grid its polling loop
+        # would have woken on (DESIGN.md §8, "Control-plane timers").
+        self._election_grid = sim.grid(ELECTION_CHECK_INTERVAL)
+        self._election_timer = Deadline(
+            sim, self._on_election_deadline, self._election_grid
+        )
+        self._expiry_grid = sim.grid(config.session_check_interval)
+        self._expirer = Deadline(sim, self._expire_sessions, self._expiry_grid)
         self.rpc = RpcServer(sim, network, address)
         self.peer_rpc = RpcClient(sim, network, f"{address}.peerclient")
         self.rpc.register("coord.request_vote", self._on_request_vote)
@@ -112,8 +123,6 @@ class CoordReplica:
         self.rpc.register("coord.read", self._on_read)
         self.rpc.register("coord.watch", self._on_watch)
         self._bump_election_deadline()
-        sim.process(self._election_timer())
-        sim.process(self._session_expirer())
 
     # ------------------------------------------------------------------
     # crash/recover control (used by fault injection)
@@ -124,6 +133,8 @@ class CoordReplica:
         self.network.set_alive(self.address, False)
         if self.role is Role.LEADER:
             self.role = Role.FOLLOWER
+        self._election_timer.disarm()
+        self._expirer.disarm()
 
     def recover(self) -> None:
         """Restart the replica; volatile state resets, the log survives."""
@@ -142,15 +153,29 @@ class CoordReplica:
         self._election_deadline = self.sim.now + self._rng.uniform(
             self.config.election_timeout_min, self.config.election_timeout_max
         )
+        # The armed tick is the first one at or after the old deadline; a
+        # later deadline is picked up when that tick fires.
+        if (
+            self._election_deadline <= self._election_timer.at
+            and not self.crashed
+            and self.role is not Role.LEADER
+        ):
+            self._arm_election_timer()
 
-    def _election_timer(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(0.05)
-            if self.crashed or self.role is Role.LEADER:
-                continue
-            if self.sim.now >= self._election_deadline:
-                self.sim.process(self._run_election())
-                self._bump_election_deadline()
+    def _arm_election_timer(self) -> None:
+        deadline = self._election_deadline
+        self._election_timer.arm(
+            self._election_grid.first_after(self.sim.now, lambda tick: tick >= deadline)
+        )
+
+    def _on_election_deadline(self) -> None:
+        if self.crashed or self.role is Role.LEADER:
+            return  # disarmed; recover() and _step_down() re-arm
+        if self.sim.now >= self._election_deadline:
+            self.sim.process(self._run_election())
+            self._bump_election_deadline()
+        else:
+            self._arm_election_timer()
 
     def _last_log_position(self) -> Tuple[int, int]:
         if not self.log:
@@ -213,7 +238,9 @@ class CoordReplica:
         # epochs become committable (the Raft "leader completeness" rule:
         # a leader only counts replicas for entries of its own epoch).
         self.log.append(LogEntry(self.current_epoch, len(self.log) + 1, ("noop",)))
-        self.sim.process(self._heartbeat_loop(self.current_epoch))
+        self._election_timer.disarm()
+        self._arm_expirer()
+        self._heartbeat(self.current_epoch)
 
     def _step_down(self, new_epoch: int) -> None:
         self.current_epoch = max(self.current_epoch, new_epoch)
@@ -224,54 +251,65 @@ class CoordReplica:
                 waiter.fail(NotLeaderError(self.leader_hint))
                 waiter.defuse()
         self._pending_results.clear()
+        self._expirer.disarm()
         self._bump_election_deadline()
 
     # ------------------------------------------------------------------
     # replication
     # ------------------------------------------------------------------
 
-    def _heartbeat_loop(self, epoch: int) -> Generator[Event, None, None]:
-        while (
-            not self.crashed
-            and self.role is Role.LEADER
-            and self.current_epoch == epoch
-        ):
-            for peer in self.peers:
-                self.sim.process(self._replicate_to(peer, epoch))
-            yield self.sim.timeout(self.config.heartbeat_interval)
+    def _heartbeat(self, epoch: int) -> None:
+        """One heartbeat round; the next follows on the leader's fixed grid."""
+        if self.crashed or self.role is not Role.LEADER or self.current_epoch != epoch:
+            return
+        self._replicate()
+        self.sim.defer(self.config.heartbeat_interval, lambda: self._heartbeat(epoch))
 
-    def _replicate_to(self, peer: str, epoch: int) -> Generator[Event, None, None]:
+    def _replicate(self) -> None:
+        epoch = self.current_epoch
+        for peer in self.peers:
+            self._replicate_to(peer, epoch)
+
+    def _replicate_to(self, peer: str, epoch: int) -> None:
         if self.crashed or self.role is not Role.LEADER or self.current_epoch != epoch:
             return
         next_index = self._next_index.get(peer, len(self.log))
         prev_epoch = self.log[next_index - 1].epoch if next_index > 0 else 0
         entries = self.log[next_index:]
-        try:
-            reply = yield from self.peer_rpc.call(
-                peer,
-                "coord.append_entries",
+
+        def done(reply: Any, error: Optional[Exception]) -> None:
+            if error is not None or self.crashed or self.role is not Role.LEADER:
+                return
+            success, peer_epoch, peer_match = reply
+            if peer_epoch > self.current_epoch:
+                self._step_down(peer_epoch)
+                return
+            if success:
+                self._match_index[peer] = peer_match
+                self._next_index[peer] = peer_match
+                self._advance_commit()
+            else:
+                self._next_index[peer] = max(0, next_index - 1)
+
+        self.peer_rpc.invoke(
+            peer,
+            "coord.append_entries",
+            (
                 epoch,
                 self.address,
                 next_index,
                 prev_epoch,
                 [(e.epoch, e.index, e.op) for e in entries],
                 self.commit_index,
-                timeout=self.config.heartbeat_interval * 2,
-            )
-        except (RpcTimeout, RemoteError):
-            return
-        if self.crashed or self.role is not Role.LEADER:
-            return
-        success, peer_epoch, peer_match = reply
-        if peer_epoch > self.current_epoch:
-            self._step_down(peer_epoch)
-            return
-        if success:
-            self._match_index[peer] = peer_match
-            self._next_index[peer] = peer_match
-            self._advance_commit()
-        else:
-            self._next_index[peer] = max(0, next_index - 1)
+            ),
+            done,
+            timeout=self.config.heartbeat_interval * 2,
+        )
+
+    def _propose(self, op: Tuple) -> LogEntry:
+        entry = LogEntry(self.current_epoch, len(self.log) + 1, op)
+        self.log.append(entry)
+        return entry
 
     def _advance_commit(self) -> None:
         for candidate in range(len(self.log), self.commit_index, -1):
@@ -328,6 +366,7 @@ class CoordReplica:
             _, session_id, timeout = op
             self._session_timeouts[session_id] = timeout
             self._sessions_last_seen.setdefault(session_id, self.sim.now)
+            self._arm_expirer()
             return session_id
         if kind == "expire_session":
             _, session_id = op
@@ -429,13 +468,10 @@ class CoordReplica:
             raise ZnodeError("crashed")
         if self.role is not Role.LEADER:
             raise NotLeaderError(self.leader_hint)
-        entry = LogEntry(self.current_epoch, len(self.log) + 1, tuple(op))
-        self.log.append(entry)
+        entry = self._propose(tuple(op))
         waiter = self.sim.event()
         self._pending_results[entry.index] = waiter
-        epoch = self.current_epoch
-        for peer in self.peers:
-            self.sim.process(self._replicate_to(peer, epoch))
+        self._replicate()
 
         def wait() -> Generator[Event, None, Any]:
             result = yield waiter
@@ -450,7 +486,10 @@ class CoordReplica:
             raise NotLeaderError(self.leader_hint)
         if session_id not in self._session_timeouts:
             raise ZnodeError(f"unknown session {session_id!r}")
+        returning = session_id not in self._sessions_last_seen
         self._sessions_last_seen[session_id] = self.sim.now
+        if returning:
+            self._arm_expirer()  # expired here, its expiry not yet applied
         return True
 
     def _on_read(self, what: str, path: str):
@@ -481,20 +520,32 @@ class CoordReplica:
     # session expiry
     # ------------------------------------------------------------------
 
-    def _session_expirer(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(self.config.session_check_interval)
-            if self.crashed or self.role is not Role.LEADER:
-                continue
-            now = self.sim.now
-            expired = [
-                sid
-                for sid, last in self._sessions_last_seen.items()
-                if now - last > self._session_timeouts.get(sid, self.config.session_timeout)
-            ]
-            for session_id in expired:
-                self._sessions_last_seen.pop(session_id, None)
-                generator = self._on_client_op(["expire_session", session_id])
-                proc = self.sim.process(generator)
-                proc.defuse()
+    def _overdue_sessions(self, now: float) -> List[str]:
+        return [
+            sid
+            for sid, last in self._sessions_last_seen.items()
+            if now - last > self._session_timeouts.get(sid, self.config.session_timeout)
+        ]
 
+    def _arm_expirer(self) -> None:
+        """Arm the check at the first tick on which some session is overdue."""
+        if self.crashed or self.role is not Role.LEADER or not self._sessions_last_seen:
+            return
+        self._expirer.arm(
+            self._expiry_grid.first_after(
+                self.sim.now, lambda tick: bool(self._overdue_sessions(tick))
+            )
+        )
+
+    def _expire_sessions(self) -> None:
+        if self.crashed or self.role is not Role.LEADER:
+            return
+        expired = self._overdue_sessions(self.sim.now)
+        for session_id in expired:
+            self._sessions_last_seen.pop(session_id, None)
+            self._propose(("expire_session", session_id))
+        # Each proposal sends its own replication round, and every round
+        # carries the entries of all of them.
+        for _ in expired:
+            self._replicate()
+        self._arm_expirer()

@@ -11,12 +11,12 @@ process.  Remote exceptions are re-raised at the caller as
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.net.network import Message, NetNode, Network
-from repro.sim import Event, Interrupt, Simulator
+from repro.sim import Deadline, Event, Interrupt, Simulator
 
-__all__ = ["RemoteError", "RpcClient", "RpcServer", "RpcTimeout"]
+__all__ = ["Done", "RemoteError", "RpcClient", "RpcServer", "RpcTimeout", "settle"]
 
 
 class RpcTimeout(Exception):
@@ -98,26 +98,81 @@ class RpcServer:
         )
 
 
+#: ``done(result, error)``: error is ``None`` on success, else a
+#: :class:`RemoteError` or :class:`RpcTimeout`.
+Done = Callable[[Any, Optional[Exception]], None]
+
+
 class RpcClient:
-    """Issues requests from one network node and matches responses."""
+    """Issues requests from one network node and matches responses.
+
+    :meth:`invoke` is the one call path: it takes a completion callback
+    that runs inside the reply's delivery, or when the call's deadline
+    passes.  The client keeps one armed :class:`~repro.sim.Deadline` at
+    its earliest pending call time + timeout; when it fires it expires
+    every overdue call in (deadline, call) order and re-arms at the next
+    live one, so calls answered in time cost no event of their own.
+    :meth:`call` is the generator form, a waiter over :meth:`invoke`.
+    """
 
     def __init__(self, sim: Simulator, network: Network, address: str):
         self.sim = sim
         self.network = network
         self.address = address
         self._ids = itertools.count(1)
-        self._pending: Dict[int, Event] = {}
+        # request id -> (deadline, done, method, target, timeout)
+        self._pending: Dict[int, Tuple[float, Done, str, str, float]] = {}
+        self._deadline = Deadline(sim, self._expire)
         _node(network, address).on(_RESPONSE, self._on_response)
 
     def _on_response(self, message: Message) -> None:
         payload = message.payload
-        waiter = self._pending.pop(payload["id"], None)
-        if waiter is None:
+        pending = self._pending.pop(payload["id"], None)
+        if pending is None:
             return  # response after its deadline: drop
         if "error" in payload:
-            waiter.fail(RemoteError(payload["error"]))
+            pending[1](None, RemoteError(payload["error"]))
         else:
-            waiter.succeed(payload.get("result"))
+            pending[1](payload.get("result"), None)
+
+    def _expire(self) -> None:
+        now = self.sim.now
+        overdue = sorted(
+            (pending[0], request_id)
+            for request_id, pending in self._pending.items()
+            if pending[0] <= now
+        )
+        for _, request_id in overdue:
+            _, done, method, target, timeout = self._pending.pop(request_id)
+            done(None, RpcTimeout(f"{method} to {target} timed out after {timeout}s"))
+        if self._pending:
+            self._deadline.arm(min(pending[0] for pending in self._pending.values()))
+
+    def invoke(
+        self,
+        target: str,
+        method: str,
+        args: Tuple[Any, ...],
+        done: Done,
+        timeout: float = 5.0,
+        request_size: int = 256,
+        response_size: int = 256,
+        kwargs: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Send one call; ``done(result, error)`` reports its outcome."""
+        request_id = next(self._ids)
+        payload = {
+            "kind": _REQUEST,
+            "id": request_id,
+            "method": method,
+            "args": args,
+            "kwargs": kwargs or {},
+            "response_size": response_size,
+        }
+        deadline = self.sim.now + timeout
+        self._pending[request_id] = (deadline, done, method, target, timeout)
+        self.network.send(self.address, target, payload, size=request_size)
+        self._deadline.arm(deadline)
 
     def call(
         self,
@@ -134,23 +189,28 @@ class RpcClient:
         Use as ``result = yield sim.process(client.call(...))`` or
         ``yield from`` inside another process.
         """
-        request_id = next(self._ids)
-        payload = {
-            "kind": _REQUEST,
-            "id": request_id,
-            "method": method,
-            "args": args,
-            "kwargs": kwargs,
-            "response_size": response_size,
-        }
         waiter = self.sim.event()
-        self._pending[request_id] = waiter
-        self.network.send(self.address, target, payload, size=request_size)
-
-        def expire() -> None:
-            if self._pending.pop(request_id, None) is not None:
-                waiter.fail(RpcTimeout(f"{method} to {target} timed out after {timeout}s"))
-
-        self.sim.defer(timeout, expire)
+        self.invoke(
+            target,
+            method,
+            args,
+            settle(waiter),
+            timeout=timeout,
+            request_size=request_size,
+            response_size=response_size,
+            kwargs=kwargs,
+        )
         result = yield waiter
         return result
+
+
+def settle(waiter: Event) -> Done:
+    """A ``done`` callback that fires ``waiter`` with the call's outcome."""
+
+    def done(result: Any, error: Optional[Exception]) -> None:
+        if error is None:
+            waiter.succeed(result)
+        else:
+            waiter.fail(error)
+
+    return done

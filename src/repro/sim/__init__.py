@@ -1,5 +1,6 @@
 """Deterministic discrete-event simulation kernel for the UStore repro."""
 
+from repro.sim.deadline import Deadline, Grid
 from repro.sim.kernel import (
     SCHEDULERS,
     CalendarQueue,
@@ -21,8 +22,10 @@ from repro.sim.trace import EventDigest
 __all__ = [
     "CalendarQueue",
     "Container",
+    "Deadline",
     "Event",
     "EventDigest",
+    "Grid",
     "HeapScheduler",
     "Interrupt",
     "Process",

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from contextlib import contextmanager
+from functools import partial
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
@@ -49,6 +50,7 @@ from repro.obs.trace import NULL_TRACER, RequestTracer
 
 if TYPE_CHECKING:  # avoid an import cycle: analysis only uses stdlib
     from repro.analysis.races import Race, RaceDetector
+    from repro.sim.deadline import Grid
     from repro.sim.process import Process
 
 __all__ = [
@@ -416,6 +418,8 @@ def _describe_event(target: Callable[[], None]) -> str:
     callable — an ``Event._process`` bound method, or a raw callback
     from :meth:`Simulator.defer`.
     """
+    if isinstance(target, partial):
+        target = target.func  # a deadline's pop names its owner's method
     event = getattr(target, "__self__", None)
     if not isinstance(event, Event):
         return f"deferred:{getattr(target, '__qualname__', type(target).__name__)}"
@@ -471,6 +475,7 @@ class Simulator:
         self._seq = itertools.count()
         self._active = True
         self._step_hooks: List[Callable[[float, int, int], None]] = []
+        self._grids: Dict[Tuple[float, float], "Grid"] = {}
         self._race_detector: Optional["RaceDetector"] = None
         if detect_races:
             from repro.analysis.races import RaceDetector
@@ -545,6 +550,21 @@ class Simulator:
         event = self.timeout(delay)
         event.callbacks.append(lambda _ev: fn())
         return event
+
+    def grid(self, period: float) -> "Grid":
+        """The wake-up grid of loops that sleep ``period`` from now.
+
+        Owners that ask at the same instant for the same period share
+        one :class:`~repro.sim.Grid`, so their deadlines keep the order
+        in which such loops would have woken together.
+        """
+        from repro.sim.deadline import Grid
+
+        key = (self._now, period)
+        grid = self._grids.get(key)
+        if grid is None:
+            grid = self._grids[key] = Grid(self._now, period)
+        return grid
 
     def process(self, generator: Iterator[Event]) -> "Process":
         """Start a generator-based process (see :mod:`repro.sim.process`)."""
@@ -632,6 +652,19 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative defer delay: {delay!r}")
         self._sched.push((self._now + delay, priority, next(self._seq), fn))
+
+    def defer_at(
+        self, time: float, fn: Callable[[], None], priority: int = NORMAL
+    ) -> None:
+        """Run ``fn()`` at absolute simulated ``time`` — :meth:`defer` by instant.
+
+        The item is scheduled at ``time`` itself, not at
+        ``now + (time - now)``, so a deadline computed by repeated
+        addition lands on exactly that float.
+        """
+        if time < self._now:
+            raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
+        self._sched.push((time, priority, next(self._seq), fn))
 
     # -- running ---------------------------------------------------------
 

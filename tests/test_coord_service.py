@@ -287,3 +287,119 @@ class TestWatches:
 
         run_session(sim, scenario())
         assert fired == ["deleted"]
+
+
+class TestLeaderCall:
+    """The session's leader walk, against scripted stand-in servers."""
+
+    def setup(self, reply):
+        from repro.net import RpcServer
+
+        sim = Simulator()
+        net = Network(sim, jitter=0.0)
+        contacted = []
+        for name in ("a", "b", "c"):
+            server = RpcServer(sim, net, name)
+
+            def handler(*args, name=name):
+                contacted.append((name, sim.now))
+                return reply(name)
+
+            server.register("coord.read", handler)
+        session = CoordSession(sim, net, "client", ["a", "b", "c"])
+        return sim, net, session, contacted
+
+    def test_follows_not_leader_hint_after_backoff(self):
+        from repro.coord.service import NotLeaderError
+
+        def reply(name):
+            if name != "c":
+                raise NotLeaderError("c")
+            return "found"
+
+        sim, net, session, contacted = self.setup(reply)
+        net.partition("client", "c")  # the leader is unreachable in round 1
+        sim.defer_at(1.1, lambda: net.heal("client", "c"))
+        result = run_session(sim, session._leader_call("coord.read", "get", "/x"))
+        assert result == "found"
+        # Round 1: a and b point at c, which times out after 1 s; round 2
+        # starts at the hinted server 0.25 s later.
+        one_way = net.latency + 256 / net.bandwidth
+        sent_c = contacted[1][1] + one_way  # c was tried on b's reply
+        assert [name for name, _ in contacted] == ["a", "b", "c"]
+        assert contacted[2][1] == pytest.approx(sent_c + 1.0 + 0.25 + one_way)
+        assert session._leader_guess == "c"
+
+    def test_backs_off_between_rounds_and_gives_up(self):
+        from repro.coord.service import NotLeaderError
+        from repro.net import RemoteError
+
+        def reply(name):
+            raise NotLeaderError(None)
+
+        sim, net, session, contacted = self.setup(reply)
+        with pytest.raises(RemoteError, match="NotLeader"):
+            run_session(sim, session._leader_call("coord.read", "get", "/x", retries=2))
+        rounds = [contacted[:3], contacted[3:]]
+        assert [[name for name, _ in r] for r in rounds] == [["a", "b", "c"]] * 2
+        round_trip = 2 * (net.latency + 256 / net.bandwidth)
+        assert rounds[1][0][1] == pytest.approx(rounds[0][2][1] + round_trip + 0.25)
+        # After the last round it still waits out the backoff before failing.
+        assert sim.now == pytest.approx(rounds[1][2][1] + net.latency + 256 / net.bandwidth + 0.25)
+
+    def test_unknown_session_expires_the_session(self):
+        from repro.coord import SessionExpiredError
+        from repro.coord.znode import ZnodeError
+
+        def reply(name):
+            raise ZnodeError("unknown session 'session:client'")
+
+        sim, net, session, contacted = self.setup(reply)
+        with pytest.raises(SessionExpiredError):
+            run_session(sim, session._leader_call("coord.read", "get", "/x"))
+        assert session.expired
+        assert [name for name, _ in contacted] == ["a"]
+
+
+class TestLease:
+    def test_lease_lapses_before_the_cluster_expires_the_session(self):
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        session = CoordSession(sim, net, "leased", [r.address for r in replicas])
+        run_session(sim, session.start())
+        pings = []
+        send = net.send
+
+        def logged(src, dst, payload, size=256):
+            if src == "leased" and payload.get("method") == "coord.ping_session":
+                pings.append(sim.now)
+            send(src, dst, payload, size)
+
+        net.send = logged
+        lapsed = []
+        session.on_lapse(lambda: lapsed.append(sim.now))
+        sim.run(until=sim.now + 3.0)
+        assert lapsed == [] and len(pings) >= 5  # acknowledged pings renew it
+        cut = pings[-1] + 0.25  # between two pings; the last one was answered
+        sim.run(until=cut)
+        for replica in replicas:
+            net.partition("leased", replica.address)
+        acked = pings[-1]
+        sim.run(until=acked + session.session_timeout)
+        assert lapsed == [acked + session.session_timeout]
+        leader = leader_of(replicas)
+        assert session.session_id in leader._session_timeouts  # not yet expired
+        sim.run(until=sim.now + 10.0)
+        assert session.session_id not in leader_of(replicas)._session_timeouts
+        assert lapsed == [acked + session.session_timeout]  # fires once
+
+    def test_lease_is_not_armed_without_a_listener(self):
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        session = CoordSession(sim, net, "quiet", [r.address for r in replicas])
+        run_session(sim, session.start())
+        assert not session._lease.armed
+        session.on_lapse(lambda: None)
+        assert session._lease.armed
+        session.on_lapse(None)
+        assert not session._lease.armed

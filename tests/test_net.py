@@ -14,7 +14,7 @@ from repro.net import (
     SessionError,
     StorageVolume,
 )
-from repro.sim import EventDigest, Interrupt, Simulator
+from repro.sim import Event, EventDigest, Interrupt, Simulator
 from repro.workload import KB, MB
 
 
@@ -282,6 +282,70 @@ class TestRpc:
         sim.run()
         assert call.value == 5
         assert digest.events == 6
+
+    def test_callback_call_costs_its_deliveries_and_one_deadline(self, monkeypatch):
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        server.register("add", lambda a, b: a + b)
+        client = RpcClient(sim, net, "client")
+        digest = EventDigest().attach(sim)
+        events = []
+        original = Event.__init__
+
+        def counting_init(event, *args, **kwargs):
+            events.append(type(event).__name__)
+            original(event, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        outcome = []
+        client.invoke("server", "add", (2, 3), lambda result, error: outcome.append((sim.now, result, error)))
+        sim.run()
+        assert outcome == [(pytest.approx(0.4e-3 + 512 / net.bandwidth), 5, None)]
+        assert digest.events == 3  # request, reply, the spent deadline
+        assert events == []
+
+    def test_calls_with_one_timeout_expire_in_call_order_from_one_pop(self):
+        sim, net = make_net()
+        net.add_node("void")  # accepts nothing: every call times out
+        client = RpcClient(sim, net, "client")
+        expired = []
+
+        def record(tag):
+            return lambda result, error: expired.append((tag, sim.now, type(error).__name__))
+
+        sim.defer_at(0.1, lambda: client.invoke("void", "a", (), record("a"), timeout=0.7))
+        sim.defer_at(0.1, lambda: client.invoke("void", "b", (), record("b"), timeout=0.7))
+        digest = EventDigest().attach(sim)
+        sim.run()
+        assert expired == [("a", 0.1 + 0.7, "RpcTimeout"), ("b", 0.1 + 0.7, "RpcTimeout")]
+        # Two callers, two requests dropped on arrival, one deadline pop.
+        assert digest.events == 5
+
+    def test_overdue_calls_expire_in_deadline_order(self):
+        sim, net = make_net()
+        net.add_node("void")
+        client = RpcClient(sim, net, "client")
+        expired = []
+
+        def record(tag):
+            return lambda result, error: expired.append((tag, sim.now))
+
+        sim.defer_at(0.1, lambda: client.invoke("void", "a", (), record("a"), timeout=0.7))
+        sim.defer_at(0.3, lambda: client.invoke("void", "c", (), record("c"), timeout=0.2))
+        sim.run()
+        assert expired == [("c", 0.3 + 0.2), ("a", 0.1 + 0.7)]
+
+    def test_answered_call_leaves_no_pending_deadline_work(self):
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        server.register("echo", lambda x: x)
+        client = RpcClient(sim, net, "client")
+        outcomes = []
+        for i in range(5):
+            client.invoke("server", "echo", (i,), lambda r, e: outcomes.append((r, e)), timeout=1.0)
+        sim.run()
+        assert outcomes == [(i, None) for i in range(5)]
+        assert sim.now == pytest.approx(1.0)  # one spent deadline, nothing after
 
 
 class TestIscsi:

@@ -99,3 +99,66 @@ class TestCoordPartitions:
         assert "session:mclient" not in old._session_timeouts or not old.tree.exists(
             "/partition-x"
         )
+
+
+class TestMasterPartitions:
+    def test_master_cut_off_from_coord_steps_down(self):
+        # The active master loses its coordination session while hosts
+        # can still reach it.  Once the cluster expires the session the
+        # standby takes over, so the old master must have let go first:
+        # otherwise endpoints keep heartbeating it, the new master hears
+        # from no host, declares them all crashed and moves their disks.
+        from repro.cluster import build_deployment
+        from repro.cluster.metadata import HostStatus
+
+        dep = build_deployment()
+        dep.settle()
+        old = dep.active_master()
+        assert old is not None
+        homes = {disk: dep.host_of_disk(disk) for disk in dep.disks}
+        for replica in dep.coord_replicas:
+            dep.network.partition(f"{old.address}.coord", replica.address)
+
+        def check():
+            active = [m for m in dep.masters if m.active]
+            assert len(active) == 1 and active[0] is not old
+            for master in dep.masters:
+                assert HostStatus.CRASHED not in master.sysstat.host_status.values()
+            assert {disk: dep.host_of_disk(disk) for disk in dep.disks} == homes
+
+        dep.sim.run(until=dep.sim.now + 10.0)
+        check()
+        dep.sim.run(until=dep.sim.now + 10.0)
+        check()
+        dep.network.heal_all()
+        dep.sim.run(until=dep.sim.now + 20.0)
+        check()
+        assert all(ep._master_address == active.address
+                   for ep in dep.endpoints.values()
+                   for active in [dep.active_master()])
+
+    def test_masters_stand_again_after_their_sessions_expire(self):
+        # Cut both masters off from the coordination service until the
+        # cluster expires both sessions: no master may stay active, and
+        # after the heal each stands again on a fresh session, so the
+        # deployment gets exactly one active master back.
+        from repro.cluster import build_deployment
+        from repro.cluster.metadata import HostStatus
+
+        dep = build_deployment()
+        dep.settle()
+        old_sessions = [m.coord for m in dep.masters]
+        for master in dep.masters:
+            for replica in dep.coord_replicas:
+                dep.network.partition(master.coord.address, replica.address)
+        dep.sim.run(until=dep.sim.now + 10.0)
+        assert dep.active_master() is None
+        dep.network.heal_all()
+        dep.sim.run(until=dep.sim.now + 10.0)
+        assert all(session.expired for session in old_sessions)
+        assert [m.coord is s for m, s in zip(dep.masters, old_sessions)] == [False, False]
+        active = [m for m in dep.masters if m.active]
+        assert len(active) == 1
+        assert HostStatus.CRASHED not in active[0].sysstat.host_status.values()
+        dep.sim.run(until=dep.sim.now + 5.0)
+        assert all(ep._master_address == active[0].address for ep in dep.endpoints.values())
