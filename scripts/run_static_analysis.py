@@ -41,6 +41,14 @@ left idle for 100 sim-s must send exactly ``IDLE_SENDS`` messages in at
 most ``IDLE_EVENTS`` kernel events plus ``IDLE_EVENT_SLACK``.  Both
 counts are exact for the code, so any change to the timers shows.
 
+Default-path runs also run the benchmark's self-tests (again even with
+``--no-perf``: they check correctness, not speed): ``python -m pytest
+bench -q`` in a subprocess from the repository root, about 7 s.
+``bench/tracing.py`` wraps program methods by name and its traced runs
+must reproduce the plain runs' fingerprints, while the default pytest
+run collects only ``tests/`` — so this leg is what catches a renamed
+method or a traced run that diverges.
+
 Usage::
 
     python scripts/run_static_analysis.py               # lint src/repro
@@ -438,6 +446,24 @@ def run_control_plane_gate() -> int:
     return 0 if sends_ok and events_ok else 1
 
 
+def run_bench_selftests() -> int:
+    """Bench self-test leg: ``python -m pytest bench -q``, one verdict line."""
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "-q"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+    )
+    ok = completed.returncode == 0
+    if not ok:
+        print(completed.stdout + completed.stderr)
+    print(
+        f"bench self-tests: python -m pytest bench -q exited "
+        f"{completed.returncode} {'OK' if ok else 'FAILED'}"
+    )
+    return 0 if ok else 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -473,6 +499,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if check_lint_baseline(report, update=args.update_baseline) != 0:
             status = 1
     if not args.paths and run_control_plane_gate() != 0:
+        status = 1
+    if not args.paths and run_bench_selftests() != 0:
         status = 1
     if not args.no_mypy:
         mypy_status = run_mypy(paths)

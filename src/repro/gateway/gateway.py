@@ -321,13 +321,13 @@ class Gateway:
         """Admit one typed op: the body behind :meth:`submit`, which
         instrumentation wraps to see every admission."""
         op_space, op_offset, op_size, op_is_read = resolve_op(op)
+        disk_id = self._disk_of_space.get(op_space)
+        if disk_id is None:
+            raise GatewayError(f"unknown space {op_space!r}")
         op_tenant = op.tenant
         self.stats.submitted += 1
         self._m_submitted.inc()
         spec = self._tenants.get(op_tenant)
-        disk_id = self._disk_of_space.get(op_space)
-        if disk_id is None:
-            raise GatewayError(f"unknown space {op_space!r}")
         now = self.sim.now
         request = GatewayRequest(
             request_id=self._next_request_id,

@@ -89,6 +89,8 @@ class ShardBuffer:
     #: durable, in-flight and buffered records.
     tail: int = 0
     buffered: List[PackedObject] = field(default_factory=list)
+    #: Record bytes of ``buffered``: the extent the next flush takes.
+    buffered_bytes: int = 0
     inflight_flushes: int = 0
 
     def append(self, uid: str, date: str, size: int) -> PackedObject:
@@ -110,6 +112,7 @@ class ShardBuffer:
             offset_in_shard=self.tail,
         )
         self.tail += record_bytes
+        self.buffered_bytes += record_bytes
         self.buffered.append(record)
         return record
 
@@ -125,15 +128,12 @@ class ShardBuffer:
         records = self.buffered
         self.buffered = []
         start = records[0].offset_in_shard
-        extent = sum(record.record_bytes for record in records)
+        extent = self.buffered_bytes
+        self.buffered_bytes = 0
         for record in records:
             record.state = ObjectState.FLUSHING
         self.inflight_flushes += 1
         return (start, extent, records)
-
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(record.record_bytes for record in self.buffered)
 
     @property
     def fill_fraction(self) -> float:

@@ -155,6 +155,10 @@ class ShardStore:
         self._m_fill = metrics.histogram("shardstore.flush_fill_fraction")
         self._m_open = metrics.gauge("shardstore.open_shards")
         self._m_buffered = metrics.gauge("shardstore.buffered_bytes")
+        #: Running totals behind those two gauges: shards with a
+        #: non-empty buffer, and the record bytes buffered across them.
+        self._open_shards = 0
+        self._buffered_bytes = 0
         self._occupancy_gauges: Dict[str, Gauge] = {}
 
     # -- placement helpers -------------------------------------------------
@@ -192,6 +196,9 @@ class ShardStore:
         shard = route(uid, date, self.layout.shards_per_day)
         buffer = self._buffer(shard)
         record = buffer.append(uid, date, size)
+        if len(buffer.buffered) == 1:
+            self._open_shards += 1
+        self._buffered_bytes += record.record_bytes
         self.stats.accepted += 1
         self._m_accepted.inc()
         if self._tracer.enabled:
@@ -216,6 +223,8 @@ class ShardStore:
         start, extent, records = buffer.take_buffered()
         if not records:
             return None
+        self._open_shards -= 1
+        self._buffered_bytes -= extent
         self._m_fill.observe(buffer.fill_fraction)
         flush = _Flush(buffer=buffer, start=start, extent=extent, records=records)
         ref = ObjectRef(
@@ -413,12 +422,5 @@ class ShardStore:
         }
 
     def _update_buffer_gauges(self) -> None:
-        open_shards = 0
-        buffered = 0
-        for name in sorted(self._buffers):
-            buffer = self._buffers[name]
-            if buffer.buffered:
-                open_shards += 1
-                buffered += buffer.buffered_bytes
-        self._m_open.set(float(open_shards))
-        self._m_buffered.set(float(buffered))
+        self._m_open.set(float(self._open_shards))
+        self._m_buffered.set(float(self._buffered_bytes))

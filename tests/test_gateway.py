@@ -1,13 +1,17 @@
 """Tests for repro.gateway: queues, scheduling, admission, dispatch.
 
 Unit tests cover the weighted-fair queue, the power accountant and the
-two scheduler strategies in isolation; integration tests drive a real
+two scheduler strategies in isolation; the queue's per-disk index is
+held to a full-scan reference over random interleavings and to a
+count of the request reads it makes; integration tests drive a real
 Gateway over a full 16-disk deployment through the ClientLib mount
 path, and the determinism test replays the registered ``gateway_slo``
 experiment point twice.
 """
 
+import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -113,15 +117,6 @@ class TestWeightedFairQueue:
         assert [r.request_id for r in taken] == [0]
         assert queue.total_depth() == 1
 
-    def test_take_oldest_is_global_fifo(self):
-        queue = WeightedFairQueue(self.specs())
-        queue.push(request(0, "light", arrival=2.0))
-        queue.push(request(1, "heavy", arrival=1.0))
-        queue.push(request(2, "heavy", arrival=3.0))
-        order = [queue.take_oldest().request_id for _ in range(3)]
-        assert order == [1, 0, 2]
-        assert queue.take_oldest() is None
-
     def test_pending_by_disk_summarizes(self):
         queue = WeightedFairQueue(self.specs())
         queue.push(request(0, "heavy", disk="disk1", arrival=5.0, deadline=50.0))
@@ -146,6 +141,160 @@ class TestWeightedFairQueue:
         late = request(10, "light")
         queue.push(late)
         assert late.fair_tag >= high_water
+
+
+class ScanQueue:
+    """Reference queue for the oracle test: per-tenant FIFOs, with every
+    summary and every take rebuilt by a full scan of all queued
+    requests."""
+
+    def __init__(self, tenants):
+        self._specs = dict(tenants)
+        self._queues = {name: [] for name in tenants}
+        self._virtual_time = 0.0
+        self._last_finish = {name: 0.0 for name in tenants}
+
+    def push(self, request):
+        spec = self._specs.get(request.tenant)
+        if spec is None:
+            raise UnknownTenantError(request.tenant)
+        pending = self._queues[request.tenant]
+        if len(pending) >= spec.max_queue_depth:
+            raise QueueFullError(request.tenant, len(pending), spec.max_queue_depth)
+        start = max(self._virtual_time, self._last_finish[request.tenant])
+        finish = start + float(request.size) / spec.weight
+        request.fair_tag = finish
+        self._last_finish[request.tenant] = finish
+        pending.append(request)
+
+    def total_depth(self):
+        return sum(len(q) for q in self._queues.values())
+
+    def depths(self):
+        return {name: len(queue) for name, queue in self._queues.items()}
+
+    def pending_by_disk(self):
+        summary = {}
+        for name in self._queues:
+            for request in self._queues[name]:
+                summary.setdefault(request.disk_id, []).append(request)
+        return [
+            PendingDisk(
+                disk_id=disk_id,
+                count=len(requests),
+                earliest_arrival=min(r.arrival for r in requests),
+                earliest_deadline=min(r.deadline for r in requests),
+                oldest_request_id=min(r.request_id for r in requests),
+            )
+            for disk_id, requests in sorted(summary.items())
+        ]
+
+    def take_for_disk(self, disk_id, limit):
+        if limit < 1:
+            return []
+        matching = [
+            request
+            for name in self._queues
+            for request in self._queues[name]
+            if request.disk_id == disk_id
+        ]
+        matching.sort(key=lambda r: (r.fair_tag, r.request_id))
+        taken = matching[:limit]
+        for request in taken:
+            self._queues[request.tenant].remove(request)
+            if request.fair_tag > self._virtual_time:
+                self._virtual_time = request.fair_tag
+        return taken
+
+
+ORACLE_TENANTS = {
+    "a": TenantSpec(name="a", weight=1.0, max_queue_depth=8),
+    "b": TenantSpec(name="b", weight=2.0, max_queue_depth=12),
+    "c": TenantSpec(name="c", weight=0.5, max_queue_depth=5),
+}
+ORACLE_DISKS = [f"disk{i}" for i in range(5)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_queue_index_matches_scan_oracle(seed):
+    """Random push/take interleavings: the indexed queue and the scan
+    oracle agree on every admission, tag, take and summary."""
+    rng = random.Random(seed)
+    queue, oracle = WeightedFairQueue(ORACLE_TENANTS), ScanQueue(ORACLE_TENANTS)
+    # Unique ids in shuffled order, so neither the summaries nor the
+    # take order can lean on ids rising with admission.
+    ids = list(range(300))
+    rng.shuffle(ids)
+    for step in range(300):
+        if rng.random() < 0.6:
+            arrival = float(step // 4)  # coarse, so summaries see ties
+            fields = dict(
+                tenant=rng.choice(("a", "a", "b", "b", "c", "nobody")),
+                disk=rng.choice(ORACLE_DISKS),
+                size=rng.choice((1, 512 * 1024, 1 * MB, 4 * MB)),
+                arrival=arrival,
+                deadline=arrival + rng.choice((30.0, 60.0, 120.0)),
+            )
+            outcomes = []
+            for target in (queue, oracle):
+                admitted = request(ids[-1], **fields)
+                try:
+                    target.push(admitted)
+                except AdmissionError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    # The tag exposes the virtual time each queue holds.
+                    outcomes.append(("admitted", admitted.fair_tag))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0][0] == "admitted":
+                ids.pop()
+        else:
+            disk = rng.choice(ORACLE_DISKS + ["disk9"])  # disk9: never queued
+            limit = rng.choice((0, 1, 2, 3, 8, 64))
+            taken = [r.request_id for r in queue.take_for_disk(disk, limit)]
+            assert taken == [r.request_id for r in oracle.take_for_disk(disk, limit)]
+        assert queue.pending_by_disk() == oracle.pending_by_disk()
+        assert queue.depths() == oracle.depths()
+        assert queue.total_depth() == oracle.total_depth()
+
+
+#: Attribute reads of :class:`ReadCountingRequest` objects, by disk.
+REQUEST_READS = Counter()
+
+
+class ReadCountingRequest(GatewayRequest):
+    """A request that counts every attribute read made of it."""
+
+    def __getattribute__(self, name):
+        REQUEST_READS[object.__getattribute__(self, "disk_id")] += 1
+        return object.__getattribute__(self, name)
+
+
+def test_queue_work_does_not_grow_with_other_disks_backlog():
+    """Summaries read no request; a take reads only its own disk's."""
+    queue = WeightedFairQueue({"t": TenantSpec(name="t", max_queue_depth=1000)})
+    for rid in range(1000):
+        disk = f"disk{rid % 5}"
+        queue.push(
+            ReadCountingRequest(
+                request_id=rid,
+                tenant="t",
+                space_id=f"/unit0/{disk}/space0",
+                disk_id=disk,
+                offset=0,
+                size=1 * MB,
+                is_read=True,
+                arrival=0.0,
+                deadline=60.0,
+            )
+        )
+    REQUEST_READS.clear()
+    pending = queue.pending_by_disk()
+    assert [p.count for p in pending] == [200] * 5
+    assert sum(REQUEST_READS.values()) == 0
+    taken = queue.take_for_disk("disk2", 10)
+    assert len(taken) == 10
+    assert set(REQUEST_READS) == {"disk2"}
 
 
 class TestPowerAccountant:
@@ -205,7 +354,6 @@ class TestSchedulers:
             earliest_arrival=arrival,
             earliest_deadline=deadline,
             oldest_request_id=oldest,
-            min_fair_tag=0.0,
         )
 
     def test_batch_spreads_across_failure_units_first(self):
@@ -467,6 +615,22 @@ class TestGatewayDispatch:
         dep, gateway, _ = build_gateway("batch")
         with pytest.raises(GatewayError):
             gateway.submit(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
+
+    def test_unknown_space_is_counted_nowhere(self):
+        """A refused space is refused before any counter moves, so
+        submitted == admitted + rejected still holds afterwards."""
+        registry = MetricsRegistry()
+        dep = build_deployment(config=DeploymentConfig(seed=7), metrics=registry)
+        dep.settle(15.0)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MB, max_spaces=2)
+        gateway = Gateway(dep.sim, (TENANT,), GatewayConfig())
+        gateway.attach(objects, spaces, dep.disks, host_of=dep.host_of_disk)
+        gateway.start()
+        with pytest.raises(GatewayError, match="unknown space"):
+            gateway.submit(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
+        stats = gateway.stats
+        assert stats.submitted == stats.admitted + stats.rejected == 0
+        assert registry.counters()["gateway.submitted"].value == 0
 
     def test_deadline_stamped_from_tenant_slo(self):
         tenant = TenantSpec(name="t0", slo_seconds=1.0, max_queue_depth=64)

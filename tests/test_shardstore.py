@@ -3,7 +3,9 @@
 Property tests pin the no-metadata-DB invariant — ``route()`` must be a
 pure function of ``(uid, date)``, stable across interpreter hash seeds,
 and spread a synthetic uid population uniformly across shards.  Unit
-tests cover the shard buffer's packing arithmetic, and integration
+tests cover the shard buffer's packing arithmetic and, over a stub
+gateway, the store's running buffer totals (checked against a walk of
+every buffer) and the cost of a put in record reads; integration
 tests drive a :class:`~repro.shardstore.ShardStore` over a real 16-disk
 deployment: puts pack into few large flush writes, gets come back as
 coalesced sub-block reads, and the small-size experiment point replays
@@ -16,9 +18,17 @@ import sys
 import pytest
 
 from repro.experiments import shardstore_small_objects
-from repro.gateway import ObjectRef, ReadRange
+from repro.gateway import (
+    GatewayObject,
+    GatewayRequest,
+    ObjectRef,
+    ReadRange,
+    resolve_op,
+)
+from repro.obs import MetricsRegistry
 from repro.shardstore import (
     ObjectState,
+    PackedObject,
     RECORD_HEADER_BYTES,
     ShardBuffer,
     ShardCapacityError,
@@ -33,6 +43,7 @@ from repro.shardstore import (
     route,
     stable_hash,
 )
+from repro.sim import Simulator
 from repro.workload import KB, MB
 
 from tests.test_gateway import build_gateway, drain
@@ -232,6 +243,131 @@ class TestShardBuffer:
         _, extent, _ = buffer.take_buffered()
         buffer.durable_bytes += extent
         assert buffer.occupancy == pytest.approx(0.5)
+
+
+# -- store bookkeeping over a stub gateway -------------------------------
+
+
+class StubGateway:
+    """Just enough gateway for a ShardStore: two 64 MiB spaces, and a
+    submit that holds each request until the test completes it."""
+
+    def __init__(self, metrics=None):
+        self.sim = Simulator(metrics=metrics)
+        self._objects = [
+            GatewayObject(f"/unit0/disk{i}/space0", f"disk{i}", 64 * MiB)
+            for i in range(2)
+        ]
+        self.submitted = []
+
+    def objects(self):
+        return self._objects
+
+    def submit(self, op):
+        space_id, offset, size, is_read = resolve_op(op)
+        request = GatewayRequest(
+            request_id=len(self.submitted),
+            tenant=op.tenant,
+            space_id=space_id,
+            disk_id="disk0",
+            offset=offset,
+            size=size,
+            is_read=is_read,
+            arrival=self.sim.now,
+            deadline=self.sim.now,
+            ref=op.ref,
+        )
+        self.submitted.append(request)
+        return request
+
+    @staticmethod
+    def complete(request, failure=None):
+        request.failure = failure
+        hook, request.on_complete = request.on_complete, None
+        hook(request)
+
+
+def stub_store(metrics=None, shards_per_day=1, shard_capacity=1 * MiB):
+    gateway = StubGateway(metrics)
+    config = ShardStoreConfig(
+        tenant="t0",
+        shards_per_day=shards_per_day,
+        shard_capacity_bytes=shard_capacity,
+    )
+    return gateway, ShardStore(gateway, config)
+
+
+class TestShardStoreBookkeeping:
+    DATES = ("2015-06-01", "2015-06-02", "2015-06-03")
+
+    def test_buffer_gauges_match_a_walk_over_the_buffers(self):
+        registry = MetricsRegistry()
+        gateway, store = stub_store(registry)
+        gauges = registry.gauges()
+
+        def check():
+            open_shards = buffered = 0
+            for name in sorted(store._buffers):
+                records = store._buffers[name].buffered
+                record_bytes = sum(record.record_bytes for record in records)
+                assert store._buffers[name].buffered_bytes == record_bytes
+                if records:
+                    open_shards += 1
+                    buffered += record_bytes
+            assert gauges["shardstore.open_shards"].value == open_shards
+            assert gauges["shardstore.buffered_bytes"].value == buffered
+
+        def shard_of(date):
+            return route("any", date, store.layout.shards_per_day).name
+
+        for i in range(12):
+            store.put(f"u{i}", self.DATES[i % 3], 40 * KB + i)
+            check()
+        request = store.flush_shard(shard_of(self.DATES[0]))
+        check()
+        gateway.complete(request)
+        check()
+        assert store.flush_shard(shard_of(self.DATES[0])) is None  # nothing buffered
+        assert store.flush_shard("no-such-shard") is None
+        check()
+        store.put("big", self.DATES[1], 600 * KB)
+        check()
+        with pytest.raises(ShardCapacityError):
+            store.put("too-big", self.DATES[1], 400 * KB)
+        check()
+        failed, *flushed = store.flush_all()
+        check()
+        gateway.complete(failed, failure="remount budget exhausted")
+        check()
+        for request in flushed:
+            gateway.complete(request)
+            check()
+        assert store.stats.flush_failures == 1
+        store.put("late", self.DATES[2], 1 * KB)  # reopens a flushed shard
+        check()
+        store.put("trip", self.DATES[2], 750 * KB)  # crosses the fill threshold
+        assert store.stats.flushes == 4
+        check()
+
+    def test_put_cost_does_not_grow_with_buffered_objects(self, monkeypatch):
+        """Count record reads per put: the 2,000th put into one shard
+        reads no more records than the 10th."""
+        reads = [0]
+        record_bytes = PackedObject.record_bytes
+
+        def counted(record):
+            reads[0] += 1
+            return record_bytes.fget(record)
+
+        monkeypatch.setattr(PackedObject, "record_bytes", property(counted))
+        _, store = stub_store(MetricsRegistry(), shard_capacity=8 * MiB)
+        per_put = []
+        for i in range(2000):
+            before = reads[0]
+            store.put(f"uid-{i}", DATE, 1 * KB)
+            per_put.append(reads[0] - before)
+        assert store.stats.flushes == 0  # every object is still buffered
+        assert per_put[1999] <= per_put[9]
 
 
 # -- store over a live deployment ----------------------------------------
