@@ -13,7 +13,7 @@ these run the :mod:`repro.benchmarks` suite at full size (16 / 240 /
 
 Run with ``pytest benchmarks/test_rack_scale_perf.py`` (no
 pytest-benchmark needed), or record history via
-``python scripts/run_benchmarks.py alloc_scale kernel_throughput``.
+``python -m repro bench alloc_scale kernel_throughput --out-dir .``.
 """
 
 from repro.benchmarks import run_benchmark

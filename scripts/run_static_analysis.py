@@ -17,23 +17,30 @@ default-path runs gate inline-suppression growth against the committed
 baseline fails the run until the waiver is justified and the baseline
 regenerated with ``--update-baseline``.
 
-Default-path invocations also run a perf smoke: the ``alloc_scale``,
-``kernel_throughput``, ``gateway`` and ``shardstore`` benchmarks at
-their smoke sizes, failing on a >5x wall-clock regression against the
-committed ``BENCH_*.json`` baselines (skipped when explicit paths are
-passed, or with ``--no-perf``).  The gateway leg runs with tracing
-disarmed and is gated at 1.1x — the NULL_TRACER no-op proof.  The
-kernel leg also compares the calendar-queue scheduler against the heap
-reference at 16/240/1920 concurrent timers and fails if the calendar
-falls behind heap by more than 1.5x at any depth.
+Default-path invocations also run a perf smoke (skipped when explicit
+paths are passed, or with ``--no-perf``).  The ``alloc_scale`` and
+``kernel_throughput`` microbenchmarks run at their smoke sizes and fail
+on a >5x wall-clock regression against the committed ``BENCH_*.json``
+baselines; the kernel leg also compares the calendar-queue scheduler
+against the heap reference at 16/240/1920 concurrent timers and fails
+if the calendar falls behind heap by more than 1.5x at any depth.
+Then one loop runs every experiment that declares ``smoke`` sizes
+(``repro bench <name> --smoke``) and checks it against the latest smoke
+record with the same params in ``BENCH_<name>.json``: wall time within
+5x + 0.5 s (1.1x + 0.5 s for ``gateway_slo``, whose smoke runs with
+the tracer and ledger disarmed — the NULL_TRACER no-op proof),
+``sim_events`` at most 2% above the record's (an exact count for the
+code and seed, so it does not depend on the machine), and every anchor
+true.  Each experiment prints one wall, one events and one anchors
+line.
 
 Default-path runs finish with an energy-ledger leg: one small
 gateway_slo point with the ledger armed must satisfy the DESIGN §15
 conservation identity, its non-overhead accounts times
 ``PSU_EFFICIENCY`` must equal the summary's DC ``energy_joules``, and
 an identical rerun must produce a byte-identical canonical energy
-export.  The unarmed-overhead half of that gate rides the 1.1x gateway
-perf leg, which runs with the ledger disarmed.
+export.  The unarmed-overhead half of that gate rides the 1.1x
+``gateway_slo`` smoke gate, which runs with the ledger disarmed.
 
 Default-path runs also run a control-plane leg (even with
 ``--no-perf``: it counts, it does not time): a deployment settled and
@@ -70,12 +77,18 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 PERF_REGRESSION_FACTOR = 5.0
-#: The gateway smoke gate is much tighter than the generic 5x factor:
-#: with tracing off, every trace call sites hits the NULL_TRACER no-op
-#: path, and the run must stay within 10% of the committed baseline —
-#: the proof that instrumenting the request path costs nothing when
-#: disarmed.
+#: The gateway_slo smoke gate is much tighter than the generic 5x
+#: factor: with tracing off, every trace call site hits the NULL_TRACER
+#: no-op path, and the run must stay within 10% of the committed
+#: baseline — the proof that instrumenting the request path costs
+#: nothing when disarmed.
 GATEWAY_TRACING_OFF_FACTOR = 1.1
+#: Experiment smoke gates: wall factor per experiment (default
+#: PERF_REGRESSION_FACTOR) plus an absolute grace against scheduler
+#: noise, and the allowed rise of the exact ``sim_events`` count.
+SMOKE_WALL_FACTORS = {"gateway_slo": GATEWAY_TRACING_OFF_FACTOR}
+SMOKE_WALL_GRACE_SECONDS = 0.5
+SMOKE_EVENT_SLACK = 0.02
 #: The calendar queue must deliver at least 1/1.5 of the heap
 #: reference's throughput at every compared queue depth (in practice it
 #: matches at fan 16 and pulls ahead at 240/1920; 1.5 absorbs
@@ -187,32 +200,69 @@ def _baseline_kernel_rate(history: List[Dict]) -> Optional[float]:
     return None
 
 
-def _baseline_gateway_wall(history: List[Dict]) -> Optional[float]:
-    """wall_seconds of the most recent smoke-shaped gateway record."""
-    for record in reversed(history):
-        if record.get("smoke") and record.get("wall_seconds"):
-            return float(record["wall_seconds"])
-    return None
+def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) -> int:
+    """Gate one experiment smoke record against its committed history.
 
-
-def _baseline_shardstore_wall(history: List[Dict]) -> Optional[float]:
-    """wall_seconds of the most recent smoke-shaped shardstore record."""
-    for record in reversed(history):
-        if record.get("smoke") and record.get("wall_seconds"):
-            return float(record["wall_seconds"])
-    return None
-
-
-def _baseline_tiering_wall(history: List[Dict]) -> Optional[float]:
-    """wall_seconds of the most recent smoke-shaped tiering record."""
-    for record in reversed(history):
-        if record.get("smoke") and record.get("wall_seconds"):
-            return float(record["wall_seconds"])
-    return None
+    The baseline is the latest record in ``baseline_path`` for the same
+    experiment, also a smoke run, with the same ``params``.  Fails when
+    the wall time exceeds ``wall_factor`` x the baseline's plus
+    SMOKE_WALL_GRACE_SECONDS, when ``sim_events`` exceeds the baseline's
+    by more than SMOKE_EVENT_SLACK, or when any anchor is false.  With
+    no baseline the two comparisons are skipped loudly; the anchors are
+    checked either way.
+    """
+    name = record["experiment"]
+    baseline = None
+    if baseline_path.exists():
+        for candidate in reversed(json.loads(baseline_path.read_text())):
+            if (
+                candidate.get("experiment") == name
+                and candidate.get("smoke")
+                and candidate.get("params") == record["params"]
+            ):
+                baseline = candidate
+                break
+    status = 0
+    if baseline is None:
+        print(
+            f"perf: {name} smoke: no committed smoke record in "
+            f"{baseline_path.name}, wall and events comparison skipped"
+        )
+    else:
+        wall, base_wall = record["wall_seconds"], baseline["wall_seconds"]
+        limit = wall_factor * base_wall + SMOKE_WALL_GRACE_SECONDS
+        verdict = "OK" if wall <= limit else "REGRESSION"
+        print(
+            f"perf: {name} smoke wall: {wall}s (baseline {base_wall}s, "
+            f"limit {limit:.2f}s = {wall_factor}x + "
+            f"{SMOKE_WALL_GRACE_SECONDS}s) {verdict}"
+        )
+        if wall > limit:
+            status = 1
+        events, base_events = record["sim_events"], baseline["sim_events"]
+        budget = base_events * (1.0 + SMOKE_EVENT_SLACK)
+        verdict = "OK" if events <= budget else "REGRESSION"
+        print(
+            f"perf: {name} smoke events: {events:.0f} (baseline "
+            f"{base_events:.0f}, limit {budget:.0f} = +{SMOKE_EVENT_SLACK:.0%}) "
+            f"{verdict}"
+        )
+        if events > budget:
+            status = 1
+    anchors = record["anchors"]
+    failed = sorted(anchor for anchor, holds in anchors.items() if not holds)
+    verdict = f"FAILED: {', '.join(failed)}" if failed else "OK"
+    print(
+        f"perf: {name} smoke anchors: {len(anchors) - len(failed)} of "
+        f"{len(anchors)} hold {verdict}"
+    )
+    if failed:
+        status = 1
+    return status
 
 
 def run_perf_smoke() -> int:
-    """Run the new benchmarks at smoke size; flag >5x regressions.
+    """Run the microbenchmarks and experiment smokes; flag regressions.
 
     Compares against the committed BENCH baselines at the repo root.
     Wall-clock timings at the 16-disk size are sub-millisecond, so every
@@ -221,6 +271,7 @@ def run_perf_smoke() -> int:
     regression clears both easily.
     """
     from repro.benchmarks import run_benchmark
+    from repro.experiments import EXPERIMENTS
 
     status = 0
 
@@ -281,80 +332,13 @@ def run_perf_smoke() -> int:
         if calendar_rate < floor:
             status = 1
 
-    record = run_benchmark("gateway", repeat=1, smoke=True)
-    wall = record["wall_seconds"]
-    baseline_path = REPO_ROOT / "BENCH_gateway.json"
-    if baseline_path.exists():
-        baseline_wall = _baseline_gateway_wall(json.loads(baseline_path.read_text()))
-    else:
-        baseline_wall = None
-    if baseline_wall is None:
-        print("perf: gateway: no committed smoke baseline, comparison skipped")
-    else:
-        limit = GATEWAY_TRACING_OFF_FACTOR * baseline_wall + 0.5
-        verdict = "OK" if wall <= limit else "REGRESSION"
-        print(
-            f"perf: gateway smoke sweep (tracing off): {wall}s wall "
-            f"(baseline {baseline_wall}s, limit {limit:.2f}s "
-            f"= {GATEWAY_TRACING_OFF_FACTOR}x + 0.5s grace) {verdict}"
-        )
-        if wall > limit:
-            status = 1
-
-    record = run_benchmark("shardstore", repeat=1, smoke=True)
-    wall = record["wall_seconds"]
-    baseline_path = REPO_ROOT / "BENCH_shardstore.json"
-    if baseline_path.exists():
-        baseline_wall = _baseline_shardstore_wall(json.loads(baseline_path.read_text()))
-    else:
-        baseline_wall = None
-    if baseline_wall is None:
-        print("perf: shardstore: no committed smoke baseline, comparison skipped")
-    else:
-        limit = PERF_REGRESSION_FACTOR * baseline_wall + 0.5
-        verdict = "OK" if wall <= limit else "REGRESSION"
-        print(
-            f"perf: shardstore smoke (packed vs naive): {wall}s wall "
-            f"(baseline {baseline_wall}s, limit {limit:.2f}s) {verdict}"
-        )
-        if wall > limit:
-            status = 1
-
-    record = run_benchmark("tiering", repeat=1, smoke=True)
-    wall = record["wall_seconds"]
-    baseline_path = REPO_ROOT / "BENCH_tiering.json"
-    if baseline_path.exists():
-        baseline_wall = _baseline_tiering_wall(json.loads(baseline_path.read_text()))
-    else:
-        baseline_wall = None
-    if baseline_wall is None:
-        print("perf: tiering: no committed smoke baseline, comparison skipped")
-    else:
-        limit = PERF_REGRESSION_FACTOR * baseline_wall + 0.5
-        verdict = "OK" if wall <= limit else "REGRESSION"
-        print(
-            f"perf: tiering smoke (staged vs write-through): {wall}s wall "
-            f"(baseline {baseline_wall}s, limit {limit:.2f}s) {verdict}"
-        )
-        if wall > limit:
-            status = 1
-    # Staged-vs-write-through outcome gate: even at smoke size, the
-    # staged treatment must keep its reasons to exist — fewer spin-ups
-    # and hot-latency write acks — and both variants must stay
-    # exactly-once.  These are simulated results, so they are exact,
-    # not noisy: any flip is a functional regression in the tiering
-    # or gateway layers.
-    by_mode = {point["mode"]: point for point in record["points"]}
-    staged, through = by_mode["staged"], by_mode["write_through"]
-    outcome_checks = (
-        ("staged fewer spin-ups", staged["spin_ups"] < through["spin_ups"]),
-        ("staged write p99 lower", staged["write_p99"] < through["write_p99"]),
-        ("both exactly-once", staged["exactly_once"] and through["exactly_once"]),
-    )
-    for label, holds in outcome_checks:
-        verdict = "OK" if holds else "REGRESSION"
-        print(f"perf: tiering smoke outcome: {label}: {verdict}")
-        if not holds:
+    for experiment in EXPERIMENTS:
+        if not experiment.smoke:
+            continue
+        record = run_benchmark(experiment.name, smoke=True)
+        factor = SMOKE_WALL_FACTORS.get(experiment.name, PERF_REGRESSION_FACTOR)
+        baseline_path = REPO_ROOT / f"BENCH_{experiment.name}.json"
+        if check_smoke_record(record, baseline_path, factor) != 0:
             status = 1
     return status
 
@@ -371,7 +355,7 @@ def run_energy_smoke() -> int:
     ``energy_joules`` to ``ENERGY_CROSS_CHECK_REL``.  It then reruns the
     identical point and requires the canonical JSON energy exports to
     match byte for byte.  The unarmed-overhead side of the gate is carried by the
-    gateway perf leg above: its smoke sweep runs with the ledger (and
+    ``gateway_slo`` smoke gate above: it runs with the ledger (and
     tracer) disarmed and is held to GATEWAY_TRACING_OFF_FACTOR = 1.1x.
     """
     from repro.experiments import gateway_slo

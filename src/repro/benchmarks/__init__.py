@@ -1,8 +1,8 @@
-"""Wall-clock benchmark suite (rack-scale allocator + kernel throughput).
+"""Wall-clock benchmark suite: allocator and kernel microbenchmarks
+plus timed runs of any registered experiment.
 
-See :mod:`repro.benchmarks.suite`.  Records are appended to
-``BENCH_<name>.json`` files by ``scripts/run_benchmarks.py`` or the
-``repro bench`` CLI subcommand.
+See :mod:`repro.benchmarks.suite`.  ``repro bench <name> --out-dir D``
+appends records to ``BENCH_<name>.json`` files in ``D``.
 """
 
 from repro.benchmarks.suite import (

@@ -1,6 +1,6 @@
 """The benchmark suite: wall-clock measurements of the simulation stack.
 
-Three kinds of benchmark share one record schema (the ``BENCH_*.json``
+Every benchmark writes the same record schema (the ``BENCH_*.json``
 history files at the repo root):
 
 * ``alloc_scale`` — max-min bandwidth allocation over rack-scale
@@ -16,19 +16,15 @@ history files at the repo root):
   ``call_in``/Event route, and a ``scheduler_comparison`` leg times the
   heap reference against the calendar queue at 16/240/1920 concurrent
   timers (the alloc_scale disk counts);
-* ``gateway`` — the request tier's offered-load sweep: both gateway
-  schedulers (power-aware batch vs naive FIFO) at several load scales,
-  recording latency percentiles, spin-ups and disk energy per point
-  (``smoke`` restricts to one load point at a shorter duration for the
-  CI perf gate);
-* ``shardstore`` — small-object ingest/retrieval throughput of the
-  packed shard tier vs the naive object-per-request layout
-  (simulated objects per wall second, plus the spin-up/latency/energy
-  outcomes the ``shardstore_small_objects`` experiment asserts on);
 * any registered experiment name (e.g. ``figure5``) — wall time of a
-  full experiment run; experiments that declare a ``settle_seconds``
-  parameter are run with a nonzero settle so the simulator actually
-  executes events and the ``sim.events`` counter is meaningful.
+  full experiment run, with its params, anchors, ``sim.events`` and
+  obs counters (:func:`bench_experiment`).  ``smoke`` applies the
+  experiment's declared
+  :attr:`~repro.experiments.base.Experiment.smoke` sizes; the CI gate
+  runs every experiment that declares them.  Experiments that declare
+  a ``settle_seconds`` parameter are run with a nonzero settle so the
+  simulator actually executes events and the ``sim.events`` counter is
+  meaningful.
 
 Wall-clock use is deliberate and local to this module: benchmarks
 measure the simulator, they never feed timestamps into it.  The module
@@ -48,7 +44,7 @@ import json
 import time
 from pathlib import Path
 from statistics import median
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import EXPERIMENTS
 from repro.fabric.bandwidth import BandwidthModel, Flow
@@ -69,7 +65,11 @@ __all__ = [
 #: v2: ``wall_seconds`` became the median over repeats (was the best
 #: run, now kept as ``wall_seconds_best``) and kernel_throughput grew
 #: the defer fast path plus the ``scheduler_comparison`` leg.
-BENCH_SCHEMA_VERSION = 2
+#: v3: experiment records always carry ``smoke``, ``params`` and
+#: ``anchors``; the ``gateway``, ``shardstore`` and ``tiering`` records
+#: became ``gateway_slo``, ``shardstore_small_objects`` and
+#: ``tiering_staging`` smoke records.
+BENCH_SCHEMA_VERSION = 3
 
 #: Pod counts for the allocation scale sweep: one deploy unit (the
 #: paper's 16-disk prototype), a 15-pod rack (240 disks) and a 120-pod
@@ -329,241 +329,10 @@ def bench_kernel_throughput(
     )
 
 
-#: Load multipliers for the gateway sweep (1.0 = the gateway_slo
-#: experiment's contended default of ~1.5 req/s offered).
-GATEWAY_LOAD_SCALES: Tuple[float, ...] = (0.5, 1.0, 2.0)
-GATEWAY_DURATION_FULL = 180.0
-GATEWAY_DURATION_SMOKE = 60.0
-
-
-def bench_gateway(repeat: int = 1, seed: int = 42, smoke: bool = False) -> Dict:
-    """Offered load vs latency/power for both gateway schedulers.
-
-    Each sweep point runs :func:`repro.experiments.gateway_slo.run_point`
-    on a fresh deployment: open-loop multi-tenant arrivals against 16
-    initially spun-down disks under one power budget.  ``smoke`` runs a
-    single load point at a short duration so the perf gate stays cheap.
-    """
-    from repro.experiments import gateway_slo
-
-    load_scales = GATEWAY_LOAD_SCALES[1:2] if smoke else GATEWAY_LOAD_SCALES
-    duration = GATEWAY_DURATION_SMOKE if smoke else GATEWAY_DURATION_FULL
-    offered_rps = sum(spec.arrival_rate for spec in gateway_slo.TENANTS)
-    record = _base_record("gateway", repeat)
-    record["seed"] = seed
-    record["smoke"] = smoke
-    record["duration"] = duration
-    sweep: List[Dict] = []
-    wall_times: List[float] = []
-    registry = MetricsRegistry()
-    for _ in range(max(1, repeat)):
-        sweep = []
-        started_total = time.perf_counter()
-        for load_scale in load_scales:
-            for scheduler in ("batch", "fifo"):
-                t0 = time.perf_counter()
-                summary = gateway_slo.run_point(
-                    scheduler,
-                    seed=seed,
-                    duration=duration,
-                    load_scale=load_scale,
-                    metrics=registry,
-                )
-                point_wall = time.perf_counter() - t0
-                sweep.append(
-                    {
-                        "load_scale": load_scale,
-                        "offered_rps": round(offered_rps * load_scale, 3),
-                        "scheduler": scheduler,
-                        "completed": summary["completed"],
-                        "rejected": summary["rejected"],
-                        "slo_misses": summary["slo_misses"],
-                        "spin_ups": summary["spin_ups"],
-                        "batches": summary["batches"],
-                        "latency_p50": round(float(summary["latency_p50"]), 3),
-                        "latency_p99": round(float(summary["latency_p99"]), 3),
-                        "energy_joules": round(float(summary["energy_joules"]), 1),
-                        "wall_seconds": round(point_wall, 4),
-                    }
-                )
-        wall_times.append(time.perf_counter() - started_total)
-    record["sweep"] = sweep
-    counters = {
-        name: counter.value
-        for name, counter in registry.counters().items()
-        if name.startswith("gateway.") or name == "sim.events"
-    }
-    return _finish_record(
-        record,
-        wall_times,
-        registry.counter("sim.events").value,
-        counters,
-    )
-
-
-SHARDSTORE_OBJECTS_FULL = 1000
-SHARDSTORE_OBJECTS_SMOKE = 250
-SHARDSTORE_GETS_FULL = 200
-SHARDSTORE_GETS_SMOKE = 50
-
-
-def bench_shardstore(
-    repeat: int = 1, seed: int = 42, smoke: bool = False
-) -> Dict:
-    """Small-object ingest throughput: packed shards vs naive objects.
-
-    Each point runs :func:`repro.experiments.shardstore_small_objects
-    .run_point` on a fresh deployment — the packed variant routes every
-    object through the shardstore (few large flush writes), the naive
-    variant issues one hash-spread gateway request per object — and
-    records simulated objects/sec of wall time alongside the spin-up,
-    latency and energy outcomes.  ``smoke`` shrinks the object count
-    for the CI perf gate.
-    """
-    from repro.experiments import shardstore_small_objects
-
-    num_objects = SHARDSTORE_OBJECTS_SMOKE if smoke else SHARDSTORE_OBJECTS_FULL
-    num_gets = SHARDSTORE_GETS_SMOKE if smoke else SHARDSTORE_GETS_FULL
-    record = _base_record("shardstore", repeat)
-    record["seed"] = seed
-    record["smoke"] = smoke
-    record["num_objects"] = num_objects
-    record["num_gets"] = num_gets
-    points: List[Dict] = []
-    wall_times: List[float] = []
-    registry = MetricsRegistry()
-    for _ in range(max(1, repeat)):
-        points = []
-        started_total = time.perf_counter()
-        for layout in ("packed", "naive"):
-            t0 = time.perf_counter()
-            summary = shardstore_small_objects.run_point(
-                layout,
-                seed=seed,
-                num_objects=num_objects,
-                num_gets=num_gets,
-                metrics=registry,
-            )
-            point_wall = time.perf_counter() - t0
-            points.append(
-                {
-                    "layout": layout,
-                    "objects_per_second": round(num_objects / point_wall, 1)
-                    if point_wall > 0
-                    else None,
-                    "exactly_once": summary["exactly_once"],
-                    "spin_ups": summary["spin_ups"],
-                    "disk_passes": summary["disk_passes"],
-                    "coalesced_reads": summary["coalesced_reads"],
-                    "spaces_touched": summary["spaces_touched"],
-                    "put_p99": round(float(summary["put_p99"]), 3),
-                    "get_p99": round(float(summary["get_p99"]), 3),
-                    "energy_joules": round(float(summary["energy_joules"]), 1),
-                    "wall_seconds": round(point_wall, 4),
-                }
-            )
-        wall_times.append(time.perf_counter() - started_total)
-    record["points"] = points
-    counters = {
-        name: counter.value
-        for name, counter in registry.counters().items()
-        if name.startswith(("shardstore.", "gateway.")) or name == "sim.events"
-    }
-    return _finish_record(
-        record,
-        wall_times,
-        registry.counter("sim.events").value,
-        counters,
-    )
-
-
-TIERING_WRITES_FULL = 240
-TIERING_WRITES_SMOKE = 60
-TIERING_READS_FULL = 40
-TIERING_READS_SMOKE = 16
-TIERING_WINDOW_SMOKE = 240.0
-TIERING_TOTAL_SMOKE = 520.0
-
-
-def bench_tiering(repeat: int = 1, seed: int = 42, smoke: bool = False) -> Dict:
-    """Archival write treatment: staged hot tier vs write-through.
-
-    Each point runs :func:`repro.experiments.tiering_staging.run_point`
-    on a fresh deployment — the staged variant absorbs writes on the
-    pinned hot tier and demotes them in background batches, the
-    write-through variant pays each cold home's spin-up in the ack
-    path — and records simulated writes/sec of wall time alongside the
-    spin-up, latency and energy outcomes.  ``smoke`` shrinks the write
-    window for the CI perf gate.
-    """
-    from repro.experiments import tiering_staging
-
-    num_writes = TIERING_WRITES_SMOKE if smoke else TIERING_WRITES_FULL
-    num_cold_reads = TIERING_READS_SMOKE if smoke else TIERING_READS_FULL
-    kwargs: Dict[str, float] = {}
-    if smoke:
-        kwargs["write_seconds"] = TIERING_WINDOW_SMOKE
-        kwargs["total_seconds"] = TIERING_TOTAL_SMOKE
-    record = _base_record("tiering", repeat)
-    record["seed"] = seed
-    record["smoke"] = smoke
-    record["num_writes"] = num_writes
-    record["num_cold_reads"] = num_cold_reads
-    points: List[Dict] = []
-    wall_times: List[float] = []
-    registry = MetricsRegistry()
-    for _ in range(max(1, repeat)):
-        points = []
-        started_total = time.perf_counter()
-        for mode in ("staged", "write_through"):
-            t0 = time.perf_counter()
-            summary = tiering_staging.run_point(
-                mode,
-                seed=seed,
-                num_writes=num_writes,
-                num_cold_reads=num_cold_reads,
-                metrics=registry,
-                **kwargs,
-            )
-            point_wall = time.perf_counter() - t0
-            point = {
-                "mode": mode,
-                "writes_per_second": round(num_writes / point_wall, 1)
-                if point_wall > 0
-                else None,
-                "exactly_once": summary["exactly_once"],
-                "spin_ups": summary["spin_ups"],
-                "write_p99": round(float(summary["write_p99"]), 3),
-                "cold_read_p99": round(float(summary["cold_read_p99"]), 3),
-                "energy_joules": round(float(summary["energy_joules"]), 1),
-                "wall_seconds": round(point_wall, 4),
-            }
-            if "store" in summary:
-                point["demotion_batches"] = summary["store"]["demotion_batches"]
-                point["demoted"] = summary["store"]["demoted"]
-            points.append(point)
-        wall_times.append(time.perf_counter() - started_total)
-    record["points"] = points
-    counters = {
-        name: counter.value
-        for name, counter in registry.counters().items()
-        if name.startswith(("tiering.", "gateway.")) or name == "sim.events"
-    }
-    return _finish_record(
-        record,
-        wall_times,
-        registry.counter("sim.events").value,
-        counters,
-    )
-
-
 #: Pure-suite benchmarks (everything else resolves via EXPERIMENTS).
 BENCHMARKS: Dict[str, Callable[..., Dict]] = {
     "alloc_scale": bench_alloc_scale,
     "kernel_throughput": bench_kernel_throughput,
-    "gateway": bench_gateway,
-    "shardstore": bench_shardstore,
-    "tiering": bench_tiering,
 }
 
 
@@ -572,62 +341,75 @@ def available_benchmarks() -> List[str]:
     return sorted(BENCHMARKS) + [n for n in EXPERIMENTS.names()]
 
 
-def bench_experiment(name: str, repeat: int = 1, **_ignored: object) -> Dict:
-    """Time a registered experiment run; settle when the experiment can.
+def bench_experiment(
+    name: str, repeat: int = 1, seed: Optional[int] = None, smoke: bool = False
+) -> Dict:
+    """Time a registered experiment run and record what it computed.
 
-    Experiments that declare ``settle_seconds`` are run with
-    :data:`EXPERIMENT_SETTLE_SECONDS` so the deployments' event loops
-    actually execute and ``sim.events`` lands in the record nonzero
-    (the default-parameter run — and hence the replay digest checked by
-    ``repro check-determinism`` — is untouched).
+    ``smoke`` applies the experiment's declared :attr:`Experiment.smoke`
+    overrides; ``seed`` is passed only when given and declared, the
+    rule ``repro run`` uses.  Experiments that declare
+    ``settle_seconds`` are run with :data:`EXPERIMENT_SETTLE_SECONDS` so
+    the deployments' event loops actually execute and ``sim.events``
+    lands in the record nonzero (the default-parameter run — and hence
+    the replay digest checked by ``repro check-determinism`` — is
+    untouched).  The record carries the overrides used (``params``),
+    the last run's anchors, ``sim_events`` and every obs counter.
     """
     experiment = EXPERIMENTS.get(name)
-    overrides: Dict[str, float] = {}
+    overrides: Dict[str, Any] = dict(experiment.smoke) if smoke else {}
     if "settle_seconds" in experiment.params:
         overrides["settle_seconds"] = EXPERIMENT_SETTLE_SECONDS
+    overrides.update(experiment.seed_override(seed))
     wall_times: List[float] = []
-    result = None
     for _ in range(max(1, repeat)):
         started = time.perf_counter()
         result = experiment.run(**overrides)
         wall_times.append(time.perf_counter() - started)
-    assert result is not None
-    obs = result.obs or {}
-    counters = obs.get("counters", {})
+    counters = (result.obs or {}).get("counters", {})
     record = _base_record(name, repeat)
-    if overrides:
-        record["params"] = dict(overrides)
+    record["smoke"] = smoke
+    record["params"] = overrides
+    record["anchors"] = dict(result.anchors)
     return _finish_record(
         record, wall_times, counters.get("sim.events", 0.0), counters
     )
 
 
 def run_benchmark(
-    name: str, repeat: int = 1, seed: int = 42, smoke: bool = False
+    name: str, repeat: int = 1, seed: Optional[int] = None, smoke: bool = False
 ) -> Dict:
     """Run one benchmark (suite entry or experiment) and return its record."""
     bench = BENCHMARKS.get(name)
     if bench is not None:
-        return bench(repeat=max(1, repeat), seed=seed, smoke=smoke)
+        seeded = {} if seed is None else {"seed": seed}
+        return bench(repeat=max(1, repeat), smoke=smoke, **seeded)
     if name in EXPERIMENTS:
-        return bench_experiment(name, repeat=max(1, repeat))
+        return bench_experiment(name, repeat=max(1, repeat), seed=seed, smoke=smoke)
     raise KeyError(
         f"unknown benchmark {name!r}; available: {', '.join(available_benchmarks())}"
     )
 
 
 def append_record(out_dir: Path, record: Dict) -> Path:
-    """Append ``record`` to the BENCH history file for its benchmark."""
+    """Append ``record`` to the BENCH history file for its benchmark.
+
+    A history that is not a JSON list (truncated, hand-edited) raises
+    ``ValueError`` naming the file, which is left as it was.
+    """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     path = Path(out_dir) / f"BENCH_{record['experiment']}.json"
     history: List[Dict] = []
     if path.exists():
         try:
             history = json.loads(path.read_text())
-        except (ValueError, OSError):
-            history = []
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(history, list):
-            history = []
+            raise ValueError(
+                f"{path}: expected a JSON list of records, "
+                f"found {type(history).__name__}"
+            )
     history.append(record)
     path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
     return path

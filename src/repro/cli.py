@@ -12,7 +12,8 @@ Usage::
     python -m repro check-determinism    # replay + race-detector + metrics check
     python -m repro bench alloc_scale    # wall-clock benchmark suite
     python -m repro run gateway_slo      # request tier: batch vs FIFO
-    python -m repro bench gateway        # gateway offered-load sweep
+    python -m repro bench gateway_slo --smoke  # smoke run: wall, events, anchors
+    python -m repro campaign gateway_slo --set load_scale=0.5,1.0,2.0  # load sweep
     python -m repro trace                # traced run + latency attribution
     python -m repro trace --format chrome --out trace.json  # Perfetto file
     python -m repro campaign figure5 --seeds 1,2,3,4 \
@@ -51,13 +52,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _experiment_overrides(experiment, seed: Optional[int]) -> Dict[str, int]:
-    """Build parameter overrides, passing ``seed`` only where declared."""
-    if seed is not None and "seed" in experiment.params:
-        return {"seed": seed}
-    return {}
-
-
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.experiments import EXPERIMENTS
 
@@ -78,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     for name in names:
         experiment = EXPERIMENTS.get(name)
-        result = experiment.run(**_experiment_overrides(experiment, args.seed))
+        result = experiment.run(**experiment.seed_override(args.seed))
         if args.as_json:
             print(result.to_json())
         else:
@@ -185,10 +179,13 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
     trace_dumps: List[str] = []
     energy_dumps: List[str] = []
 
-    def run_figure5(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        return figure5.run(**kwargs)
+    def seeded(run, **fixed):
+        def runner(**kwargs):
+            if args.seed is not None:
+                kwargs["seed"] = args.seed
+            return run(**fixed, **kwargs)
+
+        return runner
 
     def run_gateway_slo(**kwargs):
         if args.seed is not None:
@@ -216,30 +213,17 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
         energy_dumps.append("\n".join(energy_chunks))
         return {"races": races}
 
-    def run_shardstore(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        return shardstore_small_objects.run(
-            num_objects=400, num_gets=80, **kwargs
-        )
-
-    def run_tiering(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        return tiering_staging.run(
-            num_writes=60,
-            num_cold_reads=16,
-            write_seconds=240.0,
-            total_seconds=520.0,
-            **kwargs,
-        )
-
     checks = {
-        "figure5": run_figure5,
+        "figure5": seeded(figure5.run),
         "reliability": reliability.run,
         "gateway_slo": run_gateway_slo,
-        "shardstore_small_objects": run_shardstore,
-        "tiering_staging": run_tiering,
+        # These two replay at their declared smoke sizes.
+        "shardstore_small_objects": seeded(
+            shardstore_small_objects.run, **shardstore_small_objects.EXPERIMENT.smoke
+        ),
+        "tiering_staging": seeded(
+            tiering_staging.run, **tiering_staging.EXPERIMENT.smoke
+        ),
     }
     failures = 0
     report: Dict[str, Dict] = {}
@@ -300,7 +284,7 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
     scheduler_report: Dict[str, bool] = {}
     for name in EXPERIMENTS.names():
         experiment = EXPERIMENTS.get(name)
-        overrides = _experiment_overrides(experiment, args.seed)
+        overrides = experiment.seed_override(args.seed)
         documents: List[str] = []
         for scheduler_name in ("heap", "calendar"):
             with use_scheduler(scheduler_name):
@@ -471,7 +455,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark suite (same engine as scripts/run_benchmarks.py)."""
+    """Run benchmarks; print a summary, or the records as JSON."""
     from pathlib import Path
 
     from repro.benchmarks import append_record, available_benchmarks, run_benchmark
@@ -486,10 +470,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     records = []
     for name in names:
         record = run_benchmark(
-            name,
-            repeat=max(1, args.repeat),
-            seed=args.seed if args.seed is not None else 42,
-            smoke=args.smoke,
+            name, repeat=max(1, args.repeat), seed=args.seed, smoke=args.smoke
         )
         records.append(record)
         if args.out_dir is not None:
@@ -517,12 +498,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     f"calendar {point['calendar_events_per_second']:.0f} ev/s "
                     f"({point['calendar_uplift']}x)"
                 )
-            for point in record.get("sweep", []):
+            if "anchors" in record:
                 print(
-                    f"  load x{point['load_scale']} {point['scheduler']}: "
-                    f"{point['completed']} done, {point['spin_ups']} spin-ups, "
-                    f"p99 {point['latency_p99']}s, "
-                    f"{point['energy_joules']/1000.0:.1f} kJ"
+                    f"  events: {record['sim_events']:.0f} sim events "
+                    f"({record['sim_events_per_wall_second']} ev/s)"
+                )
+                anchors = record["anchors"]
+                failed = sorted(a for a, holds in anchors.items() if not holds)
+                print(
+                    f"  anchors: {len(anchors) - len(failed)} of {len(anchors)} hold"
+                    + (f"; FAILED: {', '.join(failed)}" if failed else "")
                 )
     if args.as_json:
         print(json.dumps(records, indent=2, sort_keys=True))
@@ -722,12 +707,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     bench_parser.add_argument("benchmarks", nargs="*")
     bench_parser.add_argument(
-        "--repeat", type=int, default=1, help="runs per benchmark (best wall time)"
+        "--repeat",
+        type=int,
+        default=1,
+        help="runs per benchmark (wall time is their median)",
     )
     bench_parser.add_argument(
         "--smoke",
         action="store_true",
-        help="restrict scale sweeps to the smallest (16-disk) size",
+        help="run experiments at their declared smoke sizes, and restrict "
+        "alloc_scale to its smallest (16-disk) size",
     )
     bench_parser.add_argument(
         "--out-dir",

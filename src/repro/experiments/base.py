@@ -102,6 +102,16 @@ class Experiment:
     description: str
     builder: ResultBuilder
     params: Dict[str, Any] = field(default_factory=dict)
+    #: Overrides for the smoke run (``repro bench <name> --smoke`` and
+    #: the CI gate): a size small enough for CI at which every anchor
+    #: still holds.  Empty when the experiment has no smoke run.
+    smoke: Dict[str, Any] = field(default_factory=dict)
+
+    def seed_override(self, seed: Optional[int]) -> Dict[str, int]:
+        """``{"seed": seed}`` when a seed is given and declared, else ``{}``."""
+        if seed is not None and "seed" in self.params:
+            return {"seed": seed}
+        return {}
 
     def run(self, **overrides: Any) -> ExperimentResult:
         """Build the result with declared params merged with overrides.

@@ -426,6 +426,9 @@ EXPERIMENT = Experiment(
         "trace": False,
         "energy": True,
     },
+    # Ledger and tracer stay disarmed: the CI gate holds this run to
+    # 1.1x of its committed wall time, the NULL_TRACER no-op proof.
+    smoke={"duration": 60.0, "energy": False},
 )
 
 

@@ -443,6 +443,7 @@ EXPERIMENT = Experiment(
         "power_budget_watts": 24.0,
         "detect_races": False,
     },
+    smoke={"num_objects": 400, "num_gets": 80},
 )
 
 

@@ -618,6 +618,14 @@ EXPERIMENT = Experiment(
         "detect_races": False,
         "energy": True,
     },
+    # Every anchor holds at this size; at 60 writes over 240 s staging
+    # uses more disk energy than write-through (seed 23).
+    smoke={
+        "num_writes": 120,
+        "num_cold_reads": 16,
+        "write_seconds": 300.0,
+        "total_seconds": 520.0,
+    },
 )
 
 

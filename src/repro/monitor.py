@@ -7,22 +7,21 @@ operations console would render from SysConf + SysStat.
 
 When the deployment was built with an armed :class:`repro.obs`
 metrics registry, the snapshot additionally captures the registry's
-dump and the dashboard renders a live-metrics section (event counts,
-I/O counters, queue-depth percentiles).  Deployments without a
-registry fall back to the pure state-walk view.
+:func:`repro.obs.export_text` rendering and the dashboard shows it as a
+metrics section.  Deployments without a registry fall back to the pure
+state-walk view.  Latency and energy attribution are printed by
+``repro trace`` and ``repro energy``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.energy import ConservationAuditor
+from typing import Dict, List, Optional, Union
 
 from repro.cluster.deployment import Deployment
 from repro.cluster.multiunit import DeployUnit, MultiUnitDeployment
 from repro.fabric.power import FabricPowerModel
+from repro.obs import export_text
 
 __all__ = ["DeploymentSnapshot", "snapshot", "render_dashboard"]
 
@@ -47,15 +46,9 @@ class DeploymentSnapshot:
     units: Dict[str, UnitSnapshot] = field(default_factory=dict)
     spaces_allocated: int = 0
     failovers_completed: int = 0
-    #: ``MetricsRegistry.dump()`` of the deployment's registry, or
-    #: ``None`` when metrics were not armed (NULL_REGISTRY).
-    metrics: Optional[Dict] = None
-    #: Critical-path aggregate over the tracer's completed request
-    #: traces, or ``None`` when tracing was not armed (NULL_TRACER).
-    trace_breakdown: Optional[Dict] = None
-    #: Energy-ledger view — conservation identity plus per-account
-    #: joules — or ``None`` when no auditor was passed to ``snapshot``.
-    energy: Optional[Dict] = None
+    #: ``export_text`` of the deployment's registry at snapshot time,
+    #: or ``None`` when metrics were not armed (NULL_REGISTRY).
+    metrics: Optional[str] = None
 
 
 def _unit_snapshot(unit_id: str, fabric, disks, endpoints) -> UnitSnapshot:
@@ -81,14 +74,8 @@ def _unit_snapshot(unit_id: str, fabric, disks, endpoints) -> UnitSnapshot:
 
 def snapshot(
     deployment: Union[Deployment, MultiUnitDeployment],
-    energy: Optional["ConservationAuditor"] = None,
 ) -> DeploymentSnapshot:
-    """Collect the current state of a (single- or multi-unit) deployment.
-
-    When ``energy`` names a :class:`repro.obs.ConservationAuditor`, the
-    snapshot also audits its ledger at the current sim time and carries
-    the identity plus the per-account joule books.
-    """
+    """Collect the current state of a (single- or multi-unit) deployment."""
     from repro.coord import Role
 
     master = deployment.active_master()
@@ -103,22 +90,11 @@ def snapshot(
         spaces_allocated=len(master.records) if master else 0,
         failovers_completed=master.failovers_completed if master else 0,
         metrics=(
-            deployment.sim.metrics.dump()
+            export_text(deployment.sim.metrics)
             if deployment.sim.metrics.enabled
             else None
         ),
     )
-    tracer = deployment.sim.tracer
-    if tracer.enabled:
-        from repro.obs import CriticalPathAnalyzer
-
-        requests = [ctx for ctx in tracer.completed if ctx.kind == "request"]
-        snap.trace_breakdown = CriticalPathAnalyzer().aggregate(requests)
-    if energy is not None:
-        snap.energy = {
-            "identity": energy.audit(deployment.sim.now),
-            "accounts": energy.ledger.account_joules(),
-        }
     if isinstance(deployment, MultiUnitDeployment):
         for unit_id, unit in deployment.units.items():
             snap.units[unit_id] = _unit_snapshot(
@@ -158,81 +134,8 @@ def render_dashboard(snap: DeploymentSnapshot) -> str:
         if unit.failed_components:
             lines.append(f"    FAILED: {', '.join(unit.failed_components)}")
     if snap.metrics is not None:
-        lines.extend(_render_metrics(snap.metrics))
-    if snap.trace_breakdown is not None:
-        lines.extend(_render_breakdown(snap.trace_breakdown))
-    if snap.energy is not None:
-        lines.extend(_render_energy(snap.energy))
+        lines.append("  metrics (sim-time registry):")
+        lines.extend(
+            f"    {line}" if line else "" for line in snap.metrics.splitlines()
+        )
     return "\n".join(lines)
-
-
-#: Counters worth a dashboard line, in display order.
-_DASHBOARD_COUNTERS = (
-    "sim.events",
-    "disk.ios",
-    "disk.spin_ups",
-    "iscsi.ios",
-    "master.heartbeats",
-    "master.failovers",
-    "switch.turns",
-    "controller.commands",
-)
-
-
-def _render_breakdown(aggregate: Dict) -> List[str]:
-    """Latency-attribution section, fed by the request tracer."""
-    lines = [
-        f"  latency attribution ({aggregate['traces']} traced requests, "
-        f"{aggregate['identity_failures']} identity failures):"
-    ]
-    shares = aggregate.get("shares", {})
-    for component in sorted(shares, key=lambda c: (-shares[c], c)):
-        share = shares[component]
-        if share <= 0.0:
-            continue
-        bar = "#" * int(round(share * 40))
-        lines.append(f"    {component:<20} {share:7.2%} {bar}")
-    return lines
-
-
-def _render_energy(energy: Dict) -> List[str]:
-    """Energy-attribution section, fed by the conservation auditor."""
-    identity = energy["identity"]
-    wall = identity["wall_joules"]
-    lines = [
-        f"  energy attribution (wall {wall:.1f} J, "
-        f"residual {identity['residual']:.9f} J, "
-        f"{'conserved' if identity['conserved'] else 'IDENTITY VIOLATED'}):"
-    ]
-    accounts = energy["accounts"]
-    for account in sorted(accounts, key=lambda a: (-accounts[a], a)):
-        joules = accounts[account]
-        share = joules / wall if wall else 0.0
-        bar = "#" * int(round(share * 40))
-        lines.append(f"    {account:<20} {joules:10.1f} J {share:7.2%} {bar}")
-    return lines
-
-
-def _render_metrics(dump: Dict) -> List[str]:
-    """Live-metrics section of the dashboard, fed by the obs registry."""
-    lines = ["  metrics (sim-time registry):"]
-    counters = dump.get("counters", {})
-    shown = [name for name in _DASHBOARD_COUNTERS if name in counters]
-    for name in shown:
-        lines.append(f"    {name:<24} {counters[name]:>12.0f}")
-    for name in sorted(counters):
-        if name not in shown:
-            lines.append(f"    {name:<24} {counters[name]:>12.0f}")
-    for name, hist in sorted(dump.get("histograms", {}).items()):
-        if not hist.get("count"):
-            continue
-        lines.append(
-            f"    {name:<24} n={hist['count']:.0f} "
-            f"p50={hist['p50']:.4g} p95={hist['p95']:.4g} max={hist['max']:.4g}"
-        )
-    for name, stats in sorted(dump.get("spans", {}).items()):
-        lines.append(
-            f"    span {name:<19} n={stats['count']:.0f} "
-            f"total={stats['total_seconds']:.2f}s max={stats['max_seconds']:.2f}s"
-        )
-    return lines

@@ -1,108 +1,18 @@
-"""Smoke test for the benchmark recorder (part of the default gate).
+"""Record-shape and error-path checks for the benchmark recorder.
 
-Keeps ``scripts/run_benchmarks.py`` runnable so CI can accumulate
-``BENCH_figure5.json`` records, and checks the record schema.
+The rest of the recorder's behaviour (writing and appending
+``BENCH_<name>.json``, the experiment smoke records) is exercised through
+``repro bench`` in ``tests/test_rack_scale.py::TestBenchCli``.
 """
 
-import json
-import subprocess
-import sys
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = REPO_ROOT / "scripts" / "run_benchmarks.py"
-
-
-def test_benchmark_smoke_records_figure5(tmp_path):
-    completed = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    bench_file = tmp_path / "BENCH_figure5.json"
-    assert bench_file.exists()
-    history = json.loads(bench_file.read_text())
-    assert isinstance(history, list) and len(history) == 1
-    record = history[0]
-    assert record["schema_version"] == 2
-    assert record["experiment"] == "figure5"
-    assert record["wall_seconds"] > 0
-    assert "sim_events" in record
-    assert record["counters"]["fabric.allocations"] > 0
-
-
-def test_benchmark_appends_to_existing_history(tmp_path):
-    for _ in range(2):
-        completed = subprocess.run(
-            [sys.executable, str(SCRIPT), "--out-dir", str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert completed.returncode == 0, completed.stdout + completed.stderr
-    history = json.loads((tmp_path / "BENCH_figure5.json").read_text())
-    assert len(history) == 2
-
-
-def test_benchmark_smoke_records_gateway(tmp_path):
-    completed = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(tmp_path),
-         "--smoke", "gateway"],
-        capture_output=True,
-        text=True,
-    )
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    history = json.loads((tmp_path / "BENCH_gateway.json").read_text())
-    assert isinstance(history, list) and len(history) == 1
-    record = history[0]
-    assert record["schema_version"] == 2
-    assert record["experiment"] == "gateway"
-    assert record["smoke"] is True
-    assert record["wall_seconds"] > 0
-    # One load point, both schedulers.
-    sweep = record["sweep"]
-    assert [point["scheduler"] for point in sweep] == ["batch", "fifo"]
-    for point in sweep:
-        assert point["completed"] > 0
-        assert point["spin_ups"] > 0
-        assert point["latency_p99"] > 0
-        assert point["energy_joules"] > 0
-    assert record["counters"]["gateway.completed"] > 0
-    assert record["counters"]["gateway.batches"] > 0
-
-
-def test_benchmark_smoke_records_shardstore(tmp_path):
-    completed = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(tmp_path),
-         "--smoke", "shardstore"],
-        capture_output=True,
-        text=True,
-    )
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    history = json.loads((tmp_path / "BENCH_shardstore.json").read_text())
-    assert isinstance(history, list) and len(history) == 1
-    record = history[0]
-    assert record["schema_version"] == 2
-    assert record["experiment"] == "shardstore"
-    assert record["smoke"] is True
-    assert record["wall_seconds"] > 0
-    points = record["points"]
-    assert [point["layout"] for point in points] == ["packed", "naive"]
-    for point in points:
-        assert point["exactly_once"] is True
-        assert point["objects_per_second"] > 0
-        assert point["energy_joules"] > 0
-    packed, naive = points
-    assert packed["spin_ups"] < naive["spin_ups"]
-    assert record["counters"]["shardstore.acked"] > 0
+from repro.benchmarks import run_benchmark
+from repro.cli import main as cli_main
 
 
 def test_kernel_throughput_record_shape():
-    import repro  # noqa: F401  (ensures src/ is importable in-process)
-    from repro.benchmarks import run_benchmark
-
     record = run_benchmark("kernel_throughput", repeat=2, smoke=True)
-    assert record["schema_version"] == 2
+    assert record["schema_version"] == 3
+    assert record["experiment"] == "kernel_throughput"
     assert record["events_per_second_fast"] > 0
     assert record["events_per_second_eventpath"] > 0
     assert record["events_per_second_instrumented"] > 0
@@ -115,10 +25,6 @@ def test_kernel_throughput_record_shape():
         assert point["calendar_uplift"] > 0
 
 
-def test_benchmark_rejects_unknown_experiment(tmp_path):
-    completed = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(tmp_path), "nope"],
-        capture_output=True,
-        text=True,
-    )
-    assert completed.returncode == 2
+def test_benchmark_rejects_unknown_experiment(tmp_path, capsys):
+    assert cli_main(["bench", "nope", "--out-dir", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []

@@ -43,6 +43,16 @@ class TestRegistry:
         with pytest.raises(TypeError, match="no_such_param"):
             EXPERIMENTS.get("figure5").run(no_such_param=1)
 
+    def test_smoke_overrides_are_declared_params(self):
+        smoked = [e for e in EXPERIMENTS if e.smoke]
+        assert {e.name for e in smoked} == {
+            "gateway_slo",
+            "shardstore_small_objects",
+            "tiering_staging",
+        }
+        for experiment in smoked:
+            assert set(experiment.smoke) <= set(experiment.params), experiment.name
+
 
 class TestExperimentResult:
     def test_table4_result_is_versioned_and_json_round_trips(self):

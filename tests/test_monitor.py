@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import build_deployment, build_multi_unit_deployment
 from repro.monitor import render_dashboard, snapshot
+from repro.obs import MetricsRegistry
 from repro.workload import MB
 
 
@@ -62,3 +63,20 @@ class TestSnapshot:
         text = render_dashboard(snapshot(dep))
         assert "FAILED: leafhub0" in text
         assert "DETACHED" in text
+
+    def test_dashboard_shows_metrics_only_when_armed(self):
+        armed = build_deployment(metrics=MetricsRegistry())
+        armed.settle(15.0)
+        snap = snapshot(armed)
+        events = armed.sim.metrics.counter("sim.events").value
+        armed.settle(5.0)  # the snapshot keeps the text taken when made
+        text = render_dashboard(snap)
+        assert "metrics (sim-time registry):" in text
+        assert any(
+            line.split() == ["sim.events", f"{events:.0f}"]
+            for line in text.splitlines()
+        )
+        bare = build_deployment()
+        bare.settle(15.0)
+        text = render_dashboard(snapshot(bare))
+        assert "metrics" not in text and "sim.events" not in text

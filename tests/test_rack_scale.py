@@ -62,7 +62,7 @@ class TestBenchmarkSuite:
 
     def test_alloc_scale_smoke_record(self):
         record = run_benchmark("alloc_scale", repeat=1, seed=7, smoke=True)
-        assert record["schema_version"] == 2
+        assert record["schema_version"] == 3
         assert record["experiment"] == "alloc_scale"
         assert record["wall_seconds"] > 0
         (size,) = record["sizes"]
@@ -91,6 +91,21 @@ class TestBenchmarkSuite:
         history = json.loads(path.read_text())
         assert len(history) == 2
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[: len(text) // 2], lambda text: '{"records": []}\n'],
+        ids=["truncated", "json-object"],
+    )
+    def test_append_record_refuses_damaged_history(self, tmp_path, damage):
+        record = {"schema_version": 3, "experiment": "alloc_scale", "wall_seconds": 1}
+        path = append_record(tmp_path, record)
+        append_record(tmp_path, record)
+        damaged = damage(path.read_text())
+        path.write_text(damaged)
+        with pytest.raises(ValueError, match="BENCH_alloc_scale.json"):
+            append_record(tmp_path, record)
+        assert path.read_text() == damaged
+
 
 class TestBenchCli:
     def test_bench_smoke(self, capsys):
@@ -115,3 +130,50 @@ class TestBenchCli:
         )
         history = json.loads((tmp_path / "BENCH_alloc_scale.json").read_text())
         assert history[0]["experiment"] == "alloc_scale"
+
+    def test_bench_records_figure5(self, tmp_path, capsys):
+        assert cli_main(["bench", "figure5", "--out-dir", str(tmp_path)]) == 0
+        history = json.loads((tmp_path / "BENCH_figure5.json").read_text())
+        assert isinstance(history, list) and len(history) == 1
+        record = history[0]
+        assert record["schema_version"] == 3
+        assert record["experiment"] == "figure5"
+        assert record["wall_seconds"] > 0
+        assert record["sim_events"] > 0
+        assert record["counters"]["fabric.allocations"] > 0
+
+    def test_bench_appends_to_existing_history(self, tmp_path, capsys):
+        for _ in range(2):
+            assert cli_main(["bench", "figure5", "--out-dir", str(tmp_path)]) == 0
+        history = json.loads((tmp_path / "BENCH_figure5.json").read_text())
+        assert len(history) == 2
+
+    def test_bench_smoke_records_gateway_slo(self, tmp_path, capsys):
+        argv = ["bench", "gateway_slo", "--smoke", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "events: 48004 sim events" in out
+        assert "anchors: 4 of 4 hold" in out
+        (record,) = json.loads((tmp_path / "BENCH_gateway_slo.json").read_text())
+        assert record["schema_version"] == 3
+        assert record["experiment"] == "gateway_slo"
+        assert record["smoke"] is True
+        assert record["params"] == {"duration": 60.0, "energy": False}
+        assert record["anchors"] and all(record["anchors"].values())
+        # Exact for the code and the default seed, on any machine.
+        assert record["sim_events"] == 48004
+        assert record["counters"]["gateway.completed"] > 0
+        assert record["counters"]["gateway.batches"] > 0
+
+    def test_bench_smoke_records_shardstore_small_objects(self, tmp_path, capsys):
+        argv = [
+            "bench", "shardstore_small_objects", "--smoke", "--seed", "42",
+            "--out-dir", str(tmp_path),
+        ]
+        assert cli_main(argv) == 0
+        path = tmp_path / "BENCH_shardstore_small_objects.json"
+        (record,) = json.loads(path.read_text())
+        assert record["smoke"] is True
+        assert record["params"] == {"num_objects": 400, "num_gets": 80, "seed": 42}
+        assert record["anchors"] and all(record["anchors"].values())
+        assert record["counters"]["shardstore.acked"] > 0

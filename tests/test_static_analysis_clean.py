@@ -138,6 +138,60 @@ def test_baseline_gate_skips_when_file_missing(tmp_path):
     assert module.check_lint_baseline(report, update=False, baseline_path=missing) == 0
 
 
+def _smoke_record(**changes):
+    record = {
+        "experiment": "gateway_slo",
+        "smoke": True,
+        "params": {"duration": 60.0, "energy": False},
+        "wall_seconds": 0.4,
+        "sim_events": 48004.0,
+        "anchors": {"batch_fewer_spin_ups": True, "no_requests_lost": True},
+    }
+    record.update(changes)
+    return record
+
+
+@pytest.mark.parametrize(
+    "changes, status, verdict",
+    [
+        ({}, 0, "anchors: 2 of 2 hold OK"),
+        (
+            {"sim_events": 48004.0 * 1.03},
+            1,
+            "events: 49444 (baseline 48004, limit 48964 = +2%) REGRESSION",
+        ),
+        (
+            {"anchors": {"batch_fewer_spin_ups": True, "no_requests_lost": False}},
+            1,
+            "anchors: 1 of 2 hold FAILED: no_requests_lost",
+        ),
+    ],
+    ids=["passing", "events-plus-3pct", "false-anchor"],
+)
+def test_smoke_gate_checks_events_and_anchors(
+    tmp_path, capsys, changes, status, verdict
+):
+    module = _load_script_module()
+    baseline = tmp_path / "BENCH_gateway_slo.json"
+    # The latest record ran other params, so the gate must skip it.
+    other = _smoke_record(sim_events=1.0, params={"duration": 8.0, "energy": False})
+    baseline.write_text(json.dumps([_smoke_record(), other]))
+    record = _smoke_record(**changes)
+    assert module.check_smoke_record(record, baseline, wall_factor=1.1) == status
+    out = capsys.readouterr().out
+    assert "wall: 0.4s (baseline 0.4s, limit 0.94s = 1.1x + 0.5s) OK" in out
+    assert verdict in out
+
+
+def test_smoke_gate_skips_comparison_when_file_missing(tmp_path, capsys):
+    module = _load_script_module()
+    missing = tmp_path / "BENCH_gateway_slo.json"
+    assert module.check_smoke_record(_smoke_record(), missing, wall_factor=1.1) == 0
+    out = capsys.readouterr().out
+    assert "no committed smoke record in BENCH_gateway_slo.json" in out
+    assert "wall:" not in out and "events:" not in out
+
+
 @pytest.mark.skipif(
     importlib.util.find_spec("mypy") is None, reason="mypy not installed"
 )
