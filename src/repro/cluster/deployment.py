@@ -9,6 +9,7 @@ examples all build on this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -102,6 +103,15 @@ class Deployment:
         (coordination leader elected, master active, boot enumeration
         finished, first heartbeats delivered)."""
         self.sim.run(until=self.sim.now + duration)
+
+    def run_to_whole_second(self) -> None:
+        """Run the simulation to the next whole second, ``ceil(now)``.
+
+        Set-up ends when its coordination commits do, and their latency
+        follows the jitter drawn on the replication links.  Measured
+        traffic that starts on a whole second therefore starts at the
+        same instant after a control-plane change."""
+        self.sim.run(until=float(math.ceil(self.sim.now)))
 
     def host_of_disk(self, disk_id: str) -> Optional[str]:
         return self.fabric.attached_host(disk_id)

@@ -73,6 +73,8 @@ class EndPoint:
         self.targets = IscsiTargetServer(sim, network, address)
         self.rpc_client = RpcClient(sim, network, f"{address}.client")
         self.coord = CoordSession(sim, network, f"{address}.coord", coord_servers)
+        self.coord.on_expiry(self._reconnect)
+        self._coord_generation = 0
         self._master_address: Optional[str] = None
         self._exposed: Dict[str, SpaceRecord] = {}  # target name -> record
         self.expose_log: List[tuple] = []  # (time, target name)
@@ -102,30 +104,32 @@ class EndPoint:
         self.alive = False
         self.network.set_alive(self.address, False)
         self.network.set_alive(f"{self.address}.client", False)
-        self.network.set_alive(f"{self.address}.coord", False)
+        self.network.set_alive(self.coord.address, False)
 
     def recover(self) -> None:
         self.alive = True
         self.network.set_alive(self.address, True)
         self.network.set_alive(f"{self.address}.client", True)
-        self.network.set_alive(f"{self.address}.coord", True)
+        self.network.set_alive(self.coord.address, True)
         self._master_address = None
-        if self.coord.expired:
-            # The cluster expired our session while we were dark; a real
-            # host would reconnect with a fresh ZooKeeper session.  The
-            # old coord node address is reused, so retire it first.
-            self.network.set_alive(f"{self.address}.coord", False)
-            self._coord_generation = getattr(self, "_coord_generation", 0) + 1
-            self.coord = CoordSession(
-                self.sim,
-                self.network,
-                f"{self.address}.coord{self._coord_generation}",
-                self.coord.servers,
-            )
-            self.sim.process(self._startup())
         grid, self._heartbeat_grid = self._heartbeat_grid, None
         if grid is not None:
             self.sim.defer_at(grid.first_after(self.sim.now), self._heartbeat)
+
+    def _reconnect(self) -> None:
+        """The cluster expired our session, and our host znode with it,
+        while we were dark: open a fresh session and register again, as
+        a ZooKeeper client does.  The old session's address is retired."""
+        self._coord_generation += 1
+        self.network.set_alive(self.coord.address, False)
+        self.coord = CoordSession(
+            self.sim,
+            self.network,
+            f"{self.address}.coord{self._coord_generation}",
+            self.coord.servers,
+        )
+        self.coord.on_expiry(self._reconnect)
+        self.sim.process(self._startup())
 
     def _startup(self) -> Generator[Event, None, None]:
         yield from self.coord.start()

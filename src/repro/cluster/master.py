@@ -75,6 +75,9 @@ class Master:
         self.records: Dict[str, SpaceRecord] = {}  # space_id -> record
         self._space_counters: Dict[str, int] = {}  # disk -> next index
         self.active = False
+        # Triggered when this master steps down; its election loop waits
+        # on it while active.  Replaced at each activation.
+        self._stepped_down = sim.event()
         self.alive = True
         self.failovers_completed = 0
         # Failure detection: one armed check on the grid of
@@ -151,6 +154,12 @@ class Master:
                 # Never activate on a lapsed lease: it would step down at once.
                 if not self.active and self.coord.holds_lease():
                     yield from self._activate()
+                if self.active:
+                    # While the lease holds, the lowest election node is
+                    # ours: the lease lapses before the cluster can expire
+                    # the session.  A poll would carry no news, so wait for
+                    # the step-down (lease lapse or crash) and poll again.
+                    yield self._stepped_down
             yield self.sim.timeout(self.config.election_poll_interval)
 
     def _activate(self) -> Generator[Event, None, None]:
@@ -169,6 +178,7 @@ class Master:
         # memory-only and reconstructible).
         yield from self._interrogate_hosts()
         self.active = True
+        self._stepped_down = self.sim.event()
         self._detector_grid = Grid(self.sim.now, self.config.failure_check_interval)
         self._arm_detector()
         # Step down when the coordination session can no longer be
@@ -176,6 +186,8 @@ class Master:
         self.coord.on_lapse(self._step_down)
 
     def _step_down(self) -> None:
+        if self.active:
+            self._stepped_down.succeed()
         self.active = False
         self._detector.disarm()
 

@@ -61,6 +61,7 @@ class CoordSession:
         self._lease_end = float("-inf")
         self._lease = Deadline(sim, self._check_lease)
         self._on_lapse: Optional[Callable[[], None]] = None
+        self._on_expiry: Optional[Callable[[], None]] = None
         network.node(address).on("watch_event", self._on_watch_event)
 
     # -- lifecycle --------------------------------------------------------
@@ -94,9 +95,22 @@ class CoordSession:
 
     def _pinged(self, _result: Any, error: Optional[Exception]) -> None:
         if isinstance(error, SessionExpiredError):
-            return  # ephemerals are gone; the owner must start anew
+            # Ephemerals are gone; the owner must start anew.
+            callback, self._on_expiry = self._on_expiry, None
+            if callback is not None:
+                callback()
+            return
         # On failure keep trying; the expirer decides when we are gone.
         self.sim.defer(self.ping_interval, self._ping)
+
+    def on_expiry(self, callback: Optional[Callable[[], None]]) -> None:
+        """Call ``callback()`` once when a ping learns that the cluster
+        expired this session (``None`` stops).
+
+        A node that is down hears nothing, so an owner that was dark
+        longer than the session timeout learns of the expiry from its
+        first ping after it comes back."""
+        self._on_expiry = callback
 
     # -- lease ---------------------------------------------------------------
 

@@ -58,7 +58,6 @@ class LogEntry:
 class CoordConfig:
     election_timeout_min: float = 0.50
     election_timeout_max: float = 1.00
-    heartbeat_interval: float = 0.10
     session_timeout: float = 2.00
     session_check_interval: float = 0.25
 
@@ -259,11 +258,15 @@ class CoordReplica:
     # ------------------------------------------------------------------
 
     def _heartbeat(self, epoch: int) -> None:
-        """One heartbeat round; the next follows on the leader's fixed grid."""
+        """One heartbeat round; the next follows on the leader's fixed grid.
+
+        The period is half the shortest election timeout: a follower
+        still hears from a live leader after one lost heartbeat, and no
+        commit waits for a round (proposals replicate when made)."""
         if self.crashed or self.role is not Role.LEADER or self.current_epoch != epoch:
             return
         self._replicate()
-        self.sim.defer(self.config.heartbeat_interval, lambda: self._heartbeat(epoch))
+        self.sim.defer(self.config.election_timeout_min / 2, lambda: self._heartbeat(epoch))
 
     def _replicate(self) -> None:
         epoch = self.current_epoch
@@ -303,7 +306,7 @@ class CoordReplica:
                 self.commit_index,
             ),
             done,
-            timeout=self.config.heartbeat_interval * 2,
+            timeout=self.config.election_timeout_min,
         )
 
     def _propose(self, op: Tuple) -> LogEntry:

@@ -100,9 +100,11 @@ def run_point(
     """Run one (scheduler, load) point on a fresh deployment.
 
     Builds a full 16-disk deployment, mounts one gateway space per
-    disk, spins every disk down, then offers ``duration`` seconds of
-    open-loop traffic and drains the queues.  Returns the gateway's
-    exact summary plus offered-traffic and race accounting.  Passing a
+    disk, runs to the next whole second (so a control-plane change
+    does not move the traffic start), spins every disk down, then
+    offers ``duration`` seconds of open-loop traffic and drains the
+    queues.  Returns the gateway's exact summary plus offered-traffic
+    and race accounting.  Passing a
     :class:`~repro.obs.RequestTracer` arms end-to-end request tracing:
     the summary then also carries the critical-path latency
     attribution, the per-tenant SLO burn-rate state, and the flight
@@ -132,6 +134,7 @@ def run_point(
         monitor = SloMonitor(tracer, slo_objectives())
     deployment.settle(SETTLE_SECONDS)
     objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
+    deployment.run_to_whole_second()
     for disk_id in sorted(deployment.disks):
         deployment.disks[disk_id].spin_down()
     ledger: Optional[EnergyLedger] = None

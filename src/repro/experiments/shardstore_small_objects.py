@@ -102,6 +102,7 @@ def _build_gateway(
         event_digest.attach(deployment.sim)
     deployment.settle(SETTLE_SECONDS)
     objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
+    deployment.run_to_whole_second()
     for disk_id in sorted(deployment.disks):
         deployment.disks[disk_id].spin_down()
     gateway = Gateway(

@@ -59,7 +59,12 @@ class Network:
         self.latency = latency
         self.jitter = jitter
         self.bandwidth = bandwidth
-        self._rng = (rng or RngRegistry(0)).stream("network")
+        self._rng = rng or RngRegistry(0)
+        # Each (src, dst) link draws its jitter from its own stream,
+        # created on first use, so adding or removing messages on one
+        # link leaves every other link's draws alone.  Maps a link to
+        # its stream's bound ``uniform``.
+        self._link_jitter: Dict[Tuple[str, str], Callable[[float, float], float]] = {}
         self._nodes: Dict[str, NetNode] = {}
         self._partitions: Set[Tuple[str, str]] = set()
         self.delivered_count = 0
@@ -121,10 +126,14 @@ class Network:
             return
         message = Message(src=src, dst=dst, payload=payload, size=size, sent_at=self.sim.now)
         delay = self.latency + size / self.bandwidth
-        # Drawn even when a partition drops the message, so partitions
-        # do not shift the jitter of every later message.
+        # Drawn even when a partition drops the message, so a partition
+        # does not shift the jitter of later messages on the link.
         if self.jitter > 0:
-            delay += self._rng.uniform(0, self.jitter)
+            draw = self._link_jitter.get((src, dst))
+            if draw is None:
+                draw = self._rng.stream(f"network:{src}->{dst}").uniform
+                self._link_jitter[(src, dst)] = draw
+            delay += draw(0, self.jitter)
         if self._blocked(src, dst):
             self.dropped_count += 1
             return

@@ -1,5 +1,7 @@
 """Integration tests for the full UStore management stack (Figure 3)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import (
@@ -10,6 +12,7 @@ from repro.cluster import (
     space_znode_path,
     target_name,
 )
+from repro.coord import Role
 from repro.sim import EventDigest
 from repro.workload import KB, MB
 
@@ -74,8 +77,6 @@ class TestBootstrap:
         assert all(e.heartbeats_sent > 0 for e in settled.endpoints.values())
 
     def test_hosts_have_ephemeral_znodes(self, settled):
-        from repro.coord import Role
-
         leader = [r for r in settled.coord_replicas if r.role is Role.LEADER][0]
         assert set(leader.tree.get_children("/ustore/hosts")) == {
             f"host{i}" for i in range(4)
@@ -96,8 +97,34 @@ class TestBootstrap:
         )
         digest = EventDigest().attach(dep.sim)
         dep.sim.run(until=dep.sim.now + 100.0)
-        assert len(sent) == 8_400
-        assert digest.events <= 13_906
+        assert len(sent) == 5_800
+        assert digest.events <= 10_119
+
+    def test_idle_election_polls_and_appends(self, monkeypatch):
+        # The active Master waits for its step-down instead of polling
+        # the election, the standby polls once a second, and the
+        # coordination leader heartbeats every half election timeout.
+        dep = build_deployment()
+        dep.settle()
+        active = dep.active_master()
+        standby = [m for m in dep.masters if m is not active][0]
+        leader = [r for r in dep.coord_replicas if r.role is Role.LEADER][0]
+        polls, appends = Counter(), Counter()
+        send = dep.network.send
+
+        def counted(src, dst, payload, size=256):
+            method = payload.get("method")
+            if method == "coord.read" and payload["args"][0] == "children":
+                polls[src] += 1
+            elif method == "coord.append_entries":
+                appends[dst] += 1
+            send(src, dst, payload, size)
+
+        monkeypatch.setattr(dep.network, "send", counted)
+        dep.sim.run(until=dep.sim.now + 100.0)
+        assert polls[active.coord.address] == 0
+        assert polls[standby.coord.address] == 100
+        assert appends == {peer: 400 for peer in leader.peers}
 
 
 class TestAllocation:
@@ -128,8 +155,6 @@ class TestAllocation:
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))
         dep.settle(3.0)
-        from repro.coord import Role
-
         leader = [r for r in dep.coord_replicas if r.role is Role.LEADER][0]
         path = space_znode_path(info["space_id"])
         assert leader.tree.exists(path)
@@ -310,6 +335,23 @@ class TestHostFailover:
         dep.settle(20.0)
         assert standby.active
         assert info["space_id"] in standby.records
+
+    def test_recovered_host_registers_again(self):
+        # The cluster expires host1's session while it is down, and its
+        # first ping after recovery learns so: the host opens a fresh
+        # session and its ephemeral host znode comes back.
+        dep = build_deployment()
+        dep.settle()
+        dep.crash_host("host1")
+        dep.sim.run(until=dep.sim.now + 30.0)
+        dep.recover_host("host1")
+        dep.sim.run(until=dep.sim.now + 30.0)
+        leader = [r for r in dep.coord_replicas if r.role is Role.LEADER][0]
+        assert set(leader.tree.get_children("/ustore/hosts")) == {
+            f"host{i}" for i in range(4)
+        }
+        assert not dep.endpoints["host1"].coord.expired
+        assert leader.tree.get_data("/ustore/hosts/host1") == "host1.endpoint"
 
     def test_dead_host_recovers_as_online(self):
         dep = fresh()

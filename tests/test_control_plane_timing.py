@@ -8,7 +8,8 @@ a SHA-256 of each log are pinned, together with the instant the Master
 marks the crashed host CRASHED and the identity, epoch and election
 instant of the new coordination leader.  Any change to which messages
 leave, when, or in which order (including a shifted jitter draw, which
-moves every later send time) changes a digest.
+moves every later send on that link and every send it causes) changes
+a digest.
 """
 
 import hashlib
@@ -114,12 +115,12 @@ def test_coord_leader_crash_and_recovery_sends():
     assert crashed == []
 
 
-IDLE_SENDS = 9_682
-IDLE_DIGEST = "cf17cbeea7a96cc60ddf61f9d9f6a28ee0afbe44937a43cbfc93a1c57810cb57"
-HOST_CRASH_SENDS = 6_330
-HOST_CRASH_DIGEST = "c0df0fcd81ca35085495055b84d1282ea32c6ad8fbf5203e6dd71f46958b0a39"
-HOST_CRASHED_AT = [("host1", "17.353372239867255")]
-LEADER_CRASH_SENDS = 4_580
-LEADER_CRASH_DIGEST = "5158b4da0b8533d93f10e1ad8a1d5a3f8b4fa023b131d0b77c5f79cc0e3fc0f4"
+IDLE_SENDS = 6_784
+IDLE_DIGEST = "f57cfd50c4ec44cedc52b704c92449cdcca8a215d98efbc8ce33f0b843b4a84c"
+HOST_CRASH_SENDS = 4_526
+HOST_CRASH_DIGEST = "eb1ecc5a64606e1457e7ce826f15ba97db75da4f18d2b8c88c03a6dab5809ef7"
+HOST_CRASHED_AT = [("host1", "17.762667517827936")]
+LEADER_CRASH_SENDS = 3_319
+LEADER_CRASH_DIGEST = "3bab75da8766a7aeeb565017fd93a5676662e06b926b8cfde6c69dd12abcc2ca"
 OLD_LEADER = ("coord0", 1)
-LEADER_ELECTIONS = [("coord1", 2, "14.950000000000074")]
+LEADER_ELECTIONS = [("coord1", 2, "15.050000000000075")]

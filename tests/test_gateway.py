@@ -12,10 +12,12 @@ experiment point twice.
 import random
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster.deployment import DeploymentConfig, build_deployment
+from repro.cluster.master import MasterConfig
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
 from repro.experiments import gateway_slo
@@ -853,6 +855,19 @@ class TestGatewaySloExperiment:
         assert first[1] == second[1]
         assert first[2] == second[2]
         assert first[3] == [] and second[3] == []
+
+    def test_control_plane_change_leaves_summary_alone(self, monkeypatch):
+        """Each network link draws its own jitter, so a change to
+        control-plane traffic alone (the Masters' election poll every
+        0.5 s instead of 1 s) leaves the gateway summary identical."""
+        baseline = gateway_slo.run_point("batch", duration=60.0)
+
+        def polling_twice(config, **kwargs):
+            master = MasterConfig(election_poll_interval=0.5)
+            return build_deployment(config=replace(config, master=master), **kwargs)
+
+        monkeypatch.setattr(gateway_slo, "build_deployment", polling_twice)
+        assert gateway_slo.run_point("batch", duration=60.0) == baseline
 
     def test_experiment_contract(self):
         experiment = gateway_slo.EXPERIMENT

@@ -14,7 +14,7 @@ from repro.net import (
     SessionError,
     StorageVolume,
 )
-from repro.sim import Event, EventDigest, Interrupt, Simulator
+from repro.sim import Event, EventDigest, Interrupt, RngRegistry, Simulator
 from repro.workload import KB, MB
 
 
@@ -126,6 +126,28 @@ class TestNetwork:
         net.add_node("a")
         with pytest.raises(ValueError):
             net.add_node("a")
+
+    def test_sends_on_one_link_leave_other_links_alone(self):
+        # Each (src, dst) link draws its jitter from its own stream, so
+        # extra traffic on a->b moves no arrival on a->c or b->c.
+        def arrivals(extra_per_round):
+            sim = Simulator()
+            net = Network(sim, rng=RngRegistry(3))
+            for address in ("a", "b", "c"):
+                net.add_node(address)
+            at_b, at_c = listen(net, "b"), listen(net, "c")
+            for i in range(10):
+                for _ in range(extra_per_round):
+                    net.send("a", "b", note("extra"))
+                net.send("a", "c", note(f"a{i}"))
+                net.send("b", "c", note(f"b{i}"))
+                sim.run(until=sim.now + 0.001)
+            return len(at_b), [(at, m.payload["text"]) for at, m in at_c]
+
+        quiet_b, quiet_c = arrivals(0)
+        busy_b, busy_c = arrivals(3)
+        assert (quiet_b, busy_b) == (0, 30)
+        assert busy_c == quiet_c
 
 
 class TestRpc:

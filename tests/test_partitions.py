@@ -116,6 +116,19 @@ class TestMasterPartitions:
         old = dep.active_master()
         assert old is not None
         homes = {disk: dep.host_of_disk(disk) for disk in dep.disks}
+        polls = []
+        send = dep.network.send
+
+        def logged(src, dst, payload, size=256):
+            if (
+                src.startswith(f"{old.address}.coord")
+                and payload.get("method") == "coord.read"
+                and payload["args"][0] == "children"
+            ):
+                polls.append(dep.sim.now)
+            send(src, dst, payload, size)
+
+        dep.network.send = logged
         for replica in dep.coord_replicas:
             dep.network.partition(f"{old.address}.coord", replica.address)
 
@@ -128,8 +141,12 @@ class TestMasterPartitions:
 
         dep.sim.run(until=dep.sim.now + 10.0)
         check()
+        # While active it waited for its step-down; standby, it polls the
+        # election again.
+        stood_down_by = dep.sim.now
         dep.sim.run(until=dep.sim.now + 10.0)
         check()
+        assert any(at > stood_down_by for at in polls)
         dep.network.heal_all()
         dep.sim.run(until=dep.sim.now + 20.0)
         check()
