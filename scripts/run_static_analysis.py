@@ -30,9 +30,10 @@ record with the same params in ``BENCH_<name>.json``: wall time within
 5x + 0.5 s (1.1x + 0.5 s for ``gateway_slo``, whose smoke runs with
 the tracer and ledger disarmed — the NULL_TRACER no-op proof),
 ``sim_events`` at most 2% above the record's (an exact count for the
-code and seed, so it does not depend on the machine), and every anchor
-true.  Each experiment prints one wall, one events and one anchors
-line.
+code and seed, so it does not depend on the machine), no iSCSI session
+error (no smoke injects a fault, so one would be a storm of I/O
+timeouts), and every anchor true.  Each experiment prints one wall, one
+events, one session-errors and one anchors line.
 
 Default-path runs finish with an energy-ledger leg: one small
 gateway_slo point with the ledger armed must satisfy the DESIGN §15
@@ -207,8 +208,9 @@ def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) ->
     experiment, also a smoke run, with the same ``params``.  Fails when
     the wall time exceeds ``wall_factor`` x the baseline's plus
     SMOKE_WALL_GRACE_SECONDS, when ``sim_events`` exceeds the baseline's
-    by more than SMOKE_EVENT_SLACK, or when any anchor is false.  With
-    no baseline the two comparisons are skipped loudly; the anchors are
+    by more than SMOKE_EVENT_SLACK, when ``iscsi.session_errors`` is
+    nonzero, or when any anchor is false.  With no baseline the two
+    comparisons are skipped loudly; the session errors and anchors are
     checked either way.
     """
     name = record["experiment"]
@@ -249,6 +251,12 @@ def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) ->
         )
         if events > budget:
             status = 1
+    # No smoke injects a fault: a session error is an I/O timeout storm.
+    session_errors = record["counters"].get("iscsi.session_errors", 0.0)
+    verdict = "OK" if session_errors == 0 else "REGRESSION"
+    print(f"perf: {name} smoke session errors: {session_errors:.0f} {verdict}")
+    if session_errors:
+        status = 1
     anchors = record["anchors"]
     failed = sorted(anchor for anchor, holds in anchors.items() if not holds)
     verdict = f"FAILED: {', '.join(failed)}" if failed else "OK"

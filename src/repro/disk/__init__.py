@@ -1,6 +1,6 @@
 """Disk models: service times, spin states, and the simulated device."""
 
-from repro.disk.device import DiskBusyError, DiskOfflineError, IoRequest, SimulatedDisk
+from repro.disk.device import DiskOfflineError, IoRequest, SimulatedDisk
 from repro.disk.model import DiskModel, ThroughputEstimate
 from repro.disk.specs import (
     CONNECTIONS,
@@ -18,7 +18,6 @@ __all__ = [
     "CONNECTIONS",
     "ConnectionProfile",
     "ConnectionType",
-    "DiskBusyError",
     "DiskModel",
     "DiskOfflineError",
     "DiskPowerProfile",

@@ -27,7 +27,6 @@ from repro.sim import Event, Resource, Simulator
 from repro.workload.specs import AccessPattern, WorkloadSpec
 
 __all__ = [
-    "DiskBusyError",
     "DiskOfflineError",
     "IoRequest",
     "SimulatedDisk",
@@ -65,10 +64,6 @@ def state_watts(profile: DiskPowerProfile, state: DiskPowerState) -> float:
 
 class DiskOfflineError(Exception):
     """I/O issued to a powered-off or failed disk."""
-
-
-class DiskBusyError(Exception):
-    """Raised when an exclusive operation overlaps another."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +113,7 @@ class SimulatedDisk:
         # work has no live owning trace (system I/O, stale scopes).
         self.busy_owner: OwnerStamp = None
         self.spinup_owner: OwnerStamp = None
+        self._spin_up_done: Optional[Event] = None  # set while SPINNING_UP
         self._spin_listeners: List[SpinUpListener] = []
         self._state_listeners: List[StateListener] = []
         # Obs instruments, fetched once; aggregated across all disks of a
@@ -216,17 +212,20 @@ class SimulatedDisk:
 
         ``blame`` names the request whose arrival forced the surge; it
         stamps :attr:`spinup_owner` for the energy ledger and rides the
-        spin-up listener callbacks (exact sim time, owning trace).
+        spin-up listener callbacks (exact sim time, owning trace).  A
+        call during a spin-up joins it: it gets that spin-up's event,
+        and the owner and listeners stay those of the first call.
         """
         if self.states.state is DiskPowerState.POWERED_OFF:
             raise DiskStateError("power the disk on before spinning up")
+        if self._spin_up_done is not None:
+            return self._spin_up_done
         done = self.sim.event()
         if self.states.is_spinning:
             done.succeed()
             return done
-        if self.states.state is DiskPowerState.SPINNING_UP:
-            raise DiskBusyError("spin-up already in progress")
         self._enter_state(DiskPowerState.SPINNING_UP)
+        self._spin_up_done = done
         self._m_spin_ups.inc()
         self.spinup_owner = blame.owner()
         for listener in self._spin_listeners:
@@ -235,10 +234,27 @@ class SimulatedDisk:
         def finish() -> None:
             self._enter_state(DiskPowerState.IDLE)
             self.spinup_owner = None
+            self._spin_up_done = None
             done.succeed()
 
         self.sim.call_in(self.spec.spin_up_time, finish)
         return done
+
+    def ready_at(self) -> Optional[float]:
+        """When an I/O submitted now can reach the media, if it must
+        wait for a spin-up; ``None`` if it need not wait.
+
+        That is the end of the spin-up in progress, or ``now`` plus the
+        spin-up time for a spun-down disk, whose queued I/O starts one.
+        A spinning disk answers ``None``, and so does a powered-off
+        one, on which the I/O fails at once.
+        """
+        state = self.states.state
+        if state is DiskPowerState.SPINNING_UP:
+            return self._state_entered + self.spec.spin_up_time
+        if state is DiskPowerState.SPUN_DOWN:
+            return self.sim.now + self.spec.spin_up_time
+        return None
 
     # -- failure ----------------------------------------------------------
 
@@ -282,11 +298,8 @@ class SimulatedDisk:
             if self.failed:
                 raise DiskOfflineError(f"{self.disk_id}: disk failed")
             if not self.states.is_spinning:
-                if self.states.state is DiskPowerState.SPUN_DOWN:
-                    yield self.spin_up(blame=scope)
-                else:  # SPINNING_UP from someone else's wake-up
-                    while not self.states.is_spinning:
-                        yield self.sim.timeout(0.05)
+                # Starts the spin-up, or joins someone else's.
+                yield self.spin_up(blame=scope)
                 scope.phase("spinup")
             spec = self._spec_for(request)
             self.busy_owner = scope.owner()

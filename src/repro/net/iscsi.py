@@ -6,6 +6,11 @@ simulated network, is served by the backing simulated disk, and returns
 with realistic transfer delays.  A dead host or a removed target turns
 into :class:`SessionError` at the initiator — which is what triggers
 the ClientLib's automatic remount (§IV-D).
+
+An I/O for a spun-down or spinning-up disk is a delay, not a failure:
+the target queues it at the disk and sends the initiator one NOT READY
+notice naming the instant the disk will be ready, and the initiator
+waits until then plus its I/O timeout instead of giving up.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.disk.device import IoRequest, SimulatedDisk
 from repro.net.network import Network
-from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
+from repro.net.rpc import NotReady, RemoteError, RpcClient, RpcServer, RpcTimeout
 from repro.obs.trace import NULL_SCOPE, TraceScope
 from repro.sim import Event, Simulator
 from repro.units import Bytes, SimSeconds
@@ -83,8 +88,8 @@ class IscsiTargetServer:
         self._m_bytes = sim.metrics.counter("iscsi.bytes")
         self.rpc.register("iscsi.login", self._login)
         self.rpc.register("iscsi.logout", self._logout)
-        self.rpc.register("iscsi.io", self._io)
-        self.rpc.register("iscsi.readv", self._readv)
+        self.rpc.register("iscsi.io", self._io, not_ready=True)
+        self.rpc.register("iscsi.readv", self._readv, not_ready=True)
         self.rpc.register("iscsi.list_targets", self._list_targets)
 
     # -- target management (called by the EndPoint) -------------------------
@@ -119,20 +124,33 @@ class IscsiTargetServer:
     def _list_targets(self) -> list:
         return self.exposed_targets()
 
-    def _io(
-        self,
-        session_id: int,
-        offset: Bytes,
-        size: Bytes,
-        is_read: bool,
-        trace_scope: TraceScope = NULL_SCOPE,
-    ):
+    def _volume(self, session_id: int, not_ready: NotReady) -> StorageVolume:
+        """The volume an I/O on ``session_id`` goes to.
+
+        If its disk must spin up first, the initiator is told when it
+        will be ready, and the I/O queues at the disk as usual.
+        """
         target_name = self._sessions.get(session_id)
         if target_name is None:
             raise SessionError(f"stale session {session_id}")
         volume = self._volumes.get(target_name)
         if volume is None:
             raise SessionError(f"target {target_name!r} withdrawn")
+        ready_at = volume.disk.ready_at()
+        if ready_at is not None:
+            not_ready(ready_at)
+        return volume
+
+    def _io(
+        self,
+        not_ready: NotReady,
+        session_id: int,
+        offset: Bytes,
+        size: Bytes,
+        is_read: bool,
+        trace_scope: TraceScope = NULL_SCOPE,
+    ):
+        volume = self._volume(session_id, not_ready)
         service_time = yield volume.submit(offset, size, is_read, trace_scope)
         self._m_ios.inc()
         self._m_bytes.inc(size)
@@ -140,6 +158,7 @@ class IscsiTargetServer:
 
     def _readv(
         self,
+        not_ready: NotReady,
         session_id: int,
         extents: Sequence[Tuple[Bytes, Bytes]],
         trace_scope: TraceScope = NULL_SCOPE,
@@ -151,14 +170,9 @@ class IscsiTargetServer:
         sub-block coalescing: passengers between the envelope's edges
         cost sequential bandwidth, not extra seeks.
         """
-        target_name = self._sessions.get(session_id)
-        if target_name is None:
-            raise SessionError(f"stale session {session_id}")
-        volume = self._volumes.get(target_name)
-        if volume is None:
-            raise SessionError(f"target {target_name!r} withdrawn")
         if not extents:
             raise ValueError("iscsi.readv needs at least one extent")
+        volume = self._volume(session_id, not_ready)
         start = min(offset for offset, _ in extents)
         end = max(offset + size for offset, size in extents)
         envelope = Bytes(end - start)

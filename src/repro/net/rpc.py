@@ -6,17 +6,32 @@ perform simulated disk I/O before replying.  A plain handler answers
 inside the request's delivery; only a generator handler runs as a
 process.  Remote exceptions are re-raised at the caller as
 :class:`RemoteError`; lost messages surface as :class:`RpcTimeout`.
+
+A handler registered with ``not_ready=True`` may also tell the caller,
+before it replies, that the request is queued behind a device that is
+becoming ready (see :data:`NotReady`).  The caller then waits for the
+reply until the ready instant plus the call's timeout instead of
+timing out; a silent server still times out at the first deadline.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 from repro.net.network import Message, NetNode, Network
 from repro.sim import Deadline, Event, Interrupt, Simulator
 
-__all__ = ["Done", "RemoteError", "RpcClient", "RpcServer", "RpcTimeout", "settle"]
+__all__ = [
+    "Done",
+    "NotReady",
+    "RemoteError",
+    "RpcClient",
+    "RpcServer",
+    "RpcTimeout",
+    "settle",
+]
 
 
 class RpcTimeout(Exception):
@@ -29,6 +44,14 @@ class RemoteError(Exception):
 
 _REQUEST = "rpc_request"
 _RESPONSE = "rpc_response"
+_NOT_READY = "rpc_not_ready"
+
+#: ``not_ready(ready_at)``: an interim notice to the caller of the
+#: request in hand, after SCSI's CHECK CONDITION with sense key NOT
+#: READY and ASC/ASCQ 04h/01h ("becoming ready").  The request stays
+#: queued and is answered once the device is ready at ``ready_at``; the
+#: caller must not send it again.
+NotReady = Callable[[float], None]
 
 
 def _node(network: Network, address: str) -> NetNode:
@@ -45,22 +68,36 @@ class RpcServer:
         self.network = network
         self.address = address
         self._handlers: Dict[str, Callable[..., Any]] = {}
+        self._notifying: Set[str] = set()  # methods registered not_ready
         self.requests_served = 0
         _node(network, address).on(_REQUEST, self._on_request)
 
-    def register(self, method: str, handler: Callable[..., Any]) -> None:
+    def register(
+        self, method: str, handler: Callable[..., Any], not_ready: bool = False
+    ) -> None:
+        """Serve ``method`` with ``handler``.
+
+        With ``not_ready`` the handler takes a :data:`NotReady` callback
+        before the call's own arguments, and may call it once.
+        """
         if method in self._handlers:
             raise ValueError(f"handler for {method!r} already registered")
         self._handlers[method] = handler
+        if not_ready:
+            self._notifying.add(method)
 
     def _on_request(self, message: Message) -> None:
         payload = message.payload
-        handler = self._handlers.get(payload["method"])
+        method = payload["method"]
+        handler = self._handlers.get(method)
         if handler is None:
-            self._reply(message, error=f"no such method {payload['method']!r}")
+            self._reply(message, error=f"no such method {method!r}")
             return
+        args = payload.get("args", ())
+        if method in self._notifying:
+            args = (partial(self._not_ready, message), *args)
         try:
-            result = handler(*payload.get("args", ()), **payload.get("kwargs", {}))
+            result = handler(*args, **payload.get("kwargs", {}))
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
             self._reply(message, error=f"{type(exc).__name__}: {exc}")
             return
@@ -87,6 +124,13 @@ class RpcServer:
             return
         self._reply(message, result=result)
 
+    def _not_ready(self, message: Message, ready_at: float) -> None:
+        self.network.send(
+            self.address,
+            message.src,
+            {"kind": _NOT_READY, "id": message.payload["id"], "ready_at": ready_at},
+        )
+
     def _reply(self, message: Message, **outcome: Any) -> None:
         self.requests_served += 1
         payload = message.payload
@@ -112,6 +156,9 @@ class RpcClient:
     its earliest pending call time + timeout; when it fires it expires
     every overdue call in (deadline, call) order and re-arms at the next
     live one, so calls answered in time cost no event of their own.
+    A NOT READY notice moves its call's deadline to ``ready_at`` plus
+    the call's timeout, never earlier; the armed pop is left alone and
+    re-arms past the moved call when it fires.
     :meth:`call` is the generator form, a waiter over :meth:`invoke`.
     """
 
@@ -123,7 +170,9 @@ class RpcClient:
         # request id -> (deadline, done, method, target, timeout)
         self._pending: Dict[int, Tuple[float, Done, str, str, float]] = {}
         self._deadline = Deadline(sim, self._expire)
-        _node(network, address).on(_RESPONSE, self._on_response)
+        node = _node(network, address)
+        node.on(_RESPONSE, self._on_response)
+        node.on(_NOT_READY, self._on_not_ready)
 
     def _on_response(self, message: Message) -> None:
         payload = message.payload
@@ -134,6 +183,17 @@ class RpcClient:
             pending[1](None, RemoteError(payload["error"]))
         else:
             pending[1](payload.get("result"), None)
+
+    def _on_not_ready(self, message: Message) -> None:
+        payload = message.payload
+        request_id = payload["id"]
+        pending = self._pending.get(request_id)
+        if pending is None:
+            return  # notice for a call already answered or expired: drop
+        deadline, done, method, target, timeout = pending
+        moved = payload["ready_at"] + timeout
+        if moved > deadline:
+            self._pending[request_id] = (moved, done, method, target, timeout)
 
     def _expire(self) -> None:
         now = self.sim.now

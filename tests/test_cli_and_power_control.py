@@ -105,6 +105,65 @@ class TestServicePowerControl:
         # The read paid the ~8s spin-up (cold-data latency, §I).
         assert elapsed >= 8.0
 
+    def test_cold_read_is_one_attempt_without_remount(self):
+        """Spin-up is a delay, not a failure: the target's NOT READY
+        notice stretches the 3 s I/O timeout past the 8 s spin-up, so
+        the read reaches the disk once and never remounts."""
+        dep = self.setup_deployment()
+        client = dep.new_client("svc-app", service="svc")
+
+        def setup():
+            info = yield from client.allocate(64 * MB)
+            space = yield from client.mount(info["space_id"])
+            return info, space
+
+        info, space = dep.sim.run_until_event(dep.sim.process(setup()))
+        disk = dep.disks[info["space_id"].split("/")[2]]
+        disk.spin_down()
+        ios = disk.completed_ios
+
+        def read():
+            start = dep.sim.now
+            yield from space.read(0, 1 * MB)
+            return dep.sim.now - start
+
+        elapsed = dep.sim.run_until_event(dep.sim.process(read()))
+        assert client.initiator.io_timeout == 3.0
+        assert 8.0 < elapsed < 8.1
+        assert space.stats.remounts == 0
+        assert space.stats.errors_seen == 0
+        assert disk.completed_ios - ios == 1
+
+    def test_spin_up_request_during_an_io_spin_up_waits_for_it(self):
+        """Regression: a service's spin_up sent while an I/O is waking
+        the disk failed with DiskBusyError; it now returns True once the
+        disk is ready."""
+        dep = self.setup_deployment()
+        client = dep.new_client("svc-app", service="svc")
+
+        def setup():
+            info = yield from client.allocate(64 * MB)
+            space = yield from client.mount(info["space_id"])
+            return info, space
+
+        info, space = dep.sim.run_until_event(dep.sim.process(setup()))
+        disk = dep.disks[info["space_id"].split("/")[2]]
+        disk.spin_down()
+        start = dep.sim.now
+        outcome = []
+
+        def power():
+            result = yield from client.set_disk_power(info["space_id"], "spin_up")
+            outcome.append((result, dep.sim.now - start))
+
+        dep.sim.process(space.read(0, 1 * MB))
+        dep.sim.call_in(1.0, lambda: dep.sim.process(power()))
+        dep.sim.run(until=start + 30.0)
+        ((result, elapsed),) = outcome
+        assert result is True
+        assert elapsed == pytest.approx(disk.spec.spin_up_time, abs=0.01)
+        assert disk.states.spin_up_count == 1
+
 
 class TestEndpointPowerPolicy:
     def test_idle_disks_spin_down_automatically(self):

@@ -246,6 +246,55 @@ class TestSimulatedDisk:
         assert disk.power_state is DiskPowerState.IDLE
         assert disk.states.spin_up_count == 1
 
+    def test_ready_at_names_the_end_of_the_spin_up(self):
+        sim, disk = self.make_disk()
+        assert disk.ready_at() is None  # IDLE
+        disk.spin_down()
+        sim.run(until=2.0)
+        # A queued I/O would start the spin-up now.
+        assert disk.ready_at() == 2.0 + disk.spec.spin_up_time
+        done = disk.spin_up()
+        sim.run(until=5.0)
+        assert disk.ready_at() == 2.0 + disk.spec.spin_up_time
+        sim.run_until_event(done)
+        assert sim.now == 2.0 + disk.spec.spin_up_time
+        assert disk.ready_at() is None
+        disk.spin_down()
+        disk.power_off()
+        assert disk.ready_at() is None  # an I/O fails at once
+
+    def test_spin_up_during_a_spin_up_joins_it(self):
+        # Regression: a second spin-up request raised DiskBusyError, so
+        # a service's spin_up call failed while an I/O woke the disk.
+        sim, disk = self.make_disk()
+        disk.spin_down()
+        starts = []
+        disk.add_spin_up_listener(lambda disk_id, now, blame: starts.append(now))
+        first = disk.spin_up()
+        sim.run(until=1.0)
+        owner = disk.spinup_owner
+        second = disk.spin_up()
+        assert second is first
+        assert starts == [0.0]
+        assert disk.spinup_owner == owner
+        sim.run_until_event(second)
+        assert sim.now == disk.spec.spin_up_time
+        assert disk.states.spin_up_count == 1
+        assert disk.spin_up() is not first  # spinning: a fresh, fired event
+
+    def test_io_waits_for_someone_elses_spin_up_exactly(self):
+        # The I/O joins the spin-up in progress instead of polling for
+        # its end, so it reaches the media the instant the disk is ready.
+        sim, disk = self.make_disk()
+        disk.spin_down()
+        disk.spin_up()
+        sim.run(until=1.0)
+        request = IoRequest(offset=0, size=4 * KB, is_read=True)
+        service = disk.model.service_time(disk._spec_for(request))
+        sim.run_until_event(disk.submit(request))
+        assert sim.now == disk.spec.spin_up_time + service
+        assert disk.states.spin_up_count == 1
+
     def test_io_counters(self):
         sim, disk = self.make_disk()
         sim.run_until_event(disk.submit(IoRequest(offset=0, size=4 * KB, is_read=True)))

@@ -59,9 +59,11 @@ def test_mid_batch_host_death_completes_exactly_once():
             )
 
     dep.sim.call_in(0.0, burst)
-    # Run to just past the 8s spin-up: the batch is dispatched and
-    # its first request is in flight when the endpoint dies.
-    dep.sim.run(until=dep.sim.now + 8.05)
+    # Crash halfway through the 8 s spin-up: the batch is dispatched,
+    # its first request waits on the disk, and the target has already
+    # answered NOT READY, so the client times out at ready + 3 s and
+    # remounts on the new host.
+    dep.sim.run(until=dep.sim.now + 4.0)
     assert gateway.outstanding() > 0, "crash must land mid-batch"
     dep.crash_host(host)
     drain(dep, gateway)
@@ -103,7 +105,8 @@ def test_queued_work_behind_the_crash_is_not_lost():
                 )
 
     dep.sim.call_in(0.0, burst)
-    dep.sim.run(until=dep.sim.now + 8.05)
+    # Crash during the first batch's spin-up (see the test above).
+    dep.sim.run(until=dep.sim.now + 4.0)
     # One batch in flight, the other still queued behind the budget.
     assert gateway.queue.total_depth() > 0
     assert gateway.outstanding() > gateway.queue.total_depth()

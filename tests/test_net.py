@@ -357,6 +357,104 @@ class TestRpc:
         sim.run()
         assert expired == [("c", 0.3 + 0.2), ("a", 0.1 + 0.7)]
 
+    def notice_server(self, sim, net, ready_at, reply_at):
+        """A server whose ``wait`` sends NOT READY naming ``ready_at``,
+        then answers at ``reply_at`` (never, if ``None``)."""
+        server = RpcServer(sim, net, "server")
+
+        def wait(not_ready):
+            not_ready(ready_at)
+            yield sim.event() if reply_at is None else sim.timeout(reply_at - sim.now)
+            return "ready"
+
+        server.register("wait", wait, not_ready=True)
+        return server
+
+    def test_not_ready_moves_its_call_deadline_to_ready_at_plus_timeout(self):
+        sim, net = make_net()
+        self.notice_server(sim, net, ready_at=8.0, reply_at=10.9)
+        client = RpcClient(sim, net, "client")
+        outcome = []
+        client.invoke("server", "wait", (), lambda *reply: outcome.append((sim.now, *reply)), timeout=3.0)
+        sim.run(until=5.0)
+        assert client._pending[1][0] == 8.0 + 3.0
+        sim.run()
+        assert outcome == [(pytest.approx(10.9 + 0.2e-3 + 256 / net.bandwidth), "ready", None)]
+
+    def test_not_ready_never_moves_a_deadline_earlier(self):
+        # "wait" is sent at 2.0 and due at 5.0; its notice names a ready
+        # instant already past (1.0 + 3.0 = 4.0), so the pop that
+        # expires "lost" at 4.5 must leave it alone.
+        sim, net = make_net()
+        self.notice_server(sim, net, ready_at=1.0, reply_at=None)
+        net.add_node("void")
+        client = RpcClient(sim, net, "client")
+        outcome = []
+
+        def record(tag):
+            return lambda result, error: outcome.append((tag, sim.now, type(error).__name__))
+
+        sim.defer_at(1.5, lambda: client.invoke("void", "lost", (), record("lost"), timeout=3.0))
+        sim.defer_at(2.0, lambda: client.invoke("server", "wait", (), record("wait"), timeout=3.0))
+        sim.run()
+        assert outcome == [("lost", 4.5, "RpcTimeout"), ("wait", 5.0, "RpcTimeout")]
+
+    def test_not_ready_leaves_other_calls_deadlines_alone(self):
+        sim, net = make_net()
+        self.notice_server(sim, net, ready_at=8.0, reply_at=9.0)
+        net.add_node("void")  # answers nothing
+        client = RpcClient(sim, net, "client")
+        outcome = []
+
+        def record(tag):
+            return lambda result, error: outcome.append((tag, sim.now, type(error).__name__))
+
+        client.invoke("server", "wait", (), record("wait"), timeout=3.0)
+        client.invoke("void", "lost", (), record("lost"), timeout=3.0)
+        sim.run()
+        reply_lands = pytest.approx(9.0 + 0.2e-3 + 256 / net.bandwidth)
+        assert outcome == [("lost", 3.0, "RpcTimeout"), ("wait", reply_lands, "NoneType")]
+
+    def test_silent_server_times_out_at_the_first_deadline(self):
+        # A handler that may send NOT READY but sends nothing: the call
+        # times out on time, from the one armed deadline.
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+
+        def silent(not_ready):
+            yield sim.event()
+
+        server.register("silent", silent, not_ready=True)
+        client = RpcClient(sim, net, "client")
+        outcome = []
+
+        def done(result, error):
+            outcome.append((sim.now, type(error).__name__))
+
+        client.invoke("server", "silent", (), done, timeout=3.0)
+        sim.run()
+        assert outcome == [(3.0, "RpcTimeout")]
+
+    def test_not_ready_for_a_finished_call_is_dropped(self):
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        notices = []
+
+        def quick(not_ready):
+            notices.append(not_ready)
+            return "done"
+
+        server.register("quick", quick, not_ready=True)
+        client = RpcClient(sim, net, "client")
+        result = sim.run_until_event(sim.process(client.call("server", "quick", timeout=3.0)))
+        assert result == "done"
+        (late,) = notices
+        late(100.0)  # lands after the reply: nothing is pending
+        sim.run()
+        assert client._pending == {}
+        assert sim.now == 3.0  # the spent deadline; no later one
+        assert net.delivered_count == 3
+
     def test_answered_call_leaves_no_pending_deadline_work(self):
         sim, net = make_net()
         server = RpcServer(sim, net, "server")
@@ -444,6 +542,62 @@ class TestIscsi:
 
         with pytest.raises(SessionError):
             sim.run_until_event(sim.process(scenario()))
+
+    def test_read_from_spun_down_disk_waits_past_the_io_timeout(self):
+        # Spin-up is a delay, not a failure: NOT READY moves the I/O's
+        # deadline, and the one request is served once the disk is ready.
+        sim, net, target, disk, initiator = self.setup_stack()
+        initiator.io_timeout = 3.0
+        disk.spin_down()
+
+        def scenario():
+            session = yield from initiator.login("host0", "tgt-disk0")
+            start = sim.now
+            yield from session.read(0, 1 * MB)
+            return sim.now - start
+
+        elapsed = sim.run_until_event(sim.process(scenario()))
+        assert disk.spec.spin_up_time < elapsed < disk.spec.spin_up_time + 0.1
+        assert disk.completed_ios == 1
+        assert sim.metrics.counter("iscsi.session_errors").value == 0
+
+    def test_target_death_after_not_ready_times_out_at_ready_plus_timeout(self):
+        sim, net, target, disk, initiator = self.setup_stack()
+        initiator.io_timeout = 3.0
+        disk.spin_down()
+        failed = []
+
+        def scenario():
+            session = yield from initiator.login("host0", "tgt-disk0")
+            sim.call_in(1.0, lambda: net.set_alive("host0", False))
+            ready_at = sim.now + disk.spec.spin_up_time  # within a hop
+            try:
+                yield from session.read(0, 1 * MB)
+            except SessionError:
+                failed.append((sim.now, ready_at))
+
+        sim.run_until_event(sim.process(scenario()))
+        ((when, ready_at),) = failed
+        assert when == pytest.approx(ready_at + 3.0, abs=1e-3)
+
+    def test_dead_target_with_spun_down_disk_times_out_on_time(self):
+        # No notice leaves a dead host, so the 3 s probe is unchanged.
+        sim, net, target, disk, initiator = self.setup_stack()
+        initiator.io_timeout = 3.0
+        disk.spin_down()
+        failed = []
+
+        def scenario():
+            session = yield from initiator.login("host0", "tgt-disk0")
+            net.set_alive("host0", False)
+            start = sim.now
+            try:
+                yield from session.read(0, 1 * MB)
+            except SessionError:
+                failed.append(sim.now - start)
+
+        sim.run_until_event(sim.process(scenario()))
+        assert failed == [pytest.approx(3.0)]
 
     def test_logout(self):
         sim, net, target, disk, initiator = self.setup_stack()

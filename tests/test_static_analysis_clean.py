@@ -145,6 +145,7 @@ def _smoke_record(**changes):
         "params": {"duration": 60.0, "energy": False},
         "wall_seconds": 0.4,
         "sim_events": 48004.0,
+        "counters": {"iscsi.session_errors": 0.0},
         "anchors": {"batch_fewer_spin_ups": True, "no_requests_lost": True},
     }
     record.update(changes)
@@ -161,12 +162,17 @@ def _smoke_record(**changes):
             "events: 49444 (baseline 48004, limit 48964 = +2%) REGRESSION",
         ),
         (
+            {"counters": {"iscsi.session_errors": 174.0}},
+            1,
+            "session errors: 174 REGRESSION",
+        ),
+        (
             {"anchors": {"batch_fewer_spin_ups": True, "no_requests_lost": False}},
             1,
             "anchors: 1 of 2 hold FAILED: no_requests_lost",
         ),
     ],
-    ids=["passing", "events-plus-3pct", "false-anchor"],
+    ids=["passing", "events-plus-3pct", "session-errors", "false-anchor"],
 )
 def test_smoke_gate_checks_events_and_anchors(
     tmp_path, capsys, changes, status, verdict

@@ -109,6 +109,23 @@ def test_clean_run_attribution_identity():
         assert ctx.attrs["slo_missed"] is False
 
 
+def test_fault_free_cold_read_charges_spinup_not_failover():
+    """Spin-up is a delay, not a failure: with no fault injected, the
+    cold start is charged to ``spinup`` and nothing to ``failover``."""
+    tracer, dep, gateway, objects, spaces = build_traced()
+    target = objects[0]
+    requests = []
+    dep.sim.call_in(0.0, lambda: requests.append(
+        gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))))
+    drain(dep, gateway)
+    (traced,) = assert_identity(tracer)
+    components = CriticalPathAnalyzer().analyze(traced)["components"]
+    assert components.get("spinup", 0.0) > 0.0
+    assert components.get("failover", 0.0) == 0.0
+    assert spaces[target.space_id].stats.remounts == 0
+    assert not any(e.name == "iscsi.session_error" for e in traced.events)
+
+
 def test_mid_batch_crash_remount_attribution_identity():
     """The hard case: the endpoint dies mid-batch, the ClientLib times
     out, invalidates the doomed attempt's scope, remounts, and retries.
@@ -125,7 +142,9 @@ def test_mid_batch_crash_remount_attribution_identity():
             requests.append(gateway.submit(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
 
     dep.sim.call_in(0.0, burst)
-    dep.sim.run(until=dep.sim.now + 8.05)
+    # Mid spin-up: the target has sent NOT READY when it dies, so the
+    # client times out at ready + 3 s and remounts.
+    dep.sim.run(until=dep.sim.now + 4.0)
     assert gateway.outstanding() > 0, "crash must land mid-batch"
     dep.crash_host(host)
     drain(dep, gateway)
