@@ -9,11 +9,11 @@ scrub interval bounds latent-sector-error exposure.
 Run:  python examples/reliability_study.py
 """
 
-from repro.experiments import reliability
+from repro.experiments import EXPERIMENTS
 
 
 def main() -> None:
-    print(reliability.main())
+    print(EXPERIMENTS.get("reliability").run().render())
     print()
     print("Reading the results:")
     print("  * single-attached pods lose every disk for the full host")

@@ -373,7 +373,7 @@ def run_energy_smoke() -> int:
     status = 0
     exports = []
     for _ in range(2):
-        summary = gateway_slo.run_point("batch", seed=11, duration=8.0, energy=True)
+        summary = gateway_slo.run_point("batch", duration=8.0, energy=True)
         energy = summary["energy"]
         exports.append(
             json.dumps(energy["export"], sort_keys=True, separators=(",", ":"))

@@ -21,10 +21,7 @@ history files at the repo root):
   obs counters (:func:`bench_experiment`).  ``smoke`` applies the
   experiment's declared
   :attr:`~repro.experiments.base.Experiment.smoke` sizes; the CI gate
-  runs every experiment that declares them.  Experiments that declare
-  a ``settle_seconds`` parameter are run with a nonzero settle so the
-  simulator actually executes events and the ``sim.events`` counter is
-  meaningful.
+  runs every experiment that declares them.
 
 Wall-clock use is deliberate and local to this module: benchmarks
 measure the simulator, they never feed timestamps into it.  The module
@@ -81,10 +78,6 @@ ALLOC_SCALE_PODS: Tuple[int, ...] = (1, 15, 120)
 #: incremental allocator is built for) while keeping the naive baseline
 #: comfortably under the suite's 5 s wall budget at 1920 disks.
 _DEMAND_LEVELS = 32
-
-#: Simulated settle time handed to experiments that support it, so the
-#: benchmarked run executes real simulator events.
-EXPERIMENT_SETTLE_SECONDS = 12.0
 
 KERNEL_EVENTS_FULL = 200_000
 KERNEL_EVENTS_SMOKE = 20_000
@@ -348,18 +341,12 @@ def bench_experiment(
 
     ``smoke`` applies the experiment's declared :attr:`Experiment.smoke`
     overrides; ``seed`` is passed only when given and declared, the
-    rule ``repro run`` uses.  Experiments that declare
-    ``settle_seconds`` are run with :data:`EXPERIMENT_SETTLE_SECONDS` so
-    the deployments' event loops actually execute and ``sim.events``
-    lands in the record nonzero (the default-parameter run — and hence
-    the replay digest checked by ``repro check-determinism`` — is
-    untouched).  The record carries the overrides used (``params``),
-    the last run's anchors, ``sim_events`` and every obs counter.
+    rule ``repro run`` uses.  The record carries the overrides used
+    (``params``), the last run's anchors, ``sim_events`` and every obs
+    counter.
     """
     experiment = EXPERIMENTS.get(name)
     overrides: Dict[str, Any] = dict(experiment.smoke) if smoke else {}
-    if "settle_seconds" in experiment.params:
-        overrides["settle_seconds"] = EXPERIMENT_SETTLE_SECONDS
     overrides.update(experiment.seed_override(seed))
     wall_times: List[float] = []
     for _ in range(max(1, repeat)):

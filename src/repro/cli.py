@@ -9,7 +9,7 @@ Usage::
     python -m repro cost                 # Table I quick view
     python -m repro validate --hosts 4 --disks-per-leaf 2
     python -m repro lint [paths...]      # determinism linter (src/repro)
-    python -m repro check-determinism    # replay + race-detector + metrics check
+    python -m repro check-determinism    # heap vs calendar: digests, dumps, results, races
     python -m repro bench alloc_scale    # wall-clock benchmark suite
     python -m repro run gateway_slo      # request tier: batch vs FIFO
     python -m repro bench gateway_slo --smoke  # smoke run: wall, events, anchors
@@ -149,161 +149,68 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_determinism(args: argparse.Namespace) -> int:
-    """Run the replay-sensitive experiments once under the ``heap``
-    reference scheduler and once under the ``calendar`` scheduler with
-    the race detector and the metrics registry armed; compare
-    execution-order digests and the exported metric dumps byte for
-    byte.  Because the two runs use different event-queue
-    implementations, a match certifies both replay determinism and the
-    calendar queue's ordering contract in one pass.  The gateway_slo
-    leg also runs with request tracing armed and compares the canonical
-    trace JSONL export byte for byte.  A final leg runs *every*
-    registered experiment under both schedulers and compares the full
-    result JSON documents."""
-    from repro.experiments import (
-        EXPERIMENTS,
-        figure5,
-        gateway_slo,
-        reliability,
-        shardstore_small_objects,
-        tiering_staging,
-    )
-    from repro.obs import (
-        MetricsRegistry,
-        RequestTracer,
-        export_json,
-        export_trace_jsonl,
-    )
-    from repro.sim import EventDigest, use_scheduler
+    """Run every registered experiment once under the ``heap``
+    reference scheduler and once under the ``calendar`` scheduler,
+    with every instrument it declares armed (``detect_races``,
+    ``trace``), and compare the execution-order digests, the metric
+    dumps and the result JSON documents byte for byte; count the
+    same-timestamp races.  Because the two runs use different
+    event-queue implementations, a match certifies both replay
+    determinism and the calendar queue's ordering contract in one
+    pass.  The result JSON carries the energy-ledger export of the
+    experiments that arm the ledger."""
+    from repro.experiments import EXPERIMENTS
+    from repro.sim import EventDigest
 
-    trace_dumps: List[str] = []
-    energy_dumps: List[str] = []
-
-    def seeded(run, **fixed):
-        def runner(**kwargs):
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            return run(**fixed, **kwargs)
-
-        return runner
-
-    def run_gateway_slo(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        races: List = []
-        chunks: List[str] = []
-        energy_chunks: List[str] = []
-        for scheduler in ("batch", "fifo"):
-            tracer = RequestTracer()
-            summary = gateway_slo.run_point(
-                scheduler, tracer=tracer, energy=True, **kwargs
-            )
-            races.extend(summary.pop("races", []))
-            chunks.append(export_trace_jsonl(tracer.completed))
-            # Canonical energy-ledger export: every account, disk book,
-            # per-request charge and spin-up blame, byte-stable.
-            energy_chunks.append(
-                json.dumps(
-                    summary["energy"]["export"],
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        trace_dumps.append("\n".join(chunks))
-        energy_dumps.append("\n".join(energy_chunks))
-        return {"races": races}
-
-    checks = {
-        "figure5": seeded(figure5.run),
-        "reliability": reliability.run,
-        "gateway_slo": run_gateway_slo,
-        # These two replay at their declared smoke sizes.
-        "shardstore_small_objects": seeded(
-            shardstore_small_objects.run, **shardstore_small_objects.EXPERIMENT.smoke
-        ),
-        "tiering_staging": seeded(
-            tiering_staging.run, **tiering_staging.EXPERIMENT.smoke
-        ),
-    }
     failures = 0
     report: Dict[str, Dict] = {}
-    for name, runner in checks.items():
+    for experiment in EXPERIMENTS:
+        overrides = {
+            flag: True for flag in ("detect_races", "trace") if flag in experiment.params
+        }
+        overrides.update(experiment.seed_override(args.seed))
         digests: List[str] = []
         dumps: List[str] = []
-        races: List = []
-        for scheduler_name in ("heap", "calendar"):
-            digest = EventDigest()
-            registry = MetricsRegistry()
-            with use_scheduler(scheduler_name):
-                result = runner(
-                    detect_races=True, event_digest=digest, metrics=registry
-                )
-            digests.append(digest.hexdigest())
-            dumps.append(export_json(registry))
-            races = result.get("races", [])
-        identical = digests[0] == digests[1]
-        metrics_identical = dumps[0] == dumps[1]
-        report[name] = {
-            "digest": digests[0],
-            "digest_identical": identical,
-            "metrics_identical": metrics_identical,
-            "races": len(races),
-        }
-        trace_identical = True
-        energy_identical = True
-        if name == "gateway_slo" and len(trace_dumps) == 2:
-            trace_identical = trace_dumps[0] == trace_dumps[1]
-            report[name]["trace_identical"] = trace_identical
-        if name == "gateway_slo" and len(energy_dumps) == 2:
-            energy_identical = energy_dumps[0] == energy_dumps[1]
-            report[name]["energy_identical"] = energy_identical
-        if not args.as_json:
-            print(f"{name}:")
-            print(f"  replay digest: {digests[0][:16]}…  "
-                  f"{'identical heap vs calendar' if identical else 'MISMATCH: ' + digests[1][:16]}")
-            print(f"  metric dump: "
-                  f"{'byte-identical heap vs calendar' if metrics_identical else 'MISMATCH'}")
-            if "trace_identical" in report[name]:
-                print(f"  trace export: "
-                      f"{'byte-identical heap vs calendar' if trace_identical else 'MISMATCH'}")
-            if "energy_identical" in report[name]:
-                print(f"  energy export: "
-                      f"{'byte-identical heap vs calendar' if energy_identical else 'MISMATCH'}")
-            print(f"  same-timestamp races: {len(races)}")
-            for race in races:
-                print(f"    {race.render()}")
-        if (
-            not identical
-            or not metrics_identical
-            or not trace_identical
-            or not energy_identical
-            or races
-        ):
-            failures += 1
-
-    scheduler_report: Dict[str, bool] = {}
-    for name in EXPERIMENTS.names():
-        experiment = EXPERIMENTS.get(name)
-        overrides = experiment.seed_override(args.seed)
         documents: List[str] = []
         for scheduler_name in ("heap", "calendar"):
-            with use_scheduler(scheduler_name):
-                documents.append(experiment.run(**overrides).to_json())
-        scheduler_report[name] = documents[0] == documents[1]
-    report["scheduler_equivalence"] = scheduler_report
-    equivalent = all(scheduler_report.values())
-    if not equivalent:
-        failures += 1
-    if not args.as_json:
-        mismatched = sorted(n for n, ok in scheduler_report.items() if not ok)
-        print("scheduler equivalence (heap vs calendar, all experiments):")
-        print(f"  {len(scheduler_report)} experiments: "
-              + ("result JSON byte-identical"
-                 if equivalent else f"MISMATCH in {', '.join(mismatched)}"))
+            with EventDigest().under(scheduler_name) as digest:
+                result = experiment.run(**overrides)
+            digests.append(digest.hexdigest())
+            dumps.append(json.dumps(result.obs, sort_keys=True))
+            documents.append(result.to_json())
+        races = result.raw.get("races", [])
+        checks = {
+            "digest_identical": digests[0] == digests[1],
+            "metrics_identical": dumps[0] == dumps[1],
+            "result_identical": documents[0] == documents[1],
+        }
+        report[experiment.name] = {"digest": digests[0], **checks, "races": len(races)}
+        if not all(checks.values()) or races:
+            failures += 1
+        if args.as_json:
+            continue
+        print(f"{experiment.name}:")
+        print(f"  replay digest: {digests[0][:16]}…  "
+              + ("identical heap vs calendar" if checks["digest_identical"]
+                 else "MISMATCH: " + digests[1][:16]))
+        for label, key in (("metric dump", "metrics_identical"),
+                           ("result JSON", "result_identical")):
+            verdict = "byte-identical heap vs calendar" if checks[key] else "MISMATCH"
+            print(f"  {label}: {verdict}")
+        print(f"  same-timestamp races: {len(races)}")
+        for race in races:
+            print(f"    {race.render()}")
     if args.as_json:
         print(json.dumps({"checks": report, "ok": failures == 0},
                          indent=2, sort_keys=True))
     return 0 if failures == 0 else 1
+
+
+def _gateway_seed(args: argparse.Namespace) -> int:
+    """``--seed``, else gateway_slo's declared seed."""
+    from repro.experiments import gateway_slo
+
+    return args.seed if args.seed is not None else gateway_slo.EXPERIMENT.params["seed"]
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -317,11 +224,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
 
     tracer = RequestTracer()
+    seed = _gateway_seed(args)
     summary = gateway_slo.run_point(
         args.scheduler,
-        seed=args.seed if args.seed is not None else 11,
-        duration=args.duration,
         tracer=tracer,
+        seed=seed,
+        duration=args.duration,
+        energy=False,
     )
     requests = [ctx for ctx in tracer.completed if ctx.kind == "request"]
     aggregate = CriticalPathAnalyzer().aggregate(requests)
@@ -334,7 +243,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             {
                 "params": {
                     "scheduler": args.scheduler,
-                    "seed": args.seed if args.seed is not None else 11,
+                    "seed": seed,
                     "duration": args.duration,
                 },
                 "completed": summary["completed"],
@@ -390,11 +299,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     """Run one energy-ledgered gateway_slo point and report the books."""
     from repro.experiments import gateway_slo
 
+    seed = _gateway_seed(args)
     summary = gateway_slo.run_point(
-        args.scheduler,
-        seed=args.seed if args.seed is not None else 11,
-        duration=args.duration,
-        energy=True,
+        args.scheduler, seed=seed, duration=args.duration, energy=True
     )
     energy = summary["energy"]
     identity = energy["identity"]
@@ -403,7 +310,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             {
                 "params": {
                     "scheduler": args.scheduler,
-                    "seed": args.seed if args.seed is not None else 11,
+                    "seed": seed,
                     "duration": args.duration,
                 },
                 "identity": identity,
@@ -606,7 +513,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     check_parser = sub.add_parser(
         "check-determinism",
-        help="replay experiments twice; compare digests, metric dumps and races",
+        help="run every experiment under heap and calendar; compare digests, "
+        "metric dumps and results; count races",
     )
     _add_common_flags(check_parser)
     check_parser.set_defaults(fn=_cmd_check_determinism)

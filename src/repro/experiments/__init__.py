@@ -13,20 +13,19 @@
 | ``hdfs_switch`` | §VII-B — HDFS across a disk switch               |
 | ``host_failover``| §I — 5.8 s single-host recovery                 |
 | ``ablations``   | DESIGN.md §4 — design-choice studies             |
+| ``reliability`` | §IV-E / §VIII — availability, rebuild, scrubbing |
 | ``gateway_slo`` | §IV-F — request tier: batching vs FIFO           |
 | ``shardstore_small_objects`` | §IV-F — packed shards vs naive objects |
 | ``tiering_staging`` | §IV-F — staged hot tier vs write-through    |
 
-Every module declares an ``EXPERIMENT`` (see
-:mod:`repro.experiments.base`), collected here into :data:`EXPERIMENTS`;
-running one returns a typed, versioned
-:class:`~repro.experiments.base.ExperimentResult`.  The legacy
-``run() -> dict`` / ``main() -> str`` entrypoints remain as thin,
-backward-compatible shims, and :data:`ALL_EXPERIMENTS` still maps names
-to modules.
+Every module declares one ``EXPERIMENT`` (see
+:mod:`repro.experiments.base`), collected here into :data:`EXPERIMENTS`.
+``EXPERIMENTS.get(name).run(**overrides)`` is the one way to run an
+experiment; it returns a typed, versioned
+:class:`~repro.experiments.base.ExperimentResult`.
 """
 
-from repro.experiments import (  # noqa: F401
+from repro.experiments import (
     ablations,
     duplex,
     figure5,
@@ -50,31 +49,28 @@ from repro.experiments.base import (  # noqa: F401
     RESULT_SCHEMA_VERSION,
 )
 
-ALL_EXPERIMENTS = {
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "table4": table4,
-    "table5": table5,
-    "figure5": figure5,
-    "figure6": figure6,
-    "duplex": duplex,
-    "hdfs_switch": hdfs_switch,
-    "host_failover": host_failover,
-    "ablations": ablations,
-    "reliability": reliability,
-    "gateway_slo": gateway_slo,
-    "shardstore_small_objects": shardstore_small_objects,
-    "tiering_staging": tiering_staging,
-}
-
 EXPERIMENTS = ExperimentRegistry()
-for _module in ALL_EXPERIMENTS.values():
+for _module in (
+    table1,
+    table2,
+    table3,
+    table4,
+    table5,
+    figure5,
+    figure6,
+    duplex,
+    hdfs_switch,
+    host_failover,
+    ablations,
+    reliability,
+    gateway_slo,
+    shardstore_small_objects,
+    tiering_staging,
+):
     EXPERIMENTS.register(_module.EXPERIMENT)
 del _module
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "EXPERIMENTS",
     "Experiment",
     "ExperimentRegistry",

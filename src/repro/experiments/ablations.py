@@ -16,6 +16,7 @@ argues qualitatively:
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Generator, List
 
 from repro.cluster.deployment import DeploymentConfig, build_deployment
@@ -34,7 +35,6 @@ __all__ = [
     "allocation_policy_ablation",
     "fabric_width_ablation",
     "heartbeat_timeout_ablation",
-    "run",
     "spin_down_policy_ablation",
     "switch_placement_ablation",
 ]
@@ -211,23 +211,15 @@ def heartbeat_timeout_ablation(timeouts=(1.0, 2.0, 4.0, 8.0)) -> Dict:
     return results
 
 
-def run() -> Dict:
-    return {
+def _build_result() -> ExperimentResult:
+    raw = {
         "switch_placement": switch_placement_ablation(),
         "fabric_width": fabric_width_ablation(),
         "allocation_policy": allocation_policy_ablation(),
         "spin_down_policy": spin_down_policy_ablation(),
         "heartbeat_timeout": heartbeat_timeout_ablation(),
     }
-
-
-def _build_result() -> ExperimentResult:
-    import json
-
-    raw = run()
     return ExperimentResult(
-        name="ablations",
-        paper_ref="DESIGN.md §4",
         metrics={
             "leaf_switched_blast_radius": raw["switch_placement"]["leaf_switched"][
                 "worst_hub_blast_radius"
@@ -247,11 +239,3 @@ EXPERIMENT = Experiment(
     description="Design-choice ablation studies",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

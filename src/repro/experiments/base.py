@@ -1,22 +1,22 @@
 """The declarative Experiment API (StorRep-style uniform experiments).
 
-Every paper-reproduction experiment registers an :class:`Experiment`
-declaring its name, the paper artifact it reproduces (``paper_ref``)
-and its tunable ``params``; running it returns a typed
-:class:`ExperimentResult` — headline metrics, the paper's expected
-values, relative errors, an optional obs-registry snapshot, and the
-legacy raw dict — which serialises to a versioned JSON document
-(``repro run <name> --json``) or renders as the familiar text report.
-
-The legacy module-level ``run() -> dict`` entrypoints are kept as the
-builders' data source, so existing callers and tests see identical
-dicts; ``main()`` becomes a thin shim over ``EXPERIMENT.run().render()``.
+Every paper-reproduction experiment registers one :class:`Experiment`
+declaring its name, the paper artifact it reproduces (``paper_ref``),
+its tunable ``params`` with their defaults and, optionally, its
+``smoke`` sizes.  :meth:`Experiment.run` is the only way an experiment
+runs: it merges overrides into the declared params, calls the module's
+builder with them, and stamps ``name``, ``paper_ref`` and the merged
+params into the typed :class:`ExperimentResult` — headline metrics,
+the paper's expected values, relative errors, anchors, an optional
+obs-registry snapshot and the raw result dict — which serialises to a
+versioned JSON document (``repro run <name> --json``) or renders as
+the text report.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 __all__ = [
@@ -47,10 +47,14 @@ def _jsonify(value: Any) -> Any:
 
 @dataclass
 class ExperimentResult:
-    """Uniform, versioned result document for one experiment run."""
+    """Uniform, versioned result document for one experiment run.
 
-    name: str
-    paper_ref: str
+    Builders leave ``name``, ``paper_ref`` and ``params`` empty;
+    :meth:`Experiment.run` stamps them.
+    """
+
+    name: str = ""
+    paper_ref: str = ""
     params: Dict[str, Any] = field(default_factory=dict)
     metrics: Dict[str, Any] = field(default_factory=dict)
     paper_expected: Dict[str, Any] = field(default_factory=dict)
@@ -89,7 +93,8 @@ class ExperimentResult:
         return self.to_json()
 
 
-#: A builder takes the experiment's (merged) params and produces a result.
+#: A builder takes the experiment's merged params as keyword arguments
+#: and produces a result.
 ResultBuilder = Callable[..., ExperimentResult]
 
 
@@ -113,8 +118,8 @@ class Experiment:
             return {"seed": seed}
         return {}
 
-    def run(self, **overrides: Any) -> ExperimentResult:
-        """Build the result with declared params merged with overrides.
+    def merged_params(self, overrides: Mapping[str, Any]) -> Dict[str, Any]:
+        """The declared params with ``overrides`` applied.
 
         Unknown override keys are rejected so a CLI typo fails loudly
         instead of silently running the default configuration.
@@ -125,8 +130,17 @@ class Experiment:
                 f"experiment {self.name!r} has no parameter(s) "
                 f"{sorted(unknown)}; declared: {sorted(self.params)}"
             )
-        merged = {**self.params, **overrides}
-        return self.builder(**merged)
+        return {**self.params, **overrides}
+
+    def run(self, **overrides: Any) -> ExperimentResult:
+        """Build the result with declared params merged with overrides."""
+        params = self.merged_params(overrides)
+        return replace(
+            self.builder(**params),
+            name=self.name,
+            paper_ref=self.paper_ref,
+            params=params,
+        )
 
 
 class ExperimentRegistry:

@@ -1,19 +1,52 @@
-"""Shared helpers for the paper-reproduction experiments."""
+"""Shared helpers for the paper-reproduction experiments.
+
+Besides table formatting and the fabric set-up helpers, this holds the
+one set-up sequence of the request-tier experiments (gateway_slo,
+shardstore_small_objects, tiering_staging): :func:`start_gateway`,
+:func:`drain` and :func:`energy_books`.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.deployment import Deployment
+from repro.cluster.deployment import Deployment, DeploymentConfig, build_deployment
 from repro.fabric.switching import SwitchConflict, execute_plan, plan_switches
 from repro.fabric.topology import Fabric
+from repro.gateway import (
+    Gateway,
+    GatewayConfig,
+    GatewayObject,
+    TenantSpec,
+    mount_gateway_spaces,
+)
+from repro.obs import (
+    ConservationAuditor,
+    EnergyLedger,
+    MetricsRegistry,
+    RequestTracer,
+)
+from repro.power import PowerMeter
+from repro.tiering import pinned_disks_for
+from repro.workload.specs import MB
 
 __all__ = [
     "conflict_free_batch",
+    "drain",
+    "energy_books",
     "format_table",
     "gather_disks_on_host",
     "relative_error",
+    "start_gateway",
 ]
+
+#: Request tier: settle time before mounting, and one space per disk.
+SETTLE_SECONDS = 15.0
+SPACE_BYTES = 64 * MB
+#: Cap on post-traffic drain time (a saturated FIFO run needs a while).
+DRAIN_CAP_SECONDS = 900.0
+DRAIN_STEP_SECONDS = 5.0
 
 
 def _format_cell(value, spec: Optional[str]) -> str:
@@ -126,3 +159,78 @@ def gather_disks_on_host(deployment: Deployment, host: str, wanted: int) -> List
         raise ValueError(f"could not gather {wanted} disks on {host!r}")
     deployment.bus.sync()
     return mine[:wanted]
+
+
+def start_gateway(
+    tenants: Sequence[TenantSpec],
+    config: GatewayConfig,
+    seed: int,
+    detect_races: bool,
+    metrics: Optional[MetricsRegistry],
+    tracer: Optional[RequestTracer] = None,
+    energy: bool = False,
+    hot_spaces: int = 0,
+) -> Tuple[Deployment, Gateway, List[GatewayObject], Optional[PowerMeter]]:
+    """The request-tier set-up: a started gateway over spun-down disks.
+
+    Builds and settles a deployment, mounts one :data:`SPACE_BYTES`
+    space per disk, runs to the next whole second (so a control-plane
+    change does not move the traffic start), spins every disk down,
+    then attaches and starts a gateway with ``config``.  ``hot_spaces``
+    pins the disks of that many spaces (the first, sorted) as an
+    always-spinning hot tier.  ``energy=True`` arms a
+    :class:`~repro.power.PowerMeter` with an
+    :class:`~repro.obs.EnergyLedger` from the spin-down on, and a
+    private tracer when none is given, since per-tenant attribution
+    rides the trace threading; the meter is returned, else ``None``.
+    """
+    if energy and tracer is None:
+        tracer = RequestTracer()
+    deployment = build_deployment(
+        config=DeploymentConfig(detect_races=detect_races, seed=seed),
+        metrics=metrics,
+        tracer=tracer,
+    )
+    deployment.settle(SETTLE_SECONDS)
+    objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
+    deployment.run_to_whole_second()
+    for disk_id in sorted(deployment.disks):
+        deployment.disks[disk_id].spin_down()
+    meter: Optional[PowerMeter] = None
+    if energy:
+        meter = PowerMeter(deployment, ledger=EnergyLedger())
+        meter.start()
+    if hot_spaces:
+        config = replace(config, pinned_disks=pinned_disks_for(objects, hot_spaces))
+    gateway = Gateway(deployment.sim, tenants, config)
+    gateway.attach(objects, spaces, deployment.disks, host_of=deployment.host_of_disk)
+    gateway.start()
+    return deployment, gateway, objects, meter
+
+
+def drain(deployment: Deployment, gateway: Gateway) -> bool:
+    """Run until the gateway drains, at most :data:`DRAIN_CAP_SECONDS`."""
+    deadline = deployment.sim.now + DRAIN_CAP_SECONDS
+    while not gateway.drained() and deployment.sim.now < deadline:
+        deployment.sim.run(until=deployment.sim.now + DRAIN_STEP_SECONDS)
+    return gateway.drained()
+
+
+def energy_books(meter: PowerMeter) -> Dict[str, Any]:
+    """The ledger's books now and the DESIGN §15 identity audit.
+
+    Every account sums to the meter's wall integral; ``export`` is the
+    canonical ledger document (accounts, disk books, per-request
+    charges and spin-up blames).
+    """
+    ledger = meter.ledger
+    assert ledger is not None  # start_gateway arms the meter with one
+    now = meter.deployment.sim.now
+    return {
+        "identity": ConservationAuditor(meter, ledger).audit(now),
+        "accounts": ledger.account_joules(),
+        "tiers": ledger.tier_joules(),
+        "spin_up_blames": len(ledger.blames),
+        "requests_charged": len(ledger.requests),
+        "export": ledger.to_dict(),
+    }

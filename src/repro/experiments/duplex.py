@@ -7,7 +7,7 @@ sustain ~2160 MB/s in aggregate.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cluster.deployment import build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
@@ -16,46 +16,34 @@ from repro.obs import MetricsRegistry
 from repro.workload.iometer import model_throughput
 from repro.workload.specs import WorkloadSpec
 
-__all__ = ["EXPERIMENT", "run"]
+__all__ = ["EXPERIMENT"]
 
 PAPER_PER_PORT = 540.0
 PAPER_AGGREGATE = 2160.0
 
 
-def run(metrics: Optional[MetricsRegistry] = None) -> Dict:
-    deployment = build_deployment(metrics=metrics)
+def _build_result() -> ExperimentResult:
+    registry = MetricsRegistry()
+    deployment = build_deployment(metrics=registry)
     fabric = deployment.fabric
     spec = WorkloadSpec.parse("4MB-S-R")
 
     host0_disks = [d for d, h in fabric.attachment_map().items() if h == "host0"]
-    per_port = model_throughput(fabric, host0_disks, spec, duplex_split=True, metrics=metrics)
+    per_port = model_throughput(
+        fabric, host0_disks, spec, duplex_split=True, metrics=registry
+    )
 
     all_disks = sorted(fabric.attachment_map())
-    aggregate = model_throughput(fabric, all_disks, spec, duplex_split=True, metrics=metrics)
-    return {
+    aggregate = model_throughput(
+        fabric, all_disks, spec, duplex_split=True, metrics=registry
+    )
+    raw = {
         "per_port_mb_s": per_port["total_bytes_per_second"] / 1e6,
         "aggregate_mb_s": aggregate["total_bytes_per_second"] / 1e6,
         "paper_per_port": PAPER_PER_PORT,
         "paper_aggregate": PAPER_AGGREGATE,
     }
-
-
-def _report(result: Dict) -> str:
-    return (
-        "Duplex throughput (half reads / half writes, 4MB sequential)\n\n"
-        f"  one root port: {result['per_port_mb_s']:.0f} MB/s "
-        f"(paper: {result['paper_per_port']:.0f})\n"
-        f"  four ports:    {result['aggregate_mb_s']:.0f} MB/s "
-        f"(paper: {result['paper_aggregate']:.0f})"
-    )
-
-
-def _build_result() -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(metrics=registry)
     return ExperimentResult(
-        name="duplex",
-        paper_ref="§VII-A (duplex)",
         metrics={
             "per_port_mb_s": raw["per_port_mb_s"],
             "aggregate_mb_s": raw["aggregate_mb_s"],
@@ -74,17 +62,19 @@ def _build_result() -> ExperimentResult:
     )
 
 
+def _report(result: Dict) -> str:
+    return (
+        "Duplex throughput (half reads / half writes, 4MB sequential)\n\n"
+        f"  one root port: {result['per_port_mb_s']:.0f} MB/s "
+        f"(paper: {result['paper_per_port']:.0f})\n"
+        f"  four ports:    {result['aggregate_mb_s']:.0f} MB/s "
+        f"(paper: {result['paper_aggregate']:.0f})"
+    )
+
+
 EXPERIMENT = Experiment(
     name="duplex",
     paper_ref="§VII-A (duplex)",
     description="Full-duplex throughput: 540 MB/s per port, 2160 MB/s total",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -12,17 +12,16 @@ workload mix.  The figure's anchor observations (§VII-A) are checked:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cluster.deployment import DeploymentConfig, build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, gather_disks_on_host, relative_error
 from repro.obs import MetricsRegistry
-from repro.sim import EventDigest
 from repro.workload.iometer import model_throughput
 from repro.workload.specs import WorkloadSpec
 
-__all__ = ["DISK_COUNTS", "EXPERIMENT", "WORKLOADS", "run"]
+__all__ = ["DISK_COUNTS", "EXPERIMENT", "WORKLOADS"]
 
 DISK_COUNTS = (1, 2, 4, 8, 12)
 WORKLOADS = ("4KB-S-R", "4KB-S-W", "4KB-R-R", "4MB-S-R", "4MB-S-W", "4MB-R-R")
@@ -32,44 +31,33 @@ WORKLOADS = ("4KB-S-R", "4KB-S-W", "4KB-R-R", "4MB-S-R", "4MB-S-W", "4MB-R-R")
 PAPER_ROOT_PORT_MB_S = 300.0
 
 
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    seed: int = 7,
-    settle_seconds: float = 0.0,
-) -> Dict:
-    """Run the experiment.
+def _build_result(
+    seed: int, detect_races: bool, settle_seconds: float
+) -> ExperimentResult:
+    """Build one deployment per disk count and model the workload mix.
 
-    ``detect_races`` enables the kernel's same-timestamp race detector
-    on every deployment built (adds a ``"races"`` entry to the result);
-    ``event_digest`` folds every simulator's execution order into the
-    given digest for replay-determinism checks; ``metrics`` arms the
-    obs layer on every deployment (one shared registry aggregating all
-    five disk counts); ``seed`` feeds the deployments' RNG registry.
-
-    ``settle_seconds > 0`` additionally runs each deployment's event
-    loop for that much simulated time after the throughput series is
-    computed, so simulator events (bus registration, heartbeats) are
-    actually executed; the default of 0.0 keeps the classic behaviour —
-    and the classic replay digest — for `run`/`check-determinism`.
-    The benchmark recorder relies on this to observe a nonzero
-    ``sim.events`` counter.
+    ``detect_races`` arms the kernel's same-timestamp race detector on
+    every deployment (adds a ``"races"`` entry to the raw result); one
+    obs registry aggregates all five disk counts; ``seed`` feeds the
+    deployments' RNG registry.  ``settle_seconds > 0`` also runs each
+    deployment's event loop for that long after the throughput series
+    is computed, so simulator events (bus registration, heartbeats)
+    execute; at the default 0.0 the model is closed-form and processes
+    no events.
     """
+    registry = MetricsRegistry()
     series: Dict[str, List[float]] = {name: [] for name in WORKLOADS}
     per_disk_even = True
     races: List = []
     for count in DISK_COUNTS:
         deployment = build_deployment(
             config=DeploymentConfig(detect_races=detect_races, seed=seed),
-            metrics=metrics,
+            metrics=registry,
         )
-        if event_digest is not None:
-            event_digest.attach(deployment.sim)
         disks = gather_disks_on_host(deployment, "host0", count)
         for name in WORKLOADS:
             spec = WorkloadSpec.parse(name)
-            result = model_throughput(deployment.fabric, disks, spec, metrics=metrics)
+            result = model_throughput(deployment.fabric, disks, spec, metrics=registry)
             series[name].append(result["total_bytes_per_second"] / 1e6)
             shares = list(result["per_disk"].values())
             if max(shares) - min(shares) > 1e-3 * max(shares):
@@ -97,15 +85,31 @@ def run(
         ),
         "shared_evenly": per_disk_even,
     }
-    result_dict: Dict = {
+    raw: Dict = {
         "headers": ["Workload"] + [f"{c} disks" for c in DISK_COUNTS],
         "rows": rows,
         "series_mb_per_s": series,
         "anchors": anchors,
     }
     if detect_races:
-        result_dict["races"] = races
-    return result_dict
+        raw["races"] = races
+    two_disk_4mb = series["4MB-S-R"][1]
+    return ExperimentResult(
+        metrics={
+            "series_mb_per_s": series,
+            "two_disk_4mb_seq_read_mb_s": two_disk_4mb,
+        },
+        paper_expected={"root_port_mb_s": PAPER_ROOT_PORT_MB_S},
+        relative_errors={
+            "two_disk_4mb_seq_read": relative_error(
+                two_disk_4mb, PAPER_ROOT_PORT_MB_S
+            )
+        },
+        anchors=dict(anchors),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -117,54 +121,13 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result(
-    seed: int = 7, detect_races: bool = False, settle_seconds: float = 0.0
-) -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(
-        detect_races=detect_races,
-        metrics=registry,
-        seed=seed,
-        settle_seconds=settle_seconds,
-    )
-    two_disk_4mb = raw["series_mb_per_s"]["4MB-S-R"][1]
-    return ExperimentResult(
-        name="figure5",
-        paper_ref="Figure 5 / §VII-A",
-        params={
-            "seed": seed,
-            "detect_races": detect_races,
-            "settle_seconds": settle_seconds,
-        },
-        metrics={
-            "series_mb_per_s": raw["series_mb_per_s"],
-            "two_disk_4mb_seq_read_mb_s": two_disk_4mb,
-        },
-        paper_expected={"root_port_mb_s": PAPER_ROOT_PORT_MB_S},
-        relative_errors={
-            "two_disk_4mb_seq_read": relative_error(
-                two_disk_4mb, PAPER_ROOT_PORT_MB_S
-            )
-        },
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="figure5",
     paper_ref="Figure 5 / §VII-A",
     description="Multi-disk throughput scaling on one host",
     builder=_build_result,
     params={"seed": 7, "detect_races": False, "settle_seconds": 0.0},
+    # Settling lets the smoke run execute real simulator events, so its
+    # BENCH records see ``sim.events``.
+    smoke={"settle_seconds": 12.0},
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -8,7 +8,7 @@ single Master command and decomposes the delay the way the paper does:
 * **part 2** — recognized → exposed on the network as an iSCSI target;
 * **part 3** — exposed → remounted by the ClientLib.
 
-Each disk count is repeated several times (the paper uses 6) with
+Each disk count is repeated ``repetitions`` times (the paper uses 6) with
 different seeds; a ClientLib with a polling reader is mounted on one of
 the switched disks so the remount is observed end to end.
 """
@@ -26,10 +26,9 @@ from repro.obs import MetricsRegistry
 from repro.sim import Event, Interrupt
 from repro.workload.specs import KB, MB
 
-__all__ = ["DISK_COUNTS", "EXPERIMENT", "run", "run_single"]
+__all__ = ["DISK_COUNTS", "EXPERIMENT", "run_single"]
 
 DISK_COUNTS = (1, 2, 4, 6, 8)
-REPETITIONS = 6
 TARGET_HOST = "host3"
 
 
@@ -127,16 +126,13 @@ def run_single(
     }
 
 
-def run(
-    disk_counts=DISK_COUNTS,
-    repetitions: int = REPETITIONS,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Dict:
+def _build_result(repetitions: int) -> ExperimentResult:
+    registry = MetricsRegistry()
     rows: List[List] = []
     series: Dict[int, Dict[str, float]] = {}
-    for count in disk_counts:
+    for count in DISK_COUNTS:
         trials = [
-            run_single(count, seed=100 * count + r, metrics=metrics)
+            run_single(count, seed=100 * count + r, metrics=registry)
             for r in range(repetitions)
         ]
         mean = {
@@ -153,7 +149,7 @@ def run(
                 round(mean["total"], 2),
             ]
         )
-    part1s = [series[c]["part1"] for c in disk_counts]
+    part1s = [series[c]["part1"] for c in DISK_COUNTS]
     anchors = {
         # Paper: "the first part delay increases with the number of
         # switched disks while the second and third parts have little
@@ -161,19 +157,32 @@ def run(
         "part1_grows_with_count": all(
             part1s[i] < part1s[i + 1] for i in range(len(part1s) - 1)
         ),
-        "part2_stable": max(series[c]["part2"] for c in disk_counts)
-        - min(series[c]["part2"] for c in disk_counts)
+        "part2_stable": max(series[c]["part2"] for c in DISK_COUNTS)
+        - min(series[c]["part2"] for c in DISK_COUNTS)
         < 1.0,
-        "part3_stable": max(series[c]["part3"] for c in disk_counts)
-        - min(series[c]["part3"] for c in disk_counts)
+        "part3_stable": max(series[c]["part3"] for c in DISK_COUNTS)
+        - min(series[c]["part3"] for c in DISK_COUNTS)
         < 1.0,
     }
-    return {
+    raw = {
         "headers": ["Disks", "Part1 s", "Part2 s", "Part3 s", "Total s"],
         "rows": rows,
         "series": series,
         "anchors": anchors,
     }
+    return ExperimentResult(
+        metrics={
+            "mean_total_seconds": {str(c): series[c]["total"] for c in series}
+        },
+        paper_expected={
+            "part1_grows_with_count": True,
+            "part2_and_part3_stable": True,
+        },
+        anchors=dict(anchors),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -185,41 +194,10 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result(repetitions: int = REPETITIONS) -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(repetitions=repetitions, metrics=registry)
-    return ExperimentResult(
-        name="figure6",
-        paper_ref="Figure 6 / §VII-A",
-        params={"repetitions": repetitions},
-        metrics={
-            "mean_total_seconds": {
-                str(c): raw["series"][c]["total"] for c in raw["series"]
-            }
-        },
-        paper_expected={
-            "part1_grows_with_count": True,
-            "part2_and_part3_stable": True,
-        },
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="figure6",
     paper_ref="Figure 6 / §VII-A",
     description="Switching-time decomposition vs number of disks switched",
     builder=_build_result,
-    params={"repetitions": REPETITIONS},
+    params={"repetitions": 6},
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

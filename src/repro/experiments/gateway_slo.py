@@ -17,33 +17,22 @@ request (every admitted request completes exactly once).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.cluster.deployment import DeploymentConfig, build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import format_table
-from repro.gateway import (
-    Gateway,
-    GatewayConfig,
-    OpenLoopTrafficGenerator,
-    TenantSpec,
-    mount_gateway_spaces,
-)
+from repro.experiments.common import drain, energy_books, format_table, start_gateway
+from repro.gateway import GatewayConfig, OpenLoopTrafficGenerator, TenantSpec
 from repro.obs import (
-    ConservationAuditor,
     CriticalPathAnalyzer,
-    EnergyLedger,
     FlightRecorder,
     MetricsRegistry,
     RequestTracer,
     SloMonitor,
     SloObjective,
 )
-from repro.power import PowerMeter
-from repro.sim import EventDigest
 from repro.workload.specs import KB, MB
 
-__all__ = ["EXPERIMENT", "TENANTS", "run", "run_point", "slo_objectives"]
+__all__ = ["EXPERIMENT", "TENANTS", "run_point", "slo_objectives"]
 
 #: The two-tenant mix: many small interactive cold-readers plus a few
 #: heavy archival pipelines (open loop: rate = users x rate_per_user).
@@ -70,12 +59,6 @@ TENANTS = (
     ),
 )
 
-SPACE_BYTES = 64 * MB
-SETTLE_SECONDS = 15.0
-#: Cap on post-arrival drain time (a saturated FIFO run needs a while).
-DRAIN_CAP_SECONDS = 900.0
-DRAIN_STEP_SECONDS = 5.0
-
 
 def slo_objectives() -> List[SloObjective]:
     """Burn-rate objectives for the two gateway tenants (95% over 60 s)."""
@@ -87,44 +70,30 @@ def slo_objectives() -> List[SloObjective]:
 
 def run_point(
     scheduler: str,
-    seed: int = 11,
-    duration: float = 180.0,
-    power_budget_watts: float = 24.0,
-    load_scale: float = 1.0,
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[RequestTracer] = None,
-    energy: bool = False,
+    **overrides: Any,
 ) -> Dict:
-    """Run one (scheduler, load) point on a fresh deployment.
+    """Run one scheduler on a fresh deployment.
 
-    Builds a full 16-disk deployment, mounts one gateway space per
-    disk, runs to the next whole second (so a control-plane change
-    does not move the traffic start), spins every disk down, then
-    offers ``duration`` seconds of open-loop traffic and drains the
-    queues.  Returns the gateway's exact summary plus offered-traffic
-    and race accounting.  Passing a
-    :class:`~repro.obs.RequestTracer` arms end-to-end request tracing:
-    the summary then also carries the critical-path latency
-    attribution, the per-tenant SLO burn-rate state, and the flight
-    recorder's dump count.  ``energy=True`` arms a ``PowerMeter`` +
-    :class:`~repro.obs.EnergyLedger` pair over the traffic-and-drain
-    window and adds a per-tenant wall-joule breakdown whose accounts
-    sum to the meter integral (the DESIGN §15 conservation identity).
+    ``overrides`` are :data:`EXPERIMENT` params (``seed``, ``duration``,
+    ``power_budget_watts``, ``load_scale``, ``detect_races``, ``trace``,
+    ``energy``); the rest keep their declared defaults.  The gateway
+    starts over spun-down disks (:func:`~repro.experiments.common
+    .start_gateway`), is offered ``duration`` seconds of open-loop
+    traffic and drains.  Returns the gateway's exact summary plus
+    offered-traffic and race accounting.  A
+    :class:`~repro.obs.RequestTracer` (passed, or a fresh one with
+    ``trace=True``) arms end-to-end request tracing: the summary then
+    also carries the critical-path latency attribution, the per-tenant
+    SLO burn-rate state, and the flight recorder's dump count.
+    ``energy=True`` adds the per-tenant wall-joule books over the
+    traffic-and-drain window, whose accounts sum to the meter integral
+    (the DESIGN §15 conservation identity).
     """
-    attribution_tracer = tracer
-    if energy and attribution_tracer is None:
-        # Per-tenant attribution rides the trace threading; arm a
-        # private tracer when the caller did not supply one.
-        attribution_tracer = RequestTracer()
-    deployment = build_deployment(
-        config=DeploymentConfig(detect_races=detect_races, seed=seed),
-        metrics=metrics,
-        tracer=attribution_tracer,
-    )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
+    params = EXPERIMENT.merged_params(overrides)
+    if tracer is None and params["trace"]:
+        tracer = RequestTracer()
     monitor: Optional[SloMonitor] = None
     recorder: Optional[FlightRecorder] = None
     if tracer is not None and tracer.enabled:
@@ -132,36 +101,24 @@ def run_point(
         # trace when the monitor's alert instant fires.
         recorder = FlightRecorder(tracer)
         monitor = SloMonitor(tracer, slo_objectives())
-    deployment.settle(SETTLE_SECONDS)
-    objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
-    deployment.run_to_whole_second()
-    for disk_id in sorted(deployment.disks):
-        deployment.disks[disk_id].spin_down()
-    ledger: Optional[EnergyLedger] = None
-    meter: Optional[PowerMeter] = None
-    if energy:
-        ledger = EnergyLedger()
-        meter = PowerMeter(deployment, ledger=ledger)
-        meter.start()
-    gateway = Gateway(
-        deployment.sim,
+    deployment, gateway, _, meter = start_gateway(
         TENANTS,
         GatewayConfig(
-            power_budget_watts=power_budget_watts,
-            scheduler=scheduler,
+            power_budget_watts=params["power_budget_watts"], scheduler=scheduler
         ),
+        seed=params["seed"],
+        detect_races=params["detect_races"],
+        metrics=metrics,
+        tracer=tracer,
+        energy=params["energy"],
     )
-    gateway.attach(objects, spaces, deployment.disks, host_of=deployment.host_of_disk)
-    gateway.start()
     generator = OpenLoopTrafficGenerator(
-        deployment.sim, gateway, deployment.rng, load_scale=load_scale
+        deployment.sim, gateway, deployment.rng, load_scale=params["load_scale"]
     )
-    generator.start(duration)
-    end = deployment.sim.now + duration
+    generator.start(params["duration"])
+    end = deployment.sim.now + params["duration"]
     deployment.sim.run(until=end)
-    deadline = end + DRAIN_CAP_SECONDS
-    while not gateway.drained() and deployment.sim.now < deadline:
-        deployment.sim.run(until=deployment.sim.now + DRAIN_STEP_SECONDS)
+    drained = drain(deployment, gateway)
     summary = gateway.summary()
     summary["offered"] = {
         name: {
@@ -171,18 +128,10 @@ def run_point(
         for name in sorted(generator.stats)
     }
     summary["drain_seconds"] = deployment.sim.now - end
-    summary["drained"] = gateway.drained()
-    if ledger is not None and meter is not None:
-        auditor = ConservationAuditor(meter, ledger)
-        summary["energy"] = {
-            "identity": auditor.audit(deployment.sim.now),
-            "accounts": ledger.account_joules(),
-            "tiers": ledger.tier_joules(),
-            "spin_up_blames": len(ledger.blames),
-            "requests_charged": len(ledger.requests),
-            "export": ledger.to_dict(),
-        }
-    if detect_races:
+    summary["drained"] = drained
+    if meter is not None:
+        summary["energy"] = energy_books(meter)
+    if params["detect_races"]:
         summary["races"] = list(deployment.sim.races)
     if monitor is not None and recorder is not None and tracer is not None:
         analyzer = CriticalPathAnalyzer()
@@ -200,38 +149,17 @@ def run_point(
     return summary
 
 
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    seed: int = 11,
-    duration: float = 180.0,
-    power_budget_watts: float = 24.0,
-    load_scale: float = 1.0,
-    trace: bool = False,
-    energy: bool = True,
-) -> Dict:
+def _build_result(**params: Any) -> ExperimentResult:
     """Run both schedulers on identically seeded deployments."""
+    registry = MetricsRegistry()
     variants: Dict[str, Dict] = {}
     races: List = []
     for scheduler in ("batch", "fifo"):
-        # Fresh tracer per variant: each deployment restarts sim time
-        # at zero, so sharing one would interleave unrelated windows.
-        tracer = RequestTracer() if trace else None
-        summary = run_point(
-            scheduler,
-            seed=seed,
-            duration=duration,
-            power_budget_watts=power_budget_watts,
-            load_scale=load_scale,
-            detect_races=detect_races,
-            event_digest=event_digest,
-            metrics=metrics,
-            tracer=tracer,
-            energy=energy,
-        )
-        if detect_races:
-            races.extend(summary.pop("races", []))
+        # run_point arms a fresh tracer per variant: each deployment
+        # restarts sim time at zero, so sharing one would interleave
+        # unrelated windows.
+        summary = run_point(scheduler, metrics=registry, **params)
+        races.extend(summary.pop("races", []))
         variants[scheduler] = summary
     batch, fifo = variants["batch"], variants["fifo"]
 
@@ -249,35 +177,50 @@ def run(
         "no_requests_lost": _exactly_once(batch) and _exactly_once(fifo),
         "batch_lower_energy": batch["energy_joules"] < fifo["energy_joules"],
     }
-    if trace:
+    if params["trace"]:
         # Every traced request's phase segments must sum to its
         # measured end-to-end latency — the attribution identity.
         anchors["attribution_identity"] = all(
             variant["trace"]["attribution"]["identity_failures"] == 0
             for variant in variants.values()
         )
-    if energy:
+    metrics_out = {
+        "batch_spin_ups": batch["spin_ups"],
+        "fifo_spin_ups": fifo["spin_ups"],
+        "batch_p99_seconds": batch["latency_p99"],
+        "fifo_p99_seconds": fifo["latency_p99"],
+        "batch_energy_joules": batch["energy_joules"],
+        "fifo_energy_joules": fifo["energy_joules"],
+        "batch_slo_misses": batch["slo_misses"],
+        "fifo_slo_misses": fifo["slo_misses"],
+    }
+    if params["energy"]:
         # The §15 conservation identity: per-account joules sum to the
         # PowerMeter wall integral in both variants.
         anchors["energy_conserved"] = all(
             variant["energy"]["identity"]["conserved"]
             for variant in variants.values()
         )
-    result: Dict = {
-        "params": {
-            "seed": seed,
-            "duration": duration,
-            "power_budget_watts": power_budget_watts,
-            "load_scale": load_scale,
-            "trace": trace,
-            "energy": energy,
-        },
+        for name, summary in (("batch", batch), ("fifo", fifo)):
+            metrics_out[f"{name}_wall_joules"] = summary["energy"]["identity"][
+                "wall_joules"
+            ]
+            for account, joules in summary["energy"]["accounts"].items():
+                metrics_out[f"{name}_joules[{account}]"] = joules
+    raw: Dict = {
+        "params": {k: v for k, v in params.items() if k != "detect_races"},
         "variants": variants,
         "anchors": anchors,
     }
-    if detect_races:
-        result["races"] = races
-    return result
+    if params["detect_races"]:
+        raw["races"] = races
+    return ExperimentResult(
+        metrics=metrics_out,
+        anchors=dict(anchors),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -355,66 +298,6 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result(
-    seed: int = 11,
-    duration: float = 180.0,
-    power_budget_watts: float = 24.0,
-    load_scale: float = 1.0,
-    detect_races: bool = False,
-    trace: bool = False,
-    energy: bool = True,
-) -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(
-        detect_races=detect_races,
-        metrics=registry,
-        seed=seed,
-        duration=duration,
-        power_budget_watts=power_budget_watts,
-        load_scale=load_scale,
-        trace=trace,
-        energy=energy,
-    )
-    batch, fifo = raw["variants"]["batch"], raw["variants"]["fifo"]
-    metrics_out = {
-        "batch_spin_ups": batch["spin_ups"],
-        "fifo_spin_ups": fifo["spin_ups"],
-        "batch_p99_seconds": batch["latency_p99"],
-        "fifo_p99_seconds": fifo["latency_p99"],
-        "batch_energy_joules": batch["energy_joules"],
-        "fifo_energy_joules": fifo["energy_joules"],
-        "batch_slo_misses": batch["slo_misses"],
-        "fifo_slo_misses": fifo["slo_misses"],
-    }
-    if energy:
-        for name, summary in (("batch", batch), ("fifo", fifo)):
-            metrics_out[f"{name}_wall_joules"] = summary["energy"]["identity"][
-                "wall_joules"
-            ]
-            for account, joules in summary["energy"]["accounts"].items():
-                metrics_out[f"{name}_joules[{account}]"] = joules
-    return ExperimentResult(
-        name="gateway_slo",
-        paper_ref="§IV-F / Table III (request tier)",
-        params={
-            "seed": seed,
-            "duration": duration,
-            "power_budget_watts": power_budget_watts,
-            "load_scale": load_scale,
-            "detect_races": detect_races,
-            "trace": trace,
-            "energy": energy,
-        },
-        metrics=metrics_out,
-        paper_expected={},
-        relative_errors={},
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="gateway_slo",
     paper_ref="§IV-F / Table III (request tier)",
@@ -433,11 +316,3 @@ EXPERIMENT = Experiment(
     # 1.1x of its committed wall time, the NULL_TRACER no-op proof.
     smoke={"duration": 60.0, "energy": False},
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

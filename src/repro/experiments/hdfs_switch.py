@@ -12,7 +12,7 @@ switched to another host.  Expected observations:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator
 
 from repro.cluster.deployment import build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
@@ -23,7 +23,7 @@ from repro.obs import MetricsRegistry
 from repro.sim import Event
 from repro.workload.specs import MB
 
-__all__ = ["EXPERIMENT", "run"]
+__all__ = ["EXPERIMENT"]
 
 FILE_BYTES = 192 * MB
 SWITCH_AFTER = 5.0
@@ -42,8 +42,9 @@ def _conflict_free_target(fabric, disk: str) -> str:
     raise RuntimeError(f"no conflict-free target for {disk}")
 
 
-def run(metrics: Optional[MetricsRegistry] = None) -> Dict:
-    deployment = build_deployment(metrics=metrics)
+def _build_result() -> ExperimentResult:
+    registry = MetricsRegistry()
+    deployment = build_deployment(metrics=registry)
     deployment.settle(15.0)
     sim = deployment.sim
     hdfs = sim.run_until_event(sim.process(build_hdfs_on_ustore(deployment)))
@@ -90,7 +91,7 @@ def run(metrics: Optional[MetricsRegistry] = None) -> Dict:
     read_seconds = sim.now - read_start
 
     median_packet = sorted(report.packet_latencies)[len(report.packet_latencies) // 2]
-    return {
+    raw = {
         "bytes_written": report.bytes_written,
         "write_seconds": write_seconds,
         "client_errors": report.errors,
@@ -112,6 +113,22 @@ def run(metrics: Optional[MetricsRegistry] = None) -> Dict:
             "read_uninterrupted": read_result["bytes_read"] == FILE_BYTES,
         },
     }
+    return ExperimentResult(
+        metrics={
+            "write_seconds": write_seconds,
+            "slowest_packet_s": report.slowest_packet,
+            "read_seconds": read_seconds,
+            "pipelines_rebuilt": report.pipelines_rebuilt,
+        },
+        paper_expected={
+            "disruption": "seconds-long error window, then resume",
+            "reads": "not interrupted (three replicas)",
+        },
+        anchors=dict(raw["anchors"]),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -133,40 +150,9 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result() -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(metrics=registry)
-    return ExperimentResult(
-        name="hdfs_switch",
-        paper_ref="§VII-B",
-        metrics={
-            "write_seconds": raw["write_seconds"],
-            "slowest_packet_s": raw["slowest_packet_s"],
-            "read_seconds": raw["read_seconds"],
-            "pipelines_rebuilt": raw["pipelines_rebuilt"],
-        },
-        paper_expected={
-            "disruption": "seconds-long error window, then resume",
-            "reads": "not interrupted (three replicas)",
-        },
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="hdfs_switch",
     paper_ref="§VII-B",
     description="HDFS-on-UStore write/read across a live disk switch",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -18,10 +18,9 @@ from repro.obs import MetricsRegistry
 from repro.sim import Event
 from repro.workload.specs import KB, MB
 
-__all__ = ["EXPERIMENT", "run", "run_single"]
+__all__ = ["EXPERIMENT", "run_single"]
 
 PAPER_RECOVERY_SECONDS = 5.8
-REPETITIONS = 4
 
 
 def run_single(
@@ -85,17 +84,16 @@ def run_single(
     }
 
 
-def run(
-    repetitions: int = REPETITIONS, metrics: Optional[MetricsRegistry] = None
-) -> Dict:
+def _build_result(repetitions: int) -> ExperimentResult:
+    registry = MetricsRegistry()
     trials: List[Dict[str, float]] = []
     hosts = ["host0", "host1", "host2", "host3"]
     for index in range(repetitions):
         victim = hosts[index % len(hosts)]
-        trials.append(run_single(victim, seed=37 + index, metrics=metrics))
+        trials.append(run_single(victim, seed=37 + index, metrics=registry))
     mean_reattach = sum(t["reattach_seconds"] for t in trials) / len(trials)
     mean_service = sum(t["service_resumed_seconds"] for t in trials) / len(trials)
-    return {
+    raw = {
         "trials": trials,
         "mean_reattach_seconds": mean_reattach,
         "mean_service_resumed_seconds": mean_service,
@@ -108,6 +106,20 @@ def run(
             "recovery_is_seconds_not_minutes": mean_service < 60.0,
         },
     }
+    return ExperimentResult(
+        metrics={
+            "mean_reattach_seconds": mean_reattach,
+            "mean_service_resumed_seconds": mean_service,
+        },
+        paper_expected={"recovery_seconds": PAPER_RECOVERY_SECONDS},
+        relative_errors={
+            "mean_reattach": relative_error(mean_reattach, PAPER_RECOVERY_SECONDS)
+        },
+        anchors=dict(raw["anchors"]),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -130,42 +142,10 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result(repetitions: int = REPETITIONS) -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(repetitions=repetitions, metrics=registry)
-    return ExperimentResult(
-        name="host_failover",
-        paper_ref="§I / §IV-E",
-        params={"repetitions": repetitions},
-        metrics={
-            "mean_reattach_seconds": raw["mean_reattach_seconds"],
-            "mean_service_resumed_seconds": raw["mean_service_resumed_seconds"],
-        },
-        paper_expected={"recovery_seconds": PAPER_RECOVERY_SECONDS},
-        relative_errors={
-            "mean_reattach": relative_error(
-                raw["mean_reattach_seconds"], PAPER_RECOVERY_SECONDS
-            )
-        },
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="host_failover",
     paper_ref="§I / §IV-E",
     description="Single-host crash recovery (paper: 5.8 s)",
     builder=_build_result,
-    params={"repetitions": REPETITIONS},
+    params={"repetitions": 4},
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -28,12 +28,12 @@ from repro.reliability import (
     fabric_assisted_rebuild,
     network_rebuild,
 )
-from repro.sim import EventDigest, RngRegistry, Simulator
+from repro.sim import RngRegistry, Simulator
 from repro.units import GB as GB_DECIMAL
 from repro.units import TB
 from repro.workload.specs import MB
 
-__all__ = ["EXPERIMENT", "run"]
+__all__ = ["EXPERIMENT"]
 
 GB = 1024 * MB
 
@@ -52,9 +52,7 @@ def _availability() -> Dict:
 
 
 def _reconstruction(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    detect_races: bool = False, metrics: Optional[MetricsRegistry] = None
 ) -> Dict:
     rows = []
     for size_tb in (0.5, 1.0, 3.0):
@@ -74,8 +72,6 @@ def _reconstruction(
     deployment = build_deployment(
         config=DeploymentConfig(detect_races=detect_races), metrics=metrics
     )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
     deployment.settle(15.0)
     drill = RebuildDrill(deployment)
 
@@ -99,16 +95,12 @@ def _reconstruction(
 
 
 def _scrubbing(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    detect_races: bool = False, metrics: Optional[MetricsRegistry] = None
 ) -> Dict:
     latencies = {}
     races: List = []
     for interval_hours in (6.0, 24.0, 7 * 24.0):
         sim = Simulator(detect_races=detect_races, metrics=metrics)
-        if event_digest is not None:
-            event_digest.attach(sim)
         disk = SimulatedDisk(sim, "d0")
         model = LatentErrorModel(
             sim=sim, disk=disk, rng=RngRegistry(21), annual_lse_rate=0.0001
@@ -130,24 +122,21 @@ def _scrubbing(
     return {"detection_latency_hours": latencies, "races": races}
 
 
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Dict:
+def _build_result() -> ExperimentResult:
     """Run all three studies.
 
-    ``detect_races`` turns on the kernel's same-timestamp race detector
-    for the event-driven paths (rebuild drill, scrubbing) and adds a
-    ``"races"`` entry to the result; ``event_digest`` folds every
-    simulator's execution order into the given digest; ``metrics`` arms
-    the obs layer on the event-driven simulators.
+    The event-driven paths (rebuild drill, scrubbing) share one obs
+    registry.  The experiment declares no params, so
+    ``_reconstruction`` and ``_scrubbing`` take ``detect_races`` to arm
+    the race detector on them directly.
     """
+    registry = MetricsRegistry()
     availability = _availability()
-    reconstruction = _reconstruction(detect_races, event_digest, metrics)
-    scrubbing = _scrubbing(detect_races, event_digest, metrics)
+    reconstruction = _reconstruction(metrics=registry)
+    scrubbing = _scrubbing(metrics=registry)
     drill = reconstruction["drill"]
-    result: Dict = {
+    latencies = scrubbing["detection_latency_hours"]
+    raw: Dict = {
         "availability": availability,
         "reconstruction": reconstruction,
         "scrubbing": scrubbing,
@@ -157,15 +146,26 @@ def run(
             "fabric_rebuild_faster": drill["fabric"]["seconds"]
             < drill["network"]["seconds"],
             "fabric_rebuild_offloads_network": drill["fabric"]["network_bytes"] == 0,
-            "shorter_scrub_detects_sooner": (
-                scrubbing["detection_latency_hours"]["6h"]
-                < scrubbing["detection_latency_hours"]["168h"]
-            ),
+            "shorter_scrub_detects_sooner": latencies["6h"] < latencies["168h"],
         },
     }
-    if detect_races:
-        result["races"] = reconstruction["races"] + scrubbing["races"]
-    return result
+    return ExperimentResult(
+        metrics={
+            "ustore_nines": availability["ustore"]["nines"],
+            "single_attached_nines": availability["single_attached"]["nines"],
+            "drill_network_seconds": drill["network"]["seconds"],
+            "drill_fabric_seconds": drill["fabric"]["seconds"],
+            "scrub_detection_latency_hours": latencies,
+        },
+        paper_expected={
+            "failover_gains_availability": True,
+            "fabric_rebuild_avoids_network": True,
+        },
+        anchors=dict(raw["anchors"]),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -198,44 +198,9 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result() -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(metrics=registry)
-    drill = raw["reconstruction"]["drill"]
-    return ExperimentResult(
-        name="reliability",
-        paper_ref="§IV-E / §VIII (future work, quantified)",
-        metrics={
-            "ustore_nines": raw["availability"]["ustore"]["nines"],
-            "single_attached_nines": raw["availability"]["single_attached"]["nines"],
-            "drill_network_seconds": drill["network"]["seconds"],
-            "drill_fabric_seconds": drill["fabric"]["seconds"],
-            "scrub_detection_latency_hours": raw["scrubbing"][
-                "detection_latency_hours"
-            ],
-        },
-        paper_expected={
-            "failover_gains_availability": True,
-            "fabric_rebuild_avoids_network": True,
-        },
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="reliability",
-    paper_ref="§IV-E / §VIII",
+    paper_ref="§IV-E / §VIII (future work, quantified)",
     description="Availability, rebuild and scrubbing studies",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

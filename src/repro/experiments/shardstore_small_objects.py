@@ -24,21 +24,18 @@ and no more disk energy than naive at the same budget.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.deployment import DeploymentConfig, build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import format_table
+from repro.experiments.common import drain, format_table, start_gateway
 from repro.gateway import (
-    Gateway,
     GatewayConfig,
     GatewayRequest,
     ObjectRef,
     ReadObject,
     TenantSpec,
     WriteObject,
-    mount_gateway_spaces,
+    percentile,
 )
 from repro.obs import MetricsRegistry
 from repro.shardstore import (
@@ -48,11 +45,10 @@ from repro.shardstore import (
     ShardStoreConfig,
     stable_hash,
 )
-from repro.sim import EventDigest
 from repro.units import MiB
-from repro.workload.specs import KB, MB
+from repro.workload.specs import KB
 
-__all__ = ["EXPERIMENT", "TENANT", "run", "run_point"]
+__all__ = ["EXPERIMENT", "TENANT", "run_point"]
 
 TENANT = TenantSpec(
     name="objects",
@@ -68,62 +64,10 @@ TENANT = TenantSpec(
 #: Every object lands on one calendar day (the paper's publication
 #: spring); multi-day retention is exercised by the routing tests.
 DATE = "2015-06-01"
-SPACE_BYTES = 64 * MB
 SHARD_CAPACITY = 8 * MiB
 SHARDS_PER_DAY = 16
-SETTLE_SECONDS = 15.0
 PUT_SECONDS = 60.0
 GET_SECONDS = 30.0
-DRAIN_CAP_SECONDS = 900.0
-DRAIN_STEP_SECONDS = 5.0
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Exact nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil((q / 100.0) * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _build_gateway(
-    seed: int,
-    power_budget_watts: float,
-    detect_races: bool,
-    event_digest: Optional[EventDigest],
-    metrics: Optional[MetricsRegistry],
-):
-    deployment = build_deployment(
-        config=DeploymentConfig(detect_races=detect_races, seed=seed),
-        metrics=metrics,
-    )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
-    deployment.settle(SETTLE_SECONDS)
-    objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
-    deployment.run_to_whole_second()
-    for disk_id in sorted(deployment.disks):
-        deployment.disks[disk_id].spin_down()
-    gateway = Gateway(
-        deployment.sim,
-        [TENANT],
-        GatewayConfig(
-            power_budget_watts=power_budget_watts,
-            scheduler="batch",
-            coalesce_gap_bytes=SHARD_CAPACITY,
-        ),
-    )
-    gateway.attach(objects, spaces, deployment.disks, host_of=deployment.host_of_disk)
-    gateway.start()
-    return deployment, gateway
-
-
-def _drain(deployment, gateway) -> bool:
-    deadline = deployment.sim.now + DRAIN_CAP_SECONDS
-    while not gateway.drained() and deployment.sim.now < deadline:
-        deployment.sim.run(until=deployment.sim.now + DRAIN_STEP_SECONDS)
-    return gateway.drained()
 
 
 def _arrival_times(deployment, stream: str, count: int, span: float) -> List[float]:
@@ -133,28 +77,34 @@ def _arrival_times(deployment, stream: str, count: int, span: float) -> List[flo
 
 
 def run_point(
-    layout: str,
-    seed: int = 17,
-    num_objects: int = 1000,
-    object_bytes: int = 64 * KB,
-    num_gets: int = 200,
-    power_budget_watts: float = 24.0,
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    layout: str, metrics: Optional[MetricsRegistry] = None, **overrides: Any
 ) -> Dict:
     """Run one placement variant on a fresh identically-seeded deployment.
 
     ``layout`` is ``"packed"`` (shardstore) or ``"naive"`` (one
-    hash-spread gateway request per object).  Ingest offers the
-    objects over :data:`PUT_SECONDS`, drains, then reads a sample
-    back over :data:`GET_SECONDS` and drains again; returns the
-    gateway summary plus object-level ack/retrieval latencies.
+    hash-spread gateway request per object); ``overrides`` are
+    :data:`EXPERIMENT` params, the rest keep their declared defaults.
+    Ingest offers the objects over :data:`PUT_SECONDS` from the traffic
+    start, drains, then reads a sample back over :data:`GET_SECONDS`
+    and drains again;
+    returns the gateway summary plus object-level ack/retrieval
+    latencies.
     """
     if layout not in ("packed", "naive"):
         raise ValueError(f"unknown layout {layout!r}")
-    deployment, gateway = _build_gateway(
-        seed, power_budget_watts, detect_races, event_digest, metrics
+    params = EXPERIMENT.merged_params(overrides)
+    num_objects, num_gets = params["num_objects"], params["num_gets"]
+    object_bytes = params["object_bytes"]
+    deployment, gateway, _, _ = start_gateway(
+        [TENANT],
+        GatewayConfig(
+            power_budget_watts=params["power_budget_watts"],
+            scheduler="batch",
+            coalesce_gap_bytes=SHARD_CAPACITY,
+        ),
+        seed=params["seed"],
+        detect_races=params["detect_races"],
+        metrics=metrics,
     )
     sim = deployment.sim
     uids = [f"u{index:05d}" for index in range(num_objects)]
@@ -166,6 +116,7 @@ def run_point(
     put_latencies: List[float] = []
     get_requests: List[GatewayRequest] = []
     summary: Dict = {}
+    put_start = sim.now
 
     if layout == "packed":
         store = ShardStore(
@@ -180,13 +131,14 @@ def run_point(
 
         def put_all():
             for uid, at in zip(uids, put_times):
-                if at > sim.now:
-                    yield sim.timeout(at - sim.now)
+                target = put_start + at
+                if target > sim.now:
+                    yield sim.timeout(target - sim.now)
                 records[uid] = (store.put(uid, DATE, object_bytes), sim.now)
             store.flush_all()
 
         sim.run_until_event(sim.process(put_all()))
-        put_drained = _drain(deployment, gateway)
+        put_drained = drain(deployment, gateway)
         for uid in uids:
             record, at = records[uid]
             if record.acked_at is not None:
@@ -202,7 +154,7 @@ def run_point(
                 get_requests.append(store.get(uids[index], DATE))
 
         sim.run_until_event(sim.process(get_all()))
-        get_drained = _drain(deployment, gateway)
+        get_drained = drain(deployment, gateway)
         summary = gateway.summary()
         summary["store"] = store.summary()
         summary["acked_objects"] = store.stats.acked
@@ -227,14 +179,15 @@ def run_point(
 
         def put_all_naive():
             for uid, at in zip(uids, put_times):
-                if at > sim.now:
-                    yield sim.timeout(at - sim.now)
+                target = put_start + at
+                if target > sim.now:
+                    yield sim.timeout(target - sim.now)
                 put_requests[uid] = gateway.submit(
                     WriteObject(tenant=TENANT.name, ref=refs[uid])
                 )
 
         sim.run_until_event(sim.process(put_all_naive()))
-        put_drained = _drain(deployment, gateway)
+        put_drained = drain(deployment, gateway)
         for uid in uids:
             latency = put_requests[uid].latency
             if latency is not None:
@@ -254,7 +207,7 @@ def run_point(
                 )
 
         sim.run_until_event(sim.process(get_all_naive()))
-        get_drained = _drain(deployment, gateway)
+        get_drained = drain(deployment, gateway)
         summary = gateway.summary()
         summary["acked_objects"] = sum(
             1 for uid in uids if put_requests[uid].failure is None
@@ -269,48 +222,29 @@ def run_point(
     ]
     summary["layout"] = layout
     summary["drained"] = put_drained and get_drained
-    summary["put_p50"] = _percentile(put_latencies, 50)
-    summary["put_p99"] = _percentile(put_latencies, 99)
-    summary["get_p50"] = _percentile(get_latencies, 50)
-    summary["get_p99"] = _percentile(get_latencies, 99)
+    summary["put_p50"] = percentile(put_latencies, 50)
+    summary["put_p99"] = percentile(put_latencies, 99)
+    summary["get_p50"] = percentile(get_latencies, 50)
+    summary["get_p99"] = percentile(get_latencies, 99)
     summary["exactly_once"] = (
         summary["acked_objects"] == num_objects
         and summary["retrieved_objects"] == num_gets
         and summary["failed"] == 0
         and all(request.attempts == 1 for request in get_requests)
     )
-    if detect_races:
+    if params["detect_races"]:
         summary["races"] = list(sim.races)
     return summary
 
 
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    seed: int = 17,
-    num_objects: int = 1000,
-    object_bytes: int = 64 * KB,
-    num_gets: int = 200,
-    power_budget_watts: float = 24.0,
-) -> Dict:
+def _build_result(**params: Any) -> ExperimentResult:
     """Run both layouts on identically seeded deployments."""
+    registry = MetricsRegistry()
     variants: Dict[str, Dict] = {}
     races: List = []
     for layout in ("packed", "naive"):
-        summary = run_point(
-            layout,
-            seed=seed,
-            num_objects=num_objects,
-            object_bytes=object_bytes,
-            num_gets=num_gets,
-            power_budget_watts=power_budget_watts,
-            detect_races=detect_races,
-            event_digest=event_digest,
-            metrics=metrics,
-        )
-        if detect_races:
-            races.extend(summary.pop("races", []))
+        summary = run_point(layout, metrics=registry, **params)
+        races.extend(summary.pop("races", []))
         variants[layout] = summary
     packed, naive = variants["packed"], variants["naive"]
     anchors = {
@@ -323,20 +257,32 @@ def run(
         ),
         "both_drained": bool(packed["drained"] and naive["drained"]),
     }
-    result: Dict = {
-        "params": {
-            "seed": seed,
-            "num_objects": num_objects,
-            "object_bytes": object_bytes,
-            "num_gets": num_gets,
-            "power_budget_watts": power_budget_watts,
-        },
+    raw: Dict = {
+        "params": {k: v for k, v in params.items() if k != "detect_races"},
         "variants": variants,
         "anchors": anchors,
     }
-    if detect_races:
-        result["races"] = races
-    return result
+    if params["detect_races"]:
+        raw["races"] = races
+    return ExperimentResult(
+        metrics={
+            "packed_spin_ups": packed["spin_ups"],
+            "naive_spin_ups": naive["spin_ups"],
+            "packed_get_p99_seconds": packed["get_p99"],
+            "naive_get_p99_seconds": naive["get_p99"],
+            "packed_put_p99_seconds": packed["put_p99"],
+            "naive_put_p99_seconds": naive["put_p99"],
+            "packed_energy_joules": packed["energy_joules"],
+            "naive_energy_joules": naive["energy_joules"],
+            "packed_disk_passes": packed["disk_passes"],
+            "naive_disk_passes": naive["disk_passes"],
+            "packed_coalesced_reads": packed["coalesced_reads"],
+        },
+        anchors=dict(anchors),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -379,58 +325,6 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result(
-    seed: int = 17,
-    num_objects: int = 1000,
-    object_bytes: int = 64 * KB,
-    num_gets: int = 200,
-    power_budget_watts: float = 24.0,
-    detect_races: bool = False,
-) -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(
-        detect_races=detect_races,
-        metrics=registry,
-        seed=seed,
-        num_objects=num_objects,
-        object_bytes=object_bytes,
-        num_gets=num_gets,
-        power_budget_watts=power_budget_watts,
-    )
-    packed, naive = raw["variants"]["packed"], raw["variants"]["naive"]
-    return ExperimentResult(
-        name="shardstore_small_objects",
-        paper_ref="§IV-F extended to the object-count workload",
-        params={
-            "seed": seed,
-            "num_objects": num_objects,
-            "object_bytes": object_bytes,
-            "num_gets": num_gets,
-            "power_budget_watts": power_budget_watts,
-            "detect_races": detect_races,
-        },
-        metrics={
-            "packed_spin_ups": packed["spin_ups"],
-            "naive_spin_ups": naive["spin_ups"],
-            "packed_get_p99_seconds": packed["get_p99"],
-            "naive_get_p99_seconds": naive["get_p99"],
-            "packed_put_p99_seconds": packed["put_p99"],
-            "naive_put_p99_seconds": naive["put_p99"],
-            "packed_energy_joules": packed["energy_joules"],
-            "naive_energy_joules": naive["energy_joules"],
-            "packed_disk_passes": packed["disk_passes"],
-            "naive_disk_passes": naive["disk_passes"],
-            "packed_coalesced_reads": packed["coalesced_reads"],
-        },
-        paper_expected={},
-        relative_errors={},
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="shardstore_small_objects",
     paper_ref="§IV-F extended to the object-count workload",
@@ -446,11 +340,3 @@ EXPERIMENT = Experiment(
     },
     smoke={"num_objects": 400, "num_gets": 80},
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -13,7 +13,7 @@ from repro.cost import cost_table, ustore_savings_vs_backblaze
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, relative_error
 
-__all__ = ["EXPERIMENT", "PAPER_TABLE1", "run"]
+__all__ = ["EXPERIMENT", "PAPER_TABLE1"]
 
 #: Paper values, thousands of dollars: (CapEx, AttEx).
 PAPER_TABLE1 = {
@@ -25,7 +25,7 @@ PAPER_TABLE1 = {
 }
 
 
-def run() -> Dict:
+def _build_result() -> ExperimentResult:
     rows: List[List] = []
     for estimate in cost_table():
         paper_capex, paper_attex = PAPER_TABLE1[estimate.system]
@@ -40,13 +40,31 @@ def run() -> Dict:
             ]
         )
     savings = ustore_savings_vs_backblaze()
-    return {
+    claims = {"capex_saving": 0.24, "attex_saving": 0.55}
+    raw = {
         "headers": ["System", "Media", "CapEx$k", "paper", "AttEx$k", "paper"],
         "rows": rows,
         "capex_saving_vs_backblaze": savings["capex_saving"],
         "attex_saving_vs_backblaze": savings["attex_saving"],
-        "paper_claims": {"capex_saving": 0.24, "attex_saving": 0.55},
+        "paper_claims": claims,
     }
+    return ExperimentResult(
+        metrics={
+            "capex_saving_vs_backblaze": savings["capex_saving"],
+            "attex_saving_vs_backblaze": savings["attex_saving"],
+        },
+        paper_expected=dict(claims),
+        relative_errors={
+            "capex_saving": relative_error(
+                savings["capex_saving"], claims["capex_saving"]
+            ),
+            "attex_saving": relative_error(
+                savings["attex_saving"], claims["attex_saving"]
+            ),
+        },
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -60,41 +78,9 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result() -> ExperimentResult:
-    raw = run()
-    claims = raw["paper_claims"]
-    return ExperimentResult(
-        name="table1",
-        paper_ref="Table I",
-        metrics={
-            "capex_saving_vs_backblaze": raw["capex_saving_vs_backblaze"],
-            "attex_saving_vs_backblaze": raw["attex_saving_vs_backblaze"],
-        },
-        paper_expected=dict(claims),
-        relative_errors={
-            "capex_saving": relative_error(
-                raw["capex_saving_vs_backblaze"], claims["capex_saving"]
-            ),
-            "attex_saving": relative_error(
-                raw["attex_saving_vs_backblaze"], claims["attex_saving"]
-            ),
-        },
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="table1",
     paper_ref="Table I",
     description="CapEx comparison of five storage solutions (10 PB)",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -15,7 +15,7 @@ from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, relative_error
 from repro.workload.specs import KB, TABLE2_WORKLOADS
 
-__all__ = ["EXPERIMENT", "PAPER_TABLE2", "run"]
+__all__ = ["EXPERIMENT", "PAPER_TABLE2"]
 
 #: Paper values in TABLE2_WORKLOADS order: 4KB seq (IO/s) R/50/W, 4KB
 #: rand (IO/s), 4MB seq (MB/s), 4MB rand (MB/s).
@@ -32,7 +32,7 @@ _CONNECTIONS = {
 }
 
 
-def run() -> Dict:
+def _build_result() -> ExperimentResult:
     rows: List[List] = []
     worst = 0.0
     for name, connection in _CONNECTIONS.items():
@@ -46,11 +46,18 @@ def run() -> Dict:
             error = relative_error(value, paper)
             worst = max(worst, abs(error))
             rows.append([name, spec.name, unit, round(value, 1), paper, f"{error:+.1%}"])
-    return {
+    raw = {
         "headers": ["Conn", "Workload", "Unit", "Model", "Paper", "Err"],
         "rows": rows,
         "worst_error": worst,
     }
+    return ExperimentResult(
+        metrics={"worst_cell_error": worst},
+        paper_expected={"cells": PAPER_TABLE2},
+        relative_errors={"worst_cell": worst},
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -61,30 +68,9 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result() -> ExperimentResult:
-    raw = run()
-    return ExperimentResult(
-        name="table2",
-        paper_ref="Table II",
-        metrics={"worst_cell_error": raw["worst_error"]},
-        paper_expected={"cells": PAPER_TABLE2},
-        relative_errors={"worst_cell": raw["worst_error"]},
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="table2",
     paper_ref="Table II",
     description="Single-disk throughput across three connection types",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -17,7 +17,7 @@ from repro.experiments.common import format_table, relative_error
 from repro.sim import Simulator
 from repro.workload.specs import MB
 
-__all__ = ["EXPERIMENT", "PAPER_TABLE3", "run"]
+__all__ = ["EXPERIMENT", "PAPER_TABLE3"]
 
 #: Paper rows (watts): spin down / idle / read-write.
 PAPER_TABLE3 = {
@@ -48,7 +48,7 @@ def _measure(connection: ConnectionType) -> tuple:
     return (spun_down_watts, idle_watts, samples["active"])
 
 
-def run() -> Dict:
+def _build_result() -> ExperimentResult:
     measured = {
         "SATA": _measure(ConnectionType.SATA),
         "USB bridge": _measure(ConnectionType.USB),
@@ -59,32 +59,20 @@ def run() -> Dict:
         spun, idle, active = measured[name]
         p_spun, p_idle, p_active = PAPER_TABLE3[name]
         rows.append([name, p_spun, p_idle, p_active, round(spun, 2), round(idle, 2), round(active, 2)])
-    return {
-        "headers": ["Mode", "SpinDn(p)", "Idle(p)", "R/W(p)", "SpinDn", "Idle", "R/W"],
-        "rows": rows,
-        "measured": measured,
-    }
-
-
-def _report(result: Dict) -> str:
-    lines = ["Table III: power of one disk (watts), paper (p) vs simulated", ""]
-    lines.append(format_table(result["headers"], result["rows"]))
-    return "\n".join(lines)
-
-
-def _build_result() -> ExperimentResult:
-    raw = run()
     errors: Dict[str, float] = {}
     metrics: Dict[str, object] = {}
     states = ("spin_down_w", "idle_w", "active_w")
     for mode in ("SATA", "USB bridge"):
         key = mode.lower().replace(" ", "_")
-        for state, value, paper in zip(states, raw["measured"][mode], PAPER_TABLE3[mode]):
+        for state, value, paper in zip(states, measured[mode], PAPER_TABLE3[mode]):
             metrics[f"{key}.{state}"] = value
             errors[f"{key}.{state}"] = relative_error(value, paper)
+    raw = {
+        "headers": ["Mode", "SpinDn(p)", "Idle(p)", "R/W(p)", "SpinDn", "Idle", "R/W"],
+        "rows": rows,
+        "measured": measured,
+    }
     return ExperimentResult(
-        name="table3",
-        paper_ref="Table III",
         metrics=metrics,
         paper_expected={m: PAPER_TABLE3[m] for m in ("SATA", "USB bridge")},
         relative_errors=errors,
@@ -93,17 +81,15 @@ def _build_result() -> ExperimentResult:
     )
 
 
+def _report(result: Dict) -> str:
+    lines = ["Table III: power of one disk (watts), paper (p) vs simulated", ""]
+    lines.append(format_table(result["headers"], result["rows"]))
+    return "\n".join(lines)
+
+
 EXPERIMENT = Experiment(
     name="table3",
     paper_ref="Table III",
     description="Power of one disk: SATA vs USB bridge",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

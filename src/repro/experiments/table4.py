@@ -8,12 +8,12 @@ from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, relative_error
 from repro.fabric.power import hub_power
 
-__all__ = ["EXPERIMENT", "PAPER_TABLE4", "run"]
+__all__ = ["EXPERIMENT", "PAPER_TABLE4"]
 
 PAPER_TABLE4 = {0: 0.21, 1: 1.06, 2: 1.23, 3: 1.47, 4: 1.67}
 
 
-def run() -> Dict:
+def _build_result() -> ExperimentResult:
     rows: List[List] = []
     worst = 0.0
     for count, paper in sorted(PAPER_TABLE4.items()):
@@ -21,11 +21,23 @@ def run() -> Dict:
         error = relative_error(model, paper)
         worst = max(worst, abs(error))
         rows.append([count, round(model, 2), paper, f"{error:+.1%}"])
-    return {
+    raw = {
         "headers": ["Disks", "Model W", "Paper W", "Err"],
         "rows": rows,
         "worst_error": worst,
     }
+    metrics = {f"hub_power_w.{row[0]}_disks": row[1] for row in rows}
+    errors = {
+        f"hub_power.{count}_disks": relative_error(hub_power(count), paper)
+        for count, paper in sorted(PAPER_TABLE4.items())
+    }
+    return ExperimentResult(
+        metrics={**metrics, "worst_cell_error": worst},
+        paper_expected={f"{c}_disks": p for c, p in sorted(PAPER_TABLE4.items())},
+        relative_errors=errors,
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -34,35 +46,9 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result() -> ExperimentResult:
-    raw = run()
-    metrics = {f"hub_power_w.{row[0]}_disks": row[1] for row in raw["rows"]}
-    errors = {
-        f"hub_power.{count}_disks": relative_error(hub_power(count), paper)
-        for count, paper in sorted(PAPER_TABLE4.items())
-    }
-    return ExperimentResult(
-        name="table4",
-        paper_ref="Table IV",
-        metrics={**metrics, "worst_cell_error": raw["worst_error"]},
-        paper_expected={f"{c}_disks": p for c, p in sorted(PAPER_TABLE4.items())},
-        relative_errors=errors,
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="table4",
     paper_ref="Table IV",
     description="Hub power vs number of connected disks",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

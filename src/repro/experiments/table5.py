@@ -9,7 +9,7 @@ from repro.experiments.common import format_table, relative_error
 from repro.fabric.builders import prototype_fabric
 from repro.power.systems import dd860_power, pergamum_power, ustore_power
 
-__all__ = ["EXPERIMENT", "PAPER_TABLE5", "run"]
+__all__ = ["EXPERIMENT", "PAPER_TABLE5"]
 
 #: Paper values (watts, 16 disks amortized; 15 for DD860/ES30).
 PAPER_TABLE5 = {
@@ -19,7 +19,7 @@ PAPER_TABLE5 = {
 }
 
 
-def run() -> Dict:
+def _build_result() -> ExperimentResult:
     fabric = prototype_fabric()
     measured = {
         "DD860/ES30": (dd860_power(True), dd860_power(False)),
@@ -44,12 +44,27 @@ def run() -> Dict:
         measured["UStore"][i] < measured["Pergamum"][i] < measured["DD860/ES30"][i]
         for i in (0, 1)
     )
-    return {
+    errors: Dict[str, float] = {}
+    metrics: Dict[str, object] = {"worst_cell_error": worst}
+    for row in rows:
+        system, state, value, paper = row[0], row[1], row[2], row[3]
+        key = f"{system}.{state}".replace(" ", "_").replace("/", "_")
+        metrics[key] = value
+        errors[key] = relative_error(value, paper)
+    raw = {
         "headers": ["System", "State", "Model W", "Paper W", "Err"],
         "rows": rows,
         "worst_error": worst,
         "ordering_holds": ordering_holds,
     }
+    return ExperimentResult(
+        metrics=metrics,
+        paper_expected={s: v for s, v in PAPER_TABLE5.items()},
+        relative_errors=errors,
+        anchors={"ordering_holds": ordering_holds},
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -60,38 +75,9 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result() -> ExperimentResult:
-    raw = run()
-    errors: Dict[str, float] = {}
-    metrics: Dict[str, object] = {"worst_cell_error": raw["worst_error"]}
-    for row in raw["rows"]:
-        system, state, value, paper = row[0], row[1], row[2], row[3]
-        key = f"{system}.{state}".replace(" ", "_").replace("/", "_")
-        metrics[key] = value
-        errors[key] = relative_error(value, paper)
-    return ExperimentResult(
-        name="table5",
-        paper_ref="Table V",
-        metrics=metrics,
-        paper_expected={s: v for s, v in PAPER_TABLE5.items()},
-        relative_errors=errors,
-        anchors={"ordering_holds": raw["ordering_holds"]},
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="table5",
     paper_ref="Table V",
     description="System power of three solutions, spinning vs powered off",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -27,41 +27,31 @@ imposes on foreground readers stays within 5% of write-through's.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.cluster.deployment import DeploymentConfig, build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import format_table
+from repro.experiments.common import (
+    DRAIN_STEP_SECONDS,
+    energy_books,
+    format_table,
+    start_gateway,
+)
 from repro.gateway import (
-    Gateway,
     GatewayConfig,
     GatewayRequest,
     ObjectRef,
     ReadObject,
     TenantSpec,
     WriteObject,
-    mount_gateway_spaces,
+    percentile,
 )
-from repro.obs import (
-    ConservationAuditor,
-    EnergyLedger,
-    MetricsRegistry,
-    RequestTracer,
-)
-from repro.power import PowerMeter
+from repro.obs import MetricsRegistry, RequestTracer
 from repro.shardstore import stable_hash
-from repro.sim import EventDigest
-from repro.tiering import (
-    MigrationOrchestrator,
-    TieredStore,
-    TieringConfig,
-    pinned_disks_for,
-)
+from repro.tiering import MigrationOrchestrator, TieredStore, TieringConfig
 from repro.units import MiB
 from repro.workload.specs import KB, MB
 
-__all__ = ["EXPERIMENT", "ARCHIVE", "MIGRATION", "run", "run_point"]
+__all__ = ["EXPERIMENT", "ARCHIVE", "MIGRATION", "run_point"]
 
 ARCHIVE = TenantSpec(
     name="archive",
@@ -84,11 +74,9 @@ MIGRATION = TenantSpec(
     max_queue_depth=100_000,
 )
 
-SPACE_BYTES = 64 * MB
 #: One always-spinning disk out of 16 — the hot tier's fixed idle
 #: draw is the staging design's rent, so it stays minimal.
 HOT_SPACES = 1
-SETTLE_SECONDS = 15.0
 WARM_SECONDS = 10.0
 #: Resident cold data that foreground readers fetch during the write
 #: window — parked well past any write region so neither variant's
@@ -96,51 +84,6 @@ WARM_SECONDS = 10.0
 RESIDENTS_PER_SPACE = 2
 RESIDENT_BASE_OFFSET = 40 * MB
 RESIDENT_STRIDE = 8 * MB
-DRAIN_STEP_SECONDS = 5.0
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Exact nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil((q / 100.0) * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _build_gateway(
-    seed: int,
-    power_budget_watts: float,
-    pinned: tuple,
-    detect_races: bool,
-    event_digest: Optional[EventDigest],
-    metrics: Optional[MetricsRegistry],
-    tracer: Optional[RequestTracer],
-):
-    deployment = build_deployment(
-        config=DeploymentConfig(detect_races=detect_races, seed=seed),
-        metrics=metrics,
-        tracer=tracer,
-    )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
-    deployment.settle(SETTLE_SECONDS)
-    objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
-    deployment.run_to_whole_second()
-    for disk_id in sorted(deployment.disks):
-        deployment.disks[disk_id].spin_down()
-    gateway = Gateway(
-        deployment.sim,
-        (ARCHIVE, MIGRATION),
-        GatewayConfig(
-            power_budget_watts=power_budget_watts,
-            scheduler="batch",
-            pinned_disks=pinned_disks_for(objects, HOT_SPACES) if pinned else (),
-        ),
-    )
-    gateway.attach(objects, spaces, deployment.disks, host_of=deployment.host_of_disk)
-    gateway.start()
-    return deployment, gateway, objects
 
 
 def _cold_layout(objects) -> List[str]:
@@ -167,56 +110,43 @@ def _resident_refs(cold_spaces: List[str]) -> List[ObjectRef]:
 
 def run_point(
     mode: str,
-    seed: int = 23,
-    num_writes: int = 240,
-    object_bytes: int = 256 * KB,
-    num_cold_reads: int = 40,
-    write_seconds: float = 600.0,
-    total_seconds: float = 950.0,
-    power_budget_watts: float = 40.0,
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[RequestTracer] = None,
-    energy: bool = False,
+    **overrides: Any,
 ) -> Dict:
     """Run one treatment on a fresh identically-seeded deployment.
 
     ``mode`` is ``"staged"`` (tiering store + migration orchestrator)
-    or ``"write_through"`` (each write straight to its cold home).
-    Writes and cold reads interleave over :data:`write_seconds`; the
-    sim then drains and runs to the absolute ``total_seconds`` mark so
-    both variants integrate disk energy over the same wall of time.
-    ``energy=True`` arms the DESIGN §15 energy ledger: the summary
-    gains per-tenant (``archive`` vs ``migration``) and per-tier
-    (``hot`` vs ``cold``) wall-joule books whose accounts sum to the
-    PowerMeter integral.
+    or ``"write_through"`` (each write straight to its cold home);
+    ``overrides`` are :data:`EXPERIMENT` params, the rest keep their
+    declared defaults.  Writes and cold reads interleave over
+    ``write_seconds``; the sim then drains and runs to the absolute
+    ``total_seconds`` mark so both variants integrate disk energy over
+    the same wall of time.  ``energy=True`` arms the DESIGN §15 energy
+    ledger: the summary gains per-tenant (``archive`` vs
+    ``migration``) and per-tier (``hot`` vs ``cold``) wall-joule books
+    whose accounts sum to the PowerMeter integral.
     """
     if mode not in ("staged", "write_through"):
         raise ValueError(f"unknown mode {mode!r}")
-    attribution_tracer = tracer
-    if energy and attribution_tracer is None:
-        # Tenant attribution rides the trace threading; arm a private
-        # tracer when the caller did not supply one.
-        attribution_tracer = RequestTracer()
-    deployment, gateway, objects = _build_gateway(
-        seed,
-        power_budget_watts,
-        pinned=(mode == "staged"),
-        detect_races=detect_races,
-        event_digest=event_digest,
+    params = EXPERIMENT.merged_params(overrides)
+    num_writes, num_cold_reads = params["num_writes"], params["num_cold_reads"]
+    object_bytes, write_seconds = params["object_bytes"], params["write_seconds"]
+    deployment, gateway, objects, meter = start_gateway(
+        (ARCHIVE, MIGRATION),
+        GatewayConfig(
+            power_budget_watts=params["power_budget_watts"], scheduler="batch"
+        ),
+        seed=params["seed"],
+        detect_races=params["detect_races"],
         metrics=metrics,
-        tracer=attribution_tracer,
+        tracer=tracer,
+        energy=params["energy"],
+        hot_spaces=HOT_SPACES if mode == "staged" else 0,
     )
     sim = deployment.sim
     cold_spaces = _cold_layout(objects)
     residents = _resident_refs(cold_spaces)
-    ledger: Optional[EnergyLedger] = None
-    meter: Optional[PowerMeter] = None
-    if energy:
-        ledger = EnergyLedger()
-        meter = PowerMeter(deployment, ledger=ledger)
-        meter.start()
 
     store = None
     if mode == "staged":
@@ -236,6 +166,7 @@ def run_point(
         )
         store.start()
         MigrationOrchestrator(store).start()
+    ledger = meter.ledger if meter is not None else None
     if ledger is not None:
         if store is not None:
             store.classify_tiers(ledger)
@@ -322,6 +253,7 @@ def run_point(
             store.pending_demotion_bytes() == 0 and store.inflight_demotions == 0
         )
 
+    total_seconds = params["total_seconds"]
     while sim.now < total_seconds and not fully_drained():
         sim.run(until=sim.now + DRAIN_STEP_SECONDS)
     drained = fully_drained()
@@ -356,10 +288,10 @@ def run_point(
     summary["end_seconds"] = sim.now
     summary["acked_objects"] = acked
     summary["cold_resident_objects"] = demoted
-    summary["write_p50"] = _percentile(write_latencies, 50)
-    summary["write_p99"] = _percentile(write_latencies, 99)
-    summary["cold_read_p50"] = _percentile(read_latencies, 50)
-    summary["cold_read_p99"] = _percentile(read_latencies, 99)
+    summary["write_p50"] = percentile(write_latencies, 50)
+    summary["write_p99"] = percentile(write_latencies, 99)
+    summary["cold_read_p50"] = percentile(read_latencies, 50)
+    summary["cold_read_p99"] = percentile(read_latencies, 99)
     summary["exactly_once"] = (
         acked == num_writes
         and demoted == num_writes
@@ -369,54 +301,21 @@ def run_point(
     )
     if store is not None:
         summary["store"] = store.summary()
-    if ledger is not None and meter is not None:
-        auditor = ConservationAuditor(meter, ledger)
-        summary["energy"] = {
-            "identity": auditor.audit(sim.now),
-            "accounts": ledger.account_joules(),
-            "tiers": ledger.tier_joules(),
-            "spin_up_blames": len(ledger.blames),
-            "requests_charged": len(ledger.requests),
-            "export": ledger.to_dict(),
-        }
-    if detect_races:
+    if meter is not None:
+        summary["energy"] = energy_books(meter)
+    if params["detect_races"]:
         summary["races"] = list(sim.races)
     return summary
 
 
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    seed: int = 23,
-    num_writes: int = 240,
-    object_bytes: int = 256 * KB,
-    num_cold_reads: int = 40,
-    write_seconds: float = 600.0,
-    total_seconds: float = 950.0,
-    power_budget_watts: float = 40.0,
-    energy: bool = True,
-) -> Dict:
+def _build_result(**params: Any) -> ExperimentResult:
     """Run both treatments on identically seeded deployments."""
+    registry = MetricsRegistry()
     variants: Dict[str, Dict] = {}
     races: List = []
     for mode in ("staged", "write_through"):
-        summary = run_point(
-            mode,
-            seed=seed,
-            num_writes=num_writes,
-            object_bytes=object_bytes,
-            num_cold_reads=num_cold_reads,
-            write_seconds=write_seconds,
-            total_seconds=total_seconds,
-            power_budget_watts=power_budget_watts,
-            detect_races=detect_races,
-            event_digest=event_digest,
-            metrics=metrics,
-            energy=energy,
-        )
-        if detect_races:
-            races.extend(summary.pop("races", []))
+        summary = run_point(mode, metrics=registry, **params)
+        races.extend(summary.pop("races", []))
         variants[mode] = summary
     staged = variants["staged"]
     through = variants["write_through"]
@@ -437,7 +336,19 @@ def run(
         ),
         "both_drained": bool(staged["drained"] and through["drained"]),
     }
-    if energy:
+    metrics_out = {
+        "staged_spin_ups": staged["spin_ups"],
+        "write_through_spin_ups": through["spin_ups"],
+        "staged_write_p99_seconds": staged["write_p99"],
+        "write_through_write_p99_seconds": through["write_p99"],
+        "staged_cold_read_p99_seconds": staged["cold_read_p99"],
+        "write_through_cold_read_p99_seconds": through["cold_read_p99"],
+        "staged_energy_joules": staged["energy_joules"],
+        "write_through_energy_joules": through["energy_joules"],
+        "staged_demotion_batches": staged["store"]["demotion_batches"],
+        "staged_demoted_bytes": staged["store"]["demoted_bytes"],
+    }
+    if params["energy"]:
         # §15 conservation identity holds in both variants, and the
         # background demotion traffic books under the dedicated
         # migration tenant, never under the user tenant.
@@ -449,23 +360,28 @@ def run(
             staged["energy"]["accounts"].get("tenant:migration", 0.0) > 0.0
             and "tenant:migration" not in through["energy"]["accounts"]
         )
-    result: Dict = {
-        "params": {
-            "seed": seed,
-            "num_writes": num_writes,
-            "object_bytes": object_bytes,
-            "num_cold_reads": num_cold_reads,
-            "write_seconds": write_seconds,
-            "total_seconds": total_seconds,
-            "power_budget_watts": power_budget_watts,
-            "energy": energy,
-        },
+        for name, summary in (("staged", staged), ("write_through", through)):
+            metrics_out[f"{name}_wall_joules"] = summary["energy"]["identity"][
+                "wall_joules"
+            ]
+            for account, joules in summary["energy"]["accounts"].items():
+                metrics_out[f"{name}_joules[{account}]"] = joules
+            for tier, book in summary["energy"]["tiers"].items():
+                metrics_out[f"{name}_tier_joules[{tier}]"] = book["total"]
+    raw: Dict = {
+        "params": {k: v for k, v in params.items() if k != "detect_races"},
         "variants": variants,
         "anchors": anchors,
     }
-    if detect_races:
-        result["races"] = races
-    return result
+    if params["detect_races"]:
+        raw["races"] = races
+    return ExperimentResult(
+        metrics=metrics_out,
+        anchors=dict(anchors),
+        obs=registry.dump(),
+        raw=raw,
+        text=_report(raw),
+    )
 
 
 def _report(result: Dict) -> str:
@@ -532,77 +448,6 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result(
-    seed: int = 23,
-    num_writes: int = 240,
-    object_bytes: int = 256 * KB,
-    num_cold_reads: int = 40,
-    write_seconds: float = 600.0,
-    total_seconds: float = 950.0,
-    power_budget_watts: float = 40.0,
-    detect_races: bool = False,
-    energy: bool = True,
-) -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(
-        detect_races=detect_races,
-        metrics=registry,
-        seed=seed,
-        num_writes=num_writes,
-        object_bytes=object_bytes,
-        num_cold_reads=num_cold_reads,
-        write_seconds=write_seconds,
-        total_seconds=total_seconds,
-        power_budget_watts=power_budget_watts,
-        energy=energy,
-    )
-    staged = raw["variants"]["staged"]
-    through = raw["variants"]["write_through"]
-    metrics_out = {
-        "staged_spin_ups": staged["spin_ups"],
-        "write_through_spin_ups": through["spin_ups"],
-        "staged_write_p99_seconds": staged["write_p99"],
-        "write_through_write_p99_seconds": through["write_p99"],
-        "staged_cold_read_p99_seconds": staged["cold_read_p99"],
-        "write_through_cold_read_p99_seconds": through["cold_read_p99"],
-        "staged_energy_joules": staged["energy_joules"],
-        "write_through_energy_joules": through["energy_joules"],
-        "staged_demotion_batches": staged["store"]["demotion_batches"],
-        "staged_demoted_bytes": staged["store"]["demoted_bytes"],
-    }
-    if energy:
-        for name, summary in (("staged", staged), ("write_through", through)):
-            metrics_out[f"{name}_wall_joules"] = summary["energy"]["identity"][
-                "wall_joules"
-            ]
-            for account, joules in summary["energy"]["accounts"].items():
-                metrics_out[f"{name}_joules[{account}]"] = joules
-            for tier, book in summary["energy"]["tiers"].items():
-                metrics_out[f"{name}_tier_joules[{tier}]"] = book["total"]
-    return ExperimentResult(
-        name="tiering_staging",
-        paper_ref="§IV-F extended: hot/cold tiering with write staging",
-        params={
-            "seed": seed,
-            "num_writes": num_writes,
-            "object_bytes": object_bytes,
-            "num_cold_reads": num_cold_reads,
-            "write_seconds": write_seconds,
-            "total_seconds": total_seconds,
-            "power_budget_watts": power_budget_watts,
-            "detect_races": detect_races,
-            "energy": energy,
-        },
-        metrics=metrics_out,
-        paper_expected={},
-        relative_errors={},
-        anchors=dict(raw["anchors"]),
-        obs=registry.dump(),
-        raw=raw,
-        text=_report(raw),
-    )
-
-
 EXPERIMENT = Experiment(
     name="tiering_staging",
     paper_ref="§IV-F extended: hot/cold tiering with write staging",
@@ -628,11 +473,3 @@ EXPERIMENT = Experiment(
         "total_seconds": 520.0,
     },
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -37,6 +37,7 @@ from repro.gateway.gateway import (  # noqa: F401
     GatewayStats,
     TenantStats,
     mount_gateway_spaces,
+    percentile,
 )
 from repro.gateway.queues import PendingDisk, WeightedFairQueue  # noqa: F401
 from repro.gateway.request import (  # noqa: F401
@@ -92,5 +93,6 @@ __all__ = [
     "coalesce_batch",
     "make_scheduler",
     "mount_gateway_spaces",
+    "percentile",
     "resolve_op",
 ]

@@ -43,7 +43,7 @@ from repro.cluster.namespace import parse_space_id
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
 from repro.obs import DEFAULT_DEPTH_BUCKETS
-from repro.power.policy import AdaptiveTimeoutPolicy, FixedTimeoutPolicy, run_policy
+from repro.power.policy import FixedTimeoutPolicy, run_policy
 from repro.sim import Event, Simulator
 from repro.units import SimSeconds, Watts
 
@@ -72,7 +72,13 @@ __all__ = [
     "GatewayStats",
     "TenantStats",
     "mount_gateway_spaces",
+    "percentile",
 ]
+
+#: Dispatcher back-off while budget-blocked with nothing in flight.
+POLL_INTERVAL = SimSeconds(1.0)
+#: Check interval of the fixed-timeout spin-down policy loop.
+POLICY_CHECK_INTERVAL = SimSeconds(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,14 +93,8 @@ class GatewayConfig:
     watts_per_disk: Optional[Watts] = None
     scheduler: str = "batch"
     max_batch: int = 64
-    #: Dispatcher back-off while budget-blocked with nothing in flight.
-    poll_interval: SimSeconds = SimSeconds(1.0)
     #: Idle timeout handed to the spin-down policy loop.
     spin_down_idle_seconds: SimSeconds = SimSeconds(12.0)
-    policy_check_interval: SimSeconds = SimSeconds(2.0)
-    run_spin_down_policy: bool = True
-    #: Use §IV-F's thrash-adaptive policy instead of the fixed timeout.
-    adaptive_spin_down: bool = False
     #: Sub-block coalescing window: reads in the same space whose
     #: extents fall within this many bytes of each other share one
     #: disk pass (0 merges only overlapping/adjacent extents).  The
@@ -146,7 +146,7 @@ class GatewayStats:
     per_tenant: Dict[str, TenantStats] = field(default_factory=dict)
 
 
-def _percentile(values: Sequence[float], q: float) -> float:
+def percentile(values: Sequence[float], q: float) -> float:
     """Exact nearest-rank percentile (deterministic, no interpolation)."""
     if not values:
         return 0.0
@@ -286,28 +286,19 @@ class Gateway:
         self._started = True
         self._baseline_spin_ups = self._total_spin_ups()
         self._baseline_energy = self._total_energy()
-        if self.config.run_spin_down_policy:
-            if self.config.adaptive_spin_down:
-                policy: object = AdaptiveTimeoutPolicy(
-                    idle_timeout=self.config.spin_down_idle_seconds
-                )
-            else:
-                policy = FixedTimeoutPolicy(
-                    idle_timeout=self.config.spin_down_idle_seconds
-                )
-            pinned = set(self.config.pinned_disks)
-            policy_disks = {
-                disk_id: disk
-                for disk_id, disk in self._disks.items()
-                if disk_id not in pinned
-            }
-            if policy_disks:
-                run_policy(
-                    self.sim,
-                    policy_disks,
-                    policy,
-                    check_interval=self.config.policy_check_interval,
-                )
+        pinned = set(self.config.pinned_disks)
+        policy_disks = {
+            disk_id: disk
+            for disk_id, disk in self._disks.items()
+            if disk_id not in pinned
+        }
+        if policy_disks:
+            run_policy(
+                self.sim,
+                policy_disks,
+                FixedTimeoutPolicy(idle_timeout=self.config.spin_down_idle_seconds),
+                check_interval=POLICY_CHECK_INTERVAL,
+            )
         return self.sim.process(self._dispatcher())
 
     # -- admission --------------------------------------------------------
@@ -409,7 +400,7 @@ class Gateway:
                     # Budget-blocked with nothing running: poll so the
                     # spin-down policy's progress is eventually seen.
                     self.sim.defer(
-                        self.config.poll_interval,
+                        POLL_INTERVAL,
                         lambda kick=kick: self._poll(kick),
                     )
             yield kick
@@ -652,8 +643,8 @@ class Gateway:
                 "failed": float(tenant.failed),
                 "rejected": float(tenant.rejected),
                 "slo_misses": float(tenant.slo_misses),
-                "latency_p50": _percentile(tenant.latencies, 50.0),
-                "latency_p99": _percentile(tenant.latencies, 99.0),
+                "latency_p50": percentile(tenant.latencies, 50.0),
+                "latency_p99": percentile(tenant.latencies, 99.0),
             }
         mean = (
             sum(stats.latencies) / len(stats.latencies) if stats.latencies else 0.0
@@ -672,8 +663,8 @@ class Gateway:
             "coalesced_reads": stats.coalesced_reads,
             "reclaim_spin_downs": stats.reclaim_spin_downs,
             "latency_mean": mean,
-            "latency_p50": _percentile(stats.latencies, 50.0),
-            "latency_p99": _percentile(stats.latencies, 99.0),
+            "latency_p50": percentile(stats.latencies, 50.0),
+            "latency_p99": percentile(stats.latencies, 99.0),
             "spin_ups": self.spin_ups(),
             "energy_joules": self.energy_joules(),
             "per_tenant": per_tenant,

@@ -15,13 +15,12 @@ from repro.sim.kernel import (
     use_scheduler,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import EventDigest
 
 __all__ = [
     "CalendarQueue",
-    "Container",
     "Deadline",
     "Event",
     "EventDigest",

@@ -1,10 +1,9 @@
 """Shared-resource primitives for simulation processes.
 
-Provides the classic trio:
+Provides:
 
 * :class:`Resource` — a capacity-limited server with a FIFO queue.
 * :class:`Store` — a FIFO buffer of Python objects.
-* :class:`Container` — a continuous quantity (used for power budgets).
 
 All requests are events, so processes compose them with timeouts via
 ``Simulator.any_of`` for bounded waits.
@@ -17,7 +16,7 @@ from typing import Any, Deque, Optional
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 
-__all__ = ["Container", "Resource", "Store"]
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -131,62 +130,3 @@ class Store:
             event, item = self._putters.popleft()
             self.items.append(item)
             event.succeed()
-
-
-class Container:
-    """A continuous quantity with blocking get/put.
-
-    As with :class:`Resource`, naming a Container opts it into
-    same-timestamp race detection.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: Optional[str] = None,
-    ) -> None:
-        if init < 0 or init > capacity:
-            raise SimulationError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.level = float(init)
-        self._getters: Deque[tuple[Event, float]] = deque()
-        self._putters: Deque[tuple[Event, float]] = deque()
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError(f"negative get amount {amount}")
-        if self.name is not None:
-            self.sim.touch_resource(self.name, write=True)
-        event = self.sim.event()
-        self._getters.append((event, amount))
-        self._drain()
-        return event
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError(f"negative put amount {amount}")
-        if self.name is not None:
-            self.sim.touch_resource(self.name, write=True)
-        event = self.sim.event()
-        self._putters.append((event, amount))
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self.level + self._putters[0][1] <= self.capacity:
-                event, amount = self._putters.popleft()
-                self.level += amount
-                event.succeed()
-                progressed = True
-            if self._getters and self.level >= self._getters[0][1]:
-                event, amount = self._getters.popleft()
-                self.level -= amount
-                event.succeed()
-                progressed = True

@@ -2,68 +2,65 @@
 
 import pytest
 
-from repro.experiments import (
-    ablations,
-    duplex,
-    figure5,
-    figure6,
-    hdfs_switch,
-    host_failover,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-)
+from repro.experiments import EXPERIMENTS, ablations, figure6, host_failover
+from repro.experiments.reliability import _availability, _scrubbing
+
+
+def raw(name, **overrides):
+    return EXPERIMENTS.get(name).run(**overrides).raw
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS.names())
+def test_every_experiment_holds_its_anchors(name):
+    """Each registered experiment, at its declared smoke size (its
+    defaults when it declares none), holds every anchor and renders
+    its report; ``run`` stamps the declared name, ref and params."""
+    experiment = EXPERIMENTS.get(name)
+    result = experiment.run(**experiment.smoke)
+    assert result.anchors_ok, result.anchors
+    assert result.name == name
+    assert result.paper_ref == experiment.paper_ref
+    assert result.params == {**experiment.params, **experiment.smoke}
+    assert len(result.render()) > 50
 
 
 class TestQuickTables:
     def test_table1_rows_and_claims(self):
-        result = table1.run()
+        result = raw("table1")
         assert len(result["rows"]) == 5
         assert result["capex_saving_vs_backblaze"] == pytest.approx(0.24, abs=0.03)
         assert result["attex_saving_vs_backblaze"] == pytest.approx(0.55, abs=0.04)
 
     def test_table2_within_tolerance(self):
-        result = table2.run()
+        result = raw("table2")
         assert len(result["rows"]) == 36
         assert result["worst_error"] <= 0.12
 
     def test_table3_measured_matches_profiles(self):
-        result = table3.run()
+        result = raw("table3")
         sata = result["measured"]["SATA"]
         usb = result["measured"]["USB bridge"]
         assert sata == pytest.approx((0.05, 4.71, 6.66))
         assert usb == pytest.approx((1.56, 5.76, 7.56))
 
     def test_table4_tight(self):
-        result = table4.run()
+        result = raw("table4")
         assert result["worst_error"] <= 0.05
 
     def test_table5_ordering_and_tolerance(self):
-        result = table5.run()
+        result = raw("table5")
         assert result["ordering_holds"]
         assert result["worst_error"] <= 0.15
 
     def test_duplex_hits_paper_numbers(self):
-        result = duplex.run()
+        result = raw("duplex")
         assert result["per_port_mb_s"] == pytest.approx(540.0, rel=0.01)
         assert result["aggregate_mb_s"] == pytest.approx(2160.0, rel=0.01)
 
-    def test_mains_render(self):
-        for module in (table1, table2, table3, table4, table5, duplex):
-            text = module.main()
-            assert isinstance(text, str) and len(text) > 50
-
 
 class TestFigure5:
-    def test_anchors_hold(self):
-        result = figure5.run()
-        assert all(result["anchors"].values()), result["anchors"]
-
     def test_series_shapes(self):
-        result = figure5.run()
-        series = result["series_mb_per_s"]
+        series = raw("figure5")["series_mb_per_s"]
         # Large sequential saturates at the 300 MB/s root port.
         assert series["4MB-S-R"][-1] == pytest.approx(300.0, rel=0.01)
         # Random 4KB is seek-bound and tiny, far from any fabric limit.
@@ -95,17 +92,8 @@ class TestHostFailover:
         assert trial["service_resumed_seconds"] < 30.0
 
 
-class TestHdfsSwitch:
-    def test_anchors(self):
-        result = hdfs_switch.run()
-        assert all(result["anchors"].values()), result["anchors"]
-        assert result["bytes_written"] == result["bytes_read"]
-
-
 class TestReliabilityExperiment:
     def test_estimates_without_full_run(self):
-        from repro.experiments.reliability import _availability, _scrubbing
-
         availability = _availability()
         assert availability["ustore"]["nines"] > availability["single_attached"]["nines"]
         scrubbing = _scrubbing()

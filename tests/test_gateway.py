@@ -20,7 +20,7 @@ from repro.cluster.deployment import DeploymentConfig, build_deployment
 from repro.cluster.master import MasterConfig
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
-from repro.experiments import gateway_slo
+from repro.experiments import common, gateway_slo
 from repro.gateway import (
     AdmissionError,
     ColdReadBatchScheduler,
@@ -836,16 +836,15 @@ class TestGatewaySloExperiment:
         metric-dump bytes, identical summary."""
 
         def once():
-            digest = EventDigest()
             registry = MetricsRegistry()
-            summary = gateway_slo.run_point(
-                "batch",
-                seed=5,
-                duration=30.0,
-                detect_races=True,
-                event_digest=digest,
-                metrics=registry,
-            )
+            with EventDigest().under("calendar") as digest:
+                summary = gateway_slo.run_point(
+                    "batch",
+                    metrics=registry,
+                    seed=5,
+                    duration=30.0,
+                    detect_races=True,
+                )
             races = summary.pop("races")
             return digest.hexdigest(), export_json(registry), summary, races
 
@@ -866,7 +865,7 @@ class TestGatewaySloExperiment:
             master = MasterConfig(election_poll_interval=0.5)
             return build_deployment(config=replace(config, master=master), **kwargs)
 
-        monkeypatch.setattr(gateway_slo, "build_deployment", polling_twice)
+        monkeypatch.setattr(common, "build_deployment", polling_twice)
         assert gateway_slo.run_point("batch", duration=60.0) == baseline
 
     def test_experiment_contract(self):

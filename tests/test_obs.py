@@ -6,7 +6,6 @@ from repro.obs import (
     DEFAULT_DEPTH_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
-    export_json,
     export_text,
 )
 from repro.sim import Simulator
@@ -119,13 +118,12 @@ class TestNullRegistry:
 
 class TestDeterministicExport:
     def test_same_seed_figure5_runs_dump_identical_bytes(self):
-        from repro.experiments import figure5
+        from repro.experiments import EXPERIMENTS
 
         dumps = []
         for _ in range(2):
-            registry = MetricsRegistry()
-            figure5.run(metrics=registry, seed=13)
-            dumps.append(export_json(registry))
+            obs = EXPERIMENTS.get("figure5").run(seed=13).obs
+            dumps.append(json.dumps(obs, sort_keys=True))
         assert dumps[0] == dumps[1]
         # And the dump is real, not empty.
         parsed = json.loads(dumps[0])

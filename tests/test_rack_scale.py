@@ -79,7 +79,8 @@ class TestBenchmarkSuite:
         assert record["events_per_second_instrumented"] > 0
 
     def test_experiment_bench_settles_for_sim_events(self):
-        record = bench_experiment("figure5", repeat=1)
+        # figure5 declares its settle as its smoke size.
+        record = bench_experiment("figure5", repeat=1, smoke=True)
         assert record["sim_events"] > 0
         assert record["counters"]["fabric.allocations"] > 0
         assert record["params"] == {"settle_seconds": 12.0}
@@ -132,7 +133,8 @@ class TestBenchCli:
         assert history[0]["experiment"] == "alloc_scale"
 
     def test_bench_records_figure5(self, tmp_path, capsys):
-        assert cli_main(["bench", "figure5", "--out-dir", str(tmp_path)]) == 0
+        argv = ["bench", "figure5", "--smoke", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
         history = json.loads((tmp_path / "BENCH_figure5.json").read_text())
         assert isinstance(history, list) and len(history) == 1
         record = history[0]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    Container,
     Interrupt,
     Resource,
     RngRegistry,
@@ -377,43 +376,6 @@ class TestStore:
             store.put(i)
         values = [sim.run_until_event(store.get()) for _ in range(5)]
         assert values == [0, 1, 2, 3, 4]
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self):
-        sim = Simulator()
-        tank = Container(sim, capacity=10, init=0)
-        got = tank.get(5)
-        sim.run()
-        assert not got.triggered
-        tank.put(5)
-        sim.run()
-        assert got.triggered
-        assert tank.level == 0
-
-    def test_put_blocks_at_capacity(self):
-        sim = Simulator()
-        tank = Container(sim, capacity=10, init=10)
-        blocked = tank.put(1)
-        sim.run()
-        assert not blocked.triggered
-        tank.get(5)
-        sim.run()
-        assert blocked.triggered
-        assert tank.level == 6
-
-    def test_init_bounds_checked(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Container(sim, capacity=5, init=6)
-
-    def test_negative_amounts_rejected(self):
-        sim = Simulator()
-        tank = Container(sim, capacity=5, init=1)
-        with pytest.raises(SimulationError):
-            tank.get(-1)
-        with pytest.raises(SimulationError):
-            tank.put(-1)
 
 
 class TestRng:
