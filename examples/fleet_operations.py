@@ -8,14 +8,14 @@ after each step.
 Run:  python examples/fleet_operations.py
 """
 
-from repro.cluster import build_multi_unit_deployment
+from repro.cluster import DeploymentConfig, build_deployment
 from repro.monitor import render_dashboard, snapshot
 from repro.workload import MB
 
 
 def main() -> None:
     print("Building two prototype deploy units under one Master...")
-    fleet = build_multi_unit_deployment(num_units=2)
+    fleet = build_deployment(config=DeploymentConfig(units=2))
     fleet.settle(15.0)
     sim = fleet.sim
 

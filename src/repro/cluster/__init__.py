@@ -2,15 +2,15 @@
 
 from repro.cluster.clientlib import ClientLib, MountedSpace, StorageUnavailableError
 from repro.cluster.controller import CommandFailed, Controller, ControllerConfig
-from repro.cluster.deployment import Deployment, DeploymentConfig, build_deployment
+from repro.cluster.deployment import (
+    DeployUnit,
+    Deployment,
+    DeploymentConfig,
+    build_deployment,
+)
 from repro.cluster.endpoint import EndPoint, EndPointConfig
 from repro.cluster.master import AllocationError, Master, MasterConfig
 from repro.cluster.metadata import DiskStatus, HostStatus, SpaceRecord, SysConf, SysStat
-from repro.cluster.multiunit import (
-    DeployUnit,
-    MultiUnitDeployment,
-    build_multi_unit_deployment,
-)
 from repro.cluster.namespace import (
     format_space_id,
     parse_space_id,
@@ -28,8 +28,6 @@ __all__ = [
     "Deployment",
     "DeploymentConfig",
     "DiskStatus",
-    "MultiUnitDeployment",
-    "build_multi_unit_deployment",
     "EndPoint",
     "EndPointConfig",
     "HostStatus",

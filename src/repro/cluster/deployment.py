@@ -1,9 +1,13 @@
 """Wiring a complete UStore deployment in one call.
 
-A :class:`Deployment` assembles every layer of Figure 3: the fabric
-with its simulated disks and USB buses, the hardware control plane, the
-coordination cluster, master candidates, per-host EndPoints, the two
-Controllers, and a factory for ClientLibs.  Tests, benchmarks and the
+"A typical UStore deployment is composed of one Master and a number of
+deploy units" (§IV).  A :class:`Deployment` assembles every layer of
+Figure 3 that way: each :class:`DeployUnit` holds its own fabric with
+simulated disks, USB bus, hardware control plane, relays, per-host
+EndPoints and Controller pair, and all units share one coordination
+cluster and the master candidates, whose placement rules and failover
+logic are unit-aware through SysConf.  The default is the single
+16-disk, 4-host prototype unit of §V-B.  Tests, benchmarks and the
 examples all build on this.
 """
 
@@ -18,10 +22,10 @@ from repro.cluster.clientlib import ClientLib
 from repro.cluster.endpoint import EndPoint, EndPointConfig
 from repro.cluster.master import Master, MasterConfig
 from repro.cluster.metadata import SysConf
-from repro.coord import CoordConfig, CoordReplica, build_cluster
+from repro.coord import CoordReplica, build_cluster
 from repro.disk.device import SimulatedDisk
 from repro.disk.specs import ConnectionType
-from repro.fabric.builders import prototype_fabric
+from repro.fabric.builders import ring_fabric
 from repro.fabric.topology import Fabric
 from repro.hardware.microcontroller import ControlPlane
 from repro.hardware.relays import RelayBank
@@ -29,46 +33,96 @@ from repro.net.network import Network
 from repro.obs import MetricsRegistry, RequestTracer
 from repro.sim import RngRegistry, Simulator
 from repro.usbsim.bus import UsbBus
-from repro.usbsim.params import UsbQuirks, UsbTimingParams
 
-__all__ = ["Deployment", "DeploymentConfig", "build_deployment"]
+__all__ = ["DeployUnit", "Deployment", "DeploymentConfig", "build_deployment"]
+
+#: The prototype's coordination ensemble and master candidates (§IV-A).
+COORD_REPLICAS = 3
+MASTER_CANDIDATES = 2
 
 
 @dataclass(frozen=True)
 class DeploymentConfig:
-    unit_id: str = "unit0"
-    num_coord_replicas: int = 3
-    num_masters: int = 2
+    #: Deploy units under the one Master; each is a prototype unit.
+    units: int = 1
     seed: int = 7
     # Opt-in same-timestamp race detection (repro.analysis.races).
     detect_races: bool = False
-    usb_timing: UsbTimingParams = UsbTimingParams()
-    usb_quirks: UsbQuirks = UsbQuirks()
     endpoint: EndPointConfig = EndPointConfig()
     master: MasterConfig = MasterConfig()
     controller: ControllerConfig = ControllerConfig()
-    coord: CoordConfig = CoordConfig()
 
 
 @dataclass
-class Deployment:
-    """Handles to every component of a running UStore system."""
+class DeployUnit:
+    """Everything physical to one deploy unit, and the agents on it."""
 
-    sim: Simulator
-    rng: RngRegistry
-    network: Network
+    unit_id: str
     fabric: Fabric
     disks: Dict[str, SimulatedDisk]
     bus: UsbBus
     control_plane: ControlPlane
     relays: RelayBank
+    endpoints: Dict[str, EndPoint] = field(default_factory=dict)
+    controllers: List[Controller] = field(default_factory=list)
+
+
+@dataclass
+class Deployment:
+    """Handles to every component of a running UStore system.
+
+    ``disks``, ``endpoints`` and ``controllers`` span every unit.
+    ``fabric``, ``bus``, ``control_plane`` and ``relays`` read the only
+    unit and raise on a deployment with several.
+    """
+
+    sim: Simulator
+    rng: RngRegistry
+    network: Network
+    units: Dict[str, DeployUnit]
     coord_replicas: List[CoordReplica]
     sysconf: SysConf
     masters: List[Master]
-    endpoints: Dict[str, EndPoint]
-    controllers: List[Controller]
     config: DeploymentConfig
     clients: List[ClientLib] = field(default_factory=list)
+    disks: Dict[str, SimulatedDisk] = field(init=False)
+    endpoints: Dict[str, EndPoint] = field(init=False)
+    controllers: List[Controller] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.disks = {}
+        self.endpoints = {}
+        self.controllers = []
+        self._unit_of_disk: Dict[str, DeployUnit] = {}
+        for unit in self.units.values():
+            self.disks.update(unit.disks)
+            self.endpoints.update(unit.endpoints)
+            self.controllers.extend(unit.controllers)
+            self._unit_of_disk.update(dict.fromkeys(unit.disks, unit))
+
+    def _only_unit(self) -> DeployUnit:
+        if len(self.units) != 1:
+            raise ValueError(
+                f"deployment has {len(self.units)} deploy units; "
+                "read the component from deployment.units[unit_id]"
+            )
+        return next(iter(self.units.values()))
+
+    @property
+    def fabric(self) -> Fabric:
+        return self._only_unit().fabric
+
+    @property
+    def bus(self) -> UsbBus:
+        return self._only_unit().bus
+
+    @property
+    def control_plane(self) -> ControlPlane:
+        return self._only_unit().control_plane
+
+    @property
+    def relays(self) -> RelayBank:
+        return self._only_unit().relays
 
     @property
     def coord_servers(self) -> List[str]:
@@ -114,7 +168,7 @@ class Deployment:
         self.sim.run(until=float(math.ceil(self.sim.now)))
 
     def host_of_disk(self, disk_id: str) -> Optional[str]:
-        return self.fabric.attached_host(disk_id)
+        return self._unit_of_disk[disk_id].fabric.attached_host(disk_id)
 
     def crash_host(self, host_id: str) -> None:
         """Kill a host: endpoint silent, its targets unreachable."""
@@ -125,13 +179,15 @@ class Deployment:
 
 
 def build_deployment(
-    fabric: Optional[Fabric] = None,
     config: DeploymentConfig = DeploymentConfig(),
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[RequestTracer] = None,
 ) -> Deployment:
-    """Assemble a full UStore system around ``fabric`` (default: the
-    16-disk, 4-host prototype of §V-B).
+    """Assemble ``config.units`` prototype units (16 disks, 4 hosts each,
+    §V-B) under one coordination cluster and one set of masters.
+
+    One unit keeps the prototype's node ids (``disk0``, ``host0``, ...);
+    with several, unit ``i``'s node ids carry the prefix ``unit{i}.``.
 
     Passing a :class:`~repro.obs.MetricsRegistry` arms the obs layer on
     every component; the same registry may be reused across sequential
@@ -141,67 +197,87 @@ def build_deployment(
     tracing on every instrumented component (clock rebinds the same
     way).
     """
+    if config.units < 1:
+        raise ValueError("need at least one deploy unit")
     sim = Simulator(detect_races=config.detect_races, metrics=metrics, tracer=tracer)
     rng = RngRegistry(config.seed)
     network = Network(sim, rng=rng)
-    fabric = fabric or prototype_fabric()
 
-    disks = {
-        node.node_id: SimulatedDisk(
-            sim, node.node_id, connection=ConnectionType.HUB_AND_SWITCH
+    # Constructors schedule events, so this order fixes the tie-breaks
+    # of same-time events: hardware, coordination, agents, masters.
+    units: Dict[str, DeployUnit] = {}
+    for index in range(config.units):
+        unit_id = f"unit{index}"
+        fabric = ring_fabric(prefix=f"{unit_id}." if config.units > 1 else "")
+        disks = {
+            node.node_id: SimulatedDisk(
+                sim, node.node_id, connection=ConnectionType.HUB_AND_SWITCH
+            )
+            for node in fabric.disks
+        }
+        bus = UsbBus(sim, fabric, rng=rng)
+        units[unit_id] = DeployUnit(
+            unit_id=unit_id,
+            fabric=fabric,
+            disks=disks,
+            bus=bus,
+            control_plane=ControlPlane(fabric),
+            relays=RelayBank(sim, disks, bus=bus),
         )
-        for node in fabric.disks
-    }
-    bus = UsbBus(sim, fabric, rng=rng, timing=config.usb_timing, quirks=config.usb_quirks)
-    control_plane = ControlPlane(fabric)
-    relays = RelayBank(sim, disks, bus=bus)
 
-    coord_replicas = build_cluster(
-        sim, network, size=config.num_coord_replicas, rng=rng, config=config.coord
-    )
+    coord_replicas = build_cluster(sim, network, size=COORD_REPLICAS, rng=rng)
     coord_servers = [r.address for r in coord_replicas]
 
-    hosts = fabric.hosts()
-    host_addresses = {h: f"{h}.endpoint" for h in hosts}
-    controller_hosts = [f"{config.unit_id}.controller0", f"{config.unit_id}.controller1"]
-    sysconf = SysConf(
-        deploy_units=[config.unit_id],
-        hosts_of_unit={config.unit_id: list(hosts)},
-        disks_of_unit={config.unit_id: sorted(disks)},
-        host_addresses=host_addresses,
-        controller_hosts={config.unit_id: controller_hosts},
-    )
+    sysconf = SysConf()
+    for unit_id, unit in units.items():
+        hosts = unit.fabric.hosts()
+        sysconf.deploy_units.append(unit_id)
+        sysconf.hosts_of_unit[unit_id] = list(hosts)
+        sysconf.disks_of_unit[unit_id] = sorted(unit.disks)
+        sysconf.host_addresses.update({h: f"{h}.endpoint" for h in hosts})
+        sysconf.controller_hosts[unit_id] = [
+            f"{unit_id}.controller0",
+            f"{unit_id}.controller1",
+        ]
     sysconf.validate()
 
-    endpoints = {
-        host: EndPoint(
-            sim,
-            network,
-            host,
-            host_addresses[host],
-            bus,
-            disks,
-            coord_servers,
-            config=config.endpoint,
-        )
-        for host in hosts
+    for unit_id, unit in units.items():
+        host_addresses = {
+            host: sysconf.host_addresses[host] for host in sysconf.hosts_of_unit[unit_id]
+        }
+        unit.endpoints = {
+            host: EndPoint(
+                sim,
+                network,
+                host,
+                address,
+                unit.bus,
+                unit.disks,
+                coord_servers,
+                config=config.endpoint,
+            )
+            for host, address in host_addresses.items()
+        }
+        unit.controllers = [
+            Controller(
+                sim,
+                network,
+                address,
+                unit.fabric,
+                unit.bus,
+                unit.control_plane,
+                host_addresses,
+                is_primary=(i == 0),
+                config=config.controller,
+            )
+            for i, address in enumerate(sysconf.controller_hosts[unit_id])
+        ]
+
+    disk_capacities = {
+        disk_id: disk.spec.capacity_bytes
+        for unit in units.values()
+        for disk_id, disk in unit.disks.items()
     }
-
-    controllers = [
-        Controller(
-            sim,
-            network,
-            controller_hosts[i],
-            fabric,
-            bus,
-            control_plane,
-            host_addresses,
-            is_primary=(i == 0),
-            config=config.controller,
-        )
-        for i in range(2)
-    ]
-
     masters = [
         Master(
             sim,
@@ -209,26 +285,21 @@ def build_deployment(
             f"master{i}",
             coord_servers,
             sysconf,
-            disk_capacities={d: disks[d].spec.capacity_bytes for d in disks},
+            disk_capacities=disk_capacities,
             config=config.master,
         )
-        for i in range(config.num_masters)
+        for i in range(MASTER_CANDIDATES)
     ]
 
-    bus.sync()  # boot enumeration
+    for unit in units.values():
+        unit.bus.sync()  # boot enumeration
     return Deployment(
         sim=sim,
         rng=rng,
         network=network,
-        fabric=fabric,
-        disks=disks,
-        bus=bus,
-        control_plane=control_plane,
-        relays=relays,
+        units=units,
         coord_replicas=coord_replicas,
         sysconf=sysconf,
         masters=masters,
-        endpoints=endpoints,
-        controllers=controllers,
         config=config,
     )

@@ -8,9 +8,10 @@ Responsibilities, per the paper:
 * report the locally observed USB tree so the Controller can assemble
   its view of the interconnect fabric;
 * expose allocated storage spaces to the network as iSCSI targets;
-* run the default power policy: spin an idle disk down after a
-  configurable interval, and back that interval off for disks that
-  thrash (§IV-F).
+* serve the disk power interface upper-layer services use (§IV-F).
+
+The default spin-down policy itself is :mod:`repro.power.policy`,
+attached over a set of disks with :func:`~repro.power.policy.run_policy`.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ MASTER_POINTER = "/ustore/master"
 @dataclass(frozen=True)
 class EndPointConfig:
     heartbeat_interval: float = 0.5
-    # §IV-F default power policy.
-    spin_down_idle_seconds: float = 300.0
-    power_policy_enabled: bool = False
-    # Adaptive backoff: if a disk spins up more than ``thrash_limit``
-    # times within ``thrash_window`` seconds, double its idle timeout.
-    thrash_limit: int = 3
-    thrash_window: float = 3600.0
 
 
 class EndPoint:
@@ -78,8 +72,6 @@ class EndPoint:
         self._master_address: Optional[str] = None
         self._exposed: Dict[str, SpaceRecord] = {}  # target name -> record
         self.expose_log: List[tuple] = []  # (time, target name)
-        self._idle_timeout: Dict[str, float] = {}
-        self._spin_up_times: Dict[str, List[float]] = {}
         self.heartbeats_sent = 0
         # Set while the heartbeat chain is stopped (host dead): the grid
         # its ticks would have followed, on which recover() resumes it.
@@ -94,8 +86,6 @@ class EndPoint:
 
         sim.process(self._startup())
         sim.defer(config.heartbeat_interval, self._heartbeat)
-        if config.power_policy_enabled:
-            sim.process(self._power_policy_loop())
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -267,49 +257,7 @@ class EndPoint:
         if action == "spin_up":
             def wait() -> Generator[Event, None, bool]:
                 yield disk.spin_up()
-                self._record_spin_up(disk_id)
                 return True
 
             return wait()
         raise ValueError(f"unknown power action {action!r}")
-
-    # -- default power policy (§IV-F) -----------------------------------------
-
-    def _record_spin_up(self, disk_id: str) -> None:
-        window = self._spin_up_times.setdefault(disk_id, [])
-        window.append(self.sim.now)
-        cutoff = self.sim.now - self.config.thrash_window
-        window[:] = [t for t in window if t >= cutoff]
-        if len(window) > self.config.thrash_limit:
-            current = self._idle_timeout.get(
-                disk_id, self.config.spin_down_idle_seconds
-            )
-            self._idle_timeout[disk_id] = current * 2
-
-    def idle_timeout_of(self, disk_id: str) -> float:
-        return self._idle_timeout.get(disk_id, self.config.spin_down_idle_seconds)
-
-    def _power_policy_loop(self) -> Generator[Event, None, None]:
-        check = max(1.0, self.config.spin_down_idle_seconds / 10)
-        while True:
-            yield self.sim.timeout(check)
-            if not self.alive:
-                continue
-            for disk_id in self.bus.os_view(self.host_id):
-                disk = self.disks.get(disk_id)
-                if disk is None or disk.power_state is not DiskPowerState.IDLE:
-                    continue
-                if self.sim.now - disk.idle_since >= self.idle_timeout_of(disk_id):
-                    was_spun_up = disk.states.spin_up_count
-                    disk.spin_down()
-                    # Track wake-ups triggered by later I/O for adaptivity.
-                    self._watch_for_thrash(disk_id, was_spun_up)
-
-    def _watch_for_thrash(self, disk_id: str, spin_up_count: int) -> None:
-        disk = self.disks[disk_id]
-
-        def check() -> None:
-            if disk.states.spin_up_count > spin_up_count:
-                self._record_spin_up(disk_id)
-
-        self.sim.call_in(self.config.spin_down_idle_seconds / 2, check)

@@ -313,10 +313,17 @@ class Master:
             service=service,
         )
 
+        # Reserve the extent now: an allocation that arrives while this
+        # one commits must see it, or both get the same disk and offset.
+        self.records[space_id] = record
+
         def commit() -> Generator[Event, None, dict]:
             # StorAlloc is persisted synchronously before the reply (§IV-A).
-            yield from self.coord.create(space_znode_path(space_id), record.as_dict())
-            self.records[space_id] = record
+            try:
+                yield from self.coord.create(space_znode_path(space_id), record.as_dict())
+            except Exception:
+                self.records.pop(space_id, None)
+                raise
             self._m_allocations.inc()
             host_id = self.sysstat.disk_to_host[best]
             address = self.sysconf.host_addresses[host_id]

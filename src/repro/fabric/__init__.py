@@ -1,6 +1,6 @@
 """The UStore interconnect fabric: components, topology, switching, sharing."""
 
-from repro.fabric.bandwidth import AllocationSession, BandwidthModel, Flow, FlowAllocation
+from repro.fabric.bandwidth import BandwidthModel, Flow, FlowAllocation
 from repro.fabric.builders import (
     dual_tree_fabric,
     prototype_fabric,
@@ -23,7 +23,6 @@ from repro.fabric.topology import Fabric, Path, SwitchSetting
 from repro.fabric.validate import ValidationReport, validate_fabric
 
 __all__ = [
-    "AllocationSession",
     "BandwidthModel",
     "Bridge",
     "DiskNode",

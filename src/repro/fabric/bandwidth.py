@@ -36,9 +36,7 @@ benchmark):
   and the next binding constraint is found through a lazy min-heap of
   water-level bounds (bounds only rise as flows freeze, so stale heap
   entries are simply skipped) instead of resumming every member of
-  every constraint each round;
-* :class:`AllocationSession` adds an "only these flows changed" fast
-  path for workloads that add or remove one flow at a time.
+  every constraint each round.
 
 :meth:`BandwidthModel.allocate_naive` retains the original
 resum-everything algorithm as an in-package baseline for the
@@ -50,14 +48,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.topology import Fabric
 from repro.obs.metrics import NULL_REGISTRY, Counter, Gauge, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, RequestTracer
 from repro.units import MB, Bytes, BytesPerSec, MiB
 
-__all__ = ["AllocationSession", "BandwidthModel", "Flow", "FlowAllocation"]
+__all__ = ["BandwidthModel", "Flow", "FlowAllocation"]
 
 #: Realizable one-direction payload on a USB 3.0 link (calibrated: the
 #: paper's root hub tops out "around 300MB/s").
@@ -380,10 +378,6 @@ class BandwidthModel:
             rates={flow.flow_id: rates[i] for i, flow in enumerate(flows)}
         )
 
-    def session(self, flows: Iterable[Flow] = ()) -> "AllocationSession":
-        """An :class:`AllocationSession` seeded with ``flows``."""
-        return AllocationSession(self, flows)
-
     # -- naive baseline ----------------------------------------------------
 
     def allocate_naive(self, flows: Sequence[Flow]) -> FlowAllocation:
@@ -544,150 +538,3 @@ class BandwidthModel:
     def aggregate_throughput(self, flows: Sequence[Flow]) -> float:
         """Total bytes/s delivered for ``flows``."""
         return self.allocate(flows).total()
-
-
-class _SessionConstraint:
-    __slots__ = ("capacity", "label", "members")
-
-    def __init__(self, capacity: float, label: str) -> None:
-        self.capacity = capacity
-        self.label = label
-        self.members: Dict[str, float] = {}
-
-
-class AllocationSession:
-    """Flow-churn fast path: reuse constraint structure across calls.
-
-    For workloads that add or remove one flow at a time (the "only
-    these flows changed" case), a session maintains the shared
-    constraints incrementally — :meth:`add_flow` traces one path and
-    touches only that flow's constraints; :meth:`remove_flow` detaches
-    only that flow's memberships — instead of rebuilding the skeleton
-    from every flow.  The max-min *filling* itself is always global (a
-    single flow change can shift every rate), so :meth:`allocate`
-    reruns the incremental filling over the maintained structure.
-
-    A topology-epoch change invalidates the session: the next call
-    re-traces every flow's path transparently.
-    """
-
-    def __init__(self, model: BandwidthModel, flows: Iterable[Flow] = ()) -> None:
-        self.model = model
-        self._flows: Dict[str, Flow] = {}
-        self._memberships: Dict[str, List[Tuple[Tuple, float]]] = {}
-        self._constraints: Dict[Tuple, _SessionConstraint] = {}
-        self._epoch = model.fabric.epoch
-        self._materialized: Optional[Tuple[List[Flow], List[_Constraint], List[List[Tuple[int, float]]]]] = None
-        for flow in flows:
-            self.add_flow(flow)
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def _resync(self) -> None:
-        epoch = self.model.fabric.epoch
-        if epoch == self._epoch:
-            return
-        flows = list(self._flows.values())
-        self._flows.clear()
-        self._memberships.clear()
-        self._constraints.clear()
-        self._materialized = None
-        self._epoch = epoch
-        for flow in flows:
-            self._attach(flow)
-
-    def _attach(self, flow: Flow) -> None:
-        model = self.model
-        walk = model._flow_path(flow)
-        memberships: List[Tuple[Tuple, float]] = []
-        prev = walk[0]
-        for node in walk[1:]:
-            key = ("dir", prev, node, flow.is_read)
-            cons = self._constraints.get(key)
-            if cons is None:
-                direction = "read" if flow.is_read else "write"
-                cons = _SessionConstraint(
-                    model.per_direction_capacity,
-                    f"fabric.link.{prev}->{node}.{direction}",
-                )
-                self._constraints[key] = cons
-            cons.members[flow.flow_id] = 1.0
-            memberships.append((key, 1.0))
-
-            dkey = ("dup", prev, node)
-            dcons = self._constraints.get(dkey)
-            if dcons is None:
-                dcons = _SessionConstraint(
-                    model.duplex_capacity, f"fabric.link.{prev}->{node}.duplex"
-                )
-                self._constraints[dkey] = dcons
-            dcons.members[flow.flow_id] = 1.0
-            memberships.append((dkey, 1.0))
-            prev = node
-        if model.root_iops_limit is not None and len(walk) > 1:
-            rkey = ("iops", walk[-1])
-            rcons = self._constraints.get(rkey)
-            if rcons is None:
-                rcons = _SessionConstraint(
-                    model.root_iops_limit, f"fabric.root.{walk[-1]}.iops"
-                )
-                self._constraints[rkey] = rcons
-            weight = 1.0 / flow.io_size
-            rcons.members[flow.flow_id] = weight
-            memberships.append((rkey, weight))
-        self._flows[flow.flow_id] = flow
-        self._memberships[flow.flow_id] = memberships
-        self._materialized = None
-
-    def add_flow(self, flow: Flow) -> None:
-        self._resync()
-        if flow.flow_id in self._flows:
-            raise ValueError(f"duplicate flow id {flow.flow_id!r}")
-        self._attach(flow)
-
-    def remove_flow(self, flow_id: str) -> Flow:
-        self._resync()
-        flow = self._flows.pop(flow_id, None)
-        if flow is None:
-            raise KeyError(flow_id)
-        for key, _weight in self._memberships.pop(flow_id):
-            cons = self._constraints[key]
-            del cons.members[flow_id]
-            if not cons.members:
-                del self._constraints[key]
-        self._materialized = None
-        return flow
-
-    def allocate(self) -> FlowAllocation:
-        """Max-min fair rates for the session's current flow set."""
-        self._resync()
-        if not self._flows:
-            return FlowAllocation(rates={})
-        if self._materialized is None:
-            flows = list(self._flows.values())
-            index_of = {flow.flow_id: i for i, flow in enumerate(flows)}
-            constraints: List[_Constraint] = []
-            flow_cons: List[List[Tuple[int, float]]] = [[] for _ in flows]
-            # Sorted keys: deterministic constraint order independent of
-            # the add/remove history that produced the session state.
-            for key in sorted(self._constraints):
-                cons = self._constraints[key]
-                built = _Constraint(cons.capacity, cons.label)
-                cidx = len(constraints)
-                for flow_id in sorted(cons.members):
-                    weight = cons.members[flow_id]
-                    built.members.append((index_of[flow_id], weight))
-                    flow_cons[index_of[flow_id]].append((cidx, weight))
-                constraints.append(built)
-            self._materialized = (flows, constraints, flow_cons)
-        flows, constraints, flow_cons = self._materialized
-        demands = [flow.demand for flow in flows]
-        rates, used = _progressive_fill(len(flows), demands, constraints, flow_cons)
-        if self.model.metrics.enabled:
-            self.model._record_utilisation(constraints, used)
-        if self.model.tracer.enabled:
-            self.model._trace_throttled(flows, rates)
-        return FlowAllocation(
-            rates={flow.flow_id: rates[i] for i, flow in enumerate(flows)}
-        )

@@ -16,10 +16,9 @@ state-walk view.  Latency and energy attribution are printed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.cluster.deployment import Deployment
-from repro.cluster.multiunit import DeployUnit, MultiUnitDeployment
+from repro.cluster.deployment import Deployment, DeployUnit
 from repro.fabric.power import FabricPowerModel
 from repro.obs import export_text
 
@@ -51,8 +50,9 @@ class DeploymentSnapshot:
     metrics: Optional[str] = None
 
 
-def _unit_snapshot(unit_id: str, fabric, disks, endpoints) -> UnitSnapshot:
-    snap = UnitSnapshot(unit_id=unit_id)
+def _unit_snapshot(unit: DeployUnit) -> UnitSnapshot:
+    snap = UnitSnapshot(unit_id=unit.unit_id)
+    fabric = unit.fabric
     attachment = fabric.attachment_map()
     for host in fabric.hosts():
         snap.disks_per_host[host] = sorted(
@@ -60,9 +60,9 @@ def _unit_snapshot(unit_id: str, fabric, disks, endpoints) -> UnitSnapshot:
         )
     snap.detached_disks = sorted(d for d, h in attachment.items() if h is None)
     snap.disk_states = {
-        disk_id: disk.power_state.value for disk_id, disk in sorted(disks.items())
+        disk_id: disk.power_state.value for disk_id, disk in sorted(unit.disks.items())
     }
-    for host, endpoint in endpoints.items():
+    for host, endpoint in unit.endpoints.items():
         snap.exposed_targets[host] = len(endpoint.targets.exposed_targets())
     snap.fabric_watts = FabricPowerModel(fabric).total_power()
     snap.switch_turns_total = sum(s.turn_count for s in fabric.switches)
@@ -72,10 +72,8 @@ def _unit_snapshot(unit_id: str, fabric, disks, endpoints) -> UnitSnapshot:
     return snap
 
 
-def snapshot(
-    deployment: Union[Deployment, MultiUnitDeployment],
-) -> DeploymentSnapshot:
-    """Collect the current state of a (single- or multi-unit) deployment."""
+def snapshot(deployment: Deployment) -> DeploymentSnapshot:
+    """Collect the current state of a deployment, one entry per unit."""
     from repro.coord import Role
 
     master = deployment.active_master()
@@ -95,15 +93,8 @@ def snapshot(
             else None
         ),
     )
-    if isinstance(deployment, MultiUnitDeployment):
-        for unit_id, unit in deployment.units.items():
-            snap.units[unit_id] = _unit_snapshot(
-                unit_id, unit.fabric, unit.disks, unit.endpoints
-            )
-    else:
-        snap.units["unit0"] = _unit_snapshot(
-            "unit0", deployment.fabric, deployment.disks, deployment.endpoints
-        )
+    for unit_id, unit in deployment.units.items():
+        snap.units[unit_id] = _unit_snapshot(unit)
     return snap
 
 

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.fabric import (
-    AllocationSession,
     BandwidthModel,
     Flow,
     dual_tree_fabric,
@@ -187,59 +186,3 @@ def test_active_path_is_cached_within_epoch():
     assert first is fabric.active_path("disk0")  # same cached tuple
     fabric.switches[0].turn()
     assert fabric.active_path("disk0") is not first
-
-
-class TestAllocationSession:
-    def test_matches_batch_allocate_under_churn(self):
-        fabric = prototype_fabric()
-        model = BandwidthModel(fabric)
-        disks = sorted(disk.node_id for disk in fabric.disks)
-        rng = random.Random(99)
-        session = AllocationSession(model)
-        live = {}
-        for step in range(40):
-            if live and rng.random() < 0.4:
-                flow_id = rng.choice(sorted(live))
-                session.remove_flow(flow_id)
-                del live[flow_id]
-            else:
-                flow = Flow(
-                    flow_id=f"s{step}",
-                    disk_id=rng.choice(disks),
-                    demand=rng.uniform(1e6, 400e6),
-                    is_read=rng.random() < 0.5,
-                )
-                session.add_flow(flow)
-                live[flow.flow_id] = flow
-            got = session.allocate().rates
-            expected = model.allocate(list(live.values())).rates
-            assert set(got) == set(expected)
-            for flow_id in expected:
-                assert close(got[flow_id], expected[flow_id])
-
-    def test_resyncs_after_switch_turn(self):
-        fabric = prototype_fabric()
-        model = BandwidthModel(fabric)
-        disks = sorted(disk.node_id for disk in fabric.disks)
-        flows = [Flow(f"f{d}", d, 1e9, True) for d in disks]
-        session = model.session(flows)
-        assert all(close(r, 75e6) for r in session.allocate().rates.values())
-
-        next(s for s in fabric.switches if s.node_id == "leafsw1").turn()
-        got = session.allocate().rates
-        expected = reference_allocate(
-            fabric, flows, model.per_direction_capacity,
-            model.duplex_capacity, model.root_iops_limit,
-        )
-        for flow_id in expected:
-            assert close(got[flow_id], expected[flow_id])
-
-    def test_duplicate_and_missing_flow_ids(self):
-        fabric = prototype_fabric()
-        session = BandwidthModel(fabric).session()
-        session.add_flow(Flow("f1", "disk0", 1e6, True))
-        with pytest.raises(ValueError):
-            session.add_flow(Flow("f1", "disk1", 1e6, True))
-        with pytest.raises(KeyError):
-            session.remove_flow("nope")
-        assert len(session) == 1

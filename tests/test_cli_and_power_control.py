@@ -167,14 +167,10 @@ class TestServicePowerControl:
 
 class TestEndpointPowerPolicy:
     def test_idle_disks_spin_down_automatically(self):
-        from repro.cluster import DeploymentConfig, EndPointConfig
+        from repro.power.policy import FixedTimeoutPolicy, run_policy
 
-        config = DeploymentConfig(
-            endpoint=EndPointConfig(
-                power_policy_enabled=True, spin_down_idle_seconds=20.0
-            )
-        )
-        dep = build_deployment(config=config)
+        dep = build_deployment()
+        run_policy(dep.sim, dep.disks, FixedTimeoutPolicy(idle_timeout=20.0))
         dep.settle(60.0)
         spun_down = sum(
             1

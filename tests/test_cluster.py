@@ -215,6 +215,34 @@ class TestAllocation:
         if r1.disk_id == r2.disk_id:
             assert r1.offset + r1.length <= r2.offset or r2.offset + r2.length <= r1.offset
 
+    def test_concurrent_allocations_get_disjoint_extents(self):
+        """Two allocations that arrive within one StorAlloc commit see
+        each other: the first reserves its extent before committing."""
+        dep = fresh()
+        clients = [dep.new_client(f"app{i}", service="svc") for i in range(2)]
+        calls = [dep.sim.process(client.allocate(32 * MB)) for client in clients]
+        infos = dep.sim.run_until_event(dep.sim.all_of(calls))
+        master = dep.active_master()
+        r1, r2 = (master.records[info["space_id"]] for info in infos)
+        assert r1.space_id != r2.space_id
+        if r1.disk_id == r2.disk_id:
+            assert r1.offset + r1.length <= r2.offset or r2.offset + r2.length <= r1.offset
+
+    def test_failed_commit_releases_reserved_extent(self, monkeypatch):
+        dep = fresh()
+        client = dep.new_client("app", service="svc")
+        master = dep.active_master()
+        from repro.net import RemoteError
+
+        def refuse(path, data=None, ephemeral=False, sequential=False):
+            raise RemoteError("coordination unavailable")
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(master.coord, "create", refuse)
+        with pytest.raises(RemoteError):
+            dep.sim.run_until_event(dep.sim.process(client.allocate(32 * MB)))
+        assert master.records == {}
+
     def test_release_withdraws_target(self):
         dep = fresh()
         client = dep.new_client("app", service="svc1")

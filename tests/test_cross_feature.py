@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backup import BackupService, provision_archive, synthetic_dataset
-from repro.cluster import build_deployment, build_multi_unit_deployment
+from repro.cluster import DeploymentConfig, build_deployment
 from repro.net import RemoteError, RpcClient
 from repro.sim import RngRegistry
 from repro.workload import MB
@@ -72,7 +72,7 @@ class TestMultiUnitEdges:
     def test_cross_unit_migration_rejected(self):
         """A disk cannot be wired to a host of a different unit — the
         fabric has no such path, and the command fails cleanly."""
-        dep = build_multi_unit_deployment(num_units=2)
+        dep = build_deployment(config=DeploymentConfig(units=2))
         dep.settle(15.0)
         rpc = RpcClient(dep.sim, dep.network, "edge-op")
         master = dep.active_master().address

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import build_deployment, build_multi_unit_deployment
+from repro.cluster import DeploymentConfig, build_deployment
 from repro.monitor import render_dashboard, snapshot
 from repro.obs import MetricsRegistry
 from repro.workload import MB
@@ -42,7 +42,7 @@ class TestSnapshot:
         assert unit.exposed_targets[host] == 1
 
     def test_multi_unit_snapshot(self):
-        dep = build_multi_unit_deployment(num_units=2)
+        dep = build_deployment(config=DeploymentConfig(units=2))
         dep.settle(15.0)
         snap = snapshot(dep)
         assert set(snap.units) == {"unit0", "unit1"}

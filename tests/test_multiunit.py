@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.cluster import build_multi_unit_deployment, parse_space_id
+from repro.cluster import DeploymentConfig, build_deployment, parse_space_id
+from repro.obs import MetricsRegistry
 from repro.workload import MB
 
 
 @pytest.fixture(scope="module")
 def dep():
-    deployment = build_multi_unit_deployment(num_units=2)
+    deployment = build_deployment(config=DeploymentConfig(units=2))
     deployment.settle(15.0)
     return deployment
 
@@ -40,6 +41,21 @@ class TestBootstrap:
     def test_sysconf_mappings(self, dep):
         assert dep.sysconf.unit_of_host("unit1.host2") == "unit1"
         assert dep.sysconf.unit_of_disk("unit0.disk5") == "unit0"
+
+
+def test_instrumented_like_one_unit():
+    """Race detection and metrics reach every unit, and the single-unit
+    accessors refuse to pick a unit."""
+    dep = build_deployment(
+        config=DeploymentConfig(units=2, detect_races=True), metrics=MetricsRegistry()
+    )
+    dep.settle(15.0)
+    assert dep.sim._race_detector is not None
+    assert dep.sim.metrics.counter("sim.events").value > 0
+    assert dep.sim.races == []
+    assert dep.host_of_disk("unit1.disk0").startswith("unit1.host")
+    with pytest.raises(ValueError, match="2 deploy units"):
+        dep.fabric
 
 
 class TestAllocationAcrossUnits:
@@ -85,7 +101,7 @@ class TestAllocationAcrossUnits:
 
 class TestFailoverIsolation:
     def test_host_failure_contained_to_its_unit(self):
-        dep = build_multi_unit_deployment(num_units=2)
+        dep = build_deployment(config=DeploymentConfig(units=2))
         dep.settle(15.0)
         master = dep.active_master()
         unit1_before = dict(
@@ -106,7 +122,7 @@ class TestFailoverIsolation:
             assert master.sysstat.disk_to_host[disk] == host
 
     def test_migrate_within_unit(self):
-        dep = build_multi_unit_deployment(num_units=2)
+        dep = build_deployment(config=DeploymentConfig(units=2))
         dep.settle(15.0)
         from repro.net import RpcClient
 
