@@ -8,7 +8,7 @@ from repro.cluster.deployment import (
     DeploymentConfig,
     build_deployment,
 )
-from repro.cluster.endpoint import EndPoint, EndPointConfig
+from repro.cluster.endpoint import EndPoint
 from repro.cluster.master import AllocationError, Master, MasterConfig
 from repro.cluster.metadata import DiskStatus, HostStatus, SpaceRecord, SysConf, SysStat
 from repro.cluster.namespace import (
@@ -29,7 +29,6 @@ __all__ = [
     "DeploymentConfig",
     "DiskStatus",
     "EndPoint",
-    "EndPointConfig",
     "HostStatus",
     "Master",
     "MasterConfig",

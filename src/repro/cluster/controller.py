@@ -62,13 +62,16 @@ class Controller:
         self.is_primary = is_primary
         self.config = config
         self.alive = True
-        self.commands_executed = 0
+        self.commands = 0
         self.commands_failed = 0
         self.rollbacks = 0
-        self._m_commands = sim.metrics.counter("controller.commands")
-        self._m_failed = sim.metrics.counter("controller.commands_failed")
-        self._m_rollbacks = sim.metrics.counter("controller.rollbacks")
-        self._m_turns = sim.metrics.counter("controller.switch_turns")
+        self.switch_turns = 0
+        sim.metrics.publish(
+            "controller",
+            self,
+            ("commands", "commands_failed", "rollbacks", "switch_turns"),
+        )
+        self._m_execute = sim.metrics.histogram("controller.execute_seconds")
 
         # §IV-C step 1: the fabric is locked per command.
         self._lock = Resource(sim, capacity=1, name=f"fabric-lock:{address}")
@@ -110,59 +113,56 @@ class Controller:
     def _execute(self, pairs: List[Tuple[str, str]]) -> Generator[Event, None, dict]:
         pairs = [tuple(p) for p in pairs]
         yield self._lock.request()
-        self._m_commands.inc()
+        self.commands += 1
+        started = self.sim.now
         try:
-            with self.sim.metrics.span("controller.execute"):
-                # Step 2: determine the switches to turn (Algorithm 1).
-                try:
-                    plan = plan_switches(self.fabric, pairs)
-                except SwitchConflict as exc:
-                    self.commands_failed += 1
-                    self._m_failed.inc()
-                    raise CommandFailed(f"conflict: {exc} (victims: {exc.victims})")
-                previous = {
-                    setting.switch_id: self.fabric.node(setting.switch_id).state
-                    for setting in plan.turns
-                }
-                # Step 3: drive the microcontroller, one switch at a time.
-                for setting in plan.turns:
-                    self.control_plane.set_switch(setting.switch_id, setting.state)
-                self._m_turns.inc(len(plan.turns))
+            # Step 2: determine the switches to turn (Algorithm 1).
+            try:
+                plan = plan_switches(self.fabric, pairs)
+            except SwitchConflict as exc:
+                self.commands_failed += 1
+                raise CommandFailed(f"conflict: {exc} (victims: {exc.victims})")
+            previous = {
+                setting.switch_id: self.fabric.node(setting.switch_id).state
+                for setting in plan.turns
+            }
+            # Step 3: drive the microcontroller, one switch at a time.
+            for setting in plan.turns:
+                self.control_plane.set_switch(setting.switch_id, setting.state)
+            self.switch_turns += len(plan.turns)
+            self.bus.sync()
+            verified = yield from self._verify(pairs)
+            if not verified:
+                # Roll back to the original states and report failure.
+                for switch_id, state in previous.items():
+                    self.control_plane.set_switch(switch_id, state)
                 self.bus.sync()
-                verified = yield from self._verify(pairs)
-                if not verified:
-                    # Roll back to the original states and report failure.
-                    for switch_id, state in previous.items():
-                        self.control_plane.set_switch(switch_id, state)
-                    self.bus.sync()
-                    self.rollbacks += 1
-                    self.commands_failed += 1
-                    self._m_rollbacks.inc()
-                    self._m_failed.inc()
-                    if self.sim.tracer.enabled:
-                        self.sim.tracer.instant(
-                            "controller.rollback",
-                            controller=self.address,
-                            pairs=len(pairs),
-                            turns=len(plan.turns),
-                        )
-                    raise CommandFailed(
-                        f"verification timed out after {self.config.verify_timeout}s; "
-                        f"rolled back {len(previous)} switch(es)"
-                    )
-                self.commands_executed += 1
+                self.rollbacks += 1
+                self.commands_failed += 1
                 if self.sim.tracer.enabled:
                     self.sim.tracer.instant(
-                        "controller.execute",
+                        "controller.rollback",
                         controller=self.address,
                         pairs=len(pairs),
                         turns=len(plan.turns),
                     )
-                return {
-                    "turned": [(s.switch_id, s.state) for s in plan.turns],
-                    "already_satisfied": list(plan.already_satisfied),
-                }
+                raise CommandFailed(
+                    f"verification timed out after {self.config.verify_timeout}s; "
+                    f"rolled back {len(previous)} switch(es)"
+                )
+            if self.sim.tracer.enabled:
+                self.sim.tracer.instant(
+                    "controller.execute",
+                    controller=self.address,
+                    pairs=len(pairs),
+                    turns=len(plan.turns),
+                )
+            return {
+                "turned": [(s.switch_id, s.state) for s in plan.turns],
+                "already_satisfied": list(plan.already_satisfied),
+            }
         finally:
+            self._m_execute.observe(self.sim.now - started)
             self._lock.release()
 
     def _verify(self, pairs: List[Tuple[str, str]]) -> Generator[Event, None, bool]:

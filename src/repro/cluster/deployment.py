@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster.controller import Controller, ControllerConfig
 from repro.cluster.clientlib import ClientLib
-from repro.cluster.endpoint import EndPoint, EndPointConfig
+from repro.cluster.endpoint import EndPoint
 from repro.cluster.master import Master, MasterConfig
 from repro.cluster.metadata import SysConf
 from repro.coord import CoordReplica, build_cluster
@@ -48,7 +48,6 @@ class DeploymentConfig:
     seed: int = 7
     # Opt-in same-timestamp race detection (repro.analysis.races).
     detect_races: bool = False
-    endpoint: EndPointConfig = EndPointConfig()
     master: MasterConfig = MasterConfig()
     controller: ControllerConfig = ControllerConfig()
 
@@ -254,7 +253,6 @@ def build_deployment(
                 unit.bus,
                 unit.disks,
                 coord_servers,
-                config=config.endpoint,
             )
             for host, address in host_addresses.items()
         }

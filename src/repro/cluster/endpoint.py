@@ -16,7 +16,6 @@ attached over a set of disks with :func:`~repro.power.policy.run_policy`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.cluster.metadata import SpaceRecord
@@ -30,15 +29,12 @@ from repro.net.rpc import RemoteError, RpcClient
 from repro.sim import Event, Grid, Simulator
 from repro.usbsim.bus import UsbBus
 
-__all__ = ["EndPoint", "EndPointConfig"]
+__all__ = ["EndPoint"]
 
 HOSTS_ROOT = "/ustore/hosts"
 MASTER_POINTER = "/ustore/master"
-
-
-@dataclass(frozen=True)
-class EndPointConfig:
-    heartbeat_interval: float = 0.5
+#: Seconds between heartbeat rounds to the Master.
+HEARTBEAT_INTERVAL = 0.5
 
 
 class EndPoint:
@@ -53,7 +49,6 @@ class EndPoint:
         bus: UsbBus,
         disks: Dict[str, SimulatedDisk],
         coord_servers: List[str],
-        config: EndPointConfig = EndPointConfig(),
     ):
         self.sim = sim
         self.network = network
@@ -61,7 +56,6 @@ class EndPoint:
         self.address = address
         self.bus = bus
         self.disks = disks
-        self.config = config
         self.alive = True
 
         self.targets = IscsiTargetServer(sim, network, address)
@@ -85,7 +79,7 @@ class EndPoint:
         bus.register_listener(host_id, self)
 
         sim.process(self._startup())
-        sim.defer(config.heartbeat_interval, self._heartbeat)
+        sim.defer(HEARTBEAT_INTERVAL, self._heartbeat)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -173,7 +167,7 @@ class EndPoint:
         or failure.  The chain stops while the host is dead.
         """
         if not self.alive:
-            self._heartbeat_grid = Grid(self.sim.now, self.config.heartbeat_interval)
+            self._heartbeat_grid = Grid(self.sim.now, HEARTBEAT_INTERVAL)
             return
         if self._master_address is not None:
             self._send_heartbeat(self._master_address)
@@ -183,7 +177,7 @@ class EndPoint:
         )
 
     def _next_heartbeat(self) -> None:
-        self.sim.defer(self.config.heartbeat_interval, self._heartbeat)
+        self.sim.defer(HEARTBEAT_INTERVAL, self._heartbeat)
 
     def _on_pointer_exists(self, exists: Any, error: Optional[Exception]) -> None:
         if error is not None or not exists:

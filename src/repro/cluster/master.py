@@ -37,6 +37,11 @@ __all__ = ["AllocationError", "Master", "MasterConfig"]
 
 ELECTION_ROOT = "/ustore/master-election"
 MASTER_POINTER = "/ustore/master"
+#: Seconds between the active Master's host-failure checks (its grid
+#: starts at activation).
+FAILURE_CHECK_INTERVAL = 0.5
+#: Bytes assumed for a disk missing from ``disk_capacities`` (3 TB).
+DEFAULT_DISK_CAPACITY = 3 * 10**12
 
 
 class AllocationError(Exception):
@@ -47,9 +52,7 @@ class AllocationError(Exception):
 class MasterConfig:
     # Hosts are suspected after this much heartbeat silence, §IV-E.
     heartbeat_timeout: float = 2.0
-    failure_check_interval: float = 0.5
     election_poll_interval: float = 1.0
-    default_disk_capacity: int = 3 * 10**12
 
 
 class Master:
@@ -81,13 +84,13 @@ class Master:
         self.alive = True
         self.failovers_completed = 0
         # Failure detection: one armed check on the grid of
-        # failure_check_interval from activation (DESIGN.md §8); the
+        # FAILURE_CHECK_INTERVAL from activation (DESIGN.md §8); the
         # grid is replaced at each activation.
         self._detector = Deadline(sim, self._check_hosts)
-        self._detector_grid = Grid(sim.now, config.failure_check_interval)
+        self._detector_grid = Grid(sim.now, FAILURE_CHECK_INTERVAL)
         self._m_heartbeats = sim.metrics.counter("master.heartbeats")
         self._m_allocations = sim.metrics.counter("master.allocations")
-        self._m_failovers = sim.metrics.counter("master.failovers")
+        sim.metrics.publish("master", self, ("failovers_completed",))
         self._m_failover_seconds = sim.metrics.histogram("master.failover_seconds")
 
         self.coord = CoordSession(sim, network, f"{address}.coord", coord_servers)
@@ -179,7 +182,7 @@ class Master:
         yield from self._interrogate_hosts()
         self.active = True
         self._stepped_down = self.sim.event()
-        self._detector_grid = Grid(self.sim.now, self.config.failure_check_interval)
+        self._detector_grid = Grid(self.sim.now, FAILURE_CHECK_INTERVAL)
         self._arm_detector()
         # Step down when the coordination session can no longer be
         # vouched for, before a rival can be elected (SNIPPETS.md 3).
@@ -246,7 +249,7 @@ class Master:
         return True
 
     def _capacity_of(self, disk_id: str) -> int:
-        return self.disk_capacities.get(disk_id, self.config.default_disk_capacity)
+        return self.disk_capacities.get(disk_id, DEFAULT_DISK_CAPACITY)
 
     def _allocated_on(self, disk_id: str) -> int:
         return sum(r.length for r in self.records.values() if r.disk_id == disk_id)
@@ -547,25 +550,23 @@ class Master:
             if tracer.enabled
             else NULL_TRACE
         )
-        with self.sim.metrics.span("master.failover"):
-            for controller in controllers:
-                try:
-                    moved = yield from self._fail_over_via(
-                        controller, orphans, dict(load)
-                    )
-                    if moved:
-                        ctx.event("failover.controller_ok", controller=controller)
-                        break
-                except (RpcTimeout, RemoteError):
-                    # Primary controller unreachable: try the backup.
-                    ctx.event("failover.controller_unreachable", controller=controller)
-                    continue
-            ctx.phase("failover")
-            yield from self._re_expose(moved)
-            ctx.phase("network")
+        for controller in controllers:
+            try:
+                moved = yield from self._fail_over_via(
+                    controller, orphans, dict(load)
+                )
+                if moved:
+                    ctx.event("failover.controller_ok", controller=controller)
+                    break
+            except (RpcTimeout, RemoteError):
+                # Primary controller unreachable: try the backup.
+                ctx.event("failover.controller_unreachable", controller=controller)
+                continue
+        ctx.phase("failover")
+        yield from self._re_expose(moved)
+        ctx.phase("network")
         if moved:
             self.failovers_completed += 1
-            self._m_failovers.inc()
             self._m_failover_seconds.observe(self.sim.now - started)
             ctx.annotate(moved=len(moved))
             ctx.finish("ok")

@@ -1,7 +1,7 @@
 """Coordination service: a quorum-replicated mini-ZooKeeper."""
 
 from repro.coord.client import CoordSession, SessionExpiredError
-from repro.coord.service import CoordConfig, CoordReplica, LogEntry, NotLeaderError, Role
+from repro.coord.service import CoordReplica, LogEntry, NotLeaderError, Role
 from repro.coord.znode import (
     NodeExistsError,
     NoNodeError,
@@ -12,7 +12,6 @@ from repro.coord.znode import (
 )
 
 __all__ = [
-    "CoordConfig",
     "CoordReplica",
     "CoordSession",
     "LogEntry",
@@ -28,13 +27,10 @@ __all__ = [
 ]
 
 
-def build_cluster(sim, network, size=3, rng=None, config=None, prefix="coord"):
+def build_cluster(sim, network, size=3, rng=None, prefix="coord"):
     """Convenience: spin up a replica cluster and return the replicas."""
-    from repro.coord.service import CoordConfig as _Config
-
     addresses = [f"{prefix}{i}" for i in range(size)]
-    config = config or _Config()
     return [
-        CoordReplica(sim, network, address, addresses, rng=rng, config=config)
+        CoordReplica(sim, network, address, addresses, rng=rng)
         for address in addresses
     ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.coord.service import CoordConfig
+from repro.coord.service import SESSION_TIMEOUT
 from repro.net.network import Message, Network
 from repro.net.rpc import Done, RpcClient, RpcTimeout, settle
 from repro.sim import Deadline, Event, Simulator
@@ -23,6 +23,8 @@ __all__ = ["CoordSession", "SessionExpiredError"]
 #: Pause between rounds over the candidate servers, giving an election
 #: time to finish.
 _ROUND_BACKOFF = 0.25
+#: Keepalive period: four pings per session timeout.
+_PING_INTERVAL = SESSION_TIMEOUT / 4
 
 
 class SessionExpiredError(Exception):
@@ -38,8 +40,6 @@ class CoordSession:
         network: Network,
         address: str,
         servers: List[str],
-        session_timeout: float = CoordConfig().session_timeout,
-        ping_interval: Optional[float] = None,
     ):
         if not servers:
             raise ValueError("need at least one coordination server")
@@ -48,8 +48,7 @@ class CoordSession:
         self.address = address
         self.servers = list(servers)
         self.session_id = f"session:{address}"
-        self.session_timeout = session_timeout
-        self.ping_interval = ping_interval or session_timeout / 4
+        self.session_timeout = SESSION_TIMEOUT
         self.rpc = RpcClient(sim, network, address)
         self._leader_guess: Optional[str] = servers[0]
         self._watch_callbacks: Dict[Tuple[str, str], List[Callable[[str, str], None]]] = {}
@@ -78,7 +77,7 @@ class CoordSession:
         )
         yield waiter
         self.started = True
-        self.sim.defer(self.ping_interval, self._ping)
+        self.sim.defer(_PING_INTERVAL, self._ping)
 
     def _ping(self) -> None:
         """One keepalive; the next is scheduled after its reply or failure."""
@@ -101,7 +100,7 @@ class CoordSession:
                 callback()
             return
         # On failure keep trying; the expirer decides when we are gone.
-        self.sim.defer(self.ping_interval, self._ping)
+        self.sim.defer(_PING_INTERVAL, self._ping)
 
     def on_expiry(self, callback: Optional[Callable[[], None]]) -> None:
         """Call ``callback()`` once when a ping learns that the cluster

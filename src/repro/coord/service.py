@@ -18,7 +18,7 @@ leader (clients do not re-register watches after a failover).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.net.network import Network
@@ -27,10 +27,19 @@ from repro.sim import Deadline, Event, Simulator
 from repro.sim.rng import RngRegistry
 from repro.coord.znode import ZnodeError, ZnodeTree
 
-__all__ = ["CoordConfig", "CoordReplica", "LogEntry", "NotLeaderError", "Role"]
+__all__ = ["CoordReplica", "LogEntry", "NotLeaderError", "Role"]
 
 #: Period of the grid on which a replica checks its election deadline.
 ELECTION_CHECK_INTERVAL = 0.05
+#: A follower that hears no leader for a uniform draw from this range
+#: (seconds) stands for election; the leader heartbeats every half of
+#: the shortest draw.
+ELECTION_TIMEOUT_MIN = 0.50
+ELECTION_TIMEOUT_MAX = 1.00
+#: Seconds without a ping after which the leader expires a session.
+SESSION_TIMEOUT = 2.00
+#: Period of the grid on which the leader checks for expired sessions.
+SESSION_CHECK_INTERVAL = 0.25
 
 
 class NotLeaderError(Exception):
@@ -54,14 +63,6 @@ class LogEntry:
     op: Tuple  # ("create", path, data, ephemeral_owner, sequential) etc.
 
 
-@dataclass(frozen=True)
-class CoordConfig:
-    election_timeout_min: float = 0.50
-    election_timeout_max: float = 1.00
-    session_timeout: float = 2.00
-    session_check_interval: float = 0.25
-
-
 class CoordReplica:
     """One replica of the coordination cluster."""
 
@@ -72,14 +73,12 @@ class CoordReplica:
         address: str,
         peers: List[str],
         rng: Optional[RngRegistry] = None,
-        config: CoordConfig = CoordConfig(),
     ):
         self.sim = sim
         self.network = network
         self.address = address
         self.peers = [p for p in peers if p != address]
         self.cluster_size = len(self.peers) + 1
-        self.config = config
         self._rng = (rng or RngRegistry(0)).stream(f"coord:{address}")
 
         # Persistent state (would be on disk in a real system).
@@ -111,7 +110,7 @@ class CoordReplica:
         self._election_timer = Deadline(
             sim, self._on_election_deadline, self._election_grid
         )
-        self._expiry_grid = sim.grid(config.session_check_interval)
+        self._expiry_grid = sim.grid(SESSION_CHECK_INTERVAL)
         self._expirer = Deadline(sim, self._expire_sessions, self._expiry_grid)
         self.rpc = RpcServer(sim, network, address)
         self.peer_rpc = RpcClient(sim, network, f"{address}.peerclient")
@@ -150,7 +149,7 @@ class CoordReplica:
 
     def _bump_election_deadline(self) -> None:
         self._election_deadline = self.sim.now + self._rng.uniform(
-            self.config.election_timeout_min, self.config.election_timeout_max
+            ELECTION_TIMEOUT_MIN, ELECTION_TIMEOUT_MAX
         )
         # The armed tick is the first one at or after the old deadline; a
         # later deadline is picked up when that tick fires.
@@ -198,7 +197,7 @@ class CoordReplica:
                     self.address,
                     last_epoch,
                     last_index,
-                    timeout=self.config.election_timeout_min / 2,
+                    timeout=ELECTION_TIMEOUT_MIN / 2,
                 )
             )
             for peer in self.peers
@@ -266,7 +265,7 @@ class CoordReplica:
         if self.crashed or self.role is not Role.LEADER or self.current_epoch != epoch:
             return
         self._replicate()
-        self.sim.defer(self.config.election_timeout_min / 2, lambda: self._heartbeat(epoch))
+        self.sim.defer(ELECTION_TIMEOUT_MIN / 2, lambda: self._heartbeat(epoch))
 
     def _replicate(self) -> None:
         epoch = self.current_epoch
@@ -306,7 +305,7 @@ class CoordReplica:
                 self.commit_index,
             ),
             done,
-            timeout=self.config.election_timeout_min,
+            timeout=ELECTION_TIMEOUT_MIN,
         )
 
     def _propose(self, op: Tuple) -> LogEntry:
@@ -527,7 +526,7 @@ class CoordReplica:
         return [
             sid
             for sid, last in self._sessions_last_seen.items()
-            if now - last > self._session_timeouts.get(sid, self.config.session_timeout)
+            if now - last > self._session_timeouts.get(sid, SESSION_TIMEOUT)
         ]
 
     def _arm_expirer(self) -> None:

@@ -119,10 +119,8 @@ class SimulatedDisk:
         # Obs instruments, fetched once; aggregated across all disks of a
         # simulator so the dump stays small at deployment scale.
         metrics = sim.metrics
-        self._m_ios = metrics.counter("disk.ios")
-        self._m_bytes_read = metrics.counter("disk.bytes_read")
-        self._m_bytes_written = metrics.counter("disk.bytes_written")
-        self._m_spin_ups = metrics.counter("disk.spin_ups")
+        metrics.publish("disk", self, ("completed_ios", "bytes_read", "bytes_written"))
+        metrics.publish("disk", self.states, ("spin_up_count",))
         self._m_queue_depth = metrics.histogram(
             "disk.queue_depth", DEFAULT_DEPTH_BUCKETS
         )
@@ -226,7 +224,6 @@ class SimulatedDisk:
             return done
         self._enter_state(DiskPowerState.SPINNING_UP)
         self._spin_up_done = done
-        self._m_spin_ups.inc()
         self.spinup_owner = blame.owner()
         for listener in self._spin_listeners:
             listener(self.disk_id, self.sim.now, blame)
@@ -351,14 +348,11 @@ class SimulatedDisk:
             self._last_offset_end = request.offset + request.size
             self._last_io_end = self.sim.now
             self.completed_ios += 1
-            self._m_ios.inc()
             self._m_service.observe(service)
             if request.is_read:
                 self.bytes_read += request.size
-                self._m_bytes_read.inc(request.size)
             else:
                 self.bytes_written += request.size
-                self._m_bytes_written.inc(request.size)
             return service
         finally:
             self.busy_owner = None

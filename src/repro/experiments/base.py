@@ -26,8 +26,9 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
 ]
 
-#: Bumped whenever the ExperimentResult JSON layout changes shape.
-RESULT_SCHEMA_VERSION = 1
+#: Bumped whenever the ExperimentResult JSON layout changes shape,
+#: including its ``obs`` block (2: published counters, no spans).
+RESULT_SCHEMA_VERSION = 2
 
 
 def _jsonify(value: Any) -> Any:

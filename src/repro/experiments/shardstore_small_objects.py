@@ -182,7 +182,7 @@ def run_point(
                 target = put_start + at
                 if target > sim.now:
                     yield sim.timeout(target - sim.now)
-                put_requests[uid] = gateway.submit(
+                put_requests[uid] = gateway.submit_op(
                     WriteObject(tenant=TENANT.name, ref=refs[uid])
                 )
 
@@ -201,7 +201,7 @@ def run_point(
                 if target > sim.now:
                     yield sim.timeout(target - sim.now)
                 get_requests.append(
-                    gateway.submit(
+                    gateway.submit_op(
                         ReadObject(tenant=TENANT.name, ref=refs[uids[index]])
                     )
                 )

@@ -224,7 +224,7 @@ def run_point(
                 target = window_start + at
                 if target > sim.now:
                     yield sim.timeout(target - sim.now)
-                write_requests[uid] = gateway.submit(
+                write_requests[uid] = gateway.submit_op(
                     WriteObject(tenant=ARCHIVE.name, ref=refs[uid])
                 )
 
@@ -234,7 +234,7 @@ def run_point(
             if target > sim.now:
                 yield sim.timeout(target - sim.now)
             read_requests.append(
-                gateway.submit(ReadObject(tenant=ARCHIVE.name, ref=ref))
+                gateway.submit_op(ReadObject(tenant=ARCHIVE.name, ref=ref))
             )
 
     writer = sim.process(write_all())

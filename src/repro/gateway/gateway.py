@@ -1,7 +1,7 @@
 """The gateway: admission, fair queuing, power-budgeted dispatch.
 
 One :class:`Gateway` fronts a set of mounted UStore spaces (one per
-backing disk).  Requests arrive via :meth:`Gateway.submit` — admission
+backing disk).  Requests arrive via :meth:`Gateway.submit_op` — admission
 control and SLO tagging happen synchronously at the door — and are
 drained by a single dispatcher process that consults the configured
 scheduler strategy (:mod:`repro.gateway.scheduler`) and the power
@@ -79,6 +79,8 @@ __all__ = [
 POLL_INTERVAL = SimSeconds(1.0)
 #: Check interval of the fixed-timeout spin-down policy loop.
 POLICY_CHECK_INTERVAL = SimSeconds(2.0)
+#: Idle timeout handed to the spin-down policy loop.
+SPIN_DOWN_IDLE_SECONDS = SimSeconds(12.0)
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,6 @@ class GatewayConfig:
     watts_per_disk: Optional[Watts] = None
     scheduler: str = "batch"
     max_batch: int = 64
-    #: Idle timeout handed to the spin-down policy loop.
-    spin_down_idle_seconds: SimSeconds = SimSeconds(12.0)
     #: Sub-block coalescing window: reads in the same space whose
     #: extents fall within this many bytes of each other share one
     #: disk pass (0 merges only overlapping/adjacent extents).  The
@@ -195,18 +195,10 @@ class Gateway:
         self._power_blocked_since: Dict[str, float] = {}
         self._baseline_spin_ups = 0
         self._baseline_energy = 0.0
-        # Obs instruments, fetched once (no-ops on the null registry).
+        # Obs instruments, fetched once (no-ops on the null registry);
+        # the request counts are the stats' own.
         metrics = sim.metrics
-        self._m_submitted = metrics.counter("gateway.submitted")
-        self._m_admitted = metrics.counter("gateway.admitted")
-        self._m_rejected = metrics.counter("gateway.rejected")
-        self._m_completed = metrics.counter("gateway.completed")
-        self._m_failed = metrics.counter("gateway.failed")
-        self._m_slo_miss = metrics.counter("gateway.slo_miss")
-        self._m_batches = metrics.counter("gateway.batches")
-        self._m_disk_passes = metrics.counter("gateway.disk_passes")
-        self._m_coalesced = metrics.counter("gateway.coalesced_reads")
-        self._m_reclaims = metrics.counter("gateway.reclaim_spin_downs")
+        metrics.publish("gateway", self.stats)
         self._m_latency = metrics.histogram("gateway.latency_seconds")
         self._m_queue_wait = metrics.histogram("gateway.queue_wait_seconds")
         self._m_batch_size = metrics.histogram(
@@ -296,28 +288,22 @@ class Gateway:
             run_policy(
                 self.sim,
                 policy_disks,
-                FixedTimeoutPolicy(idle_timeout=self.config.spin_down_idle_seconds),
+                FixedTimeoutPolicy(idle_timeout=SPIN_DOWN_IDLE_SECONDS),
                 check_interval=POLICY_CHECK_INTERVAL,
             )
         return self.sim.process(self._dispatcher())
 
     # -- admission --------------------------------------------------------
 
-    def submit(self, op: GatewayOp) -> GatewayRequest:
+    def submit_op(self, op: GatewayOp) -> GatewayRequest:
         """Admit one :class:`ReadObject`, :class:`WriteObject` or
         :class:`ReadRange` (or raise a typed admission error)."""
-        return self.submit_op(op)
-
-    def submit_op(self, op: GatewayOp) -> GatewayRequest:
-        """Admit one typed op: the body behind :meth:`submit`, which
-        instrumentation wraps to see every admission."""
         op_space, op_offset, op_size, op_is_read = resolve_op(op)
         disk_id = self._disk_of_space.get(op_space)
         if disk_id is None:
             raise GatewayError(f"unknown space {op_space!r}")
         op_tenant = op.tenant
         self.stats.submitted += 1
-        self._m_submitted.inc()
         spec = self._tenants.get(op_tenant)
         now = self.sim.now
         request = GatewayRequest(
@@ -349,7 +335,6 @@ class Gateway:
             self.queue.push(request)
         except GatewayError as exc:
             self.stats.rejected += 1
-            self._m_rejected.inc()
             if spec is not None:
                 self.stats.per_tenant[op_tenant].rejected += 1
             request.trace.event("admission.rejected", reason=str(exc))
@@ -357,7 +342,6 @@ class Gateway:
             raise
         self._next_request_id += 1
         self.stats.admitted += 1
-        self._m_admitted.inc()
         self._update_depth_gauges()
         self._wake()
         return request
@@ -459,7 +443,6 @@ class Gateway:
                     request.trace.phase_at("queue_wait", queue_end)
                     request.trace.phase("power_wait")
             self.stats.batches += 1
-            self._m_batches.inc()
             self._m_batch_size.observe(float(len(batch)))
             self.sim.process(self._serve_batch(entry.disk_id, batch))
             dispatched = True
@@ -494,7 +477,6 @@ class Gateway:
         space = self._spaces[disk_pass.space_id]
         members = disk_pass.requests
         self.stats.disk_passes += 1
-        self._m_disk_passes.inc()
         for request in members:
             # Time spent behind earlier passes of the same batch.
             request.trace.phase("batch_wait")
@@ -511,7 +493,6 @@ class Gateway:
                     )
             else:
                 self.stats.coalesced_reads += len(members) - 1
-                self._m_coalesced.inc(len(members) - 1)
                 lead = members[0]
                 extents = [
                     (request.offset, request.size) for request in members
@@ -539,7 +520,6 @@ class Gateway:
             request.state = RequestState.FAILED
             request.failure = failure
             self.stats.failed += 1
-            self._m_failed.inc()
             if tenant is not None:
                 tenant.failed += 1
             request.trace.annotate(slo_missed=request.missed_slo())
@@ -550,7 +530,6 @@ class Gateway:
         latency = request.completed_at - request.arrival
         self.stats.completed += 1
         self.stats.latencies.append(latency)
-        self._m_completed.inc()
         self._m_latency.observe(latency)
         if tenant is not None:
             tenant.completed += 1
@@ -559,7 +538,6 @@ class Gateway:
         missed = request.missed_slo()
         if missed:
             self.stats.slo_misses += 1
-            self._m_slo_miss.inc()
             if tenant is not None:
                 tenant.slo_misses += 1
         request.trace.annotate(slo_missed=missed)
@@ -602,7 +580,6 @@ class Gateway:
         _, _, victim = candidates[0]
         self._disks[victim].spin_down()
         self.stats.reclaim_spin_downs += 1
-        self._m_reclaims.inc()
         return True
 
     def _update_depth_gauges(self) -> None:

@@ -257,7 +257,7 @@ class OpenLoopTrafficGenerator:
         else:
             op = WriteObject(tenant=spec.name, ref=ref)
         try:
-            self.gateway.submit(op)
+            self.gateway.submit_op(op)
         except AdmissionError:
             traffic.rejected += 1
         else:

@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    SpanRecord,
 )
 from repro.obs.slo import FlightRecorder, SloAlert, SloMonitor, SloObjective
 from repro.obs.trace import (
@@ -84,7 +83,6 @@ __all__ = [
     "SloAlert",
     "SloMonitor",
     "SloObjective",
-    "SpanRecord",
     "TraceContext",
     "TraceEvent",
     "TraceScope",

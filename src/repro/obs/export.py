@@ -81,19 +81,6 @@ def export_text(registry: MetricsRegistry) -> str:
                 line += f" overflow={entry['overflow']}"
             lines.append(line)
 
-    spans: Dict[str, Dict[str, float]] = dump["spans"]
-    if spans:
-        lines.append("")
-        lines.append("spans:")
-        width = max(len(name) for name in spans)
-        for name in sorted(spans):
-            entry = spans[name]
-            lines.append(
-                f"  {name:<{width}}  count={_format_value(entry['count'])}"
-                f" total={_format_value(entry['total_seconds'])}s"
-                f" max={_format_value(entry['max_seconds'])}s"
-            )
-
     if len(lines) == 1:
         lines.append("  (no instruments registered)")
     return "\n".join(lines)

@@ -15,13 +15,20 @@ Components fetch their instruments once at construction time and call
 registry those calls are empty method bodies, so a simulation without
 metrics pays one no-op call per instrumented operation and nothing
 else.
+
+Each event is counted once.  A count a component already keeps (its
+stats dataclass, an int attribute) is handed to
+:meth:`MetricsRegistry.publish` and read when the registry dumps; a
+registry :class:`Counter` is only for an event no component counts
+itself.  Durations are histograms; spans belong to the request tracer
+(:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from types import TracebackType
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import fields
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -32,7 +39,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "SpanRecord",
 ]
 
 #: Queue-depth style buckets (small integer counts).
@@ -174,57 +180,8 @@ class Histogram:
         }
 
 
-class SpanRecord:
-    """One completed (or still-open) trace span in simulated time."""
-
-    __slots__ = ("name", "start", "end", "depth", "index", "parent_index")
-
-    def __init__(
-        self,
-        name: str,
-        start: float,
-        depth: int,
-        index: int,
-        parent_index: Optional[int],
-    ) -> None:
-        self.name = name
-        self.start = start
-        self.end: Optional[float] = None
-        self.depth = depth
-        self.index = index
-        self.parent_index = parent_index
-
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
-
-class _SpanHandle:
-    """Context manager returned by :meth:`MetricsRegistry.span`."""
-
-    __slots__ = ("_registry", "_name", "_record")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._record: Optional[SpanRecord] = None
-
-    def __enter__(self) -> SpanRecord:
-        self._record = self._registry._open_span(self._name)
-        return self._record
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        if self._record is not None:
-            self._registry._close_span(self._record)
-
-
 class MetricsRegistry:
-    """Get-or-create registry of named instruments plus trace spans.
+    """Get-or-create registry of named instruments and published counts.
 
     Bind it to a simulator clock with :meth:`bind_clock` (done
     automatically by ``Simulator(metrics=...)``); an unbound registry
@@ -234,15 +191,15 @@ class MetricsRegistry:
     """
 
     #: Dump schema version, bumped on incompatible layout changes.
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     def __init__(self, clock: Optional[_Clock] = None) -> None:
         self._clock: _Clock = clock if clock is not None else _zero_clock
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self.spans: List[SpanRecord] = []
-        self._span_stack: List[SpanRecord] = []
+        #: counter name -> every (source, attribute) published under it.
+        self._published: Dict[str, List[Tuple[Any, str]]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -260,6 +217,8 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
+            if name in self._published:
+                raise ValueError(f"counter {name!r} is already published")
             instrument = Counter(name)
             self._counters[name] = instrument
         return instrument
@@ -280,36 +239,26 @@ class MetricsRegistry:
             self._histograms[name] = instrument
         return instrument
 
-    # -- spans -----------------------------------------------------------
+    def publish(self, prefix: str, source: Any, names: Sequence[str] = ()) -> None:
+        """Report counts ``source`` already keeps as ``<prefix>.<name>``.
 
-    def span(self, name: str) -> _SpanHandle:
-        """Context manager recording a sim-time span; nests via a stack."""
-        return _SpanHandle(self, name)
-
-    def _open_span(self, name: str) -> SpanRecord:
-        parent = self._span_stack[-1] if self._span_stack else None
-        record = SpanRecord(
-            name=name,
-            start=self._clock(),
-            depth=len(self._span_stack),
-            index=len(self.spans),
-            parent_index=parent.index if parent is not None else None,
-        )
-        self.spans.append(record)
-        self._span_stack.append(record)
-        return record
-
-    def _close_span(self, record: SpanRecord) -> None:
-        record.end = self._clock()
-        if self._span_stack and self._span_stack[-1] is record:
-            self._span_stack.pop()
-        elif record in self._span_stack:
-            self._span_stack.remove(record)
+        ``names`` are int attributes of ``source``; by default every int
+        field of a dataclass ``source``.  Nothing is copied: :meth:`dump`
+        reads the attributes and sums them over every source published
+        under the same name, so a component counts each event once, in
+        its own stats, and the dump reports that count.
+        """
+        if not names:
+            names = [
+                f.name for f in fields(source) if type(getattr(source, f.name)) is int
+            ]
+        for attr in names:
+            name = f"{prefix}.{attr}"
+            if name in self._counters:
+                raise ValueError(f"{name!r} is already a registry counter")
+            self._published.setdefault(name, []).append((source, attr))
 
     # -- introspection ---------------------------------------------------
-
-    def counters(self) -> Dict[str, Counter]:
-        return dict(self._counters)
 
     def gauges(self) -> Dict[str, Gauge]:
         return dict(self._gauges)
@@ -317,27 +266,14 @@ class MetricsRegistry:
     def histograms(self) -> Dict[str, Histogram]:
         return dict(self._histograms)
 
-    def span_summary(self) -> Dict[str, Dict[str, float]]:
-        """Spans aggregated by name: count / total / max duration."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for record in self.spans:
-            if record.end is None:
-                continue
-            entry = summary.setdefault(
-                record.name, {"count": 0.0, "total_seconds": 0.0, "max_seconds": 0.0}
-            )
-            entry["count"] += 1.0
-            entry["total_seconds"] += record.duration
-            entry["max_seconds"] = max(entry["max_seconds"], record.duration)
-        return summary
-
     def dump(self) -> Dict[str, Any]:
         """Deterministic, JSON-safe snapshot of every instrument."""
+        counters = {name: counter.value for name, counter in self._counters.items()}
+        for name, sources in self._published.items():
+            counters[name] = float(sum(getattr(source, attr) for source, attr in sources))
         return {
             "version": self.SCHEMA_VERSION,
-            "counters": {
-                name: self._counters[name].value for name in sorted(self._counters)
-            },
+            "counters": {name: counters[name] for name in sorted(counters)},
             "gauges": {
                 name: self._gauges[name].as_dict() for name in sorted(self._gauges)
             },
@@ -345,17 +281,13 @@ class MetricsRegistry:
                 name: self._histograms[name].as_dict()
                 for name in sorted(self._histograms)
             },
-            "spans": {
-                name: stats for name, stats in sorted(self.span_summary().items())
-            },
         }
 
     def clear(self) -> None:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        self.spans.clear()
-        self._span_stack.clear()
+        self._published.clear()
 
 
 class _NullCounter(Counter):
@@ -382,21 +314,6 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullSpanHandle(_SpanHandle):
-    __slots__ = ()
-
-    def __enter__(self) -> SpanRecord:
-        return _NULL_SPAN
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        pass
-
-
 class NullRegistry(MetricsRegistry):
     """The disabled registry: shared no-op instruments, empty dumps.
 
@@ -410,7 +327,6 @@ class NullRegistry(MetricsRegistry):
         self._null_counter = _NullCounter("null")
         self._null_gauge = _NullGauge("null", self)
         self._null_histogram = _NullHistogram("null", (1.0,))
-        self._null_span = _NullSpanHandle(self, "null")
 
     @property
     def enabled(self) -> bool:
@@ -430,11 +346,9 @@ class NullRegistry(MetricsRegistry):
     ) -> Histogram:
         return self._null_histogram
 
-    def span(self, name: str) -> _SpanHandle:
-        return self._null_span
+    def publish(self, prefix: str, source: Any, names: Sequence[str] = ()) -> None:
+        pass
 
-
-_NULL_SPAN = SpanRecord("null", 0.0, 0, -1, None)
 
 #: Shared disabled registry; components default to this when a
 #: simulator is built without metrics.

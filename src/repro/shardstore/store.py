@@ -145,13 +145,7 @@ class ShardStore:
         self._directory: Dict[Tuple[str, str], PackedObject] = {}
         self._tracer = gateway.sim.tracer
         metrics = gateway.sim.metrics
-        self._m_accepted = metrics.counter("shardstore.accepted")
-        self._m_acked = metrics.counter("shardstore.acked")
-        self._m_flushes = metrics.counter("shardstore.flushes")
-        self._m_flush_failures = metrics.counter("shardstore.flush_failures")
-        self._m_flushed_bytes = metrics.counter("shardstore.flushed_bytes")
-        self._m_retrievals = metrics.counter("shardstore.retrievals")
-        self._m_scans = metrics.counter("shardstore.recovery_scans")
+        metrics.publish("shardstore", self.stats)
         self._m_fill = metrics.histogram("shardstore.flush_fill_fraction")
         self._m_open = metrics.gauge("shardstore.open_shards")
         self._m_buffered = metrics.gauge("shardstore.buffered_bytes")
@@ -200,7 +194,6 @@ class ShardStore:
             self._open_shards += 1
         self._buffered_bytes += record.record_bytes
         self.stats.accepted += 1
-        self._m_accepted.inc()
         if self._tracer.enabled:
             record.trace = self._tracer.start(
                 "shardstore.object",
@@ -237,14 +230,13 @@ class ShardStore:
             # Everything since the object entered the buffer was spent
             # waiting for the packer to fill — pack_wait.
             record.trace.phase("pack_wait")
-        request = self.gateway.submit(
+        request = self.gateway.submit_op(
             WriteObject(tenant=self.config.tenant, ref=ref)
         )
         request.on_complete = lambda done, flush=flush: self._flush_done(
             flush, done
         )
         self.stats.flushes += 1
-        self._m_flushes.inc()
         self._update_buffer_gauges()
         return request
 
@@ -263,7 +255,6 @@ class ShardStore:
         now = self.gateway.sim.now
         if request.failure is not None:
             self.stats.flush_failures += 1
-            self._m_flush_failures.inc()
             for record in flush.records:
                 record.state = ObjectState.FAILED
                 record.failure = request.failure
@@ -273,13 +264,11 @@ class ShardStore:
             return
         buffer.durable_bytes += flush.extent
         self.stats.flushed_bytes += flush.extent
-        self._m_flushed_bytes.inc(flush.extent)
         media = self._media.setdefault(buffer.shard.name, [])
         for record in flush.records:
             record.state = ObjectState.ACKED
             record.acked_at = now
             self.stats.acked += 1
-            self._m_acked.inc()
             media.append(record)
             self._directory[(record.date, record.uid)] = record
             record.trace.phase("flush")
@@ -310,7 +299,7 @@ class ShardStore:
                 f"no acked record for uid={uid!r} date={date!r} "
                 f"(routed shard: {route(uid, date, self.layout.shards_per_day).name})"
             )
-        request = self.gateway.submit(
+        request = self.gateway.submit_op(
             ReadRange(
                 tenant=self.config.tenant,
                 ref=self.slot_ref(record.shard),
@@ -326,7 +315,6 @@ class ShardStore:
             self.stats.retrieval_failures += 1
             return
         self.stats.retrievals += 1
-        self._m_retrievals.inc()
 
     # -- recovery (the no-metadata-DB proof) -------------------------------
 
@@ -361,7 +349,7 @@ class ShardStore:
                 size=durable_end,
                 object_id=f"{shard_name}@scan",
             )
-            request = self.gateway.submit(
+            request = self.gateway.submit_op(
                 ReadObject(tenant=self.config.tenant, ref=scan_ref)
             )
             request.on_complete = (
@@ -376,7 +364,6 @@ class ShardStore:
         if request.failure is not None:
             return
         self.stats.recovery_scans += 1
-        self._m_scans.inc()
         for record in found:
             self._directory[(record.date, record.uid)] = record
 

@@ -46,8 +46,6 @@ class MigrationStats:
     #: Spaces left to accumulate because neither gate (min bytes,
     #: max age) was open yet.
     accumulating_skips: int = 0
-    batches_started: int = 0
-    evictions: int = 0
 
 
 class MigrationOrchestrator:
@@ -59,10 +57,7 @@ class MigrationOrchestrator:
         self.sim = store.gateway.sim
         self.stats = MigrationStats()
         self._running = False
-        metrics = self.sim.metrics
-        self._m_rounds = metrics.counter("tiering.migration_rounds")
-        self._m_pauses = metrics.counter("tiering.migration_pauses")
-        self._m_power_skips = metrics.counter("tiering.migration_power_skips")
+        self.sim.metrics.publish("migration", self.stats)
 
     def start(self) -> None:
         if self._running:
@@ -95,11 +90,9 @@ class MigrationOrchestrator:
 
     def _round(self) -> None:
         self.stats.rounds += 1
-        self._m_rounds.inc()
         store = self.store
         if self.foreground_depth() > store.config.pressure_queue_depth:
             self.stats.pressure_pauses += 1
-            self._m_pauses.inc()
             return
         accountant = self.gateway.power_accountant
         now = self.sim.now
@@ -112,11 +105,9 @@ class MigrationOrchestrator:
             disk_id = store._disk_of_space[space_id]
             if not accountant.can_afford(disk_id):
                 self.stats.power_skips += 1
-                self._m_power_skips.inc()
                 continue
-            if store.take_demotion_batch(space_id) is not None:
-                self.stats.batches_started += 1
-        self.stats.evictions += store.evict_idle()
+            store.take_demotion_batch(space_id)
+        store.evict_idle()
 
     def _flush_due(self, space_id: str, now: float) -> bool:
         """Batch-discipline gate: flush a space only once it owes

@@ -43,7 +43,7 @@ from repro.shardstore.routing import stable_hash
 from repro.units import MiB, SimSeconds
 
 from repro.tiering.policy import SegmentedLruPolicy
-from repro.tiering.staging import StagingBuffer, StagingFullError, TieringError
+from repro.tiering.staging import StagingBuffer, TieringError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.gateway.gateway import Gateway
@@ -57,6 +57,10 @@ __all__ = [
     "TieringStats",
     "pinned_disks_for",
 ]
+
+
+#: Max bytes one demotion batch packs into a single sequential write.
+DEMOTION_BATCH_BYTES = 8 * MiB
 
 
 class ObjectMissingError(TieringError):
@@ -107,8 +111,6 @@ class TieringConfig:
     #: Leading (sorted) gateway spaces that form the always-hot tier.
     hot_spaces: int = 2
     staging_capacity_bytes: int = 32 * MiB
-    #: Max bytes one demotion batch packs into a single sequential write.
-    demotion_batch_bytes: int = 8 * MiB
     #: A cold space flushes only once it owes this many bytes …
     demotion_min_batch_bytes: int = 1 * MiB
     #: … or its oldest staged write has waited this long.  Together
@@ -119,8 +121,6 @@ class TieringConfig:
     #: Pause migration while foreground queue depth exceeds this.
     pressure_queue_depth: int = 8
     max_inflight_demotions: int = 2
-    promotion_protected_capacity: int = 64
-    promotion_probation_capacity: int = 512
     #: Protected hot residents idle past this are demoted (cache drop).
     hot_idle_seconds: SimSeconds = SimSeconds(120.0)
 
@@ -131,8 +131,8 @@ class TieringConfig:
             raise ValueError("migration tenant must differ from the foreground")
         if self.hot_spaces < 1:
             raise ValueError("need at least one hot space")
-        if self.staging_capacity_bytes <= 0 or self.demotion_batch_bytes <= 0:
-            raise ValueError("staging and batch bounds must be positive")
+        if self.staging_capacity_bytes <= 0:
+            raise ValueError("the staging bound must be positive")
         if self.demotion_min_batch_bytes < 0 or self.demotion_max_age_seconds < 0:
             raise ValueError("demotion gates must be non-negative")
         if self.max_inflight_demotions < 1:
@@ -223,11 +223,7 @@ class TieredStore:
             )
         self.stats = TieringStats()
         self.staging = StagingBuffer(config.staging_capacity_bytes)
-        self.policy = SegmentedLruPolicy(
-            protected_capacity=config.promotion_protected_capacity,
-            probation_capacity=config.promotion_probation_capacity,
-            idle_seconds=config.hot_idle_seconds,
-        )
+        self.policy = SegmentedLruPolicy(idle_seconds=config.hot_idle_seconds)
         #: Soft-state placement index: uid -> record.  A cache of what
         #: the media says; rebuilt by recover() after a crash.
         self._index: Dict[str, TieredObject] = {}
@@ -253,18 +249,8 @@ class TieredStore:
         self._scan_found_cold: Dict[str, TieredObject] = {}
         self._tracer = gateway.sim.tracer
         metrics = gateway.sim.metrics
-        self._m_written = metrics.counter("tiering.written")
-        self._m_staged = metrics.counter("tiering.staged")
-        self._m_stage_failures = metrics.counter("tiering.stage_failures")
-        self._m_overflows = metrics.counter("tiering.staging_overflows")
-        self._m_demotion_batches = metrics.counter("tiering.demotion_batches")
-        self._m_demoted = metrics.counter("tiering.demoted")
-        self._m_demoted_bytes = metrics.counter("tiering.demoted_bytes")
-        self._m_promotions = metrics.counter("tiering.promotions")
-        self._m_evictions = metrics.counter("tiering.evictions")
-        self._m_hot_reads = metrics.counter("tiering.hot_reads")
-        self._m_cold_reads = metrics.counter("tiering.cold_reads")
-        self._m_scans = metrics.counter("tiering.recovery_scans")
+        metrics.publish("tiering", self.stats)
+        metrics.publish("tiering.staging", self.staging, ("overflows",))
         self._m_staged_bytes = metrics.gauge("tiering.staged_bytes")
         self._m_batch_bytes = metrics.histogram("tiering.demotion_batch_bytes")
         self._m_stage_latency = metrics.histogram("tiering.stage_latency_seconds")
@@ -322,14 +308,17 @@ class TieredStore:
         """Stage one archival write; ack at hot latency via completion.
 
         Raises :class:`StagingFullError` when the bounded buffer cannot
-        absorb the write — backpressure, not unbounded queueing.
+        absorb the write — backpressure, not unbounded queueing — and
+        :class:`TieringError` when the object cannot fit the hot log; a
+        refused write keeps no staging bytes.
         """
         if uid in self._index:
             raise TieringError(f"duplicate write for uid {uid!r}")
+        self.staging.reserve(size)
         try:
-            self.staging.reserve(size)
-        except StagingFullError:
-            self._m_overflows.inc()
+            hot_ref = self._hot_alloc(uid, size)
+        except TieringError:
+            self.staging.release(size)
             raise
         obj = TieredObject(
             uid=uid,
@@ -337,11 +326,10 @@ class TieredStore:
             cold_space=self.cold_home(uid),
             state=TierState.STAGING,
             written_at=self.gateway.sim.now,
-            hot_ref=self._hot_alloc(uid, size),
+            hot_ref=hot_ref,
         )
         self._index[uid] = obj
         self.stats.written += 1
-        self._m_written.inc()
         if self._tracer.enabled:
             obj.trace = self._tracer.start(
                 "tiering.object",
@@ -351,7 +339,7 @@ class TieredStore:
                 cold_space=obj.cold_space,
             )
         assert obj.hot_ref is not None
-        request = self.gateway.submit(
+        request = self.gateway.submit_op(
             WriteObject(tenant=self.config.tenant, ref=obj.hot_ref)
         )
         request.trace.annotate(tier="hot", staged=True)
@@ -377,7 +365,6 @@ class TieredStore:
             obj.state = TierState.FAILED
             obj.failure = request.failure
             self.stats.stage_failures += 1
-            self._m_stage_failures.inc()
             self.staging.release(obj.size)
             self._m_staged_bytes.set(float(self.staging.staged_bytes))
             obj.trace.phase("stage")
@@ -389,7 +376,6 @@ class TieredStore:
         self._hot_media.setdefault(obj.hot_ref.space_id, {})[obj.uid] = obj
         self.staging.enqueue(obj)
         self.stats.staged += 1
-        self._m_staged.inc()
         self._m_stage_latency.observe(now - obj.written_at)
         obj.trace.phase("stage")
 
@@ -415,9 +401,8 @@ class TieredStore:
             hot_ref = obj.cache_ref
         if hot_ref is not None:
             self.stats.hot_reads += 1
-            self._m_hot_reads.inc()
             self.policy.record_access(uid, now)
-            request = self.gateway.submit(
+            request = self.gateway.submit_op(
                 ReadObject(tenant=self.config.tenant, ref=hot_ref)
             )
             request.trace.annotate(tier="hot")
@@ -425,8 +410,7 @@ class TieredStore:
             return request
         assert obj.state is TierState.COLD and obj.cold_ref is not None
         self.stats.cold_reads += 1
-        self._m_cold_reads.inc()
-        request = self.gateway.submit(
+        request = self.gateway.submit_op(
             ReadObject(tenant=self.config.tenant, ref=obj.cold_ref)
         )
         request.trace.annotate(tier="cold")
@@ -456,7 +440,7 @@ class TieredStore:
         """Copy a hot-worthy cold object onto the hot log, background."""
         obj.promote_inflight = True
         ref = self._hot_alloc(obj.uid, obj.size)
-        request = self.gateway.submit(
+        request = self.gateway.submit_op(
             WriteObject(tenant=self.config.migration_tenant, ref=ref)
         )
         request.trace.annotate(tier="hot", background=True, kind_hint="promotion")
@@ -482,7 +466,6 @@ class TieredStore:
         obj.cache_ref = ref
         self._hot_media.setdefault(ref.space_id, {})[obj.uid] = obj
         self.stats.promotions += 1
-        self._m_promotions.inc()
         obj.trace.event("tiering.promoted", space=ref.space_id)
 
     def evict_idle(self) -> int:
@@ -500,7 +483,6 @@ class TieredStore:
             obj.cache_ref = None
             evicted += 1
             self.stats.evictions += 1
-            self._m_evictions.inc()
             obj.trace.event("tiering.evicted")
         return evicted
 
@@ -511,9 +493,7 @@ class TieredStore:
             self.staging.pending_bytes(space) for space in self._cold_spaces
         )
 
-    def take_demotion_batch(
-        self, space_id: str, max_bytes: Optional[int] = None
-    ) -> Optional[GatewayRequest]:
+    def take_demotion_batch(self, space_id: str) -> Optional[GatewayRequest]:
         """Flush one cold disk's staged run as a single sequential write.
 
         Offsets are packed contiguously at the cold space's tail so the
@@ -521,8 +501,7 @@ class TieredStore:
         every object in the run.  Submitted under the migration tenant;
         the objects stay hot-served until the write completes.
         """
-        limit = self.config.demotion_batch_bytes if max_bytes is None else max_bytes
-        records = self.staging.take_batch(space_id, limit)
+        records = self.staging.take_batch(space_id, DEMOTION_BATCH_BYTES)
         if not records:
             return None
         total = sum(obj.size for obj in records)
@@ -543,7 +522,7 @@ class TieredStore:
         batch = _DemotionBatch(
             space_id=space_id, base_offset=base, extent=total, records=records
         )
-        request = self.gateway.submit(
+        request = self.gateway.submit_op(
             WriteObject(
                 tenant=self.config.migration_tenant,
                 ref=ObjectRef(
@@ -562,7 +541,6 @@ class TieredStore:
         self.inflight_demotions += 1
         self._inflight_spaces.append(space_id)
         self.stats.demotion_batches += 1
-        self._m_demotion_batches.inc()
         self._m_batch_bytes.observe(float(total))
         return request
 
@@ -604,8 +582,6 @@ class TieredStore:
             self.staging.release(obj.size)
             self.stats.demoted += 1
             self.stats.demoted_bytes += obj.size
-            self._m_demoted.inc()
-            self._m_demoted_bytes.inc(obj.size)
             obj.trace.phase("demote")
             obj.trace.finish("demoted")
         self._m_staged_bytes.set(float(self.staging.staged_bytes))
@@ -678,7 +654,7 @@ class TieredStore:
                 extent = max(
                     self._extent_in(obj, space_id) for obj in records.values()
                 )
-                request = self.gateway.submit(
+                request = self.gateway.submit_op(
                     ReadObject(
                         tenant=self.config.migration_tenant,
                         ref=ObjectRef(
@@ -715,7 +691,6 @@ class TieredStore:
         self._pending_scans -= 1
         if request.failure is None:
             self.stats.recovery_scans += 1
-            self._m_scans.inc()
             found.update(snapshot)
         if self._pending_scans == 0:
             self._rebuild()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import RESULT_SCHEMA_VERSION, campaign
 from repro.experiments.campaign import (
     CampaignError,
     CampaignSpec,
@@ -118,6 +119,20 @@ def test_refresh_recomputes_despite_cache(tmp_path):
     run_campaign(spec, cache_dir=tmp_path)
     refreshed = run_campaign(spec, cache_dir=tmp_path, refresh=True)
     assert (refreshed.computed, refreshed.cached) == (1, 0)
+
+
+def test_cell_cached_under_previous_result_schema_is_recomputed(tmp_path, monkeypatch):
+    """A cell cached before a result-layout change (the ``obs`` block,
+    say) is recomputed, never served in the old shape."""
+    spec = _spec(seeds=(3,), settle=(0.0,))
+    with monkeypatch.context() as patched:
+        patched.setattr(campaign, "RESULT_SCHEMA_VERSION", RESULT_SCHEMA_VERSION - 1)
+        stale = run_campaign(spec, cache_dir=tmp_path)
+    assert (stale.computed, stale.cached) == (1, 0)
+    fresh = run_campaign(spec, cache_dir=tmp_path)
+    assert (fresh.computed, fresh.cached) == (1, 0)
+    assert fresh.outcomes[0].digest != stale.outcomes[0].digest
+    assert run_campaign(spec, cache_dir=tmp_path).cached == 1
 
 
 def test_worker_pool_matches_inline_results(tmp_path):

@@ -222,7 +222,7 @@ def test_clean_run_conservation_and_tenant_charges():
 
     def burst():
         for i in range(4):
-            gateway.submit(
+            gateway.submit_op(
                 ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))
             )
 
@@ -247,7 +247,7 @@ def test_spin_up_blame_carries_exact_time():
     target = objects[0]
     dep.sim.call_in(
         0.333,
-        lambda: gateway.submit(
+        lambda: gateway.submit_op(
             ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))
         ),
     )
@@ -271,7 +271,7 @@ def test_mid_batch_crash_remount_conservation():
 
     def burst():
         for i in range(6):
-            gateway.submit(
+            gateway.submit_op(
                 ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))
             )
 
@@ -435,7 +435,7 @@ def test_fine_sampling_converges_on_the_books():
 
     def burst(space, count):
         for i in range(count):
-            gateway.submit(ReadObject("t0", ObjectRef(space, i * MB, 1 * MB)))
+            gateway.submit_op(ReadObject("t0", ObjectRef(space, i * MB, 1 * MB)))
 
     for at, target in ((0.3, 0), (11.7, 5), (23.1, 9), (37.9, 0)):
         dep.sim.call_in(at, lambda t=target: burst(objects[t].space_id, 3))

@@ -579,7 +579,7 @@ class TestGatewayDispatch:
         def burst():
             for i in range(6):
                 requests.append(
-                    gateway.submit(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
+                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
                 )
 
         dep.sim.call_in(0.0, burst)
@@ -601,7 +601,7 @@ class TestGatewayDispatch:
         def burst():
             for i in range(6):
                 try:
-                    gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
                 except QueueFullError as exc:
                     rejects.append(exc)
 
@@ -616,7 +616,7 @@ class TestGatewayDispatch:
     def test_unknown_space_is_a_gateway_error(self):
         dep, gateway, _ = build_gateway("batch")
         with pytest.raises(GatewayError):
-            gateway.submit(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
+            gateway.submit_op(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
 
     def test_unknown_space_is_counted_nowhere(self):
         """A refused space is refused before any counter moves, so
@@ -629,10 +629,10 @@ class TestGatewayDispatch:
         gateway.attach(objects, spaces, dep.disks, host_of=dep.host_of_disk)
         gateway.start()
         with pytest.raises(GatewayError, match="unknown space"):
-            gateway.submit(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
+            gateway.submit_op(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
         stats = gateway.stats
         assert stats.submitted == stats.admitted + stats.rejected == 0
-        assert registry.counters()["gateway.submitted"].value == 0
+        assert registry.dump()["counters"]["gateway.submitted"] == 0
 
     def test_deadline_stamped_from_tenant_slo(self):
         tenant = TenantSpec(name="t0", slo_seconds=1.0, max_queue_depth=64)
@@ -642,7 +642,7 @@ class TestGatewayDispatch:
         dep.sim.call_in(
             0.0,
             lambda: holder.append(
-                gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
             ),
         )
         drain(dep, gateway)
@@ -662,7 +662,7 @@ class TestGatewayDispatch:
 
         def burst():
             for target in targets:
-                gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
 
         dep.sim.call_in(0.0, burst)
         samples = []
@@ -705,13 +705,13 @@ class TestGatewayDispatch:
         gateway.start()
         target = objects[0]
         dep.sim.call_in(
-            0.0, lambda: gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+            0.0, lambda: gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
         )
         drain(dep, gateway)
-        counters = registry.counters()
-        assert counters["gateway.submitted"].value == 1
-        assert counters["gateway.completed"].value == 1
-        assert counters["gateway.batches"].value == 1
+        counters = registry.dump()["counters"]
+        assert counters["gateway.submitted"] == 1
+        assert counters["gateway.completed"] == 1
+        assert counters["gateway.batches"] == 1
         histograms = registry.histograms()
         assert histograms["gateway.latency_seconds"].count == 1
         assert histograms["gateway.latency_seconds.t0"].count == 1
@@ -736,11 +736,11 @@ class TestLegacySubmitShim:
         target = objects[0]
         op = ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))
         with pytest.raises(TypeError):
-            gateway.submit(op, target.space_id, 0, 1 * MB)
+            gateway.submit_op(op, target.space_id, 0, 1 * MB)
         with pytest.raises(TypeError):
-            gateway.submit()
+            gateway.submit_op()
         with pytest.raises(TypeError):
-            gateway.submit("t0", target.space_id, 0, 1 * MB)
+            gateway.submit_op("t0", target.space_id, 0, 1 * MB)
 
     def test_typed_submit_does_not_warn(self):
         dep, gateway, objects = build_gateway("batch")
@@ -749,7 +749,7 @@ class TestLegacySubmitShim:
 
         def typed_submit():
             holder.append(
-                gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
             )
 
         with warnings.catch_warnings():
@@ -764,14 +764,14 @@ class TestTrafficGenerator:
         dep, gateway, objects = build_gateway("batch")
         generator = OpenLoopTrafficGenerator(dep.sim, gateway, dep.rng)
         seen = []
-        submit = gateway.submit
+        submit = gateway.submit_op
 
         def spy(*args, **kwargs):
             req = submit(*args, **kwargs)
             seen.append(req)
             return req
 
-        gateway.submit = spy
+        gateway.submit_op = spy
         start = dep.sim.now
         generator.replay(
             "t0",

@@ -55,7 +55,7 @@ def test_mid_batch_host_death_completes_exactly_once():
     def burst():
         for i in range(6):
             requests.append(
-                gateway.submit(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
             )
 
     dep.sim.call_in(0.0, burst)
@@ -101,7 +101,7 @@ def test_queued_work_behind_the_crash_is_not_lost():
         for target in (first, second):
             for i in range(3):
                 requests.append(
-                    gateway.submit(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
+                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
                 )
 
     dep.sim.call_in(0.0, burst)
@@ -129,7 +129,7 @@ def test_requests_submitted_during_outage_complete():
     requests = []
 
     def submit_one():
-        requests.append(gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))))
+        requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))))
 
     dep.sim.call_in(0.0, submit_one)
     dep.sim.run(until=dep.sim.now + 8.5)

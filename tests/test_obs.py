@@ -1,6 +1,10 @@
 """Tests for the repro.obs metrics/tracing layer (sim-time, deterministic)."""
 
 import json
+from dataclasses import dataclass, field, fields
+from typing import List
+
+import pytest
 
 from repro.obs import (
     DEFAULT_DEPTH_BUCKETS,
@@ -29,6 +33,59 @@ class TestCounters:
     def test_counter_is_get_or_create(self):
         registry = MetricsRegistry()
         assert registry.counter("same") is registry.counter("same")
+
+
+@dataclass
+class _Stats:
+    done: int = 0
+    failed: int = 0
+    latencies: List[float] = field(default_factory=list)
+
+
+class _Component:
+    def __init__(self) -> None:
+        self.ios = 0
+
+
+class TestPublish:
+    def test_sources_under_one_name_sum(self):
+        registry = MetricsRegistry()
+        registry.publish("store", _Stats(done=2, failed=1))
+        registry.publish("store", _Stats(done=3))
+        counters = registry.dump()["counters"]
+        assert counters == {"store.done": 5.0, "store.failed": 1.0}
+
+    def test_values_are_read_at_dump_time(self):
+        registry = MetricsRegistry()
+        stats = _Stats()
+        component = _Component()
+        registry.publish("store", stats)
+        registry.publish("disk", component, ("ios",))
+        stats.done += 7
+        component.ios += 2
+        counters = registry.dump()["counters"]
+        assert counters["store.done"] == 7
+        assert counters["disk.ios"] == 2
+
+    def test_null_registry_ignores_publish(self):
+        NULL_REGISTRY.publish("store", _Stats(done=1))
+        assert NULL_REGISTRY.dump()["counters"] == {}
+
+    def test_clear_forgets_sources(self):
+        registry = MetricsRegistry()
+        registry.publish("store", _Stats(done=1))
+        registry.clear()
+        assert registry.dump()["counters"] == {}
+
+    def test_a_name_is_published_or_a_counter_not_both(self):
+        registry = MetricsRegistry()
+        registry.counter("store.done").inc()
+        with pytest.raises(ValueError, match="already a registry counter"):
+            registry.publish("store", _Stats())
+        registry = MetricsRegistry()
+        registry.publish("disk", _Component(), ("ios",))
+        with pytest.raises(ValueError, match="already published"):
+            registry.counter("disk.ios")
 
 
 class TestGauges:
@@ -67,30 +124,6 @@ class TestHistograms:
         assert hist.percentile(99.0) == 2.0
 
 
-class TestSpans:
-    def test_span_nesting_under_sim_clock(self):
-        registry = MetricsRegistry()
-        sim = Simulator(metrics=registry)
-
-        def outer():
-            with registry.span("outer"):
-                yield sim.timeout(2.0)
-                with registry.span("inner"):
-                    yield sim.timeout(3.0)
-
-        sim.run_until_event(sim.process(outer()))
-        records = {r.name: r for r in registry.spans}
-        assert records["outer"].depth == 0
-        assert records["inner"].depth == 1
-        assert records["inner"].parent_index == records["outer"].index
-        assert records["inner"].start == 2.0
-        assert records["inner"].duration == 3.0
-        assert records["outer"].duration == 5.0
-        summary = registry.span_summary()
-        assert summary["outer"]["count"] == 1.0
-        assert summary["outer"]["total_seconds"] == 5.0
-
-
 class TestNullRegistry:
     def test_disabled_registry_is_a_no_op(self):
         assert NULL_REGISTRY.enabled is False
@@ -100,13 +133,11 @@ class TestNullRegistry:
         gauge.set(9.0)
         hist = NULL_REGISTRY.histogram("h", (1.0,))
         hist.observe(5.0)
-        with NULL_REGISTRY.span("s"):
-            pass
         dump = NULL_REGISTRY.dump()
         assert dump["counters"] == {}
         assert dump["gauges"] == {}
         assert dump["histograms"] == {}
-        assert dump["spans"] == {}
+        assert "spans" not in dump
 
     def test_simulator_defaults_to_null_registry(self):
         sim = Simulator()
@@ -134,8 +165,51 @@ class TestDeterministicExport:
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
         registry.histogram("h", (1.0, 2.0)).observe(1.0)
-        with registry.span("s"):
-            pass
+        registry.publish("p", _Stats(done=4))
         text = export_text(registry)
-        for token in ("c", "g", "h", "s"):
+        for token in ("c", "g", "h", "p.done"):
             assert token in text
+
+
+def _int_fields(stats_type):
+    return [f.name for f in fields(stats_type) if f.type in (int, "int")]
+
+
+@pytest.mark.parametrize(
+    "name", ["gateway_slo", "shardstore_small_objects", "tiering_staging"]
+)
+def test_published_counters_are_the_summaries_counts(name):
+    """Each published counter is the count its component keeps: in the
+    obs dump it equals that field summed over the variants' summaries."""
+    from repro.experiments import EXPERIMENTS
+    from repro.gateway.gateway import GatewayStats
+    from repro.shardstore.store import ShardStoreStats
+    from repro.tiering.store import TieringStats
+
+    experiment = EXPERIMENTS.get(name)
+    result = experiment.run(**experiment.smoke)
+    counters = result.obs["counters"]
+    variants = list(result.raw["variants"].values())
+    expected = {
+        f"gateway.{field_name}": sum(v[field_name] for v in variants)
+        for field_name in _int_fields(GatewayStats)
+    }
+    stores = [v["store"] for v in variants if "store" in v]
+    if name != "gateway_slo":
+        assert stores
+        prefix, stats_type = (
+            ("tiering", TieringStats)
+            if name == "tiering_staging"
+            else ("shardstore", ShardStoreStats)
+        )
+        for field_name in _int_fields(stats_type):
+            if field_name in stores[0]:
+                expected[f"{prefix}.{field_name}"] = sum(
+                    store[field_name] for store in stores
+                )
+    if name == "tiering_staging":
+        expected["tiering.staging.overflows"] = sum(
+            store["staging_overflows"] for store in stores
+        )
+    assert expected["gateway.submitted"] > 0
+    assert {key: counters[key] for key in expected} == expected

@@ -263,7 +263,7 @@ class StubGateway:
     def objects(self):
         return self._objects
 
-    def submit(self, op):
+    def submit_op(self, op):
         space_id, offset, size, is_read = resolve_op(op)
         request = GatewayRequest(
             request_id=len(self.submitted),

@@ -61,7 +61,7 @@ class _StubGateway:
         assert name == TENANT.name
         return TENANT
 
-    def submit(self, op) -> None:
+    def submit_op(self, op) -> None:
         is_read = isinstance(op, ReadObject)
         assert is_read or isinstance(op, WriteObject)
         self.submissions.append(
@@ -112,9 +112,9 @@ def _run_reference(seed: int, duration: float) -> List[Submission]:
             is_read = rand.random() < spec.read_fraction
             ref = ObjectRef(space_id=obj.space_id, offset=offset, size=size)
             if is_read:
-                gateway.submit(ReadObject(tenant=spec.name, ref=ref))
+                gateway.submit_op(ReadObject(tenant=spec.name, ref=ref))
             else:
-                gateway.submit(WriteObject(tenant=spec.name, ref=ref))
+                gateway.submit_op(WriteObject(tenant=spec.name, ref=ref))
 
     sim.process(loop())
     sim.run()

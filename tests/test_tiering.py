@@ -275,6 +275,27 @@ class TestTieredStoreStaging:
         assert store.staging.overflows == 1
         assert store.stats.written == 3
 
+    def test_write_the_hot_log_refuses_keeps_no_staging(self):
+        """A write larger than one hot space passes the staging bound
+        but is refused by the hot log; it must give its reservation
+        back, or the next write that fits is refused as well."""
+        dep, gateway, store, _ = build_tiered(
+            start_orchestrator=False, staging_capacity_bytes=2 * 64 * MB
+        )
+        staged_after_refusal = []
+
+        def ingest():
+            with pytest.raises(TieringError, match="exceeds hot log"):
+                store.write("uid-big", 100 * MB)
+            staged_after_refusal.append(store.staging.staged_bytes)
+            store.write("uid-next", 40 * MB)
+
+        dep.sim.call_in(0.0, ingest)
+        drain(dep, gateway)
+        assert staged_after_refusal == [0]
+        assert store.staging.overflows == 0
+        assert store.stats.written == store.stats.staged == 1
+
     def test_duplicate_uid_rejected(self):
         dep, gateway, store, _ = build_tiered(start_orchestrator=False)
 
@@ -344,7 +365,7 @@ class TestMigration:
                 store.write(f"uid-{i}", OBJECT_BYTES)
             # Deep foreground backlog on one cold disk.
             for i in range(12):
-                gateway.submit(
+                gateway.submit_op(
                     ReadObject(
                         tenant="archive",
                         ref=ObjectRef(cold_space, i * MB, 1 * MB),

@@ -92,7 +92,7 @@ def test_clean_run_attribution_identity():
 
     def burst():
         for i in range(4):
-            requests.append(gateway.submit(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
+            requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
 
     dep.sim.call_in(0.0, burst)
     drain(dep, gateway)
@@ -116,7 +116,7 @@ def test_fault_free_cold_read_charges_spinup_not_failover():
     target = objects[0]
     requests = []
     dep.sim.call_in(0.0, lambda: requests.append(
-        gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))))
+        gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))))
     drain(dep, gateway)
     (traced,) = assert_identity(tracer)
     components = CriticalPathAnalyzer().analyze(traced)["components"]
@@ -139,7 +139,7 @@ def test_mid_batch_crash_remount_attribution_identity():
 
     def burst():
         for i in range(6):
-            requests.append(gateway.submit(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
+            requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
 
     dep.sim.call_in(0.0, burst)
     # Mid spin-up: the target has sent NOT READY when it dies, so the
@@ -206,7 +206,7 @@ def test_rejected_requests_are_traced_as_rejected():
     def flood():
         for i in range(TENANT.max_queue_depth + 8):
             try:
-                gateway.submit(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
             except Exception:
                 pass
         done.append(True)
