@@ -46,8 +46,9 @@ export.  The unarmed-overhead half of that gate rides the 1.1x
 Default-path runs also run a control-plane leg (even with
 ``--no-perf``: it counts, it does not time): a deployment settled and
 left idle for 100 sim-s must send exactly ``IDLE_SENDS`` messages in at
-most ``IDLE_EVENTS`` kernel events plus ``IDLE_EVENT_SLACK``.  Both
-counts are exact for the code, so any change to the timers shows.
+most ``IDLE_EVENTS`` kernel events (the rise in ``Simulator.events``)
+plus ``IDLE_EVENT_SLACK``.  Both counts are exact for the code, so any
+change to the timers shows.
 
 Default-path runs also run the benchmark's self-tests (again even with
 ``--no-perf``: they check correctness, not speed): ``python -m pytest
@@ -412,7 +413,6 @@ def run_energy_smoke() -> int:
 def run_control_plane_gate() -> int:
     """Idle control-plane gate: exact message count, event budget."""
     from repro.cluster import build_deployment
-    from repro.sim import EventDigest
 
     deployment = build_deployment()
     deployment.settle()
@@ -425,14 +425,16 @@ def run_control_plane_gate() -> int:
         send(*args, **kwargs)
 
     network.send = counted_send  # type: ignore[method-assign]
-    digest = EventDigest().attach(deployment.sim)
-    deployment.sim.run(until=deployment.sim.now + 100.0)
+    sim = deployment.sim
+    events_before = sim.events
+    sim.run(until=sim.now + 100.0)
+    events = sim.events - events_before
     budget = IDLE_EVENTS * (1.0 + IDLE_EVENT_SLACK)
     sends_ok = sends[0] == IDLE_SENDS
-    events_ok = digest.events <= budget
+    events_ok = events <= budget
     print(
         f"control plane: idle 100 sim-s: {sends[0]} sends (pinned {IDLE_SENDS}) "
-        f"{'OK' if sends_ok else 'CHANGED'}, {digest.events} events "
+        f"{'OK' if sends_ok else 'CHANGED'}, {events} events "
         f"(budget {budget:.0f}) {'OK' if events_ok else 'OVER BUDGET'}"
     )
     return 0 if sends_ok and events_ok else 1

@@ -8,14 +8,16 @@ history files at the repo root):
   comparing the incremental allocator against the retained naive
   baseline (:meth:`repro.fabric.bandwidth.BandwidthModel.allocate_naive`)
   and recording the speedup;
-* ``kernel_throughput`` — raw events/sec of the discrete-event kernel
-  with instrumentation off (the fast path) and on (metrics + digest),
-  via self-rescheduling timer callbacks.  The fast path drives
+* ``kernel_throughput`` — raw events/sec of the discrete-event kernel,
+  via self-rescheduling timer callbacks: the fast path drives
   :meth:`~repro.sim.kernel.Simulator.defer` (the allocation-free hot
-  path); a separate ``eventpath`` figure retains the legacy
-  ``call_in``/Event route, and a ``scheduler_comparison`` leg times the
-  heap reference against the calendar queue at 16/240/1920 concurrent
-  timers (the alloc_scale disk counts);
+  path), the ``instrumented`` figure runs the same timers on a
+  simulator with a metrics registry whose queue an
+  :class:`~repro.sim.EventDigest` fingerprints, the ``eventpath``
+  figure schedules ``sim.timeout(...)`` events with a callback each,
+  and a ``scheduler_comparison`` leg times the heap reference against
+  the calendar queue at 16/240/1920 concurrent timers (the
+  alloc_scale disk counts);
 * any registered experiment name (e.g. ``figure5``) — wall time of a
   full experiment run, with its params, anchors, ``sim.events`` and
   obs counters (:func:`bench_experiment`).  ``smoke`` applies the
@@ -47,7 +49,7 @@ from repro.experiments import EXPERIMENTS
 from repro.fabric.bandwidth import BandwidthModel, Flow
 from repro.fabric.builders import rack_fabric
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import EventDigest
 
@@ -200,17 +202,18 @@ def bench_alloc_scale(
 
 
 def _drive_kernel(sim: Simulator, total_events: int) -> None:
-    """Run ``total_events`` call_in timers (the legacy Event path)."""
+    """Run ``total_events`` timers as :class:`~repro.sim.Timeout` events
+    with one callback each (the Event path)."""
     remaining = [total_events]
 
-    def tick() -> None:
+    def tick(_event: Event) -> None:
         remaining[0] -= 1
         if remaining[0] > 0:
-            sim.call_in(1.0, tick)
+            sim.timeout(1.0).callbacks.append(tick)
 
     fan_out = min(16, total_events)
     for i in range(fan_out):
-        sim.call_in(float(i % 3), tick)
+        sim.timeout(float(i % 3)).callbacks.append(tick)
     sim.run()
 
 
@@ -246,8 +249,9 @@ def _median_rate(times: List[float], events: int) -> Optional[float]:
 def bench_kernel_throughput(
     repeat: int = 2, seed: int = 42, smoke: bool = False
 ) -> Dict:
-    """Events/sec of the kernel: defer fast path, legacy Event path,
-    instrumented path, and heap vs calendar at three queue depths."""
+    """Events/sec of the kernel: defer fast path, Event path, the fast
+    path fingerprinted by a digest, and heap vs calendar at three
+    queue depths."""
     del seed  # kernel throughput is workload-independent
     total_events = KERNEL_EVENTS_SMOKE if smoke else KERNEL_EVENTS_FULL
     record = _base_record("kernel_throughput", repeat)
@@ -267,15 +271,14 @@ def bench_kernel_throughput(
     fast_times = timed(
         Simulator, lambda sim: _drive_kernel_defer(sim, total_events, 16)
     )
-    # The legacy Event/callback route (Timeout allocation per timer).
+    # The Event/callback route (Timeout allocation per timer).
     eventpath_times = timed(
         Simulator, lambda sim: _drive_kernel(sim, total_events)
     )
 
     def instrumented_sim() -> Simulator:
-        sim = Simulator(metrics=MetricsRegistry())
-        EventDigest().attach(sim)
-        return sim
+        with EventDigest().under("calendar"):
+            return Simulator(metrics=MetricsRegistry())
 
     instrumented_times = timed(
         instrumented_sim, lambda sim: _drive_kernel_defer(sim, total_events, 16)

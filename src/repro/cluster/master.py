@@ -83,14 +83,16 @@ class Master:
         self._stepped_down = sim.event()
         self.alive = True
         self.failovers_completed = 0
+        self.heartbeats = 0
+        self.allocations = 0
         # Failure detection: one armed check on the grid of
         # FAILURE_CHECK_INTERVAL from activation (DESIGN.md §8); the
         # grid is replaced at each activation.
         self._detector = Deadline(sim, self._check_hosts)
         self._detector_grid = Grid(sim.now, FAILURE_CHECK_INTERVAL)
-        self._m_heartbeats = sim.metrics.counter("master.heartbeats")
-        self._m_allocations = sim.metrics.counter("master.allocations")
-        sim.metrics.publish("master", self, ("failovers_completed",))
+        sim.metrics.publish(
+            "master", self, ("failovers_completed", "heartbeats", "allocations")
+        )
         self._m_failover_seconds = sim.metrics.histogram("master.failover_seconds")
 
         self.coord = CoordSession(sim, network, f"{address}.coord", coord_servers)
@@ -235,7 +237,7 @@ class Master:
 
     def _on_heartbeat(self, payload: dict) -> bool:
         self._require_active()
-        self._m_heartbeats.inc()
+        self.heartbeats += 1
         host_id = payload["host_id"]
         returning = self.sysstat.host_status.get(host_id) is not HostStatus.ONLINE
         self.sysstat.last_heartbeat[host_id] = self.sim.now
@@ -327,7 +329,7 @@ class Master:
             except Exception:
                 self.records.pop(space_id, None)
                 raise
-            self._m_allocations.inc()
+            self.allocations += 1
             host_id = self.sysstat.disk_to_host[best]
             address = self.sysconf.host_addresses[host_id]
             yield from self.rpc_client.call(

@@ -234,7 +234,7 @@ class SimulatedDisk:
             self._spin_up_done = None
             done.succeed()
 
-        self.sim.call_in(self.spec.spin_up_time, finish)
+        self.sim.defer(self.spec.spin_up_time, finish)
         return done
 
     def ready_at(self) -> Optional[float]:

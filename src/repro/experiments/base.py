@@ -27,8 +27,9 @@ __all__ = [
 ]
 
 #: Bumped whenever the ExperimentResult JSON layout changes shape,
-#: including its ``obs`` block (2: published counters, no spans).
-RESULT_SCHEMA_VERSION = 2
+#: including its ``obs`` block (2: published counters, no spans;
+#: 3: every count is published, so it is present from publication).
+RESULT_SCHEMA_VERSION = 3
 
 
 def _jsonify(value: Any) -> Any:

@@ -106,7 +106,7 @@ def _scrubbing(
             sim=sim, disk=disk, rng=RngRegistry(21), annual_lse_rate=0.0001
         )
         injected_at = 3600.0
-        sim.call_in(injected_at, lambda m=model: m.errors.add(0))
+        sim.defer(injected_at, lambda m=model: m.errors.add(0))
         Scrubber(
             sim, model, scrub_interval=interval_hours * 3600.0, scan_bytes=64 * MB
         )

@@ -40,7 +40,7 @@ def _measure(connection: ConnectionType) -> tuple:
         samples["active"] = disk.power_draw(profile)
 
     disk.submit(IoRequest(offset=0, size=4 * MB, is_read=False))
-    sim.call_in(0.01, sample_active)  # mid-transfer
+    sim.defer(0.01, sample_active)  # mid-transfer
     sim.run()
     assert disk.power_state is DiskPowerState.IDLE
     disk.spin_down()

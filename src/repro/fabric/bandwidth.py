@@ -51,7 +51,7 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.topology import Fabric
-from repro.obs.metrics import NULL_REGISTRY, Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY, Gauge, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, RequestTracer
 from repro.units import MB, Bytes, BytesPerSec, MiB
 
@@ -259,7 +259,8 @@ class BandwidthModel:
         self.root_iops_limit = root_iops_limit
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._allocations_counter: Optional[Counter] = None
+        self.allocations = 0
+        self.metrics.publish("fabric", self, ("allocations",))
         # Constraint skeletons memoized per (topology epoch, flow
         # signature); see _build_constraints.
         self._skeleton_cache: Dict[Tuple[Tuple[str, bool, int], ...], _Skeleton] = {}
@@ -370,6 +371,7 @@ class BandwidthModel:
         demands = [flow.demand for flow in flows]
         rates, used = _progressive_fill(len(flows), demands, constraints, flow_cons)
 
+        self.allocations += 1
         if self.metrics.enabled:
             self._record_utilisation(constraints, used)
         if self.tracer.enabled:
@@ -501,12 +503,6 @@ class BandwidthModel:
         self, constraints: Sequence[_Constraint], used: Sequence[float]
     ) -> None:
         """Per-link/root gauges from the final allocation (0..1 of cap)."""
-        counter = self._allocations_counter
-        if counter is None:
-            counter = self._allocations_counter = self.metrics.counter(
-                "fabric.allocations"
-            )
-        counter.inc()
         for c, cons in enumerate(constraints):
             util = used[c] / cons.capacity if cons.capacity > 0 else 0.0
             gauge = cons.gauge

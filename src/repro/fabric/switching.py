@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.fabric.components import FabricError, NodeKind, Switch
 from repro.fabric.topology import Fabric, SwitchSetting
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SwitchConflict", "SwitchPlan", "plan_switches", "execute_plan"]
 
@@ -150,14 +150,16 @@ def execute_plan(
 ) -> None:
     """Apply a plan's turns to the fabric (one by one, as in §IV-C).
 
-    When a :class:`~repro.obs.MetricsRegistry` is supplied, the command
-    and its physical switch turns are counted (``switch.commands`` /
-    ``switch.turns`` / ``switch.noop_commands``).
+    The fabric counts the command and its physical switch turns; when a
+    :class:`~repro.obs.MetricsRegistry` is supplied, those counts are
+    published to it (``switch.commands`` / ``switch.turns`` /
+    ``switch.noop_commands``).
     """
-    registry = metrics if metrics is not None else NULL_REGISTRY
-    registry.counter("switch.commands").inc()
+    fabric.commands += 1
     if plan.is_noop:
-        registry.counter("switch.noop_commands").inc()
+        fabric.noop_commands += 1
     else:
-        registry.counter("switch.turns").inc(len(plan.turns))
+        fabric.turns += len(plan.turns)
+    if metrics is not None:
+        metrics.publish("switch", fabric, ("commands", "noop_commands", "turns"))
     fabric.apply_settings(plan.turns)

@@ -70,6 +70,11 @@ class Fabric:
         self._trace_cache: Dict[Tuple[str, bool], Tuple[str, ...]] = {}
         self._trace_cache_epoch = -1
         self._epoch_listeners: List[Callable[[], None]] = []
+        # Switch commands run on this fabric by execute_plan, published
+        # as ``switch.*`` to the registry a command is counted for.
+        self.commands = 0
+        self.noop_commands = 0
+        self.turns = 0
 
     @property
     def epoch(self) -> int:

@@ -262,15 +262,3 @@ class OpenLoopTrafficGenerator:
             traffic.rejected += 1
         else:
             traffic.submitted += 1
-
-    @staticmethod
-    def _draw_size(spec: TenantSpec, u: float) -> int:
-        """Map a uniform draw onto the tenant's discrete size mix."""
-        total = sum(share for _, share in spec.object_sizes)
-        threshold = u * total
-        cumulative = 0.0
-        for size, share in spec.object_sizes:
-            cumulative += share
-            if threshold <= cumulative:
-                return size
-        return spec.object_sizes[-1][0]

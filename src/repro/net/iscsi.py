@@ -83,9 +83,10 @@ class IscsiTargetServer:
         self._volumes: Dict[str, StorageVolume] = {}
         self._sessions: Dict[int, str] = {}  # session id -> target name
         self._session_ids = itertools.count(1)
-        self._m_logins = sim.metrics.counter("iscsi.logins")
-        self._m_ios = sim.metrics.counter("iscsi.ios")
-        self._m_bytes = sim.metrics.counter("iscsi.bytes")
+        self.logins = 0
+        self.ios = 0
+        self.bytes = 0
+        sim.metrics.publish("iscsi", self, ("logins", "ios", "bytes"))
         self.rpc.register("iscsi.login", self._login)
         self.rpc.register("iscsi.logout", self._logout)
         self.rpc.register("iscsi.io", self._io, not_ready=True)
@@ -115,7 +116,7 @@ class IscsiTargetServer:
             raise SessionError(f"no such target {target_name!r}")
         session_id = next(self._session_ids)
         self._sessions[session_id] = target_name
-        self._m_logins.inc()
+        self.logins += 1
         return session_id
 
     def _logout(self, session_id: int) -> bool:
@@ -152,8 +153,8 @@ class IscsiTargetServer:
     ):
         volume = self._volume(session_id, not_ready)
         service_time = yield volume.submit(offset, size, is_read, trace_scope)
-        self._m_ios.inc()
-        self._m_bytes.inc(size)
+        self.ios += 1
+        self.bytes += size
         return {"ok": True, "service_time": service_time}
 
     def _readv(
@@ -179,8 +180,8 @@ class IscsiTargetServer:
         service_time = yield volume.submit(
             Bytes(start), envelope, True, trace_scope
         )
-        self._m_ios.inc()
-        self._m_bytes.inc(envelope)
+        self.ios += 1
+        self.bytes += envelope
         return {
             "ok": True,
             "service_time": service_time,
@@ -263,7 +264,7 @@ class IscsiSession:
             )
         except (RpcTimeout, RemoteError) as exc:
             self.connected = False
-            self.initiator._m_session_errors.inc()
+            self.initiator.session_errors += 1
             raise SessionError(str(exc)) from exc
         # Response travel back from the endpoint (the disk layer closed
         # its last boundary when the media transfer ended).
@@ -296,7 +297,8 @@ class IscsiInitiator:
         self.address = address
         self.io_timeout = io_timeout
         self.rpc = RpcClient(sim, network, address)
-        self._m_session_errors = sim.metrics.counter("iscsi.session_errors")
+        self.session_errors = 0
+        sim.metrics.publish("iscsi", self, ("session_errors",))
 
     def login(
         self, host_address: str, target_name: str, timeout: SimSeconds = SimSeconds(3.0)

@@ -23,7 +23,6 @@ from repro.obs.metrics import (
     DEFAULT_DEPTH_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     NULL_REGISTRY,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -58,7 +57,6 @@ __all__ = [
     "ACCOUNT_SYSTEM",
     "COMPONENTS",
     "ConservationAuditor",
-    "Counter",
     "CriticalPathAnalyzer",
     "DiskEnergyBook",
     "EnergyConservationError",

@@ -1,4 +1,4 @@
-"""Sim-time metrics: counters, gauges and fixed-bucket histograms.
+"""Sim-time metrics: published counts, gauges and fixed-bucket histograms.
 
 Every instrument reads timestamps from the simulator clock the registry
 is bound to — never the wall clock — so two same-seed replays produce
@@ -11,17 +11,16 @@ the dump would stop being a pure function of the simulated execution.
 The disabled path is :data:`NULL_REGISTRY`, a shared
 :class:`NullRegistry` whose instruments are no-op singletons.
 Components fetch their instruments once at construction time and call
-``inc``/``observe`` unconditionally on the hot path; with the null
+``set``/``observe`` unconditionally on the hot path; with the null
 registry those calls are empty method bodies, so a simulation without
 metrics pays one no-op call per instrumented operation and nothing
 else.
 
-Each event is counted once.  A count a component already keeps (its
-stats dataclass, an int attribute) is handed to
-:meth:`MetricsRegistry.publish` and read when the registry dumps; a
-registry :class:`Counter` is only for an event no component counts
-itself.  Durations are histograms; spans belong to the request tracer
-(:mod:`repro.obs.trace`).
+Each event is counted once, by the component it happens to: the count
+is an int the component keeps (a stats dataclass field, an int
+attribute), handed to :meth:`MetricsRegistry.publish` and read when the
+registry dumps.  Durations are histograms; spans belong to the request
+tracer (:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "Counter",
     "DEFAULT_DEPTH_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
@@ -57,24 +55,6 @@ _Clock = Callable[[], float]
 
 def _zero_clock() -> float:
     return 0.0
-
-
-class Counter:
-    """A monotonically increasing total."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} can only increase; got {amount}")
-        self.value += amount
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"value": self.value}
 
 
 class Gauge:
@@ -181,7 +161,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named instruments and published counts.
+    """Get-or-create registry of named instruments, plus published counts.
 
     Bind it to a simulator clock with :meth:`bind_clock` (done
     automatically by ``Simulator(metrics=...)``); an unbound registry
@@ -195,11 +175,11 @@ class MetricsRegistry:
 
     def __init__(self, clock: Optional[_Clock] = None) -> None:
         self._clock: _Clock = clock if clock is not None else _zero_clock
-        self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: counter name -> every (source, attribute) published under it.
-        self._published: Dict[str, List[Tuple[Any, str]]] = {}
+        #: count name -> id(source) -> (source, attribute), for every
+        #: source published under that name (each once).
+        self._published: Dict[str, Dict[int, Tuple[Any, str]]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -213,15 +193,6 @@ class MetricsRegistry:
         self._clock = clock
 
     # -- instruments -----------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            if name in self._published:
-                raise ValueError(f"counter {name!r} is already published")
-            instrument = Counter(name)
-            self._counters[name] = instrument
-        return instrument
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
@@ -246,17 +217,17 @@ class MetricsRegistry:
         field of a dataclass ``source``.  Nothing is copied: :meth:`dump`
         reads the attributes and sums them over every source published
         under the same name, so a component counts each event once, in
-        its own stats, and the dump reports that count.
+        its own stats, and the dump reports that count.  Publishing a
+        source again under a name it is already published under changes
+        nothing.
         """
         if not names:
             names = [
                 f.name for f in fields(source) if type(getattr(source, f.name)) is int
             ]
         for attr in names:
-            name = f"{prefix}.{attr}"
-            if name in self._counters:
-                raise ValueError(f"{name!r} is already a registry counter")
-            self._published.setdefault(name, []).append((source, attr))
+            sources = self._published.setdefault(f"{prefix}.{attr}", {})
+            sources[id(source)] = (source, attr)
 
     # -- introspection ---------------------------------------------------
 
@@ -268,12 +239,12 @@ class MetricsRegistry:
 
     def dump(self) -> Dict[str, Any]:
         """Deterministic, JSON-safe snapshot of every instrument."""
-        counters = {name: counter.value for name, counter in self._counters.items()}
-        for name, sources in self._published.items():
-            counters[name] = float(sum(getattr(source, attr) for source, attr in sources))
         return {
             "version": self.SCHEMA_VERSION,
-            "counters": {name: counters[name] for name in sorted(counters)},
+            "counters": {
+                name: float(sum(getattr(source, attr) for source, attr in sources.values()))
+                for name, sources in sorted(self._published.items())
+            },
             "gauges": {
                 name: self._gauges[name].as_dict() for name in sorted(self._gauges)
             },
@@ -284,17 +255,9 @@ class MetricsRegistry:
         }
 
     def clear(self) -> None:
-        self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
         self._published.clear()
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
 
 
 class _NullGauge(Gauge):
@@ -324,7 +287,6 @@ class NullRegistry(MetricsRegistry):
 
     def __init__(self) -> None:
         super().__init__()
-        self._null_counter = _NullCounter("null")
         self._null_gauge = _NullGauge("null", self)
         self._null_histogram = _NullHistogram("null", (1.0,))
 
@@ -334,9 +296,6 @@ class NullRegistry(MetricsRegistry):
 
     def bind_clock(self, clock: _Clock) -> None:
         pass
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
 
     def gauge(self, name: str) -> Gauge:
         return self._null_gauge

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.gateway.api import ObjectRef, ReadObject, ReadRange, WriteObject
-from repro.gateway.request import GatewayRequest
+from repro.gateway.request import AdmissionError, GatewayRequest
 from repro.obs.metrics import Gauge
 
 from repro.shardstore.packer import (
@@ -186,7 +186,11 @@ class ShardStore:
     # -- ingest ------------------------------------------------------------
 
     def put(self, uid: str, date: str, size: int) -> PackedObject:
-        """Pack one object; flush its shard if the threshold is hit."""
+        """Pack one object; flush its shard if the threshold is hit.
+
+        A threshold flush the gateway refuses leaves the shard's run
+        buffered for the next put or :meth:`flush_all`.
+        """
         shard = route(uid, date, self.layout.shards_per_day)
         buffer = self._buffer(shard)
         record = buffer.append(uid, date, size)
@@ -205,34 +209,41 @@ class ShardStore:
             )
         self._update_buffer_gauges()
         if buffer.fill_fraction >= self.config.flush_fill_fraction:
-            self.flush_shard(shard.name)
+            try:
+                self.flush_shard(shard.name)
+            except AdmissionError:
+                pass
         return record
 
     def flush_shard(self, shard_name: str) -> Optional[GatewayRequest]:
-        """Flush one shard's buffered run as a single sequential write."""
+        """Flush one shard's buffered run as a single sequential write.
+
+        The run is claimed only once the gateway admits the write, so a
+        flush it refuses leaves the run buffered and every total as it
+        was.
+        """
         buffer = self._buffers.get(shard_name)
-        if buffer is None:
+        if buffer is None or not buffer.buffered:
             return None
-        start, extent, records = buffer.take_buffered()
-        if not records:
-            return None
-        self._open_shards -= 1
-        self._buffered_bytes -= extent
-        self._m_fill.observe(buffer.fill_fraction)
-        flush = _Flush(buffer=buffer, start=start, extent=extent, records=records)
+        start = buffer.buffered[0].offset_in_shard
         ref = ObjectRef(
             space_id=buffer.space_id,
             offset=buffer.placement.byte_offset + start,
-            size=extent,
+            size=buffer.buffered_bytes,
             object_id=f"{buffer.shard.name}+{start}",
         )
-        for record in records:
+        for record in buffer.buffered:
             # Everything since the object entered the buffer was spent
             # waiting for the packer to fill — pack_wait.
             record.trace.phase("pack_wait")
         request = self.gateway.submit_op(
             WriteObject(tenant=self.config.tenant, ref=ref)
         )
+        start, extent, records = buffer.take_buffered()
+        self._open_shards -= 1
+        self._buffered_bytes -= extent
+        self._m_fill.observe(buffer.fill_fraction)
+        flush = _Flush(buffer=buffer, start=start, extent=extent, records=records)
         request.on_complete = lambda done, flush=flush: self._flush_done(
             flush, done
         )

@@ -10,8 +10,7 @@ from repro.sim.kernel import (
     SimulationError,
     Simulator,
     Timeout,
-    default_scheduler,
-    set_default_scheduler,
+    observe_pops,
     use_scheduler,
 )
 from repro.sim.process import Process
@@ -35,7 +34,6 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "default_scheduler",
-    "set_default_scheduler",
+    "observe_pops",
     "use_scheduler",
 ]

@@ -14,8 +14,8 @@ DESIGN.md §13):
   plain appends on the hot path;
 * :class:`HeapScheduler` — the retained ``heapq`` reference
   implementation, selectable via ``Simulator(scheduler="heap")`` or
-  :func:`set_default_scheduler`, and the oracle the property tests
-  compare the calendar queue against.
+  :func:`use_scheduler`, and the oracle the property tests compare the
+  calendar queue against.
 
 Both pop scheduled items in exactly the same ``(time, priority, seq)``
 order, so :class:`repro.sim.trace.EventDigest` replay fingerprints are
@@ -42,6 +42,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Type,
     Union,
 )
 
@@ -62,8 +63,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "default_scheduler",
-    "set_default_scheduler",
+    "observe_pops",
     "use_scheduler",
 ]
 
@@ -87,7 +87,6 @@ class Interrupt(Exception):
 # Event priorities: lower sorts first at equal timestamps.
 URGENT = 0
 NORMAL = 1
-LOW = 2
 
 
 # Scheduling records are plain tuples ``(time, priority, seq, run)``
@@ -283,13 +282,9 @@ SCHEDULERS: Dict[str, Callable[[], _Scheduler]] = {
 _default_scheduler_name = "calendar"
 
 
-def default_scheduler() -> str:
-    """Name of the scheduler new simulators use when none is passed."""
-    return _default_scheduler_name
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the process-wide default scheduler; returns the previous one.
+@contextmanager
+def use_scheduler(name: str) -> Iterator[None]:
+    """Make ``name`` the scheduler of simulators built inside the block.
 
     Lets callers that never construct simulators directly (experiment
     builders, ``repro check-determinism``) pick the kernel's scheduler
@@ -300,19 +295,35 @@ def set_default_scheduler(name: str) -> str:
         raise SimulationError(
             f"unknown scheduler {name!r}; available: {', '.join(sorted(SCHEDULERS))}"
         )
-    previous = _default_scheduler_name
-    _default_scheduler_name = name
-    return previous
-
-
-@contextmanager
-def use_scheduler(name: str) -> Iterator[None]:
-    """Context manager form of :func:`set_default_scheduler`."""
-    previous = set_default_scheduler(name)
+    previous, _default_scheduler_name = _default_scheduler_name, name
     try:
         yield
     finally:
-        set_default_scheduler(previous)
+        _default_scheduler_name = previous
+
+
+def observe_pops(
+    queue_class: Type[_Scheduler],
+    observer: Callable[[_ScheduledItem], _ScheduledItem],
+) -> Type[_Scheduler]:
+    """A subclass of ``queue_class`` whose ``pop`` hands each item to
+    ``observer`` and returns what the observer returns.
+
+    The one way to watch the event stream: every pop is an event the
+    simulator runs, so an observer sees each event once, in order.
+    :class:`repro.sim.trace.EventDigest` folds the items it is handed;
+    the race detector hands back the item with its callable bracketed.
+    Pushes are untouched, so the pop order is the queue's own.
+    """
+    base_pop = queue_class.pop
+
+    def pop(queue: Any) -> _ScheduledItem:
+        return observer(base_pop(queue))
+
+    observed: Type[_Scheduler] = type(
+        f"Observed{queue_class.__name__}", (queue_class,), {"__slots__": (), "pop": pop}
+    )
+    return observed
 
 
 class Event:
@@ -410,8 +421,8 @@ class Timeout(Event):
 def _describe_event(target: Callable[[], None]) -> str:
     """Qualified name of the code a scheduled item will run, for race reports.
 
-    Called only on the instrumented slow path while a race detector is
-    armed, so the ``Race``/``render()`` output can point at source
+    Called for each popped item while a race detector is armed, so the
+    ``Race``/``render()`` output can point at source
     (``process:Writer.run``) instead of bare sequence numbers.  Uses
     duck typing on ``generator`` because :class:`repro.sim.process.Process`
     lives downstream of this module.  ``target`` is the scheduled
@@ -436,6 +447,25 @@ def _describe_event(target: Callable[[], None]) -> str:
     return type(event).__name__.lower()
 
 
+def _watch_races(detector: "RaceDetector") -> Callable[[_ScheduledItem], _ScheduledItem]:
+    """Pop observer that brackets each event in ``begin_event``/``end_event``."""
+
+    def observe(item: _ScheduledItem) -> _ScheduledItem:
+        time, priority, seq, run = item
+        label = _describe_event(run)
+
+        def run_watched() -> None:
+            detector.begin_event(time, priority, seq, label)
+            try:
+                run()
+            finally:
+                detector.end_event()
+
+        return (time, priority, seq, run_watched)
+
+    return observe
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -445,12 +475,13 @@ class Simulator:
         sim.process(my_generator_function(sim))
         sim.run(until=100.0)
 
-    With ``detect_races=True`` the simulator records, for every
-    ``(time, priority)`` bucket holding more than one event, which
-    shared resources the callbacks touched (via
-    :meth:`touch_resource`), and :attr:`races` reports buckets whose
-    ordering was decided only by insertion order while conflicting on a
-    resource — see :mod:`repro.analysis.races`.
+    :attr:`events` counts the events run so far; a metrics registry
+    reports it as ``sim.events``.  With ``detect_races=True`` the
+    simulator records, for every ``(time, priority)`` bucket holding
+    more than one event, which shared resources the callbacks touched
+    (via :meth:`touch_resource`), and :attr:`races` reports buckets
+    whose ordering was decided only by insertion order while
+    conflicting on a resource — see :mod:`repro.analysis.races`.
     """
 
     def __init__(
@@ -472,29 +503,25 @@ class Simulator:
             ) from None
         self.scheduler_name = name
         self._sched: _Scheduler = factory()
-        self._seq = itertools.count()
-        self._active = True
-        self._step_hooks: List[Callable[[float, int, int], None]] = []
-        self._grids: Dict[Tuple[float, float], "Grid"] = {}
         self._race_detector: Optional["RaceDetector"] = None
         if detect_races:
             from repro.analysis.races import RaceDetector
 
             self._race_detector = RaceDetector()
-        # Metrics are read on the hot path, so the disabled case is the
-        # shared null registry whose counter increments are no-ops.
+            watched = observe_pops(type(self._sched), _watch_races(self._race_detector))
+            self._sched = watched()
+        self._seq = itertools.count()
+        self._grids: Dict[Tuple[float, float], "Grid"] = {}
+        self.events = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.metrics.bind_clock(lambda: self._now)
-        self._events_counter = self.metrics.counter("sim.events")
+        self.metrics.publish("sim", self, ("events",))
         # The request tracer rides alongside the registry: components
         # read ``sim.tracer`` once at construction and per-request
         # contexts are carried explicitly on requests, so the disabled
         # case (the shared null tracer) costs nothing on the hot loop.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind_clock(lambda: self._now)
-        # With metrics, race detection and step hooks all off, step()
-        # takes a fast branch that just pops and processes.
-        self._instrumented = self.metrics.enabled or self._race_detector is not None
 
     @property
     def now(self) -> float:
@@ -502,15 +529,6 @@ class Simulator:
         return self._now
 
     # -- observability ---------------------------------------------------
-
-    def add_step_hook(self, hook: Callable[[float, int, int], None]) -> None:
-        """Call ``hook(time, priority, seq)`` before each event runs.
-
-        Used by :class:`repro.sim.trace.EventDigest` to fingerprint the
-        execution order for replay-determinism checks.
-        """
-        self._step_hooks.append(hook)
-        self._instrumented = True
 
     def touch_resource(self, resource: str, write: bool = True) -> None:
         """Record a shared-resource touch for race detection.
@@ -538,18 +556,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def call_at(self, time: float, fn: Callable[[], None], priority: int = NORMAL) -> Event:
-        """Run ``fn()`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        return self.call_in(time - self._now, fn, priority)
-
-    def call_in(self, delay: float, fn: Callable[[], None], priority: int = NORMAL) -> Event:
-        """Run ``fn()`` after ``delay`` seconds of simulated time."""
-        event = self.timeout(delay)
-        event.callbacks.append(lambda _ev: fn())
-        return event
 
     def grid(self, period: float) -> "Grid":
         """The wake-up grid of loops that sleep ``period`` from now.
@@ -641,13 +647,13 @@ class Simulator:
     def defer(
         self, delay: float, fn: Callable[[], None], priority: int = NORMAL
     ) -> None:
-        """Run ``fn()`` after ``delay`` seconds — the allocation-free hot path.
+        """Run ``fn()`` after ``delay`` seconds.
 
-        Unlike :meth:`call_in` this creates no :class:`Event` (and hence
-        nothing to wait on or cancel): the callable itself is the
-        scheduled item.  It shares the same sequence counter, so a
-        deferred callback and an event scheduled in the same order pop
-        in the same order under either scheduler.
+        This creates no :class:`Event` (and hence nothing to wait on or
+        cancel): the callable itself is the scheduled item.  It shares
+        the events' sequence counter, so a deferred callback and an
+        event scheduled in the same order pop in the same order under
+        either scheduler.
         """
         if delay < 0:
             raise SimulationError(f"negative defer delay: {delay!r}")
@@ -675,25 +681,8 @@ class Simulator:
         except IndexError:
             raise SimulationError("no scheduled events") from None
         self._now = item[0]
-        if not self._instrumented:
-            item[3]()
-            return
-        self._events_counter.inc()
-        for hook in self._step_hooks:
-            hook(item[0], item[1], item[2])
-        detector = self._race_detector
-        if detector is None:
-            item[3]()
-            return
-        detector.begin_event(item[0], item[1], item[2], _describe_event(item[3]))
-        try:
-            item[3]()
-        finally:
-            detector.end_event()
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._sched.peek_time()
+        self.events += 1
+        item[3]()
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains, or until simulated time ``until``.
@@ -703,52 +692,44 @@ class Simulator:
         loud error instead of a hang.
         """
         sched = self._sched
+        pop = sched.pop
         processed = 0
-        if until is not None:
-            peek = sched.peek_time
-            pop = sched.pop
-            while sched:
-                if peek() > until:
-                    self._now = until
-                    return self._now
-                if self._instrumented:
-                    self.step()
-                else:
+        try:
+            if until is not None:
+                peek = sched.peek_time
+                while sched:
+                    if peek() > until:
+                        self._now = until
+                        return self._now
                     item = pop()
                     self._now = item[0]
+                    processed += 1
                     item[3]()
-                processed += 1
-                if processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "possible runaway event loop"
-                    )
-            self._now = max(self._now, until)
-            return self._now
-        pop = sched.pop
-        while True:
-            # Inlined fast path; _instrumented is re-read every iteration
-            # because a callback may attach a step hook mid-run.  The
-            # try/except around the bare pop is free until the queue
-            # drains (zero-cost exceptions), replacing a per-event
-            # emptiness check.
-            if self._instrumented:
-                if not sched:
-                    break
-                self.step()
-            else:
+                    if processed >= max_events:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events}; "
+                            "possible runaway event loop"
+                        )
+                self._now = max(self._now, until)
+                return self._now
+            while True:
+                # The try/except around the bare pop is free until the
+                # queue drains (zero-cost exceptions), replacing a
+                # per-event emptiness check.
                 try:
                     item = pop()
                 except IndexError:
                     break
                 self._now = item[0]
+                processed += 1
                 item[3]()
-            processed += 1
-            if processed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; possible runaway event loop"
-                )
-        return self._now
+                if processed >= max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; possible runaway event loop"
+                    )
+            return self._now
+        finally:
+            self.events += processed
 
     def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
         """Run until ``event`` is processed; return its value.

@@ -65,14 +65,6 @@ class Resource:
         else:
             self.users -= 1
 
-    def cancel(self, request_event: Event) -> bool:
-        """Withdraw a still-queued request; returns False if already granted."""
-        try:
-            self._waiters.remove(request_event)
-            return True
-        except ValueError:
-            return False
-
 
 class Store:
     """An unbounded (or bounded) buffer of items; FIFO on both sides.

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.gateway.api import ObjectRef, ReadObject, WriteObject
 from repro.gateway.gateway import GatewayObject
-from repro.gateway.request import GatewayRequest
+from repro.gateway.request import GatewayError, GatewayRequest
 from repro.obs.energy import EnergyLedger
 from repro.obs.trace import NULL_TRACE, TraceContext
 from repro.shardstore.routing import stable_hash
@@ -290,8 +290,11 @@ class TieredStore:
         """Pure-function cold placement: no lookup table anywhere."""
         return self._cold_spaces[stable_hash(uid) % len(self._cold_spaces)]
 
-    def _hot_alloc(self, uid: str, size: int) -> ObjectRef:
-        """Bump-allocate a hot-log extent (circular, per hot space)."""
+    def _hot_extent(self, uid: str, size: int) -> ObjectRef:
+        """The next hot-log extent (circular, per hot space).
+
+        The tail moves only once the gateway admits the write to it.
+        """
         space_id = self._hot_spaces[stable_hash(uid) % len(self._hot_spaces)]
         region = self._region_bytes[space_id]
         if size > region:
@@ -299,7 +302,6 @@ class TieredStore:
         tail = self._hot_tails[space_id]
         if tail + size > region:
             tail = 0  # circular log wrap; bounded staging keeps it safe
-        self._hot_tails[space_id] = tail + size
         return ObjectRef(space_id=space_id, offset=tail, size=size, object_id=uid)
 
     # -- writes (staging) -------------------------------------------------
@@ -308,15 +310,17 @@ class TieredStore:
         """Stage one archival write; ack at hot latency via completion.
 
         Raises :class:`StagingFullError` when the bounded buffer cannot
-        absorb the write — backpressure, not unbounded queueing — and
-        :class:`TieringError` when the object cannot fit the hot log; a
-        refused write keeps no staging bytes.
+        absorb the write — backpressure, not unbounded queueing —
+        :class:`TieringError` when the object cannot fit the hot log, and
+        the gateway's :class:`~repro.gateway.GatewayError` when it
+        refuses the write.  A refused write leaves the index, the stats,
+        the staging bytes and the hot log as they were.
         """
         if uid in self._index:
             raise TieringError(f"duplicate write for uid {uid!r}")
         self.staging.reserve(size)
         try:
-            hot_ref = self._hot_alloc(uid, size)
+            hot_ref = self._hot_extent(uid, size)
         except TieringError:
             self.staging.release(size)
             raise
@@ -328,8 +332,6 @@ class TieredStore:
             written_at=self.gateway.sim.now,
             hot_ref=hot_ref,
         )
-        self._index[uid] = obj
-        self.stats.written += 1
         if self._tracer.enabled:
             obj.trace = self._tracer.start(
                 "tiering.object",
@@ -338,10 +340,20 @@ class TieredStore:
                 size=size,
                 cold_space=obj.cold_space,
             )
-        assert obj.hot_ref is not None
-        request = self.gateway.submit_op(
-            WriteObject(tenant=self.config.tenant, ref=obj.hot_ref)
-        )
+        try:
+            request = self.gateway.submit_op(
+                WriteObject(tenant=self.config.tenant, ref=hot_ref)
+            )
+        except GatewayError:
+            # The reservation and the object's trace precede the
+            # request (trace ids key the energy ledger's books), so a
+            # refusal gives both back.
+            self.staging.release(size)
+            obj.trace.finish("rejected")
+            raise
+        self._index[uid] = obj
+        self.stats.written += 1
+        self._hot_tails[hot_ref.space_id] = hot_ref.offset + size
         request.trace.annotate(tier="hot", staged=True)
         epoch = self._epoch
         request.on_complete = lambda done, obj=obj: self._stage_done(
@@ -439,10 +451,11 @@ class TieredStore:
     def _promote(self, obj: TieredObject) -> None:
         """Copy a hot-worthy cold object onto the hot log, background."""
         obj.promote_inflight = True
-        ref = self._hot_alloc(obj.uid, obj.size)
+        ref = self._hot_extent(obj.uid, obj.size)
         request = self.gateway.submit_op(
             WriteObject(tenant=self.config.migration_tenant, ref=ref)
         )
+        self._hot_tails[ref.space_id] = ref.offset + ref.size
         request.trace.annotate(tier="hot", background=True, kind_hint="promotion")
         epoch = self._epoch
         request.on_complete = lambda done, obj=obj, ref=ref: self._promote_done(

@@ -126,7 +126,7 @@ class UsbBus:
                 for listener in self._listeners.get(host_id, []):
                     listener.on_detach(disk_id)
 
-        self.sim.call_in(self.timing.detach_debounce, complete)
+        self.sim.defer(self.timing.detach_debounce, complete)
 
     def _begin_attach(self, host_id: str, disk_id: str) -> None:
         if (

@@ -1,5 +1,7 @@
 """Same-timestamp race detector: synthetic conflicts and benign cases."""
 
+import pytest
+
 from repro.analysis import Race, RaceDetector
 from repro.sim import Simulator, Store
 
@@ -121,3 +123,31 @@ def test_race_labels_for_plain_callbacks():
     sim.run()
     (race,) = sim.races
     assert all("bump" in label for label in race.labels)
+
+
+def _step_to(sim, end):
+    while not end.processed:
+        sim.step()
+
+
+#: Every way to run events, each run past the writers' instant.
+ENTRY_POINTS = {
+    "run": lambda sim, end: sim.run(),
+    "run_until": lambda sim, end: sim.run(until=1.5),
+    "step": _step_to,
+    "run_until_event": lambda sim, end: sim.run_until_event(end),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_named_store_race_reported_whichever_entry_point_runs_it(entry):
+    sim = Simulator(detect_races=True)
+    store = Store(sim, name="mailbox")
+    sim.process(writer(sim, store, "a"))
+    sim.process(writer(sim, store, "b"))
+    end = sim.timeout(2.0)
+    ENTRY_POINTS[entry](sim, end)
+    (race,) = sim.races
+    assert (race.resource, race.time) == ("mailbox", 1.0)
+    assert race.labels == ("resume:writer", "resume:writer")
+    assert "resume:writer" in race.render()

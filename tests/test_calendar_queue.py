@@ -187,8 +187,8 @@ def _interrupt_scenario(sim, rand, log):
 
 def _run_scenario(scheduler, seed):
     """One mixed workload under ``scheduler``: digest + observable log."""
-    sim = Simulator(scheduler=scheduler)
-    digest = EventDigest().attach(sim)
+    with EventDigest().under(scheduler) as digest:
+        sim = Simulator()
     rand = RngRegistry(seed).stream("calendar.kernel")
     fired = _timer_storm(sim, rand, events=400)
     log = []
@@ -222,8 +222,8 @@ def test_cancelled_timeouts_keep_schedulers_aligned():
     """Interrupt-heavy runs (abandoned timeouts stay queued) still match."""
     results = []
     for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
-        digest = EventDigest().attach(sim)
+        with EventDigest().under(scheduler) as digest:
+            sim = Simulator()
         log = []
 
         def waiter(name):

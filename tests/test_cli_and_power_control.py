@@ -157,7 +157,7 @@ class TestServicePowerControl:
             outcome.append((result, dep.sim.now - start))
 
         dep.sim.process(space.read(0, 1 * MB))
-        dep.sim.call_in(1.0, lambda: dep.sim.process(power()))
+        dep.sim.defer(1.0, lambda: dep.sim.process(power()))
         dep.sim.run(until=start + 30.0)
         ((result, elapsed),) = outcome
         assert result is True

@@ -5,8 +5,10 @@ import pytest
 from repro.sim import Deadline, EventDigest, Grid, SimulationError, Simulator
 
 
-def counted(sim):
-    return EventDigest().attach(sim)
+def counted_sim():
+    """A simulator whose pops an :class:`EventDigest` counts."""
+    with EventDigest().under("calendar") as digest:
+        return Simulator(), digest
 
 
 class TestDeadline:
@@ -21,10 +23,9 @@ class TestDeadline:
         assert not deadline.armed and deadline.at == float("inf")
 
     def test_later_rearm_adds_no_pop(self):
-        sim = Simulator()
+        sim, digest = counted_sim()
         fired = []
         deadline = Deadline(sim, lambda: fired.append(sim.now))
-        digest = counted(sim)
         deadline.arm(1.0)
         deadline.arm(3.0)
         deadline.arm(1.0)
@@ -33,10 +34,9 @@ class TestDeadline:
         assert digest.events == 1
 
     def test_earlier_rearm_adds_one_pop_and_the_superseded_one_does_nothing(self):
-        sim = Simulator()
+        sim, digest = counted_sim()
         fired = []
         deadline = Deadline(sim, lambda: fired.append(sim.now))
-        digest = counted(sim)
         deadline.arm(3.0)
         deadline.arm(1.0)
         sim.run()

@@ -52,22 +52,6 @@ def test_reliability_reports_no_races():
     assert _scrubbing(detect_races=True)["races"] == []
 
 
-def test_digest_under_a_scheduler_matches_attached_step_hooks():
-    # Every pop is a processed event, so folding pops equals folding
-    # each simulator's step hook.
-    def settled(digest_under):
-        if digest_under:
-            with EventDigest().under("heap") as digest:
-                build_deployment().settle()
-            return digest.hexdigest(), digest.events
-        deployment = build_deployment()
-        digest = EventDigest().attach(deployment.sim)
-        deployment.settle()
-        return digest.hexdigest(), digest.events
-
-    assert settled(digest_under=True) == settled(digest_under=False)
-
-
 def test_gateway_trace_export_identical_heap_vs_calendar():
     exports = []
     for scheduler in ("heap", "calendar"):
@@ -87,11 +71,11 @@ def test_deployment_replay_ignores_other_deployments():
     # clients in a module-global table keyed by address, so a second
     # deployment built in between rewired the first one's replies.
     def run_first(build_second):
-        first = build_deployment()
+        with EventDigest().under("calendar") as digest:
+            first = build_deployment()
         first.settle()
         if build_second:
             build_deployment().settle()
-        digest = EventDigest().attach(first.sim)
         first.sim.run(until=first.sim.now + 30.0)
         return digest.hexdigest(), digest.events
 

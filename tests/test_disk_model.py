@@ -218,7 +218,7 @@ class TestSimulatedDisk:
         request = IoRequest(offset=0, size=256 * MB, is_read=True)
         service = disk.model.service_time(disk._spec_for(request))
         done = disk.submit(request)
-        sim.call_in(service / 2, disk.fail)
+        sim.defer(service / 2, disk.fail)
         with pytest.raises(DiskOfflineError):
             sim.run_until_event(done)
         assert disk.power_state is DiskPowerState.IDLE

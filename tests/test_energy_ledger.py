@@ -165,8 +165,8 @@ def test_closed_form_single_disk():
     def io():
         yield disk.submit(request, scope=FakeScope(("t0", 5)))
 
-    sim.call_in(2.0, lambda: sim.process(io()))
-    sim.call_in(30.0, disk.spin_down)
+    sim.defer(2.0, lambda: sim.process(io()))
+    sim.defer(30.0, disk.spin_down)
     sim.run(until=40.0)
     ledger.finalize(sim.now)
 
@@ -226,7 +226,7 @@ def test_clean_run_conservation_and_tenant_charges():
                 ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))
             )
 
-    dep.sim.call_in(0.0, burst)
+    dep.sim.defer(0.0, burst)
     drain(dep, gateway)
     report = ConservationAuditor(meter, ledger).assert_conserved(dep.sim.now)
     assert report["wall_joules"] > 0.0
@@ -245,7 +245,7 @@ def test_spin_up_blame_carries_exact_time():
     they carry the exact sim time, not a whole-second boundary."""
     dep, gateway, objects, ledger, meter = build_metered()
     target = objects[0]
-    dep.sim.call_in(
+    dep.sim.defer(
         0.333,
         lambda: gateway.submit_op(
             ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))
@@ -275,7 +275,7 @@ def test_mid_batch_crash_remount_conservation():
                 ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))
             )
 
-    dep.sim.call_in(0.0, burst)
+    dep.sim.defer(0.0, burst)
     dep.sim.run(until=dep.sim.now + 8.05)
     assert gateway.outstanding() > 0, "crash must land mid-batch"
     dep.crash_host(host)
@@ -356,9 +356,9 @@ def test_overhead_steps_only_where_draw_changes():
     meter = PowerMeter(dep, ledger=ledger)
     meter.start()
     t0 = dep.sim.now
-    dep.sim.call_in(1.0, lambda: dep.relays.open_relay("disk0"))
-    dep.sim.call_in(2.0, lambda: dep.fabric.node("disk5").fail())
-    dep.sim.call_in(3.0, lambda: dep.relays.close_relay("disk0"))
+    dep.sim.defer(1.0, lambda: dep.relays.open_relay("disk0"))
+    dep.sim.defer(2.0, lambda: dep.fabric.node("disk5").fail())
+    dep.sim.defer(3.0, lambda: dep.relays.close_relay("disk0"))
     dep.sim.run(until=t0 + 5.0)
     ConservationAuditor(meter, ledger).assert_conserved(dep.sim.now)
     (start, on), (flip, off), (back, on_again) = meter.series
@@ -380,7 +380,7 @@ def test_unowned_disk_activity_books_to_system():
     def io():
         yield disk.submit(IoRequest(offset=0, size=256 * MB, is_read=True))
 
-    sim.call_in(0.5, lambda: sim.process(io()))
+    sim.defer(0.5, lambda: sim.process(io()))
     sim.run(until=12.0)
     ledger.finalize(sim.now)
     active = disk.residency(DiskPowerState.ACTIVE)
@@ -438,7 +438,7 @@ def test_fine_sampling_converges_on_the_books():
             gateway.submit_op(ReadObject("t0", ObjectRef(space, i * MB, 1 * MB)))
 
     for at, target in ((0.3, 0), (11.7, 5), (23.1, 9), (37.9, 0)):
-        dep.sim.call_in(at, lambda t=target: burst(objects[t].space_id, 3))
+        dep.sim.defer(at, lambda t=target: burst(objects[t].space_id, 3))
     dep.sim.run(until=horizon)
     ConservationAuditor(meter, ledger).assert_conserved(horizon)
     books = ledger.account_joules()

@@ -529,14 +529,6 @@ class TestTenantSpec:
         spec = TenantSpec(name="t", users=2_000_000, rate_per_user=1e-6)
         assert spec.arrival_rate == pytest.approx(2.0)
 
-    def test_size_mix_mapping(self):
-        spec = TenantSpec(name="t", object_sizes=((100, 1.0), (200, 3.0)))
-        draw = OpenLoopTrafficGenerator._draw_size
-        assert draw(spec, 0.0) == 100
-        assert draw(spec, 0.2) == 100
-        assert draw(spec, 0.5) == 200
-        assert draw(spec, 1.0) == 200
-
 
 # -- integration over a real deployment ---------------------------------
 
@@ -562,7 +554,7 @@ def build_gateway(scheduler="batch", tenants=(TENANT,), seed=7, **config_kwargs)
 
 def drain(dep, gateway, cap=300.0):
     deadline = dep.sim.now + cap
-    # Always step once so same-timestep call_in submissions land first.
+    # Always step once so same-timestep deferred submissions land first.
     dep.sim.run(until=dep.sim.now + 1.0)
     while not gateway.drained() and dep.sim.now < deadline:
         dep.sim.run(until=dep.sim.now + 5.0)
@@ -582,7 +574,7 @@ class TestGatewayDispatch:
                     gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
                 )
 
-        dep.sim.call_in(0.0, burst)
+        dep.sim.defer(0.0, burst)
         drain(dep, gateway)
         assert gateway.stats.admitted == 6
         assert gateway.stats.completed == 6
@@ -605,7 +597,7 @@ class TestGatewayDispatch:
                 except QueueFullError as exc:
                     rejects.append(exc)
 
-        dep.sim.call_in(0.0, burst)
+        dep.sim.defer(0.0, burst)
         drain(dep, gateway)
         assert len(rejects) == 2
         assert gateway.stats.rejected == 2
@@ -639,7 +631,7 @@ class TestGatewayDispatch:
         dep, gateway, objects = build_gateway("batch", tenants=(tenant,))
         target = objects[0]
         holder = []
-        dep.sim.call_in(
+        dep.sim.defer(
             0.0,
             lambda: holder.append(
                 gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
@@ -664,7 +656,7 @@ class TestGatewayDispatch:
             for target in targets:
                 gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
 
-        dep.sim.call_in(0.0, burst)
+        dep.sim.defer(0.0, burst)
         samples = []
         drawing_states = (
             DiskPowerState.SPINNING_UP,
@@ -704,7 +696,7 @@ class TestGatewayDispatch:
         gateway.attach(objects, spaces, dep.disks, host_of=dep.host_of_disk)
         gateway.start()
         target = objects[0]
-        dep.sim.call_in(
+        dep.sim.defer(
             0.0, lambda: gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
         )
         drain(dep, gateway)
@@ -754,7 +746,7 @@ class TestLegacySubmitShim:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            dep.sim.call_in(0.0, typed_submit)
+            dep.sim.defer(0.0, typed_submit)
             drain(dep, gateway)
         assert holder[0].state is RequestState.COMPLETED
 

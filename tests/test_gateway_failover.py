@@ -58,7 +58,7 @@ def test_mid_batch_host_death_completes_exactly_once():
                 gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
             )
 
-    dep.sim.call_in(0.0, burst)
+    dep.sim.defer(0.0, burst)
     # Crash halfway through the 8 s spin-up: the batch is dispatched,
     # its first request waits on the disk, and the target has already
     # answered NOT READY, so the client times out at ready + 3 s and
@@ -104,7 +104,7 @@ def test_queued_work_behind_the_crash_is_not_lost():
                     gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
                 )
 
-    dep.sim.call_in(0.0, burst)
+    dep.sim.defer(0.0, burst)
     # Crash during the first batch's spin-up (see the test above).
     dep.sim.run(until=dep.sim.now + 4.0)
     # One batch in flight, the other still queued behind the budget.
@@ -131,11 +131,11 @@ def test_requests_submitted_during_outage_complete():
     def submit_one():
         requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))))
 
-    dep.sim.call_in(0.0, submit_one)
+    dep.sim.defer(0.0, submit_one)
     dep.sim.run(until=dep.sim.now + 8.5)
     dep.crash_host(host)
     # Mid-outage arrival: the endpoint is dead but admission stays open.
-    dep.sim.call_in(1.0, submit_one)
+    dep.sim.defer(1.0, submit_one)
     drain(dep, gateway)
     assert gateway.stats.completed == 2
     assert gateway.stats.failed == 0

@@ -51,7 +51,7 @@ def test_instrumented_like_one_unit():
     )
     dep.settle(15.0)
     assert dep.sim._race_detector is not None
-    assert dep.sim.metrics.counter("sim.events").value > 0
+    assert dep.sim.metrics.dump()["counters"]["sim.events"] > 0
     assert dep.sim.races == []
     assert dep.host_of_disk("unit1.disk0").startswith("unit1.host")
     with pytest.raises(ValueError, match="2 deploy units"):

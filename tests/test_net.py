@@ -192,7 +192,7 @@ class TestRpc:
 
         def stuck():
             poke = sim.event()
-            sim.call_in(0.5, lambda: poke.fail(Interrupt("teardown")))
+            sim.defer(0.5, lambda: poke.fail(Interrupt("teardown")))
             yield poke
 
         server.register("stuck", stuck)
@@ -295,22 +295,22 @@ class TestRpc:
     def test_plain_call_event_count(self):
         # Caller start, request delivery, reply delivery, the caller's
         # wake-up, its finish and the spent deadline: nothing else.
-        sim, net = make_net()
+        with EventDigest().under("calendar") as digest:
+            sim, net = make_net()
         server = RpcServer(sim, net, "server")
         server.register("add", lambda a, b: a + b)
         client = RpcClient(sim, net, "client")
-        digest = EventDigest().attach(sim)
         call = sim.process(client.call("server", "add", 2, 3))
         sim.run()
         assert call.value == 5
         assert digest.events == 6
 
     def test_callback_call_costs_its_deliveries_and_one_deadline(self, monkeypatch):
-        sim, net = make_net()
+        with EventDigest().under("calendar") as digest:
+            sim, net = make_net()
         server = RpcServer(sim, net, "server")
         server.register("add", lambda a, b: a + b)
         client = RpcClient(sim, net, "client")
-        digest = EventDigest().attach(sim)
         events = []
         original = Event.__init__
 
@@ -327,7 +327,8 @@ class TestRpc:
         assert events == []
 
     def test_calls_with_one_timeout_expire_in_call_order_from_one_pop(self):
-        sim, net = make_net()
+        with EventDigest().under("calendar") as digest:
+            sim, net = make_net()
         net.add_node("void")  # accepts nothing: every call times out
         client = RpcClient(sim, net, "client")
         expired = []
@@ -337,7 +338,6 @@ class TestRpc:
 
         sim.defer_at(0.1, lambda: client.invoke("void", "a", (), record("a"), timeout=0.7))
         sim.defer_at(0.1, lambda: client.invoke("void", "b", (), record("b"), timeout=0.7))
-        digest = EventDigest().attach(sim)
         sim.run()
         assert expired == [("a", 0.1 + 0.7, "RpcTimeout"), ("b", 0.1 + 0.7, "RpcTimeout")]
         # Two callers, two requests dropped on arrival, one deadline pop.
@@ -559,7 +559,7 @@ class TestIscsi:
         elapsed = sim.run_until_event(sim.process(scenario()))
         assert disk.spec.spin_up_time < elapsed < disk.spec.spin_up_time + 0.1
         assert disk.completed_ios == 1
-        assert sim.metrics.counter("iscsi.session_errors").value == 0
+        assert initiator.session_errors == 0
 
     def test_target_death_after_not_ready_times_out_at_ready_plus_timeout(self):
         sim, net, target, disk, initiator = self.setup_stack()
@@ -569,7 +569,7 @@ class TestIscsi:
 
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
-            sim.call_in(1.0, lambda: net.set_alive("host0", False))
+            sim.defer(1.0, lambda: net.set_alive("host0", False))
             ready_at = sim.now + disk.spec.spin_up_time  # within a hop
             try:
                 yield from session.read(0, 1 * MB)

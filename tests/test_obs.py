@@ -15,26 +15,6 @@ from repro.obs import (
 from repro.sim import Simulator
 
 
-class TestCounters:
-    def test_counter_counts_and_rejects_negatives(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        try:
-            counter.inc(-1)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("negative increment must raise")
-        assert counter.value == 3.5
-
-    def test_counter_is_get_or_create(self):
-        registry = MetricsRegistry()
-        assert registry.counter("same") is registry.counter("same")
-
-
 @dataclass
 class _Stats:
     done: int = 0
@@ -77,15 +57,14 @@ class TestPublish:
         registry.clear()
         assert registry.dump()["counters"] == {}
 
-    def test_a_name_is_published_or_a_counter_not_both(self):
+    def test_a_source_published_again_counts_once(self):
         registry = MetricsRegistry()
-        registry.counter("store.done").inc()
-        with pytest.raises(ValueError, match="already a registry counter"):
-            registry.publish("store", _Stats())
-        registry = MetricsRegistry()
+        component = _Component()
+        component.ios = 3
+        for _ in range(2):
+            registry.publish("disk", component, ("ios",))
         registry.publish("disk", _Component(), ("ios",))
-        with pytest.raises(ValueError, match="already published"):
-            registry.counter("disk.ios")
+        assert registry.dump()["counters"] == {"disk.ios": 3.0}
 
 
 class TestGauges:
@@ -127,8 +106,6 @@ class TestHistograms:
 class TestNullRegistry:
     def test_disabled_registry_is_a_no_op(self):
         assert NULL_REGISTRY.enabled is False
-        counter = NULL_REGISTRY.counter("anything")
-        counter.inc()
         gauge = NULL_REGISTRY.gauge("g")
         gauge.set(9.0)
         hist = NULL_REGISTRY.histogram("h", (1.0,))
@@ -142,7 +119,7 @@ class TestNullRegistry:
     def test_simulator_defaults_to_null_registry(self):
         sim = Simulator()
         assert sim.metrics is NULL_REGISTRY
-        sim.call_in(1.0, lambda: None)
+        sim.defer(1.0, lambda: None)
         sim.run(until=2.0)
         assert sim.metrics.dump()["counters"] == {}
 
@@ -162,12 +139,14 @@ class TestDeterministicExport:
 
     def test_export_text_renders_every_section(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc(3)
+        component = _Component()
+        component.ios = 3
+        registry.publish("c", component, ("ios",))
         registry.gauge("g").set(1.5)
         registry.histogram("h", (1.0, 2.0)).observe(1.0)
         registry.publish("p", _Stats(done=4))
         text = export_text(registry)
-        for token in ("c", "g", "h", "p.done"):
+        for token in ("c.ios", "g", "h", "p.done"):
             assert token in text
 
 

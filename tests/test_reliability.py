@@ -160,7 +160,7 @@ class TestScrubber:
         def detection_latency(interval):
             sim, disk, model = make_lse_stack(annual_rate=0.0001, seed=11)
             injected_at = 1000.0
-            sim.call_in(injected_at, lambda: model.errors.add(0))
+            sim.defer(injected_at, lambda: model.errors.add(0))
             Scrubber(sim, model, scrub_interval=interval, scan_bytes=64 * MB)
             sim.run(until=12 * 3600.0)
             assert model.detected, f"interval {interval}: never detected"

@@ -22,7 +22,9 @@ from repro.gateway import (
     GatewayObject,
     GatewayRequest,
     ObjectRef,
+    QueueFullError,
     ReadRange,
+    TenantSpec,
     resolve_op,
 )
 from repro.obs import MetricsRegistry
@@ -386,7 +388,49 @@ def build_store(shards_per_day=8, shard_capacity=4 * MiB, **config_kwargs):
     return dep, gateway, store
 
 
+def assert_totals_match_the_buffers(store):
+    """The store's running totals equal a walk over its buffers."""
+    runs = [buffer.buffered for buffer in store._buffers.values()]
+    assert store._open_shards == sum(1 for run in runs if run)
+    assert store._buffered_bytes == sum(r.record_bytes for run in runs for r in run)
+
+
 class TestShardStore:
+    def test_flush_the_gateway_refuses_stays_buffered(self):
+        """With the tenant's one queue slot taken, flush_all is refused
+        at its second shard and a put's threshold flush is refused too:
+        both runs stay buffered, the totals unchanged, and a later
+        flush writes them."""
+        dep, gateway, store = build_store(
+            shard_capacity=1 * MiB,
+            tenants=(TenantSpec(name="t0", slo_seconds=120.0, max_queue_depth=1),),
+        )
+        records = []
+        refused = []
+
+        def ingest():
+            for i in range(16):
+                records.append(store.put(f"uid-{i}", DATE, 32 * KB))
+            with pytest.raises(QueueFullError):
+                store.flush_all()
+            records.append(store.put("trip", DATE, 900 * KB))
+            refused.extend(r for r in records if r.state is ObjectState.BUFFERED)
+            assert_totals_match_the_buffers(store)
+
+        dep.sim.defer(0.0, ingest)
+        dep.sim.run(until=dep.sim.now + 120.0)
+        assert records[-1].uid == "trip" and refused[-1] is records[-1]
+        assert all(r.state is ObjectState.BUFFERED for r in refused)
+        assert all(r.state is ObjectState.ACKED for r in records if r not in refused)
+        assert all(b.inflight_flushes == 0 for b in store._buffers.values())
+        assert_totals_match_the_buffers(store)
+        shard = refused[0].shard.name
+        dep.sim.defer(0.0, lambda: store.flush_shard(shard))
+        drain(dep, gateway)
+        flushed = [r for r in refused if r.shard.name == shard]
+        assert all(r.state is ObjectState.ACKED for r in flushed)
+        assert_totals_match_the_buffers(store)
+
     def test_config_validates(self):
         with pytest.raises(ValueError):
             ShardStoreConfig(tenant="")
@@ -412,7 +456,7 @@ class TestShardStore:
                 records.append(store.put(f"uid-{i}", DATE, 64 * KB))
             store.flush_all()
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
 
         assert store.stats.accepted == 40
@@ -437,7 +481,7 @@ class TestShardStore:
             for i in range(7):
                 store.put(f"uid-{i}", DATE, 128 * KB)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
         # 0.85 fill of 1 MiB trips during ingest without any flush_all.
         assert store.stats.flushes >= 1
@@ -462,9 +506,9 @@ class TestShardStore:
             for i in range(12):
                 gets.append(store.get(f"uid-{i}", DATE))
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
-        dep.sim.call_in(0.0, retrieve)
+        dep.sim.defer(0.0, retrieve)
         drain(dep, gateway)
 
         assert store.stats.retrievals == 12
@@ -483,14 +527,14 @@ class TestShardStore:
             store.flush_all()
             holder.append(record)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
         record = holder[0]
 
         def retrieve():
             holder.append(store.get("uid-0", DATE))
 
-        dep.sim.call_in(0.0, retrieve)
+        dep.sim.defer(0.0, retrieve)
         drain(dep, gateway)
         request = holder[1]
         slot = store.slot_ref(record.shard)

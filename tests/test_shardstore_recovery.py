@@ -35,7 +35,7 @@ def ingest_then_crash(config_kwargs=None):
             records.append(store.put(f"uid-{i}", DATE, 64 * KB))
         flushes.extend(store.flush_all())
 
-    dep.sim.call_in(0.0, ingest)
+    dep.sim.defer(0.0, ingest)
     # Run to just past the 8s spin-up: the first flush write is in
     # flight when its endpoint dies.
     dep.sim.run(until=dep.sim.now + 8.05)
@@ -79,7 +79,7 @@ def test_recovery_rebuilds_directory_from_media_alone():
     # Rebuild from media: one paid scan read per durable shard, no
     # other source consulted.
     scans = []
-    dep.sim.call_in(0.0, lambda: scans.extend(store.recover()))
+    dep.sim.defer(0.0, lambda: scans.extend(store.recover()))
     drain(dep, gateway)
     assert store.stats.recovery_scans == len(scans) > 0
     assert all(s.attempts == 1 and s.failure is None for s in scans)
@@ -92,7 +92,7 @@ def test_recovery_rebuilds_directory_from_media_alone():
         for i in range(NUM_OBJECTS):
             gets.append(store.get(f"uid-{i}", DATE))
 
-    dep.sim.call_in(0.0, retrieve)
+    dep.sim.defer(0.0, retrieve)
     drain(dep, gateway)
     assert store.stats.retrievals == NUM_OBJECTS
     assert store.stats.retrieval_failures == 0

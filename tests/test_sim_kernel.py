@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.sim import (
+    EventDigest,
     Interrupt,
     Resource,
     RngRegistry,
@@ -76,31 +78,31 @@ class TestEventBasics:
         ev.defuse()
         sim.run()
 
-    def test_call_in_runs_callback(self):
+    def test_defer_runs_callback(self):
         sim = Simulator()
         fired = []
-        sim.call_in(5.0, lambda: fired.append(sim.now))
+        sim.defer(5.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [5.0]
 
-    def test_call_at_absolute_time(self):
+    def test_defer_at_absolute_time(self):
         sim = Simulator()
         fired = []
-        sim.call_at(7.0, lambda: fired.append(sim.now))
+        sim.defer_at(7.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [7.0]
 
-    def test_call_at_in_past_rejected(self):
+    def test_defer_at_in_past_rejected(self):
         sim = Simulator(start_time=10.0)
         with pytest.raises(SimulationError):
-            sim.call_at(5.0, lambda: None)
+            sim.defer_at(5.0, lambda: None)
 
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.call_in(3.0, lambda: order.append("c"))
-        sim.call_in(1.0, lambda: order.append("a"))
-        sim.call_in(2.0, lambda: order.append("b"))
+        sim.defer(3.0, lambda: order.append("c"))
+        sim.defer(1.0, lambda: order.append("a"))
+        sim.defer(2.0, lambda: order.append("b"))
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -108,7 +110,7 @@ class TestEventBasics:
         sim = Simulator()
         order = []
         for label in "abcde":
-            sim.call_in(1.0, lambda lab=label: order.append(lab))
+            sim.defer(1.0, lambda lab=label: order.append(lab))
         sim.run()
         assert order == list("abcde")
 
@@ -116,11 +118,44 @@ class TestEventBasics:
         sim = Simulator()
 
         def rescheduler():
-            sim.call_in(0.0, rescheduler)
+            sim.defer(0.0, rescheduler)
 
         rescheduler()
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
+        assert sim.events == 100
+
+
+class TestEventCount:
+    def test_events_counts_what_every_entry_point_runs_as_the_digest_does(self):
+        registry = MetricsRegistry()
+        with EventDigest().under("calendar") as digest:
+            sim = Simulator(metrics=registry)
+            other = Simulator(metrics=registry)
+        for t in range(1, 9):
+            sim.defer(float(t), lambda: None)
+        sim.step()
+        assert sim.events == digest.events == 1
+        sim.run(until=3.5)
+        assert sim.events == digest.events == 3
+        sim.run_until_event(sim.timeout(5.0))  # t=4..8 and the timeout
+        assert sim.events == digest.events == 9
+
+        def boom():
+            raise ValueError("boom")
+
+        sim.defer(1.0, boom)
+        sim.defer(2.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.events == digest.events == 10  # a raising event counts
+        sim.run()
+        assert sim.events == digest.events == 11
+        other.defer(1.0, lambda: None)
+        other.run()
+        assert other.events == 1
+        assert digest.events == 12
+        assert registry.dump()["counters"]["sim.events"] == 12.0
 
 
 class TestProcesses:
@@ -204,7 +239,7 @@ class TestProcesses:
                 log.append((sim.now, intr.cause))
 
         p = sim.process(sleeper(sim))
-        sim.call_in(5.0, lambda: p.interrupt("wake up"))
+        sim.defer(5.0, lambda: p.interrupt("wake up"))
         sim.run()
         assert log == [(5.0, "wake up")]
 
@@ -317,14 +352,6 @@ class TestResource:
         res = Resource(sim)
         with pytest.raises(SimulationError):
             res.release()
-
-    def test_cancel_queued_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()  # take the slot
-        queued = res.request()
-        assert res.cancel(queued)
-        assert res.queue_length == 0
 
     def test_invalid_capacity(self):
         sim = Simulator()

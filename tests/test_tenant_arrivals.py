@@ -28,6 +28,15 @@ TENANT = TenantSpec(
     object_sizes=((1 * MB, 3.0), (4 * MB, 1.0), (16 * MB, 0.5)),
 )
 
+#: A 1:3 mix of two sizes, both far below every object's region.
+TWO_SIZES = TenantSpec(
+    name="archive",
+    users=50,
+    rate_per_user=0.2,
+    read_fraction=0.7,
+    object_sizes=((100, 1.0), (200, 3.0)),
+)
+
 #: (sim_time, tenant, space_id, offset, size, is_read)
 Submission = Tuple[float, str, str, int, int, bool]
 
@@ -42,8 +51,9 @@ class _StubGateway:
     """Just enough gateway for the traffic generator: static objects,
     never-rejecting submit that records every operation."""
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, spec: TenantSpec) -> None:
         self.sim = sim
+        self.spec = spec
         self._objects = [
             _StubObject("space-a", 64 * MB),
             _StubObject("space-b", 48 * MB),
@@ -55,11 +65,11 @@ class _StubGateway:
         return self._objects
 
     def tenant_specs(self) -> List[TenantSpec]:
-        return [TENANT]
+        return [self.spec]
 
     def tenant(self, name: str) -> TenantSpec:
-        assert name == TENANT.name
-        return TENANT
+        assert name == self.spec.name
+        return self.spec
 
     def submit_op(self, op) -> None:
         is_read = isinstance(op, ReadObject)
@@ -70,20 +80,23 @@ class _StubGateway:
         )
 
 
-def _run_batched(seed: int, duration: float) -> List[Submission]:
+def _run_batched(
+    seed: int, duration: float, spec: TenantSpec = TENANT
+) -> List[Submission]:
     sim = Simulator()
-    gateway = _StubGateway(sim)
+    gateway = _StubGateway(sim, spec)
     generator = OpenLoopTrafficGenerator(sim, gateway, RngRegistry(seed))
     generator.start(duration)
     sim.run()
     return gateway.submissions
 
 
-def _run_reference(seed: int, duration: float) -> List[Submission]:
+def _run_reference(
+    seed: int, duration: float, spec: TenantSpec = TENANT
+) -> List[Submission]:
     """The pre-batching implementation, draw for draw."""
     sim = Simulator()
-    gateway = _StubGateway(sim)
-    spec = TENANT
+    gateway = _StubGateway(sim, spec)
     rand = RngRegistry(seed).stream(f"gateway.arrivals.{spec.name}")
     rate = spec.arrival_rate
     end = duration
@@ -137,9 +150,18 @@ def test_batched_arrivals_cross_batch_boundary():
     assert batched == reference
 
 
+def test_two_size_mix_matches_per_call_reference():
+    """A 1:3 two-size mix: both sizes drawn, the 3-share one far more often."""
+    batched = _run_batched(7, duration=120.0, spec=TWO_SIZES)
+    assert batched == _run_reference(7, duration=120.0, spec=TWO_SIZES)
+    sizes = [submission[4] for submission in batched]
+    assert set(sizes) == {100, 200}
+    assert 2 * sizes.count(100) < sizes.count(200)
+
+
 def test_stats_unchanged_by_batching():
     sim = Simulator()
-    gateway = _StubGateway(sim)
+    gateway = _StubGateway(sim, TENANT)
     generator = OpenLoopTrafficGenerator(sim, gateway, RngRegistry(5))
     generator.start(30.0)
     sim.run()

@@ -17,6 +17,7 @@ from repro.gateway import (
     Gateway,
     GatewayConfig,
     ObjectRef,
+    QueueFullError,
     ReadObject,
     TenantSpec,
     mount_gateway_spaces,
@@ -26,6 +27,7 @@ from repro.power import FixedTimeoutPolicy, run_policy
 from repro.sim import Simulator
 from repro.tiering import (
     MigrationOrchestrator,
+    ObjectMissingError,
     SegmentedLruPolicy,
     StagingBuffer,
     StagingFullError,
@@ -176,6 +178,7 @@ def build_tiered(
     power_budget_watts=40.0,
     tracer=None,
     start_orchestrator=True,
+    archive=ARCHIVE,
     **tiering_kwargs,
 ):
     """A settled 16-disk deployment: pinned hot tier + tiered store."""
@@ -187,7 +190,7 @@ def build_tiered(
     pinned = pinned_disks_for(objects, hot_spaces)
     gateway = Gateway(
         dep.sim,
-        (ARCHIVE, MIGRATION),
+        (archive, MIGRATION),
         GatewayConfig(
             power_budget_watts=power_budget_watts,
             scheduler="batch",
@@ -236,7 +239,7 @@ class TestTieredStoreStaging:
             for i in range(20):
                 objs.append(store.write(f"uid-{i}", OBJECT_BYTES))
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
         assert store.stats.staged == 20
         assert all(o.state is TierState.STAGED for o in objs)
@@ -270,7 +273,7 @@ class TestTieredStoreStaging:
             with pytest.raises(StagingFullError):
                 store.write("uid-overflow", OBJECT_BYTES)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
         assert store.staging.overflows == 1
         assert store.stats.written == 3
@@ -290,11 +293,40 @@ class TestTieredStoreStaging:
             staged_after_refusal.append(store.staging.staged_bytes)
             store.write("uid-next", 40 * MB)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
         assert staged_after_refusal == [0]
         assert store.staging.overflows == 0
         assert store.stats.written == store.stats.staged == 1
+
+    def test_write_the_gateway_refuses_leaves_no_trace(self):
+        """Writes the archive tenant's full queue refuses are not
+        indexed, counted or staged, and take no hot-log extent."""
+        dep, gateway, store, _ = build_tiered(
+            hot_spaces=1,
+            start_orchestrator=False,
+            archive=TenantSpec(name="archive", slo_seconds=120.0, max_queue_depth=2),
+        )
+        refused = []
+
+        def ingest():
+            for i in range(4):
+                try:
+                    store.write(f"uid-{i}", OBJECT_BYTES)
+                except QueueFullError:
+                    refused.append(f"uid-{i}")
+
+        dep.sim.defer(0.0, ingest)
+        dep.sim.run(until=dep.sim.now + 60.0)
+        assert refused == ["uid-2", "uid-3"]
+        assert store.stats.written == store.stats.staged == 2
+        assert store.staging.staged_bytes == 2 * OBJECT_BYTES
+        for uid in refused:
+            with pytest.raises(ObjectMissingError):
+                store.residency(uid)
+        # The hot log continues right after the two admitted writes.
+        later = store.write("uid-4", OBJECT_BYTES)
+        assert later.hot_ref.offset == 2 * OBJECT_BYTES
 
     def test_duplicate_uid_rejected(self):
         dep, gateway, store, _ = build_tiered(start_orchestrator=False)
@@ -304,7 +336,7 @@ class TestTieredStoreStaging:
             with pytest.raises(TieringError):
                 store.write("uid-0", OBJECT_BYTES)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
 
 
@@ -317,7 +349,7 @@ class TestMigration:
             for i in range(30):
                 objs.append(store.write(f"uid-{i}", OBJECT_BYTES))
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain_tiering(dep, gateway, store)
         assert store.stats.demoted == 30
         assert store.staging.staged_bytes == 0
@@ -338,7 +370,7 @@ class TestMigration:
             for i in range(30):
                 store.write(f"uid-{i}", OBJECT_BYTES)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain_tiering(dep, gateway, store)
         by_space = {}
         for space_id in store.cold_spaces():
@@ -372,7 +404,7 @@ class TestMigration:
                     )
                 )
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         dep.sim.run(until=dep.sim.now + 6.0)
         assert orchestrator.stats.pressure_pauses > 0
         drain_tiering(dep, gateway, store)
@@ -393,7 +425,7 @@ class TestMigration:
             for i in range(5):
                 store.write(f"uid-{i}", OBJECT_BYTES)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         dep.sim.run(until=dep.sim.now + 30.0)
         assert orchestrator.stats.power_skips > 0
         assert store.stats.demotion_batches == 0
@@ -409,7 +441,7 @@ class TestPromotion:
             for i in range(8):
                 store.write(f"uid-{i}", OBJECT_BYTES)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain_tiering(dep, gateway, store)
         assert store.residency(uid) == "cold"
 
@@ -417,14 +449,14 @@ class TestPromotion:
             store.read(uid)
             store.read(uid)
 
-        dep.sim.call_in(0.0, read_twice)
+        dep.sim.defer(0.0, read_twice)
         drain_tiering(dep, gateway, store)
         assert store.stats.promotions == 1
         assert store.residency(uid) == "hot"
         assert sorted(store.durable_tiers(uid)) == ["cold", "hot"]
 
         reads = []
-        dep.sim.call_in(0.0, lambda: reads.append(store.read(uid)))
+        dep.sim.defer(0.0, lambda: reads.append(store.read(uid)))
         drain(dep, gateway)
         assert store.stats.hot_reads >= 1
         assert reads[0].failure is None
@@ -439,9 +471,9 @@ class TestPromotion:
             for i in range(4):
                 store.write(f"uid-{i}", OBJECT_BYTES)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain_tiering(dep, gateway, store)
-        dep.sim.call_in(0.0, lambda: (store.read(uid), store.read(uid)))
+        dep.sim.defer(0.0, lambda: (store.read(uid), store.read(uid)))
         drain_tiering(dep, gateway, store)
         assert store.residency(uid) == "hot"
         passes_before = gateway.stats.disk_passes
@@ -501,7 +533,7 @@ class TestMigrationAttribution:
             for i in range(30):
                 store.write(f"uid-{i}", OBJECT_BYTES)
 
-        dep.sim.call_in(0.0, ingest)
+        dep.sim.defer(0.0, ingest)
         drain_tiering(dep, gateway, store)
         fired = {a.tenant for a in monitor.alerts if a.kind == "fire"}
         assert fired == {"migration"}

@@ -27,7 +27,7 @@ def crash_recover_audit(seed):
         for uid in uids:
             store.write(uid, OBJECT_BYTES)
 
-    dep.sim.call_in(0.0, ingest)
+    dep.sim.defer(0.0, ingest)
 
     # Step until the orchestrator has a demotion batch in flight.
     deadline = dep.sim.now + 90.0
@@ -56,7 +56,7 @@ def crash_recover_audit(seed):
 
     # Rebuild placement from media scans alone.
     scans = []
-    dep.sim.call_in(0.0, lambda: scans.extend(store.recover()))
+    dep.sim.defer(0.0, lambda: scans.extend(store.recover()))
     drain(dep, gateway)
     assert len(scans) > 0, f"seed {seed}: nothing durable to scan"
     assert all(s.failure is None and s.attempts == 1 for s in scans)
@@ -75,7 +75,7 @@ def crash_recover_audit(seed):
         for uid in uids:
             reads.append(store.read(uid))
 
-    dep.sim.call_in(0.0, read_all)
+    dep.sim.defer(0.0, read_all)
     drain(dep, gateway)
     assert len(reads) == NUM_OBJECTS
     assert all(r.failure is None and r.attempts == 1 for r in reads)

@@ -94,7 +94,7 @@ def test_clean_run_attribution_identity():
         for i in range(4):
             requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
 
-    dep.sim.call_in(0.0, burst)
+    dep.sim.defer(0.0, burst)
     drain(dep, gateway)
     traced = assert_identity(tracer)
     assert len(traced) == 4
@@ -115,7 +115,7 @@ def test_fault_free_cold_read_charges_spinup_not_failover():
     tracer, dep, gateway, objects, spaces = build_traced()
     target = objects[0]
     requests = []
-    dep.sim.call_in(0.0, lambda: requests.append(
+    dep.sim.defer(0.0, lambda: requests.append(
         gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))))
     drain(dep, gateway)
     (traced,) = assert_identity(tracer)
@@ -141,7 +141,7 @@ def test_mid_batch_crash_remount_attribution_identity():
         for i in range(6):
             requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
 
-    dep.sim.call_in(0.0, burst)
+    dep.sim.defer(0.0, burst)
     # Mid spin-up: the target has sent NOT READY when it dies, so the
     # client times out at ready + 3 s and remounts.
     dep.sim.run(until=dep.sim.now + 4.0)
@@ -211,7 +211,7 @@ def test_rejected_requests_are_traced_as_rejected():
                 pass
         done.append(True)
 
-    dep.sim.call_in(0.0, flood)
+    dep.sim.defer(0.0, flood)
     dep.sim.run(until=dep.sim.now + 0.5)
     assert done
     rejected = [ctx for ctx in tracer.completed if ctx.status == "rejected"]

@@ -190,7 +190,7 @@ class TestUsbBus:
             execute_plan(fabric, plan_switches(fabric, [("disk0", "host2")]))
             bus.sync()
 
-        sim.call_in(0.5, flip)
+        sim.defer(0.5, flip)
         sim.run(until=30.0)
         assert "disk0" not in bus.os_view("host0")
         assert "disk0" in bus.os_view("host2")
