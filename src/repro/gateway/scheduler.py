@@ -74,7 +74,9 @@ class PowerAccountant:
     ) -> None:
         if budget_watts <= 0 or watts_per_disk <= 0:
             raise ValueError("power budget and per-disk watts must be positive")
-        self.disks = dict(disks)
+        # A private copy nothing mutates, so its id order is fixed once.
+        self._disks = dict(disks)
+        self._by_id = tuple(sorted(self._disks.items()))
         self.budget_watts = budget_watts
         self.watts_per_disk = watts_per_disk
         # Disks granted a batch while still spun down: they will draw
@@ -84,16 +86,24 @@ class PowerAccountant:
 
     def drawing(self, disk_id: str) -> bool:
         """Whether the disk currently draws (budget-relevant) power."""
-        return self.disks[disk_id].power_state in _DRAWING_STATES
+        return self._disks[disk_id].power_state in _DRAWING_STATES
 
     def in_use_watts(self) -> Watts:
-        """Watts consumed by spinning disks plus outstanding grants."""
+        """Watts consumed by spinning disks plus outstanding grants.
+
+        Adds the watts in disk-id order (float addition is not
+        associative, so the order is part of the result) and retires
+        the grant of every disk that now draws.
+        """
         watts = 0.0
-        for disk_id in sorted(self.disks):
-            if self.drawing(disk_id):
-                watts += self.watts_per_disk
-                self._granted.pop(disk_id, None)
-        return Watts(watts + sum(self._granted.values()))
+        per_disk = self.watts_per_disk
+        granted = self._granted
+        for disk_id, disk in self._by_id:
+            if disk.power_state in _DRAWING_STATES:
+                watts += per_disk
+                if granted:
+                    granted.pop(disk_id, None)
+        return Watts(watts + sum(granted.values()))
 
     def cost_of(self, disk_id: str) -> Watts:
         """Marginal watts of dispatching to ``disk_id`` right now."""

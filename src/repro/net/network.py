@@ -10,8 +10,7 @@ loss, failover and remount behaviour in the management stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
@@ -19,8 +18,9 @@ from repro.sim.rng import RngRegistry
 __all__ = ["Message", "NetNode", "Network"]
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One message in flight; immutable, and cheap to build."""
+
     src: str
     dst: str
     payload: Any
@@ -63,8 +63,10 @@ class Network:
         # Each (src, dst) link draws its jitter from its own stream,
         # created on first use, so adding or removing messages on one
         # link leaves every other link's draws alone.  Maps a link to
-        # its stream's bound ``uniform``.
-        self._link_jitter: Dict[Tuple[str, str], Callable[[float, float], float]] = {}
+        # its stream's bound ``random``: ``jitter * random()`` is
+        # bit-identical to ``uniform(0, jitter)``, which computes
+        # ``0 + (jitter - 0) * random()``.
+        self._link_jitter: Dict[Tuple[str, str], Callable[[], float]] = {}
         self._nodes: Dict[str, NetNode] = {}
         self._partitions: Set[Tuple[str, str]] = set()
         self.delivered_count = 0
@@ -96,16 +98,13 @@ class Network:
 
     def partition(self, a: str, b: str) -> None:
         """Block traffic between ``a`` and ``b`` (both directions)."""
-        self._partitions.add((min(a, b), max(a, b)))
+        self._partitions.add(_pair(a, b))
 
     def heal(self, a: str, b: str) -> None:
-        self._partitions.discard((min(a, b), max(a, b)))
+        self._partitions.discard(_pair(a, b))
 
     def heal_all(self) -> None:
         self._partitions.clear()
-
-    def _blocked(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self._partitions
 
     # -- transmission ------------------------------------------------------
 
@@ -116,37 +115,47 @@ class Network:
         registered with :meth:`NetNode.on`; without one the message is
         dropped on arrival.
         """
-        if src not in self._nodes:
+        nodes = self._nodes
+        if src not in nodes:
             raise ValueError(f"unknown sender {src!r}")
-        if dst not in self._nodes:
+        if dst not in nodes or not nodes[src].alive:
             self.dropped_count += 1
             return
-        if not self._nodes[src].alive:
-            self.dropped_count += 1
-            return
-        message = Message(src=src, dst=dst, payload=payload, size=size, sent_at=self.sim.now)
         delay = self.latency + size / self.bandwidth
         # Drawn even when a partition drops the message, so a partition
         # does not shift the jitter of later messages on the link.
         if self.jitter > 0:
             draw = self._link_jitter.get((src, dst))
             if draw is None:
-                draw = self._rng.stream(f"network:{src}->{dst}").uniform
+                draw = self._rng.stream(f"network:{src}->{dst}").random
                 self._link_jitter[(src, dst)] = draw
-            delay += draw(0, self.jitter)
-        if self._blocked(src, dst):
+            delay += self.jitter * draw()
+        # No workload partitions anything, so the common case is one
+        # truth test of an empty set.
+        if self._partitions and _pair(src, dst) in self._partitions:
             self.dropped_count += 1
             return
+        message = Message(src, dst, payload, size, self.sim.now)
         self.sim.defer(delay, lambda: self._deliver(message))
 
     def _deliver(self, message: Message) -> None:
         # A sender that died mid-flight does not matter: the packet is
         # already on the wire (TCP would deliver it too).
-        node = self._nodes[message.dst]
-        handler = node._handlers.get(message.payload["kind"])
-        if handler is None or not node.alive or self._blocked(message.src, message.dst):
+        src, dst, payload, size, _ = message
+        node = self._nodes[dst]
+        handler = node._handlers.get(payload["kind"])
+        if (
+            handler is None
+            or not node.alive
+            or (self._partitions and _pair(src, dst) in self._partitions)
+        ):
             self.dropped_count += 1
             return
         self.delivered_count += 1
-        self.bytes_carried += message.size
+        self.bytes_carried += size
         handler(message)
+
+
+def _pair(a: str, b: str) -> Tuple[str, str]:
+    """The unordered link ``a``–``b`` as one ordered key."""
+    return (a, b) if a < b else (b, a)

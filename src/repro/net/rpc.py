@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 from repro.net.network import Message, NetNode, Network
@@ -91,20 +92,21 @@ class RpcServer:
         method = payload["method"]
         handler = self._handlers.get(method)
         if handler is None:
-            self._reply(message, error=f"no such method {method!r}")
+            self._reply(message, "error", f"no such method {method!r}")
             return
         args = payload.get("args", ())
         if method in self._notifying:
             args = (partial(self._not_ready, message), *args)
+        kwargs = payload.get("kwargs")
         try:
-            result = handler(*args, **payload.get("kwargs", {}))
+            result = handler(*args, **kwargs) if kwargs else handler(*args)
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(message, error=f"{type(exc).__name__}: {exc}")
+            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
             return
-        if hasattr(result, "send") and hasattr(result, "throw"):
+        if type(result) is GeneratorType:
             self.sim.process(self._finish(message, result))
         else:
-            self._reply(message, result=result)
+            self._reply(message, "result", result)
 
     def _finish(
         self, message: Message, work: Generator[Event, Any, Any]
@@ -120,9 +122,9 @@ class RpcServer:
             # reach the kernel, not be forwarded as an RPC error.
             raise
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(message, error=f"{type(exc).__name__}: {exc}")
+            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
             return
-        self._reply(message, result=result)
+        self._reply(message, "result", result)
 
     def _not_ready(self, message: Message, ready_at: float) -> None:
         self.network.send(
@@ -131,14 +133,15 @@ class RpcServer:
             {"kind": _NOT_READY, "id": message.payload["id"], "ready_at": ready_at},
         )
 
-    def _reply(self, message: Message, **outcome: Any) -> None:
+    def _reply(self, message: Message, outcome: str, value: Any) -> None:
+        """Answer ``message``; ``outcome`` is ``"result"`` or ``"error"``."""
         self.requests_served += 1
         payload = message.payload
         self.network.send(
             self.address,
             message.src,
-            {"kind": _RESPONSE, "id": payload["id"], **outcome},
-            size=payload.get("response_size", 256),
+            {"kind": _RESPONSE, "id": payload["id"], outcome: value},
+            payload.get("response_size", 256),
         )
 
 

@@ -35,6 +35,7 @@ from repro.shardstore.routing import (  # noqa: F401
     stable_hash,
 )
 from repro.shardstore.store import (  # noqa: F401
+    FlushRefusedError,
     ObjectNotFoundError,
     ShardStore,
     ShardStoreConfig,
@@ -43,6 +44,7 @@ from repro.shardstore.store import (  # noqa: F401
 )
 
 __all__ = [
+    "FlushRefusedError",
     "ObjectNotFoundError",
     "ObjectState",
     "PackedObject",

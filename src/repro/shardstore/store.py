@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.gateway.api import ObjectRef, ReadObject, ReadRange, WriteObject
-from repro.gateway.request import AdmissionError, GatewayRequest
+from repro.gateway.request import AdmissionError, GatewayRequest, QueueFullError
 from repro.obs.metrics import Gauge
 
 from repro.shardstore.packer import (
@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.gateway.gateway import Gateway
 
 __all__ = [
+    "FlushRefusedError",
     "ObjectNotFoundError",
     "ShardStore",
     "ShardStoreConfig",
@@ -62,6 +63,18 @@ class ShardStoreError(Exception):
 class ObjectNotFoundError(ShardStoreError):
     """The directory has no record for the key (never acked, or the
     soft state was lost — run :meth:`ShardStore.recover` first)."""
+
+
+class FlushRefusedError(QueueFullError):
+    """:meth:`ShardStore.flush_all` met a full tenant queue.
+
+    ``admitted`` holds the flush requests of the shards before the
+    refused one; the refused shard and every later one stay buffered.
+    """
+
+    def __init__(self, refused: QueueFullError, admitted: List[GatewayRequest]) -> None:
+        super().__init__(refused.tenant, refused.depth, refused.limit)
+        self.admitted = admitted
 
 
 @dataclass(frozen=True)
@@ -252,10 +265,17 @@ class ShardStore:
         return request
 
     def flush_all(self) -> List[GatewayRequest]:
-        """Flush every open shard (end-of-ingest barrier)."""
+        """Flush every open shard (end-of-ingest barrier), in shard order.
+
+        Raises :class:`FlushRefusedError`, carrying the requests already
+        admitted, at the first shard the tenant's full queue refuses.
+        """
         requests: List[GatewayRequest] = []
         for shard_name in sorted(self._buffers):
-            request = self.flush_shard(shard_name)
+            try:
+                request = self.flush_shard(shard_name)
+            except QueueFullError as exc:
+                raise FlushRefusedError(exc, requests) from exc
             if request is not None:
                 requests.append(request)
         return requests

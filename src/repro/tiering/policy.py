@@ -69,10 +69,23 @@ class SegmentedLruPolicy:
             del self._probation[uid]
             self._protected[uid] = now
             return True
+        self._on_probation(uid, now)
+        return False
+
+    def withdraw(self, uid: str) -> None:
+        """Take back a promotion the caller could not carry out.
+
+        The uid returns to probation with its last access time, so its
+        next access promotes it again.
+        """
+        last = self._protected.pop(uid, None)
+        if last is not None:
+            self._on_probation(uid, last)
+
+    def _on_probation(self, uid: str, now: float) -> None:
         self._probation[uid] = now
         while len(self._probation) > self.probation_capacity:
             self._probation.popitem(last=False)
-        return False
 
     # -- demotion ---------------------------------------------------------
 

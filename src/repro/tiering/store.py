@@ -399,6 +399,8 @@ class TieredStore:
         Cold accesses feed the recency policy; a promotion verdict
         copies the object onto the hot log in the background (under
         the migration tenant) so repeat readers stop paying spin-ups.
+        A read the gateway refuses raises before it is counted or
+        reaches the policy.
         """
         obj = self._index.get(uid)
         if obj is None or obj.state is TierState.FAILED:
@@ -412,19 +414,19 @@ class TieredStore:
         elif obj.cache_ref is not None:
             hot_ref = obj.cache_ref
         if hot_ref is not None:
-            self.stats.hot_reads += 1
-            self.policy.record_access(uid, now)
             request = self.gateway.submit_op(
                 ReadObject(tenant=self.config.tenant, ref=hot_ref)
             )
+            self.stats.hot_reads += 1
+            self.policy.record_access(uid, now)
             request.trace.annotate(tier="hot")
             request.on_complete = self._read_done
             return request
         assert obj.state is TierState.COLD and obj.cold_ref is not None
-        self.stats.cold_reads += 1
         request = self.gateway.submit_op(
             ReadObject(tenant=self.config.tenant, ref=obj.cold_ref)
         )
+        self.stats.cold_reads += 1
         request.trace.annotate(tier="cold")
         request.on_complete = self._read_done
         if self.policy.record_access(uid, now) and not obj.promote_inflight:
@@ -449,12 +451,21 @@ class TieredStore:
     # -- promotion / eviction ---------------------------------------------
 
     def _promote(self, obj: TieredObject) -> None:
-        """Copy a hot-worthy cold object onto the hot log, background."""
-        obj.promote_inflight = True
+        """Copy a hot-worthy cold object onto the hot log, background.
+
+        A promotion the gateway refuses is dropped: it is background
+        work, so the policy takes its verdict back and the object's next
+        access asks again.
+        """
         ref = self._hot_extent(obj.uid, obj.size)
-        request = self.gateway.submit_op(
-            WriteObject(tenant=self.config.migration_tenant, ref=ref)
-        )
+        try:
+            request = self.gateway.submit_op(
+                WriteObject(tenant=self.config.migration_tenant, ref=ref)
+            )
+        except GatewayError:
+            self.policy.withdraw(obj.uid)
+            return
+        obj.promote_inflight = True
         self._hot_tails[ref.space_id] = ref.offset + ref.size
         request.trace.annotate(tier="hot", background=True, kind_hint="promotion")
         epoch = self._epoch
@@ -475,6 +486,7 @@ class TieredStore:
         obj.promote_inflight = False
         if request.failure is not None:
             self.stats.promotion_failures += 1
+            self.policy.withdraw(obj.uid)
             return
         obj.cache_ref = ref
         self._hot_media.setdefault(ref.space_id, {})[obj.uid] = obj

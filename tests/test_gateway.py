@@ -339,6 +339,45 @@ class TestPowerAccountant:
         power.release("d0")
         assert power.in_use_watts() == 0.0
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_in_use_watts_matches_the_sorted_walk(self, seed):
+        """The presorted walk adds the same watts in the same order as
+        a sort on every call, bit for bit, and retires the same grants."""
+
+        class StubDisk:
+            def __init__(self, state):
+                self.power_state = state
+
+        def sorted_walk(disks, granted, watts_per_disk):
+            drawing = (DiskPowerState.SPINNING_UP, DiskPowerState.IDLE, DiskPowerState.ACTIVE)
+            watts = 0.0
+            for disk_id in sorted(disks):
+                if disks[disk_id].power_state in drawing:
+                    watts += watts_per_disk
+                    granted.pop(disk_id, None)
+            return watts + sum(granted.values())
+
+        rng = random.Random(seed)
+        states = list(DiskPowerState)
+        ids = [f"d{i}" for i in range(rng.randint(1, 40))]
+        rng.shuffle(ids)  # insertion order is not id order
+        disks = {disk_id: StubDisk(rng.choice(states)) for disk_id in ids}
+        watts_per_disk = rng.uniform(0.5, 13.0)
+        power = PowerAccountant(disks, 1e6, watts_per_disk)
+        for _ in range(25):
+            for disk in disks.values():
+                if rng.random() < 0.3:
+                    disk.power_state = rng.choice(states)
+            for disk_id in rng.sample(ids, rng.randint(0, len(ids))):
+                if rng.random() < 0.5:
+                    power.grant(disk_id)
+                else:
+                    power.release(disk_id)
+            oracle_granted = dict(power._granted)
+            expected = sorted_walk(disks, oracle_granted, watts_per_disk)
+            assert power.in_use_watts().hex() == expected.hex()
+            assert list(power._granted.items()) == list(oracle_granted.items())
+
     def test_rejects_nonpositive_budget(self):
         sim = Simulator()
         disks = {"d0": SimulatedDisk(sim, "d0")}

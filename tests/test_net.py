@@ -34,6 +34,21 @@ def listen(net, address):
     return received
 
 
+def reply_events(net):
+    """Wrap ``net.send`` on the instance; returns the ``sim.events`` count
+    at each RPC reply sent, a log that fills as the simulation runs."""
+    replied_in = []
+    send = net.send
+
+    def logged(src, dst, payload, size=256):
+        if payload["kind"] == "rpc_response":
+            replied_in.append(net.sim.events)
+        send(src, dst, payload, size)
+
+    net.send = logged
+    return replied_in
+
+
 class TestNetwork:
     def test_delivery_with_latency(self):
         sim, net = make_net()
@@ -149,6 +164,81 @@ class TestNetwork:
         assert (quiet_b, busy_b) == (0, 30)
         assert busy_c == quiet_c
 
+    def test_arrival_is_latency_serialization_and_the_links_uniform_draw(self):
+        # Bit-exact, draw for draw: the jitter is the link stream's
+        # ``uniform(0, jitter)``, added after latency + size / bandwidth.
+        sim = Simulator()
+        net = Network(sim, rng=RngRegistry(5))
+        net.add_node("a")
+        net.add_node("b")
+        received = listen(net, "b")
+        sizes = [0, 256, 4096, 1_250_000, 17, 256]
+        for i, size in enumerate(sizes):
+            sim.defer_at(0.37 * i, lambda size=size: net.send("a", "b", note("x"), size=size))
+        sim.run()
+        stream = RngRegistry(5).stream("network:a->b")
+        expected = [
+            0.37 * i + (net.latency + size / net.bandwidth + stream.uniform(0, net.jitter))
+            for i, size in enumerate(sizes)
+        ]
+        assert [at for at, _ in received] == expected
+        assert [m.sent_at for _, m in received] == [0.37 * i for i in range(len(sizes))]
+
+    def test_partition_raised_in_flight_drops_at_delivery(self):
+        sim, net = make_net()
+        net.add_node("a")
+        net.add_node("b")
+        received = listen(net, "b")
+        net.send("a", "b", note("x"))
+        sim.defer(net.latency / 2, lambda: net.partition("b", "a"))
+        sim.run()
+        assert (received, net.delivered_count, net.dropped_count) == ([], 0, 1)
+
+    def test_heal_before_arrival_delivers(self):
+        sim, net = make_net()
+        net.add_node("a")
+        net.add_node("b")
+        received = listen(net, "b")
+        net.send("a", "b", note("x"), size=0)
+        net.partition("a", "b")  # raised after the send: the message is in flight
+        sim.defer(net.latency / 2, lambda: net.heal("b", "a"))
+        sim.run()
+        assert [(at, m.payload["text"]) for at, m in received] == [(net.latency, "x")]
+
+    def test_messages_dropped_at_the_sender_draw_no_jitter(self):
+        # A dead sender's message and one to an address not yet on the
+        # network are dropped before the jitter draw: the next message
+        # on the link arrives as if they had never been sent.
+        def arrival(drop_first):
+            sim = Simulator()
+            net = Network(sim, rng=RngRegistry(9))
+            net.add_node("a")
+            if drop_first:
+                net.send("a", "b", note("to nobody"))
+            net.add_node("b")
+            received = listen(net, "b")
+            if drop_first:
+                net.set_alive("a", False)
+                net.send("a", "b", note("from the dead"))
+                net.set_alive("a", True)
+            net.send("a", "b", note("kept"))
+            sim.run()
+            assert net.dropped_count == (2 if drop_first else 0)
+            return [(at, m.payload["text"]) for at, m in received]
+
+        assert arrival(drop_first=True) == arrival(drop_first=False)
+
+    def test_message_is_immutable(self):
+        sim, net = make_net()
+        net.add_node("a")
+        net.add_node("b")
+        received = listen(net, "b")
+        net.send("a", "b", note("x"))
+        sim.run()
+        [(_, message)] = received
+        with pytest.raises(AttributeError):
+            message.size = 0
+
 
 class TestRpc:
     def test_basic_call(self):
@@ -182,6 +272,79 @@ class TestRpc:
         result = sim.run_until_event(sim.process(client.call("server", "slow")))
         assert result == "done"
         assert sim.now > 1.0
+
+    @pytest.mark.parametrize("value", [0, None, "", 7])
+    def test_plain_handler_replies_inside_the_delivery(self, value):
+        # Falsy results are results too: the reply leaves from inside
+        # the request's delivery, in the same kernel event.
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        handled_in = []
+        server.register("get", lambda: handled_in.append(sim.events) or value)
+        replied_in = reply_events(net)
+        client = RpcClient(sim, net, "client")
+        assert sim.run_until_event(sim.process(client.call("server", "get"))) == value
+        assert replied_in == handled_in and len(handled_in) == 1
+
+    def test_generator_handler_replies_from_a_process(self):
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        handled_in = []
+
+        def get():
+            handled_in.append(sim.events)
+            return 0
+            yield  # a generator that returns at once
+
+        server.register("get", get)
+        replied_in = reply_events(net)
+        client = RpcClient(sim, net, "client")
+        assert sim.run_until_event(sim.process(client.call("server", "get"))) == 0
+        [handled] = handled_in
+        [replied] = replied_in
+        assert replied > handled  # a later event: the handler ran as a process
+
+    def test_every_message_leaves_through_the_networks_send(self):
+        # A wrapper installed on the instance after the server and the
+        # client exist sees every request, notice and reply, errors
+        # included: nothing holds a bound ``send`` of its own.
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        server.register("add", lambda a, b: a + b)
+
+        def boom():
+            raise ValueError("nope")
+
+        def wait(not_ready):
+            not_ready(sim.now + 1.0)
+            yield sim.timeout(1.0)
+            return "ready"
+
+        server.register("boom", boom)
+        server.register("wait", wait, not_ready=True)
+        client = RpcClient(sim, net, "client")
+        sent = []
+        send = net.send
+
+        def logged(src, dst, payload, size=256):
+            sent.append((src, payload["kind"], payload.get("method")))
+            send(src, dst, payload, size)
+
+        net.send = logged
+        outcomes = []
+        for method, args in (("add", (2, 3)), ("boom", ()), ("missing", ()), ("wait", ())):
+            client.invoke("server", method, args, lambda r, e: outcomes.append((r, type(e).__name__)))
+        sim.run()
+        assert sorted(outcomes, key=repr) == sorted(
+            [(5, "NoneType"), (None, "RemoteError"), (None, "RemoteError"), ("ready", "NoneType")],
+            key=repr,
+        )
+        requests = [entry for entry in sent if entry[1] == "rpc_request"]
+        assert [method for _, _, method in requests] == ["add", "boom", "missing", "wait"]
+        assert sorted(kind for src, kind, _ in sent if src == "server") == [
+            "rpc_not_ready", *["rpc_response"] * 4
+        ]
+        assert net.delivered_count == len(sent) == 9
 
     def test_handler_interrupt_reaches_kernel_not_caller(self):
         # Regression: the dispatch loop once swallowed kernel Interrupts

@@ -24,11 +24,13 @@ from repro.gateway import (
     ObjectRef,
     QueueFullError,
     ReadRange,
+    RequestState,
     TenantSpec,
     resolve_op,
 )
 from repro.obs import MetricsRegistry
 from repro.shardstore import (
+    FlushRefusedError,
     ObjectState,
     PackedObject,
     RECORD_HEADER_BYTES,
@@ -429,6 +431,48 @@ class TestShardStore:
         drain(dep, gateway)
         flushed = [r for r in refused if r.shard.name == shard]
         assert all(r.state is ObjectState.ACKED for r in flushed)
+        assert_totals_match_the_buffers(store)
+
+    def test_flush_all_refusal_carries_the_flushes_it_admitted(self):
+        """flush_all refused at its second shard hands back the first
+        shard's request, which completes; the later shards stay
+        buffered until later calls write them."""
+        dep, gateway, store = build_store(
+            shard_capacity=1 * MiB,
+            tenants=(TenantSpec(name="t0", slo_seconds=120.0, max_queue_depth=1),),
+        )
+        records = []
+        admitted = []
+
+        def ingest():
+            for i in range(16):
+                records.append(store.put(f"uid-{i}", DATE, 32 * KB))
+            with pytest.raises(FlushRefusedError) as info:
+                store.flush_all()
+            assert isinstance(info.value, QueueFullError)
+            admitted.append(info.value.admitted)
+
+        dep.sim.defer(0.0, ingest)
+        drain(dep, gateway)
+        [[first]] = admitted
+        assert first.state is RequestState.COMPLETED and first.failure is None
+        first_shard = min(r.shard.name for r in records)
+        acked = {r.uid for r in records if r.state is ObjectState.ACKED}
+        assert acked == {r.uid for r in records if r.shard.name == first_shard}
+        assert_totals_match_the_buffers(store)
+
+        def flush_again():
+            try:
+                admitted.append(store.flush_all())
+            except FlushRefusedError as exc:
+                admitted.append(exc.admitted)
+
+        shards = len({r.shard.name for r in records})
+        for _ in range(shards - 1):  # one shard fits the queue per call
+            dep.sim.defer(0.0, flush_again)
+            drain(dep, gateway)
+        assert [len(requests) for requests in admitted] == [1] * shards
+        assert all(r.state is ObjectState.ACKED for r in records)
         assert_totals_match_the_buffers(store)
 
     def test_config_validates(self):

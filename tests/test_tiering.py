@@ -92,6 +92,16 @@ class TestSegmentedLruPolicy:
         assert policy.demotion_candidates(2.0) == ["a"]
         assert policy.is_protected("b")
 
+    def test_withdraw_puts_a_verdict_back_on_probation(self):
+        policy = SegmentedLruPolicy()
+        policy.record_access("a", 0.0)
+        assert policy.record_access("a", 1.0) is True
+        policy.withdraw("a")
+        assert policy.sizes() == {"probation": 1, "protected": 0}
+        assert policy.record_access("a", 2.0) is True  # the next access asks again
+        policy.withdraw("never-seen")  # nothing to take back
+        assert policy.sizes() == {"probation": 0, "protected": 1}
+
     def test_reset_forgets_everything(self):
         policy = SegmentedLruPolicy()
         policy.record_access("a", 0.0)
@@ -179,6 +189,7 @@ def build_tiered(
     tracer=None,
     start_orchestrator=True,
     archive=ARCHIVE,
+    migration=MIGRATION,
     **tiering_kwargs,
 ):
     """A settled 16-disk deployment: pinned hot tier + tiered store."""
@@ -190,7 +201,7 @@ def build_tiered(
     pinned = pinned_disks_for(objects, hot_spaces)
     gateway = Gateway(
         dep.sim,
-        (archive, MIGRATION),
+        (archive, migration),
         GatewayConfig(
             power_budget_watts=power_budget_watts,
             scheduler="batch",
@@ -228,6 +239,14 @@ def drain_tiering(dep, gateway, store, cap=600.0):
     ):
         dep.sim.run(until=dep.sim.now + 5.0)
     assert gateway.drained(), "gateway failed to drain"
+
+
+def one_cold_object(dep, gateway, store, uid="uid-0"):
+    """Write ``uid`` and let the orchestrator demote it; returns ``uid``."""
+    dep.sim.defer(0.0, lambda: store.write(uid, OBJECT_BYTES))
+    drain_tiering(dep, gateway, store)
+    assert store.residency(uid) == "cold"
+    return uid
 
 
 class TestTieredStoreStaging:
@@ -460,6 +479,86 @@ class TestPromotion:
         drain(dep, gateway)
         assert store.stats.hot_reads >= 1
         assert reads[0].failure is None
+
+    def test_reads_the_gateway_refuses_are_not_counted(self):
+        """Three reads of one cold object at one instant against an
+        archive queue of depth one: the two refused reads reach neither
+        the stats nor the recency policy."""
+        dep, gateway, store, _ = build_tiered(
+            hot_spaces=1,
+            archive=TenantSpec(name="archive", slo_seconds=120.0, max_queue_depth=1),
+        )
+        uid = one_cold_object(dep, gateway, store)
+        admitted, refused = [], []
+
+        def read_three():
+            for _ in range(3):
+                try:
+                    admitted.append(store.read(uid))
+                except QueueFullError:
+                    refused.append(uid)
+
+        dep.sim.defer(0.0, read_three)
+        drain_tiering(dep, gateway, store)
+        assert (len(admitted), len(refused)) == (1, 2)
+        assert gateway.stats.per_tenant["archive"].rejected == 2
+        assert (store.stats.cold_reads, store.stats.hot_reads) == (1, 0)
+        assert store.policy.sizes() == {"probation": 1, "protected": 0}
+        assert store.stats.promotions == 0
+        assert admitted[0].failure is None
+
+    def test_refused_promotion_is_dropped_and_the_next_access_promotes(self):
+        """With the migration tenant's queue full, the read that earns a
+        promotion is still returned; the promotion is dropped, and a
+        later access promotes the object."""
+        dep, gateway, store, _ = build_tiered(
+            migration=TenantSpec(
+                name="migration", weight=0.5, slo_seconds=600.0, max_queue_depth=1
+            ),
+        )
+        uid = one_cold_object(dep, gateway, store)
+        filler_space = next(s for s in store.cold_spaces() if s != store.cold_home(uid))
+        reads = []
+
+        def read_twice_behind_a_full_migration_queue():
+            gateway.submit_op(
+                ReadObject(tenant="migration", ref=ObjectRef(filler_space, 0, 1 * MB))
+            )
+            reads.append(store.read(uid))
+            reads.append(store.read(uid))  # earns the promotion, which is refused
+
+        dep.sim.defer(0.0, read_twice_behind_a_full_migration_queue)
+        drain_tiering(dep, gateway, store)
+        assert len(reads) == 2 and all(r.failure is None for r in reads)
+        assert gateway.stats.per_tenant["migration"].rejected == 1
+        assert store.stats.promotions == 0
+        assert store.residency(uid) == "cold"
+
+        dep.sim.defer(0.0, lambda: store.read(uid))
+        drain_tiering(dep, gateway, store)
+        assert store.stats.promotions == 1
+        assert store.residency(uid) == "hot"
+
+    def test_failed_promotion_lets_the_next_access_promote(self):
+        """A promotion whose hot write fails gives its verdict back to
+        the policy, so a later access tries again."""
+        dep, gateway, store, _ = build_tiered(hot_spaces=1)
+        uid = one_cold_object(dep, gateway, store)
+        hot_disk = dep.disks[gateway.config.pinned_disks[0]]
+
+        def read_twice_and_fail_the_hot_disk():
+            store.read(uid)
+            store.read(uid)  # earns the promotion, whose write will fail
+            hot_disk.fail()
+
+        dep.sim.defer(0.0, read_twice_and_fail_the_hot_disk)
+        dep.sim.run(until=dep.sim.now + 120.0)
+        assert (store.stats.promotion_failures, store.stats.promotions) == (1, 0)
+        hot_disk.repair()
+        dep.sim.defer(0.0, lambda: store.read(uid))
+        drain_tiering(dep, gateway, store)
+        assert store.stats.promotions == 1
+        assert store.residency(uid) == "hot"
 
     def test_idle_promoted_objects_are_evicted_for_free(self):
         dep, gateway, store, orchestrator = build_tiered(
