@@ -40,6 +40,9 @@ MASTER_POINTER = "/ustore/master"
 #: Seconds between the active Master's host-failure checks (its grid
 #: starts at activation).
 FAILURE_CHECK_INTERVAL = 0.5
+#: Seconds a candidate waits before it reads the election again after a
+#: failed read or activation, or after a step-down.
+ELECTION_RETRY_PAUSE = 1.0
 #: Bytes assumed for a disk missing from ``disk_capacities`` (3 TB).
 DEFAULT_DISK_CAPACITY = 3 * 10**12
 
@@ -52,7 +55,6 @@ class AllocationError(Exception):
 class MasterConfig:
     # Hosts are suspected after this much heartbeat silence, §IV-E.
     heartbeat_timeout: float = 2.0
-    election_poll_interval: float = 1.0
 
 
 class Master:
@@ -78,9 +80,10 @@ class Master:
         self.records: Dict[str, SpaceRecord] = {}  # space_id -> record
         self._space_counters: Dict[str, int] = {}  # disk -> next index
         self.active = False
-        # Triggered when this master steps down; its election loop waits
-        # on it while active.  Replaced at each activation.
-        self._stepped_down = sim.event()
+        # What the election loop waits on: the active master's step-down,
+        # or the standby's predecessor watch or session expiry.  A crash
+        # ends either.  Replaced at each wait.
+        self._wait = sim.event()
         self.alive = True
         self.failovers_completed = 0
         self.heartbeats = 0
@@ -140,6 +143,7 @@ class Master:
 
     def _stand_for_election(self) -> Generator[Event, None, None]:
         yield from self.coord.start()
+        self.coord.on_expiry(self._end_wait)
         for path in ("/ustore", ELECTION_ROOT, STORALLOC_ROOT):
             try:
                 yield from self.coord.create(path)
@@ -153,19 +157,43 @@ class Master:
             try:
                 children = yield from self.coord.get_children(ELECTION_ROOT)
             except (RpcTimeout, RemoteError):
-                yield self.sim.timeout(self.config.election_poll_interval)
+                yield self.sim.timeout(ELECTION_RETRY_PAUSE)
                 continue
-            if children and min(children) == my_name:
+            ahead = [child for child in children if child < my_name]
+            if ahead:
+                # Standby: watch the node just ahead of ours (ZooKeeper's
+                # leader-election recipe), so only its owner's going wakes
+                # this candidate, and read the election again then.
+                yield from self._await_predecessor(f"{ELECTION_ROOT}/{max(ahead)}")
+                continue
+            if my_name in children:
                 # Never activate on a lapsed lease: it would step down at once.
                 if not self.active and self.coord.holds_lease():
                     yield from self._activate()
                 if self.active:
                     # While the lease holds, the lowest election node is
                     # ours: the lease lapses before the cluster can expire
-                    # the session.  A poll would carry no news, so wait for
-                    # the step-down (lease lapse or crash) and poll again.
-                    yield self._stepped_down
-            yield self.sim.timeout(self.config.election_poll_interval)
+                    # the session.  Wait for the step-down (lease lapse or
+                    # crash).
+                    yield self._wait
+            yield self.sim.timeout(ELECTION_RETRY_PAUSE)
+
+    def _await_predecessor(self, path: str) -> Generator[Event, None, None]:
+        """Wait until the node at ``path`` changes or goes, this
+        candidate's session expires or it crashes."""
+        self._wait = self.sim.event()
+        try:
+            version = yield from self.coord.watch(path, lambda _path, _event: self._end_wait())
+        except (RpcTimeout, RemoteError):
+            yield self.sim.timeout(ELECTION_RETRY_PAUSE)
+            return
+        # A crash or an expiry that came before this wait did not end it.
+        if version is not None and self.alive and not self.coord.expired:
+            yield self._wait
+
+    def _end_wait(self) -> None:
+        if not self._wait.triggered:
+            self._wait.succeed()
 
     def _activate(self) -> Generator[Event, None, None]:
         # Publish the active master's address.
@@ -183,7 +211,7 @@ class Master:
         # memory-only and reconstructible).
         yield from self._interrogate_hosts()
         self.active = True
-        self._stepped_down = self.sim.event()
+        self._wait = self.sim.event()
         self._detector_grid = Grid(self.sim.now, FAILURE_CHECK_INTERVAL)
         self._arm_detector()
         # Step down when the coordination session can no longer be
@@ -191,10 +219,9 @@ class Master:
         self.coord.on_lapse(self._step_down)
 
     def _step_down(self) -> None:
-        if self.active:
-            self._stepped_down.succeed()
         self.active = False
         self._detector.disarm()
+        self._end_wait()
 
     def _load_records(self) -> Generator[Event, None, None]:
         self.records.clear()

@@ -4,18 +4,22 @@ A :class:`CoordSession` mirrors the ZooKeeper client the prototype's
 hosts use: it discovers the current leader, keeps its session alive
 with pings (so its ephemeral znodes survive), registers watches, and
 transparently retries operations across leader failovers.  A watch
-lives on the leader that accepted it and is lost with that leader;
-unlike a real ZooKeeper client, a session does not re-register its
-watches after a failover.
+lives on the leader that accepted it and is lost with that leader, and
+a watch event can be lost on the way.  So, as a ZooKeeper client does
+on reconnect, the session re-registers its outstanding watches once a
+ping is answered by a leader of another epoch, or once a ping or an
+event shows that an event of this leader never arrived, and fires at
+once each watch whose node changed meanwhile.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.coord.service import SESSION_TIMEOUT
 from repro.net.network import Message, Network
-from repro.net.rpc import Done, RpcClient, RpcTimeout, settle
+from repro.net.rpc import Done, RemoteError, RpcClient, RpcTimeout, settle
 from repro.sim import Deadline, Event, Simulator
 
 __all__ = ["CoordSession", "SessionExpiredError"]
@@ -23,8 +27,15 @@ __all__ = ["CoordSession", "SessionExpiredError"]
 #: Pause between rounds over the candidate servers, giving an election
 #: time to finish.
 _ROUND_BACKOFF = 0.25
-#: Keepalive period: four pings per session timeout.
-_PING_INTERVAL = SESSION_TIMEOUT / 4
+#: ``_Watch.epoch`` of a watch to register again: its re-registration
+#: failed, or an event of its leader never arrived.  No leader has
+#: epoch 0 (the first election makes epoch 1), so the next acknowledged
+#: ping sends it.
+_RESEND = 0
+#: Keepalive period: ZooKeeper's client pings after ``readTimeout / 2``
+#: of idleness, and its read timeout is two thirds of the session
+#: timeout.
+_PING_INTERVAL = SESSION_TIMEOUT / 3
 
 
 class SessionExpiredError(Exception):
@@ -51,7 +62,11 @@ class CoordSession:
         self.session_timeout = SESSION_TIMEOUT
         self.rpc = RpcClient(sim, network, address)
         self._leader_guess: Optional[str] = servers[0]
-        self._watch_callbacks: Dict[Tuple[str, str], List[Callable[[str, str], None]]] = {}
+        self._watches: Dict[Tuple[str, str], _Watch] = {}
+        # Watch events of the leader of ``_events_epoch``: every one up to
+        # number ``_events_heard`` has arrived or been made up for.
+        self._events_epoch = 0
+        self._events_heard = 0
         self.started = False
         self.expired = False
         # Client-side lease: the cluster cannot expire this session
@@ -86,19 +101,21 @@ class CoordSession:
         _LeaderCall(
             self,
             "coord.ping_session",
-            (self.session_id,),
+            (self.session_id, self.address),
             self._pinged,
             retries=2,
             keepalive=True,
         )
 
-    def _pinged(self, _result: Any, error: Optional[Exception]) -> None:
+    def _pinged(self, reply: Optional[Tuple[int, int]], error: Optional[Exception]) -> None:
         if isinstance(error, SessionExpiredError):
             # Ephemerals are gone; the owner must start anew.
             callback, self._on_expiry = self._on_expiry, None
             if callback is not None:
                 callback()
             return
+        if reply is not None:
+            self._heard(*reply)
         # On failure keep trying; the expirer decides when we are gone.
         self.sim.defer(_PING_INTERVAL, self._ping)
 
@@ -210,23 +227,116 @@ class CoordSession:
 
     def watch(
         self, path: str, callback: Callable[[str, str], None], kind: str = "node"
-    ) -> Generator[Event, None, None]:
+    ) -> Generator[Event, None, Any]:
         """One-shot watch; ``callback(path, event_type)`` fires on change.
 
-        The watch lives on the leader that accepts it and is lost if
-        that leader fails.
+        ``kind`` is ``"node"`` (the node is created, changed or deleted)
+        or ``"children"`` (a child is created or deleted).  Returns what
+        the watch observes now: the node's version for a node watch, its
+        child names for a children watch, ``None`` while the node does
+        not exist.  The watch lives on the leader that accepts it.  After
+        a leader change, or once an event of its leader is lost, the
+        session registers it again, and fires it at once if what it
+        observes then has changed.  If the registration fails,
+        ``callback`` is dropped and the error raised.
         """
-        self._watch_callbacks.setdefault((path, kind), []).append(callback)
-        yield from self._leader_call("coord.watch", self.address, path, kind)
+        key = (path, kind)
+        watch = self._watches.get(key)
+        if watch is None:
+            watch = self._watches[key] = _Watch()
+        watch.callbacks.append(callback)
+        try:
+            epoch, seen = yield from self._leader_call(
+                "coord.watch", self.address, path, kind
+            )
+        except (RpcTimeout, RemoteError, SessionExpiredError):
+            watch.callbacks.remove(callback)
+            if not watch.callbacks and self._watches.get(key) is watch:
+                del self._watches[key]
+            raise
+        watch.epoch, watch.seen = epoch, seen
+        return seen
 
     def _on_watch_event(self, message: Message) -> None:
-        path = message.payload["path"]
-        event_type = message.payload["type"]
-        fired: List[Callable[[str, str], None]] = []
-        for kind in ("node", "children"):
-            fired.extend(self._watch_callbacks.pop((path, kind), []))
-        for callback in fired:
+        payload = message.payload
+        path = payload["path"]
+        watch = self._watches.pop((path, payload["watch"]), None)
+        if watch is not None:
+            for callback in watch.callbacks:
+                callback(path, payload["type"])
+        seq = payload["seq"]
+        self._heard(payload["epoch"], seq - 1)
+        self._events_heard = max(self._events_heard, seq)
+
+    def _heard(self, epoch: int, sent: int) -> None:
+        """The leader of ``epoch`` has sent ``sent`` watch events before
+        this point: if one has not arrived, register that leader's
+        watches again; then register those another leader holds."""
+        heard = self._events_heard if self._events_epoch == epoch else 0
+        if sent > heard:
+            for watch in self._watches.values():
+                if watch.epoch == epoch:
+                    watch.epoch = _RESEND
+        self._events_epoch, self._events_heard = epoch, max(sent, heard)
+        self._rewatch(epoch)
+
+    def _rewatch(self, epoch: int) -> None:
+        """Register on the leader of ``epoch`` every watch it does not
+        hold (ZooKeeper's SetWatches on reconnect)."""
+        for key, watch in list(self._watches.items()):
+            if watch.epoch is None or watch.epoch == epoch:
+                continue  # still being registered, or held by this leader
+            # Marked as held here while the call is out, so the next ping
+            # does not send it again; a failure marks it _RESEND.
+            watch.epoch = epoch
+            path, kind = key
+            _LeaderCall(
+                self,
+                "coord.watch",
+                (self.address, path, kind),
+                partial(self._rewatched, key, watch),
+            )
+
+    def _rewatched(
+        self, key: Tuple[str, str], watch: "_Watch", result: Any, error: Optional[Exception]
+    ) -> None:
+        if self._watches.get(key) is not watch:
+            return  # it fired meanwhile
+        if error is not None:
+            watch.epoch = _RESEND
+            return
+        watch.epoch, seen = result
+        if seen == watch.seen:
+            return
+        del self._watches[key]
+        path, kind = key
+        event_type = _change(kind, watch.seen, seen)
+        for callback in watch.callbacks:
             callback(path, event_type)
+
+
+class _Watch:
+    """One outstanding watch: its callbacks, what the session last saw
+    through it, and the epoch of the leader that holds it (``None`` until
+    its first registration is answered)."""
+
+    __slots__ = ("callbacks", "seen", "epoch")
+
+    def __init__(self) -> None:
+        self.callbacks: List[Callable[[str, str], None]] = []
+        self.seen: Any = None
+        self.epoch: Optional[int] = None
+
+
+def _change(kind: str, seen: Any, now: Any) -> str:
+    """The event a watch fires for a change it missed: ``seen`` to ``now``."""
+    if now is None:
+        return "deleted"
+    if seen is None:
+        return "created"
+    if kind == "children":
+        return "created" if set(now) - set(seen) else "deleted"
+    return "changed"
 
 
 class _LeaderCall:

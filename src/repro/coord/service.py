@@ -12,7 +12,11 @@ Simplifications relative to a production system, chosen deliberately
 and documented here: log compaction/snapshots are omitted (runs are
 finite), reads are served by the leader from applied state, and a
 client watch lives on the leader that accepted it and is lost with that
-leader (clients do not re-register watches after a failover).
+leader.  A leader numbers the watch events it sends each client and
+answers each ping with its epoch and that count, so a client learns of
+a leader change or of a lost event and registers its watches again;
+``coord.watch`` answers with what the watch observes, from which the
+client tells whether it missed a change (ZooKeeper's SetWatches).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.net.network import Network
 from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
 from repro.sim import Deadline, Event, Simulator
 from repro.sim.rng import RngRegistry
-from repro.coord.znode import ZnodeError, ZnodeTree
+from repro.coord.znode import NoNodeError, ZnodeError, ZnodeTree
 
 __all__ = ["CoordReplica", "LogEntry", "NotLeaderError", "Role"]
 
@@ -100,8 +104,12 @@ class CoordReplica:
         self._pending_results: Dict[int, Event] = {}  # log index -> client waiter
         self._sessions_last_seen: Dict[str, float] = {}
         self._session_timeouts: Dict[str, float] = {}
-        # Watches: path -> list of (watcher_address, watch_kind)
+        # Watches: path -> list of (watcher_address, watch_kind), each once
         self._watches: Dict[str, List[Tuple[str, str]]] = {}
+        # Watch events sent this epoch, per watcher address: each event
+        # carries its number and each ping reply the count, so a session
+        # can tell that one never arrived.
+        self._watch_events_sent: Dict[str, int] = {}
 
         self._election_deadline = 0.0
         # Timers: each is one armed deadline on the grid its polling loop
@@ -232,6 +240,10 @@ class CoordReplica:
         # Fresh leader: give every known session a grace period.
         for session_id in self._sessions_last_seen:
             self._sessions_last_seen[session_id] = self.sim.now
+        # Watches of an earlier epoch are gone; clients register theirs
+        # again once a ping tells them of this epoch.
+        self._watches.clear()
+        self._watch_events_sent.clear()
         # Commit a no-op of the new epoch so entries inherited from prior
         # epochs become committable (the Raft "leader completeness" rule:
         # a leader only counts replicas for entries of its own epoch).
@@ -398,14 +410,23 @@ class CoordReplica:
                 if watch_kind != kind:
                     keep.append((watcher_address, watch_kind))
                     continue
-                notified.append((watcher_address, watched, event_type))
+                notified.append((watcher_address, watched, kind))
             if keep:
                 self._watches[watched] = keep
-        for watcher_address, watched, etype in notified:
+        for watcher_address, watched, kind in notified:
+            seq = self._watch_events_sent.get(watcher_address, 0) + 1
+            self._watch_events_sent[watcher_address] = seq
             self.network.send(
                 self.address,
                 watcher_address,
-                {"kind": "watch_event", "path": watched, "type": etype},
+                {
+                    "kind": "watch_event",
+                    "path": watched,
+                    "type": event_type,
+                    "watch": kind,
+                    "epoch": self.current_epoch,
+                    "seq": seq,
+                },
             )
 
     # ------------------------------------------------------------------
@@ -481,7 +502,8 @@ class CoordReplica:
 
         return wait()
 
-    def _on_ping_session(self, session_id: str):
+    def _on_ping_session(self, session_id: str, watcher_address: str):
+        """Renew the session; answer ``(epoch, watch events sent)``."""
         if self.crashed:
             raise ZnodeError("crashed")
         if self.role is not Role.LEADER:
@@ -492,7 +514,7 @@ class CoordReplica:
         self._sessions_last_seen[session_id] = self.sim.now
         if returning:
             self._arm_expirer()  # expired here, its expiry not yet applied
-        return True
+        return (self.current_epoch, self._watch_events_sent.get(watcher_address, 0))
 
     def _on_read(self, what: str, path: str):
         if self.crashed:
@@ -509,14 +531,27 @@ class CoordReplica:
         raise ZnodeError(f"unknown read {what!r}")
 
     def _on_watch(self, watcher_address: str, path: str, kind: str):
+        """Register a one-shot watch; answer ``(epoch, observed)``.
+
+        ``observed`` is the node's version for a node watch and its child
+        names for a children watch, ``None`` if the node does not exist.
+        """
         if self.crashed:
             raise ZnodeError("crashed")
         if self.role is not Role.LEADER:
             raise NotLeaderError(self.leader_hint)
         if kind not in ("node", "children"):
             raise ZnodeError(f"unknown watch kind {kind!r}")
-        self._watches.setdefault(path, []).append((watcher_address, kind))
-        return True
+        waiters = self._watches.setdefault(path, [])
+        if (watcher_address, kind) not in waiters:
+            waiters.append((watcher_address, kind))
+        self.sim.touch_resource(f"znode:{self.address}{path}", write=False)
+        try:
+            node = self.tree.get(path)
+        except NoNodeError:
+            return (self.current_epoch, None)
+        observed = node.version if kind == "node" else sorted(node.children)
+        return (self.current_epoch, observed)
 
     # ------------------------------------------------------------------
     # session expiry

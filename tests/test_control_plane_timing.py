@@ -115,12 +115,12 @@ def test_coord_leader_crash_and_recovery_sends():
     assert crashed == []
 
 
-IDLE_SENDS = 6_784
-IDLE_DIGEST = "f57cfd50c4ec44cedc52b704c92449cdcca8a215d98efbc8ce33f0b843b4a84c"
-HOST_CRASH_SENDS = 4_526
-HOST_CRASH_DIGEST = "eb1ecc5a64606e1457e7ce826f15ba97db75da4f18d2b8c88c03a6dab5809ef7"
+IDLE_SENDS = 5_892
+IDLE_DIGEST = "2d1b77eb195cd628d9450ecddc177026256eb2851d52cc59e6f10d4c887cd154"
+HOST_CRASH_SENDS = 3_964
+HOST_CRASH_DIGEST = "217038e1cbe70d6f6ad8b2900a5fe91b6aad04dfc9650ed3b079a4e004a81158"
 HOST_CRASHED_AT = [("host1", "17.762667517827936")]
-LEADER_CRASH_SENDS = 3_319
-LEADER_CRASH_DIGEST = "3bab75da8766a7aeeb565017fd93a5676662e06b926b8cfde6c69dd12abcc2ca"
+LEADER_CRASH_SENDS = 2_906
+LEADER_CRASH_DIGEST = "8a83a0f6e7d0a4bdfdac3371792e0fce854395f5bc78ff026a78b49401a18411"
 OLD_LEADER = ("coord0", 1)
 LEADER_ELECTIONS = [("coord1", 2, "15.050000000000075")]

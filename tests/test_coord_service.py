@@ -289,6 +289,128 @@ class TestWatches:
         assert fired == ["deleted"]
 
 
+    def test_each_kind_fires_only_its_own_callbacks(self):
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        writer = CoordSession(sim, net, "writer", [r.address for r in replicas])
+        watcher = CoordSession(sim, net, "watcher", [r.address for r in replicas])
+        fired = []
+
+        def scenario():
+            yield from writer.start()
+            yield from watcher.start()
+            yield from writer.create("/p")
+            yield from watcher.watch("/p", lambda p, t: fired.append(("node", t)))
+            yield from watcher.watch(
+                "/p", lambda p, t: fired.append(("children", t)), kind="children"
+            )
+            yield from writer.create("/p/kid")
+            yield sim.timeout(1.0)
+            yield from writer.set_data("/p", 1)
+            yield sim.timeout(1.0)
+
+        run_session(sim, scenario())
+        assert fired == [("children", "created"), ("node", "changed")]
+
+    def test_watch_answers_what_it_observes(self):
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        session = CoordSession(sim, net, "watcher", [r.address for r in replicas])
+
+        def scenario():
+            yield from session.start()
+            absent = yield from session.watch("/w", lambda p, t: None)
+            yield from session.create("/w", data=0)
+            yield from session.set_data("/w", 1)
+            version = yield from session.watch("/w", lambda p, t: None)
+            yield from session.create("/w/b")
+            yield from session.create("/w/a")
+            children = yield from session.watch("/w", lambda p, t: None, kind="children")
+            return absent, version, children
+
+        assert run_session(sim, scenario()) == (None, 1, ["a", "b"])
+
+    def test_watch_missed_without_a_leader_fires_once_after_reregistration(self):
+        # The watch lives on the leader that fails.  The watcher hears
+        # from no server until the node is deleted through the next
+        # leader; its first ping there re-registers the watch, which
+        # observes the node gone and fires at once, and only once.
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        writer = CoordSession(sim, net, "writer", [r.address for r in replicas])
+        watcher = CoordSession(sim, net, "watcher", [r.address for r in replicas])
+        fired = []
+
+        def setup():
+            yield from writer.start()
+            yield from watcher.start()
+            yield from writer.create("/n", data=0)
+            yield from watcher.watch("/n", lambda p, t: fired.append((p, t)))
+
+        run_session(sim, setup())
+        old = leader_of(replicas)
+        for replica in replicas:
+            net.partition("watcher", replica.address)
+        old.crash()
+        run_session(sim, writer.delete("/n"))
+        assert leader_of(replicas) is not old and fired == []
+        net.heal_all()
+        sim.run(until=sim.now + 2.0)
+        assert fired == [("/n", "deleted")]
+        assert not watcher.expired
+        run_session(sim, writer.create("/n"))
+        sim.run(until=sim.now + 5.0)
+        assert fired == [("/n", "deleted")]
+
+    def test_lost_watch_event_fires_after_the_next_ping(self):
+        # A short partition drops the event; the leader's next ping reply
+        # counts one event more than the watcher heard, so the watcher
+        # registers the watch again, sees the change and fires it.
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        writer = CoordSession(sim, net, "writer", [r.address for r in replicas])
+        watcher = CoordSession(sim, net, "watcher", [r.address for r in replicas])
+        fired = []
+
+        def setup():
+            yield from writer.start()
+            yield from watcher.start()
+            yield from writer.create("/n", data=0)
+            yield from watcher.watch("/n", lambda p, t: fired.append((p, t)))
+
+        run_session(sim, setup())
+        leader = leader_of(replicas)
+        net.partition("watcher", leader.address)
+        run_session(sim, writer.set_data("/n", 1))
+        net.heal("watcher", leader.address)
+        assert fired == []
+        sim.run(until=sim.now + 1.0)
+        assert fired == [("/n", "changed")]
+        assert leader_of(replicas) is leader
+
+    def test_watch_whose_registration_fails_is_dropped(self):
+        from repro.net import RemoteError
+
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        watcher = CoordSession(sim, net, "watcher", [r.address for r in replicas])
+        run_session(sim, watcher.start())
+        with pytest.raises(RemoteError, match="unknown watch kind"):
+            run_session(sim, watcher.watch("/", lambda p, t: None, kind="bogus"))
+        watches = []
+        send = net.send
+
+        def logged(src, dst, payload, size=256):
+            if src == "watcher" and payload.get("method") == "coord.watch":
+                watches.append(dst)
+            send(src, dst, payload, size)
+
+        net.send = logged
+        leader_of(replicas).crash()
+        sim.run(until=sim.now + 5.0)
+        assert leader_of(replicas) is not None and watches == []
+
+
 class TestLeaderCall:
     """The session's leader walk, against scripted stand-in servers."""
 
@@ -379,7 +501,9 @@ class TestLease:
         lapsed = []
         session.on_lapse(lambda: lapsed.append(sim.now))
         sim.run(until=sim.now + 3.0)
-        assert lapsed == [] and len(pings) >= 5  # acknowledged pings renew it
+        # Acknowledged pings renew it; one every third of the session
+        # timeout after the last reply.
+        assert lapsed == [] and len(pings) == 4
         cut = pings[-1] + 0.25  # between two pings; the last one was answered
         sim.run(until=cut)
         for replica in replicas:

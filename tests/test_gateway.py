@@ -12,15 +12,15 @@ experiment point twice.
 import random
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from repro.cluster.deployment import DeploymentConfig, build_deployment
-from repro.cluster.master import MasterConfig
+from repro.coord import client as coord_client
+from repro.coord.service import SESSION_TIMEOUT
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
-from repro.experiments import common, gateway_slo
+from repro.experiments import gateway_slo
 from repro.gateway import (
     AdmissionError,
     ColdReadBatchScheduler,
@@ -888,15 +888,11 @@ class TestGatewaySloExperiment:
 
     def test_control_plane_change_leaves_summary_alone(self, monkeypatch):
         """Each network link draws its own jitter, so a change to
-        control-plane traffic alone (the Masters' election poll every
-        0.5 s instead of 1 s) leaves the gateway summary identical."""
+        control-plane traffic alone (session pings every quarter of the
+        session timeout instead of every third) leaves the gateway
+        summary identical."""
         baseline = gateway_slo.run_point("batch", duration=60.0)
-
-        def polling_twice(config, **kwargs):
-            master = MasterConfig(election_poll_interval=0.5)
-            return build_deployment(config=replace(config, master=master), **kwargs)
-
-        monkeypatch.setattr(common, "build_deployment", polling_twice)
+        monkeypatch.setattr(coord_client, "_PING_INTERVAL", SESSION_TIMEOUT / 4)
         assert gateway_slo.run_point("batch", duration=60.0) == baseline
 
     def test_experiment_contract(self):

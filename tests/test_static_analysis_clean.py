@@ -185,8 +185,29 @@ def test_smoke_gate_checks_events_and_anchors(
     record = _smoke_record(**changes)
     assert module.check_smoke_record(record, baseline, wall_factor=1.1) == status
     out = capsys.readouterr().out
-    assert "wall: 0.4s (baseline 0.4s, limit 0.94s = 1.1x + 0.5s) OK" in out
+    assert "wall: 0.4s (baseline 0.4s, limit 0.84s = 1.1x + 0.4s) OK" in out
     assert verdict in out
+
+
+@pytest.mark.parametrize(
+    "base_wall, wall, status, verdict",
+    [
+        (0.1, 0.2, 0, "wall: 0.2s (baseline 0.1s, limit 0.21s = 1.1x + 0.1s) OK"),
+        # Inside the old 1.1x + 0.5 s (0.61 s): a threefold slowdown.
+        (0.1, 0.3, 1, "wall: 0.3s (baseline 0.1s, limit 0.21s = 1.1x + 0.1s) REGRESSION"),
+        (0.8, 1.3, 0, "wall: 1.3s (baseline 0.8s, limit 1.38s = 1.1x + 0.5s) OK"),
+    ],
+    ids=["twofold", "threefold", "grace-0.5s"],
+)
+def test_smoke_gate_grace_is_at_most_the_recorded_wall(
+    tmp_path, capsys, base_wall, wall, status, verdict
+):
+    module = _load_script_module()
+    baseline = tmp_path / "BENCH_gateway_slo.json"
+    baseline.write_text(json.dumps([_smoke_record(wall_seconds=base_wall)]))
+    record = _smoke_record(wall_seconds=wall)
+    assert module.check_smoke_record(record, baseline, wall_factor=1.1) == status
+    assert verdict in capsys.readouterr().out
 
 
 def test_smoke_gate_skips_comparison_when_file_missing(tmp_path, capsys):
