@@ -235,6 +235,7 @@ _SCHEDULING_CALLS = {
     "call_in",
     "defer",
     "defer_at",
+    "expire_at",
     "fail",
     "invoke",
     "process",

@@ -23,7 +23,10 @@ history files at the repo root):
   obs counters (:func:`bench_experiment`).  ``smoke`` applies the
   experiment's declared
   :attr:`~repro.experiments.base.Experiment.smoke` sizes; the CI gate
-  runs every experiment that declares them.
+  runs every experiment that declares them.  A smoke record also
+  carries ``calibration_s`` (:func:`calibration_s`), how fast the
+  machine ran a fixed loop around it, so that the gate can scale a
+  recorded wall to the machine's speed now.
 
 Wall-clock use is deliberate and local to this module: benchmarks
 measure the simulator, they never feed timestamps into it.  The module
@@ -39,6 +42,8 @@ is provenance only — no perf gate compares it.
 
 from __future__ import annotations
 
+import gc
+import heapq
 import json
 import time
 from pathlib import Path
@@ -58,6 +63,7 @@ __all__ = [
     "BENCHMARKS",
     "append_record",
     "available_benchmarks",
+    "calibration_s",
     "run_benchmark",
 ]
 
@@ -67,7 +73,8 @@ __all__ = [
 #: v3: experiment records always carry ``smoke``, ``params`` and
 #: ``anchors``; the ``gateway``, ``shardstore`` and ``tiering`` records
 #: became ``gateway_slo``, ``shardstore_small_objects`` and
-#: ``tiering_staging`` smoke records.
+#: ``tiering_staging`` smoke records.  Smoke records may also carry
+#: ``calibration_s``; older v3 records do not, and gate unscaled.
 BENCH_SCHEMA_VERSION = 3
 
 #: Pod counts for the allocation scale sweep: one deploy unit (the
@@ -83,6 +90,60 @@ _DEMAND_LEVELS = 32
 
 KERNEL_EVENTS_FULL = 200_000
 KERNEL_EVENTS_SMOKE = 20_000
+
+
+#: Rounds of the calibration loop, and the events each round pushes
+#: before its first pop.
+CALIBRATION_ROUNDS = 20
+CALIBRATION_EVENTS = 4000
+
+
+def _calibration_round() -> int:
+    """A small event loop like the simulator's: heap pushes and pops of
+    tuples, closure calls, dict updates.  Stdlib only, so a change to
+    the program never moves it."""
+    heap: List[Tuple[float, int, Callable[[], None]]] = []
+    seen: Dict[int, int] = {}
+    total = [0]
+
+    def make(key: int) -> Callable[[], None]:
+        def fire() -> None:
+            seen[key & 255] = seen.get(key & 255, 0) + 1
+            total[0] += key
+
+        return fire
+
+    for index in range(CALIBRATION_EVENTS):
+        heapq.heappush(heap, ((index * 7919) % 1009 * 0.5, index, make(index)))
+    while heap:
+        at, index, fire = heapq.heappop(heap)
+        fire()
+        if index % 3 == 0 and index < CALIBRATION_EVENTS:
+            heapq.heappush(heap, (at + 1.0, index + CALIBRATION_EVENTS, make(index)))
+    return total[0]
+
+
+def calibration_s() -> float:
+    """How fast the machine runs Python right now: host seconds of the
+    fastest of :data:`CALIBRATION_ROUNDS` rounds of a fixed loop.
+
+    The same loop as the repository benchmark's ``bench/calibration.py``.
+    The cyclic garbage collector is off while the rounds run, so the
+    reading does not depend on how much the caller has allocated.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(CALIBRATION_ROUNDS):
+            start = time.process_time()
+            _calibration_round()
+            best = min(best, time.process_time() - start)
+        return best
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _timestamp() -> str:
@@ -346,11 +407,14 @@ def bench_experiment(
     overrides; ``seed`` is passed only when given and declared, the
     rule ``repro run`` uses.  The record carries the overrides used
     (``params``), the last run's anchors, ``sim_events`` and every obs
-    counter.
+    counter; a smoke record also carries ``calibration_s``, the faster
+    of two :func:`calibration_s` readings taken before and after the
+    runs.
     """
     experiment = EXPERIMENTS.get(name)
     overrides: Dict[str, Any] = dict(experiment.smoke) if smoke else {}
     overrides.update(experiment.seed_override(seed))
+    calibration = calibration_s() if smoke else None
     wall_times: List[float] = []
     for _ in range(max(1, repeat)):
         started = time.perf_counter()
@@ -358,6 +422,8 @@ def bench_experiment(
         wall_times.append(time.perf_counter() - started)
     counters = (result.obs or {}).get("counters", {})
     record = _base_record(name, repeat)
+    if calibration is not None:
+        record["calibration_s"] = round(min(calibration, calibration_s()), 6)
     record["smoke"] = smoke
     record["params"] = overrides
     record["anchors"] = dict(result.anchors)

@@ -6,6 +6,14 @@ status-change notifications.  Mounted storage behaves like a local
 block device; when a failover moves the backing disk to another host,
 the ClientLib retrieves the new location from the Master and remounts
 automatically — the application only observes a temporarily slow I/O.
+
+The ClientLib finds the Master by reading ``MASTER_POINTER`` from the
+coordination cluster, and it holds no coordination session to do so.
+This departs from ZooKeeper, where every read runs inside a session,
+because in this model a read needs none, and a session protects only
+what a client owns there (ephemeral nodes and watches), which a
+ClientLib does not have.  So a mounted ClientLib sends nothing while it
+is idle.
 """
 
 from __future__ import annotations
@@ -182,8 +190,8 @@ class ClientLib:
         self.remount_retry_interval = remount_retry_interval
         self.remount_deadline = remount_deadline
         self.initiator = IscsiInitiator(sim, network, address, io_timeout=io_timeout)
+        # Used for reads only; never started (see the module docstring).
         self.coord = CoordSession(sim, network, f"{address}.coord", coord_servers)
-        self._coord_started = False
         self._master_address: Optional[str] = None
         self._callbacks: List[Callable[[str, str], None]] = []
         self.mounted: Dict[str, MountedSpace] = {}
@@ -200,13 +208,7 @@ class ClientLib:
 
     # -- master discovery -------------------------------------------------------
 
-    def _ensure_coord(self) -> Generator[Event, None, None]:
-        if not self._coord_started:
-            yield from self.coord.start()
-            self._coord_started = True
-
     def _discover_master(self, force: bool = False) -> Generator[Event, None, str]:
-        yield from self._ensure_coord()
         if self._master_address is None or force:
             self._master_address = yield from self.coord.get_data(MASTER_POINTER)
         return self._master_address

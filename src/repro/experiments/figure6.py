@@ -60,6 +60,7 @@ def run_single(
 
     info, space = sim.run_until_event(sim.process(setup()))
     assert info["space_id"].split("/")[2] == monitored_disk
+    deployment.run_to_whole_second()
 
     # Polling reader: keeps the mount actively used so the remount is
     # triggered as soon as the session breaks.

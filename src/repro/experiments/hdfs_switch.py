@@ -49,6 +49,7 @@ def _build_result() -> ExperimentResult:
     sim = deployment.sim
     hdfs = sim.run_until_event(sim.process(build_hdfs_on_ustore(deployment)))
     deployment.settle(3.0)
+    deployment.run_to_whole_second()
 
     client = hdfs.new_client("hdfs-app")
     disk = hdfs.backing_disk_of("dn0")

@@ -34,7 +34,7 @@ cost one disk pass, not N seeks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
@@ -64,7 +64,15 @@ HostLookup = Callable[[str], Optional[str]]
 
 
 class PowerAccountant:
-    """Watts bookkeeping for a set of gateway-managed disks."""
+    """Watts bookkeeping for a set of gateway-managed disks.
+
+    The set of drawing disks is kept current by the disks' state
+    listeners, so a budget check reads no disk.  Every drawing disk adds
+    the same ``watts_per_disk``, so the sum over them depends only on
+    how many draw: ``_sums[n]`` is ``0.0 + w + ... + w`` with ``n``
+    addends, the float a walk over the drawing disks reaches (not
+    ``n * w``: float addition is not associative).
+    """
 
     def __init__(
         self,
@@ -74,36 +82,45 @@ class PowerAccountant:
     ) -> None:
         if budget_watts <= 0 or watts_per_disk <= 0:
             raise ValueError("power budget and per-disk watts must be positive")
-        # A private copy nothing mutates, so its id order is fixed once.
         self._disks = dict(disks)
-        self._by_id = tuple(sorted(self._disks.items()))
         self.budget_watts = budget_watts
         self.watts_per_disk = watts_per_disk
         # Disks granted a batch while still spun down: they will draw
         # power as soon as the batch's first I/O lands, so their watts
         # stay reserved until the state machine confirms the spin-up.
         self._granted: Dict[str, Watts] = {}
+        sums = [0.0]
+        for _ in self._disks:
+            sums.append(sums[-1] + watts_per_disk)
+        self._sums = tuple(sums)
+        self._drawing: Set[str] = set()
+        for disk_id, disk in self._disks.items():
+            self._on_state(disk_id)
+            disk.add_state_listener(self._on_state)
+
+    def _on_state(self, disk_id: str, *_closed_interval: object) -> None:
+        """Disk state listener: file the disk under its new state."""
+        if self._disks[disk_id].power_state in _DRAWING_STATES:
+            self._drawing.add(disk_id)
+        else:
+            self._drawing.discard(disk_id)
 
     def drawing(self, disk_id: str) -> bool:
         """Whether the disk currently draws (budget-relevant) power."""
-        return self._disks[disk_id].power_state in _DRAWING_STATES
+        return disk_id in self._drawing
 
     def in_use_watts(self) -> Watts:
         """Watts consumed by spinning disks plus outstanding grants.
 
-        Adds the watts in disk-id order (float addition is not
-        associative, so the order is part of the result) and retires
-        the grant of every disk that now draws.
+        Retires the grant of every disk that now draws, then adds the
+        remaining grants to the drawing disks' sum.
         """
-        watts = 0.0
-        per_disk = self.watts_per_disk
         granted = self._granted
-        for disk_id, disk in self._by_id:
-            if disk.power_state in _DRAWING_STATES:
-                watts += per_disk
-                if granted:
-                    granted.pop(disk_id, None)
-        return Watts(watts + sum(granted.values()))
+        drawing = self._drawing
+        if granted:
+            for disk_id in [d for d in granted if d in drawing]:
+                del granted[disk_id]
+        return Watts(self._sums[len(drawing)] + sum(granted.values()))
 
     def cost_of(self, disk_id: str) -> Watts:
         """Marginal watts of dispatching to ``disk_id`` right now."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
 
+from repro.net.rpc import RpcTimeouts
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -72,6 +73,8 @@ class Network:
         self.delivered_count = 0
         self.dropped_count = 0
         self.bytes_carried = 0
+        #: The call deadlines of every RpcClient on this network.
+        self.rpc_timeouts = RpcTimeouts(sim)
 
     # -- membership ------------------------------------------------------
 

@@ -12,17 +12,26 @@ before it replies, that the request is queued behind a device that is
 becoming ready (see :data:`NotReady`).  The caller then waits for the
 reply until the ready instant plus the call's timeout instead of
 timing out; a silent server still times out at the first deadline.
+
+Every client on one network files its call deadlines in the network's
+:class:`RpcTimeouts`, one heap behind one armed
+:class:`~repro.sim.Deadline` (the timer coalescing of hashed timing
+wheels): a call answered in time costs one heap push and no event of
+its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import partial
+from heapq import heappop, heappush, heapreplace
 from types import GeneratorType
-from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.net.network import Message, NetNode, Network
 from repro.sim import Deadline, Event, Interrupt, Simulator
+
+if TYPE_CHECKING:  # the network module builds its RpcTimeouts from here
+    from repro.net.network import Message, NetNode, Network
 
 __all__ = [
     "Done",
@@ -31,6 +40,7 @@ __all__ = [
     "RpcClient",
     "RpcServer",
     "RpcTimeout",
+    "RpcTimeouts",
     "settle",
 ]
 
@@ -150,19 +160,68 @@ class RpcServer:
 Done = Callable[[Any, Optional[Exception]], None]
 
 
+class RpcTimeouts:
+    """The deadlines of every :class:`RpcClient`'s calls on one network.
+
+    One heap of ``(deadline, arm order, client, request id)`` behind one
+    armed :class:`~repro.sim.Deadline`, owned by the
+    :class:`~repro.net.network.Network`.  When it fires, each due call
+    still pending times out, in (deadline, arm order) order; a call that
+    a NOT READY notice moved goes back in at its moved deadline under
+    its old arm order; answered calls at the head are dropped; and the
+    deadline is armed again at the first call still pending.  A call
+    therefore fails at exactly its own deadline, in (deadline, call)
+    order within its client, and calls answered before the armed
+    instant cost no event at all.
+    """
+
+    __slots__ = ("_sim", "_heap", "_order", "_deadline")
+
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+        self._heap: List[Tuple[float, int, RpcClient, int]] = []
+        self._order = itertools.count()
+        self._deadline = Deadline(sim, self._fire)
+
+    def expire_at(self, deadline: float, client: "RpcClient", request_id: int) -> None:
+        """Time out ``client``'s call ``request_id`` at ``deadline``
+        unless it is answered first."""
+        heappush(self._heap, (deadline, next(self._order), client, request_id))
+        self._deadline.arm(deadline)
+
+    def _fire(self) -> None:
+        now = self._sim.now
+        heap = self._heap
+        expired: List[Tuple[float, Done, str, str, float]] = []
+        while heap:
+            deadline, order, client, request_id = heap[0]
+            pending = client._pending.get(request_id)
+            if pending is None:
+                heappop(heap)  # answered
+            elif deadline > now:
+                break
+            elif pending[0] > deadline:  # moved by NOT READY
+                heapreplace(heap, (pending[0], order, client, request_id))
+            else:
+                heappop(heap)
+                expired.append(client._pending.pop(request_id))
+        if heap:
+            self._deadline.arm(heap[0][0])
+        for _, done, method, target, timeout in expired:
+            done(None, RpcTimeout(f"{method} to {target} timed out after {timeout}s"))
+
+
 class RpcClient:
     """Issues requests from one network node and matches responses.
 
     :meth:`invoke` is the one call path: it takes a completion callback
     that runs inside the reply's delivery, or when the call's deadline
-    passes.  The client keeps one armed :class:`~repro.sim.Deadline` at
-    its earliest pending call time + timeout; when it fires it expires
-    every overdue call in (deadline, call) order and re-arms at the next
-    live one, so calls answered in time cost no event of their own.
-    A NOT READY notice moves its call's deadline to ``ready_at`` plus
-    the call's timeout, never earlier; the armed pop is left alone and
-    re-arms past the moved call when it fires.
-    :meth:`call` is the generator form, a waiter over :meth:`invoke`.
+    passes.  The deadline is filed in the network's
+    :class:`RpcTimeouts`.  A NOT READY notice moves its call's deadline
+    to ``ready_at`` plus the call's timeout, never earlier; the filed
+    entry is left alone and goes back in at the moved deadline when it
+    comes due.  :meth:`call` is the generator form, a waiter over
+    :meth:`invoke`.
     """
 
     def __init__(self, sim: Simulator, network: Network, address: str):
@@ -172,7 +231,7 @@ class RpcClient:
         self._ids = itertools.count(1)
         # request id -> (deadline, done, method, target, timeout)
         self._pending: Dict[int, Tuple[float, Done, str, str, float]] = {}
-        self._deadline = Deadline(sim, self._expire)
+        self._timeouts = network.rpc_timeouts
         node = _node(network, address)
         node.on(_RESPONSE, self._on_response)
         node.on(_NOT_READY, self._on_not_ready)
@@ -198,19 +257,6 @@ class RpcClient:
         if moved > deadline:
             self._pending[request_id] = (moved, done, method, target, timeout)
 
-    def _expire(self) -> None:
-        now = self.sim.now
-        overdue = sorted(
-            (pending[0], request_id)
-            for request_id, pending in self._pending.items()
-            if pending[0] <= now
-        )
-        for _, request_id in overdue:
-            _, done, method, target, timeout = self._pending.pop(request_id)
-            done(None, RpcTimeout(f"{method} to {target} timed out after {timeout}s"))
-        if self._pending:
-            self._deadline.arm(min(pending[0] for pending in self._pending.values()))
-
     def invoke(
         self,
         target: str,
@@ -235,7 +281,7 @@ class RpcClient:
         deadline = self.sim.now + timeout
         self._pending[request_id] = (deadline, done, method, target, timeout)
         self.network.send(self.address, target, payload, size=request_size)
-        self._deadline.arm(deadline)
+        self._timeouts.expire_at(deadline, self, request_id)
 
     def call(
         self,

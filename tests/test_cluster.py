@@ -97,7 +97,36 @@ class TestBootstrap:
         events_before = dep.sim.events
         dep.sim.run(until=dep.sim.now + 100.0)
         assert len(sent) == 5_000
-        assert dep.sim.events - events_before <= 8_678
+        assert dep.sim.events - events_before <= 7_830
+
+    def test_mounted_gateway_client_adds_no_idle_traffic(self, monkeypatch):
+        # A ClientLib reads where the Master is without a coordination
+        # session, so mounting a gateway's spaces opens none and leaves
+        # the idle traffic as a bare deployment's.
+        from repro.gateway import mount_gateway_spaces
+
+        dep = build_deployment()
+        dep.settle()
+        sent = []
+        send = dep.network.send
+
+        def logged(src, dst, payload, size=256):
+            sent.append((src, payload))
+            send(src, dst, payload, size)
+
+        monkeypatch.setattr(dep.network, "send", logged)
+        mount_gateway_spaces(dep, 64 * MB)
+        operations = [
+            payload["args"][0][0]
+            for _, payload in sent
+            if payload.get("method") == "coord.client_op"
+        ]
+        assert operations and "create_session" not in operations
+        dep.run_to_whole_second()
+        sent.clear()
+        dep.sim.run(until=dep.sim.now + 100.0)
+        assert len(sent) == 5_000
+        assert not any(src.startswith("gateway0") for src, _ in sent)
 
     def test_idle_election_polls_and_appends(self, monkeypatch):
         # The active Master waits for its step-down and the standby for
@@ -347,6 +376,32 @@ class TestHostFailover:
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))
         assert info["space_id"]
+
+    def test_clientlib_finds_the_standby_after_the_master_crashes(self):
+        # The client learned the Master before the crash; with no session
+        # of its own it reads MASTER_POINTER again once the old one
+        # stops answering, and reaches the standby that took over.
+        dep = fresh()
+        client = dep.new_client("app", service="svc1")
+        active = dep.active_master()
+        standby = [m for m in dep.masters if m is not active][0]
+
+        def setup():
+            info = yield from client.allocate(10 * MB)
+            return info
+
+        info = dep.sim.run_until_event(dep.sim.process(setup()))
+        assert client._master_address == active.address
+        active.crash()
+
+        def lookup():
+            address = yield from client.lookup_host(info["space_id"])
+            return address
+
+        address = dep.sim.run_until_event(dep.sim.process(lookup()))
+        assert standby.active and client._master_address == standby.address
+        assert address == standby.sysconf.host_addresses[info["host_id"]]
+        assert not client.coord.started
 
     def test_new_master_reloads_storalloc(self):
         dep = fresh()

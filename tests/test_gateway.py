@@ -341,12 +341,30 @@ class TestPowerAccountant:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_in_use_watts_matches_the_sorted_walk(self, seed):
-        """The presorted walk adds the same watts in the same order as
-        a sort on every call, bit for bit, and retires the same grants."""
+        """The count kept by state listeners gives the same watts as a
+        walk in sorted disk order, bit for bit, retires the same grants,
+        and a call reads no disk's state."""
 
         class StubDisk:
-            def __init__(self, state):
-                self.power_state = state
+            state_reads = 0
+
+            def __init__(self, disk_id, state):
+                self.disk_id = disk_id
+                self._state = state
+                self._listeners = []
+
+            @property
+            def power_state(self):
+                StubDisk.state_reads += 1
+                return self._state
+
+            def add_state_listener(self, listener):
+                self._listeners.append(listener)
+
+            def enter(self, state):
+                closed, self._state = self._state, state
+                for listener in self._listeners:
+                    listener(self.disk_id, closed, 0.0, None)
 
         def sorted_walk(disks, granted, watts_per_disk):
             drawing = (DiskPowerState.SPINNING_UP, DiskPowerState.IDLE, DiskPowerState.ACTIVE)
@@ -361,13 +379,13 @@ class TestPowerAccountant:
         states = list(DiskPowerState)
         ids = [f"d{i}" for i in range(rng.randint(1, 40))]
         rng.shuffle(ids)  # insertion order is not id order
-        disks = {disk_id: StubDisk(rng.choice(states)) for disk_id in ids}
+        disks = {disk_id: StubDisk(disk_id, rng.choice(states)) for disk_id in ids}
         watts_per_disk = rng.uniform(0.5, 13.0)
         power = PowerAccountant(disks, 1e6, watts_per_disk)
         for _ in range(25):
             for disk in disks.values():
                 if rng.random() < 0.3:
-                    disk.power_state = rng.choice(states)
+                    disk.enter(rng.choice(states))
             for disk_id in rng.sample(ids, rng.randint(0, len(ids))):
                 if rng.random() < 0.5:
                     power.grant(disk_id)
@@ -375,7 +393,9 @@ class TestPowerAccountant:
                     power.release(disk_id)
             oracle_granted = dict(power._granted)
             expected = sorted_walk(disks, oracle_granted, watts_per_disk)
+            reads_before = StubDisk.state_reads
             assert power.in_use_watts().hex() == expected.hex()
+            assert StubDisk.state_reads == reads_before
             assert list(power._granted.items()) == list(oracle_granted.items())
 
     def test_rejects_nonpositive_budget(self):

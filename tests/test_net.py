@@ -520,6 +520,43 @@ class TestRpc:
         sim.run()
         assert expired == [("c", 0.3 + 0.2), ("a", 0.1 + 0.7)]
 
+    def test_calls_of_two_clients_time_out_at_their_own_deadlines(self):
+        # One network, one timeout heap: each call still fails at its
+        # own call time plus timeout, in deadline order across clients.
+        sim, net = make_net()
+        net.add_node("void")
+        first, second = RpcClient(sim, net, "first"), RpcClient(sim, net, "second")
+        expired = []
+
+        def record(tag):
+            return lambda result, error: expired.append((tag, sim.now, type(error).__name__))
+
+        sim.defer_at(0.5, lambda: first.invoke("void", "a", (), record("first"), timeout=0.7))
+        sim.defer_at(0.6, lambda: second.invoke("void", "b", (), record("second"), timeout=0.7))
+        sim.run()
+        assert expired == [("first", 0.5 + 0.7, "RpcTimeout"), ("second", 0.6 + 0.7, "RpcTimeout")]
+
+    def test_answered_calls_of_four_clients_cost_one_deadline_pop(self):
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+        server.register("echo", lambda x: x)
+        clients = [RpcClient(sim, net, f"client{i}") for i in range(4)]
+        answered = []
+        for step in range(5):
+            for client in clients:
+                sim.defer_at(
+                    0.1 * step,
+                    lambda client=client, step=step: client.invoke(
+                        "server", "echo", (step,), lambda r, e: answered.append(e), timeout=1.0
+                    ),
+                )
+        sim.run()
+        calls = 5 * len(clients)
+        assert answered == [None] * calls
+        # Each call's invoke, request and reply, and one deadline pop
+        # for all of them.
+        assert sim.events == 3 * calls + 1
+
     def notice_server(self, sim, net, ready_at, reply_at):
         """A server whose ``wait`` sends NOT READY naming ``ready_at``,
         then answers at ``reply_at`` (never, if ``None``)."""

@@ -210,6 +210,41 @@ def test_smoke_gate_grace_is_at_most_the_recorded_wall(
     assert verdict in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "base_calibration, wall, status, verdict",
+    [
+        # The fixed loop runs 2x slower than when the record was taken,
+        # so the record's 0.1 s counts as 0.2 s: the limit is 2.1x that.
+        (0.006, 0.2, 0, "wall: 0.2s (baseline 0.1s x 2.00 (calibration 0.012s / 0.006s, at least 1) = 0.2000s, limit 0.42s = 1.1x + 0.2s) OK"),
+        (0.006, 0.4, 0, "wall: 0.4s (baseline 0.1s x 2.00 (calibration 0.012s / 0.006s, at least 1) = 0.2000s, limit 0.42s = 1.1x + 0.2s) OK"),
+        (0.006, 0.44, 1, "wall: 0.44s (baseline 0.1s x 2.00 (calibration 0.012s / 0.006s, at least 1) = 0.2000s, limit 0.42s = 1.1x + 0.2s) REGRESSION"),
+        # A faster machine does not shrink the record's wall.
+        (0.024, 0.2, 0, "wall: 0.2s (baseline 0.1s x 1.00 (calibration 0.012s / 0.024s, at least 1) = 0.1000s, limit 0.21s = 1.1x + 0.1s) OK"),
+        # A record without a calibration gates unscaled.
+        (None, 0.4, 1, "wall: 0.4s (baseline 0.1s, limit 0.21s = 1.1x + 0.1s) REGRESSION"),
+    ],
+    ids=[
+        "machine-2x-wall-2x",
+        "machine-2x-wall-4x",
+        "machine-2x-wall-4.4x",
+        "machine-faster",
+        "record-uncalibrated",
+    ],
+)
+def test_smoke_gate_scales_the_recorded_wall_by_calibration(
+    tmp_path, capsys, base_calibration, wall, status, verdict
+):
+    module = _load_script_module()
+    baseline = tmp_path / "BENCH_gateway_slo.json"
+    base = _smoke_record(wall_seconds=0.1)
+    if base_calibration is not None:
+        base["calibration_s"] = base_calibration
+    baseline.write_text(json.dumps([base]))
+    record = _smoke_record(wall_seconds=wall, calibration_s=0.012)
+    assert module.check_smoke_record(record, baseline, wall_factor=1.1) == status
+    assert verdict in capsys.readouterr().out
+
+
 def test_smoke_gate_skips_comparison_when_file_missing(tmp_path, capsys):
     module = _load_script_module()
     missing = tmp_path / "BENCH_gateway_slo.json"
