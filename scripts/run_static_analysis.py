@@ -25,8 +25,10 @@ baselines; the kernel leg also compares the calendar-queue scheduler
 against the heap reference at 16/240/1920 concurrent timers and fails
 if the calendar falls behind heap by more than 1.5x at any depth.
 Then one loop runs every experiment that declares ``smoke`` sizes
-(``repro bench <name> --smoke --repeat 3``) and checks it against the
-latest smoke record with the same params in ``BENCH_<name>.json``: the
+(``repro bench <name> --smoke --repeat 3``, which reads ``calibration_s``
+before every repeat and after the last and keeps the fastest reading)
+and checks it against the latest smoke record with the same params in
+``BENCH_<name>.json``: the
 median wall time within 5x the record's plus a grace of 0.5 s or the
 record's own wall, whichever is less (1.1x for ``gateway_slo``, whose
 smoke runs with the tracer and ledger disarmed — the NULL_TRACER no-op
@@ -44,7 +46,7 @@ gateway_slo point with the ledger armed must satisfy the DESIGN §15
 conservation identity, its non-overhead accounts times
 ``PSU_EFFICIENCY`` must equal the summary's DC ``energy_joules``, and
 an identical rerun must produce a byte-identical canonical energy
-export.  The unarmed-overhead half of that gate rides the 1.1x
+export.  The unarmed-overhead half of that gate rides the
 ``gateway_slo`` smoke gate, which runs with the ledger disarmed.
 
 Default-path runs also run a control-plane leg (even with
@@ -86,9 +88,9 @@ from typing import Dict, List, Optional
 PERF_REGRESSION_FACTOR = 5.0
 #: The gateway_slo smoke gate is much tighter than the generic 5x
 #: factor: with tracing off, every trace call site hits the NULL_TRACER
-#: no-op path, and the run must stay within 10% of the committed
-#: baseline — the proof that instrumenting the request path costs
-#: nothing when disarmed.
+#: no-op path.  Its limit is this factor times the calibration-scaled
+#: record plus the grace, which is at most that record, so for a record
+#: of 0.31 s the limit is 2.1x the record, not 1.1x.
 GATEWAY_TRACING_OFF_FACTOR = 1.1
 #: Experiment smoke gates: wall factor per experiment (default
 #: PERF_REGRESSION_FACTOR) plus an absolute grace against scheduler
@@ -395,7 +397,8 @@ def run_energy_smoke() -> int:
     identical point and requires the canonical JSON energy exports to
     match byte for byte.  The unarmed-overhead side of the gate is carried by the
     ``gateway_slo`` smoke gate above: it runs with the ledger (and
-    tracer) disarmed and is held to GATEWAY_TRACING_OFF_FACTOR = 1.1x.
+    tracer) disarmed and is held to GATEWAY_TRACING_OFF_FACTOR = 1.1x its
+    calibration-scaled record plus a grace of at most that record.
     """
     from repro.experiments import gateway_slo
     from repro.obs import ACCOUNT_OVERHEAD

@@ -407,23 +407,26 @@ def bench_experiment(
     overrides; ``seed`` is passed only when given and declared, the
     rule ``repro run`` uses.  The record carries the overrides used
     (``params``), the last run's anchors, ``sim_events`` and every obs
-    counter; a smoke record also carries ``calibration_s``, the faster
-    of two :func:`calibration_s` readings taken before and after the
-    runs.
+    counter; a smoke record also carries ``calibration_s``, the fastest
+    of the :func:`calibration_s` readings taken before every run and
+    after the last, so one momentarily slow reading cannot set it.
     """
     experiment = EXPERIMENTS.get(name)
     overrides: Dict[str, Any] = dict(experiment.smoke) if smoke else {}
     overrides.update(experiment.seed_override(seed))
-    calibration = calibration_s() if smoke else None
+    calibrations: List[float] = []
     wall_times: List[float] = []
     for _ in range(max(1, repeat)):
+        if smoke:
+            calibrations.append(calibration_s())
         started = time.perf_counter()
         result = experiment.run(**overrides)
         wall_times.append(time.perf_counter() - started)
     counters = (result.obs or {}).get("counters", {})
     record = _base_record(name, repeat)
-    if calibration is not None:
-        record["calibration_s"] = round(min(calibration, calibration_s()), 6)
+    if smoke:
+        calibrations.append(calibration_s())
+        record["calibration_s"] = round(min(calibrations), 6)
     record["smoke"] = smoke
     record["params"] = overrides
     record["anchors"] = dict(result.anchors)

@@ -1,7 +1,7 @@
 """UStore management stack: Master, Controller, EndPoint, ClientLib."""
 
 from repro.cluster.clientlib import ClientLib, MountedSpace, StorageUnavailableError
-from repro.cluster.controller import CommandFailed, Controller, ControllerConfig
+from repro.cluster.controller import CommandFailed, Controller
 from repro.cluster.deployment import (
     DeployUnit,
     Deployment,
@@ -23,7 +23,6 @@ __all__ = [
     "ClientLib",
     "CommandFailed",
     "Controller",
-    "ControllerConfig",
     "DeployUnit",
     "Deployment",
     "DeploymentConfig",

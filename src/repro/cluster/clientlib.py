@@ -19,8 +19,9 @@ is idle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional
 
+from repro.cluster.namespace import MASTER_POINTER
 from repro.coord.client import CoordSession
 from repro.net.iscsi import IscsiInitiator, IscsiSession, SessionError
 from repro.net.network import Network
@@ -29,8 +30,6 @@ from repro.obs.trace import NULL_TRACE, TraceContext, TraceScope
 from repro.sim import Event, Simulator
 
 __all__ = ["ClientLib", "MountedSpace", "StorageUnavailableError"]
-
-MASTER_POINTER = "/ustore/master"
 
 
 class StorageUnavailableError(Exception):
@@ -45,8 +44,6 @@ class IoStats:
     bytes_written: int = 0
     remounts: int = 0
     errors_seen: int = 0
-    #: Vectored range reads issued (each serves >= 1 extents).
-    readv_passes: int = 0
 
 
 class MountedSpace:
@@ -80,29 +77,6 @@ class MountedSpace:
         )
         self.stats.writes += 1
         self.stats.bytes_written += size
-        return result
-
-    def readv(
-        self,
-        extents: Sequence[Tuple[int, int]],
-        trace: TraceContext = NULL_TRACE,
-    ) -> Generator[Event, None, dict]:
-        """Vectored range read: serve many ``(offset, size)`` extents.
-
-        The extents travel as one request and the target serves their
-        covering envelope in a single sequential media pass — the
-        transport for the gateway's sub-block coalescing.  Failover
-        behaves exactly like :meth:`read`: a ``SessionError`` triggers
-        a transparent remount and the whole vector retries.
-        """
-        if not extents:
-            raise ValueError("readv needs at least one extent")
-        result = yield from self._retrying(
-            lambda scope: self.session.readv(list(extents), scope), trace
-        )
-        self.stats.reads += len(extents)
-        self.stats.readv_passes += 1
-        self.stats.bytes_read += sum(size for _, size in extents)
         return result
 
     def _retrying(

@@ -12,8 +12,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from repro.fabric.switching import SwitchConflict, plan_switches
 from repro.fabric.topology import Fabric, SwitchSetting
@@ -23,18 +22,16 @@ from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
 from repro.sim import Event, Resource, Simulator
 from repro.usbsim.bus import UsbBus
 
-__all__ = ["Controller", "ControllerConfig", "CommandFailed"]
+__all__ = ["Controller", "CommandFailed"]
+
+#: §IV-C step 3: the pre-set verification timeout ("e.g., 30s"), in
+#: seconds, and the period of the EndPoint polls within it.
+VERIFY_TIMEOUT = 30.0
+VERIFY_POLL_INTERVAL = 0.5
 
 
 class CommandFailed(Exception):
     """A scheduling command could not be executed (conflict or timeout)."""
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    # §IV-C step 3: pre-set verification timeout ("e.g., 30s").
-    verify_timeout: float = 30.0
-    verify_poll_interval: float = 0.5
 
 
 class Controller:
@@ -50,7 +47,6 @@ class Controller:
         control_plane: ControlPlane,
         host_addresses: Dict[str, str],
         is_primary: bool = True,
-        config: ControllerConfig = ControllerConfig(),
     ):
         self.sim = sim
         self.network = network
@@ -60,7 +56,6 @@ class Controller:
         self.control_plane = control_plane
         self.host_addresses = host_addresses
         self.is_primary = is_primary
-        self.config = config
         self.alive = True
         self.commands = 0
         self.commands_failed = 0
@@ -79,7 +74,6 @@ class Controller:
         self.rpc_client = RpcClient(sim, network, f"{address}.client")
         self.rpc.register("controller.execute", self._on_execute)
         self.rpc.register("controller.reachable_hosts", self._on_reachable_hosts)
-        self.rpc.register("controller.attachment_map", self._on_attachment_map)
 
     def crash(self) -> None:
         self.alive = False
@@ -102,9 +96,6 @@ class Controller:
 
     def _on_reachable_hosts(self, disk_id: str) -> List[str]:
         return self.fabric.reachable_hosts(disk_id)
-
-    def _on_attachment_map(self) -> Dict[str, Optional[str]]:
-        return self.fabric.attachment_map()
 
     def _on_execute(self, pairs: List[Tuple[str, str]]):
         """Plan, turn, verify; generator so the RPC replies when done."""
@@ -147,7 +138,7 @@ class Controller:
                         turns=len(plan.turns),
                     )
                 raise CommandFailed(
-                    f"verification timed out after {self.config.verify_timeout}s; "
+                    f"verification timed out after {VERIFY_TIMEOUT}s; "
                     f"rolled back {len(previous)} switch(es)"
                 )
             if self.sim.tracer.enabled:
@@ -167,10 +158,10 @@ class Controller:
 
     def _verify(self, pairs: List[Tuple[str, str]]) -> Generator[Event, None, bool]:
         """Poll involved EndPoints until every disk shows up, or timeout."""
-        deadline = self.sim.now + self.config.verify_timeout
+        deadline = self.sim.now + VERIFY_TIMEOUT
         remaining = dict(pairs)
         while remaining and self.sim.now < deadline:
-            yield self.sim.timeout(self.config.verify_poll_interval)
+            yield self.sim.timeout(VERIFY_POLL_INTERVAL)
             satisfied = []
             for disk_id, host_id in remaining.items():
                 address = self.host_addresses.get(host_id)

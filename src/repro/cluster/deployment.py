@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cluster.controller import Controller, ControllerConfig
+from repro.cluster.controller import Controller
 from repro.cluster.clientlib import ClientLib
 from repro.cluster.endpoint import EndPoint
 from repro.cluster.master import Master, MasterConfig
@@ -49,7 +49,6 @@ class DeploymentConfig:
     # Opt-in same-timestamp race detection (repro.analysis.races).
     detect_races: bool = False
     master: MasterConfig = MasterConfig()
-    controller: ControllerConfig = ControllerConfig()
 
 
 @dataclass
@@ -266,7 +265,6 @@ def build_deployment(
                 unit.control_plane,
                 host_addresses,
                 is_primary=(i == 0),
-                config=config.controller,
             )
             for i, address in enumerate(sysconf.controller_hosts[unit_id])
         ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.cluster.metadata import SpaceRecord
-from repro.cluster.namespace import target_name
+from repro.cluster.namespace import MASTER_POINTER, target_name
 from repro.coord.client import CoordSession
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
@@ -32,7 +32,6 @@ from repro.usbsim.bus import UsbBus
 __all__ = ["EndPoint"]
 
 HOSTS_ROOT = "/ustore/hosts"
-MASTER_POINTER = "/ustore/master"
 #: Seconds between heartbeat rounds to the Master.
 HEARTBEAT_INTERVAL = 0.5
 
@@ -75,7 +74,6 @@ class EndPoint:
         self.targets.rpc.register("endpoint.withdraw", self._on_withdraw)
         self.targets.rpc.register("endpoint.usb_view", self._on_usb_view)
         self.targets.rpc.register("endpoint.set_disk_power", self._on_set_disk_power)
-        self.targets.rpc.register("endpoint.exposed_targets", self._on_exposed_targets)
         bus.register_listener(host_id, self)
 
         sim.process(self._startup())
@@ -195,7 +193,6 @@ class EndPoint:
     def _send_heartbeat(self, master: str) -> None:
         payload = {
             "host_id": self.host_id,
-            "address": self.address,
             "disks": self._disk_report(),
             "exposed": len(self._exposed),
         }
@@ -236,9 +233,6 @@ class EndPoint:
 
     def _on_usb_view(self) -> List[str]:
         return sorted(self.bus.os_view(self.host_id))
-
-    def _on_exposed_targets(self) -> List[str]:
-        return sorted(self._exposed)
 
     def _on_set_disk_power(self, disk_id: str, action: str):
         """Disk power interface for upper-layer services (§IV-F)."""

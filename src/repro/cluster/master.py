@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.metadata import DiskStatus, HostStatus, SpaceRecord, SysConf, SysStat
 from repro.cluster.namespace import (
+    MASTER_POINTER,
     STORALLOC_ROOT,
     format_space_id,
     parse_space_id,
@@ -36,7 +37,6 @@ from repro.sim import Deadline, Event, Grid, Simulator
 __all__ = ["AllocationError", "Master", "MasterConfig"]
 
 ELECTION_ROOT = "/ustore/master-election"
-MASTER_POINTER = "/ustore/master"
 #: Seconds between the active Master's host-failure checks (its grid
 #: starts at activation).
 FAILURE_CHECK_INTERVAL = 0.5
@@ -106,7 +106,6 @@ class Master:
         self.rpc.register("master.lookup", self._on_lookup)
         self.rpc.register("master.release", self._on_release)
         self.rpc.register("master.set_disk_power", self._on_set_disk_power)
-        self.rpc.register("master.status", self._on_status)
         self.rpc.register("master.migrate_disk", self._on_migrate_disk)
         self.rpc.register("master.migrate_batch", self._on_migrate_batch)
         sim.process(self._candidate_loop())
@@ -503,14 +502,6 @@ class Master:
             return reply(result["turned"])
 
         return run()
-
-    def _on_status(self) -> dict:
-        self._require_active()
-        return {
-            "hosts": {h: s.value for h, s in self.sysstat.host_status.items()},
-            "disk_to_host": dict(self.sysstat.disk_to_host),
-            "spaces": len(self.records),
-        }
 
     # -- failure detection and failover (§IV-E) ---------------------------------
 

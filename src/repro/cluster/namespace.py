@@ -8,6 +8,8 @@ __all__ = ["format_space_id", "parse_space_id", "space_znode_path", "target_name
 
 #: Root of the StorAlloc subtree in the coordination namespace.
 STORALLOC_ROOT = "/ustore/storalloc"
+#: The znode holding the active Master's address.
+MASTER_POINTER = "/ustore/master"
 
 
 def format_space_id(unit_id: str, disk_id: str, space_index: int) -> str:

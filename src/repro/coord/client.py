@@ -2,8 +2,8 @@
 
 A :class:`CoordSession` mirrors the ZooKeeper client the prototype's
 hosts use: it discovers the current leader, keeps its session alive
-with pings (so its ephemeral znodes survive), registers watches, and
-transparently retries operations across leader failovers.  A watch
+with pings (so its ephemeral znodes survive), registers node watches,
+and transparently retries operations across leader failovers.  A watch
 lives on the leader that accepted it and is lost with that leader, and
 a watch event can be lost on the way.  So, as a ZooKeeper client does
 on reconnect, the session re-registers its outstanding watches once a
@@ -62,7 +62,7 @@ class CoordSession:
         self.session_timeout = SESSION_TIMEOUT
         self.rpc = RpcClient(sim, network, address)
         self._leader_guess: Optional[str] = servers[0]
-        self._watches: Dict[Tuple[str, str], _Watch] = {}
+        self._watches: Dict[str, _Watch] = {}
         # Watch events of the leader of ``_events_epoch``: every one up to
         # number ``_events_heard`` has arrived or been made up for.
         self._events_epoch = 0
@@ -226,33 +226,28 @@ class CoordSession:
     # -- watches -------------------------------------------------------------
 
     def watch(
-        self, path: str, callback: Callable[[str, str], None], kind: str = "node"
-    ) -> Generator[Event, None, Any]:
-        """One-shot watch; ``callback(path, event_type)`` fires on change.
+        self, path: str, callback: Callable[[str, str], None]
+    ) -> Generator[Event, None, Optional[int]]:
+        """One-shot node watch; ``callback(path, event_type)`` fires when
+        the node at ``path`` is created, changed or deleted.
 
-        ``kind`` is ``"node"`` (the node is created, changed or deleted)
-        or ``"children"`` (a child is created or deleted).  Returns what
-        the watch observes now: the node's version for a node watch, its
-        child names for a children watch, ``None`` while the node does
-        not exist.  The watch lives on the leader that accepts it.  After
-        a leader change, or once an event of its leader is lost, the
-        session registers it again, and fires it at once if what it
+        Returns the node's version now, ``None`` while it does not exist.
+        The watch lives on the leader that accepts it.  After a leader
+        change, or once an event of its leader is lost, the session
+        registers it again, and fires it at once if the version it
         observes then has changed.  If the registration fails,
         ``callback`` is dropped and the error raised.
         """
-        key = (path, kind)
-        watch = self._watches.get(key)
+        watch = self._watches.get(path)
         if watch is None:
-            watch = self._watches[key] = _Watch()
+            watch = self._watches[path] = _Watch()
         watch.callbacks.append(callback)
         try:
-            epoch, seen = yield from self._leader_call(
-                "coord.watch", self.address, path, kind
-            )
+            epoch, seen = yield from self._leader_call("coord.watch", self.address, path)
         except (RpcTimeout, RemoteError, SessionExpiredError):
             watch.callbacks.remove(callback)
-            if not watch.callbacks and self._watches.get(key) is watch:
-                del self._watches[key]
+            if not watch.callbacks and self._watches.get(path) is watch:
+                del self._watches[path]
             raise
         watch.epoch, watch.seen = epoch, seen
         return seen
@@ -260,7 +255,7 @@ class CoordSession:
     def _on_watch_event(self, message: Message) -> None:
         payload = message.payload
         path = payload["path"]
-        watch = self._watches.pop((path, payload["watch"]), None)
+        watch = self._watches.pop(path, None)
         if watch is not None:
             for callback in watch.callbacks:
                 callback(path, payload["type"])
@@ -283,24 +278,23 @@ class CoordSession:
     def _rewatch(self, epoch: int) -> None:
         """Register on the leader of ``epoch`` every watch it does not
         hold (ZooKeeper's SetWatches on reconnect)."""
-        for key, watch in list(self._watches.items()):
+        for path, watch in list(self._watches.items()):
             if watch.epoch is None or watch.epoch == epoch:
                 continue  # still being registered, or held by this leader
             # Marked as held here while the call is out, so the next ping
             # does not send it again; a failure marks it _RESEND.
             watch.epoch = epoch
-            path, kind = key
             _LeaderCall(
                 self,
                 "coord.watch",
-                (self.address, path, kind),
-                partial(self._rewatched, key, watch),
+                (self.address, path),
+                partial(self._rewatched, path, watch),
             )
 
     def _rewatched(
-        self, key: Tuple[str, str], watch: "_Watch", result: Any, error: Optional[Exception]
+        self, path: str, watch: "_Watch", result: Any, error: Optional[Exception]
     ) -> None:
-        if self._watches.get(key) is not watch:
+        if self._watches.get(path) is not watch:
             return  # it fired meanwhile
         if error is not None:
             watch.epoch = _RESEND
@@ -308,34 +302,32 @@ class CoordSession:
         watch.epoch, seen = result
         if seen == watch.seen:
             return
-        del self._watches[key]
-        path, kind = key
-        event_type = _change(kind, watch.seen, seen)
+        del self._watches[path]
+        event_type = _change(watch.seen, seen)
         for callback in watch.callbacks:
             callback(path, event_type)
 
 
 class _Watch:
-    """One outstanding watch: its callbacks, what the session last saw
-    through it, and the epoch of the leader that holds it (``None`` until
-    its first registration is answered)."""
+    """One outstanding watch: its callbacks, the node version the
+    session last saw through it, and the epoch of the leader that holds
+    it (``None`` until its first registration is answered)."""
 
     __slots__ = ("callbacks", "seen", "epoch")
 
     def __init__(self) -> None:
         self.callbacks: List[Callable[[str, str], None]] = []
-        self.seen: Any = None
+        self.seen: Optional[int] = None
         self.epoch: Optional[int] = None
 
 
-def _change(kind: str, seen: Any, now: Any) -> str:
-    """The event a watch fires for a change it missed: ``seen`` to ``now``."""
+def _change(seen: Optional[int], now: Optional[int]) -> str:
+    """The event a watch fires for a change it missed: version ``seen``
+    to ``now`` (``None`` while the node does not exist)."""
     if now is None:
         return "deleted"
     if seen is None:
         return "created"
-    if kind == "children":
-        return "created" if set(now) - set(seen) else "deleted"
     return "changed"
 
 

@@ -12,10 +12,11 @@ Simplifications relative to a production system, chosen deliberately
 and documented here: log compaction/snapshots are omitted (runs are
 finite), reads are served by the leader from applied state, and a
 client watch lives on the leader that accepted it and is lost with that
-leader.  A leader numbers the watch events it sends each client and
-answers each ping with its epoch and that count, so a client learns of
-a leader change or of a lost event and registers its watches again;
-``coord.watch`` answers with what the watch observes, from which the
+leader.  A watch is a node watch: it fires when its node is created,
+changed or deleted.  A leader numbers the watch events it sends each
+client and answers each ping with its epoch and that count, so a client
+learns of a leader change or of a lost event and registers its watches
+again; ``coord.watch`` answers with the node's version, from which the
 client tells whether it missed a change (ZooKeeper's SetWatches).
 """
 
@@ -104,8 +105,8 @@ class CoordReplica:
         self._pending_results: Dict[int, Event] = {}  # log index -> client waiter
         self._sessions_last_seen: Dict[str, float] = {}
         self._session_timeouts: Dict[str, float] = {}
-        # Watches: path -> list of (watcher_address, watch_kind), each once
-        self._watches: Dict[str, List[Tuple[str, str]]] = {}
+        # Node watches: path -> watcher addresses, each once
+        self._watches: Dict[str, List[str]] = {}
         # Watch events sent this epoch, per watcher address: each event
         # carries its number and each ping reply the count, so a session
         # can tell that one never arrived.
@@ -399,21 +400,7 @@ class CoordReplica:
     def _fire_watches(self, path: str, event_type: str) -> None:
         if self.role is not Role.LEADER:
             return
-        parent = path.rsplit("/", 1)[0] or "/"
-        notified: List[Tuple[str, str, str]] = []
-        for watched, kind in ((path, "node"), (parent, "children")):
-            waiters = self._watches.pop(watched, None)
-            if not waiters:
-                continue
-            keep = []
-            for watcher_address, watch_kind in waiters:
-                if watch_kind != kind:
-                    keep.append((watcher_address, watch_kind))
-                    continue
-                notified.append((watcher_address, watched, kind))
-            if keep:
-                self._watches[watched] = keep
-        for watcher_address, watched, kind in notified:
+        for watcher_address in self._watches.pop(path, ()):
             seq = self._watch_events_sent.get(watcher_address, 0) + 1
             self._watch_events_sent[watcher_address] = seq
             self.network.send(
@@ -421,9 +408,8 @@ class CoordReplica:
                 watcher_address,
                 {
                     "kind": "watch_event",
-                    "path": watched,
+                    "path": path,
                     "type": event_type,
-                    "watch": kind,
                     "epoch": self.current_epoch,
                     "seq": seq,
                 },
@@ -530,28 +516,22 @@ class CoordReplica:
             return self.tree.get_children(path)
         raise ZnodeError(f"unknown read {what!r}")
 
-    def _on_watch(self, watcher_address: str, path: str, kind: str):
-        """Register a one-shot watch; answer ``(epoch, observed)``.
-
-        ``observed`` is the node's version for a node watch and its child
-        names for a children watch, ``None`` if the node does not exist.
-        """
+    def _on_watch(self, watcher_address: str, path: str):
+        """Register a one-shot node watch; answer ``(epoch, version)``,
+        the version ``None`` if the node does not exist."""
         if self.crashed:
             raise ZnodeError("crashed")
         if self.role is not Role.LEADER:
             raise NotLeaderError(self.leader_hint)
-        if kind not in ("node", "children"):
-            raise ZnodeError(f"unknown watch kind {kind!r}")
         waiters = self._watches.setdefault(path, [])
-        if (watcher_address, kind) not in waiters:
-            waiters.append((watcher_address, kind))
+        if watcher_address not in waiters:
+            waiters.append(watcher_address)
         self.sim.touch_resource(f"znode:{self.address}{path}", write=False)
         try:
             node = self.tree.get(path)
         except NoNodeError:
             return (self.current_epoch, None)
-        observed = node.version if kind == "node" else sorted(node.children)
-        return (self.current_epoch, observed)
+        return (self.current_epoch, node.version)
 
     # ------------------------------------------------------------------
     # session expiry

@@ -316,7 +316,6 @@ class Gateway:
             is_read=op_is_read,
             arrival=now,
             deadline=now + (spec.slo_seconds if spec is not None else 0.0),
-            ref=op.ref,
         )
         if self._tracer.enabled:
             request.trace = self._tracer.start(
@@ -467,45 +466,33 @@ class Gateway:
     def _serve_pass(self, disk_pass: DiskPass) -> Generator[Event, None, None]:
         """Issue one physical media operation; complete every member.
 
-        Single-member passes go through the plain read/write path (the
-        legacy behaviour, byte for byte).  Multi-member read passes
-        issue one vectored read over the members' extents — the lead
+        Whatever its member count, a pass is one plain read or write of
+        its envelope ``[offset, offset + size)`` over ``iscsi.io``: a
+        write pass has one member, and a read pass covers every
+        member's extent in one sequential media pass.  The lead
         (first-sorted) request's trace rides the wire; passenger
         requests get their post-queue time attributed to ``transfer``
         once the shared pass lands.
         """
         space = self._spaces[disk_pass.space_id]
         members = disk_pass.requests
+        lead = members[0]
         self.stats.disk_passes += 1
         for request in members:
             # Time spent behind earlier passes of the same batch.
             request.trace.phase("batch_wait")
+        self.stats.coalesced_reads += len(members) - 1
+        io = space.read if disk_pass.is_read else space.write
         try:
-            if len(members) == 1:
-                request = members[0]
-                if request.is_read:
-                    yield from space.read(
-                        request.offset, request.size, trace=request.trace
-                    )
-                else:
-                    yield from space.write(
-                        request.offset, request.size, trace=request.trace
-                    )
-            else:
-                self.stats.coalesced_reads += len(members) - 1
-                lead = members[0]
-                extents = [
-                    (request.offset, request.size) for request in members
-                ]
-                yield from space.readv(extents, trace=lead.trace)
-                for request in members[1:]:
-                    request.trace.event(
-                        "gateway.coalesced",
-                        lead_request_id=lead.request_id,
-                        pass_offset=disk_pass.offset,
-                        pass_size=disk_pass.size,
-                    )
-                    request.trace.phase("transfer")
+            yield from io(disk_pass.offset, disk_pass.size, trace=lead.trace)
+            for request in members[1:]:
+                request.trace.event(
+                    "gateway.coalesced",
+                    lead_request_id=lead.request_id,
+                    pass_offset=disk_pass.offset,
+                    pass_size=disk_pass.size,
+                )
+                request.trace.phase("transfer")
         except StorageUnavailableError as exc:
             for request in members:
                 self._finish(request, failure=str(exc))

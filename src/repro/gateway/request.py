@@ -21,8 +21,6 @@ from typing import Callable, Optional
 
 from repro.obs.trace import NULL_TRACE, TraceContext
 
-from repro.gateway.api import ObjectRef
-
 __all__ = [
     "AdmissionError",
     "GatewayError",
@@ -92,11 +90,6 @@ class GatewayRequest:
     #: path (gateway -> ClientLib -> iSCSI -> disk).  Defaults to the
     #: shared no-op context, so untraced runs pay nothing.
     trace: TraceContext = field(default=NULL_TRACE, repr=False)
-    #: The object-level ref this request resolved from (``None`` for a
-    #: request built without one).  ``offset``/``size`` stay the
-    #: physical coordinates; the ref preserves the logical extent so
-    #: the scheduler can coalesce same-extent sub-reads.
-    ref: Optional[ObjectRef] = None
     #: Invoked exactly once from :meth:`Gateway._finish`, after the
     #: request reached COMPLETED or FAILED — the shardstore's ack hook.
     on_complete: Optional[Callable[["GatewayRequest"], None]] = field(

@@ -213,8 +213,8 @@ class DiskPass:
     """One physical media operation serving one or more batch requests.
 
     The envelope ``[offset, offset + size)`` covers every member's
-    extent; for multi-member passes the gateway issues a single
-    vectored read (``MountedSpace.readv``) over the envelope and
+    extent.  The gateway issues one plain read or write of the
+    envelope (``MountedSpace.read``/``write``, one ``iscsi.io``) and
     completes every member from it.
     """
 

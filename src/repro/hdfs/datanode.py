@@ -53,7 +53,6 @@ class DataNode:
         self.rpc_client = RpcClient(sim, network, f"{self.address}.client")
         self.rpc.register("dn.write_packet", self._on_write_packet)
         self.rpc.register("dn.read", self._on_read)
-        self.rpc.register("dn.blocks", self._on_blocks)
         sim.process(self._register_and_heartbeat())
 
     def crash(self) -> None:
@@ -144,6 +143,3 @@ class DataNode:
             return {"ok": True, "dn": self.dn_id, "service_time": result["service_time"]}
 
         return handle()
-
-    def _on_blocks(self) -> List[str]:
-        return sorted(self.block_offsets)

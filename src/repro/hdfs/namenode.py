@@ -53,7 +53,6 @@ class NameNode:
         self.rpc.register("nn.add_block", self._on_add_block)
         self.rpc.register("nn.commit_block", self._on_commit_block)
         self.rpc.register("nn.locate", self._on_locate)
-        self.rpc.register("nn.file_info", self._on_file_info)
 
     # -- liveness -----------------------------------------------------------
 
@@ -136,13 +135,3 @@ class NameNode:
                 }
             )
         return located
-
-    def _on_file_info(self, path: str) -> dict:
-        if path not in self.files:
-            raise FileNotFoundError(path)
-        blocks = self.files[path]
-        return {
-            "path": path,
-            "blocks": len(blocks),
-            "size": sum(self.blocks[b].size for b in blocks),
-        }

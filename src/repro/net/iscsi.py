@@ -7,6 +7,11 @@ with realistic transfer delays.  A dead host or a removed target turns
 into :class:`SessionError` at the initiator — which is what triggers
 the ClientLib's automatic remount (§IV-D).
 
+The wire carries three methods: ``iscsi.login``, ``iscsi.logout`` and
+``iscsi.io``, one contiguous read or write.  There is no vectored read:
+the gateway's coalesced pass is one ``iscsi.io`` read of the envelope
+that covers its members' extents.
+
 An I/O for a spun-down or spinning-up disk is a delay, not a failure:
 the target queues it at the disk and sends the initiator one NOT READY
 notice naming the instant the disk will be ready, and the initiator
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.disk.device import IoRequest, SimulatedDisk
 from repro.net.network import Network
@@ -90,8 +95,6 @@ class IscsiTargetServer:
         self.rpc.register("iscsi.login", self._login)
         self.rpc.register("iscsi.logout", self._logout)
         self.rpc.register("iscsi.io", self._io, not_ready=True)
-        self.rpc.register("iscsi.readv", self._readv, not_ready=True)
-        self.rpc.register("iscsi.list_targets", self._list_targets)
 
     # -- target management (called by the EndPoint) -------------------------
 
@@ -122,11 +125,16 @@ class IscsiTargetServer:
     def _logout(self, session_id: int) -> bool:
         return self._sessions.pop(session_id, None) is not None
 
-    def _list_targets(self) -> list:
-        return self.exposed_targets()
-
-    def _volume(self, session_id: int, not_ready: NotReady) -> StorageVolume:
-        """The volume an I/O on ``session_id`` goes to.
+    def _io(
+        self,
+        not_ready: NotReady,
+        session_id: int,
+        offset: Bytes,
+        size: Bytes,
+        is_read: bool,
+        trace_scope: TraceScope = NULL_SCOPE,
+    ):
+        """Serve one contiguous read or write on ``session_id``'s volume.
 
         If its disk must spin up first, the initiator is told when it
         will be ready, and the I/O queues at the disk as usual.
@@ -140,54 +148,10 @@ class IscsiTargetServer:
         ready_at = volume.disk.ready_at()
         if ready_at is not None:
             not_ready(ready_at)
-        return volume
-
-    def _io(
-        self,
-        not_ready: NotReady,
-        session_id: int,
-        offset: Bytes,
-        size: Bytes,
-        is_read: bool,
-        trace_scope: TraceScope = NULL_SCOPE,
-    ):
-        volume = self._volume(session_id, not_ready)
         service_time = yield volume.submit(offset, size, is_read, trace_scope)
         self.ios += 1
         self.bytes += size
         return {"ok": True, "service_time": service_time}
-
-    def _readv(
-        self,
-        not_ready: NotReady,
-        session_id: int,
-        extents: Sequence[Tuple[Bytes, Bytes]],
-        trace_scope: TraceScope = NULL_SCOPE,
-    ):
-        """Serve a vector of read extents as one sequential media pass.
-
-        The disk sees a single I/O over the covering envelope
-        ``[min(offset), max(offset + size))`` — the whole point of
-        sub-block coalescing: passengers between the envelope's edges
-        cost sequential bandwidth, not extra seeks.
-        """
-        if not extents:
-            raise ValueError("iscsi.readv needs at least one extent")
-        volume = self._volume(session_id, not_ready)
-        start = min(offset for offset, _ in extents)
-        end = max(offset + size for offset, size in extents)
-        envelope = Bytes(end - start)
-        service_time = yield volume.submit(
-            Bytes(start), envelope, True, trace_scope
-        )
-        self.ios += 1
-        self.bytes += envelope
-        return {
-            "ok": True,
-            "service_time": service_time,
-            "extents": len(extents),
-            "envelope_bytes": envelope,
-        }
 
 
 class IscsiSession:
@@ -203,46 +167,22 @@ class IscsiSession:
     def read(
         self, offset: Bytes, size: Bytes, scope: TraceScope = NULL_SCOPE
     ) -> Generator[Event, None, dict]:
-        return self._call("iscsi.io", (offset, size, True), 256, 256 + size, scope)
+        return self._call((offset, size, True), 256, 256 + size, scope)
 
     def write(
         self, offset: Bytes, size: Bytes, scope: TraceScope = NULL_SCOPE
     ) -> Generator[Event, None, dict]:
-        return self._call("iscsi.io", (offset, size, False), 256 + size, 256, scope)
-
-    def readv(
-        self,
-        extents: List[Tuple[Bytes, Bytes]],
-        scope: TraceScope = NULL_SCOPE,
-    ) -> Generator[Event, None, dict]:
-        """Vectored read: one round trip, one media pass, many extents.
-
-        The request ships the extent list (small); the response carries
-        the covering envelope's bytes back — the transfer cost of
-        coalescing is modelled honestly, passengers included.
-        """
-        if not extents:
-            raise ValueError("readv needs at least one extent")
-        start = min(offset for offset, _ in extents)
-        end = max(offset + size for offset, size in extents)
-        return self._call(
-            "iscsi.readv",
-            (tuple(extents),),
-            256 + 16 * len(extents),
-            256 + (end - start),
-            scope,
-        )
+        return self._call((offset, size, False), 256 + size, 256, scope)
 
     def _call(
         self,
-        method: str,
         args: Tuple[Any, ...],
         request_size: int,
         response_size: int,
         scope: TraceScope,
     ) -> Generator[Event, None, dict]:
-        """One request on this session; any RPC failure closes the session
-        and surfaces as :class:`SessionError`."""
+        """One ``iscsi.io`` request on this session; any RPC failure
+        closes the session and surfaces as :class:`SessionError`."""
         if not self.connected:
             raise SessionError("session closed")
         extra = {}
@@ -254,7 +194,7 @@ class IscsiSession:
         try:
             result = yield from self.initiator.rpc.call(
                 self.host_address,
-                method,
+                "iscsi.io",
                 self.session_id,
                 *args,
                 timeout=self.initiator.io_timeout,

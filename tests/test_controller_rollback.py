@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ControllerConfig, DeploymentConfig, build_deployment
+from repro.cluster import DeploymentConfig, build_deployment
 from repro.net import RemoteError, RpcClient
 
 
@@ -14,7 +14,6 @@ class TestControllerRollback:
         from repro.cluster import MasterConfig
 
         config = DeploymentConfig(
-            controller=ControllerConfig(verify_timeout=3.0, verify_poll_interval=0.5),
             # Keep the Master's failure detector out of this test: it
             # would (correctly) fail the crashed host's own disks over,
             # moving switches unrelated to the rollback under test.
@@ -46,10 +45,7 @@ class TestControllerRollback:
     def test_disk_usable_after_rollback(self):
         from repro.cluster import MasterConfig
 
-        config = DeploymentConfig(
-            controller=ControllerConfig(verify_timeout=3.0, verify_poll_interval=0.5),
-            master=MasterConfig(heartbeat_timeout=10_000.0),
-        )
+        config = DeploymentConfig(master=MasterConfig(heartbeat_timeout=10_000.0))
         dep = build_deployment(config=config)
         dep.settle(15.0)
         dep.endpoints["host2"].crash()

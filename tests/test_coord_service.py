@@ -250,26 +250,6 @@ class TestWatches:
         run_session(sim, scenario())
         assert fired == ["changed"]
 
-    def test_children_watch(self):
-        sim, net, replicas = make_cluster()
-        sim.run(until=5.0)
-        writer = CoordSession(sim, net, "writer", [r.address for r in replicas])
-        watcher = CoordSession(sim, net, "watcher", [r.address for r in replicas])
-        fired = []
-
-        def scenario():
-            yield from writer.start()
-            yield from watcher.start()
-            yield from writer.create("/parent")
-            yield from watcher.watch(
-                "/parent", lambda p, t: fired.append((p, t)), kind="children"
-            )
-            yield from writer.create("/parent/kid")
-            yield sim.timeout(1.0)
-
-        run_session(sim, scenario())
-        assert fired == [("/parent", "created")]
-
     def test_delete_fires_node_watch(self):
         sim, net, replicas = make_cluster()
         sim.run(until=5.0)
@@ -300,17 +280,15 @@ class TestWatches:
             yield from writer.start()
             yield from watcher.start()
             yield from writer.create("/p")
-            yield from watcher.watch("/p", lambda p, t: fired.append(("node", t)))
-            yield from watcher.watch(
-                "/p", lambda p, t: fired.append(("children", t)), kind="children"
-            )
+            yield from watcher.watch("/p", lambda p, t: fired.append(t))
+            # A child's creation is not a change of its parent node.
             yield from writer.create("/p/kid")
             yield sim.timeout(1.0)
             yield from writer.set_data("/p", 1)
             yield sim.timeout(1.0)
 
         run_session(sim, scenario())
-        assert fired == [("children", "created"), ("node", "changed")]
+        assert fired == ["changed"]
 
     def test_watch_answers_what_it_observes(self):
         sim, net, replicas = make_cluster()
@@ -323,12 +301,9 @@ class TestWatches:
             yield from session.create("/w", data=0)
             yield from session.set_data("/w", 1)
             version = yield from session.watch("/w", lambda p, t: None)
-            yield from session.create("/w/b")
-            yield from session.create("/w/a")
-            children = yield from session.watch("/w", lambda p, t: None, kind="children")
-            return absent, version, children
+            return absent, version
 
-        assert run_session(sim, scenario()) == (None, 1, ["a", "b"])
+        assert run_session(sim, scenario()) == (None, 1)
 
     def test_watch_missed_without_a_leader_fires_once_after_reregistration(self):
         # The watch lives on the leader that fails.  The watcher hears
@@ -389,14 +364,22 @@ class TestWatches:
         assert leader_of(replicas) is leader
 
     def test_watch_whose_registration_fails_is_dropped(self):
-        from repro.net import RemoteError
+        from repro.net import RpcTimeout
 
         sim, net, replicas = make_cluster()
         sim.run(until=5.0)
         watcher = CoordSession(sim, net, "watcher", [r.address for r in replicas])
+        # The cluster keeps the session through the walk below, so the
+        # watcher's pings are answered again once it is reconnected.
+        watcher.session_timeout = 60.0
         run_session(sim, watcher.start())
-        with pytest.raises(RemoteError, match="unknown watch kind"):
-            run_session(sim, watcher.watch("/", lambda p, t: None, kind="bogus"))
+        # Cut off from every replica, the registration's leader walk
+        # gives up.
+        for replica in replicas:
+            net.partition("watcher", replica.address)
+        with pytest.raises(RpcTimeout):
+            run_session(sim, watcher.watch("/", lambda p, t: None))
+        net.heal_all()
         watches = []
         send = net.send
 
@@ -409,6 +392,7 @@ class TestWatches:
         leader_of(replicas).crash()
         sim.run(until=sim.now + 5.0)
         assert leader_of(replicas) is not None and watches == []
+        assert not watcher.expired
 
 
 class TestLeaderCall:

@@ -1,7 +1,11 @@
 """Tests for the simulated network, RPC and iSCSI layers."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.disk import SimulatedDisk
 from repro.net import (
     IscsiInitiator,
@@ -834,11 +838,42 @@ class TestIscsi:
         with pytest.raises(ValueError):
             target.expose("tgt-disk0", StorageVolume("v2", disk))
 
-    def test_list_targets(self):
-        sim, net, target, disk, initiator = self.setup_stack()
 
-        def scenario():
-            result = yield from initiator.rpc.call("host0", "iscsi.list_targets")
-            return result
+def registered_and_sent(package):
+    """Scan ``package``'s sources: each RPC method registered with a
+    string literal (``<server>.register("name", handler)``) mapped to
+    where, and every string literal passed positionally to any other
+    call (``call``, ``invoke``, ``leader_request``, ``_LeaderCall``,
+    ``_master_call``, ``_call``, ...)."""
+    registered = {}
+    sent = set()
+    for path in sorted(Path(package).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            literals = [
+                arg
+                for arg in node.args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            ]
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "register"
+                and literals
+                and literals[0] is node.args[0]
+            ):
+                where = f"{path.relative_to(package)}:{node.lineno}"
+                registered.setdefault(literals[0].value, where)
+            else:
+                sent.update(arg.value for arg in literals)
+    return registered, sent
 
-        assert sim.run_until_event(sim.process(scenario())) == ["tgt-disk0"]
+
+def test_every_registered_rpc_method_has_a_sender():
+    registered, sent = registered_and_sent(Path(repro.__file__).parent)
+    assert "iscsi.io" in registered and "coord.watch" in registered
+    unsent = sorted(
+        f"{name} ({where})" for name, where in registered.items() if name not in sent
+    )
+    assert unsent == []

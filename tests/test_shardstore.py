@@ -279,7 +279,6 @@ class StubGateway:
             is_read=is_read,
             arrival=self.sim.now,
             deadline=self.sim.now,
-            ref=op.ref,
         )
         self.submitted.append(request)
         return request
@@ -582,7 +581,6 @@ class TestShardStore:
         drain(dep, gateway)
         request = holder[1]
         slot = store.slot_ref(record.shard)
-        assert request.ref is not None
         assert request.space_id == slot.space_id
         assert request.offset == slot.offset + record.offset_in_shard
         assert request.size == record.record_bytes
