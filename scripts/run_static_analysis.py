@@ -21,16 +21,13 @@ Default-path invocations also run a perf smoke (skipped when explicit
 paths are passed, or with ``--no-perf``).  The ``alloc_scale`` and
 ``kernel_throughput`` microbenchmarks run at their smoke sizes and fail
 on a >5x wall-clock regression against the committed ``BENCH_*.json``
-baselines; the kernel leg also compares the calendar-queue scheduler
-against the heap reference at 16/240/1920 concurrent timers and fails
-if the calendar falls behind heap by more than 1.5x at any depth.
-Then one loop runs every experiment that declares ``smoke`` sizes
-(``repro bench <name> --smoke --repeat 3``, which reads ``calibration_s``
-before every repeat and after the last and keeps the fastest reading)
-and checks it against the latest smoke record with the same params in
-``BENCH_<name>.json``: the
-median wall time within 5x the record's plus a grace of 0.5 s or the
-record's own wall, whichever is less (1.1x for ``gateway_slo``, whose
+baselines.  Then one loop runs every experiment that declares
+``smoke`` sizes (``repro bench <name> --smoke --repeat 3``, which reads
+``calibration_s`` before every repeat and after the last and keeps the
+fastest reading) and checks it against the latest smoke record with the
+same params in ``BENCH_<name>.json``: the median wall time within 5x
+the record's plus a grace of 0.5 s or the record's own wall, whichever
+is less (1.1x for ``gateway_slo``, whose
 smoke runs with the tracer and ledger disarmed — the NULL_TRACER no-op
 proof), the record's wall first scaled by how much slower the machine
 runs a fixed loop now than when the record was taken (both records'
@@ -102,11 +99,6 @@ SMOKE_WALL_FACTORS = {"gateway_slo": GATEWAY_TRACING_OFF_FACTOR}
 SMOKE_WALL_GRACE_SECONDS = 0.5
 SMOKE_EVENT_SLACK = 0.02
 SMOKE_REPEAT = 3
-#: The calendar queue must deliver at least 1/1.5 of the heap
-#: reference's throughput at every compared queue depth (in practice it
-#: matches at fan 16 and pulls ahead at 240/1920; 1.5 absorbs
-#: single-core scheduler noise at smoke sizes).
-KERNEL_SCHEDULER_FACTOR = 1.5
 #: The ledger's disk books and the gateway's residency-based disk
 #: energy are two routes to the same exact integral; they may differ
 #: only by float summation order.
@@ -353,24 +345,6 @@ def run_perf_smoke() -> int:
             f"(baseline {baseline_rate:.0f} ev/s, floor {floor:.0f} ev/s) {verdict}"
         )
         if rate < floor:
-            status = 1
-    # Scheduler comparison: the calendar queue must stay competitive
-    # with the heap reference at every queue depth — its whole point is
-    # not degrading as pending-timer count grows, so a calendar run
-    # slower than heap/KERNEL_SCHEDULER_FACTOR at any fan is a
-    # structural regression (window width adaptation gone wrong), not
-    # noise.
-    for point in record["scheduler_comparison"]:
-        heap_rate = point["heap_events_per_second"]
-        calendar_rate = point["calendar_events_per_second"]
-        floor = heap_rate / KERNEL_SCHEDULER_FACTOR
-        verdict = "OK" if calendar_rate >= floor else "REGRESSION"
-        print(
-            f"perf: kernel scheduler fan {point['fan_out']}: "
-            f"calendar {calendar_rate:.0f} ev/s vs heap {heap_rate:.0f} ev/s "
-            f"(floor {floor:.0f} ev/s) {verdict}"
-        )
-        if calendar_rate < floor:
             status = 1
 
     for experiment in EXPERIMENTS:

@@ -14,10 +14,7 @@ history files at the repo root):
   path), the ``instrumented`` figure runs the same timers on a
   simulator with a metrics registry whose queue an
   :class:`~repro.sim.EventDigest` fingerprints, the ``eventpath``
-  figure schedules ``sim.timeout(...)`` events with a callback each,
-  and a ``scheduler_comparison`` leg times the heap reference against
-  the calendar queue at 16/240/1920 concurrent timers (the
-  alloc_scale disk counts);
+  figure schedules ``sim.timeout(...)`` events with a callback each;
 * any registered experiment name (e.g. ``figure5``) — wall time of a
   full experiment run, with its params, anchors, ``sim.events`` and
   obs counters (:func:`bench_experiment`).  ``smoke`` applies the
@@ -75,6 +72,8 @@ __all__ = [
 #: became ``gateway_slo``, ``shardstore_small_objects`` and
 #: ``tiering_staging`` smoke records.  Smoke records may also carry
 #: ``calibration_s``; older v3 records do not, and gate unscaled.
+#: kernel_throughput records no longer carry ``scheduler_comparison``
+#: (the kernel has one event queue); older v3 records still do.
 BENCH_SCHEMA_VERSION = 3
 
 #: Pod counts for the allocation scale sweep: one deploy unit (the
@@ -262,6 +261,10 @@ def bench_alloc_scale(
     )
 
 
+#: Pending timers in the kernel loops: one per disk of a deploy unit.
+KERNEL_FAN_OUT = 16
+
+
 def _drive_kernel(sim: Simulator, total_events: int) -> None:
     """Run ``total_events`` timers as :class:`~repro.sim.Timeout` events
     with one callback each (the Event path)."""
@@ -272,17 +275,14 @@ def _drive_kernel(sim: Simulator, total_events: int) -> None:
         if remaining[0] > 0:
             sim.timeout(1.0).callbacks.append(tick)
 
-    fan_out = min(16, total_events)
-    for i in range(fan_out):
+    for i in range(min(KERNEL_FAN_OUT, total_events)):
         sim.timeout(float(i % 3)).callbacks.append(tick)
     sim.run()
 
 
-def _drive_kernel_defer(sim: Simulator, total_events: int, fan_out: int) -> None:
+def _drive_kernel_defer(sim: Simulator, total_events: int) -> None:
     """Run ``total_events`` self-rescheduling :meth:`Simulator.defer`
-    timers while keeping ``fan_out`` of them pending — the scheduler
-    holds ~``fan_out`` items throughout, so the fan models queue depth
-    (one pending timer per simulated disk)."""
+    timers while keeping ``KERNEL_FAN_OUT`` of them pending."""
     remaining = [total_events]
     defer = sim.defer
 
@@ -291,15 +291,9 @@ def _drive_kernel_defer(sim: Simulator, total_events: int, fan_out: int) -> None
         if remaining[0] > 0:
             defer(1.0, tick)
 
-    fan_out = min(fan_out, total_events)
-    for i in range(fan_out):
+    for i in range(min(KERNEL_FAN_OUT, total_events)):
         defer(float(i % 3), tick)
     sim.run()
-
-
-#: Concurrent-timer fans for the scheduler comparison: queue depths
-#: matching the alloc_scale sweep's 16 / 240 / 1920 disk counts.
-SCHEDULER_COMPARISON_FANS: Tuple[int, ...] = (16, 240, 1920)
 
 
 def _median_rate(times: List[float], events: int) -> Optional[float]:
@@ -310,9 +304,8 @@ def _median_rate(times: List[float], events: int) -> Optional[float]:
 def bench_kernel_throughput(
     repeat: int = 2, seed: int = 42, smoke: bool = False
 ) -> Dict:
-    """Events/sec of the kernel: defer fast path, Event path, the fast
-    path fingerprinted by a digest, and heap vs calendar at three
-    queue depths."""
+    """Events/sec of the kernel: defer fast path, Event path, and the
+    fast path fingerprinted by a digest."""
     del seed  # kernel throughput is workload-independent
     total_events = KERNEL_EVENTS_SMOKE if smoke else KERNEL_EVENTS_FULL
     record = _base_record("kernel_throughput", repeat)
@@ -327,22 +320,19 @@ def bench_kernel_throughput(
             times.append(time.perf_counter() - t0)
         return times
 
-    # Headline fast path: allocation-free defer timers, default
-    # (calendar) scheduler, 16-wide fan.
-    fast_times = timed(
-        Simulator, lambda sim: _drive_kernel_defer(sim, total_events, 16)
-    )
+    # Headline fast path: allocation-free defer timers.
+    fast_times = timed(Simulator, lambda sim: _drive_kernel_defer(sim, total_events))
     # The Event/callback route (Timeout allocation per timer).
     eventpath_times = timed(
         Simulator, lambda sim: _drive_kernel(sim, total_events)
     )
 
     def instrumented_sim() -> Simulator:
-        with EventDigest().under("calendar"):
+        with EventDigest().under():
             return Simulator(metrics=MetricsRegistry())
 
     instrumented_times = timed(
-        instrumented_sim, lambda sim: _drive_kernel_defer(sim, total_events, 16)
+        instrumented_sim, lambda sim: _drive_kernel_defer(sim, total_events)
     )
 
     record["events_per_second_fast"] = _median_rate(fast_times, total_events)
@@ -356,27 +346,6 @@ def bench_kernel_throughput(
     record["fast_path_uplift"] = (
         round(median(instrumented_times) / fast_med, 2) if fast_med > 0 else None
     )
-
-    comparison: List[Dict] = []
-    for fan_out in SCHEDULER_COMPARISON_FANS:
-        point: Dict = {"fan_out": fan_out}
-        for scheduler in ("heap", "calendar"):
-            times = timed(
-                lambda scheduler=scheduler: Simulator(scheduler=scheduler),
-                lambda sim: _drive_kernel_defer(sim, total_events, fan_out),
-            )
-            point[f"{scheduler}_events_per_second"] = _median_rate(
-                times, total_events
-            )
-        heap_rate = point["heap_events_per_second"]
-        calendar_rate = point["calendar_events_per_second"]
-        point["calendar_uplift"] = (
-            round(calendar_rate / heap_rate, 2)
-            if heap_rate and calendar_rate
-            else None
-        )
-        comparison.append(point)
-    record["scheduler_comparison"] = comparison
 
     return _finish_record(
         record,

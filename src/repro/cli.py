@@ -9,7 +9,7 @@ Usage::
     python -m repro cost                 # Table I quick view
     python -m repro validate --hosts 4 --disks-per-leaf 2
     python -m repro lint [paths...]      # determinism linter (src/repro)
-    python -m repro check-determinism    # heap vs calendar: digests, dumps, results, races
+    python -m repro check-determinism    # two replays: digests, dumps, results, races
     python -m repro bench alloc_scale    # wall-clock benchmark suite
     python -m repro run gateway_slo      # request tier: batch vs FIFO
     python -m repro bench gateway_slo --smoke  # smoke run: wall, events, anchors
@@ -149,16 +149,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_determinism(args: argparse.Namespace) -> int:
-    """Run every registered experiment once under the ``heap``
-    reference scheduler and once under the ``calendar`` scheduler,
-    with every instrument it declares armed (``detect_races``,
-    ``trace``), and compare the execution-order digests, the metric
-    dumps and the result JSON documents byte for byte; count the
-    same-timestamp races.  Because the two runs use different
-    event-queue implementations, a match certifies both replay
-    determinism and the calendar queue's ordering contract in one
-    pass.  The result JSON carries the energy-ledger export of the
-    experiments that arm the ledger."""
+    """Run every registered experiment twice in one process, with
+    every instrument it declares armed (``detect_races``, ``trace``),
+    and compare the execution-order digests, the metric dumps and the
+    result JSON documents byte for byte; count the same-timestamp
+    races.  A match certifies replay determinism: the second run pops
+    the same events in the same order and reports the same numbers,
+    whatever the first left behind in the process.  The result JSON
+    carries the energy-ledger export of the experiments that arm the
+    ledger."""
     from repro.experiments import EXPERIMENTS
     from repro.sim import EventDigest
 
@@ -172,8 +171,8 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
         digests: List[str] = []
         dumps: List[str] = []
         documents: List[str] = []
-        for scheduler_name in ("heap", "calendar"):
-            with EventDigest().under(scheduler_name) as digest:
+        for _ in range(2):
+            with EventDigest().under() as digest:
                 result = experiment.run(**overrides)
             digests.append(digest.hexdigest())
             dumps.append(json.dumps(result.obs, sort_keys=True))
@@ -191,11 +190,11 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
             continue
         print(f"{experiment.name}:")
         print(f"  replay digest: {digests[0][:16]}…  "
-              + ("identical heap vs calendar" if checks["digest_identical"]
+              + ("identical across two runs" if checks["digest_identical"]
                  else "MISMATCH: " + digests[1][:16]))
         for label, key in (("metric dump", "metrics_identical"),
                            ("result JSON", "result_identical")):
-            verdict = "byte-identical heap vs calendar" if checks[key] else "MISMATCH"
+            verdict = "byte-identical across two runs" if checks[key] else "MISMATCH"
             print(f"  {label}: {verdict}")
         print(f"  same-timestamp races: {len(races)}")
         for race in races:
@@ -398,13 +397,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     f"{record['events_per_second_instrumented']:.0f} ev/s "
                     f"instrumented ({record['fast_path_uplift']}x uplift)"
                 )
-            for point in record.get("scheduler_comparison", []):
-                print(
-                    f"  fan {point['fan_out']:>4}: "
-                    f"heap {point['heap_events_per_second']:.0f} ev/s, "
-                    f"calendar {point['calendar_events_per_second']:.0f} ev/s "
-                    f"({point['calendar_uplift']}x)"
-                )
             if "anchors" in record:
                 print(
                     f"  events: {record['sim_events']:.0f} sim events "
@@ -513,8 +505,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     check_parser = sub.add_parser(
         "check-determinism",
-        help="run every experiment under heap and calendar; compare digests, "
-        "metric dumps and results; count races",
+        help="run every experiment twice; compare digests, metric dumps and "
+        "results; count races",
     )
     _add_common_flags(check_parser)
     check_parser.set_defaults(fn=_cmd_check_determinism)

@@ -157,13 +157,16 @@ class Controller:
             self._lock.release()
 
     def _verify(self, pairs: List[Tuple[str, str]]) -> Generator[Event, None, bool]:
-        """Poll involved EndPoints until every disk shows up, or timeout."""
+        """Poll involved EndPoints until every disk shows up, or timeout.
+
+        A USB view covers a whole host, so each round asks each host
+        that still owes a disk once, in sorted order.
+        """
         deadline = self.sim.now + VERIFY_TIMEOUT
         remaining = dict(pairs)
         while remaining and self.sim.now < deadline:
             yield self.sim.timeout(VERIFY_POLL_INTERVAL)
-            satisfied = []
-            for disk_id, host_id in remaining.items():
+            for host_id in sorted(set(remaining.values())):
                 address = self.host_addresses.get(host_id)
                 if address is None:
                     continue
@@ -173,8 +176,7 @@ class Controller:
                     )
                 except (RpcTimeout, RemoteError):
                     continue
-                if disk_id in view:
-                    satisfied.append(disk_id)
-            for disk_id in satisfied:
-                del remaining[disk_id]
+                for disk_id in [d for d, h in remaining.items() if h == host_id]:
+                    if disk_id in view:
+                        del remaining[disk_id]
         return not remaining

@@ -5,21 +5,12 @@ The kernel is a deterministic event loop: callbacks are ordered by
 same seeds replay identically.  Generator-based processes are layered on
 top in :mod:`repro.sim.process`.
 
-Two interchangeable schedulers implement that total order (see
-DESIGN.md §13):
-
-* :class:`CalendarQueue` (the default) — a calendar/ladder structure
-  that keeps the near future as one lazily sorted window and everything
-  beyond the window horizon as an unsorted spill list, so pushes are
-  plain appends on the hot path;
-* :class:`HeapScheduler` — the retained ``heapq`` reference
-  implementation, selectable via ``Simulator(scheduler="heap")`` or
-  :func:`use_scheduler`, and the oracle the property tests compare the
-  calendar queue against.
-
-Both pop scheduled items in exactly the same ``(time, priority, seq)``
-order, so :class:`repro.sim.trace.EventDigest` replay fingerprints are
-byte-identical whichever scheduler runs a simulation.
+One event queue keeps that total order: :class:`HeapScheduler`, a
+binary heap of scheduled tuples (see DESIGN.md §13).  A caller that
+watches the event stream registers a queue class in :data:`SCHEDULERS`
+(usually an :func:`observe_pops` subclass) and selects it with
+:func:`use_scheduler` for the simulators a block builds, as
+:class:`repro.sim.trace.EventDigest` does.
 
 This module depends only on the standard library and the (equally
 stdlib-only) :mod:`repro.obs` metrics layer; every other ``repro``
@@ -29,7 +20,6 @@ subsystem is built on it.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from contextlib import contextmanager
 from functools import partial
 from heapq import heappop, heappush
@@ -43,7 +33,6 @@ from typing import (
     Optional,
     Tuple,
     Type,
-    Union,
 )
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -101,16 +90,14 @@ _INFINITY = float("inf")
 
 
 class HeapScheduler:
-    """Reference scheduler: one global binary heap (``heapq``).
+    """The kernel's event queue: one binary heap (``heapq``).
 
-    ``push``/``pop`` are O(log n).  Kept both as the oracle for the
-    calendar-queue property tests and as a fallback selectable with
-    ``Simulator(scheduler="heap")``.
+    ``push``/``pop`` are O(log n) and run in C.  No simulation in this
+    program holds more than about 50 pending events; DESIGN.md §13 has
+    the measurements that made the heap the one queue.
     """
 
     __slots__ = ("_heap",)
-
-    name = "heap"
 
     def __init__(self) -> None:
         self._heap: List[_ScheduledItem] = []
@@ -134,161 +121,25 @@ class HeapScheduler:
         return len(self._heap)
 
 
-class CalendarQueue:
-    """Calendar/ladder event scheduler: sorted window + unsorted future.
+#: Queue name -> factory.  Simulators take their queue from the entry
+#: :func:`use_scheduler` selects; a caller that watches the event stream
+#: registers its own entry for the length of a block.
+SCHEDULERS: Dict[str, Callable[[], HeapScheduler]] = {"heap": HeapScheduler}
 
-    The structure keeps two tiers:
+_default_scheduler_name = "heap"
 
-    * ``_cur`` — every pending item with ``time < _horizon``, held as one
-      ascending-sorted list consumed through an index pointer (``_idx``)
-      instead of repeated ``list.pop(0)`` shifts;
-    * ``_fut`` — every item at or beyond the horizon, completely
-      unsorted, so the common push (a timer strictly in the future) is a
-      plain C-speed ``list.append``.
-
-    When the window drains, :meth:`_advance` jumps the horizon to
-    ``min(_fut).time + _width``, partitions ``_fut``, and sorts the new
-    window once (Timsort, C).  Pops therefore cost an index bump; pushes
-    cost an append, or a ``bisect.insort`` bounded to the unconsumed
-    suffix when a new item lands inside the open window.
-
-    **Ordering contract**: pops follow the exact ``(time, priority,
-    seq)`` tuple order — the invariant that every ``_fut`` item's time
-    is ``>= _horizon`` while every pending ``_cur`` item's is below it
-    means the global minimum always lives in the window, and the sorted
-    window plus suffix-bounded insorts keep ties (same time, same
-    priority) resolved by the unique ``seq`` exactly as the heap
-    reference resolves them.  The property tests in
-    ``tests/test_calendar_queue.py`` pin this equivalence across seeds.
-
-    **Resize policy**: the window width adapts multiplicatively to the
-    observed event density — a window that arrives with fewer than
-    ``widen_below`` items doubles the width (amortizing the per-window
-    partition/sort overhead over more events) and one with more than
-    ``halve_above`` items halves it (bounding the insort suffix and the
-    batch sort).  Width never drops below ``1e-12`` seconds so repeated
-    halving cannot collapse it to zero.
-    """
-
-    __slots__ = ("_cur", "_idx", "_fut", "_horizon", "_width", "_len",
-                 "_widen_below", "_halve_above")
-
-    name = "calendar"
-
-    #: Window occupancy targets for the multiplicative resize policy.
-    WIDEN_BELOW = 16
-    HALVE_ABOVE = 8192
-    MIN_WIDTH = 1e-12
-
-    def __init__(
-        self,
-        initial_width: float = 1.0,
-        widen_below: int = WIDEN_BELOW,
-        halve_above: int = HALVE_ABOVE,
-    ) -> None:
-        if initial_width <= 0.0:
-            raise ValueError(f"window width must be positive: {initial_width!r}")
-        if widen_below >= halve_above:
-            raise ValueError("widen_below must be smaller than halve_above")
-        self._cur: List[_ScheduledItem] = []
-        self._idx = 0
-        self._fut: List[_ScheduledItem] = []
-        self._horizon = -_INFINITY
-        self._width = initial_width
-        self._len = 0
-        self._widen_below = widen_below
-        self._halve_above = halve_above
-
-    def push(self, item: _ScheduledItem) -> None:
-        self._len += 1
-        if item[0] >= self._horizon:
-            self._fut.append(item)
-            return
-        cur = self._cur
-        # In-window pushes are usually later than everything pending
-        # (self-rescheduling timers), so try the append fast path before
-        # falling back to a suffix-bounded insort.
-        if not cur or item >= cur[-1]:
-            cur.append(item)
-        else:
-            insort(cur, item, lo=self._idx)
-
-    def pop(self) -> _ScheduledItem:
-        """Smallest item by ``(time, priority, seq)``.
-
-        Raises :class:`IndexError` when the queue is empty, like the
-        heap reference.
-        """
-        idx = self._idx
-        cur = self._cur
-        if idx >= len(cur):
-            self._advance()
-            idx = self._idx
-            cur = self._cur
-        item = cur[idx]
-        self._idx = idx + 1
-        self._len -= 1
-        return item
-
-    def _advance(self) -> None:
-        """Open the next window: jump the horizon past ``min(_fut)``."""
-        fut = self._fut
-        if not fut:
-            self._cur = []
-            self._idx = 0
-            raise IndexError("pop from an empty calendar queue")
-        width = self._width
-        horizon = min(fut)[0] + width
-        cur = [it for it in fut if it[0] < horizon]
-        if len(cur) < len(fut):
-            fut[:] = [it for it in fut if it[0] >= horizon]
-        else:
-            fut.clear()
-        cur.sort()
-        occupancy = len(cur)
-        if occupancy > self._halve_above and width > self.MIN_WIDTH:
-            self._width = width * 0.5
-        elif occupancy < self._widen_below:
-            self._width = width * 2.0
-        self._cur = cur
-        self._idx = 0
-        self._horizon = horizon
-
-    def peek_time(self) -> float:
-        """Time of the next item (``inf`` when empty).
-
-        May advance the window (an internal reorganization; the pop
-        order is unaffected).
-        """
-        if self._idx >= len(self._cur):
-            try:
-                self._advance()
-            except IndexError:
-                return _INFINITY
-        return self._cur[self._idx][0]
-
-    def __len__(self) -> int:
-        return self._len
-
-
-_Scheduler = Union[HeapScheduler, CalendarQueue]
-
-#: Scheduler name -> factory, for ``Simulator(scheduler=...)``.
-SCHEDULERS: Dict[str, Callable[[], _Scheduler]] = {
-    "heap": HeapScheduler,
-    "calendar": CalendarQueue,
-}
-
-_default_scheduler_name = "calendar"
+# bench/tracing.py subclasses the queue by this name; see the ROADMAP bench notes.
+CalendarQueue = HeapScheduler
 
 
 @contextmanager
 def use_scheduler(name: str) -> Iterator[None]:
-    """Make ``name`` the scheduler of simulators built inside the block.
+    """Make ``name`` the queue of simulators built inside the block.
 
-    Lets callers that never construct simulators directly (experiment
-    builders, ``repro check-determinism``) pick the kernel's scheduler
-    without threading a parameter through every layer.
+    Lets a caller that never constructs simulators directly (an
+    experiment run under ``repro check-determinism``) swap in a queue
+    registered in :data:`SCHEDULERS` without threading a parameter
+    through every layer.
     """
     global _default_scheduler_name
     if name not in SCHEDULERS:
@@ -303,9 +154,9 @@ def use_scheduler(name: str) -> Iterator[None]:
 
 
 def observe_pops(
-    queue_class: Type[_Scheduler],
+    queue_class: Type[HeapScheduler],
     observer: Callable[[_ScheduledItem], _ScheduledItem],
-) -> Type[_Scheduler]:
+) -> Type[HeapScheduler]:
     """A subclass of ``queue_class`` whose ``pop`` hands each item to
     ``observer`` and returns what the observer returns.
 
@@ -320,7 +171,7 @@ def observe_pops(
     def pop(queue: Any) -> _ScheduledItem:
         return observer(base_pop(queue))
 
-    observed: Type[_Scheduler] = type(
+    observed: Type[HeapScheduler] = type(
         f"Observed{queue_class.__name__}", (queue_class,), {"__slots__": (), "pop": pop}
     )
     return observed
@@ -490,19 +341,9 @@ class Simulator:
         detect_races: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[RequestTracer] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         self._now = float(start_time)
-        name = scheduler if scheduler is not None else _default_scheduler_name
-        try:
-            factory = SCHEDULERS[name]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {name!r}; available: "
-                f"{', '.join(sorted(SCHEDULERS))}"
-            ) from None
-        self.scheduler_name = name
-        self._sched: _Scheduler = factory()
+        self._sched: HeapScheduler = SCHEDULERS[_default_scheduler_name]()
         self._race_detector: Optional["RaceDetector"] = None
         if detect_races:
             from repro.analysis.races import RaceDetector
@@ -652,8 +493,8 @@ class Simulator:
         This creates no :class:`Event` (and hence nothing to wait on or
         cancel): the callable itself is the scheduled item.  It shares
         the events' sequence counter, so a deferred callback and an
-        event scheduled in the same order pop in the same order under
-        either scheduler.
+        event due at the same instant and priority pop in the order
+        they were scheduled.
         """
         if delay < 0:
             raise SimulationError(f"negative defer delay: {delay!r}")

@@ -12,7 +12,7 @@ import hashlib
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.sim.kernel import SCHEDULERS, observe_pops, use_scheduler
+from repro.sim.kernel import SCHEDULERS, HeapScheduler, observe_pops, use_scheduler
 
 __all__ = ["EventDigest"]
 
@@ -32,18 +32,18 @@ class EventDigest:
         self.events = 0
 
     @contextmanager
-    def under(self, scheduler: str) -> Iterator["EventDigest"]:
+    def under(self) -> Iterator["EventDigest"]:
         """Fold every event popped by simulators built in the block.
 
-        Registers the ``scheduler`` queue with its pops observed
+        Registers a heap queue with its pops observed
         (:func:`~repro.sim.kernel.observe_pops`) in
-        :data:`~repro.sim.SCHEDULERS` and makes it the default scheduler
-        for the block, so a run that builds many simulators is covered
-        without handing the digest to each.  A simulator keeps its queue
-        after the block ends, so its later runs still fold.
+        :data:`~repro.sim.SCHEDULERS` and selects it for the block, so a
+        run that builds many simulators is covered without handing the
+        digest to each.  A simulator keeps its queue after the block
+        ends, so its later runs still fold.
         """
-        name = f"digest:{scheduler}"
-        SCHEDULERS[name] = observe_pops(type(SCHEDULERS[scheduler]()), self._fold)
+        name = "digest"
+        SCHEDULERS[name] = observe_pops(HeapScheduler, self._fold)
         try:
             with use_scheduler(name):
                 yield self

@@ -1,0 +1,39 @@
+"""Every name the benchmark imports from ``repro`` exists.
+
+Tier-1 collects only ``tests/``, so without this check a deleted or
+renamed name that a ``bench/*.py`` module imports would fail only the
+benchmark.  Imports inside functions count too: ``bench/workloads.py``
+imports most of what it drives lazily.
+"""
+
+import ast
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _imports_repro(node):
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] if node.level == 0 else []
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return False
+    return any(name == "repro" or name.startswith("repro.") for name in names)
+
+
+def test_every_repro_name_the_bench_imports_resolves():
+    checked = 0
+    unresolved = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not _imports_repro(node):
+                continue
+            checked += 1
+            statement = ast.Module(body=[node], type_ignores=[])
+            try:
+                exec(compile(statement, str(path), "exec"), {})
+            except ImportError as exc:
+                unresolved.append(f"bench/{path.name}:{node.lineno}: {exc}")
+    assert checked > 0
+    assert unresolved == []

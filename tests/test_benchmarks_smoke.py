@@ -18,12 +18,6 @@ def test_kernel_throughput_record_shape():
     assert record["events_per_second_eventpath"] > 0
     assert record["events_per_second_instrumented"] > 0
     assert record["wall_seconds"] >= record["wall_seconds_best"]
-    comparison = record["scheduler_comparison"]
-    assert [point["fan_out"] for point in comparison] == [16, 240, 1920]
-    for point in comparison:
-        assert point["heap_events_per_second"] > 0
-        assert point["calendar_events_per_second"] > 0
-        assert point["calendar_uplift"] > 0
 
 
 def test_benchmark_rejects_unknown_experiment(tmp_path, capsys):

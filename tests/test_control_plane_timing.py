@@ -117,8 +117,8 @@ def test_coord_leader_crash_and_recovery_sends():
 
 IDLE_SENDS = 5_892
 IDLE_DIGEST = "2d1b77eb195cd628d9450ecddc177026256eb2851d52cc59e6f10d4c887cd154"
-HOST_CRASH_SENDS = 3_964
-HOST_CRASH_DIGEST = "217038e1cbe70d6f6ad8b2900a5fe91b6aad04dfc9650ed3b079a4e004a81158"
+HOST_CRASH_SENDS = 3_934
+HOST_CRASH_DIGEST = "2b735aff107a937ed948613358cb6aca746154d8c0e76c67d513d46fb88f7daf"
 HOST_CRASHED_AT = [("host1", "17.762667517827936")]
 LEADER_CRASH_SENDS = 2_906
 LEADER_CRASH_DIGEST = "8a83a0f6e7d0a4bdfdac3371792e0fce854395f5bc78ff026a78b49401a18411"

@@ -68,6 +68,44 @@ class TestControllerRollback:
         assert "disk0" in dep.bus.os_view("host0")
 
 
+    @pytest.mark.parametrize("disks", [["disk0"], ["disk0", "disk1", "disk2", "disk3"]])
+    def test_verification_asks_each_host_once_per_round(self, disks):
+        """A USB view covers a whole host: moving four disks to a dead
+        host rolls back when moving one does, with one view request per
+        0.5 s round plus its 1 s timeout."""
+        from repro.cluster import MasterConfig
+
+        config = DeploymentConfig(master=MasterConfig(heartbeat_timeout=10_000.0))
+        dep = build_deployment(config=config)
+        dep.settle(15.0)
+        dep.endpoints["host2"].crash()
+        host2 = dep.controllers[0].host_addresses["host2"]
+        views = []
+        send = dep.network.send
+
+        def counting_send(src, dst, payload, size=256):
+            if dst == host2 and payload.get("method") == "endpoint.usb_view":
+                views.append(dep.sim.now)
+            send(src, dst, payload, size)
+
+        dep.network.send = counting_send
+        rpc = RpcClient(dep.sim, dep.network, "rb-tester")
+
+        def scenario():
+            yield from rpc.call(
+                "unit0.controller0",
+                "controller.execute",
+                [(disk, "host2") for disk in disks],
+                timeout=40.0,
+            )
+
+        start = dep.sim.now
+        with pytest.raises(RemoteError, match="rolled back"):
+            dep.sim.run_until_event(dep.sim.process(scenario()))
+        assert round(dep.sim.now - start, 4) == 30.0005
+        assert len(views) == 20
+
+
 class TestMiscGaps:
     def test_fabric_subtree_nodes(self):
         from repro.fabric import prototype_fabric

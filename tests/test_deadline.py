@@ -7,7 +7,7 @@ from repro.sim import Deadline, EventDigest, Grid, SimulationError, Simulator
 
 def counted_sim():
     """A simulator whose pops an :class:`EventDigest` counts."""
-    with EventDigest().under("calendar") as digest:
+    with EventDigest().under() as digest:
         return Simulator(), digest
 
 

@@ -8,21 +8,21 @@ value-level determinism (figure5 is closed-form and processes no
 events, so its digest alone would be vacuous).  reliability declares
 no ``detect_races`` parameter, so its race check arms the detector on
 the event-driven studies directly.  The request-trace export is
-compared across the heap and calendar schedulers here, since the
-exported traces are not part of any result document.
+compared across two replays here, since the exported traces are not
+part of any result document.
 """
 
 from repro.cluster import build_deployment
 from repro.experiments import EXPERIMENTS, gateway_slo
 from repro.experiments.reliability import _reconstruction, _scrubbing
 from repro.obs import RequestTracer, export_trace_jsonl
-from repro.sim import EventDigest, use_scheduler
+from repro.sim import EventDigest
 
 
 def run_twice(name, **overrides):
     digests, results = [], []
     for _ in range(2):
-        with EventDigest().under("calendar") as digest:
+        with EventDigest().under() as digest:
             results.append(EXPERIMENTS.get(name).run(**overrides))
         digests.append(digest)
     return digests, results
@@ -52,17 +52,16 @@ def test_reliability_reports_no_races():
     assert _scrubbing(detect_races=True)["races"] == []
 
 
-def test_gateway_trace_export_identical_heap_vs_calendar():
+def test_gateway_trace_export_replays_identically():
     exports = []
-    for scheduler in ("heap", "calendar"):
+    for _ in range(2):
         chunks = []
-        with use_scheduler(scheduler):
-            for variant in ("batch", "fifo"):
-                tracer = RequestTracer()
-                gateway_slo.run_point(variant, tracer=tracer, detect_races=True)
-                chunks.append(export_trace_jsonl(tracer.completed))
+        for variant in ("batch", "fifo"):
+            tracer = RequestTracer()
+            gateway_slo.run_point(variant, tracer=tracer, detect_races=True)
+            chunks.append(export_trace_jsonl(tracer.completed))
         exports.append("\n".join(chunks))
-    assert exports[0] == exports[1], "trace export differs heap vs calendar"
+    assert exports[0] == exports[1], "trace export differs between replays"
     assert exports[0], "export was empty"
 
 
@@ -71,7 +70,7 @@ def test_deployment_replay_ignores_other_deployments():
     # clients in a module-global table keyed by address, so a second
     # deployment built in between rewired the first one's replies.
     def run_first(build_second):
-        with EventDigest().under("calendar") as digest:
+        with EventDigest().under() as digest:
             first = build_deployment()
         first.settle()
         if build_second:

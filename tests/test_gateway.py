@@ -888,7 +888,7 @@ class TestGatewaySloExperiment:
 
         def once():
             registry = MetricsRegistry()
-            with EventDigest().under("calendar") as digest:
+            with EventDigest().under() as digest:
                 summary = gateway_slo.run_point(
                     "batch",
                     metrics=registry,

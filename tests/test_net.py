@@ -462,7 +462,7 @@ class TestRpc:
     def test_plain_call_event_count(self):
         # Caller start, request delivery, reply delivery, the caller's
         # wake-up, its finish and the spent deadline: nothing else.
-        with EventDigest().under("calendar") as digest:
+        with EventDigest().under() as digest:
             sim, net = make_net()
         server = RpcServer(sim, net, "server")
         server.register("add", lambda a, b: a + b)
@@ -473,7 +473,7 @@ class TestRpc:
         assert digest.events == 6
 
     def test_callback_call_costs_its_deliveries_and_one_deadline(self, monkeypatch):
-        with EventDigest().under("calendar") as digest:
+        with EventDigest().under() as digest:
             sim, net = make_net()
         server = RpcServer(sim, net, "server")
         server.register("add", lambda a, b: a + b)
@@ -494,7 +494,7 @@ class TestRpc:
         assert events == []
 
     def test_calls_with_one_timeout_expire_in_call_order_from_one_pop(self):
-        with EventDigest().under("calendar") as digest:
+        with EventDigest().under() as digest:
             sim, net = make_net()
         net.add_node("void")  # accepts nothing: every call times out
         client = RpcClient(sim, net, "client")

@@ -114,6 +114,17 @@ class TestEventBasics:
         sim.run()
         assert order == list("abcde")
 
+    def test_same_timestamp_priority_ties_pop_in_priority_then_seq_order(self):
+        sim = Simulator()
+        order = []
+        # Reverse-priority insertion at one timestamp: pops must sort by
+        # (priority, seq), not insertion order.
+        for name, priority in [("low", 2), ("urgent", 0), ("normal", 1),
+                               ("urgent2", 0), ("low2", 2)]:
+            sim.defer(1.0, lambda n=name: order.append(n), priority)
+        sim.run()
+        assert order == ["urgent", "urgent2", "normal", "low", "low2"]
+
     def test_max_events_guard(self):
         sim = Simulator()
 
@@ -129,7 +140,7 @@ class TestEventBasics:
 class TestEventCount:
     def test_events_counts_what_every_entry_point_runs_as_the_digest_does(self):
         registry = MetricsRegistry()
-        with EventDigest().under("calendar") as digest:
+        with EventDigest().under() as digest:
             sim = Simulator(metrics=registry)
             other = Simulator(metrics=registry)
         for t in range(1, 9):
@@ -242,6 +253,31 @@ class TestProcesses:
         sim.defer(5.0, lambda: p.interrupt("wake up"))
         sim.run()
         assert log == [(5.0, "wake up")]
+
+    def test_interrupted_waits_leave_their_timeouts_harmless(self):
+        """An interrupted wait's timeout stays queued and wakes no one."""
+        sim = Simulator()
+        log = []
+
+        def waiter(name):
+            try:
+                yield sim.timeout(50.0)
+                log.append((name, "done"))
+            except Interrupt:
+                log.append((name, "cancelled"))
+
+        procs = [sim.process(waiter(f"w{i}")) for i in range(6)]
+
+        def canceller():
+            yield sim.timeout(10.0)
+            for proc in procs[::2]:
+                proc.interrupt()
+
+        sim.process(canceller())
+        sim.run()
+        assert log == [("w0", "cancelled"), ("w2", "cancelled"), ("w4", "cancelled"),
+                       ("w1", "done"), ("w3", "done"), ("w5", "done")]
+        assert sim.now == 50.0
 
     def test_interrupt_finished_process_rejected(self):
         sim = Simulator()
