@@ -48,11 +48,12 @@ export.  The unarmed-overhead half of that gate rides the
 
 Default-path runs also run a control-plane leg (even with
 ``--no-perf``: it counts, it does not time): a deployment settled and
-left idle for 100 sim-s must send exactly ``IDLE_SENDS`` messages in at
-most ``IDLE_EVENTS`` kernel events (the rise in ``Simulator.events``)
-plus ``IDLE_EVENT_SLACK``, and so must one that also mounted a gateway
-client's spaces (a mounted ClientLib adds no traffic).  Both counts are
-exact for the code, so any change to the timers shows.
+left idle for 100 sim-s must send exactly ``IDLE_SENDS`` messages of
+each method or kind, in at most ``IDLE_EVENTS`` kernel events (the rise
+in ``Simulator.events``) plus ``IDLE_EVENT_SLACK``, and so must one
+that also mounted a gateway client's spaces (a mounted ClientLib adds
+no traffic).  Both counts are exact for the code, so any change to the
+timers shows, and the leg prints every kind whose count moved.
 
 Default-path runs also run the benchmark's self-tests (again even with
 ``--no-perf``: they check correctness, not speed): ``python -m pytest
@@ -79,8 +80,9 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 PERF_REGRESSION_FACTOR = 5.0
 #: The gateway_slo smoke gate is much tighter than the generic 5x
@@ -104,10 +106,16 @@ SMOKE_REPEAT = 3
 #: only by float summation order.
 ENERGY_CROSS_CHECK_REL = 1e-9
 #: Idle control plane: ``build_deployment()``, ``settle()``, 100 sim-s.
-#: Messages are set by the protocol's intervals and must not change;
-#: events are what the armed-deadline timers pop for them.
-IDLE_SENDS = 5_000
-IDLE_EVENTS = 7_830
+#: Messages, by RPC method or message kind, are set by the protocol's
+#: intervals and must not change; events are what the armed-deadline
+#: timers pop for them.
+IDLE_SENDS = {
+    "coord.append_entries": 800,
+    "coord.ping_session": 300,
+    "master.heartbeat": 800,
+    "rpc_response": 1_900,
+}
+IDLE_EVENTS = 6_026
 IDLE_EVENT_SLACK = 0.02
 #: Space size of the gateway client the second idle scenario mounts.
 IDLE_SPACE_BYTES = 64 * 1024 * 1024
@@ -418,8 +426,9 @@ def run_energy_smoke() -> int:
 
 
 def run_control_plane_gate() -> int:
-    """Idle control-plane gate: exact message count, event budget, for a
-    bare deployment and for one with a gateway client's spaces mounted."""
+    """Idle control-plane gate: exact message counts by kind, event
+    budget, for a bare deployment and for one with a gateway client's
+    spaces mounted."""
     from repro.cluster import build_deployment
     from repro.gateway import mount_gateway_spaces
 
@@ -432,11 +441,11 @@ def run_control_plane_gate() -> int:
             deployment.run_to_whole_second()
         network = deployment.network
         send = network.send
-        sends = [0]
+        sends: Counter = Counter()
 
-        def counted_send(*args, **kwargs) -> None:
-            sends[0] += 1
-            send(*args, **kwargs)
+        def counted_send(src: str, dst: str, payload: Any, size: int = 256) -> None:
+            sends[payload.get("method", payload["kind"])] += 1
+            send(src, dst, payload, size)
 
         network.send = counted_send  # type: ignore[method-assign]
         sim = deployment.sim
@@ -444,14 +453,16 @@ def run_control_plane_gate() -> int:
         sim.run(until=sim.now + 100.0)
         events = sim.events - events_before
         budget = IDLE_EVENTS * (1.0 + IDLE_EVENT_SLACK)
-        sends_ok = sends[0] == IDLE_SENDS
+        moved = sorted(k for k in set(sends) | set(IDLE_SENDS) if sends[k] != IDLE_SENDS.get(k, 0))
         events_ok = events <= budget
         print(
-            f"control plane: {scenario} 100 sim-s: {sends[0]} sends (pinned "
-            f"{IDLE_SENDS}) {'OK' if sends_ok else 'CHANGED'}, {events} events "
-            f"(budget {budget:.0f}) {'OK' if events_ok else 'OVER BUDGET'}"
+            f"control plane: {scenario} 100 sim-s: {sum(sends.values())} sends "
+            f"(pinned {sum(IDLE_SENDS.values())}) {'CHANGED' if moved else 'OK'}, "
+            f"{events} events (budget {budget:.0f}) {'OK' if events_ok else 'OVER BUDGET'}"
         )
-        if not (sends_ok and events_ok):
+        for kind in moved:
+            print(f"  {kind}: {sends[kind]} sends (pinned {IDLE_SENDS.get(kind, 0)})")
+        if moved or not events_ok:
             status = 1
     return status
 

@@ -4,7 +4,10 @@ Responsibilities, per the paper:
 
 * monitor the host's status and send heartbeats (host health, visible
   disks, workload) to the Master;
-* maintain liveness via an ephemeral znode in the coordination service;
+* prove the host alive by that heartbeat stream alone, which the
+  Master watches (§IV-E).  No znode records the hosts, because nothing
+  read one (DESIGN.md §1): the EndPoint holds no coordination session
+  and, as a ClientLib does, only reads the master pointer;
 * report the locally observed USB tree so the Controller can assemble
   its view of the interconnect fabric;
 * expose allocated storage spaces to the network as iSCSI targets;
@@ -25,13 +28,12 @@ from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
 from repro.net.iscsi import IscsiTargetServer, StorageVolume
 from repro.net.network import Network
-from repro.net.rpc import RemoteError, RpcClient
+from repro.net.rpc import RpcClient
 from repro.sim import Event, Grid, Simulator
 from repro.usbsim.bus import UsbBus
 
 __all__ = ["EndPoint"]
 
-HOSTS_ROOT = "/ustore/hosts"
 #: Seconds between heartbeat rounds to the Master.
 HEARTBEAT_INTERVAL = 0.5
 
@@ -59,9 +61,8 @@ class EndPoint:
 
         self.targets = IscsiTargetServer(sim, network, address)
         self.rpc_client = RpcClient(sim, network, f"{address}.client")
+        # Used for reads only; never started (see the module docstring).
         self.coord = CoordSession(sim, network, f"{address}.coord", coord_servers)
-        self.coord.on_expiry(self._reconnect)
-        self._coord_generation = 0
         self._master_address: Optional[str] = None
         self._exposed: Dict[str, SpaceRecord] = {}  # target name -> record
         self.expose_log: List[tuple] = []  # (time, target name)
@@ -76,7 +77,6 @@ class EndPoint:
         self.targets.rpc.register("endpoint.set_disk_power", self._on_set_disk_power)
         bus.register_listener(host_id, self)
 
-        sim.process(self._startup())
         sim.defer(HEARTBEAT_INTERVAL, self._heartbeat)
 
     # -- lifecycle ----------------------------------------------------------
@@ -97,35 +97,6 @@ class EndPoint:
         grid, self._heartbeat_grid = self._heartbeat_grid, None
         if grid is not None:
             self.sim.defer_at(grid.first_after(self.sim.now), self._heartbeat)
-
-    def _reconnect(self) -> None:
-        """The cluster expired our session, and our host znode with it,
-        while we were dark: open a fresh session and register again, as
-        a ZooKeeper client does.  The old session's address is retired."""
-        self._coord_generation += 1
-        self.network.set_alive(self.coord.address, False)
-        self.coord = CoordSession(
-            self.sim,
-            self.network,
-            f"{self.address}.coord{self._coord_generation}",
-            self.coord.servers,
-        )
-        self.coord.on_expiry(self._reconnect)
-        self.sim.process(self._startup())
-
-    def _startup(self) -> Generator[Event, None, None]:
-        yield from self.coord.start()
-        for path in ("/ustore", HOSTS_ROOT):
-            try:
-                yield from self.coord.create(path)
-            except RemoteError:
-                pass  # someone else created it first
-        try:
-            yield from self.coord.create(
-                f"{HOSTS_ROOT}/{self.host_id}", data=self.address, ephemeral=True
-            )
-        except RemoteError:
-            pass
 
     # -- hot-plug listener ----------------------------------------------------
 
@@ -170,18 +141,12 @@ class EndPoint:
         if self._master_address is not None:
             self._send_heartbeat(self._master_address)
             return
-        self.coord.leader_request(
-            "coord.read", ("exists", MASTER_POINTER), self._on_pointer_exists
-        )
+        # A missing pointer answers NoNodeError, and _on_pointer retries
+        # on the next round after any error.
+        self.coord.leader_request("coord.read", ("get", MASTER_POINTER), self._on_pointer)
 
     def _next_heartbeat(self) -> None:
         self.sim.defer(HEARTBEAT_INTERVAL, self._heartbeat)
-
-    def _on_pointer_exists(self, exists: Any, error: Optional[Exception]) -> None:
-        if error is not None or not exists:
-            self._next_heartbeat()
-            return
-        self.coord.leader_request("coord.read", ("get", MASTER_POINTER), self._on_pointer)
 
     def _on_pointer(self, address: Any, error: Optional[Exception]) -> None:
         if error is not None or address is None:

@@ -65,10 +65,6 @@ class DiskSpec:
     spin_up_time: float  # s, spun-down -> ready
     spin_down_time: float  # s, ready -> spun-down
 
-    @property
-    def rotation_time(self) -> float:
-        return 60.0 / self.rpm
-
 
 @dataclass(frozen=True)
 class ConnectionProfile:

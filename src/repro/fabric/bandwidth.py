@@ -528,9 +528,3 @@ class BandwidthModel:
                 throttled=throttled,
                 shortfall_bytes_per_s=shortfall,
             )
-
-    # -- convenience -----------------------------------------------------------
-
-    def aggregate_throughput(self, flows: Sequence[Flow]) -> float:
-        """Total bytes/s delivered for ``flows``."""
-        return self.allocate(flows).total()

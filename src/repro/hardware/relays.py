@@ -36,10 +36,6 @@ class RelayBank:
         """Call ``listener(disk_id, powered)`` on every relay flip."""
         self._listeners.append(listener)
 
-    def remove_listener(self, listener: RelayListener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def _notify(self, disk_id: str, powered: bool) -> None:
         for listener in self._listeners:
             listener(disk_id, powered)

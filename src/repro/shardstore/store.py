@@ -170,9 +170,6 @@ class ShardStore:
 
     # -- placement helpers -------------------------------------------------
 
-    def space_of(self, shard: ShardId) -> str:
-        return self._space_ids[place(shard, self.layout).space_index]
-
     def slot_ref(self, shard: ShardId) -> ObjectRef:
         """The shard's whole slot as a gateway extent."""
         placement = place(shard, self.layout)

@@ -45,11 +45,6 @@ class WorkloadSpec:
         return self.pattern is AccessPattern.SEQUENTIAL
 
     @property
-    def is_pure(self) -> bool:
-        """True when the mix is all-reads or all-writes."""
-        return self.read_fraction in (0.0, 1.0)
-
-    @property
     def name(self) -> str:
         """Figure 5 style name, e.g. ``4KB-S-R`` or ``4MB-R-W``."""
         if self.transfer_size % MB == 0:

@@ -12,8 +12,19 @@ from repro.cluster import (
     space_znode_path,
     target_name,
 )
+from repro.cluster.namespace import MASTER_POINTER
 from repro.coord import Role
 from repro.workload import KB, MB
+
+#: An idle deployment's sends per 100 sim-s after ``settle()``, by RPC
+#: method or message kind: the coordination leader's appends, the two
+#: Master sessions' pings, the EndPoints' heartbeats, and the replies.
+IDLE_SENDS = {
+    "coord.append_entries": 800,
+    "coord.ping_session": 300,
+    "master.heartbeat": 800,
+    "rpc_response": 1_900,
+}
 
 
 @pytest.fixture(scope="module")
@@ -75,29 +86,46 @@ class TestBootstrap:
     def test_endpoints_heartbeat(self, settled):
         assert all(e.heartbeats_sent > 0 for e in settled.endpoints.values())
 
-    def test_hosts_have_ephemeral_znodes(self, settled):
-        leader = [r for r in settled.coord_replicas if r.role is Role.LEADER][0]
-        assert set(leader.tree.get_children("/ustore/hosts")) == {
-            f"host{i}" for i in range(4)
-        }
+    def test_endpoints_hold_no_coordination_session(self, monkeypatch):
+        # Liveness is the heartbeat stream the Master watches: from the
+        # build on, an EndPoint only reads the master pointer, and never
+        # opens a session or writes a znode.
+        dep = build_deployment()
+        coord_addresses = {e.coord.address for e in dep.endpoints.values()}
+        sent = Counter()
+        send = dep.network.send
+
+        def logged(src, dst, payload, size=256):
+            if src in coord_addresses:
+                sent[(payload["method"],) + tuple(payload["args"])] += 1
+            send(src, dst, payload, size)
+
+        monkeypatch.setattr(dep.network, "send", logged)
+        dep.settle()
+        dep.sim.run(until=dep.sim.now + 100.0)
+        assert set(sent) == {("coord.read", "get", MASTER_POINTER)}
+        assert not any(e.coord.started for e in dep.endpoints.values())
 
     def test_idle_control_plane_cost(self, monkeypatch):
         # An idle deployment's traffic is set by its timers alone.  The
-        # message count is exact; the event count is pinned at what the
-        # armed-deadline timers and the message path pop, so a timer
-        # that polls again, or any regression in the plumbing beneath
-        # the messages, shows up here.
+        # message counts by kind are exact; the event count is pinned at
+        # what the armed-deadline timers and the message path pop, so a
+        # timer that polls again, or any regression in the plumbing
+        # beneath the messages, shows up here.
         dep = build_deployment()
         dep.settle()
-        sent = []
+        sent = Counter()
         send = dep.network.send
-        monkeypatch.setattr(
-            dep.network, "send", lambda *args, **kw: (sent.append(args), send(*args, **kw))
-        )
+
+        def counted(src, dst, payload, size=256):
+            sent[payload.get("method", payload["kind"])] += 1
+            send(src, dst, payload, size)
+
+        monkeypatch.setattr(dep.network, "send", counted)
         events_before = dep.sim.events
         dep.sim.run(until=dep.sim.now + 100.0)
-        assert len(sent) == 5_000
-        assert dep.sim.events - events_before <= 7_830
+        assert sent == IDLE_SENDS
+        assert dep.sim.events - events_before <= 6_026
 
     def test_mounted_gateway_client_adds_no_idle_traffic(self, monkeypatch):
         # A ClientLib reads where the Master is without a coordination
@@ -125,7 +153,7 @@ class TestBootstrap:
         dep.run_to_whole_second()
         sent.clear()
         dep.sim.run(until=dep.sim.now + 100.0)
-        assert len(sent) == 5_000
+        assert Counter(p.get("method", p["kind"]) for _, p in sent) == IDLE_SENDS
         assert not any(src.startswith("gateway0") for src, _ in sent)
 
     def test_idle_election_polls_and_appends(self, monkeypatch):
@@ -419,22 +447,48 @@ class TestHostFailover:
         assert standby.active
         assert info["space_id"] in standby.records
 
-    def test_recovered_host_registers_again(self):
-        # The cluster expires host1's session while it is down, and its
-        # first ping after recovery learns so: the host opens a fresh
-        # session and its ephemeral host znode comes back.
+    def test_host_dark_past_the_session_timeout_heartbeats_again(self, monkeypatch):
+        # Dark for 30 s, far past SESSION_TIMEOUT, host1 has no session
+        # to lose: within 2 s of recovering it heartbeats the active
+        # Master again, and it only ever reads from the coordination
+        # service, never writes or pings.
         dep = build_deployment()
         dep.settle()
+        endpoint = dep.endpoints["host1"]
+        methods = set()
+        send = dep.network.send
+
+        def logged(src, dst, payload, size=256):
+            if src == endpoint.coord.address:
+                methods.add(payload["method"])
+            send(src, dst, payload, size)
+
+        monkeypatch.setattr(dep.network, "send", logged)
         dep.crash_host("host1")
         dep.sim.run(until=dep.sim.now + 30.0)
+        master = dep.active_master()
+        assert master.sysstat.host_status["host1"] is HostStatus.CRASHED
+        recovered_at = dep.sim.now
         dep.recover_host("host1")
-        dep.sim.run(until=dep.sim.now + 30.0)
-        leader = [r for r in dep.coord_replicas if r.role is Role.LEADER][0]
-        assert set(leader.tree.get_children("/ustore/hosts")) == {
-            f"host{i}" for i in range(4)
-        }
-        assert not dep.endpoints["host1"].coord.expired
-        assert leader.tree.get_data("/ustore/hosts/host1") == "host1.endpoint"
+        dep.sim.run(until=recovered_at + 2.0)
+        assert master.sysstat.last_heartbeat["host1"] > recovered_at
+        assert master.sysstat.host_status["host1"] is HostStatus.ONLINE
+        assert methods == {"coord.read"}
+
+    def test_endpoints_find_the_standby_after_the_master_crashes(self):
+        # Each EndPoint's heartbeat to the crashed Master fails, so it
+        # reads MASTER_POINTER again until the standby has taken it
+        # over; the standby hears every host in time and fails none over.
+        dep = fresh()
+        active = dep.active_master()
+        standby = [m for m in dep.masters if m is not active][0]
+        assert all(e._master_address == active.address for e in dep.endpoints.values())
+        active.crash()
+        dep.settle(20.0)
+        assert standby.active
+        assert all(e._master_address == standby.address for e in dep.endpoints.values())
+        assert set(standby.sysstat.online_hosts()) == {f"host{i}" for i in range(4)}
+        assert standby.failovers_completed == 0
 
     def test_dead_host_recovers_as_online(self):
         dep = fresh()

@@ -115,12 +115,12 @@ def test_coord_leader_crash_and_recovery_sends():
     assert crashed == []
 
 
-IDLE_SENDS = 5_892
-IDLE_DIGEST = "2d1b77eb195cd628d9450ecddc177026256eb2851d52cc59e6f10d4c887cd154"
-HOST_CRASH_SENDS = 3_934
-HOST_CRASH_DIGEST = "2b735aff107a937ed948613358cb6aca746154d8c0e76c67d513d46fb88f7daf"
-HOST_CRASHED_AT = [("host1", "17.762667517827936")]
-LEADER_CRASH_SENDS = 2_906
-LEADER_CRASH_DIGEST = "8a83a0f6e7d0a4bdfdac3371792e0fce854395f5bc78ff026a78b49401a18411"
+IDLE_SENDS = 4_388
+IDLE_DIGEST = "45e199c0f9192d7d5e672f953e375294b6f6b491124cd62d56173d275e778ec2"
+HOST_CRASH_SENDS = 2_904
+HOST_CRASH_DIGEST = "4d5160a54bc1cc8b88f62633b5729aadc0d5c1de4e6c8fc325bbcd443f4ab31f"
+HOST_CRASHED_AT = [("host1", "17.76269621568476")]
+LEADER_CRASH_SENDS = 2_106
+LEADER_CRASH_DIGEST = "eedf7c0c285e242b713646d5754a1b8c760f7ad6d2ca472992aa3c11723728a6"
 OLD_LEADER = ("coord0", 1)
-LEADER_ELECTIONS = [("coord1", 2, "15.050000000000075")]
+LEADER_ELECTIONS = [("coord2", 2, "15.100000000000076")]

@@ -254,6 +254,22 @@ def test_smoke_gate_skips_comparison_when_file_missing(tmp_path, capsys):
     assert "wall:" not in out and "events:" not in out
 
 
+def test_control_plane_gate_names_the_kind_that_moved(monkeypatch, capsys):
+    # A pin that trades 100 pings for 100 replies keeps the total, so
+    # only the count by kind can fail it.
+    module = _load_script_module()
+    pinned = dict(module.IDLE_SENDS)
+    pinned["coord.ping_session"] += 100
+    pinned["rpc_response"] -= 100
+    monkeypatch.setattr(module, "IDLE_SENDS", pinned)
+    assert module.run_control_plane_gate() == 1
+    out = capsys.readouterr().out
+    assert "3800 sends (pinned 3800) CHANGED" in out
+    assert "  coord.ping_session: 300 sends (pinned 400)" in out
+    assert "  rpc_response: 1900 sends (pinned 1800)" in out
+    assert "master.heartbeat" not in out
+
+
 @pytest.mark.skipif(
     importlib.util.find_spec("mypy") is None, reason="mypy not installed"
 )
