@@ -32,8 +32,8 @@ smoke runs with the tracer and ledger disarmed — the NULL_TRACER no-op
 proof), the record's wall first scaled by how much slower the machine
 runs a fixed loop now than when the record was taken (both records'
 ``calibration_s``; never scaled down, and a record without one is not
-scaled), ``sim_events`` at most 2% above the record's (an exact count
-for the code and seed, so it does not depend on the machine), no iSCSI
+scaled), ``sim_events`` no more than the record's (an exact count for
+the code and seed, so it does not depend on the machine), no iSCSI
 session error (no smoke injects a fault, so one would be a storm of I/O
 timeouts), and every anchor true.  Each experiment prints one wall, one
 events, one session-errors and one anchors line.
@@ -49,10 +49,10 @@ export.  The unarmed-overhead half of that gate rides the
 Default-path runs also run a control-plane leg (even with
 ``--no-perf``: it counts, it does not time): a deployment settled and
 left idle for 100 sim-s must send exactly ``IDLE_SENDS`` messages of
-each method or kind, in at most ``IDLE_EVENTS`` kernel events (the rise
-in ``Simulator.events``) plus ``IDLE_EVENT_SLACK``, and so must one
-that also mounted a gateway client's spaces (a mounted ClientLib adds
-no traffic).  Both counts are exact for the code, so any change to the
+each method or kind, in exactly its scenario's ``IDLE_EVENTS`` kernel
+events (the rise in ``Simulator.events``), and so must one that also
+mounted a gateway client's spaces (a mounted ClientLib adds no
+traffic).  Both counts are exact for the code, so any change to the
 timers shows, and the leg prints every kind whose count moved.
 
 Default-path runs also run the benchmark's self-tests (again even with
@@ -94,12 +94,10 @@ GATEWAY_TRACING_OFF_FACTOR = 1.1
 #: Experiment smoke gates: wall factor per experiment (default
 #: PERF_REGRESSION_FACTOR) plus an absolute grace against scheduler
 #: noise, capped at the record's own wall so that it cannot dwarf the
-#: factor, and the allowed rise of the exact ``sim_events`` count.
-#: Each gate run takes the median of SMOKE_REPEAT runs, as its record
-#: did.
+#: factor.  The exact ``sim_events`` count may not rise at all.  Each
+#: gate run takes the median of SMOKE_REPEAT runs, as its record did.
 SMOKE_WALL_FACTORS = {"gateway_slo": GATEWAY_TRACING_OFF_FACTOR}
 SMOKE_WALL_GRACE_SECONDS = 0.5
-SMOKE_EVENT_SLACK = 0.02
 SMOKE_REPEAT = 3
 #: The ledger's disk books and the gateway's residency-based disk
 #: energy are two routes to the same exact integral; they may differ
@@ -115,8 +113,9 @@ IDLE_SENDS = {
     "master.heartbeat": 800,
     "rpc_response": 1_900,
 }
-IDLE_EVENTS = 6_026
-IDLE_EVENT_SLACK = 0.02
+#: Events by scenario: the mounted one's window starts a second later
+#: and holds two more deadline pops.
+IDLE_EVENTS = {"idle": 6_023, "gateway client mounted, idle": 6_025}
 #: Space size of the gateway client the second idle scenario mounts.
 IDLE_SPACE_BYTES = 64 * 1024 * 1024
 
@@ -227,7 +226,7 @@ def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) ->
     more than a smoke's.  Fails when the wall time exceeds
     ``wall_factor`` x that wall plus SMOKE_WALL_GRACE_SECONDS or that
     wall, whichever is less, when ``sim_events`` exceeds the baseline's
-    by more than SMOKE_EVENT_SLACK, when ``iscsi.session_errors`` is
+    at all, when ``iscsi.session_errors`` is
     nonzero, or when any anchor is false.  With no baseline the two
     comparisons are skipped loudly; the session errors and anchors are
     checked either way.
@@ -275,14 +274,12 @@ def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) ->
         if wall > limit:
             status = 1
         events, base_events = record["sim_events"], baseline["sim_events"]
-        budget = base_events * (1.0 + SMOKE_EVENT_SLACK)
-        verdict = "OK" if events <= budget else "REGRESSION"
+        verdict = "OK" if events <= base_events else "REGRESSION"
         print(
             f"perf: {name} smoke events: {events:.0f} (baseline "
-            f"{base_events:.0f}, limit {budget:.0f} = +{SMOKE_EVENT_SLACK:.0%}) "
-            f"{verdict}"
+            f"{base_events:.0f}, no rise allowed) {verdict}"
         )
-        if events > budget:
+        if events > base_events:
             status = 1
     # No smoke injects a fault: a session error is an I/O timeout storm.
     session_errors = record["counters"].get("iscsi.session_errors", 0.0)
@@ -426,14 +423,14 @@ def run_energy_smoke() -> int:
 
 
 def run_control_plane_gate() -> int:
-    """Idle control-plane gate: exact message counts by kind, event
-    budget, for a bare deployment and for one with a gateway client's
-    spaces mounted."""
+    """Idle control-plane gate: exact message counts by kind and exact
+    event counts, for a bare deployment and for one with a gateway
+    client's spaces mounted."""
     from repro.cluster import build_deployment
     from repro.gateway import mount_gateway_spaces
 
     status = 0
-    for scenario in ("idle", "gateway client mounted, idle"):
+    for scenario, pinned_events in IDLE_EVENTS.items():
         deployment = build_deployment()
         deployment.settle()
         if scenario != "idle":
@@ -452,13 +449,12 @@ def run_control_plane_gate() -> int:
         events_before = sim.events
         sim.run(until=sim.now + 100.0)
         events = sim.events - events_before
-        budget = IDLE_EVENTS * (1.0 + IDLE_EVENT_SLACK)
         moved = sorted(k for k in set(sends) | set(IDLE_SENDS) if sends[k] != IDLE_SENDS.get(k, 0))
-        events_ok = events <= budget
+        events_ok = events == pinned_events
         print(
             f"control plane: {scenario} 100 sim-s: {sum(sends.values())} sends "
             f"(pinned {sum(IDLE_SENDS.values())}) {'CHANGED' if moved else 'OK'}, "
-            f"{events} events (budget {budget:.0f}) {'OK' if events_ok else 'OVER BUDGET'}"
+            f"{events} events (pinned {pinned_events}) {'OK' if events_ok else 'CHANGED'}"
         )
         for kind in moved:
             print(f"  {kind}: {sends[kind]} sends (pinned {IDLE_SENDS.get(kind, 0)})")

@@ -135,6 +135,3 @@ class ArchiveStore:
             "chunks_read": chunks_read,
             "seconds": self.sim.now - start,
         }
-
-    def contains(self, fingerprint: str) -> bool:
-        return fingerprint in self._index

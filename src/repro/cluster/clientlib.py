@@ -187,7 +187,7 @@ class ClientLib:
             self._master_address = yield from self.coord.get_data(MASTER_POINTER)
         return self._master_address
 
-    def _master_call(self, method: str, *args: Any, **kwargs: Any) -> Generator[Event, None, Any]:
+    def _master_call(self, method: str, *args: Any) -> Generator[Event, None, Any]:
         last: Optional[Exception] = None
         for attempt in range(4):
             try:
@@ -198,7 +198,7 @@ class ClientLib:
                 continue
             try:
                 result = yield from self.initiator.rpc.call(
-                    master, method, *args, timeout=10.0, **kwargs
+                    master, method, *args, timeout=10.0
                 )
                 return result
             except (RpcTimeout, RemoteError) as exc:

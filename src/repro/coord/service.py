@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.net.network import Network
-from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
-from repro.sim import Deadline, Event, Simulator
+from repro.net.rpc import RpcClient, RpcServer
+from repro.sim import Deadline, Event, Grid, Simulator
 from repro.sim.rng import RngRegistry
 from repro.coord.znode import NoNodeError, ZnodeError, ZnodeTree
 
@@ -115,12 +115,10 @@ class CoordReplica:
         self._election_deadline = 0.0
         # Timers: each is one armed deadline on the grid its polling loop
         # would have woken on (DESIGN.md §8, "Control-plane timers").
-        self._election_grid = sim.grid(ELECTION_CHECK_INTERVAL)
-        self._election_timer = Deadline(
-            sim, self._on_election_deadline, self._election_grid
-        )
-        self._expiry_grid = sim.grid(SESSION_CHECK_INTERVAL)
-        self._expirer = Deadline(sim, self._expire_sessions, self._expiry_grid)
+        self._election_grid = Grid(sim.now, ELECTION_CHECK_INTERVAL)
+        self._election_timer = Deadline(sim, self._on_election_deadline)
+        self._expiry_grid = Grid(sim.now, SESSION_CHECK_INTERVAL)
+        self._expirer = Deadline(sim, self._expire_sessions)
         self.rpc = RpcServer(sim, network, address)
         self.peer_rpc = RpcClient(sim, network, f"{address}.peerclient")
         self.rpc.register("coord.request_vote", self._on_request_vote)
@@ -179,7 +177,7 @@ class CoordReplica:
         if self.crashed or self.role is Role.LEADER:
             return  # disarmed; recover() and _step_down() re-arm
         if self.sim.now >= self._election_deadline:
-            self.sim.process(self._run_election())
+            self._run_election()
             self._bump_election_deadline()
         else:
             self._arm_election_timer()
@@ -190,47 +188,39 @@ class CoordReplica:
         last = self.log[-1]
         return (last.epoch, last.index)
 
-    def _run_election(self) -> Generator[Event, None, None]:
+    def _run_election(self) -> None:
+        """Stand for election: ask every peer for its vote, and count
+        each reply as it arrives."""
         self.role = Role.CANDIDATE
         self.current_epoch += 1
         epoch = self.current_epoch
         self.voted_for = self.address
         votes = 1
         last_epoch, last_index = self._last_log_position()
-        pending = [
-            self.sim.process(
-                self.peer_rpc.call(
-                    peer,
-                    "coord.request_vote",
-                    epoch,
-                    self.address,
-                    last_epoch,
-                    last_index,
-                    timeout=ELECTION_TIMEOUT_MIN / 2,
-                )
-            )
-            for peer in self.peers
-        ]
-        for proc in pending:
-            proc.defuse()  # the election may end before every vote is read
-        for proc in pending:
-            try:
-                reply = yield proc
-            except (RpcTimeout, RemoteError):
-                reply = None
+
+        def counted(reply: Any, error: Optional[Exception]) -> None:
+            nonlocal votes
             if self.crashed or self.current_epoch != epoch or self.role is not Role.CANDIDATE:
+                return  # the election is over
+            if error is not None:
                 return
-            if reply is None:
-                continue
             granted, peer_epoch = reply
             if peer_epoch > self.current_epoch:
                 self._step_down(peer_epoch)
                 return
             if granted:
                 votes += 1
-            if votes > self.cluster_size // 2:
-                self._become_leader()
-                return
+                if votes > self.cluster_size // 2:
+                    self._become_leader()
+
+        for peer in self.peers:
+            self.peer_rpc.invoke(
+                peer,
+                "coord.request_vote",
+                (epoch, self.address, last_epoch, last_index),
+                counted,
+                timeout=ELECTION_TIMEOUT_MIN / 2,
+            )
 
     def _become_leader(self) -> None:
         self.role = Role.LEADER
@@ -300,8 +290,10 @@ class CoordReplica:
                 self._step_down(peer_epoch)
                 return
             if success:
-                self._match_index[peer] = peer_match
-                self._next_index[peer] = peer_match
+                # A late reply to an older append matches less than a
+                # newer reply already did: it lowers neither index.
+                self._match_index[peer] = max(self._match_index.get(peer, 0), peer_match)
+                self._next_index[peer] = max(self._next_index.get(peer, 0), peer_match)
                 self._advance_commit()
             else:
                 self._next_index[peer] = max(0, next_index - 1)
@@ -463,13 +455,22 @@ class CoordReplica:
         if start_index > 0 and self.log[start_index - 1].epoch != prev_epoch:
             del self.log[start_index - 1 :]
             return (False, self.current_epoch, len(self.log))
-        del self.log[start_index:]
-        for e_epoch, e_index, e_op in entries:
-            self.log.append(LogEntry(e_epoch, e_index, e_op))
+        # Keep every entry already held with the same epoch, so that an
+        # append that arrives after a newer one takes back nothing this
+        # follower has acknowledged; truncate only from the first
+        # conflict (Raft).
+        log = self.log
+        for position, (e_epoch, e_index, e_op) in enumerate(entries, start_index):
+            if position < len(log):
+                if log[position].epoch == e_epoch:
+                    continue
+                del log[position:]
+            log.append(LogEntry(e_epoch, e_index, e_op))
+        match = start_index + len(entries)
         if leader_commit > self.commit_index:
-            self.commit_index = min(leader_commit, len(self.log))
+            self.commit_index = min(leader_commit, match)
             self._apply_committed()
-        return (True, self.current_epoch, len(self.log))
+        return (True, self.current_epoch, match)
 
     def _on_client_op(self, op: list):
         """Propose an operation; generator resolves when committed."""
@@ -561,8 +562,6 @@ class CoordReplica:
         for session_id in expired:
             self._sessions_last_seen.pop(session_id, None)
             self._propose(("expire_session", session_id))
-        # Each proposal sends its own replication round, and every round
-        # carries the entries of all of them.
-        for _ in expired:
-            self._replicate()
+        if expired:
+            self._replicate()  # one round carries every expiry
         self._arm_expirer()

@@ -185,12 +185,11 @@ class IscsiSession:
         closes the session and surfaces as :class:`SessionError`."""
         if not self.connected:
             raise SessionError("session closed")
-        extra = {}
         if scope.enabled:
-            # The simulated RPC passes kwargs by reference in-process,
-            # so the scope rides the request to the target server.  The
-            # untraced hot path ships nothing.
-            extra["trace_scope"] = scope
+            # The simulated RPC passes arguments by reference in-process,
+            # so the scope rides the request to the target server as its
+            # last argument.  The untraced hot path ships nothing.
+            args = (*args, scope)
         try:
             result = yield from self.initiator.rpc.call(
                 self.host_address,
@@ -200,7 +199,6 @@ class IscsiSession:
                 timeout=self.initiator.io_timeout,
                 request_size=request_size,
                 response_size=response_size,
-                **extra,
             )
         except (RpcTimeout, RemoteError) as exc:
             self.connected = False

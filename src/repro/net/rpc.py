@@ -107,34 +107,32 @@ class RpcServer:
         args = payload.get("args", ())
         if method in self._notifying:
             args = (partial(self._not_ready, message), *args)
-        kwargs = payload.get("kwargs")
         try:
-            result = handler(*args, **kwargs) if kwargs else handler(*args)
+            result = handler(*args)
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
             self._reply(message, "error", f"{type(exc).__name__}: {exc}")
             return
         if type(result) is GeneratorType:
-            self.sim.process(self._finish(message, result))
+            # The reply leaves while the handler's completion event is
+            # processed, which fixes its place (and jitter draw) among
+            # other events at the same timestamp.
+            self.sim.process(result).callbacks.append(partial(self._finish, message))
         else:
             self._reply(message, "result", result)
 
-    def _finish(
-        self, message: Message, work: Generator[Event, Any, Any]
-    ) -> Generator[Event, Any, None]:
-        try:
-            # A child process rather than ``yield from``: the reply then
-            # leaves when the handler's completion event is processed,
-            # which fixes its place (and jitter draw) among other events
-            # at the same timestamp.
-            result = yield self.sim.process(work)
-        except Interrupt:
-            # A kernel interrupt (server torn down mid-request) must
-            # reach the kernel, not be forwarded as an RPC error.
-            raise
-        except Exception as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
+    def _finish(self, message: Message, done: Event) -> None:
+        """Answer ``message`` with the outcome of its handler's process."""
+        if done.ok:
+            self._reply(message, "result", done.value)
             return
-        self._reply(message, "result", result)
+        exc = done.value
+        if isinstance(exc, Interrupt) or not isinstance(exc, Exception):
+            # A kernel interrupt (server torn down mid-request), like a
+            # KeyboardInterrupt, must reach the kernel, not be forwarded
+            # as an RPC error: left undefused, the kernel raises it.
+            return
+        done.defuse()
+        self._reply(message, "error", f"{type(exc).__name__}: {exc}")
 
     def _not_ready(self, message: Message, ready_at: float) -> None:
         self.network.send(
@@ -266,7 +264,6 @@ class RpcClient:
         timeout: float = 5.0,
         request_size: int = 256,
         response_size: int = 256,
-        kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Send one call; ``done(result, error)`` reports its outcome."""
         request_id = next(self._ids)
@@ -275,7 +272,6 @@ class RpcClient:
             "id": request_id,
             "method": method,
             "args": args,
-            "kwargs": kwargs or {},
             "response_size": response_size,
         }
         deadline = self.sim.now + timeout
@@ -291,7 +287,6 @@ class RpcClient:
         timeout: float = 5.0,
         request_size: int = 256,
         response_size: int = 256,
-        **kwargs: Any,
     ) -> Generator[Event, Any, Any]:
         """Generator process performing one call; yields the result.
 
@@ -307,7 +302,6 @@ class RpcClient:
             timeout=timeout,
             request_size=request_size,
             response_size=response_size,
-            kwargs=kwargs,
         )
         result = yield waiter
         return result

@@ -13,17 +13,15 @@ simulator's scheduler, at the earliest instant its owner asked for:
 ``origin`` would have woken at, stepped by repeated addition of the
 period exactly as a chain of ``timeout(period)`` computes them, so a
 deadline placed on the grid fires at the same float instant at which
-the loop would have acted.  Loops started at one instant with one
-period woke together, in the order they were started;
-:meth:`Simulator.grid` hands such owners one shared grid, and deadlines
-that join it and fall due at the same instant fire in join order.  See
-DESIGN.md §8, "Control-plane timers".
+the loop would have acted.  Deadlines that fall due at the same instant
+fire in the order they were armed.  See DESIGN.md §8, "Control-plane
+timers".
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.sim.kernel import NORMAL, Simulator
 
@@ -35,12 +33,11 @@ _NEVER = float("inf")
 class Grid:
     """The wake-up instants of a loop that sleeps ``period`` from ``origin``."""
 
-    __slots__ = ("period", "_last", "_members")
+    __slots__ = ("period", "_last")
 
     def __init__(self, origin: float, period: float) -> None:
         self.period = period
         self._last = origin  # latest grid instant known not to be after now
-        self._members: List["Deadline"] = []
 
     def first_after(
         self, now: float, due: Optional[Callable[[float], bool]] = None
@@ -62,32 +59,15 @@ class Grid:
                 following += period
         return following
 
-    def _earlier_member_due(self, member: "Deadline", time: float) -> bool:
-        for other in self._members:
-            if other is member:
-                return False
-            if other.at == time:
-                return True
-        return False
-
 
 class Deadline:
-    """One owner's armed wake-up; ``action()`` runs when it fires.
+    """One owner's armed wake-up; ``action()`` runs when it fires."""
 
-    A deadline that joins ``grid`` yields, at an instant where an owner
-    that joined before it is also due, until that owner has fired.
-    """
+    __slots__ = ("sim", "at", "_action", "_live", "_pushes")
 
-    __slots__ = ("sim", "at", "_action", "_grid", "_live", "_pushes")
-
-    def __init__(
-        self, sim: Simulator, action: Callable[[], None], grid: Optional[Grid] = None
-    ) -> None:
+    def __init__(self, sim: Simulator, action: Callable[[], None]) -> None:
         self.sim = sim
         self._action = action
-        self._grid = grid
-        if grid is not None:
-            grid._members.append(self)
         #: Instant of the live pop (``inf`` while disarmed).
         self.at = _NEVER
         self._pushes = 0
@@ -111,13 +91,10 @@ class Deadline:
     def _push(self, time: float) -> None:
         self._pushes += 1
         self._live = self._pushes
-        self.sim.defer_at(time, partial(self._pop, self._pushes, time), NORMAL)
+        self.sim.defer_at(time, partial(self._pop, self._pushes), NORMAL)
 
-    def _pop(self, number: int, time: float) -> None:
+    def _pop(self, number: int) -> None:
         if number != self._live:
             return  # superseded or disarmed
-        if self._grid is not None and self._grid._earlier_member_due(self, time):
-            self._push(time)  # wake after it, as its loop's timeout did
-            return
         self.disarm()
         self._action()

@@ -40,7 +40,6 @@ from repro.obs.trace import NULL_TRACER, RequestTracer
 
 if TYPE_CHECKING:  # avoid an import cycle: analysis only uses stdlib
     from repro.analysis.races import Race, RaceDetector
-    from repro.sim.deadline import Grid
     from repro.sim.process import Process
 
 __all__ = [
@@ -352,7 +351,6 @@ class Simulator:
             watched = observe_pops(type(self._sched), _watch_races(self._race_detector))
             self._sched = watched()
         self._seq = itertools.count()
-        self._grids: Dict[Tuple[float, float], "Grid"] = {}
         self.events = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.metrics.bind_clock(lambda: self._now)
@@ -397,21 +395,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def grid(self, period: float) -> "Grid":
-        """The wake-up grid of loops that sleep ``period`` from now.
-
-        Owners that ask at the same instant for the same period share
-        one :class:`~repro.sim.Grid`, so their deadlines keep the order
-        in which such loops would have woken together.
-        """
-        from repro.sim.deadline import Grid
-
-        key = (self._now, period)
-        grid = self._grids.get(key)
-        if grid is None:
-            grid = self._grids[key] = Grid(self._now, period)
-        return grid
 
     def process(self, generator: Iterator[Event]) -> "Process":
         """Start a generator-based process (see :mod:`repro.sim.process`)."""

@@ -105,11 +105,6 @@ class SegmentedLruPolicy:
             victims.append(uid)
         return victims
 
-    def forget(self, uid: str) -> None:
-        """Drop any record of ``uid`` (object deleted or force-demoted)."""
-        self._probation.pop(uid, None)
-        self._protected.pop(uid, None)
-
     def reset(self) -> None:
         """Lose all soft state, as a crash of the tiering node would."""
         self._probation.clear()

@@ -25,6 +25,8 @@ IDLE_SENDS = {
     "master.heartbeat": 800,
     "rpc_response": 1_900,
 }
+#: Kernel events the same 100 sim-s pop: exact for the code, like the sends.
+IDLE_EVENTS = 6_023
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +127,7 @@ class TestBootstrap:
         events_before = dep.sim.events
         dep.sim.run(until=dep.sim.now + 100.0)
         assert sent == IDLE_SENDS
-        assert dep.sim.events - events_before <= 6_026
+        assert dep.sim.events - events_before == IDLE_EVENTS
 
     def test_mounted_gateway_client_adds_no_idle_traffic(self, monkeypatch):
         # A ClientLib reads where the Master is without a coordination
@@ -152,8 +154,11 @@ class TestBootstrap:
         assert operations and "create_session" not in operations
         dep.run_to_whole_second()
         sent.clear()
+        events_before = dep.sim.events
         dep.sim.run(until=dep.sim.now + 100.0)
         assert Counter(p.get("method", p["kind"]) for _, p in sent) == IDLE_SENDS
+        # Its window starts a second later and holds two more deadline pops.
+        assert dep.sim.events - events_before == IDLE_EVENTS + 2
         assert not any(src.startswith("gateway0") for src, _ in sent)
 
     def test_idle_election_polls_and_appends(self, monkeypatch):

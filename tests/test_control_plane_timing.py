@@ -120,7 +120,7 @@ IDLE_DIGEST = "45e199c0f9192d7d5e672f953e375294b6f6b491124cd62d56173d275e778ec2"
 HOST_CRASH_SENDS = 2_904
 HOST_CRASH_DIGEST = "4d5160a54bc1cc8b88f62633b5729aadc0d5c1de4e6c8fc325bbcd443f4ab31f"
 HOST_CRASHED_AT = [("host1", "17.76269621568476")]
-LEADER_CRASH_SENDS = 2_106
-LEADER_CRASH_DIGEST = "eedf7c0c285e242b713646d5754a1b8c760f7ad6d2ca472992aa3c11723728a6"
+LEADER_CRASH_SENDS = 2_109
+LEADER_CRASH_DIGEST = "f1ce2e13629880f2488bb64a8ccbdd68c600ffa4ca63ea30a39f05d039fa1333"
 OLD_LEADER = ("coord0", 1)
-LEADER_ELECTIONS = [("coord2", 2, "15.100000000000076")]
+LEADER_ELECTIONS = [("coord2", 2, "14.850456842496769")]

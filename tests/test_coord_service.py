@@ -162,6 +162,78 @@ class TestReplication:
         assert run_session(sim, scenario()) is True
 
 
+NOOP = ("noop",)
+
+
+def append(follower, epoch, start_index, prev_epoch, entries, leader_commit):
+    """Deliver one ``coord.append_entries`` from ``coord1`` to ``follower``."""
+    return follower._on_append_entries(
+        epoch, "coord1", start_index, prev_epoch, entries, leader_commit
+    )
+
+
+class TestFollowerLog:
+    """A follower keeps what it has acknowledged, as Raft's append rule does."""
+
+    def test_late_append_keeps_the_entries_of_a_newer_one(self):
+        sim, net, replicas = make_cluster()
+        follower = replicas[0]
+        assert append(follower, 1, 0, 0, [(1, 1, NOOP), (1, 2, NOOP)], 0) == (True, 1, 2)
+        # The older append of entry 1 alone arrives last.
+        reply = append(follower, 1, 0, 0, [(1, 1, NOOP)], 2)
+        assert reply == (True, 1, 1)
+        assert [(e.epoch, e.index) for e in follower.log] == [(1, 1), (1, 2)]
+        assert follower.commit_index == 1  # bounded by what this append matched
+
+    def test_newer_epoch_truncates_from_the_conflict(self):
+        sim, net, replicas = make_cluster()
+        follower = replicas[0]
+        append(follower, 1, 0, 0, [(1, 1, NOOP), (1, 2, NOOP), (1, 3, NOOP)], 0)
+        reply = append(follower, 2, 0, 0, [(1, 1, NOOP), (2, 2, NOOP)], 0)
+        assert reply == (True, 2, 2)
+        assert [(e.epoch, e.index) for e in follower.log] == [(1, 1), (2, 2)]
+
+    def test_late_success_reply_lowers_no_leader_index(self, monkeypatch):
+        sim, net, replicas = make_cluster()
+        sim.run(until=5.0)
+        leader = leader_of(replicas)
+        peer = leader.peers[0]
+        replies = []
+        monkeypatch.setattr(
+            leader.peer_rpc, "invoke", lambda target, method, args, done, **_: replies.append(done)
+        )
+        older = len(leader.log)
+        leader._replicate_to(peer, leader.current_epoch)
+        leader._propose(NOOP)
+        leader._replicate_to(peer, leader.current_epoch)
+        first, second = replies
+        second((True, leader.current_epoch, older + 1), None)
+        first((True, leader.current_epoch, older), None)
+        assert leader._match_index[peer] == older + 1
+        assert leader._next_index[peer] == older + 1
+
+    def test_no_follower_log_shrinks_on_a_successful_append(self, monkeypatch):
+        # At this seed an older append reaches both followers after a
+        # newer one, 1.006 s in.
+        from repro.cluster import DeploymentConfig, build_deployment
+        from repro.coord import CoordReplica
+
+        original = CoordReplica._on_append_entries
+        shrunk = []
+
+        def watched(replica, *args):
+            before = len(replica.log)
+            reply = original(replica, *args)
+            if reply[0] and len(replica.log) < before:
+                shrunk.append((replica.address, before, len(replica.log), replica.sim.now))
+            return reply
+
+        monkeypatch.setattr(CoordReplica, "_on_append_entries", watched)
+        dep = build_deployment(config=DeploymentConfig(seed=205))
+        dep.sim.run(until=2.0)
+        assert shrunk == []
+
+
 class TestEphemeralSessions:
     def test_ephemeral_removed_on_expiry(self):
         sim, net, replicas = make_cluster()

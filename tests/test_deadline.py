@@ -149,28 +149,3 @@ class TestGrid:
         sim.run(until=60.0)
         assert fired == [t for t in ticks if t < 10.07 or t > 31.9]
 
-
-class TestSharedGrid:
-    def test_owners_starting_together_share_a_grid(self):
-        sim = Simulator()
-        assert sim.grid(0.05) is sim.grid(0.05)
-        assert sim.grid(0.05) is not sim.grid(0.25)
-        sim.run(until=1.0)
-        assert sim.grid(0.05) is not Simulator().grid(0.05)
-
-    def test_due_together_fire_in_join_order(self):
-        # Loops started in the order a, b, c wake in that order at a common
-        # tick, whatever order their deadlines were armed in.
-        sim = Simulator()
-        grid = sim.grid(0.05)
-        fired = []
-        deadlines = {
-            name: Deadline(sim, lambda name=name: fired.append((name, sim.now)), grid)
-            for name in "abc"
-        }
-        tick = grid.first_after(sim.now, lambda t: t >= 0.3)
-        for name in "cab":
-            deadlines[name].arm(tick)
-        deadlines["b"].arm(grid.first_after(sim.now, lambda t: t >= 0.1))  # b moves earlier
-        sim.run()
-        assert fired == [("b", 0.1), ("a", tick), ("c", tick)]

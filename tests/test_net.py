@@ -253,16 +253,6 @@ class TestRpc:
         result = sim.run_until_event(sim.process(client.call("server", "add", 2, 3)))
         assert result == 5
 
-    def test_kwargs(self):
-        sim, net = make_net()
-        server = RpcServer(sim, net, "server")
-        server.register("greet", lambda name="world": f"hi {name}")
-        client = RpcClient(sim, net, "client")
-        result = sim.run_until_event(
-            sim.process(client.call("server", "greet", name="ustore"))
-        )
-        assert result == "hi ustore"
-
     def test_generator_handler(self):
         sim, net = make_net()
         server = RpcServer(sim, net, "server")
@@ -471,6 +461,24 @@ class TestRpc:
         sim.run()
         assert call.value == 5
         assert digest.events == 6
+
+    def test_generator_call_event_count(self):
+        # The plain call's six events, plus the handler process's start,
+        # its timeout and its finish, from which the reply leaves.
+        with EventDigest().under() as digest:
+            sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+
+        def add(a, b):
+            yield sim.timeout(1.0)
+            return a + b
+
+        server.register("add", add)
+        client = RpcClient(sim, net, "client")
+        call = sim.process(client.call("server", "add", 2, 3))
+        sim.run()
+        assert call.value == 5
+        assert digest.events == 9
 
     def test_callback_call_costs_its_deliveries_and_one_deadline(self, monkeypatch):
         with EventDigest().under() as digest:

@@ -159,7 +159,18 @@ def _smoke_record(**changes):
         (
             {"sim_events": 48004.0 * 1.03},
             1,
-            "events: 49444 (baseline 48004, limit 48964 = +2%) REGRESSION",
+            "events: 49444 (baseline 48004, no rise allowed) REGRESSION",
+        ),
+        # Event counts are exact for the code and seed: one more fails.
+        (
+            {"sim_events": 48005.0},
+            1,
+            "events: 48005 (baseline 48004, no rise allowed) REGRESSION",
+        ),
+        (
+            {"sim_events": 48003.0},
+            0,
+            "events: 48003 (baseline 48004, no rise allowed) OK",
         ),
         (
             {"counters": {"iscsi.session_errors": 174.0}},
@@ -172,7 +183,14 @@ def _smoke_record(**changes):
             "anchors: 1 of 2 hold FAILED: no_requests_lost",
         ),
     ],
-    ids=["passing", "events-plus-3pct", "session-errors", "false-anchor"],
+    ids=[
+        "passing",
+        "events-plus-3pct",
+        "events-plus-one",
+        "events-minus-one",
+        "session-errors",
+        "false-anchor",
+    ],
 )
 def test_smoke_gate_checks_events_and_anchors(
     tmp_path, capsys, changes, status, verdict
