@@ -271,7 +271,7 @@ class ProcBlockingCallRule(_ProcRule):
 #: Callback-registration shapes: <x>.callbacks.append(fn),
 #: <x>.add_callback(fn), sim.call_at(t, fn) / sim.call_in(dt, fn) /
 #: sim.defer(dt, fn) / sim.defer_at(t, fn) /
-#: rpc_timeouts.expire_at(t, client, request_id).
+#: rpc_timeouts.expire_at(address, request_id).
 _REGISTER_ATTRS = {"add_callback"}
 _SCHEDULE_ATTRS = {"call_at", "call_in", "defer", "defer_at", "expire_at"}
 

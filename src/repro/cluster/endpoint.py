@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.cluster.metadata import SpaceRecord
+from repro.cluster.metadata import DiskStatus, SpaceRecord
 from repro.cluster.namespace import MASTER_POINTER, target_name
 from repro.coord.client import CoordSession
 from repro.disk.device import SimulatedDisk
@@ -112,20 +112,20 @@ class EndPoint:
 
     # -- heartbeats ------------------------------------------------------------
 
-    def _disk_report(self) -> Dict[str, str]:
+    def _disk_report(self) -> Dict[str, DiskStatus]:
         report = {}
         for disk_id in self.bus.os_view(self.host_id):
             disk = self.disks.get(disk_id)
             if disk is None:
                 continue
             if disk.failed:
-                state = "failed"
+                state = DiskStatus.FAILED
             elif disk.power_state is DiskPowerState.SPUN_DOWN:
-                state = "spun_down"
+                state = DiskStatus.SPUN_DOWN
             elif disk.power_state is DiskPowerState.POWERED_OFF:
-                state = "powered_off"
+                state = DiskStatus.POWERED_OFF
             else:
-                state = "online"
+                state = DiskStatus.ONLINE
             report[disk_id] = state
         return report
 

@@ -273,7 +273,7 @@ class Master:
         self.sysstat.host_load[host_id] = payload.get("exposed", 0)
         for disk_id, state in payload.get("disks", {}).items():
             self.sysstat.disk_to_host[disk_id] = host_id
-            self.sysstat.disk_status[disk_id] = DiskStatus(state)
+            self.sysstat.disk_status[disk_id] = state
         return True
 
     def _capacity_of(self, disk_id: str) -> int:

@@ -275,9 +275,16 @@ class SimulatedDisk:
 
     def submit(self, request: IoRequest, scope: TraceScope = NULL_SCOPE) -> "Event":
         """Submit one I/O; returns a process event with the service time."""
+        return self.sim.process(self.serve(request, scope))
+
+    def serve(
+        self, request: IoRequest, scope: TraceScope = NULL_SCOPE
+    ) -> Generator[Event, None, float]:
+        """Submit one I/O to run inside the caller's process: ``yield
+        from`` the result for the service time.  Costs no process events."""
         # Depth seen by this request: in-service holders plus waiters.
         self._m_queue_depth.observe(self._queue.users + self._queue.queue_length)
-        return self.sim.process(self._serve(request, scope))
+        return self._serve(request, scope)
 
     def _serve(
         self, request: IoRequest, scope: TraceScope = NULL_SCOPE

@@ -67,15 +67,23 @@ class StorageVolume:
     def submit(
         self, offset: Bytes, size: Bytes, is_read: bool, scope: TraceScope = NULL_SCOPE
     ) -> Event:
+        """Serve one I/O as a process of its own; see :meth:`serve`."""
+        return self.disk.submit(self._request(offset, size, is_read), scope)
+
+    def serve(
+        self, offset: Bytes, size: Bytes, is_read: bool, scope: TraceScope = NULL_SCOPE
+    ) -> Generator[Event, None, float]:
+        """Serve one I/O inside the caller's process (``yield from``);
+        returns the service time."""
+        return self.disk.serve(self._request(offset, size, is_read), scope)
+
+    def _request(self, offset: Bytes, size: Bytes, is_read: bool) -> IoRequest:
         if offset < 0 or offset + size > self.length:
             raise ValueError(
                 f"I/O beyond volume {self.volume_id!r}: "
                 f"offset={offset} size={size} length={self.length}"
             )
-        return self.disk.submit(
-            IoRequest(offset=self.offset + offset, size=size, is_read=is_read),
-            scope,
-        )
+        return IoRequest(offset=self.offset + offset, size=size, is_read=is_read)
 
 
 class IscsiTargetServer:
@@ -148,7 +156,7 @@ class IscsiTargetServer:
         ready_at = volume.disk.ready_at()
         if ready_at is not None:
             not_ready(ready_at)
-        service_time = yield volume.submit(offset, size, is_read, trace_scope)
+        service_time = yield from volume.serve(offset, size, is_read, trace_scope)
         self.ios += 1
         self.bytes += size
         return {"ok": True, "service_time": service_time}

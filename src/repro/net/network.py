@@ -122,7 +122,7 @@ class Network:
         if src not in nodes:
             raise ValueError(f"unknown sender {src!r}")
         if dst not in nodes or not nodes[src].alive:
-            self.dropped_count += 1
+            self._drop(src, dst, payload)
             return
         delay = self.latency + size / self.bandwidth
         # Drawn even when a partition drops the message, so a partition
@@ -136,7 +136,7 @@ class Network:
         # No workload partitions anything, so the common case is one
         # truth test of an empty set.
         if self._partitions and _pair(src, dst) in self._partitions:
-            self.dropped_count += 1
+            self._drop(src, dst, payload)
             return
         message = Message(src, dst, payload, size, self.sim.now)
         self.sim.defer(delay, lambda: self._deliver(message))
@@ -152,11 +152,17 @@ class Network:
             or not node.alive
             or (self._partitions and _pair(src, dst) in self._partitions)
         ):
-            self.dropped_count += 1
+            self._drop(src, dst, payload)
             return
         self.delivered_count += 1
         self.bytes_carried += size
         handler(message)
+
+    def _drop(self, src: str, dst: str, payload: Any) -> None:
+        """Count a lost message; a lost RPC request or reply files its
+        call's deadline, since that call can now only time out."""
+        self.dropped_count += 1
+        self.rpc_timeouts.lost(src, dst, payload)
 
 
 def _pair(a: str, b: str) -> Tuple[str, str]:

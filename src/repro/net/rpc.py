@@ -1,10 +1,12 @@
 """Request/response RPC over the simulated network.
 
-Handlers may return either a plain value or a generator (a simulation
-process) whose return value becomes the response — so a handler can
-perform simulated disk I/O before replying.  A plain handler answers
-inside the request's delivery; only a generator handler runs as a
-process.  Remote exceptions are re-raised at the caller as
+Handlers may return either a plain value or a generator whose return
+value becomes the response — so a handler can perform simulated disk
+I/O before replying.  A plain handler answers inside the request's
+delivery.  A generator handler is stepped in place, not run as a
+process: its first step runs inside the delivery and each event it
+yields resumes it, so the reply leaves from the event in which it
+returns.  Remote exceptions are re-raised at the caller as
 :class:`RemoteError`; lost messages surface as :class:`RpcTimeout`.
 
 A handler registered with ``not_ready=True`` may also tell the caller,
@@ -16,8 +18,11 @@ timing out; a silent server still times out at the first deadline.
 Every client on one network files its call deadlines in the network's
 :class:`RpcTimeouts`, one heap behind one armed
 :class:`~repro.sim.Deadline` (the timer coalescing of hashed timing
-wheels): a call answered in time costs one heap push and no event of
-its own.
+wheels).  A simulated timer cannot be taken back once pushed, so a
+call is filed only once it can still time out: when one of its
+messages is lost, when its handler is still running after its first
+step, or when its timeout is no longer than a round trip.  A call
+answered in time costs no heap entry and no event of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from heapq import heappop, heappush, heapreplace
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.sim import Deadline, Event, Interrupt, Simulator
+from repro.sim import Deadline, Event, Interrupt, SimulationError, Simulator
+from repro.sim.kernel import URGENT
 
 if TYPE_CHECKING:  # the network module builds its RpcTimeouts from here
     from repro.net.network import Message, NetNode, Network
@@ -112,27 +118,59 @@ class RpcServer:
         except Exception as exc:  # noqa: BLE001 - forwarded to caller
             self._reply(message, "error", f"{type(exc).__name__}: {exc}")
             return
-        if type(result) is GeneratorType:
-            # The reply leaves while the handler's completion event is
-            # processed, which fixes its place (and jitter draw) among
-            # other events at the same timestamp.
-            self.sim.process(result).callbacks.append(partial(self._finish, message))
-        else:
+        if type(result) is not GeneratorType:
             self._reply(message, "result", result)
+        elif self._step(message, result, result.send, None):
+            # Still running: only now can the call outlive its deadline.
+            self.network.rpc_timeouts.expire_at(message.src, payload["id"])
 
-    def _finish(self, message: Message, done: Event) -> None:
-        """Answer ``message`` with the outcome of its handler's process."""
-        if done.ok:
-            self._reply(message, "result", done.value)
-            return
-        exc = done.value
-        if isinstance(exc, Interrupt) or not isinstance(exc, Exception):
-            # A kernel interrupt (server torn down mid-request), like a
-            # KeyboardInterrupt, must reach the kernel, not be forwarded
-            # as an RPC error: left undefused, the kernel raises it.
-            return
-        done.defuse()
-        self._reply(message, "error", f"{type(exc).__name__}: {exc}")
+    def _resume(self, message: Message, handler: Generator, event: Event) -> None:
+        """Advance ``handler`` with the outcome of the event it waited on."""
+        if event.ok:
+            self._step(message, handler, handler.send, event.value)
+        else:
+            self._step(message, handler, handler.throw, event.value)
+
+    def _step(
+        self, message: Message, handler: Generator, advance: Callable[[Any], Any], value: Any
+    ) -> bool:
+        """Run ``handler`` to its next yield, as a process step would; the
+        outcome answers ``message`` once it ends.  True while it waits."""
+        try:
+            target = advance(value)
+            if not isinstance(target, Event):
+                handler.close()
+                raise SimulationError(
+                    f"process {handler.__name__!r} yielded {target!r}; "
+                    "processes must yield events"
+                )
+        except StopIteration as stop:
+            self._reply(message, "result", stop.value)
+            return False
+        except Interrupt:
+            # A kernel interrupt (server torn down mid-request), like any
+            # exception that is not an Exception, must reach the kernel,
+            # not be forwarded as an RPC error; the caller times out.
+            self.network.rpc_timeouts.expire_at(message.src, message.payload["id"])
+            raise
+        except Exception as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
+            return False
+        resume = partial(self._resume, message, handler)
+        if target.processed:
+            # Already fired: resume through the queue, as a process does.
+            relay = Event(self.sim)
+            relay.callbacks.append(resume)
+            if target.ok:
+                relay.succeed(target.value, priority=URGENT)
+            else:
+                relay.fail(target.value, priority=URGENT)
+                relay.defuse()
+        else:
+            target.callbacks.append(resume)
+            # The handler handles the failure, as a waiting process does.
+            target.defuse()
+        return True
 
     def _not_ready(self, message: Message, ready_at: float) -> None:
         self.network.send(
@@ -157,40 +195,71 @@ class RpcServer:
 #: :class:`RemoteError` or :class:`RpcTimeout`.
 Done = Callable[[Any, Optional[Exception]], None]
 
+#: A pending call: ``(deadline, done, method, target, timeout, arm
+#: order)``; the order is ``None`` once the call is filed.
+_Pending = Tuple[float, Done, str, str, float, Optional[int]]
+
 
 class RpcTimeouts:
     """The deadlines of every :class:`RpcClient`'s calls on one network.
 
     One heap of ``(deadline, arm order, client, request id)`` behind one
     armed :class:`~repro.sim.Deadline`, owned by the
-    :class:`~repro.net.network.Network`.  When it fires, each due call
-    still pending times out, in (deadline, arm order) order; a call that
-    a NOT READY notice moved goes back in at its moved deadline under
-    its old arm order; answered calls at the head are dropped; and the
+    :class:`~repro.net.network.Network`.  A call takes its arm order
+    when it is invoked, but is filed here (:meth:`expire_at`) only once
+    it can end by timeout: the network reports each lost request or
+    reply, the server reports a handler still running after its first
+    step, and the client files a call whose timeout is no longer than a
+    round trip.  A call answered otherwise arrives before its deadline,
+    so it needs no entry.  When the deadline fires, each due call still
+    pending times out, in (deadline, arm order) order; a call that a
+    NOT READY notice moved goes back in at its moved deadline under its
+    old arm order; answered calls at the head are dropped; and the
     deadline is armed again at the first call still pending.  A call
     therefore fails at exactly its own deadline, in (deadline, call)
-    order within its client, and calls answered before the armed
-    instant cost no event at all.
+    order within its client.
     """
 
-    __slots__ = ("_sim", "_heap", "_order", "_deadline")
+    __slots__ = ("_sim", "_heap", "_order", "_deadline", "_clients")
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._heap: List[Tuple[float, int, RpcClient, int]] = []
         self._order = itertools.count()
         self._deadline = Deadline(sim, self._fire)
+        self._clients: Dict[str, RpcClient] = {}  # address -> its client
 
-    def expire_at(self, deadline: float, client: "RpcClient", request_id: int) -> None:
-        """Time out ``client``'s call ``request_id`` at ``deadline``
-        unless it is answered first."""
-        heappush(self._heap, (deadline, next(self._order), client, request_id))
+    def expire_at(self, address: str, request_id: int) -> None:
+        """Time out call ``request_id`` of the client at ``address`` at
+        its deadline unless it is answered first.
+
+        Files each pending call once; a call already filed, answered or
+        expired, or an address with no client, is left alone.
+        """
+        client = self._clients.get(address)
+        if client is None:
+            return
+        pending = client._pending.get(request_id)
+        if pending is None or pending[5] is None:
+            return
+        deadline, done, method, target, timeout, order = pending
+        client._pending[request_id] = (deadline, done, method, target, timeout, None)
+        heappush(self._heap, (deadline, order, client, request_id))
         self._deadline.arm(deadline)
+
+    def lost(self, src: str, dst: str, payload: Any) -> None:
+        """Report a message the network dropped: a lost request files
+        its sender's call, a lost reply its destination's."""
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        if kind == _REQUEST:
+            self.expire_at(src, payload["id"])
+        elif kind == _RESPONSE:
+            self.expire_at(dst, payload["id"])
 
     def _fire(self) -> None:
         now = self._sim.now
         heap = self._heap
-        expired: List[Tuple[float, Done, str, str, float]] = []
+        expired: List[_Pending] = []
         while heap:
             deadline, order, client, request_id = heap[0]
             pending = client._pending.get(request_id)
@@ -205,7 +274,7 @@ class RpcTimeouts:
                 expired.append(client._pending.pop(request_id))
         if heap:
             self._deadline.arm(heap[0][0])
-        for _, done, method, target, timeout in expired:
+        for _, done, method, target, timeout, _ in expired:
             done(None, RpcTimeout(f"{method} to {target} timed out after {timeout}s"))
 
 
@@ -215,11 +284,11 @@ class RpcClient:
     :meth:`invoke` is the one call path: it takes a completion callback
     that runs inside the reply's delivery, or when the call's deadline
     passes.  The deadline is filed in the network's
-    :class:`RpcTimeouts`.  A NOT READY notice moves its call's deadline
-    to ``ready_at`` plus the call's timeout, never earlier; the filed
-    entry is left alone and goes back in at the moved deadline when it
-    comes due.  :meth:`call` is the generator form, a waiter over
-    :meth:`invoke`.
+    :class:`RpcTimeouts` once the call can still miss it.  A NOT READY
+    notice moves its call's deadline to ``ready_at`` plus the call's
+    timeout, never earlier; a filed entry is left alone and goes back in
+    at the moved deadline when it comes due.  :meth:`call` is the
+    generator form, a waiter over :meth:`invoke`.
     """
 
     def __init__(self, sim: Simulator, network: Network, address: str):
@@ -227,12 +296,12 @@ class RpcClient:
         self.network = network
         self.address = address
         self._ids = itertools.count(1)
-        # request id -> (deadline, done, method, target, timeout)
-        self._pending: Dict[int, Tuple[float, Done, str, str, float]] = {}
+        self._pending: Dict[int, _Pending] = {}
         self._timeouts = network.rpc_timeouts
         node = _node(network, address)
         node.on(_RESPONSE, self._on_response)
         node.on(_NOT_READY, self._on_not_ready)
+        self._timeouts._clients[address] = self
 
     def _on_response(self, message: Message) -> None:
         payload = message.payload
@@ -250,10 +319,10 @@ class RpcClient:
         pending = self._pending.get(request_id)
         if pending is None:
             return  # notice for a call already answered or expired: drop
-        deadline, done, method, target, timeout = pending
+        deadline, done, method, target, timeout, order = pending
         moved = payload["ready_at"] + timeout
         if moved > deadline:
-            self._pending[request_id] = (moved, done, method, target, timeout)
+            self._pending[request_id] = (moved, done, method, target, timeout, order)
 
     def invoke(
         self,
@@ -274,10 +343,24 @@ class RpcClient:
             "args": args,
             "response_size": response_size,
         }
-        deadline = self.sim.now + timeout
-        self._pending[request_id] = (deadline, done, method, target, timeout)
-        self.network.send(self.address, target, payload, size=request_size)
-        self._timeouts.expire_at(deadline, self, request_id)
+        timeouts = self._timeouts
+        now = self.sim.now
+        deadline = now + timeout
+        self._pending[request_id] = (
+            deadline, done, method, target, timeout, next(timeouts._order)
+        )
+        network = self.network
+        network.send(self.address, target, payload, size=request_size)
+        # A reply sent inside the request's delivery lands by the longest
+        # round trip, 2 * (latency + jitter) + (request_size +
+        # response_size) / bandwidth, added hop by hop as the network
+        # rounds each arrival.  A deadline no later than that can expire
+        # first, so the call is filed now.
+        latency, jitter, bandwidth = network.latency, network.jitter, network.bandwidth
+        if deadline <= now + (latency + request_size / bandwidth + jitter) + (
+            latency + response_size / bandwidth + jitter
+        ):
+            timeouts.expire_at(self.address, request_id)
 
     def call(
         self,

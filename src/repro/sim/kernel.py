@@ -23,6 +23,7 @@ import itertools
 from contextlib import contextmanager
 from functools import partial
 from heapq import heappop, heappush
+from types import GeneratorType
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -288,6 +289,13 @@ def _describe_event(target: Callable[[], None]) -> str:
     if generator is not None:
         return f"process:{getattr(generator, '__qualname__', getattr(event, 'name', '?'))}"
     for callback in event.callbacks or ():
+        if isinstance(callback, partial):
+            # A partial that carries a generator resumes it, as an RPC
+            # server's stepped handler is resumed.
+            for arg in callback.args:
+                if isinstance(arg, GeneratorType):
+                    return f"resume:{arg.__qualname__}"
+            callback = callback.func
         owner = getattr(callback, "__self__", None)
         owner_gen = getattr(owner, "generator", None)
         if owner_gen is not None:

@@ -151,3 +151,31 @@ def test_named_store_race_reported_whichever_entry_point_runs_it(entry):
     assert (race.resource, race.time) == ("mailbox", 1.0)
     assert race.labels == ("resume:writer", "resume:writer")
     assert "resume:writer" in race.render()
+
+
+def slow(sim):
+    """An RPC handler that waits one timeout before it answers."""
+    yield sim.timeout(1.0)
+    return "done"
+
+
+def test_stepped_rpc_handler_events_are_named_after_the_handler(monkeypatch):
+    # An RPC server resumes a generator handler from a partial, not a
+    # process; race reports still name the handler, not the partial.
+    from repro.net import Network, RpcClient, RpcServer
+
+    labels = []
+    begin = RaceDetector.begin_event
+
+    def recording(detector, time, priority, seq, label=""):
+        labels.append(label)
+        begin(detector, time, priority, seq, label)
+
+    monkeypatch.setattr(RaceDetector, "begin_event", recording)
+    sim = Simulator(detect_races=True)
+    net = Network(sim, jitter=0.0)
+    RpcServer(sim, net, "server").register("slow", slow)
+    client = RpcClient(sim, net, "client")
+    assert sim.run_until_event(sim.process(client.call("server", "slow", sim))) == "done"
+    assert "resume:slow" in labels
+    assert not any(label.startswith("callback:partial") for label in labels)

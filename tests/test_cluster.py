@@ -26,7 +26,7 @@ IDLE_SENDS = {
     "rpc_response": 1_900,
 }
 #: Kernel events the same 100 sim-s pop: exact for the code, like the sends.
-IDLE_EVENTS = 6_023
+IDLE_EVENTS = 5_822
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,13 @@ class TestBootstrap:
         # what the armed-deadline timers and the message path pop, so a
         # timer that polls again, or any regression in the plumbing
         # beneath the messages, shows up here.
+        from repro.net.rpc import RpcTimeouts
+
+        fired = []
+        fire = RpcTimeouts._fire
+        monkeypatch.setattr(
+            RpcTimeouts, "_fire", lambda timeouts: fired.append(1) or fire(timeouts)
+        )
         dep = build_deployment()
         dep.settle()
         sent = Counter()
@@ -124,10 +131,13 @@ class TestBootstrap:
             send(src, dst, payload, size)
 
         monkeypatch.setattr(dep.network, "send", counted)
-        events_before = dep.sim.events
+        events_before, fired_before = dep.sim.events, len(fired)
         dep.sim.run(until=dep.sim.now + 100.0)
         assert sent == IDLE_SENDS
         assert dep.sim.events - events_before == IDLE_EVENTS
+        # Every idle call is answered in time, so none files a deadline.
+        assert len(fired) == fired_before
+        assert dep.network.rpc_timeouts._heap == []
 
     def test_mounted_gateway_client_adds_no_idle_traffic(self, monkeypatch):
         # A ClientLib reads where the Master is without a coordination
@@ -157,8 +167,11 @@ class TestBootstrap:
         events_before = dep.sim.events
         dep.sim.run(until=dep.sim.now + 100.0)
         assert Counter(p.get("method", p["kind"]) for _, p in sent) == IDLE_SENDS
-        # Its window starts a second later and holds two more deadline pops.
-        assert dep.sim.events - events_before == IDLE_EVENTS + 2
+        # Its window starts a second later, so it holds two more
+        # election-timer pops, and two RPC deadline pops for calls to
+        # generator handlers made while mounting (filed and answered
+        # before the window, due inside it).
+        assert dep.sim.events - events_before == IDLE_EVENTS + 4
         assert not any(src.startswith("gateway0") for src, _ in sent)
 
     def test_idle_election_polls_and_appends(self, monkeypatch):

@@ -280,7 +280,9 @@ class TestRpc:
         assert sim.run_until_event(sim.process(client.call("server", "get"))) == value
         assert replied_in == handled_in and len(handled_in) == 1
 
-    def test_generator_handler_replies_from_a_process(self):
+    def test_generator_handler_that_returns_at_once_replies_inside_the_delivery(self):
+        # A generator handler is stepped inside the request's delivery,
+        # so one that returns on its first step answers from that event.
         sim, net = make_net()
         server = RpcServer(sim, net, "server")
         handled_in = []
@@ -294,9 +296,7 @@ class TestRpc:
         replied_in = reply_events(net)
         client = RpcClient(sim, net, "client")
         assert sim.run_until_event(sim.process(client.call("server", "get"))) == 0
-        [handled] = handled_in
-        [replied] = replied_in
-        assert replied > handled  # a later event: the handler ran as a process
+        assert replied_in == handled_in and len(handled_in) == 1
 
     def test_every_message_leaves_through_the_networks_send(self):
         # A wrapper installed on the instance after the server and the
@@ -451,7 +451,7 @@ class TestRpc:
 
     def test_plain_call_event_count(self):
         # Caller start, request delivery, reply delivery, the caller's
-        # wake-up, its finish and the spent deadline: nothing else.
+        # wake-up and its finish: an answered call files no deadline.
         with EventDigest().under() as digest:
             sim, net = make_net()
         server = RpcServer(sim, net, "server")
@@ -460,11 +460,12 @@ class TestRpc:
         call = sim.process(client.call("server", "add", 2, 3))
         sim.run()
         assert call.value == 5
-        assert digest.events == 6
+        assert digest.events == 5
 
     def test_generator_call_event_count(self):
-        # The plain call's six events, plus the handler process's start,
-        # its timeout and its finish, from which the reply leaves.
+        # The plain call's five events, plus the handler's timeout, from
+        # which the reply leaves, and the deadline the server filed
+        # while the handler waited.
         with EventDigest().under() as digest:
             sim, net = make_net()
         server = RpcServer(sim, net, "server")
@@ -478,9 +479,9 @@ class TestRpc:
         call = sim.process(client.call("server", "add", 2, 3))
         sim.run()
         assert call.value == 5
-        assert digest.events == 9
+        assert digest.events == 7
 
-    def test_callback_call_costs_its_deliveries_and_one_deadline(self, monkeypatch):
+    def test_callback_call_costs_its_two_deliveries(self, monkeypatch):
         with EventDigest().under() as digest:
             sim, net = make_net()
         server = RpcServer(sim, net, "server")
@@ -498,7 +499,7 @@ class TestRpc:
         client.invoke("server", "add", (2, 3), lambda result, error: outcome.append((sim.now, result, error)))
         sim.run()
         assert outcome == [(pytest.approx(0.4e-3 + 512 / net.bandwidth), 5, None)]
-        assert digest.events == 3  # request, reply, the spent deadline
+        assert digest.events == 2  # request and reply
         assert events == []
 
     def test_calls_with_one_timeout_expire_in_call_order_from_one_pop(self):
@@ -548,7 +549,7 @@ class TestRpc:
         sim.run()
         assert expired == [("first", 0.5 + 0.7, "RpcTimeout"), ("second", 0.6 + 0.7, "RpcTimeout")]
 
-    def test_answered_calls_of_four_clients_cost_one_deadline_pop(self):
+    def test_answered_calls_of_four_clients_cost_no_deadline_pop(self):
         sim, net = make_net()
         server = RpcServer(sim, net, "server")
         server.register("echo", lambda x: x)
@@ -565,9 +566,9 @@ class TestRpc:
         sim.run()
         calls = 5 * len(clients)
         assert answered == [None] * calls
-        # Each call's invoke, request and reply, and one deadline pop
-        # for all of them.
-        assert sim.events == 3 * calls + 1
+        # Each call's invoke, request and reply; no call was filed.
+        assert sim.events == 3 * calls
+        assert net.rpc_timeouts._heap == []
 
     def notice_server(self, sim, net, ready_at, reply_at):
         """A server whose ``wait`` sends NOT READY naming ``ready_at``,
@@ -661,10 +662,12 @@ class TestRpc:
         result = sim.run_until_event(sim.process(client.call("server", "quick", timeout=3.0)))
         assert result == "done"
         (late,) = notices
+        sent_at = sim.now
         late(100.0)  # lands after the reply: nothing is pending
         sim.run()
         assert client._pending == {}
-        assert sim.now == 3.0  # the spent deadline; no later one
+        # The notice's delivery is the last event: no deadline after it.
+        assert sim.now == pytest.approx(sent_at + 0.2e-3 + 256 / net.bandwidth)
         assert net.delivered_count == 3
 
     def test_answered_call_leaves_no_pending_deadline_work(self):
@@ -677,7 +680,7 @@ class TestRpc:
             client.invoke("server", "echo", (i,), lambda r, e: outcomes.append((r, e)), timeout=1.0)
         sim.run()
         assert outcomes == [(i, None) for i in range(5)]
-        assert sim.now == pytest.approx(1.0)  # one spent deadline, nothing after
+        assert sim.now < 1e-3  # the last reply; no deadline after it
 
 
 class TestIscsi:
@@ -772,6 +775,39 @@ class TestIscsi:
         assert disk.spec.spin_up_time < elapsed < disk.spec.spin_up_time + 0.1
         assert disk.completed_ios == 1
         assert initiator.session_errors == 0
+
+    def read_events(self, spun_down):
+        """Events one 4 KiB read pops, issued from its own process after
+        login."""
+        with EventDigest().under() as digest:
+            sim, net, target, disk, initiator = self.setup_stack()
+        if spun_down:
+            disk.spin_down()
+        sessions = []
+
+        def login():
+            sessions.append((yield from initiator.login("host0", "tgt-disk0")))
+
+        sim.process(login())
+        sim.run()
+        before = digest.events
+        read = sim.process(sessions[0].read(0, 4 * KB))
+        sim.run()
+        assert read.value["ok"] and disk.completed_ios == 1
+        return digest.events - before
+
+    def test_read_from_a_spinning_disk_pops_its_messages_and_disk_work(self):
+        # Caller start, request delivery (the target steps the handler
+        # into the disk's service), the queue grant, the service
+        # timeout (from which the reply leaves), reply delivery, the
+        # caller's wake-up and finish, and the deadline filed while the
+        # disk served.  No process runs the handler or the disk's work.
+        assert self.read_events(spun_down=False) == 8
+
+    def test_read_from_a_spun_down_disk_adds_the_spin_up_and_its_notice(self):
+        # The spinning read's eight, plus the NOT READY delivery, the
+        # spin-up's end and the event it fires.
+        assert self.read_events(spun_down=True) == 11
 
     def test_target_death_after_not_ready_times_out_at_ready_plus_timeout(self):
         sim, net, target, disk, initiator = self.setup_stack()
