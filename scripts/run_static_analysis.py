@@ -21,8 +21,11 @@ Default-path invocations also run a perf smoke (skipped when explicit
 paths are passed, or with ``--no-perf``).  The ``alloc_scale`` and
 ``kernel_throughput`` microbenchmarks run at their smoke sizes and fail
 on a >5x wall-clock regression against the committed ``BENCH_*.json``
-baselines.  Then one loop runs every experiment that declares
-``smoke`` sizes (``repro bench <name> --smoke --repeat 3``, which reads
+baselines; the kernel's floor is first divided by how much slower the
+machine runs a fixed loop now than when its record was taken (both
+records' ``calibration_s``, at least 1).  Then one loop runs every
+experiment that declares ``smoke`` sizes (``repro bench <name> --smoke
+--repeat 3``, which reads
 ``calibration_s`` before every repeat and after the last and keeps the
 fastest reading) and checks it against the latest smoke record with the
 same params in ``BENCH_<name>.json``: the median wall time within 5x
@@ -206,13 +209,43 @@ def _baseline_alloc_16(history: List[Dict]) -> Optional[Dict]:
     return None
 
 
-def _baseline_kernel_rate(history: List[Dict]) -> Optional[float]:
-    """events/sec (fast path) of the most recent kernel record."""
-    for record in reversed(history):
-        rate = record.get("events_per_second_fast")
-        if rate:
-            return float(rate)
-    return None
+def check_kernel_record(record: Dict, baseline_path: Path) -> int:
+    """Gate the kernel fast path against the latest committed record.
+
+    The floor is that record's ``events_per_second_fast`` over
+    PERF_REGRESSION_FACTOR, divided by ``record / baseline``
+    calibration when both records carry ``calibration_s`` and that is
+    above 1: the rate the baseline would have read on a machine as
+    slow as it is now.  A faster reading does not raise the floor, the
+    smoke gates' rule.
+    """
+    baseline = None
+    if baseline_path.exists():
+        for candidate in reversed(json.loads(baseline_path.read_text())):
+            if candidate.get("events_per_second_fast"):
+                baseline = candidate
+                break
+    if baseline is None:
+        print("perf: kernel_throughput: no committed baseline, comparison skipped")
+        return 0
+    rate, base_rate = record["events_per_second_fast"], baseline["events_per_second_fast"]
+    calibration = record.get("calibration_s")
+    base_calibration = baseline.get("calibration_s")
+    scale, scaling = 1.0, ""
+    if calibration and base_calibration:
+        scale = max(1.0, calibration / base_calibration)
+        scaling = (
+            f" / {scale:.2f} (calibration {calibration}s / "
+            f"{base_calibration}s, at least 1)"
+        )
+    floor = base_rate / PERF_REGRESSION_FACTOR / scale
+    verdict = "OK" if rate >= floor else "REGRESSION"
+    print(
+        f"perf: kernel_throughput fast path: {rate:.0f} ev/s (baseline "
+        f"{base_rate:.0f} ev/s, floor {floor:.0f} ev/s = "
+        f"baseline / {PERF_REGRESSION_FACTOR:g}{scaling}) {verdict}"
+    )
+    return 0 if rate >= floor else 1
 
 
 def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) -> int:
@@ -335,23 +368,8 @@ def run_perf_smoke() -> int:
                 status = 1
 
     record = run_benchmark("kernel_throughput", repeat=3, smoke=True)
-    rate = record["events_per_second_fast"]
-    baseline_path = REPO_ROOT / "BENCH_kernel_throughput.json"
-    if baseline_path.exists():
-        baseline_rate = _baseline_kernel_rate(json.loads(baseline_path.read_text()))
-    else:
-        baseline_rate = None
-    if baseline_rate is None:
-        print("perf: kernel_throughput: no committed baseline, comparison skipped")
-    else:
-        floor = baseline_rate / PERF_REGRESSION_FACTOR
-        verdict = "OK" if rate >= floor else "REGRESSION"
-        print(
-            f"perf: kernel_throughput fast path: {rate:.0f} ev/s "
-            f"(baseline {baseline_rate:.0f} ev/s, floor {floor:.0f} ev/s) {verdict}"
-        )
-        if rate < floor:
-            status = 1
+    if check_kernel_record(record, REPO_ROOT / "BENCH_kernel_throughput.json") != 0:
+        status = 1
 
     for experiment in EXPERIMENTS:
         if not experiment.smoke:

@@ -242,6 +242,7 @@ _SCHEDULING_CALLS = {
     "put",
     "request",
     "schedule",
+    "step_in_place",
     "submit",
     "succeed",
     "timeout",

@@ -305,15 +305,19 @@ def bench_kernel_throughput(
     repeat: int = 2, seed: int = 42, smoke: bool = False
 ) -> Dict:
     """Events/sec of the kernel: defer fast path, Event path, and the
-    fast path fingerprinted by a digest."""
+    fast path fingerprinted by a digest.  A smoke record also carries
+    ``calibration_s``, read around every fast-path run."""
     del seed  # kernel throughput is workload-independent
     total_events = KERNEL_EVENTS_SMOKE if smoke else KERNEL_EVENTS_FULL
     record = _base_record("kernel_throughput", repeat)
     record["events_per_run"] = total_events
+    calibrations: List[float] = []
 
-    def timed(make_sim, drive) -> List[float]:
+    def timed(make_sim, drive, calibrate: bool = False) -> List[float]:
         times: List[float] = []
         for _ in range(max(1, repeat)):
+            if calibrate:
+                calibrations.append(calibration_s())
             sim = make_sim()
             t0 = time.perf_counter()
             drive(sim)
@@ -321,7 +325,10 @@ def bench_kernel_throughput(
         return times
 
     # Headline fast path: allocation-free defer timers.
-    fast_times = timed(Simulator, lambda sim: _drive_kernel_defer(sim, total_events))
+    fast_times = timed(Simulator, lambda sim: _drive_kernel_defer(sim, total_events), smoke)
+    if smoke:
+        calibrations.append(calibration_s())
+        record["calibration_s"] = round(min(calibrations), 6)
     # The Event/callback route (Timeout allocation per timer).
     eventpath_times = timed(
         Simulator, lambda sim: _drive_kernel(sim, total_events)

@@ -3,9 +3,10 @@
 One :class:`Gateway` fronts a set of mounted UStore spaces (one per
 backing disk).  Requests arrive via :meth:`Gateway.submit_op` — admission
 control and SLO tagging happen synchronously at the door — and are
-drained by a single dispatcher process that consults the configured
-scheduler strategy (:mod:`repro.gateway.scheduler`) and the power
-accountant before spawning one serving process per disk batch.
+drained by dispatch passes.  Each wake defers one pass, which consults
+the scheduler strategy (:mod:`repro.gateway.scheduler`) and the power
+accountant and steps each batch it grants in place (``step_in_place``):
+the gateway runs no process of its own.
 
 I/O goes through the existing ClientLib mount path
 (:class:`~repro.cluster.clientlib.MountedSpace`), so endpoint failures
@@ -18,15 +19,16 @@ the ClientLib exhausts its remount budget.
 
 Spin-*down* is delegated to :mod:`repro.power.policy` — the gateway
 runs a ``run_policy`` loop over its disks — plus a reclaim step: when
-queued work cannot be dispatched within the wattage budget, the
-dispatcher spins down the least-recently-used idle disk to free watts
-instead of waiting out the policy's idle timeout.
+queued work cannot be dispatched within the wattage budget, the pass
+spins down the least-recently-used idle disk to free watts instead of
+waiting out the policy's idle timeout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -44,7 +46,7 @@ from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
 from repro.obs import DEFAULT_DEPTH_BUCKETS
 from repro.power.policy import FixedTimeoutPolicy, run_policy
-from repro.sim import Event, Simulator
+from repro.sim import Event, Simulator, step_in_place
 from repro.units import SimSeconds, Watts
 
 from repro.gateway.api import (
@@ -75,7 +77,7 @@ __all__ = [
     "percentile",
 ]
 
-#: Dispatcher back-off while budget-blocked with nothing in flight.
+#: Poll interval of a pass budget-blocked with nothing in flight.
 POLL_INTERVAL = SimSeconds(1.0)
 #: Check interval of the fixed-timeout spin-down policy loop.
 POLICY_CHECK_INTERVAL = SimSeconds(2.0)
@@ -90,11 +92,7 @@ class GatewayConfig:
     #: Wattage ceiling over all gateway-managed disks (24 W ≈ three
     #: USB-profile disks at active draw).
     power_budget_watts: Watts = Watts(24.0)
-    #: Per-disk budget charge; ``None`` derives the active draw from the
-    #: first attached disk's power profile.
-    watts_per_disk: Optional[Watts] = None
     scheduler: str = "batch"
-    max_batch: int = 64
     #: Sub-block coalescing window: reads in the same space whose
     #: extents fall within this many bytes of each other share one
     #: disk pass (0 merges only overlapping/adjacent extents).  The
@@ -177,7 +175,7 @@ class Gateway:
         self.stats = GatewayStats()
         for name in self._tenants:
             self.stats.per_tenant[name] = TenantStats()
-        self._scheduler = make_scheduler(config.scheduler, config.max_batch)
+        self._scheduler = make_scheduler(config.scheduler)
         self._objects: List[GatewayObject] = []
         self._spaces: Dict[str, MountedSpace] = {}
         self._disk_of_space: Dict[str, str] = {}
@@ -185,7 +183,8 @@ class Gateway:
         self._host_of: HostLookup = lambda disk_id: None
         self._power: Optional[PowerAccountant] = None
         self._in_flight: Dict[str, List[GatewayRequest]] = {}
-        self._kick: Optional[Event] = None
+        self._pass_due = False  # a dispatch pass is deferred, not yet run
+        self._passes = 0  # dispatch passes run so far
         self._next_request_id = 0
         self._started = False
         # Request tracing: fetched once; per-disk marks of when the
@@ -261,16 +260,12 @@ class Gateway:
         for disk_id in self.config.pinned_disks:
             if disk_id not in self._disks:
                 raise GatewayError(f"pinned disk {disk_id!r} is not attached")
-        watts = self.config.watts_per_disk
-        if watts is None:
-            first = self._disks[sorted(self._disks)[0]]
-            watts = Watts(first.default_power_profile().active)
-        self._power = PowerAccountant(
-            self._disks, self.config.power_budget_watts, watts
-        )
+        first = self._disks[sorted(self._disks)[0]]
+        watts = Watts(first.default_power_profile().active)  # charged per disk
+        self._power = PowerAccountant(self._disks, self.config.power_budget_watts, watts)
 
-    def start(self) -> Event:
-        """Snapshot power baselines and spawn the dispatcher (+ policy)."""
+    def start(self) -> None:
+        """Snapshot power baselines, start the spin-down policy, wake a pass."""
         if self._power is None:
             raise GatewayError("attach() the gateway before start()")
         if self._started:
@@ -291,7 +286,7 @@ class Gateway:
                 FixedTimeoutPolicy(idle_timeout=SPIN_DOWN_IDLE_SECONDS),
                 check_interval=POLICY_CHECK_INTERVAL,
             )
-        return self.sim.process(self._dispatcher())
+        self._wake()
 
     # -- admission --------------------------------------------------------
 
@@ -356,37 +351,28 @@ class Gateway:
         return self.outstanding() == 0
 
     def _wake(self) -> None:
-        kick = self._kick
-        if kick is not None and not kick.triggered:
-            kick.succeed()
+        """Defer one dispatch pass to this instant, unless one is due."""
+        if self._started and not self._pass_due:
+            self._pass_due = True
+            self.sim.defer(0.0, self._dispatch)
 
-    def _poll(self, kick: Event) -> None:
-        """Deferred poll: wake the dispatcher iff it still waits on ``kick``.
+    def _poll(self, armed: int) -> None:
+        """Deferred poll: wake the gateway iff no pass ran since pass ``armed``."""
+        if self._passes == armed:
+            self._wake()
 
-        Scheduled through :meth:`Simulator.defer`, so a budget-blocked
-        dispatcher costs one queued callable per poll interval instead
-        of a Timeout plus an ``any_of`` composite.  A stale poll (the
-        dispatcher already moved on to a newer kick) is a no-op.
-        """
-        if self._kick is kick and not kick.triggered:
-            kick.succeed()
-
-    def _dispatcher(self) -> Generator[Event, None, None]:
-        while True:
-            kick = self.sim.event()
-            self._kick = kick
-            dispatched = self._dispatch_ready()
-            if self.queue.total_depth() > 0 and not dispatched:
-                if self._reclaim_idle():
-                    continue  # freed watts; try to dispatch again now
-                if not self._in_flight:
-                    # Budget-blocked with nothing running: poll so the
-                    # spin-down policy's progress is eventually seen.
-                    self.sim.defer(
-                        POLL_INTERVAL,
-                        lambda kick=kick: self._poll(kick),
-                    )
-            yield kick
+    def _dispatch(self) -> None:
+        """One dispatch pass: grant what the budget allows, else make room."""
+        self._pass_due = False
+        self._passes += 1
+        while not self._dispatch_ready() and self.queue.total_depth() > 0:
+            if self._reclaim_idle():
+                continue  # freed watts; try to dispatch again now
+            if not self._in_flight:
+                # Budget-blocked with nothing running: poll so the
+                # spin-down policy's progress is eventually seen.
+                self.sim.defer(POLL_INTERVAL, partial(self._poll, self._passes))
+            return
 
     def _dispatch_ready(self) -> bool:
         """Grant batches while the budget allows; True if any started."""
@@ -443,25 +429,24 @@ class Gateway:
                     request.trace.phase("power_wait")
             self.stats.batches += 1
             self._m_batch_size.observe(float(len(batch)))
-            self.sim.process(self._serve_batch(entry.disk_id, batch))
+            done = partial(self._served, entry.disk_id)
+            step_in_place(self.sim, self._serve_batch(batch), done)
             dispatched = True
         if dispatched:
             self._update_depth_gauges()
         return dispatched
 
-    def _serve_batch(
-        self, disk_id: str, batch: List[GatewayRequest]
-    ) -> Generator[Event, None, None]:
-        try:
-            passes = coalesce_batch(batch, self.config.coalesce_gap_bytes)
-            for disk_pass in passes:
-                yield from self._serve_pass(disk_pass)
-        finally:
-            self._in_flight.pop(disk_id, None)
-            power = self._power
-            if power is not None:
-                power.release(disk_id)
-            self._wake()
+    def _serve_batch(self, batch: List[GatewayRequest]) -> Generator[Event, None, None]:
+        for disk_pass in coalesce_batch(batch, self.config.coalesce_gap_bytes):
+            yield from self._serve_pass(disk_pass)
+
+    def _served(self, disk_id: str, _result: None, error: Optional[BaseException]) -> None:
+        """A batch ended: free its disk and watts, and wake the next pass."""
+        self._in_flight.pop(disk_id, None)
+        self.power_accountant.release(disk_id)
+        self._wake()
+        if error is not None:
+            raise error  # reaches the kernel, as an unwaited process's would
 
     def _serve_pass(self, disk_pass: DiskPass) -> Generator[Event, None, None]:
         """Issue one physical media operation; complete every member.

@@ -15,7 +15,7 @@ regardless, which is exactly the saturation regime the bound exists
 for.
 
 Queued requests live in per-disk buckets, because both questions the
-dispatcher asks ("which disks have work, how urgent" and "this disk's
+dispatch pass asks ("which disks have work, how urgent" and "this disk's
 next batch") are per disk.  Each bucket's :class:`PendingDisk` summary
 is kept at push and take, so :meth:`WeightedFairQueue.pending_by_disk`
 is O(disks) and reads no request, and a take reads only its own disk's

@@ -3,11 +3,12 @@
 Handlers may return either a plain value or a generator whose return
 value becomes the response — so a handler can perform simulated disk
 I/O before replying.  A plain handler answers inside the request's
-delivery.  A generator handler is stepped in place, not run as a
-process: its first step runs inside the delivery and each event it
-yields resumes it, so the reply leaves from the event in which it
-returns.  Remote exceptions are re-raised at the caller as
-:class:`RemoteError`; lost messages surface as :class:`RpcTimeout`.
+delivery.  A generator handler is stepped in place by the kernel's
+:func:`~repro.sim.process.step_in_place`, not run as a process: its
+first step runs inside the delivery and each event it yields resumes
+it, so the reply leaves from the event in which it returns.  Remote
+exceptions are re-raised at the caller as :class:`RemoteError`; lost
+messages surface as :class:`RpcTimeout`.
 
 A handler registered with ``not_ready=True`` may also tell the caller,
 before it replies, that the request is queued behind a device that is
@@ -33,8 +34,7 @@ from heapq import heappop, heappush, heapreplace
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.sim import Deadline, Event, Interrupt, SimulationError, Simulator
-from repro.sim.kernel import URGENT
+from repro.sim import Deadline, Event, Interrupt, Simulator, step_in_place
 
 if TYPE_CHECKING:  # the network module builds its RpcTimeouts from here
     from repro.net.network import Message, NetNode, Network
@@ -120,57 +120,22 @@ class RpcServer:
             return
         if type(result) is not GeneratorType:
             self._reply(message, "result", result)
-        elif self._step(message, result, result.send, None):
+        elif step_in_place(self.sim, result, partial(self._handled, message)):
             # Still running: only now can the call outlive its deadline.
             self.network.rpc_timeouts.expire_at(message.src, payload["id"])
 
-    def _resume(self, message: Message, handler: Generator, event: Event) -> None:
-        """Advance ``handler`` with the outcome of the event it waited on."""
-        if event.ok:
-            self._step(message, handler, handler.send, event.value)
+    def _handled(self, message: Message, value: Any, error: Optional[BaseException]) -> None:
+        """Answer ``message`` with how its generator handler ended."""
+        if error is None:
+            self._reply(message, "result", value)
+        elif isinstance(error, Exception) and not isinstance(error, Interrupt):
+            self._reply(message, "error", f"{type(error).__name__}: {error}")
         else:
-            self._step(message, handler, handler.throw, event.value)
-
-    def _step(
-        self, message: Message, handler: Generator, advance: Callable[[Any], Any], value: Any
-    ) -> bool:
-        """Run ``handler`` to its next yield, as a process step would; the
-        outcome answers ``message`` once it ends.  True while it waits."""
-        try:
-            target = advance(value)
-            if not isinstance(target, Event):
-                handler.close()
-                raise SimulationError(
-                    f"process {handler.__name__!r} yielded {target!r}; "
-                    "processes must yield events"
-                )
-        except StopIteration as stop:
-            self._reply(message, "result", stop.value)
-            return False
-        except Interrupt:
             # A kernel interrupt (server torn down mid-request), like any
             # exception that is not an Exception, must reach the kernel,
             # not be forwarded as an RPC error; the caller times out.
             self.network.rpc_timeouts.expire_at(message.src, message.payload["id"])
-            raise
-        except Exception as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
-            return False
-        resume = partial(self._resume, message, handler)
-        if target.processed:
-            # Already fired: resume through the queue, as a process does.
-            relay = Event(self.sim)
-            relay.callbacks.append(resume)
-            if target.ok:
-                relay.succeed(target.value, priority=URGENT)
-            else:
-                relay.fail(target.value, priority=URGENT)
-                relay.defuse()
-        else:
-            target.callbacks.append(resume)
-            # The handler handles the failure, as a waiting process does.
-            target.defuse()
-        return True
+            raise error
 
     def _not_ready(self, message: Message, ready_at: float) -> None:
         self.network.send(

@@ -13,7 +13,7 @@ from repro.sim.kernel import (
     observe_pops,
     use_scheduler,
 )
-from repro.sim.process import Process
+from repro.sim.process import Process, step_in_place
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import EventDigest
@@ -35,5 +35,6 @@ __all__ = [
     "Store",
     "Timeout",
     "observe_pops",
+    "step_in_place",
     "use_scheduler",
 ]

@@ -23,7 +23,6 @@ import itertools
 from contextlib import contextmanager
 from functools import partial
 from heapq import heappop, heappush
-from types import GeneratorType
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -275,10 +274,10 @@ def _describe_event(target: Callable[[], None]) -> str:
     Called for each popped item while a race detector is armed, so the
     ``Race``/``render()`` output can point at source
     (``process:Writer.run``) instead of bare sequence numbers.  Uses
-    duck typing on ``generator`` because :class:`repro.sim.process.Process`
-    lives downstream of this module.  ``target`` is the scheduled
-    callable — an ``Event._process`` bound method, or a raw callback
-    from :meth:`Simulator.defer`.
+    duck typing on ``generator`` because the generator steppers of
+    :mod:`repro.sim.process` live downstream of this module.
+    ``target`` is the scheduled callable — an ``Event._process`` bound
+    method, or a raw callback from :meth:`Simulator.defer`.
     """
     if isinstance(target, partial):
         target = target.func  # a deadline's pop names its owner's method
@@ -287,20 +286,12 @@ def _describe_event(target: Callable[[], None]) -> str:
         return f"deferred:{getattr(target, '__qualname__', type(target).__name__)}"
     generator = getattr(event, "generator", None)
     if generator is not None:
-        return f"process:{getattr(generator, '__qualname__', getattr(event, 'name', '?'))}"
+        return f"process:{getattr(generator, '__qualname__', '?')}"
     for callback in event.callbacks or ():
-        if isinstance(callback, partial):
-            # A partial that carries a generator resumes it, as an RPC
-            # server's stepped handler is resumed.
-            for arg in callback.args:
-                if isinstance(arg, GeneratorType):
-                    return f"resume:{arg.__qualname__}"
-            callback = callback.func
-        owner = getattr(callback, "__self__", None)
-        owner_gen = getattr(owner, "generator", None)
-        if owner_gen is not None:
-            # Bound Process._resume: the event resumes that process.
-            return f"resume:{getattr(owner_gen, '__qualname__', getattr(owner, 'name', '?'))}"
+        generator = getattr(getattr(callback, "__self__", None), "generator", None)
+        if generator is not None:
+            # A bound _resume, of a process or of a run stepped in place.
+            return f"resume:{getattr(generator, '__qualname__', '?')}"
         return f"callback:{getattr(callback, '__qualname__', type(callback).__name__)}"
     return type(event).__name__.lower()
 

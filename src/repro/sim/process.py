@@ -4,19 +4,75 @@ A process is a Python generator that yields :class:`~repro.sim.kernel.Event`
 objects.  Yielding an event suspends the process until the event fires;
 the event's value becomes the result of the ``yield`` expression.  A
 failed event re-raises its exception inside the generator, so processes
-handle simulated failures with ordinary ``try``/``except``.
+handle simulated failures with ordinary ``try``/``except``.  Inside an
+event, :func:`step_in_place` steps one with no start or finish event.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator, Optional
 
 from repro.sim.kernel import Event, Interrupt, SimulationError, Simulator, URGENT
 
-__all__ = ["Process"]
+__all__ = ["Process", "step_in_place"]
+
+#: ``done(value, error)``: ``error`` is ``None`` if the generator returned.
+Done = Callable[[Any, Optional[BaseException]], None]
 
 
-class Process(Event):
+class _Stepper:
+    """The one loop that steps a generator; ``_end`` hears how it ended."""
+
+    __slots__ = ()
+    sim: Simulator
+    generator: Iterator[Event]
+    _waiting_on: Optional[Event]
+    _end: Done
+
+    def _resume(self, event: Event) -> bool:
+        """Run the generator to its next yield; True while it still runs."""
+        self._waiting_on = None
+        try:
+            if event.ok:
+                target = self.generator.send(event.value)
+            else:
+                target = self.generator.throw(event.value)
+        except StopIteration as stop:
+            self._end(stop.value, None)
+            return False
+        except BaseException as exc:
+            self._end(None, exc)
+            return False
+
+        if not isinstance(target, Event):
+            # Tear down the generator so the error points at the culprit.
+            self.generator.close()
+            name = getattr(self.generator, "__name__", "process")
+            self._end(None, SimulationError(
+                f"process {name!r} yielded {target!r}; processes must yield events"
+            ))
+            return False
+        if target.processed:
+            # Already fired: resume immediately (still via the queue for
+            # deterministic ordering at this timestamp).
+            relay = Event(self.sim)
+            relay.callbacks.append(self._resume)
+            if target.ok:
+                relay.succeed(target.value, priority=URGENT)
+            else:
+                relay.fail(target.value, priority=URGENT)
+                relay.defuse()
+        else:
+            self._waiting_on = target
+            target.callbacks.append(self._resume)
+            # A waiting generator handles the failure, so the kernel must
+            # not also surface it at processing time.
+            target.defuse()
+        return True
+
+
+class Process(Event, _Stepper):
     """A running process; also an event that fires when the process ends.
 
     The event value is the generator's return value, so one process can
@@ -25,15 +81,14 @@ class Process(Event):
         result = yield sim.process(child(sim))
     """
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "_waiting_on")
 
-    def __init__(self, sim: Simulator, generator: Iterator[Event], name: str = "") -> None:
+    def __init__(self, sim: Simulator, generator: Iterator[Event]) -> None:
         super().__init__(sim)
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process requires a generator, got {type(generator)!r}")
         self.generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on = None
         # Bootstrap: resume the generator at the current time.
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
@@ -51,7 +106,8 @@ class Process(Event):
         process twice before it resumes queues both interrupts.
         """
         if self._triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
+            name = getattr(self.generator, "__name__", "process")
+            raise SimulationError(f"cannot interrupt finished process {name!r}")
         if self._waiting_on is not None:
             waited, self._waiting_on = self._waiting_on, None
             if not waited.processed and waited.callbacks is not None:
@@ -64,44 +120,37 @@ class Process(Event):
         poke.fail(Interrupt(cause), priority=URGENT)
         poke.defuse()
 
-    def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        try:
-            if event.ok:
-                target = self.generator.send(event.value)
+    def _end(self, value: Any, error: Optional[BaseException]) -> None:
+        if not self._triggered:
+            if error is None:
+                self.succeed(value)
             else:
-                target = self.generator.throw(event.value)
-        except StopIteration as stop:
-            if not self._triggered:
-                self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            if not self._triggered:
-                self.fail(exc)
-            return
+                self.fail(error)
 
-        if not isinstance(target, Event):
-            # Tear down the generator so the error points at the culprit.
-            self.generator.close()
-            bad = SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must yield events"
-            )
-            if not self._triggered:
-                self.fail(bad)
-            return
-        if target.processed:
-            # Already fired: resume immediately (still via the queue for
-            # deterministic ordering at this timestamp).
-            relay = Event(self.sim)
-            relay.callbacks.append(self._resume)
-            if target.ok:
-                relay.succeed(target.value, priority=URGENT)
-            else:
-                relay.fail(target.value, priority=URGENT)
-                relay.defuse()
-        else:
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
-            # A waiting process handles the failure, so the kernel must
-            # not also surface it at processing time.
-            target.defuse()
+
+class _InPlace(_Stepper):
+    """A run of :func:`step_in_place`; its ``_end`` is the caller's ``done``."""
+
+    __slots__ = ("sim", "generator", "_waiting_on", "_end")
+
+    def __init__(self, sim: Simulator, generator: Iterator[Event], done: Done) -> None:
+        self.sim = sim
+        self.generator = generator
+        self._waiting_on = None
+        self._end = done
+
+
+#: What an in-place run's first step is sent, as a bootstrap event sends it.
+_STARTED: Any = SimpleNamespace(ok=True, value=None)
+
+
+def step_in_place(sim: Simulator, generator: Iterator[Event], done: Done) -> bool:
+    """Step ``generator`` as a process is stepped, but as no event of its own.
+
+    The first step runs now, inside the caller's event; each later step
+    runs inside the event that resumes it (an event already processed
+    resumes it through one URGENT relay, as for a process), and
+    ``done(value, error)`` runs in the step that ends it.  Nothing can
+    wait on or interrupt the run.  True while the generator still runs.
+    """
+    return _InPlace(sim, generator, done)._resume(_STARTED)

@@ -63,6 +63,22 @@ def test_det001_flags_each_usage_site():
     assert len(report.findings) == 5
 
 
+def test_det003_sees_a_generator_stepped_in_place(tmp_path):
+    # step_in_place runs the first step now, and that step schedules.
+    source = tmp_path / "stepper.py"
+    source.write_text(
+        "from repro.sim import step_in_place\n"
+        "\n"
+        "\n"
+        "def serve_all(sim, batches, done):\n"
+        "    for batch in set(batches):\n"
+        "        step_in_place(sim, batch, done)\n",
+        encoding="utf-8",
+    )
+    report = lint_paths([str(source)])
+    assert [(f.rule_id, f.line) for f in report.findings] == [("DET003", 5)]
+
+
 def test_suppression_comment_silences_and_is_counted():
     report = lint_fixture("suppressed.py")
     assert report.ok, report.render()

@@ -18,6 +18,7 @@ def test_kernel_throughput_record_shape():
     assert record["events_per_second_eventpath"] > 0
     assert record["events_per_second_instrumented"] > 0
     assert record["wall_seconds"] >= record["wall_seconds_best"]
+    assert record["calibration_s"] > 0  # the gate scales its floor by it
 
 
 def test_benchmark_rejects_unknown_experiment(tmp_path, capsys):

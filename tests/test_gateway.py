@@ -9,6 +9,7 @@ path, and the determinism test replays the registered ``gateway_slo``
 experiment point twice.
 """
 
+import math
 import random
 import warnings
 from collections import Counter
@@ -48,9 +49,10 @@ from repro.gateway import (
     make_scheduler,
     mount_gateway_spaces,
 )
+from repro.gateway.gateway import POLL_INTERVAL
 from repro.obs import MetricsRegistry, export_json
 from repro.sim import EventDigest, Simulator
-from repro.workload import MB
+from repro.workload import KB, MB
 
 
 def request(
@@ -706,9 +708,9 @@ class TestGatewayDispatch:
     def test_power_budget_bounds_concurrent_spinning(self):
         """With a one-disk budget, at most one disk may draw power at
         any sampled instant, yet all four disks' work completes."""
-        dep, gateway, objects = build_gateway(
-            "batch", power_budget_watts=8.0, watts_per_disk=8.0
-        )
+        dep, gateway, objects = build_gateway("batch", power_budget_watts=8.0)
+        w = gateway.power_accountant.watts_per_disk
+        assert w <= 8.0 < 2 * w  # the budget admits exactly one disk
         targets = objects[:4]
 
         def burst():
@@ -738,7 +740,7 @@ class TestGatewayDispatch:
         assert gateway.stats.completed == 4
         assert max(samples) <= 1
         # Serialized across four cold disks: four separate spin-ups,
-        # freed in between by the dispatcher's reclaim step.
+        # freed in between by the dispatch pass's reclaim step.
         assert gateway.spin_ups() == 4
         assert gateway.stats.reclaim_spin_downs >= 1
 
@@ -778,6 +780,126 @@ class TestGatewayDispatch:
             Gateway(dep.sim, (), GatewayConfig())
         with pytest.raises(ValueError):
             Gateway(dep.sim, (TENANT, TENANT), GatewayConfig())
+
+
+class TestDispatchPasses:
+    """Each wake defers one dispatch pass; each batch is stepped in place."""
+
+    #: Long enough for a read to wait out an 8 s spin-up.
+    WINDOW = 9.0
+
+    def test_a_gateway_run_starts_no_process_from_gateway_code(self, monkeypatch):
+        dep = build_deployment(config=DeploymentConfig(seed=7))
+        dep.settle(15.0)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+        for disk_id in sorted(dep.disks):
+            dep.disks[disk_id].spin_down()
+        started = []
+        real_process = Simulator.process
+
+        def recording(sim, generator):
+            started.append(generator.gi_frame.f_globals["__name__"])
+            return real_process(sim, generator)
+
+        monkeypatch.setattr(Simulator, "process", recording)
+        # A one-disk budget, so the run also reclaims and polls.
+        gateway = Gateway(dep.sim, (TENANT,), GatewayConfig(power_budget_watts=8.0))
+        gateway.attach(objects, spaces, dep.disks, host_of=dep.host_of_disk)
+        gateway.start()
+
+        def burst():
+            for target in objects[:3]:
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+            gateway.submit_op(WriteObject("t0", ObjectRef(objects[0].space_id, 2 * MB, 4 * KB)))
+
+        dep.sim.defer(0.0, burst)
+        drain(dep, gateway)
+        assert gateway.stats.completed == 4
+        assert gateway.stats.batches >= 3
+        assert gateway.stats.reclaim_spin_downs >= 1
+        assert [name for name in started if name.startswith("repro.gateway")] == []
+
+    def _read_cost(self, spinning):
+        """Events one 4 KiB read adds to a window, counted against the
+        same window without it."""
+        counts = []
+        for read in (False, True):
+            dep, gateway, objects = build_gateway("batch")
+            ref = ObjectRef(objects[0].space_id, 0, 4 * KB)
+            if spinning:  # a first read spins the disk up
+                gateway.submit_op(ReadObject("t0", ref))
+                dep.sim.run(until=dep.sim.now + self.WINDOW)
+            start = dep.sim.events
+            if read:
+                dep.sim.defer(0.0, lambda: gateway.submit_op(ReadObject("t0", ref)))
+            dep.sim.run(until=dep.sim.now + self.WINDOW)
+            assert gateway.stats.completed == int(spinning) + int(read)
+            counts.append(dep.sim.events - start)
+        return counts[1] - counts[0]
+
+    def test_a_read_on_a_spinning_disk_pops_8_events(self):
+        assert self._read_cost(spinning=True) == 8
+
+    def test_a_read_on_a_spun_down_disk_pops_12_events(self):
+        assert self._read_cost(spinning=False) == 12
+
+    def _held_budget(self, monkeypatch):
+        """A one-disk budget, held by a disk spinning up outside the
+        gateway; returns the instant it turns IDLE and the instants of
+        every ``_dispatch_ready`` call."""
+        dep, gateway, objects = build_gateway("batch", power_budget_watts=8.0)
+        holder = dep.disks[objects[0].disk_id]
+        holder.spin_up()
+        idle_at = dep.sim.now + holder.spec.spin_up_time
+        passes = []
+        dispatch_ready = gateway._dispatch_ready
+
+        def counted():
+            passes.append(dep.sim.now)
+            return dispatch_ready()
+
+        monkeypatch.setattr(gateway, "_dispatch_ready", counted)
+        return dep, gateway, objects, idle_at, passes
+
+    def test_a_blocked_read_dispatches_at_the_first_poll_after_the_holder_idles(
+        self, monkeypatch
+    ):
+        dep, gateway, objects, idle_at, passes = self._held_budget(monkeypatch)
+        # Half a poll off the spin-up's own instants, so no tie decides.
+        submitted = dep.sim.now + 0.5
+        holder = []
+        ref = ObjectRef(objects[1].space_id, 0, 4 * KB)
+        dep.sim.defer(0.5, lambda: holder.append(gateway.submit_op(ReadObject("t0", ref))))
+        drain(dep, gateway)
+        polls = math.ceil((idle_at - submitted) / POLL_INTERVAL)
+        dispatched = holder[0].dispatched_at
+        assert dispatched == pytest.approx(submitted + polls * POLL_INTERVAL)
+        assert idle_at < dispatched <= idle_at + POLL_INTERVAL
+        # The submit's pass and one per poll: nothing else ran a pass.
+        blocked = [t for t in passes if submitted <= t < dispatched]
+        assert blocked == pytest.approx(
+            [submitted + k * POLL_INTERVAL for k in range(polls)]
+        )
+
+    def test_a_submit_between_polls_leaves_the_older_poll_no_pass(self, monkeypatch):
+        dep, gateway, objects, idle_at, passes = self._held_budget(monkeypatch)
+        t0 = dep.sim.now
+
+        def submit(*targets):
+            for target in targets:
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 4 * KB)))
+
+        dep.sim.defer(0.5, lambda: submit(objects[1], objects[3]))  # two wakes, one pass
+        dep.sim.defer(2.75, lambda: submit(objects[2]))
+        dep.sim.run(until=t0 + 5.0)
+        assert idle_at > t0 + 5.0  # blocked throughout
+        assert gateway.stats.batches == 0
+        # start(), the first submits and their polls at 1.5 and 2.5, the
+        # last submit and its polls; the poll the pass at 2.5 armed for
+        # 3.5 is stale and runs no pass.
+        assert passes == pytest.approx(
+            [t0 + dt for dt in (0.0, 0.5, 1.5, 2.5, 2.75, 3.75, 4.75)]
+        )
 
 
 class TestLegacySubmitShim:

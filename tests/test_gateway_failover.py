@@ -84,9 +84,9 @@ def test_queued_work_behind_the_crash_is_not_lost():
     """With a one-disk power budget, batches for two disks on the dying
     host serialize: one is in flight at crash time, the other is still
     queued.  Both must complete exactly once after failover."""
-    dep, gateway, objects, spaces = build(
-        power_budget_watts=8.0, watts_per_disk=8.0
-    )
+    dep, gateway, objects, spaces = build(power_budget_watts=8.0)
+    w = gateway.power_accountant.watts_per_disk
+    assert w <= 8.0 < 2 * w  # the budget admits exactly one disk
     by_host = {}
     for obj in objects:
         by_host.setdefault(dep.host_of_disk(obj.disk_id), []).append(obj)

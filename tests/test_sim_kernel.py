@@ -11,6 +11,7 @@ from repro.sim import (
     SimulationError,
     Simulator,
     Store,
+    step_in_place,
 )
 
 
@@ -344,6 +345,163 @@ class TestProcesses:
         sim.process(proc(sim))
         sim.run()
         assert results == [(1.0, "fast")]
+
+
+class TestStepInPlace:
+    """``step_in_place`` steps a generator as a process does, as no event."""
+
+    def test_first_step_runs_inside_the_callers_event(self):
+        sim = Simulator()
+        log = []
+
+        def gen():
+            log.append(("first step", sim.now))
+            yield sim.timeout(1.0)
+
+        def caller():
+            before = sim.events
+            log.append(("running", step_in_place(sim, gen(), lambda *outcome: None)))
+            log.append(("events moved", sim.events - before))
+
+        sim.defer(2.0, caller)
+        sim.step()
+        assert log == [("first step", 2.0), ("running", True), ("events moved", 0)]
+        assert sim.events == 1
+        sim.run()
+        assert sim.events == 2  # the caller's event and the timeout: no start, no finish
+
+    def test_done_runs_once_with_the_return_value(self):
+        sim = Simulator()
+        ends = []
+
+        def gen():
+            yield sim.timeout(1.0)
+            yield sim.timeout(2.0)
+            return "value"
+
+        assert step_in_place(sim, gen(), lambda *outcome: ends.append((sim.now, outcome)))
+        sim.run()
+        assert ends == [(3.0, ("value", None))]
+
+    def test_a_generator_that_returns_at_once_ends_before_the_call_returns(self):
+        sim = Simulator()
+        ends = []
+
+        def gen():
+            return "now"
+            yield  # pragma: no cover - makes this a generator
+
+        assert not step_in_place(sim, gen(), lambda *outcome: ends.append(outcome))
+        assert ends == [("now", None)]
+        sim.run()
+        assert sim.events == 0
+
+    def test_done_runs_once_with_a_raised_exception(self):
+        sim = Simulator()
+        ends = []
+        failed = sim.event()
+        failed.fail(KeyError("seen"), delay=1.0)
+
+        def gen():
+            try:
+                yield failed  # thrown in, and defused: the kernel stays quiet
+            except KeyError:
+                pass
+            yield sim.timeout(1.0)
+            raise ValueError("boom")
+
+        step_in_place(sim, gen(), lambda *outcome: ends.append((sim.now, outcome)))
+        sim.run()
+        assert len(ends) == 1
+        now, (value, error) = ends[0]
+        assert now == 2.0 and value is None
+        assert isinstance(error, ValueError) and str(error) == "boom"
+
+    def test_a_non_event_yield_ends_with_simulation_error(self):
+        sim = Simulator()
+        ends = []
+
+        def bad():
+            yield 42
+
+        generator = bad()
+        assert not step_in_place(sim, generator, lambda *outcome: ends.append(outcome))
+        [(value, error)] = ends
+        assert value is None and isinstance(error, SimulationError)
+        assert str(error) == "process 'bad' yielded 42; processes must yield events"
+        assert generator.gi_frame is None  # torn down
+        sim.run()
+        assert sim.events == 0
+
+    def test_an_already_processed_yield_resumes_through_one_urgent_relay(self):
+        sim = Simulator()
+        done_ok = sim.timeout(0.0, value="x")
+        done_bad = sim.event()
+        done_bad.fail(KeyError("late"))
+        done_bad.defuse()
+        sim.run()
+        log = []
+
+        def gen():
+            log.append(("got", (yield done_ok), sim.now))
+            try:
+                yield done_bad
+            except KeyError:
+                log.append(("caught", sim.now))
+
+        def caller():
+            # Queued first at the same instant, but NORMAL: each relay is
+            # URGENT, so it still runs after both resumptions.
+            sim.defer(0.0, lambda: log.append("normal"))
+            step_in_place(sim, gen(), lambda *outcome: log.append(("done", outcome)))
+
+        sim.defer(1.0, caller)
+        before = sim.events
+        sim.run()
+        assert log == [("got", "x", 1.0), ("caught", 1.0), ("done", (None, None)), "normal"]
+        assert sim.events - before == 4  # the caller, two relays, the NORMAL callback
+
+    def test_same_steps_as_a_process_with_two_fewer_pops(self):
+        """The same generator under ``sim.process`` and ``step_in_place``
+        sees the same ``(now, value)`` sequence; only the process's start
+        and finish events are gone."""
+
+        def run(start):
+            sim = Simulator()
+            seen = []
+            early = sim.timeout(0.5, value="early")
+            late = sim.event()
+            late.fail(ValueError("late"), delay=3.0)
+
+            def gen():
+                seen.append((sim.now, "first"))
+                value = yield sim.timeout(1.0, value="a")
+                seen.append((sim.now, value))
+                value = yield early  # already processed: a relay
+                seen.append((sim.now, value))
+                try:
+                    yield late
+                except ValueError as exc:
+                    seen.append((sim.now, str(exc)))
+                return "end"
+
+            sim.defer(0.25, lambda: start(sim, gen(), seen))
+            sim.run()
+            return seen, sim.events
+
+        def as_process(sim, generator, seen):
+            process = sim.process(generator)
+            process.callbacks.append(lambda ev: seen.append((sim.now, ev.value)))
+
+        def in_place(sim, generator, seen):
+            step_in_place(sim, generator, lambda value, error: seen.append((sim.now, value)))
+
+        process_seen, process_events = run(as_process)
+        in_place_seen, in_place_events = run(in_place)
+        assert in_place_seen == process_seen == [
+            (0.25, "first"), (1.25, "a"), (1.25, "early"), (3.0, "late"), (3.0, "end"),
+        ]
+        assert in_place_events == process_events - 2
 
 
 class TestResource:

@@ -263,6 +263,34 @@ def test_smoke_gate_scales_the_recorded_wall_by_calibration(
     assert verdict in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "base_calibration, rate, status, verdict",
+    [
+        # The fixed loop runs 2x slower than when the record was taken:
+        # the floor halves, from 200k to 100k ev/s.
+        (0.006, 100_000.0, 0, "fast path: 100000 ev/s (baseline 1000000 ev/s, floor 100000 ev/s = baseline / 5 / 2.00 (calibration 0.012s / 0.006s, at least 1)) OK"),
+        (0.006, 99_000.0, 1, "fast path: 99000 ev/s (baseline 1000000 ev/s, floor 100000 ev/s = baseline / 5 / 2.00 (calibration 0.012s / 0.006s, at least 1)) REGRESSION"),
+        # A faster machine does not raise the floor.
+        (0.024, 200_000.0, 0, "fast path: 200000 ev/s (baseline 1000000 ev/s, floor 200000 ev/s = baseline / 5 / 1.00 (calibration 0.012s / 0.024s, at least 1)) OK"),
+        # A record without a calibration is not scaled.
+        (None, 150_000.0, 1, "fast path: 150000 ev/s (baseline 1000000 ev/s, floor 200000 ev/s = baseline / 5) REGRESSION"),
+    ],
+    ids=["machine-2x", "machine-2x-below", "machine-faster", "record-uncalibrated"],
+)
+def test_kernel_gate_scales_the_floor_by_calibration(
+    tmp_path, capsys, base_calibration, rate, status, verdict
+):
+    module = _load_script_module()
+    baseline = tmp_path / "BENCH_kernel_throughput.json"
+    base = {"experiment": "kernel_throughput", "events_per_second_fast": 1_000_000.0}
+    if base_calibration is not None:
+        base["calibration_s"] = base_calibration
+    baseline.write_text(json.dumps([base]))
+    record = {"events_per_second_fast": rate, "calibration_s": 0.012}
+    assert module.check_kernel_record(record, baseline) == status
+    assert verdict in capsys.readouterr().out
+
+
 def test_smoke_gate_skips_comparison_when_file_missing(tmp_path, capsys):
     module = _load_script_module()
     missing = tmp_path / "BENCH_gateway_slo.json"
