@@ -7,13 +7,16 @@ switch turns with Algorithm 1 (:func:`repro.fabric.switching.plan_switches`),
 drives them through its microcontroller, then verifies within a
 timeout — by asking the involved EndPoints for their USB views — that
 the expected connections materialized, rolling the switches back
-otherwise.
+otherwise.  Each command carries its Master's fencing token
+(:class:`~repro.cluster.metadata.Fence`); one older than the newest
+token seen is refused.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Generator, List, Tuple
 
+from repro.cluster.metadata import Fence
 from repro.fabric.switching import SwitchConflict, plan_switches
 from repro.fabric.topology import Fabric, SwitchSetting
 from repro.hardware.microcontroller import ControlPlane
@@ -61,6 +64,7 @@ class Controller:
         self.commands_failed = 0
         self.rollbacks = 0
         self.switch_turns = 0
+        self.fence = Fence()
         sim.metrics.publish(
             "controller",
             self,
@@ -69,11 +73,12 @@ class Controller:
         self._m_execute = sim.metrics.histogram("controller.execute_seconds")
 
         # §IV-C step 1: the fabric is locked per command.
-        self._lock = Resource(sim, capacity=1, name=f"fabric-lock:{address}")
+        self._lock = Resource(sim, name=f"fabric-lock:{address}")
         self.rpc = RpcServer(sim, network, address)
         self.rpc_client = RpcClient(sim, network, f"{address}.client")
         self.rpc.register("controller.execute", self._on_execute)
         self.rpc.register("controller.reachable_hosts", self._on_reachable_hosts)
+        self.rpc.register("controller.attached_disks", self._on_attached_disks)
 
     def crash(self) -> None:
         self.alive = False
@@ -97,8 +102,15 @@ class Controller:
     def _on_reachable_hosts(self, disk_id: str) -> List[str]:
         return self.fabric.reachable_hosts(disk_id)
 
-    def _on_execute(self, pairs: List[Tuple[str, str]]):
+    def _on_attached_disks(self, host_id: str) -> List[str]:
+        """The disks the fabric attaches to ``host_id``: what a Master
+        asks for a host that cannot report its own USB view."""
+        attached = self.fabric.attachment_map()
+        return sorted(d for d, host in attached.items() if host == host_id)
+
+    def _on_execute(self, token: int, pairs: List[Tuple[str, str]]):
         """Plan, turn, verify; generator so the RPC replies when done."""
+        self.fence.admit(token)
         return self._execute(pairs)
 
     def _execute(self, pairs: List[Tuple[str, str]]) -> Generator[Event, None, dict]:

@@ -13,6 +13,10 @@ Responsibilities, per the paper:
 * expose allocated storage spaces to the network as iSCSI targets;
 * serve the disk power interface upper-layer services use (§IV-F).
 
+Exposure and power commands carry the sending Master's fencing token
+(:class:`~repro.cluster.metadata.Fence`); one older than the newest
+token seen is refused.
+
 The default spin-down policy itself is :mod:`repro.power.policy`,
 attached over a set of disks with :func:`~repro.power.policy.run_policy`.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.cluster.metadata import DiskStatus, SpaceRecord
+from repro.cluster.metadata import DiskStatus, Fence, SpaceRecord
 from repro.cluster.namespace import MASTER_POINTER, target_name
 from repro.coord.client import CoordSession
 from repro.disk.device import SimulatedDisk
@@ -67,6 +71,7 @@ class EndPoint:
         self._exposed: Dict[str, SpaceRecord] = {}  # target name -> record
         self.expose_log: List[tuple] = []  # (time, target name)
         self.heartbeats_sent = 0
+        self.fence = Fence()
         # Set while the heartbeat chain is stopped (host dead): the grid
         # its ticks would have followed, on which recover() resumes it.
         self._heartbeat_grid: Optional[Grid] = None
@@ -174,7 +179,8 @@ class EndPoint:
 
     # -- RPC handlers ---------------------------------------------------------
 
-    def _on_expose(self, record_dict: dict) -> str:
+    def _on_expose(self, token: int, record_dict: dict) -> str:
+        self.fence.admit(token)
         record = SpaceRecord.from_dict(record_dict)
         if record.disk_id not in self.bus.os_view(self.host_id):
             raise RuntimeError(f"{self.host_id} does not see {record.disk_id}")
@@ -191,7 +197,8 @@ class EndPoint:
         self._exposed[name] = record
         return name
 
-    def _on_withdraw(self, space_id: str) -> bool:
+    def _on_withdraw(self, token: int, space_id: str) -> bool:
+        self.fence.admit(token)
         name = target_name(space_id)
         self.targets.withdraw(name)
         return self._exposed.pop(name, None) is not None
@@ -199,8 +206,9 @@ class EndPoint:
     def _on_usb_view(self) -> List[str]:
         return sorted(self.bus.os_view(self.host_id))
 
-    def _on_set_disk_power(self, disk_id: str, action: str):
+    def _on_set_disk_power(self, token: int, disk_id: str, action: str):
         """Disk power interface for upper-layer services (§IV-F)."""
+        self.fence.admit(token)
         disk = self.disks.get(disk_id)
         if disk is None or disk_id not in self.bus.os_view(self.host_id):
             raise RuntimeError(f"{self.host_id} does not control {disk_id}")

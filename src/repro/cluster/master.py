@@ -12,6 +12,15 @@ does with ZooKeeper, §V-B).  The active master:
 * monitors host heartbeats and, on an extended silence, declares the
   host crashed and moves its disks to healthy hosts through the
   Controller, re-exposing the affected targets (§IV-E).
+
+Every command that changes hardware or exposure (``controller.execute``,
+``endpoint.expose``, ``endpoint.withdraw``, ``endpoint.set_disk_power``)
+carries the Master's fencing token, the sequence number of the election
+node it activated with; Controllers and EndPoints refuse a token older
+than the newest they have seen (:class:`~repro.cluster.metadata.Fence`).
+A failover stops at its next step once its Master has stepped down; the
+spaces of disks it has already moved are still exposed, since no later
+Master finds those disks orphaned.
 """
 
 from __future__ import annotations
@@ -45,10 +54,17 @@ FAILURE_CHECK_INTERVAL = 0.5
 ELECTION_RETRY_PAUSE = 1.0
 #: Bytes assumed for a disk missing from ``disk_capacities`` (3 TB).
 DEFAULT_DISK_CAPACITY = 3 * 10**12
+#: Host states the failure detector watches: a host that answered, and
+#: one that did not answer the interrogation at activation.
+_WATCHED = (HostStatus.ONLINE, HostStatus.SUSPECTED)
 
 
 class AllocationError(Exception):
     """No disk satisfies an allocation request."""
+
+
+class SteppedDown(Exception):
+    """The Master stepped down before it sent a request."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +96,9 @@ class Master:
         self.records: Dict[str, SpaceRecord] = {}  # space_id -> record
         self._space_counters: Dict[str, int] = {}  # disk -> next index
         self.active = False
+        # Fencing token: the sequence number of the election node this
+        # Master last activated with.
+        self.token = 0
         # What the election loop waits on: the active master's step-down,
         # or the standby's predecessor watch or session expiry.  A crash
         # ends either.  Replaced at each wait.
@@ -168,7 +187,7 @@ class Master:
             if my_name in children:
                 # Never activate on a lapsed lease: it would step down at once.
                 if not self.active and self.coord.holds_lease():
-                    yield from self._activate()
+                    yield from self._activate(int(my_name.rsplit("-", 1)[1]))
                 if self.active:
                     # While the lease holds, the lowest election node is
                     # ours: the lease lapses before the cluster can expire
@@ -194,7 +213,7 @@ class Master:
         if not self._wait.triggered:
             self._wait.succeed()
 
-    def _activate(self) -> Generator[Event, None, None]:
+    def _activate(self, token: int) -> Generator[Event, None, None]:
         # Publish the active master's address.
         try:
             exists = yield from self.coord.exists(MASTER_POINTER)
@@ -210,6 +229,7 @@ class Master:
         # memory-only and reconstructible).
         yield from self._interrogate_hosts()
         self.active = True
+        self.token = token
         self._wait = self.sim.event()
         self._detector_grid = Grid(self.sim.now, FAILURE_CHECK_INTERVAL)
         self._arm_detector()
@@ -247,13 +267,48 @@ class Master:
                     address, "endpoint.usb_view", timeout=1.0
                 )
             except (RpcTimeout, RemoteError):
+                # Watched from now on, like a host that just sent its
+                # last heartbeat, with the disks its Controller says it
+                # holds: if it stays silent, they are failed over.
                 self.sysstat.host_status[host_id] = HostStatus.SUSPECTED
+                self.sysstat.last_heartbeat[host_id] = self.sim.now
+                yield from self._ask_controller_for_disks(host_id)
                 continue
             self.sysstat.host_status[host_id] = HostStatus.ONLINE
             self.sysstat.last_heartbeat[host_id] = self.sim.now
             for disk_id in view:
                 self.sysstat.disk_to_host[disk_id] = host_id
                 self.sysstat.disk_status[disk_id] = DiskStatus.ONLINE
+
+    def _ask_controller_for_disks(self, host_id: str) -> Generator[Event, None, None]:
+        """Record the disks the unit's Controller attaches to ``host_id``."""
+        unit = self.sysconf.unit_of_host(host_id)
+        for controller in self._controller_addresses(unit) if unit else []:
+            try:
+                disks = yield from self.rpc_client.call(
+                    controller, "controller.attached_disks", host_id, timeout=1.0
+                )
+            except (RpcTimeout, RemoteError):
+                continue
+            for disk_id in disks:
+                self.sysstat.disk_to_host[disk_id] = host_id
+            return
+
+    def _ask(
+        self, address: str, method: str, *args: Any, timeout: float
+    ) -> Generator[Event, None, Any]:
+        """Call ``method`` on the active Master's behalf; raise
+        :class:`SteppedDown` instead once it has stepped down."""
+        if not self.active:
+            raise SteppedDown(self.address)
+        return (yield from self.rpc_client.call(address, method, *args, timeout=timeout))
+
+    def _command(
+        self, address: str, method: str, *args: Any, timeout: float
+    ) -> Generator[Event, None, Any]:
+        """:meth:`_ask` for a command that changes hardware or exposure:
+        its first argument is this Master's fencing token."""
+        return (yield from self._ask(address, method, self.token, *args, timeout=timeout))
 
     # -- RPC handlers ---------------------------------------------------------
 
@@ -358,7 +413,7 @@ class Master:
             self.allocations += 1
             host_id = self.sysstat.disk_to_host[best]
             address = self.sysconf.host_addresses[host_id]
-            yield from self.rpc_client.call(
+            yield from self._command(
                 address, "endpoint.expose", record.as_dict(), timeout=2.0
             )
             return {
@@ -400,7 +455,7 @@ class Master:
             if host_id is not None:
                 address = self.sysconf.host_addresses[host_id]
                 try:
-                    yield from self.rpc_client.call(
+                    yield from self._command(
                         address, "endpoint.withdraw", space_id, timeout=2.0
                     )
                 except (RpcTimeout, RemoteError):
@@ -433,12 +488,8 @@ class Master:
         address = self.sysconf.host_addresses[host_id]
 
         def forward() -> Generator[Event, None, Any]:
-            result = yield from self.rpc_client.call(
-                address,
-                "endpoint.set_disk_power",
-                record.disk_id,
-                action,
-                timeout=30.0,
+            result = yield from self._command(
+                address, "endpoint.set_disk_power", record.disk_id, action, timeout=30.0
             )
             return result
 
@@ -487,11 +538,11 @@ class Master:
             last_error: Optional[Exception] = None
             for controller in controllers:
                 try:
-                    result = yield from self.rpc_client.call(
+                    result = yield from self._command(
                         controller, "controller.execute", pairs, timeout=timeout
                     )
                     break
-                except (RpcTimeout, RemoteError) as exc:
+                except (RpcTimeout, RemoteError, SteppedDown) as exc:
                     last_error = exc
             else:
                 if watcher.is_alive:
@@ -506,12 +557,12 @@ class Master:
     # -- failure detection and failover (§IV-E) ---------------------------------
 
     def _silent_hosts(self, now: float) -> List[str]:
-        """ONLINE hosts whose last heartbeat is too old at ``now``."""
+        """Watched hosts whose last heartbeat is too old at ``now``."""
         silent = []
         for host_id in self.sysconf.host_addresses:
             last = self.sysstat.last_heartbeat.get(host_id)
             if (
-                self.sysstat.host_status.get(host_id) is HostStatus.ONLINE
+                self.sysstat.host_status.get(host_id) in _WATCHED
                 and last is not None
                 and now - last > self.config.heartbeat_timeout
             ):
@@ -521,7 +572,7 @@ class Master:
     def _arm_detector(self) -> None:
         """Arm the check at the first tick on which some host is overdue."""
         watched = any(
-            self.sysstat.host_status.get(h) is HostStatus.ONLINE
+            self.sysstat.host_status.get(h) in _WATCHED
             and h in self.sysstat.last_heartbeat
             for h in self.sysconf.host_addresses
         )
@@ -559,6 +610,7 @@ class Master:
         }
         started = self.sim.now
         moved: Dict[str, str] = {}
+        aborted = False
         tracer = self.sim.tracer
         ctx = (
             tracer.start(
@@ -572,20 +624,26 @@ class Master:
         )
         for controller in controllers:
             try:
-                moved = yield from self._fail_over_via(
-                    controller, orphans, dict(load)
-                )
-                if moved:
-                    ctx.event("failover.controller_ok", controller=controller)
-                    break
+                yield from self._fail_over_via(controller, orphans, dict(load), moved)
+            except SteppedDown:
+                aborted = True
+                break
             except (RpcTimeout, RemoteError):
                 # Primary controller unreachable: try the backup.
                 ctx.event("failover.controller_unreachable", controller=controller)
                 continue
+            if moved:
+                ctx.event("failover.controller_ok", controller=controller)
+                break
         ctx.phase("failover")
+        # Exposed even after a step-down: a moved disk has left the dead
+        # host, so no later Master finds it orphaned (DESIGN.md §8).
         yield from self._re_expose(moved)
         ctx.phase("network")
-        if moved:
+        if aborted:
+            # The next active Master fails over what was not moved.
+            ctx.finish("aborted")
+        elif moved:
             self.failovers_completed += 1
             self._m_failover_seconds.observe(self.sim.now - started)
             ctx.annotate(moved=len(moved))
@@ -594,9 +652,14 @@ class Master:
             ctx.finish("failed")
 
     def _fail_over_via(
-        self, controller: str, orphans: List[str], load: Dict[str, int]
-    ) -> Generator[Event, None, Dict[str, str]]:
-        """Move ``orphans`` using one Controller; returns disk -> new host.
+        self,
+        controller: str,
+        orphans: List[str],
+        load: Dict[str, int],
+        moved: Dict[str, str],
+    ) -> Generator[Event, None, None]:
+        """Move ``orphans`` using one Controller, recording each disk's
+        new host in ``moved`` as its switch completes.
 
         Strategy: first try a single batched command that sends every
         orphan to one host (the fast path behind the paper's ~5.8 s
@@ -605,12 +668,11 @@ class Master:
         each disk's reachable hosts from least- to most-loaded and
         skipping targets that Algorithm 1 reports as conflicting.
         """
-        moved: Dict[str, str] = {}
         # Hosts every orphan can reach.
         common: Optional[set] = None
         reachable_of: Dict[str, List[str]] = {}
         for disk_id in orphans:
-            reachable = yield from self.rpc_client.call(
+            reachable = yield from self._ask(
                 controller, "controller.reachable_hosts", disk_id, timeout=2.0
             )
             options = [h for h in reachable if h in load]
@@ -618,7 +680,7 @@ class Master:
             common = set(options) if common is None else (common & set(options))
         for target in sorted(common or (), key=lambda h: (load[h], h)):
             try:
-                yield from self.rpc_client.call(
+                yield from self._command(
                     controller,
                     "controller.execute",
                     [(d, target) for d in orphans],
@@ -628,12 +690,12 @@ class Master:
                 continue  # conflict: try another absorber or fall back
             for disk_id in orphans:
                 moved[disk_id] = target
-            return moved
+            return
         # Fall back: place disks one at a time.
         for disk_id in orphans:
             for target in sorted(reachable_of[disk_id], key=lambda h: (load[h], h)):
                 try:
-                    yield from self.rpc_client.call(
+                    yield from self._command(
                         controller, "controller.execute", [(disk_id, target)], timeout=40.0
                     )
                 except RemoteError:
@@ -641,7 +703,6 @@ class Master:
                 moved[disk_id] = target
                 load[target] += 1
                 break
-        return moved
 
     def _re_expose(self, moved: Dict[str, str]) -> Generator[Event, None, None]:
         """Re-expose every space living on a moved disk at its new home.
@@ -682,8 +743,10 @@ class Master:
             if record.disk_id != disk_id:
                 continue
             try:
+                # Not _command: the disk has moved, so its spaces are
+                # exposed even if this Master has stepped down since.
                 yield from self.rpc_client.call(
-                    address, "endpoint.expose", record.as_dict(), timeout=5.0
+                    address, "endpoint.expose", self.token, record.as_dict(), timeout=5.0
                 )
             except (RpcTimeout, RemoteError):
                 pass

@@ -16,7 +16,15 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["DiskStatus", "HostStatus", "SpaceRecord", "SysConf", "SysStat"]
+__all__ = [
+    "DiskStatus",
+    "Fence",
+    "HostStatus",
+    "SpaceRecord",
+    "StaleMasterError",
+    "SysConf",
+    "SysStat",
+]
 
 
 class HostStatus(enum.Enum):
@@ -107,3 +115,28 @@ class SpaceRecord:
     @staticmethod
     def from_dict(data: dict) -> "SpaceRecord":
         return SpaceRecord(**data)
+
+
+class StaleMasterError(Exception):
+    """A command carried the fencing token of a Master that has since
+    been succeeded."""
+
+
+@dataclass
+class Fence:
+    """The newest Master fencing token a Controller or EndPoint has seen.
+
+    A Master's token is the sequence number of its election node, which
+    grows with every activation (Chubby's sequencer, Burrows OSDI 2006).
+    A command with a lower token than one already seen comes from a
+    Master that has stepped down, and is refused.
+    """
+
+    highest: int = 0
+
+    def admit(self, token: int) -> None:
+        if token < self.highest:
+            raise StaleMasterError(
+                f"fencing token {token} is older than {self.highest}"
+            )
+        self.highest = token

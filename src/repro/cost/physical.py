@@ -23,9 +23,8 @@ from repro.power.systems import (
     PSU_EFFICIENCY,
     USB_HOST_ADAPTER_POWER,
 )
-from repro.units import GB as GB_DECIMAL
-from repro.units import TB as TB_DECIMAL
-from repro.workload.specs import MB, AccessPattern, WorkloadSpec
+from repro.units import GB, TB, MiB
+from repro.workload.specs import AccessPattern, WorkloadSpec
 
 __all__ = ["UnitSpec", "unit_spec"]
 
@@ -50,11 +49,11 @@ class UnitSpec:
 
     @property
     def raw_capacity_tb(self) -> float:
-        return self.raw_capacity_bytes / TB_DECIMAL
+        return self.raw_capacity_bytes / TB
 
     @property
     def aggregate_throughput_gb_s(self) -> float:
-        return self.aggregate_throughput_bytes / GB_DECIMAL
+        return self.aggregate_throughput_bytes / GB
 
     @property
     def capacity_per_rack_unit_tb(self) -> float:
@@ -79,7 +78,7 @@ def unit_spec(
         raise ValueError("need at least one disk and one host")
     model = DiskModel(connection=ConnectionType.HUB_AND_SWITCH)
     disk_rate = model.demand_bytes_per_second(
-        WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
     )
     fabric_limit = num_hosts * DEFAULT_DUPLEX_CAPACITY
     disk_limit = num_disks * disk_rate

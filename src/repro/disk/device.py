@@ -98,8 +98,7 @@ class SimulatedDisk:
         self.model = DiskModel(disk=spec, connection=connection)
         self.states = SpinStateMachine(initial_state)
         self.failed = False
-        self._queue = Resource(sim, capacity=1, name=f"disk-queue:{disk_id}")
-        self._last_io_end = 0.0
+        self._queue = Resource(sim, name=f"disk-queue:{disk_id}")
         self._last_offset_end: Optional[int] = None
         self._last_is_read: Optional[bool] = None
         self.completed_ios = 0
@@ -195,10 +194,6 @@ class SimulatedDisk:
     def add_spin_up_listener(self, listener: SpinUpListener) -> None:
         """Notify ``listener(disk_id, now, blame)`` on every spin-up start."""
         self._spin_listeners.append(listener)
-
-    def remove_spin_up_listener(self, listener: SpinUpListener) -> None:
-        if listener in self._spin_listeners:
-            self._spin_listeners.remove(listener)
 
     def add_state_listener(self, listener: StateListener) -> None:
         """Notify ``listener(disk_id, state, span, owner)`` as each
@@ -353,7 +348,6 @@ class SimulatedDisk:
             if self.failed:
                 raise DiskOfflineError(f"{self.disk_id}: disk failed mid-transfer")
             self._last_offset_end = request.offset + request.size
-            self._last_io_end = self.sim.now
             self.completed_ios += 1
             self._m_service.observe(service)
             if request.is_read:
@@ -367,5 +361,6 @@ class SimulatedDisk:
 
     @property
     def idle_since(self) -> float:
-        """Simulated time of the last I/O completion."""
-        return self._last_io_end
+        """When the disk entered its current power state: for an IDLE
+        disk, the end of its last I/O or of the spin-up that woke it."""
+        return self._state_entered

@@ -43,16 +43,10 @@ class SpinStateMachine:
     def __init__(self, initial: DiskPowerState = DiskPowerState.IDLE):
         self.state = initial
         self.spin_up_count = 0
-        self.spin_down_count = 0
 
     @property
     def is_spinning(self) -> bool:
         return self.state in (DiskPowerState.IDLE, DiskPowerState.ACTIVE)
-
-    @property
-    def is_available(self) -> bool:
-        """True when the disk can accept I/O without a spin-up."""
-        return self.is_spinning
 
     def transition(self, new_state: DiskPowerState) -> None:
         if new_state is self.state:
@@ -64,6 +58,4 @@ class SpinStateMachine:
             )
         if new_state is DiskPowerState.SPINNING_UP:
             self.spin_up_count += 1
-        if new_state is DiskPowerState.SPUN_DOWN and self.state is not DiskPowerState.POWERED_OFF:
-            self.spin_down_count += 1
         self.state = new_state

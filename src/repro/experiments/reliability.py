@@ -29,13 +29,9 @@ from repro.reliability import (
     network_rebuild,
 )
 from repro.sim import RngRegistry, Simulator
-from repro.units import GB as GB_DECIMAL
-from repro.units import TB
-from repro.workload.specs import MB
+from repro.units import GB, TB, GiB, MiB
 
 __all__ = ["EXPERIMENT"]
-
-GB = 1024 * MB
 
 
 def _availability() -> Dict:
@@ -65,7 +61,7 @@ def _reconstruction(
                 round(network.seconds / 3600.0, 2),
                 round(assisted.seconds / 3600.0, 2),
                 round(network.seconds / assisted.seconds, 2),
-                round(network.network_bytes / GB_DECIMAL, 1),
+                round(network.network_bytes / GB, 1),
             ]
         )
     # Live drill at a smaller size (event-driven path).
@@ -77,7 +73,7 @@ def _reconstruction(
 
     def run_drill(assisted):
         return (
-            yield from drill.run("disk4", "disk0", 2 * GB, fabric_assisted=assisted)
+            yield from drill.run("disk4", "disk0", 2 * GiB, fabric_assisted=assisted)
         )
 
     network_drill = deployment.sim.run_until_event(
@@ -108,7 +104,7 @@ def _scrubbing(
         injected_at = 3600.0
         sim.defer(injected_at, lambda m=model: m.errors.add(0))
         Scrubber(
-            sim, model, scrub_interval=interval_hours * 3600.0, scan_bytes=64 * MB
+            sim, model, scrub_interval=interval_hours * 3600.0, scan_bytes=64 * MiB
         )
         sim.run(until=30 * 24 * 3600.0)
         if model.detected:
@@ -184,7 +180,7 @@ def _report(result: Dict) -> str:
     drill = result["reconstruction"]["drill"]
     lines.append(
         f"  live 2 GB drill: network {drill['network']['seconds']:.1f}s "
-        f"({drill['network']['network_bytes'] / 1e9:.1f} GB over GbE) vs "
+        f"({drill['network']['network_bytes'] / GB:.1f} GB over GbE) vs "
         f"fabric {drill['fabric']['seconds']:.1f}s "
         f"(incl. {drill['fabric']['switch_seconds']:.1f}s switch, 0 network bytes)"
     )

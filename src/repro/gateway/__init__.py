@@ -6,7 +6,7 @@ queues and schedules requests.  Modules:
 
 * :mod:`repro.gateway.request` — typed requests and admission errors;
 * :mod:`repro.gateway.tenants` — tenant specs and the open-loop
-  (Poisson / trace-driven) traffic generator;
+  Poisson traffic generator;
 * :mod:`repro.gateway.queues` — bounded per-tenant weighted-fair queues;
 * :mod:`repro.gateway.scheduler` — the power-budgeted cold-read batch
   scheduler and the naive FIFO baseline;
@@ -57,11 +57,7 @@ from repro.gateway.scheduler import (  # noqa: F401
     coalesce_batch,
     make_scheduler,
 )
-from repro.gateway.tenants import (  # noqa: F401
-    OpenLoopTrafficGenerator,
-    TenantSpec,
-    TraceArrival,
-)
+from repro.gateway.tenants import OpenLoopTrafficGenerator, TenantSpec  # noqa: F401
 
 __all__ = [
     "AdmissionError",
@@ -86,7 +82,6 @@ __all__ = [
     "Scheduler",
     "TenantSpec",
     "TenantStats",
-    "TraceArrival",
     "UnknownTenantError",
     "WeightedFairQueue",
     "WriteObject",

@@ -103,13 +103,6 @@ class GatewayRequest:
             return None
         return self.completed_at - self.arrival
 
-    @property
-    def queue_wait(self) -> Optional[float]:
-        """Arrival-to-dispatch sim seconds; ``None`` while queued."""
-        if self.dispatched_at is None:
-            return None
-        return self.dispatched_at - self.arrival
-
     def missed_slo(self) -> bool:
         """Whether the request completed after its deadline."""
         return self.completed_at is not None and self.completed_at > self.deadline

@@ -131,16 +131,6 @@ class PowerAccountant:
     def can_afford(self, disk_id: str) -> bool:
         return self.in_use_watts() + self.cost_of(disk_id) <= self.budget_watts
 
-    def idle_watts(self) -> Watts:
-        """Headroom under the budget right now (never negative).
-
-        Background work (tier demotion, compaction) is deadline-free:
-        it should dispatch only when this headroom covers its disk, so
-        it soaks otherwise-wasted budget instead of queueing against
-        foreground cold reads.
-        """
-        return Watts(max(0.0, self.budget_watts - self.in_use_watts()))
-
     def grant(self, disk_id: str) -> None:
         """Reserve watts for a still-spun-down disk's imminent batch."""
         if not self.drawing(disk_id):
@@ -291,10 +281,10 @@ def coalesce_batch(
 Scheduler = Union[ColdReadBatchScheduler, FifoScheduler]
 
 
-def make_scheduler(name: str, max_batch: int = 64) -> Scheduler:
+def make_scheduler(name: str) -> Scheduler:
     """Build a scheduler strategy by name (``batch`` or ``fifo``)."""
     if name == "batch":
-        return ColdReadBatchScheduler(max_batch=max_batch)
+        return ColdReadBatchScheduler()
     if name == "fifo":
         return FifoScheduler()
     raise ValueError(f"unknown scheduler {name!r} (expected 'batch' or 'fifo')")

@@ -8,38 +8,18 @@ process, not two million.  Closed-loop drivers (``repro.workload
 saturation; an open-loop front door keeps offering load while queues
 grow, which is how admission control and SLO misses become visible.
 
-Arrivals can also be replayed from an explicit trace
-(:class:`TraceArrival` lists), for tests and for feeding recorded
-workloads through the same admission path.
-
 All randomness flows through named :class:`~repro.sim.rng.RngRegistry`
 streams (``gateway.arrivals.<tenant>``), one per tenant, so adding a
-tenant never perturbs another tenant's arrival sequence.
-
-Arrival draws are generated in bulk: :meth:`OpenLoopTrafficGenerator
-._draw_arrivals` precomputes :data:`ARRIVAL_BATCH` arrivals per pass in
-one tight loop with locally bound RNG methods and a precomputed size-mix
-total, instead of paying the attribute-lookup and ``gateway.objects()``
-overhead once per event.  The batch makes **exactly the same RNG calls
-in exactly the same order** as a per-arrival loop would (gap, object
-index, size draw, offset, read/write draw), so a fixed seed yields a
-bit-identical arrival sequence — pinned by
-``tests/test_tenant_arrivals.py`` against an unbatched reference.
+tenant never perturbs another tenant's arrival sequence.  Each arrival
+draws its gap, then its object, size, offset and direction, from that
+stream as it is due; ``tests/test_tenant_arrivals.py`` pins the
+sequence against an independent per-call reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Generator,
-    List,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Generator, List, Tuple, Union
 
 from repro.sim import Event, RngRegistry, Simulator
 from repro.workload.specs import MB
@@ -50,22 +30,7 @@ from repro.gateway.request import AdmissionError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.gateway.gateway import Gateway
 
-
-class _ArrivalStream(Protocol):
-    """The slice of a named RNG stream the bulk arrival draw uses."""
-
-    def expovariate(self, lambd: float) -> float: ...
-
-    def randrange(self, stop: int) -> int: ...
-
-    def random(self) -> float: ...
-
-__all__ = ["ARRIVAL_BATCH", "OpenLoopTrafficGenerator", "TenantSpec", "TraceArrival"]
-
-#: Arrivals precomputed per bulk draw.  Large enough to amortize the
-#: per-batch setup, small enough that the draws thrown away when a
-#: tenant's window ends mid-batch stay negligible.
-ARRIVAL_BATCH = 128
+__all__ = ["OpenLoopTrafficGenerator", "TenantSpec"]
 
 
 @dataclass(frozen=True)
@@ -110,16 +75,6 @@ class TenantSpec:
         return self.users * self.rate_per_user
 
 
-@dataclass(frozen=True)
-class TraceArrival:
-    """One trace-driven arrival (times are absolute sim seconds)."""
-
-    time: float
-    object_index: int
-    size: int
-    is_read: bool = True
-
-
 @dataclass
 class _TenantTraffic:
     """Per-tenant bookkeeping the generator exposes for assertions."""
@@ -129,7 +84,7 @@ class _TenantTraffic:
 
 
 class OpenLoopTrafficGenerator:
-    """Drive a gateway with Poisson or trace-driven tenant arrivals."""
+    """Drive a gateway with Poisson tenant arrivals."""
 
     def __init__(
         self,
@@ -162,89 +117,38 @@ class OpenLoopTrafficGenerator:
                 processes.append(self.sim.process(self._poisson_loop(spec, end)))
         return processes
 
-    def replay(self, tenant: str, arrivals: Sequence[TraceArrival]) -> Event:
-        """Spawn a process replaying an explicit arrival trace."""
-        spec = self.gateway.tenant(tenant)
-        self.stats.setdefault(spec.name, _TenantTraffic())
-        ordered = sorted(arrivals, key=lambda a: (a.time, a.object_index))
-        return self.sim.process(self._replay_loop(spec, ordered))
-
     def _poisson_loop(
         self, spec: TenantSpec, end: float
     ) -> Generator[Event, None, None]:
+        """Offer one tenant's arrivals until ``end``, drawing each one's
+        gap, object, size, offset and direction, in that order, as it
+        is due."""
         rand = self.rng.stream(f"gateway.arrivals.{spec.name}")
         rate = spec.arrival_rate * self.load_scale
+        sizes = spec.object_sizes
+        total_share = sum(share for _, share in sizes)
         sim = self.sim
-        batch: List[Tuple[float, str, int, int, bool]] = []
-        index = 0
         while True:
-            if index >= len(batch):
-                batch = self._draw_arrivals(rand, spec, rate, ARRIVAL_BATCH)
-                index = 0
-            gap, space_id, offset, size, is_read = batch[index]
-            index += 1
+            gap = rand.expovariate(rate)
             if sim.now + gap > end:
                 return
             yield sim.timeout(gap)
-            self._submit(spec, space_id, offset, size, is_read)
-
-    def _draw_arrivals(
-        self, rand: _ArrivalStream, spec: TenantSpec, rate: float, count: int
-    ) -> List[Tuple[float, str, int, int, bool]]:
-        """Precompute ``count`` arrivals: ``(gap, space_id, offset, size, is_read)``.
-
-        The RNG calls per arrival — exponential gap, object index, size
-        draw, block offset, read/write draw — happen in exactly the
-        order the unbatched per-event loop made them, so the stream
-        state after ``k`` consumed arrivals is identical and the arrival
-        sequence for a fixed seed is bit-for-bit unchanged.  (Draws for
-        arrivals past the end of the window are wasted, but the stream
-        is exclusive to this tenant so nothing observes the difference.)
-
-        The gateway's object table is fixed at deployment-attach time,
-        so reading it once per batch instead of once per arrival is
-        safe.
-        """
-        objects = self.gateway.objects()
-        n_objects = len(objects)
-        expovariate = rand.expovariate
-        randrange = rand.randrange
-        random_draw = rand.random
-        sizes = spec.object_sizes
-        total_share = sum(share for _, share in sizes)
-        fallback_size = sizes[-1][0]
-        read_fraction = spec.read_fraction
-        batch: List[Tuple[float, str, int, int, bool]] = []
-        append = batch.append
-        for _ in range(count):
-            gap = expovariate(rate)
-            obj = objects[randrange(n_objects)]
-            threshold = random_draw() * total_share
+            objects = self.gateway.objects()
+            obj = objects[rand.randrange(len(objects))]
+            threshold = rand.random() * total_share
             cumulative = 0.0
-            size = fallback_size
+            size = sizes[-1][0]
             for candidate, share in sizes:
                 cumulative += share
                 if threshold <= cumulative:
                     size = candidate
                     break
             region = obj.region_bytes
-            blocks = max(1, region // size)
-            offset = randrange(blocks) * size
+            offset = rand.randrange(max(1, region // size)) * size
             if offset + size > region:
                 offset = max(0, region - size)
-            append((gap, obj.space_id, offset, size, random_draw() < read_fraction))
-        return batch
-
-    def _replay_loop(
-        self, spec: TenantSpec, arrivals: Sequence[TraceArrival]
-    ) -> Generator[Event, None, None]:
-        for arrival in arrivals:
-            if arrival.time > self.sim.now:
-                yield self.sim.timeout(arrival.time - self.sim.now)
-            objects = self.gateway.objects()
-            obj = objects[arrival.object_index % len(objects)]
-            size = min(arrival.size, obj.region_bytes)
-            self._submit(spec, obj.space_id, 0, size, arrival.is_read)
+            is_read = rand.random() < spec.read_fraction
+            self._submit(spec, obj.space_id, offset, size, is_read)
 
     def _submit(
         self, spec: TenantSpec, space_id: str, offset: int, size: int, is_read: bool

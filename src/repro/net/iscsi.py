@@ -64,12 +64,6 @@ class StorageVolume:
         if self.offset < 0 or self.length <= 0:
             raise ValueError("invalid volume geometry")
 
-    def submit(
-        self, offset: Bytes, size: Bytes, is_read: bool, scope: TraceScope = NULL_SCOPE
-    ) -> Event:
-        """Serve one I/O as a process of its own; see :meth:`serve`."""
-        return self.disk.submit(self._request(offset, size, is_read), scope)
-
     def serve(
         self, offset: Bytes, size: Bytes, is_read: bool, scope: TraceScope = NULL_SCOPE
     ) -> Generator[Event, None, float]:

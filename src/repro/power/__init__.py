@@ -4,7 +4,6 @@ from repro.power.accounting import PowerMeter
 from repro.power.policy import (
     AdaptiveTimeoutPolicy,
     FixedTimeoutPolicy,
-    PolicyHandle,
     SpinDownPolicy,
     run_policy,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "DD860_POWERED_OFF",
     "DD860_SPINNING",
     "FixedTimeoutPolicy",
-    "PolicyHandle",
     "PowerBreakdown",
     "PowerMeter",
     "SpinDownPolicy",

@@ -9,7 +9,7 @@ their workload can replace it entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Dict, List, Protocol
 
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
@@ -20,7 +20,6 @@ from repro.units import SimSeconds
 __all__ = [
     "AdaptiveTimeoutPolicy",
     "FixedTimeoutPolicy",
-    "PolicyHandle",
     "SpinDownPolicy",
     "run_policy",
 ]
@@ -84,58 +83,33 @@ class AdaptiveTimeoutPolicy:
             events.clear()
 
 
-@dataclass
-class PolicyHandle:
-    """Cancellation handle for a running :func:`run_policy` loop."""
-
-    stopped: bool = False
-    _detach: Optional[Callable[[], None]] = None
-
-    def stop(self) -> None:
-        self.stopped = True
-        if self._detach is not None:
-            # Unhook spin-up listeners immediately; the defer callback
-            # itself lapses (inert) at its next firing.
-            self._detach()
-            self._detach = None
-
-
 def run_policy(
     sim: Simulator,
     disks: Dict[str, SimulatedDisk],
     policy: SpinDownPolicy,
     check_interval: SimSeconds = SimSeconds(10.0),
-) -> PolicyHandle:
+) -> None:
     """Drive a spin-down policy over ``disks`` on the deferred fast path.
 
     Each check is a raw :meth:`Simulator.defer` callback that
     reschedules itself — no Timeout/Event allocation per interval, so
     a fleet of policy loops costs the kernel nothing between checks.
-    Wake-ups reach ``policy.on_spin_up`` through per-disk spin-up
-    listeners at the *exact* sim time of the surge (not quantised to
-    the next check boundary, as the old ``spin_up_count`` polling was).
-    Returns a :class:`PolicyHandle`; :meth:`PolicyHandle.stop` detaches
-    the listeners immediately and lets the loop lapse at its next
-    firing, so a stopped-and-restarted policy never ticks twice.
+    A check spins down every IDLE disk that has been IDLE for the
+    policy's timeout: the idle clock (:attr:`SimulatedDisk.idle_since`)
+    starts when the disk last turned IDLE, whether an I/O or a spin-up
+    brought it there.  Wake-ups reach ``policy.on_spin_up`` through
+    per-disk spin-up listeners at the *exact* sim time of the surge
+    (not quantised to the next check boundary).  The loop runs for the
+    life of the simulation.
     """
-    handle = PolicyHandle()
 
     def on_spin_up(disk_id: str, now: float, blame: TraceScope) -> None:
-        if not handle.stopped:
-            policy.on_spin_up(disk_id, SimSeconds(now))
+        policy.on_spin_up(disk_id, SimSeconds(now))
 
     for disk in disks.values():
         disk.add_spin_up_listener(on_spin_up)
 
-    def detach() -> None:
-        for disk in disks.values():
-            disk.remove_spin_up_listener(on_spin_up)
-
-    handle._detach = detach
-
     def check() -> None:
-        if handle.stopped:
-            return
         for disk_id, disk in disks.items():
             if disk.power_state is not DiskPowerState.IDLE:
                 continue
@@ -144,4 +118,3 @@ def run_policy(
         sim.defer(check_interval, check)
 
     sim.defer(check_interval, check)
-    return handle

@@ -29,8 +29,8 @@ from repro.disk.specs import ConnectionType
 from repro.fabric.bandwidth import DEFAULT_PER_DIRECTION_CAPACITY
 from repro.net.rpc import RpcClient
 from repro.sim import Event
-from repro.units import MB as MB_DECIMAL
-from repro.workload.specs import MB, AccessPattern, WorkloadSpec
+from repro.units import MB, MiB
+from repro.workload.specs import AccessPattern, WorkloadSpec
 
 __all__ = [
     "RebuildDrill",
@@ -51,10 +51,10 @@ class RebuildEstimate:
 
     @property
     def rate_mb_s(self) -> float:
-        return self.rebuild_bytes / self.seconds / MB_DECIMAL if self.seconds else 0.0
+        return self.rebuild_bytes / self.seconds / MB if self.seconds else 0.0
 
 
-def _disk_seq_rate(size: int = 4 * MB) -> float:
+def _disk_seq_rate(size: int = 4 * MiB) -> float:
     model = DiskModel(connection=ConnectionType.HUB_AND_SWITCH)
     return model.demand_bytes_per_second(
         WorkloadSpec(size, AccessPattern.SEQUENTIAL, 1.0)
@@ -103,7 +103,7 @@ class RebuildDrill:
     onto the destination disk's host, then the copy is host-local.
     """
 
-    def __init__(self, deployment: Deployment, chunk_bytes: int = 4 * MB):
+    def __init__(self, deployment: Deployment, chunk_bytes: int = 4 * MiB):
         self.deployment = deployment
         self.chunk_bytes = chunk_bytes
         self.rpc = RpcClient(

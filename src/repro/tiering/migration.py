@@ -56,22 +56,13 @@ class MigrationOrchestrator:
         self.gateway = store.gateway
         self.sim = store.gateway.sim
         self.stats = MigrationStats()
-        self._running = False
         self.sim.metrics.publish("migration", self.stats)
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
+        """Start the loop; it runs for the life of the simulation."""
         self.sim.defer(self.store.config.demotion_check_interval, self._tick)
 
-    def stop(self) -> None:
-        """Let the loop lapse at its next firing (idempotent)."""
-        self._running = False
-
     def _tick(self) -> None:
-        if not self._running:
-            return
         self._round()
         self.sim.defer(self.store.config.demotion_check_interval, self._tick)
 

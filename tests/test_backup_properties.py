@@ -18,11 +18,11 @@ class _LocalSpace:
         self.sim = sim
 
     def write(self, offset, size):
-        yield self.volume.submit(offset, size, is_read=False)
+        yield from self.volume.serve(offset, size, is_read=False)
         return {"ok": True}
 
     def read(self, offset, size):
-        yield self.volume.submit(offset, size, is_read=True)
+        yield from self.volume.serve(offset, size, is_read=True)
         return {"ok": True}
 
 

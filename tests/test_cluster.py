@@ -604,6 +604,7 @@ class TestControllerPath:
             result = yield from rpc.call(
                 "unit0.controller0",
                 "controller.execute",
+                dep.active_master().token,
                 [("disk0", "host2")],
                 timeout=40.0,
             )
@@ -625,6 +626,7 @@ class TestControllerPath:
             yield from rpc.call(
                 "unit0.controller0",
                 "controller.execute",
+                dep.active_master().token,
                 [("disk0", "host1")],  # drags disk1: Algorithm 1 conflict
                 timeout=40.0,
             )
@@ -641,7 +643,11 @@ class TestControllerPath:
 
         def command(pairs):
             result = yield from rpc.call(
-                "unit0.controller0", "controller.execute", pairs, timeout=60.0
+                "unit0.controller0",
+                "controller.execute",
+                dep.active_master().token,
+                pairs,
+                timeout=60.0,
             )
             done.append(dep.sim.now)
             return result

@@ -31,6 +31,7 @@ class TestControllerRollback:
             yield from rpc.call(
                 "unit0.controller0",
                 "controller.execute",
+                dep.active_master().token,
                 [("disk0", "host2")],
                 timeout=40.0,
             )
@@ -56,6 +57,7 @@ class TestControllerRollback:
                 yield from rpc.call(
                     "unit0.controller0",
                     "controller.execute",
+                    dep.active_master().token,
                     [("disk0", "host2")],
                     timeout=40.0,
                 )
@@ -95,6 +97,7 @@ class TestControllerRollback:
             yield from rpc.call(
                 "unit0.controller0",
                 "controller.execute",
+                dep.active_master().token,
                 [(disk, "host2") for disk in disks],
                 timeout=40.0,
             )

@@ -142,7 +142,7 @@ class TestSpinStateMachine:
         sm.transition(DiskPowerState.SPINNING_UP)
         sm.transition(DiskPowerState.IDLE)
         assert sm.spin_up_count == 1
-        assert sm.spin_down_count == 1
+        assert sm.state is DiskPowerState.IDLE
 
     def test_illegal_transition(self):
         sm = SpinStateMachine()  # IDLE cannot jump straight to SPINNING_UP
@@ -159,7 +159,7 @@ class TestSpinStateMachine:
         sm = SpinStateMachine()
         sm.transition(DiskPowerState.SPUN_DOWN)
         sm.transition(DiskPowerState.POWERED_OFF)
-        assert not sm.is_available
+        assert not sm.is_spinning
 
     def test_same_state_is_noop(self):
         sm = SpinStateMachine()

@@ -65,6 +65,7 @@ class TestFaultInjector:
             result = yield from rpc.call(
                 "unit0.controller1",
                 "controller.execute",
+                dep.active_master().token,
                 [("disk0", "host2")],
                 timeout=40.0,
             )

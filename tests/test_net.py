@@ -872,8 +872,7 @@ class TestIscsi:
         sim = Simulator()
         disk = SimulatedDisk(sim, "d")
         volume = StorageVolume("v", disk, offset=10 * MB, length=10 * MB)
-        done = volume.submit(0, 4 * KB, is_read=True)
-        sim.run_until_event(done)
+        sim.run_until_event(sim.process(volume.serve(0, 4 * KB, is_read=True)))
         # The disk's sequential detector saw offset 10MB, not 0.
         assert disk._last_offset_end == 10 * MB + 4 * KB
 

@@ -147,6 +147,31 @@ class TestRunPolicyIntegration:
         # ran against a disk the policy had learned to keep on.
         assert 1 <= disk.states.spin_up_count < 12
 
+    def test_idle_clock_starts_when_the_disk_turns_idle(self):
+        """A disk spun up without I/O is idle from the end of its
+        spin-up, not from its last I/O: spun down at 12 s, woken at
+        15 s, IDLE at 23 s, it spins down at the first 2 s check at
+        least 12 s later (36 s), not at the first check after 23 s."""
+        sim = Simulator()
+        disk = SimulatedDisk(sim, "d0")
+        changes = []
+        disk.add_state_listener(
+            lambda disk_id, state, span, owner: changes.append(
+                (sim.now, disk.power_state)
+            )
+        )
+        run_policy(sim, {"d0": disk}, FixedTimeoutPolicy(idle_timeout=12.0),
+                   check_interval=2.0)
+        sim.run(until=15.0)
+        disk.spin_up()
+        sim.run(until=40.0)
+        assert changes == [
+            (12.0, DiskPowerState.SPUN_DOWN),
+            (15.0, DiskPowerState.SPINNING_UP),
+            (23.0, DiskPowerState.IDLE),
+            (36.0, DiskPowerState.SPUN_DOWN),
+        ]
+
     def test_run_policy_rejects_nothing_silently(self):
         """A disk that never idles is never spun down."""
         sim = Simulator()
@@ -187,32 +212,6 @@ class TestPolicyHandle:
 
         sim.run_until_event(sim.process(io()))
 
-    def test_stop_mid_flight_halts_spin_downs(self):
-        sim = Simulator()
-        disk = SimulatedDisk(sim, "d0")
-        handle = run_policy(sim, {"d0": disk}, FixedTimeoutPolicy(idle_timeout=5.0),
-                            check_interval=1.0)
-        sim.run(until=2.0)
-        handle.stop()
-        sim.run(until=30.0)
-        assert disk.power_state is not DiskPowerState.SPUN_DOWN
-
-    def test_stop_detaches_spin_up_listeners(self):
-        """After stop() the policy must observe nothing: wake-ups reach
-        it through disk listeners, and stop unhooks them immediately."""
-        sim = Simulator()
-        disk = SimulatedDisk(sim, "d0")
-        policy = CountingPolicy()
-        handle = run_policy(sim, {"d0": disk}, policy, check_interval=1.0)
-        disk.spin_down()
-        self.submit_one(sim, disk)
-        assert len(policy.wakeups) == 1
-        handle.stop()
-        disk.spin_down()
-        self.submit_one(sim, disk)
-        assert len(policy.wakeups) == 1
-        assert disk._spin_listeners == []
-
     def test_wakeups_carry_exact_sim_time(self):
         """The listener fires at the spin-up transition itself, not at
         the next check boundary (the old polling quantised to it)."""
@@ -224,43 +223,6 @@ class TestPolicyHandle:
         sim.run(until=3.25)
         self.submit_one(sim, disk)
         assert policy.wakeups == [("d0", 3.25)]
-
-    def test_rearm_after_spin_cycle_resumes_spin_down(self):
-        """Stop, let the disk ride through an unmanaged spin cycle (the
-        remount analogue at device level), re-arm: spin-downs resume."""
-        sim = Simulator()
-        disk = SimulatedDisk(sim, "d0")
-        h1 = run_policy(sim, {"d0": disk}, FixedTimeoutPolicy(idle_timeout=3.0),
-                        check_interval=0.5)
-        sim.run(until=1.0)
-        h1.stop()
-        disk.spin_down()
-        self.submit_one(sim, disk)  # unmanaged wake-up while stopped
-        assert disk.power_state is not DiskPowerState.SPUN_DOWN
-        run_policy(sim, {"d0": disk}, FixedTimeoutPolicy(idle_timeout=3.0),
-                   check_interval=0.5)
-        sim.run(until=sim.now + 10.0)
-        assert disk.power_state is DiskPowerState.SPUN_DOWN
-
-    def test_no_duplicate_ticks_after_restart(self):
-        """A stopped-and-restarted policy loop must tick once per
-        interval, not once per loop ever started; and a restart must
-        not double-register the spin-up listener."""
-        sim = Simulator()
-        disk = SimulatedDisk(sim, "d0")
-        policy = CountingPolicy()  # huge timeout: disk stays idle
-        h1 = run_policy(sim, {"d0": disk}, policy, check_interval=1.0)
-        sim.run(until=5.25)
-        first_window = policy.timeout_queries
-        assert first_window == 5
-        h1.stop()
-        run_policy(sim, {"d0": disk}, policy, check_interval=1.0)
-        sim.run(until=10.25)
-        assert policy.timeout_queries == 2 * first_window
-        assert len(disk._spin_listeners) == 1
-        disk.spin_down()
-        self.submit_one(sim, disk)
-        assert len(policy.wakeups) == 1
 
 
 def test_policy_objects_are_plain_data():

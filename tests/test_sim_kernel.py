@@ -505,27 +505,9 @@ class TestStepInPlace:
 
 
 class TestResource:
-    def test_capacity_enforced(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        active = []
-
-        def worker(sim, name):
-            yield res.request()
-            active.append(name)
-            yield sim.timeout(10.0)
-            res.release()
-
-        for name in "abc":
-            sim.process(worker(sim, name))
-        sim.run(until=5.0)
-        assert sorted(active) == ["a", "b"]
-        sim.run()
-        assert sorted(active) == ["a", "b", "c"]
-
     def test_fifo_grant_order(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         grants = []
 
         def worker(sim, name, start):
@@ -546,11 +528,6 @@ class TestResource:
         res = Resource(sim)
         with pytest.raises(SimulationError):
             res.release()
-
-    def test_invalid_capacity(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
 
 
 class TestStore:
@@ -578,17 +555,6 @@ class TestStore:
         sim.process(producer(sim))
         sim.run()
         assert results == [(4.0, "late")]
-
-    def test_bounded_capacity_blocks_put(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        store.put("a")
-        blocked = store.put("b")
-        sim.run()
-        assert not blocked.triggered
-        store.get()
-        sim.run()
-        assert blocked.triggered
 
     def test_fifo_ordering(self):
         sim = Simulator()

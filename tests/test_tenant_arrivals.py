@@ -1,12 +1,10 @@
-"""Regression pin: batched Poisson arrivals == the per-call draw order.
+"""Regression pin: the generator's arrivals == an independent per-call draw.
 
-``OpenLoopTrafficGenerator._poisson_loop`` precomputes arrivals in
-batches (:data:`repro.gateway.tenants.ARRIVAL_BATCH`).  These tests
-replay the *unbatched* reference implementation — one
+These tests replay a reference implementation — one
 ``rand.expovariate`` / ``randrange`` / ``random`` call per event, in
-the original order — against a stub gateway and assert the batched
-generator submits a bit-identical sequence of operations at identical
-simulated times for fixed seeds.
+the order gap, object, size, offset, direction — against a stub gateway
+and assert that ``OpenLoopTrafficGenerator`` submits a bit-identical
+sequence of operations at identical simulated times for fixed seeds.
 """
 
 from dataclasses import dataclass
@@ -80,25 +78,27 @@ class _StubGateway:
         )
 
 
-def _run_batched(
-    seed: int, duration: float, spec: TenantSpec = TENANT
+def _run_generator(
+    seed: int, duration: float, spec: TenantSpec = TENANT, load_scale: float = 1.0
 ) -> List[Submission]:
     sim = Simulator()
     gateway = _StubGateway(sim, spec)
-    generator = OpenLoopTrafficGenerator(sim, gateway, RngRegistry(seed))
+    generator = OpenLoopTrafficGenerator(
+        sim, gateway, RngRegistry(seed), load_scale=load_scale
+    )
     generator.start(duration)
     sim.run()
     return gateway.submissions
 
 
 def _run_reference(
-    seed: int, duration: float, spec: TenantSpec = TENANT
+    seed: int, duration: float, spec: TenantSpec = TENANT, load_scale: float = 1.0
 ) -> List[Submission]:
-    """The pre-batching implementation, draw for draw."""
+    """One draw per call, in the generator's order."""
     sim = Simulator()
     gateway = _StubGateway(sim, spec)
     rand = RngRegistry(seed).stream(f"gateway.arrivals.{spec.name}")
-    rate = spec.arrival_rate
+    rate = spec.arrival_rate * load_scale
     end = duration
 
     def loop():
@@ -134,27 +134,25 @@ def _run_reference(
     return gateway.submissions
 
 
-@pytest.mark.parametrize("seed", [0, 7, 11, 42, 1234])
-def test_batched_arrivals_match_per_call_reference(seed):
-    batched = _run_batched(seed, duration=120.0)
-    reference = _run_reference(seed, duration=120.0)
-    assert len(batched) > 200, "workload too small to pin anything"
-    assert batched == reference
-
-
-def test_batched_arrivals_cross_batch_boundary():
-    """A run long enough to consume several 128-arrival batches."""
-    batched = _run_batched(3, duration=60.0)
-    reference = _run_reference(3, duration=60.0)
-    assert len(batched) > 2 * 128
-    assert batched == reference
+@pytest.mark.parametrize(
+    "seed, load_scale",
+    [pytest.param(seed, 1.0, id=str(seed)) for seed in (0, 7, 11, 42, 1234)]
+    # The gateway_slo campaign's top sweep point.
+    + [pytest.param(11, 2.0, id="11-load_scale_2")],
+)
+def test_batched_arrivals_match_per_call_reference(seed, load_scale):
+    generated = _run_generator(seed, duration=120.0, load_scale=load_scale)
+    reference = _run_reference(seed, duration=120.0, load_scale=load_scale)
+    expected = TENANT.arrival_rate * load_scale * 120.0
+    assert abs(len(generated) - expected) < 0.1 * expected
+    assert generated == reference
 
 
 def test_two_size_mix_matches_per_call_reference():
     """A 1:3 two-size mix: both sizes drawn, the 3-share one far more often."""
-    batched = _run_batched(7, duration=120.0, spec=TWO_SIZES)
-    assert batched == _run_reference(7, duration=120.0, spec=TWO_SIZES)
-    sizes = [submission[4] for submission in batched]
+    generated = _run_generator(7, duration=120.0, spec=TWO_SIZES)
+    assert generated == _run_reference(7, duration=120.0, spec=TWO_SIZES)
+    sizes = [submission[4] for submission in generated]
     assert set(sizes) == {100, 200}
     assert 2 * sizes.count(100) < sizes.count(200)
 

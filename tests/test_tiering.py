@@ -164,15 +164,6 @@ class TestDeferredPolicyLoop:
         sim.run(until=1.0)
         return sim, disk
 
-    def test_run_policy_handle_stops_the_loop(self):
-        sim, disk = self.build_disk()
-        handle = run_policy(
-            sim, {"d0": disk}, FixedTimeoutPolicy(idle_timeout=5.0), check_interval=1.0
-        )
-        handle.stop()
-        sim.run(until=60.0)
-        assert disk.power_state is DiskPowerState.IDLE  # never spun down
-
     def test_run_policy_still_spins_down_without_processes(self):
         sim, disk = self.build_disk()
         run_policy(
@@ -653,14 +644,6 @@ class TestMigrationAttribution:
 
 
 class TestGatewayPowerHelpers:
-    def test_idle_watts_reports_headroom(self):
-        dep, gateway, store, _ = build_tiered(start_orchestrator=False)
-        accountant = gateway.power_accountant
-        # Two hot disks spinning inside a 40 W budget -> 24 W headroom.
-        assert accountant.idle_watts() == pytest.approx(
-            40.0 - 2 * accountant.watts_per_disk
-        )
-
     def test_pinned_disk_must_be_attached(self):
         dep = build_deployment(config=DeploymentConfig(seed=7))
         dep.settle(15.0)

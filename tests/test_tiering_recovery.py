@@ -20,7 +20,7 @@ SEEDS = range(1, 31)
 def crash_recover_audit(seed):
     """One property-test trial; returns the store's stats for coverage
     aggregation across seeds."""
-    dep, gateway, store, orchestrator = build_tiered(seed=seed)
+    dep, gateway, store, _ = build_tiered(seed=seed)
     uids = [f"s{seed}-u{i}" for i in range(NUM_OBJECTS)]
 
     def ingest():
@@ -86,7 +86,6 @@ def crash_recover_audit(seed):
     assert all(store.durable_tiers(uid) == ["cold"] for uid in uids), (
         f"seed {seed}: objects left un-demoted after recovery"
     )
-    orchestrator.stop()
     return store.stats
 
 
