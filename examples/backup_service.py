@@ -11,7 +11,7 @@ Run:  python examples/backup_service.py
 from repro.backup import BackupService, provision_archive, synthetic_dataset
 from repro.cluster import build_deployment
 from repro.sim import RngRegistry
-from repro.workload import MB
+from repro.units import MiB
 
 
 def main() -> None:
@@ -21,15 +21,15 @@ def main() -> None:
 
     print("Provisioning two UStore spaces for the archive store...")
     store = sim.run_until_event(
-        sim.process(provision_archive(deployment, num_spaces=2, space_bytes=4096 * MB))
+        sim.process(provision_archive(deployment, num_spaces=2, space_bytes=4096 * MiB))
     )
 
     rng = RngRegistry(2026)
     service = BackupService(deployment, store, rng, change_fraction=0.12)
-    dataset = synthetic_dataset(rng, num_files=60, mean_file_mb=8.0)
+    dataset = synthetic_dataset(rng, num_files=60, mean_file_mib=8.0)
     service.load_dataset(dataset)
-    logical_mb = sum(f.size for f in dataset) / MB
-    print(f"Dataset: {len(dataset)} files, {logical_mb:.0f} MB logical\n")
+    logical_mib = sum(f.size for f in dataset) / MiB
+    print(f"Dataset: {len(dataset)} files, {logical_mib:.0f} MiB logical\n")
 
     # Narratively these are nightly rounds; the inter-round gap is
     # compressed to 10 simulated minutes because the idle control plane
@@ -39,28 +39,28 @@ def main() -> None:
 
     rounds = sim.run_until_event(sim.process(run()))
 
-    print(f"{'snapshot':<10} {'logical MB':>10} {'written MB':>10} "
+    print(f"{'snapshot':<10} {'logical MiB':>12} {'written MiB':>12} "
           f"{'dedup':>7} {'write s':>8}")
     for stats in rounds:
         dedup = "inf" if stats.unique_bytes == 0 else f"{stats.dedup_ratio:5.1f}x"
         print(
-            f"{stats.snapshot_id:<10} {stats.logical_bytes / MB:>10.0f} "
-            f"{stats.unique_bytes / MB:>10.0f} {dedup:>7} "
+            f"{stats.snapshot_id:<10} {stats.logical_bytes / MiB:>12.0f} "
+            f"{stats.unique_bytes / MiB:>12.0f} {dedup:>7} "
             f"{stats.write_seconds:>8.1f}"
         )
 
-    total_logical = sum(s.logical_bytes for s in rounds) / MB
-    print(f"\nTotal: {total_logical:.0f} MB logical stored as "
-          f"{store.stored_bytes / MB:.0f} MB on disk "
-          f"({total_logical / (store.stored_bytes / MB):.1f}x overall dedup)")
+    total_logical = sum(s.logical_bytes for s in rounds) / MiB
+    print(f"\nTotal: {total_logical:.0f} MiB logical stored as "
+          f"{store.stored_bytes / MiB:.0f} MiB on disk "
+          f"({total_logical / (store.stored_bytes / MiB):.1f}x overall dedup)")
 
     def restore():
         return (yield from store.restore(rounds[-1].snapshot_id))
 
     result = sim.run_until_event(sim.process(restore()))
-    rate = result["bytes_restored"] / MB / result["seconds"]
-    print(f"Restore of the last snapshot: {result['bytes_restored'] / MB:.0f} MB "
-          f"in {result['seconds']:.1f}s ({rate:.0f} MB/s)")
+    rate = result["bytes_restored"] / MiB / result["seconds"]
+    print(f"Restore of the last snapshot: {result['bytes_restored'] / MiB:.0f} MiB "
+          f"in {result['seconds']:.1f}s ({rate:.0f} MiB/s)")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from repro.cluster import build_deployment
 from repro.cluster.namespace import parse_space_id
 from repro.ec import RSCode, StripedStore
 from repro.faults import FaultInjector
-from repro.workload import MB
+from repro.units import MiB
 
 
 def main() -> None:
@@ -36,7 +36,7 @@ def main() -> None:
 
     def provision():
         for _ in range(6):
-            info = yield from client.allocate(512 * MB, exclude_disks=used_disks)
+            info = yield from client.allocate(512 * MiB, exclude_disks=used_disks)
             used_disks.append(parse_space_id(info["space_id"])[1])
             space = yield from client.mount(info["space_id"])
             spaces.append(space)
@@ -46,9 +46,9 @@ def main() -> None:
         print(f"  shard {index}: {disk} on {dep.fabric.attached_host(disk)}")
 
     store = StripedStore(
-        sim=sim, code=RSCode(4, 2), spaces=spaces, space_bytes=512 * MB
+        sim=sim, code=RSCode(4, 2), spaces=spaces, space_bytes=512 * MiB
     )
-    payload = bytes(i % 256 for i in range(8 * MB))
+    payload = bytes(i % 256 for i in range(8 * MiB))
 
     def write_and_read():
         yield from store.put("dataset.bin", payload)
@@ -56,7 +56,7 @@ def main() -> None:
         assert data == payload
 
     sim.run_until_event(sim.process(write_and_read()))
-    print(f"\nStored and verified {len(payload) // MB} MB as 4+2 shards "
+    print(f"\nStored and verified {len(payload) // MiB} MiB as 4+2 shards "
           f"(storage overhead {6 / 4:.2f}x vs 3x for replication).")
 
     victim = used_disks[0]
@@ -77,7 +77,7 @@ def main() -> None:
     print("\nRepairing shard 0 onto a replacement space...")
 
     def repair():
-        info = yield from client.allocate(512 * MB, exclude_disks=used_disks)
+        info = yield from client.allocate(512 * MiB, exclude_disks=used_disks)
         replacement = yield from client.mount(info["space_id"])
         rebuilt = yield from store.repair(0, replacement)
         data = yield from store.get("dataset.bin")

@@ -11,7 +11,7 @@ Run:  python examples/failover_drill.py
 """
 
 from repro.cluster import build_deployment
-from repro.workload import MB
+from repro.units import MiB
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
     state = {}
 
     def setup():
-        info = yield from client.allocate(512 * MB)
+        info = yield from client.allocate(512 * MiB)
         space = yield from client.mount(info["space_id"])
         state["info"], state["space"] = info, space
         print(f"Space {info['space_id']} served by {info['host_id']}")
@@ -39,12 +39,12 @@ def main() -> None:
         offset = 0
         for i in range(60):
             start = sim.now
-            yield from space.write(offset, 4 * MB)
+            yield from space.write(offset, 4 * MiB)
             elapsed = sim.now - start
             marker = "   <-- slow (failover window)" if elapsed > 1.0 else ""
             if i % 10 == 0 or elapsed > 1.0:
                 print(f"  [{sim.now:8.2f}s] write {i:2d} took {elapsed:6.3f}s{marker}")
-            offset += 4 * MB
+            offset += 4 * MiB
             yield sim.timeout(0.25)  # paced archival stream
 
     def assassin():

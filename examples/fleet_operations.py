@@ -10,7 +10,7 @@ Run:  python examples/fleet_operations.py
 
 from repro.cluster import DeploymentConfig, build_deployment
 from repro.monitor import render_dashboard, snapshot
-from repro.workload import MB
+from repro.units import MiB
 
 
 def main() -> None:
@@ -34,9 +34,9 @@ def main() -> None:
     def allocate():
         for unit, host in (("unit0", "unit0.host1"), ("unit1", "unit1.host2")):
             client = clients[unit]
-            info = yield from client.allocate(128 * MB, locality_hint=host)
+            info = yield from client.allocate(128 * MiB, locality_hint=host)
             space = yield from client.mount(info["space_id"])
-            yield from space.write(0, 4 * MB)
+            yield from space.write(0, 4 * MiB)
             spaces[unit] = (info, space)
             print(f"  {unit}: {info['space_id']} on {info['host_id']}")
 
@@ -50,7 +50,7 @@ def main() -> None:
     def verify():
         for unit, (info, space) in spaces.items():
             start = sim.now
-            yield from space.read(0, 4 * MB)
+            yield from space.read(0, 4 * MiB)
             print(f"  {unit}: read ok in {sim.now - start:.2f}s "
                   f"(now on {space.current_host})")
 

@@ -2,7 +2,7 @@
 
 One namenode and three datanodes run on the prototype's hosts; each
 datanode stores its blocks on a UStore space (a remotely attached block
-device via the ClientLib).  While a client streams a 192 MB file into
+device via the ClientLib).  While a client streams a 192 MiB file into
 HDFS with 3-way replication, the Master switches one datanode's backing
 disk to a different host.  The write sees a seconds-long hiccup and
 resumes; a subsequent read is not interrupted at all.
@@ -14,7 +14,7 @@ from repro.cluster import build_deployment
 from repro.fabric import SwitchConflict, plan_switches
 from repro.hdfs import build_hdfs_on_ustore
 from repro.net import RpcClient
-from repro.workload import MB
+from repro.units import MiB
 
 
 def pick_target(fabric, disk: str) -> str:
@@ -57,14 +57,14 @@ def main() -> None:
 
     sim.process(migrate())
 
-    print("\nWriting a 192 MB file with 3-way replication...")
+    print("\nWriting a 192 MiB file with 3-way replication...")
     start = sim.now
 
     def write():
-        return (yield from client.write_file("/demo/archive.bin", 192 * MB))
+        return (yield from client.write_file("/demo/archive.bin", 192 * MiB))
 
     report = sim.run_until_event(sim.process(write()))
-    print(f"  wrote {report.bytes_written // MB} MB in {sim.now - start:.1f}s")
+    print(f"  wrote {report.bytes_written // MiB} MiB in {sim.now - start:.1f}s")
     print(f"  client-visible errors: {report.errors}, "
           f"slowest packet {report.slowest_packet:.2f}s, "
           f"pipelines rebuilt: {report.pipelines_rebuilt}")
@@ -76,7 +76,7 @@ def main() -> None:
         return (yield from client.read_file("/demo/archive.bin"))
 
     result = sim.run_until_event(sim.process(read()))
-    print(f"  read {result['bytes_read'] // MB} MB in {sim.now - start:.1f}s "
+    print(f"  read {result['bytes_read'] // MiB} MiB in {sim.now - start:.1f}s "
           f"({result['replica_switches']} replica switches)")
 
     print(f"\n{disk} is now served by {deployment.fabric.attached_host(disk)} — "

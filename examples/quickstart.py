@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.cluster import build_deployment
-from repro.workload import KB, MB
+from repro.units import MiB
 
 
 def main() -> None:
@@ -29,16 +29,16 @@ def main() -> None:
     client = deployment.new_client("quickstart-app", service="demo")
 
     def scenario():
-        print("\nAllocating a 256 MB space...")
-        info = yield from client.allocate(256 * MB)
+        print("\nAllocating a 256 MiB space...")
+        info = yield from client.allocate(256 * MiB)
         print(f"  space id: {info['space_id']}")
         print(f"  served by {info['host_id']} as target {info['target']}")
 
         space = yield from client.mount(info["space_id"])
-        print("\nMounted; writing 16 MB then reading it back...")
+        print("\nMounted; writing 16 MiB then reading it back...")
         for i in range(4):
-            yield from space.write(i * 4 * MB, 4 * MB)
-        result = yield from space.read(0, 4 * MB)
+            yield from space.write(i * 4 * MiB, 4 * MiB)
+        result = yield from space.read(0, 4 * MiB)
         print(f"  read ok, backend service time {result['service_time'] * 1e3:.1f} ms")
 
         host = yield from client.lookup_host(info["space_id"])

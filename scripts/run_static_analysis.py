@@ -120,8 +120,6 @@ IDLE_SENDS = {
 #: so it holds two more election-timer pops, and two RPC deadline pops
 #: for calls made while mounting.
 IDLE_EVENTS = {"idle": 5_822, "gateway client mounted, idle": 5_826}
-#: Space size of the gateway client the second idle scenario mounts.
-IDLE_SPACE_BYTES = 64 * 1024 * 1024
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -131,6 +129,10 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.analysis import Linter  # noqa: E402  (needs sys.path tweak first)
+from repro.units import MiB  # noqa: E402
+
+#: Space size of the gateway client the second idle scenario mounts.
+IDLE_SPACE_BYTES = 64 * MiB
 
 
 def run_mypy(paths: List[str]) -> int:

@@ -13,9 +13,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from repro.units import MiB
+
 __all__ = ["Chunk", "chunk_file", "FileVersion"]
 
-DEFAULT_CHUNK_BYTES = 1 * 1024 * 1024
+DEFAULT_CHUNK_BYTES = MiB
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from repro.backup.store import ArchiveStore, SnapshotStats
 from repro.cluster.deployment import Deployment
 from repro.sim import Event
 from repro.sim.rng import RngRegistry
-from repro.workload.specs import MB
+from repro.units import MiB
 
 __all__ = ["BackupService", "synthetic_dataset"]
 
@@ -24,7 +24,7 @@ __all__ = ["BackupService", "synthetic_dataset"]
 def synthetic_dataset(
     rng: RngRegistry,
     num_files: int = 50,
-    mean_file_mb: float = 8.0,
+    mean_file_mib: float = 8.0,
     stream: str = "dataset",
 ) -> List[FileVersion]:
     """A plausible file-size population (log-ish spread around the mean)."""
@@ -32,7 +32,7 @@ def synthetic_dataset(
     files: List[FileVersion] = []
     for index in range(num_files):
         scale = rand.choice((0.25, 0.5, 1.0, 1.0, 2.0, 4.0))
-        size = max(1, int(mean_file_mb * scale * MB))
+        size = max(1, int(mean_file_mib * scale * MiB))
         files.append(
             FileVersion(name=f"file{index:04d}", size=size, content_seed=index)
         )
@@ -90,7 +90,7 @@ class BackupService:
 def provision_archive(
     deployment: Deployment,
     num_spaces: int = 2,
-    space_bytes: int = 4096 * MB,
+    space_bytes: int = 4096 * MiB,
     service: str = "backup",
 ) -> Generator[Event, None, ArchiveStore]:
     """Allocate and mount UStore spaces for an archive store."""

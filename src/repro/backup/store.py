@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.backup.chunks import Chunk, FileVersion, chunk_file
+from repro.backup.chunks import DEFAULT_CHUNK_BYTES, Chunk, FileVersion, chunk_file
 from repro.cluster.clientlib import MountedSpace
 from repro.sim import Event, Simulator
 
@@ -81,7 +81,10 @@ class ArchiveStore:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(
-        self, snapshot_id: str, files: List[FileVersion], chunk_bytes: int = 1024 * 1024
+        self,
+        snapshot_id: str,
+        files: List[FileVersion],
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> Generator[Event, None, SnapshotStats]:
         """Back up ``files``; only chunks never seen before hit disks."""
         if snapshot_id in self.snapshots:

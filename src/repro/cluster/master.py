@@ -52,8 +52,6 @@ FAILURE_CHECK_INTERVAL = 0.5
 #: Seconds a candidate waits before it reads the election again after a
 #: failed read or activation, or after a step-down.
 ELECTION_RETRY_PAUSE = 1.0
-#: Bytes assumed for a disk missing from ``disk_capacities`` (3 TB).
-DEFAULT_DISK_CAPACITY = 3 * 10**12
 #: Host states the failure detector watches: a host that answered, and
 #: one that did not answer the interrogation at activation.
 _WATCHED = (HostStatus.ONLINE, HostStatus.SUSPECTED)
@@ -83,7 +81,7 @@ class Master:
         address: str,
         coord_servers: List[str],
         sysconf: SysConf,
-        disk_capacities: Optional[Dict[str, int]] = None,
+        disk_capacities: Dict[str, int],
         config: MasterConfig = MasterConfig(),
     ):
         self.sim = sim
@@ -91,7 +89,7 @@ class Master:
         self.address = address
         self.sysconf = sysconf
         self.config = config
-        self.disk_capacities = disk_capacities or {}
+        self.disk_capacities = disk_capacities
         self.sysstat = SysStat()
         self.records: Dict[str, SpaceRecord] = {}  # space_id -> record
         self._space_counters: Dict[str, int] = {}  # disk -> next index
@@ -331,9 +329,6 @@ class Master:
             self.sysstat.disk_status[disk_id] = state
         return True
 
-    def _capacity_of(self, disk_id: str) -> int:
-        return self.disk_capacities.get(disk_id, DEFAULT_DISK_CAPACITY)
-
     def _allocated_on(self, disk_id: str) -> int:
         return sum(r.length for r in self.records.values() if r.disk_id == disk_id)
 
@@ -378,7 +373,7 @@ class Master:
                 continue
             if self.sysstat.disk_status.get(disk_id) is DiskStatus.FAILED:
                 continue
-            if self._next_offset(disk_id) + length > self._capacity_of(disk_id):
+            if self._next_offset(disk_id) + length > self.disk_capacities[disk_id]:
                 continue
             candidates.append(disk_id)
         if not candidates:

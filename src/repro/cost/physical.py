@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.disk.model import DiskModel
 from repro.disk.specs import ConnectionType, TOSHIBA_POWER_USB
-from repro.fabric.bandwidth import DEFAULT_DUPLEX_CAPACITY
+from repro.fabric.bandwidth import DUPLEX_CAPACITY
 from repro.power.systems import (
     FAN_COUNT,
     FAN_POWER,
@@ -66,7 +66,7 @@ class UnitSpec:
 
 def unit_spec(
     num_disks: int = 50,
-    disk_capacity_bytes: int = 4 * 10**12,
+    disk_capacity_bytes: int = 4 * TB,
     num_hosts: int = 4,
 ) -> UnitSpec:
     """Derive a deploy unit's headline numbers (§V-A's envelope).
@@ -80,7 +80,7 @@ def unit_spec(
     disk_rate = model.demand_bytes_per_second(
         WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
     )
-    fabric_limit = num_hosts * DEFAULT_DUPLEX_CAPACITY
+    fabric_limit = num_hosts * DUPLEX_CAPACITY
     disk_limit = num_disks * disk_rate
     throughput = min(fabric_limit, disk_limit)
     # Power: disks active + amortized fabric (~0.9W/disk at prototype

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cost.bom import BillOfMaterials
+from repro.units import TB
 
 __all__ = [
     "CostEstimate",
@@ -26,8 +27,8 @@ __all__ = [
     "TARGET_CAPACITY_BYTES",
 ]
 
-TARGET_CAPACITY_BYTES = 10 * 10**15  # 10 PB raw
-DISK_CAPACITY_BYTES = 3 * 10**12  # 3 TB SATA
+TARGET_CAPACITY_BYTES = 10_000 * TB  # 10 PB raw
+DISK_CAPACITY_BYTES = 3 * TB  # 3 TB SATA
 SATA_DISK_PRICE = 100.0  # §VI: "3TB SATA HDDs, which cost about $100"
 
 # BACKBLAZE Storage Pod 4.0 [22]: 45 disks per 4U pod; the pod without

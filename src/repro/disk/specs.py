@@ -22,6 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.units import TB, MiB
+
 __all__ = [
     "ConnectionProfile",
     "ConnectionType",
@@ -104,7 +106,7 @@ class ConnectionProfile:
 
 DT01ACA300 = DiskSpec(
     name="TOSHIBA DT01ACA300",
-    capacity_bytes=3 * 10**12,
+    capacity_bytes=3 * TB,
     rpm=7200,
     # Table II, 4MB sequential read: 184.8-185.8 MB/s -> ~186 MB/s media.
     media_rate=186e6,
@@ -113,7 +115,7 @@ DT01ACA300 = DiskSpec(
     positioning_read=5.14e-3,
     # 4KB random write @ SATA: 86.9 IO/s = 11.507 ms -> 11.45 ms.
     positioning_write=11.45e-3,
-    track_bytes=1 * 1024 * 1024,
+    track_bytes=MiB,
     spin_up_time=8.0,
     spin_down_time=3.0,
 )

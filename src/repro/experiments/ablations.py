@@ -27,7 +27,7 @@ from repro.disk.specs import TOSHIBA_POWER_USB
 from repro.fabric.builders import dual_tree_fabric, prototype_fabric, ring_fabric
 from repro.power.policy import AdaptiveTimeoutPolicy, FixedTimeoutPolicy, run_policy
 from repro.sim import Event, RngRegistry, Simulator
-from repro.workload.specs import MB
+from repro.units import MiB
 from repro.workload.traces import cold_read_trace
 
 __all__ = [
@@ -114,10 +114,10 @@ def allocation_policy_ablation(num_services: int = 4, spaces_per_service: int = 
                         keep = rng.choice(all_disks)
                         exclude = [d for d in all_disks if d != keep]
                         info = yield from client.allocate(
-                            16 * MB, exclude_disks=exclude
+                            16 * MiB, exclude_disks=exclude
                         )
                     else:
-                        info = yield from client.allocate(16 * MB)
+                        info = yield from client.allocate(16 * MiB)
                     disk = info["space_id"].split("/")[2]
                     owners.setdefault(disk, set()).add(service)
 

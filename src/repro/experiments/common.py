@@ -29,7 +29,7 @@ from repro.obs import (
 )
 from repro.power import PowerMeter
 from repro.tiering import pinned_disks_for
-from repro.workload.specs import MB
+from repro.units import MiB
 
 __all__ = [
     "conflict_free_batch",
@@ -43,7 +43,7 @@ __all__ = [
 
 #: Request tier: settle time before mounting, and one space per disk.
 SETTLE_SECONDS = 15.0
-SPACE_BYTES = 64 * MB
+SPACE_BYTES = 64 * MiB
 #: Cap on post-traffic drain time (a saturated FIFO run needs a while).
 DRAIN_CAP_SECONDS = 900.0
 DRAIN_STEP_SECONDS = 5.0

@@ -13,6 +13,7 @@ from repro.cluster.deployment import build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import relative_error
 from repro.obs import MetricsRegistry
+from repro.units import bytes_per_sec_to_mbps
 from repro.workload.iometer import model_throughput
 from repro.workload.specs import WorkloadSpec
 
@@ -38,8 +39,8 @@ def _build_result() -> ExperimentResult:
         fabric, all_disks, spec, duplex_split=True, metrics=registry
     )
     raw = {
-        "per_port_mb_s": per_port["total_bytes_per_second"] / 1e6,
-        "aggregate_mb_s": aggregate["total_bytes_per_second"] / 1e6,
+        "per_port_mb_s": bytes_per_sec_to_mbps(per_port["total_bytes_per_second"]),
+        "aggregate_mb_s": bytes_per_sec_to_mbps(aggregate["total_bytes_per_second"]),
         "paper_per_port": PAPER_PER_PORT,
         "paper_aggregate": PAPER_AGGREGATE,
     }

@@ -18,6 +18,7 @@ from repro.cluster.deployment import DeploymentConfig, build_deployment
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, gather_disks_on_host, relative_error
 from repro.obs import MetricsRegistry
+from repro.units import bytes_per_sec_to_mbps
 from repro.workload.iometer import model_throughput
 from repro.workload.specs import WorkloadSpec
 
@@ -58,7 +59,7 @@ def _build_result(
         for name in WORKLOADS:
             spec = WorkloadSpec.parse(name)
             result = model_throughput(deployment.fabric, disks, spec, metrics=registry)
-            series[name].append(result["total_bytes_per_second"] / 1e6)
+            series[name].append(bytes_per_sec_to_mbps(result["total_bytes_per_second"]))
             shares = list(result["per_disk"].values())
             if max(shares) - min(shares) > 1e-3 * max(shares):
                 per_disk_even = False

@@ -24,7 +24,7 @@ from repro.experiments.common import conflict_free_batch, format_table
 from repro.net.rpc import RpcClient
 from repro.obs import MetricsRegistry
 from repro.sim import Event, Interrupt
-from repro.workload.specs import KB, MB
+from repro.units import KiB, MiB
 
 __all__ = ["DISK_COUNTS", "EXPERIMENT", "run_single"]
 
@@ -54,7 +54,7 @@ def run_single(
     )
 
     def setup() -> Generator[Event, None, object]:
-        info = yield from client.allocate(64 * MB, exclude_disks=other_disks)
+        info = yield from client.allocate(64 * MiB, exclude_disks=other_disks)
         space = yield from client.mount(info["space_id"])
         return info, space
 
@@ -67,7 +67,7 @@ def run_single(
     def reader() -> Generator[Event, None, None]:
         while True:
             try:
-                yield from space.read(0, 4 * KB)
+                yield from space.read(0, 4 * KiB)
             except Interrupt:
                 raise  # kernel teardown must not be treated as a session error
             except Exception:

@@ -30,7 +30,7 @@ from repro.obs import (
     SloMonitor,
     SloObjective,
 )
-from repro.workload.specs import KB, MB
+from repro.units import KiB, MiB
 
 __all__ = ["EXPERIMENT", "TENANTS", "run_point", "slo_objectives"]
 
@@ -43,7 +43,7 @@ TENANTS = (
         users=150_000,
         rate_per_user=6.0e-6,  # 0.9 req/s aggregate
         read_fraction=1.0,
-        object_sizes=((512 * KB, 0.3), (4 * MB, 0.7)),
+        object_sizes=((512 * KiB, 0.3), (4 * MiB, 0.7)),
         slo_seconds=45.0,
         max_queue_depth=128,
     ),
@@ -53,7 +53,7 @@ TENANTS = (
         users=25,
         rate_per_user=2.4e-2,  # 0.6 req/s aggregate
         read_fraction=0.6,
-        object_sizes=((4 * MB, 1.0),),
+        object_sizes=((4 * MiB, 1.0),),
         slo_seconds=180.0,
         max_queue_depth=128,
     ),

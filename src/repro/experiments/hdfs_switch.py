@@ -21,11 +21,11 @@ from repro.hdfs import build_hdfs_on_ustore
 from repro.net.rpc import RpcClient
 from repro.obs import MetricsRegistry
 from repro.sim import Event
-from repro.workload.specs import MB
+from repro.units import MiB
 
 __all__ = ["EXPERIMENT"]
 
-FILE_BYTES = 192 * MB
+FILE_BYTES = 192 * MiB
 SWITCH_AFTER = 5.0
 
 
@@ -136,13 +136,13 @@ def _report(result: Dict) -> str:
     lines = [
         "HDFS-on-UStore disk switch (paper §VII-B)",
         "",
-        f"  wrote {result['bytes_written'] / MB:.0f} MB in {result['write_seconds']:.1f}s "
+        f"  wrote {result['bytes_written'] / MiB:.0f} MiB in {result['write_seconds']:.1f}s "
         f"while switching {result['switched_disk']} "
         f"{result['switch_path'][0]} -> {result['switch_path'][1]}",
         f"  client errors: {result['client_errors']}, slowest packet "
         f"{result['slowest_packet_s']:.2f}s (median {result['median_packet_s']:.3f}s), "
         f"pipelines rebuilt: {result['pipelines_rebuilt']}",
-        f"  read back {result['bytes_read'] / MB:.0f} MB in {result['read_seconds']:.1f}s "
+        f"  read back {result['bytes_read'] / MiB:.0f} MiB in {result['read_seconds']:.1f}s "
         f"with {result['read_replica_switches']} replica switch(es)",
         "",
     ]

@@ -16,7 +16,7 @@ from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import relative_error
 from repro.obs import MetricsRegistry
 from repro.sim import Event
-from repro.workload.specs import KB, MB
+from repro.units import KiB, MiB
 
 __all__ = ["EXPERIMENT", "run_single"]
 
@@ -42,9 +42,9 @@ def run_single(
     def setup() -> Generator[Event, None, None]:
         for disk in victim_disks:
             exclude = [d.node_id for d in deployment.fabric.disks if d.node_id != disk]
-            info = yield from client.allocate(64 * MB, exclude_disks=exclude)
+            info = yield from client.allocate(64 * MiB, exclude_disks=exclude)
             space = yield from client.mount(info["space_id"])
-            yield from space.write(0, 4 * KB)
+            yield from space.write(0, 4 * KiB)
             spaces.append(space)
 
     sim.run_until_event(sim.process(setup()))
@@ -72,7 +72,7 @@ def run_single(
     # End-to-end: the first I/O on every affected space succeeds
     # (concurrently, as independent clients would).
     def touch(space) -> Generator[Event, None, None]:
-        yield from space.read(0, 4 * KB)
+        yield from space.read(0, 4 * KiB)
 
     sim.run_until_event(sim.all_of([sim.process(touch(s)) for s in spaces]))
     service_seconds = sim.now - crash_time

@@ -179,7 +179,7 @@ def _report(result: Dict) -> str:
     )
     drill = result["reconstruction"]["drill"]
     lines.append(
-        f"  live 2 GB drill: network {drill['network']['seconds']:.1f}s "
+        f"  live 2 GiB drill: network {drill['network']['seconds']:.1f}s "
         f"({drill['network']['network_bytes'] / GB:.1f} GB over GbE) vs "
         f"fabric {drill['fabric']['seconds']:.1f}s "
         f"(incl. {drill['fabric']['switch_seconds']:.1f}s switch, 0 network bytes)"

@@ -45,8 +45,7 @@ from repro.shardstore import (
     ShardStoreConfig,
     stable_hash,
 )
-from repro.units import MiB
-from repro.workload.specs import KB
+from repro.units import KiB, MiB
 
 __all__ = ["EXPERIMENT", "TENANT", "run_point"]
 
@@ -56,7 +55,7 @@ TENANT = TenantSpec(
     users=0,
     rate_per_user=0.0,
     read_fraction=1.0,
-    object_sizes=((64 * KB, 1.0),),
+    object_sizes=((64 * KiB, 1.0),),
     slo_seconds=120.0,
     max_queue_depth=100_000,
 )
@@ -333,7 +332,7 @@ EXPERIMENT = Experiment(
     params={
         "seed": 17,
         "num_objects": 1000,
-        "object_bytes": 64 * KB,
+        "object_bytes": 64 * KiB,
         "num_gets": 200,
         "power_budget_watts": 24.0,
         "detect_races": False,

@@ -13,7 +13,8 @@ from repro.disk.model import DiskModel
 from repro.disk.specs import ConnectionType
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, relative_error
-from repro.workload.specs import KB, TABLE2_WORKLOADS
+from repro.units import KiB
+from repro.workload.specs import TABLE2_WORKLOADS
 
 __all__ = ["EXPERIMENT", "PAPER_TABLE2"]
 
@@ -39,7 +40,7 @@ def _build_result() -> ExperimentResult:
         model = DiskModel(connection=connection)
         for spec, paper in zip(TABLE2_WORKLOADS, PAPER_TABLE2[name]):
             estimate = model.throughput(spec)
-            if spec.transfer_size == 4 * KB:
+            if spec.transfer_size == 4 * KiB:
                 value, unit = estimate.iops, "IO/s"
             else:
                 value, unit = estimate.mb_per_second, "MB/s"

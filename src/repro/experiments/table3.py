@@ -15,7 +15,7 @@ from repro.disk.states import DiskPowerState
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, relative_error
 from repro.sim import Simulator
-from repro.workload.specs import MB
+from repro.units import MiB
 
 __all__ = ["EXPERIMENT", "PAPER_TABLE3"]
 
@@ -39,7 +39,7 @@ def _measure(connection: ConnectionType) -> tuple:
     def sample_active() -> None:
         samples["active"] = disk.power_draw(profile)
 
-    disk.submit(IoRequest(offset=0, size=4 * MB, is_read=False))
+    disk.submit(IoRequest(offset=0, size=4 * MiB, is_read=False))
     sim.defer(0.01, sample_active)  # mid-transfer
     sim.run()
     assert disk.power_state is DiskPowerState.IDLE

@@ -48,8 +48,7 @@ from repro.gateway import (
 from repro.obs import MetricsRegistry, RequestTracer
 from repro.shardstore import stable_hash
 from repro.tiering import MigrationOrchestrator, TieredStore, TieringConfig
-from repro.units import MiB
-from repro.workload.specs import KB, MB
+from repro.units import KiB, MiB
 
 __all__ = ["EXPERIMENT", "ARCHIVE", "MIGRATION", "run_point"]
 
@@ -59,7 +58,7 @@ ARCHIVE = TenantSpec(
     users=0,
     rate_per_user=0.0,
     read_fraction=0.0,
-    object_sizes=((256 * KB, 1.0),),
+    object_sizes=((256 * KiB, 1.0),),
     slo_seconds=120.0,
     max_queue_depth=100_000,
 )
@@ -69,7 +68,7 @@ MIGRATION = TenantSpec(
     users=0,
     rate_per_user=0.0,
     read_fraction=0.0,
-    object_sizes=((256 * KB, 1.0),),
+    object_sizes=((256 * KiB, 1.0),),
     slo_seconds=600.0,
     max_queue_depth=100_000,
 )
@@ -82,8 +81,8 @@ WARM_SECONDS = 10.0
 #: window — parked well past any write region so neither variant's
 #: ingest can collide with it.
 RESIDENTS_PER_SPACE = 2
-RESIDENT_BASE_OFFSET = 40 * MB
-RESIDENT_STRIDE = 8 * MB
+RESIDENT_BASE_OFFSET = 40 * MiB
+RESIDENT_STRIDE = 8 * MiB
 
 
 def _cold_layout(objects) -> List[str]:
@@ -101,7 +100,7 @@ def _resident_refs(cold_spaces: List[str]) -> List[ObjectRef]:
                 ObjectRef(
                     space_id=space_id,
                     offset=RESIDENT_BASE_OFFSET + index * RESIDENT_STRIDE,
-                    size=256 * KB,
+                    size=256 * KiB,
                     object_id=f"resident:{space_id}:{index}",
                 )
             )
@@ -415,7 +414,7 @@ def _report(result: Dict) -> str:
         lines.append(
             f"  staged: {store['staged']} objects staged, "
             f"{store['demoted']} demoted in {store['demotion_batches']} batches "
-            f"({store['demoted_bytes'] // (1 << 20)} MiB sequential), "
+            f"({store['demoted_bytes'] // MiB} MiB sequential), "
             f"{store['staging_overflows']} staging overflows"
         )
     if any("energy" in result["variants"][n] for n in ("staged", "write_through")):
@@ -456,7 +455,7 @@ EXPERIMENT = Experiment(
     params={
         "seed": 23,
         "num_writes": 240,
-        "object_bytes": 256 * KB,
+        "object_bytes": 256 * KiB,
         "num_cold_reads": 40,
         "write_seconds": 600.0,
         "total_seconds": 950.0,

@@ -10,9 +10,9 @@ controller's command rate before they saturate bytes: the prototype's
 The model computes the max-min fair allocation of flow rates subject to
 three families of linear constraints, using progressive filling:
 
-* per link and direction: ``sum(rates) <= per_direction_capacity``;
-* per link: ``sum(all rates) <= duplex_capacity``;
-* per root port: ``sum(rate / io_size) <= root_iops_limit``;
+* per link and direction: ``sum(rates) <= PER_DIRECTION_CAPACITY``;
+* per link: ``sum(all rates) <= DUPLEX_CAPACITY``;
+* per root port: ``sum(rate / io_size) <= ROOT_IOPS_LIMIT``;
 * per flow: ``rate <= demand`` (the disk-limited rate from
   :class:`repro.disk.model.DiskModel`).
 
@@ -52,22 +52,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.topology import Fabric
 from repro.obs.metrics import NULL_REGISTRY, Gauge, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, RequestTracer
 from repro.units import MB, Bytes, BytesPerSec, MiB
 
 __all__ = ["BandwidthModel", "Flow", "FlowAllocation"]
 
 #: Realizable one-direction payload on a USB 3.0 link (calibrated: the
 #: paper's root hub tops out "around 300MB/s").
-DEFAULT_PER_DIRECTION_CAPACITY = BytesPerSec(300.0 * MB)
+PER_DIRECTION_CAPACITY = BytesPerSec(300.0 * MB)
 
 #: Realizable duplex total (the paper measures 540 MB/s with half
 #: reads / half writes on one port).
-DEFAULT_DUPLEX_CAPACITY = BytesPerSec(540.0 * MB)
+DUPLEX_CAPACITY = BytesPerSec(540.0 * MB)
 
 #: Host-controller command rate per root port (calibrated: 4KB
 #: sequential curves saturate around 8 disks, ~45k IO/s).
-DEFAULT_ROOT_IOPS_LIMIT = 45_000.0
+ROOT_IOPS_LIMIT = 45_000.0
 
 #: Relative tolerance for "these constraints bind at the same water
 #: level" ties.  Shared with the test-tree reference implementation so
@@ -244,21 +243,9 @@ def _progressive_fill(
 class BandwidthModel:
     """Max-min fair allocator over a fabric's active topology."""
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        per_direction_capacity: BytesPerSec = DEFAULT_PER_DIRECTION_CAPACITY,
-        duplex_capacity: BytesPerSec = DEFAULT_DUPLEX_CAPACITY,
-        root_iops_limit: Optional[float] = DEFAULT_ROOT_IOPS_LIMIT,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional["RequestTracer"] = None,
-    ):
+    def __init__(self, fabric: Fabric, metrics: Optional[MetricsRegistry] = None):
         self.fabric = fabric
-        self.per_direction_capacity = per_direction_capacity
-        self.duplex_capacity = duplex_capacity
-        self.root_iops_limit = root_iops_limit
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.allocations = 0
         self.metrics.publish("fabric", self, ("allocations",))
         # Constraint skeletons memoized per (topology epoch, flow
@@ -303,7 +290,6 @@ class BandwidthModel:
         root_iops: Dict[str, int] = {}
         constraints: List[_Constraint] = []
         flow_cons: List[List[Tuple[int, float]]] = []
-        iops_limit = self.root_iops_limit
 
         for index, flow in enumerate(flows):
             memberships: List[Tuple[int, float]] = []
@@ -318,7 +304,7 @@ class BandwidthModel:
                     direction = "read" if is_read else "write"
                     constraints.append(
                         _Constraint(
-                            self.per_direction_capacity,
+                            PER_DIRECTION_CAPACITY,
                             f"fabric.link.{prev}->{node}.{direction}",
                         )
                     )
@@ -332,7 +318,7 @@ class BandwidthModel:
                     didx = len(constraints)
                     constraints.append(
                         _Constraint(
-                            self.duplex_capacity,
+                            DUPLEX_CAPACITY,
                             f"fabric.link.{prev}->{node}.duplex",
                         )
                     )
@@ -340,13 +326,13 @@ class BandwidthModel:
                 constraints[didx].members.append((index, 1.0))
                 memberships.append((didx, 1.0))
                 prev = node
-            if iops_limit is not None and len(walk) > 1:
+            if len(walk) > 1:
                 root = walk[-1]
                 ridx = root_iops.get(root)
                 if ridx is None:
                     ridx = len(constraints)
                     constraints.append(
-                        _Constraint(iops_limit, f"fabric.root.{root}.iops")
+                        _Constraint(ROOT_IOPS_LIMIT, f"fabric.root.{root}.iops")
                     )
                     root_iops[root] = ridx
                 weight = 1.0 / flow.io_size
@@ -374,8 +360,6 @@ class BandwidthModel:
         self.allocations += 1
         if self.metrics.enabled:
             self._record_utilisation(constraints, used)
-        if self.tracer.enabled:
-            self._trace_throttled(flows, rates)
         return FlowAllocation(
             rates={flow.flow_id: rates[i] for i, flow in enumerate(flows)}
         )
@@ -416,7 +400,7 @@ class BandwidthModel:
                 if cons is None:
                     direction = "read" if flow.is_read else "write"
                     cons = _Constraint(
-                        self.per_direction_capacity,
+                        PER_DIRECTION_CAPACITY,
                         f"fabric.link.{link[0]}->{link[1]}.{direction}",
                     )
                     directional[key] = cons
@@ -427,19 +411,17 @@ class BandwidthModel:
                 dcons = duplex.get(dkey)
                 if dcons is None:
                     dcons = _Constraint(
-                        self.duplex_capacity,
+                        DUPLEX_CAPACITY,
                         f"fabric.link.{link[0]}->{link[1]}.duplex",
                     )
                     duplex[dkey] = dcons
                     constraints.append(dcons)
                 dcons.members.append((index, 1.0))
-            if self.root_iops_limit is not None and links:
+            if links:
                 root = links[-1][1]
                 rcons = root_iops.get(root)
                 if rcons is None:
-                    rcons = _Constraint(
-                        self.root_iops_limit, f"fabric.root.{root}.iops"
-                    )
+                    rcons = _Constraint(ROOT_IOPS_LIMIT, f"fabric.root.{root}.iops")
                     root_iops[root] = rcons
                     constraints.append(rcons)
                 rcons.members.append((index, 1.0 / flow.io_size))
@@ -509,22 +491,3 @@ class BandwidthModel:
             if gauge is None:
                 gauge = cons.gauge = self.metrics.gauge(f"{cons.label}.util")
             gauge.set(util)
-
-    def _trace_throttled(
-        self, flows: Sequence[Flow], rates: Sequence[float]
-    ) -> None:
-        """Emit one instant when the fabric caps any flow below demand."""
-        throttled = 0
-        shortfall = 0.0
-        for i, flow in enumerate(flows):
-            gap = flow.demand - rates[i]
-            if gap > 1e-9:
-                throttled += 1
-                shortfall += gap
-        if throttled:
-            self.tracer.instant(
-                "fabric.throttled",
-                flows=len(flows),
-                throttled=throttled,
-                shortfall_bytes_per_s=shortfall,
-            )

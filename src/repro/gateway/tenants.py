@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple, Union
 
 from repro.sim import Event, RngRegistry, Simulator
-from repro.workload.specs import MB
+from repro.units import MiB
 
 from repro.gateway.api import ObjectRef, ReadObject, WriteObject
 from repro.gateway.request import AdmissionError
@@ -49,7 +49,7 @@ class TenantSpec:
     users: int = 1
     rate_per_user: float = 0.0
     read_fraction: float = 1.0
-    object_sizes: Tuple[Tuple[int, float], ...] = ((4 * MB, 1.0),)
+    object_sizes: Tuple[Tuple[int, float], ...] = ((4 * MiB, 1.0),)
     slo_seconds: float = 60.0
     max_queue_depth: int = 256
 

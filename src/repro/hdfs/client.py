@@ -16,12 +16,16 @@ from typing import Dict, Generator, List, Optional
 from repro.net.network import Network
 from repro.net.rpc import RemoteError, RpcClient, RpcTimeout
 from repro.sim import Event, Simulator
-from repro.workload.specs import MB
+from repro.units import MiB
 
 __all__ = ["HdfsClient", "WriteReport"]
 
-DEFAULT_BLOCK_SIZE = 64 * MB
-DEFAULT_PACKET_SIZE = 4 * MB
+BLOCK_SIZE = 64 * MiB
+PACKET_SIZE = 4 * MiB
+#: Seconds a packet (or a read of one) waits for its ack.
+PACKET_TIMEOUT = 3.0
+#: Failed packets in a row before the client drops the pipeline's head.
+MAX_RETRIES_PER_PIPELINE = 2
 
 
 @dataclass
@@ -54,18 +58,10 @@ class HdfsClient:
         network: Network,
         address: str,
         namenode_address: str = "namenode",
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        packet_size: int = DEFAULT_PACKET_SIZE,
-        packet_timeout: float = 3.0,
-        max_retries_per_pipeline: int = 2,
     ):
         self.sim = sim
         self.address = address
         self.namenode_address = namenode_address
-        self.block_size = block_size
-        self.packet_size = packet_size
-        self.packet_timeout = packet_timeout
-        self.max_retries_per_pipeline = max_retries_per_pipeline
         self.rpc = RpcClient(sim, network, address)
 
     # -- namenode helpers ------------------------------------------------------
@@ -84,7 +80,7 @@ class HdfsClient:
         yield from self._nn("nn.create", path)
         remaining = size
         while remaining > 0:
-            block_bytes = min(self.block_size, remaining)
+            block_bytes = min(BLOCK_SIZE, remaining)
             yield from self._write_block(path, block_bytes, report)
             remaining -= block_bytes
         return report
@@ -100,7 +96,7 @@ class HdfsClient:
         consecutive_failures = 0
         packet_start = self.sim.now
         while offset < block_bytes:
-            size = min(self.packet_size, block_bytes - offset)
+            size = min(PACKET_SIZE, block_bytes - offset)
             head, rest = pipeline[0], pipeline[1:]
             attempt_start = self.sim.now
             try:
@@ -110,9 +106,9 @@ class HdfsClient:
                     block_id,
                     offset,
                     size,
-                    self.block_size,
+                    BLOCK_SIZE,
                     rest,
-                    timeout=self.packet_timeout,
+                    timeout=PACKET_TIMEOUT,
                     request_size=size + 256,
                 )
                 offset += size
@@ -128,7 +124,7 @@ class HdfsClient:
                 report.stall_seconds += stall
                 report.longest_stall = max(report.longest_stall, stall)
                 consecutive_failures += 1
-                if consecutive_failures > self.max_retries_per_pipeline and len(pipeline) > 1:
+                if consecutive_failures > MAX_RETRIES_PER_PIPELINE and len(pipeline) > 1:
                     # Drop the unresponsive head and continue with the
                     # remaining replicas (HDFS pipeline recovery).
                     pipeline = pipeline[1:]
@@ -147,7 +143,7 @@ class HdfsClient:
         for block in blocks:
             offset = 0
             while offset < block["size"]:
-                size = min(self.packet_size, block["size"] - offset)
+                size = min(PACKET_SIZE, block["size"] - offset)
                 done = False
                 for index, replica in enumerate(block["replicas"]):
                     try:
@@ -157,7 +153,7 @@ class HdfsClient:
                             block["block_id"],
                             offset,
                             size,
-                            timeout=self.packet_timeout,
+                            timeout=PACKET_TIMEOUT,
                             response_size=size + 256,
                         )
                         done = True

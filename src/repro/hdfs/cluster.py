@@ -16,9 +16,14 @@ from repro.hdfs.client import HdfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.sim import Event
-from repro.workload.specs import MB
+from repro.units import GiB
 
 __all__ = ["HdfsOnUstore", "build_hdfs_on_ustore"]
+
+#: Datanodes, each on its own host beside the namenode's (§VII-B).
+NUM_DATANODES = 3
+#: Size of the UStore space that backs each datanode.
+SPACE_BYTES = 2 * GiB
 
 
 @dataclass
@@ -39,36 +44,29 @@ class HdfsOnUstore:
         return parse_space_id(self.spaces[dn_id])[1]
 
 
-def build_hdfs_on_ustore(
-    deployment: Deployment,
-    num_datanodes: int = 3,
-    space_bytes: int = 2048 * MB,
-    replication: int = 3,
-) -> Generator[Event, None, HdfsOnUstore]:
+def build_hdfs_on_ustore(deployment: Deployment) -> Generator[Event, None, HdfsOnUstore]:
     """Allocate UStore spaces and start the mini-HDFS processes.
 
-    One host runs the namenode; ``num_datanodes`` others each run a
+    One host runs the namenode; ``NUM_DATANODES`` others each run a
     datanode whose storage is a UStore space allocated with that host
     as the locality hint (matching §VII-B: one host for the namenode,
     three hosts for datanodes, three replicas).
     """
     sim = deployment.sim
     hosts = deployment.fabric.hosts()
-    if num_datanodes + 1 > len(hosts):
+    if NUM_DATANODES + 1 > len(hosts):
         raise ValueError("need one host for the namenode plus one per datanode")
-    namenode = NameNode(
-        sim, deployment.network, address="namenode", replication=replication
-    )
+    namenode = NameNode(sim, deployment.network, address="namenode")
     datanodes: Dict[str, DataNode] = {}
     spaces: Dict[str, str] = {}
     used_disks: List[str] = []
-    for index, host in enumerate(hosts[1 : num_datanodes + 1]):
+    for index, host in enumerate(hosts[1 : NUM_DATANODES + 1]):
         dn_id = f"dn{index}"
         client = deployment.new_client(f"hdfs.{dn_id}", service="hdfs")
         # Replicas must live on distinct spindles, so exclude the disks
         # earlier datanodes received (overriding same-service affinity).
         info = yield from client.allocate(
-            space_bytes, locality_hint=host, exclude_disks=used_disks
+            SPACE_BYTES, locality_hint=host, exclude_disks=used_disks
         )
         from repro.cluster.namespace import parse_space_id
 
@@ -80,7 +78,7 @@ def build_hdfs_on_ustore(
             dn_id,
             namenode.address,
             storage=space,
-            capacity=space_bytes,
+            capacity=SPACE_BYTES,
         )
         spaces[dn_id] = info["space_id"]
     return HdfsOnUstore(

@@ -19,6 +19,11 @@ from repro.sim import Event, Simulator
 
 __all__ = ["DataNode"]
 
+#: Seconds between a datanode's heartbeats to the namenode.
+HEARTBEAT_INTERVAL = 1.0
+#: Seconds a datanode waits for the next pipeline stage's ack.
+FORWARD_TIMEOUT = 8.0
+
 
 class DataNode:
     """One datanode: block store + pipeline forwarding."""
@@ -31,8 +36,6 @@ class DataNode:
         namenode_address: str,
         storage: MountedSpace,
         capacity: int,
-        heartbeat_interval: float = 1.0,
-        forward_timeout: float = 8.0,
     ):
         self.sim = sim
         self.dn_id = dn_id
@@ -40,8 +43,6 @@ class DataNode:
         self.namenode_address = namenode_address
         self.storage = storage
         self.capacity = capacity
-        self.heartbeat_interval = heartbeat_interval
-        self.forward_timeout = forward_timeout
         self.alive = True
         self.network = network
         # Local block map: block id -> (offset, size committed so far).
@@ -71,7 +72,7 @@ class DataNode:
             except (RpcTimeout, RemoteError):
                 yield self.sim.timeout(1.0)
         while self.alive:
-            yield self.sim.timeout(self.heartbeat_interval)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL)
             try:
                 yield from self.rpc_client.call(
                     self.namenode_address, "nn.heartbeat", self.dn_id, timeout=2.0
@@ -122,7 +123,7 @@ class DataNode:
                     size,
                     block_capacity,
                     rest,
-                    timeout=self.forward_timeout,
+                    timeout=FORWARD_TIMEOUT,
                     request_size=size + 256,
                 )
                 acks.extend(reply["acks"])

@@ -16,7 +16,10 @@ from repro.sim import Simulator
 
 __all__ = ["BlockInfo", "NameNode"]
 
-DEFAULT_REPLICATION = 3
+#: Replicas per block (§VII-B's three-way replication).
+REPLICATION = 3
+#: Seconds of heartbeat silence after which a datanode counts as dead.
+HEARTBEAT_TIMEOUT = 5.0
 
 
 @dataclass
@@ -34,13 +37,9 @@ class NameNode:
         sim: Simulator,
         network: Network,
         address: str = "namenode",
-        replication: int = DEFAULT_REPLICATION,
-        heartbeat_timeout: float = 5.0,
     ):
         self.sim = sim
         self.address = address
-        self.replication = replication
-        self.heartbeat_timeout = heartbeat_timeout
         self.files: Dict[str, List[str]] = {}  # path -> block ids
         self.blocks: Dict[str, BlockInfo] = {}
         self.datanodes: Dict[str, str] = {}  # dn id -> rpc address
@@ -61,7 +60,7 @@ class NameNode:
         return sorted(
             dn
             for dn, last in self.last_heartbeat.items()
-            if now - last <= self.heartbeat_timeout
+            if now - last <= HEARTBEAT_TIMEOUT
         )
 
     def _on_register(self, dn_id: str, address: str) -> bool:
@@ -95,7 +94,7 @@ class NameNode:
         if not candidates:
             raise RuntimeError("no live datanodes")
         candidates.sort(key=lambda dn: (self._load_of(dn), dn))
-        pipeline = candidates[: self.replication]
+        pipeline = candidates[:REPLICATION]
         block_id = f"blk_{self._block_counter}"
         self._block_counter += 1
         self.blocks[block_id] = BlockInfo(block_id=block_id, size=0)

@@ -26,7 +26,7 @@ from typing import Dict, Generator
 from repro.cluster.deployment import Deployment
 from repro.disk.model import DiskModel
 from repro.disk.specs import ConnectionType
-from repro.fabric.bandwidth import DEFAULT_PER_DIRECTION_CAPACITY
+from repro.fabric.bandwidth import PER_DIRECTION_CAPACITY
 from repro.net.rpc import RpcClient
 from repro.sim import Event
 from repro.units import MB, MiB
@@ -66,7 +66,7 @@ def network_rebuild(rebuild_bytes: int) -> RebuildEstimate:
     disk = _disk_seq_rate()
     # Source disk read and destination write both fit their ports; the
     # 1 GbE host link is the bottleneck.
-    rate = min(disk, GBE_PAYLOAD, DEFAULT_PER_DIRECTION_CAPACITY)
+    rate = min(disk, GBE_PAYLOAD, PER_DIRECTION_CAPACITY)
     return RebuildEstimate(
         strategy="network",
         rebuild_bytes=rebuild_bytes,
@@ -84,7 +84,7 @@ def fabric_assisted_rebuild(
     of the same duplex root port, so the copy runs at full disk speed.
     """
     disk = _disk_seq_rate()
-    rate = min(disk, DEFAULT_PER_DIRECTION_CAPACITY)
+    rate = min(disk, PER_DIRECTION_CAPACITY)
     return RebuildEstimate(
         strategy="fabric-assisted",
         rebuild_bytes=rebuild_bytes,

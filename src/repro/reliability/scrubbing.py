@@ -20,7 +20,7 @@ from typing import Dict, Generator, List, Optional, Set, Tuple
 from repro.disk.device import IoRequest, SimulatedDisk
 from repro.sim import Event, Simulator
 from repro.sim.rng import RngRegistry
-from repro.workload.specs import MB
+from repro.units import MiB
 
 __all__ = ["LatentErrorModel", "MediaError", "Scrubber"]
 
@@ -45,7 +45,7 @@ class LatentErrorModel:
     disk: SimulatedDisk
     rng: RngRegistry
     annual_lse_rate: float = 1.0
-    region_bytes: int = 8 * MB
+    region_bytes: int = 8 * MiB
     errors: Set[int] = field(default_factory=set)  # region indices
     detected: List[Tuple[float, int]] = field(default_factory=list)
     repaired: List[Tuple[float, int]] = field(default_factory=list)
@@ -117,7 +117,7 @@ class Scrubber:
         sim: Simulator,
         model: LatentErrorModel,
         scrub_interval: float = 14 * 24 * 3600.0,
-        chunk_bytes: int = 64 * MB,
+        chunk_bytes: int = 64 * MiB,
         scan_bytes: Optional[int] = None,
     ):
         self.sim = sim

@@ -42,6 +42,7 @@ from repro.shardstore.packer import (
     ShardBuffer,
 )
 from repro.shardstore.routing import ShardId, ShardLayout, place, route
+from repro.units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.gateway.gateway import Gateway
@@ -83,7 +84,7 @@ class ShardStoreConfig:
 
     tenant: str
     shards_per_day: int = 8
-    shard_capacity_bytes: int = 8 * (1 << 20)
+    shard_capacity_bytes: int = 8 * MiB
     #: Flush an open shard once its tail passes this fraction of
     #: capacity; ``flush_all`` handles the rest at end of ingest.
     flush_fill_fraction: float = 0.85

@@ -16,11 +16,14 @@ This module is the single vocabulary both layers share:
   mypy, and the static checker in :mod:`repro.analysis.units` reads
   them off annotations to run an AST dataflow over dimensioned
   arithmetic (rules UNIT001–UNIT006, see DESIGN.md §11);
-* declared scale constants — :data:`KB`/:data:`MB`/:data:`GB`
+* declared scale constants — :data:`KB`/:data:`MB`/:data:`GB`/:data:`TB`
   (decimal, the paper's MB/s convention) and
-  :data:`KiB`/:data:`MiB`/:data:`GiB` (binary, transfer and chunk
-  sizes) — so byte-scale magic literals (``1e6``, ``1 << 20``) never
-  appear inline in dimensioned arithmetic;
+  :data:`KiB`/:data:`MiB`/:data:`GiB`/:data:`TiB` (binary, transfer and
+  chunk sizes) — so byte-scale magic literals (``1e6``, ``1 << 20``)
+  never appear inline in dimensioned arithmetic.  This is the only
+  module that binds these eight names; every other module imports them
+  from here under their own names, so each name has one meaning
+  everywhere (``tests/test_byte_scale_names.py`` enforces it);
 * conversion helpers that perform the *only* sanctioned unit-crossing
   arithmetic: the checker knows their signatures and treats their
   results as correctly dimensioned.

@@ -1,14 +1,12 @@
 """Workload specifications, Iometer-style drivers, and trace generators."""
 
-from repro.workload.specs import KB, MB, AccessPattern, TABLE2_WORKLOADS, WorkloadSpec
+from repro.workload.specs import AccessPattern, TABLE2_WORKLOADS, WorkloadSpec
 from repro.workload.traces import AccessEvent, archival_batch_trace, cold_read_trace
 
 __all__ = [
     "AccessEvent",
     "AccessPattern",
     "IometerRun",
-    "KB",
-    "MB",
     "TABLE2_WORKLOADS",
     "WorkerStats",
     "WorkloadSpec",

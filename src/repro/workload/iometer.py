@@ -26,6 +26,7 @@ from repro.fabric.topology import Fabric
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Event, Simulator
 from repro.sim.rng import RngRegistry
+from repro.units import GiB
 from repro.workload.specs import AccessPattern, WorkloadSpec
 
 __all__ = ["IometerRun", "WorkerStats", "model_throughput"]
@@ -117,7 +118,7 @@ class IometerRun:
         spec: WorkloadSpec,
         disk_ids: Optional[Sequence[str]] = None,
         rng: Optional[RngRegistry] = None,
-        region_bytes: int = 64 * 1024 * 1024 * 1024,
+        region_bytes: int = 64 * GiB,
     ):
         self.sim = sim
         self.fabric = fabric

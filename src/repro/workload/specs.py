@@ -3,7 +3,8 @@
 The paper's evaluation sweeps three parameters: transfer request size,
 sequential vs random access, and the read percentage of the mix.  A
 :class:`WorkloadSpec` captures one cell of that sweep; helpers name the
-cells the way the paper's Figure 5 does (e.g. ``4KB-S-R``).
+cells the way the paper's Figure 5 does (e.g. ``4KB-S-R``), whose
+``KB``/``MB`` labels name binary sizes (4 KiB, 4 MiB).
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["AccessPattern", "WorkloadSpec", "KB", "MB", "TABLE2_WORKLOADS"]
+from repro.units import KiB, MiB
 
-KB = 1024
-MB = 1024 * 1024
+__all__ = ["AccessPattern", "WorkloadSpec", "TABLE2_WORKLOADS"]
 
 
 class AccessPattern(enum.Enum):
@@ -47,10 +47,10 @@ class WorkloadSpec:
     @property
     def name(self) -> str:
         """Figure 5 style name, e.g. ``4KB-S-R`` or ``4MB-R-W``."""
-        if self.transfer_size % MB == 0:
-            size = f"{self.transfer_size // MB}MB"
-        elif self.transfer_size % KB == 0:
-            size = f"{self.transfer_size // KB}KB"
+        if self.transfer_size % MiB == 0:
+            size = f"{self.transfer_size // MiB}MB"
+        elif self.transfer_size % KiB == 0:
+            size = f"{self.transfer_size // KiB}KB"
         else:
             size = f"{self.transfer_size}B"
         pattern = "S" if self.is_sequential else "R"
@@ -67,9 +67,9 @@ class WorkloadSpec:
         """Inverse of :attr:`name` for the common forms."""
         size_part, pattern_part, mix_part = name.split("-")
         if size_part.endswith("MB"):
-            size = int(size_part[:-2]) * MB
+            size = int(size_part[:-2]) * MiB
         elif size_part.endswith("KB"):
-            size = int(size_part[:-2]) * KB
+            size = int(size_part[:-2]) * KiB
         elif size_part.endswith("B"):
             size = int(size_part[:-1])
         else:
@@ -88,7 +88,7 @@ class WorkloadSpec:
 
 def _table2_grid() -> tuple[WorkloadSpec, ...]:
     specs = []
-    for size in (4 * KB, 4 * MB):
+    for size in (4 * KiB, 4 * MiB):
         for pattern in (AccessPattern.SEQUENTIAL, AccessPattern.RANDOM):
             for read_fraction in (1.0, 0.5, 0.0):
                 specs.append(WorkloadSpec(size, pattern, read_fraction))

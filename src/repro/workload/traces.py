@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.sim.rng import RngRegistry
-from repro.workload.specs import KB, MB
+from repro.units import GiB, MiB
 
 __all__ = ["AccessEvent", "archival_batch_trace", "cold_read_trace"]
 
@@ -33,8 +33,8 @@ def cold_read_trace(
     rng: RngRegistry,
     duration: float,
     mean_interarrival: float = 600.0,
-    object_size: int = 4 * MB,
-    region_bytes: int = 10 * 1024 * MB,
+    object_size: int = 4 * MiB,
+    region_bytes: int = 10 * GiB,
     stream: str = "cold",
 ) -> List[AccessEvent]:
     """Poisson arrivals of small random reads (cold data, §I).
@@ -65,8 +65,8 @@ def cold_read_trace(
 def archival_batch_trace(
     duration: float,
     batch_interval: float = 24 * 3600.0,
-    batch_bytes: int = 64 * 1024 * MB,
-    write_size: int = 4 * MB,
+    batch_bytes: int = 64 * GiB,
+    write_size: int = 4 * MiB,
     start_offset: int = 0,
     first_batch_at: Optional[float] = None,
 ) -> List[AccessEvent]:

@@ -22,6 +22,7 @@ from repro.fabric import (
     rack_fabric,
     ring_fabric,
 )
+from repro.fabric.bandwidth import DUPLEX_CAPACITY, PER_DIRECTION_CAPACITY, ROOT_IOPS_LIMIT
 from tests.reference_alloc import reference_allocate
 
 NUM_RANDOM_CASES = 55
@@ -77,9 +78,9 @@ def assert_matches_reference(fabric, model: BandwidthModel, flows) -> None:
     expected = reference_allocate(
         fabric,
         flows,
-        model.per_direction_capacity,
-        model.duplex_capacity,
-        model.root_iops_limit,
+        PER_DIRECTION_CAPACITY,
+        DUPLEX_CAPACITY,
+        ROOT_IOPS_LIMIT,
     )
     assert set(got) == set(expected)
     for flow_id in expected:

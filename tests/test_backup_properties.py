@@ -6,7 +6,7 @@ from repro.backup import ArchiveStore, FileVersion, chunk_file
 from repro.disk import SimulatedDisk
 from repro.net import StorageVolume
 from repro.sim import Simulator
-from repro.workload import MB
+from repro.units import MiB
 
 
 class _LocalSpace:
@@ -28,14 +28,14 @@ class _LocalSpace:
 
 def make_store(sim):
     return ArchiveStore(
-        sim, [_LocalSpace(sim, "s0"), _LocalSpace(sim, "s1")], space_bytes=10_000 * MB
+        sim, [_LocalSpace(sim, "s0"), _LocalSpace(sim, "s1")], space_bytes=10_000 * MiB
     )
 
 
 file_lists = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=30),  # file name index
-        st.integers(min_value=1, max_value=16 * MB),  # size
+        st.integers(min_value=1, max_value=16 * MiB),  # size
         st.integers(min_value=0, max_value=5),  # content seed
     ),
     min_size=1,
@@ -115,8 +115,8 @@ class TestDedupInvariants:
         assert store.stored_bytes == first.unique_bytes + second.unique_bytes
 
     @given(
-        size=st.integers(min_value=1, max_value=64 * MB),
-        chunk=st.integers(min_value=1024, max_value=8 * MB),
+        size=st.integers(min_value=1, max_value=64 * MiB),
+        chunk=st.integers(min_value=1024, max_value=8 * MiB),
     )
     @settings(max_examples=40, deadline=None)
     def test_chunking_partitions_exactly(self, size, chunk):

@@ -6,7 +6,7 @@ from repro.cli import main as cli_main
 from repro.cluster import build_deployment
 from repro.disk import DiskPowerState
 from repro.net import RemoteError
-from repro.workload import MB
+from repro.units import MiB
 
 
 class TestCli:
@@ -45,7 +45,7 @@ class TestServicePowerControl:
         client = dep.new_client("svc-a-app", service="svc-a")
 
         def scenario():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             yield from client.set_disk_power(info["space_id"], "spin_down")
             return info
 
@@ -65,7 +65,7 @@ class TestServicePowerControl:
         intruder = dep.new_client("intruder-app", service="intruder")
 
         def scenario():
-            info = yield from owner.allocate(64 * MB)
+            info = yield from owner.allocate(64 * MiB)
             yield from intruder.set_disk_power(info["space_id"], "spin_down")
 
         with pytest.raises(RemoteError, match="PermissionError"):
@@ -79,11 +79,11 @@ class TestServicePowerControl:
         b = dep.new_client("b-app", service="svc-other")
 
         def scenario():
-            info_a = yield from a.allocate(64 * MB)
+            info_a = yield from a.allocate(64 * MiB)
             disk = info_a["space_id"].split("/")[2]
             # Force the second service onto the same disk.
             exclude = [d for d in dep.disks if d != disk]
-            yield from b.allocate(64 * MB, exclude_disks=exclude)
+            yield from b.allocate(64 * MiB, exclude_disks=exclude)
             yield from a.set_disk_power(info_a["space_id"], "spin_down")
 
         with pytest.raises(RemoteError, match="shared by"):
@@ -94,11 +94,11 @@ class TestServicePowerControl:
         client = dep.new_client("svc-app", service="svc")
 
         def scenario():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             space = yield from client.mount(info["space_id"])
             yield from client.set_disk_power(info["space_id"], "spin_down")
             start = dep.sim.now
-            yield from space.read(0, 4 * MB)
+            yield from space.read(0, 4 * MiB)
             return dep.sim.now - start
 
         elapsed = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -113,7 +113,7 @@ class TestServicePowerControl:
         client = dep.new_client("svc-app", service="svc")
 
         def setup():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             space = yield from client.mount(info["space_id"])
             return info, space
 
@@ -124,7 +124,7 @@ class TestServicePowerControl:
 
         def read():
             start = dep.sim.now
-            yield from space.read(0, 1 * MB)
+            yield from space.read(0, 1 * MiB)
             return dep.sim.now - start
 
         elapsed = dep.sim.run_until_event(dep.sim.process(read()))
@@ -142,7 +142,7 @@ class TestServicePowerControl:
         client = dep.new_client("svc-app", service="svc")
 
         def setup():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             space = yield from client.mount(info["space_id"])
             return info, space
 
@@ -156,7 +156,7 @@ class TestServicePowerControl:
             result = yield from client.set_disk_power(info["space_id"], "spin_up")
             outcome.append((result, dep.sim.now - start))
 
-        dep.sim.process(space.read(0, 1 * MB))
+        dep.sim.process(space.read(0, 1 * MiB))
         dep.sim.defer(1.0, lambda: dep.sim.process(power()))
         dep.sim.run(until=start + 30.0)
         ((result, elapsed),) = outcome

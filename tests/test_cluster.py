@@ -14,7 +14,7 @@ from repro.cluster import (
 )
 from repro.cluster.namespace import MASTER_POINTER
 from repro.coord import Role
-from repro.workload import KB, MB
+from repro.units import KiB, MiB
 
 #: An idle deployment's sends per 100 sim-s after ``settle()``, by RPC
 #: method or message kind: the coordination leader's appends, the two
@@ -155,7 +155,7 @@ class TestBootstrap:
             send(src, dst, payload, size)
 
         monkeypatch.setattr(dep.network, "send", logged)
-        mount_gateway_spaces(dep, 64 * MB)
+        mount_gateway_spaces(dep, 64 * MiB)
         operations = [
             payload["args"][0][0]
             for _, payload in sent
@@ -208,10 +208,10 @@ class TestAllocation:
         client = dep.new_client("app", service="svc1")
 
         def scenario():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             space = yield from client.mount(info["space_id"])
-            yield from space.write(0, 1 * MB)
-            result = yield from space.read(0, 1 * MB)
+            yield from space.write(0, 1 * MiB)
+            result = yield from space.read(0, 1 * MiB)
             return info, space, result
 
         info, space, result = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -225,7 +225,7 @@ class TestAllocation:
         client = dep.new_client("app", service="svc1")
 
         def scenario():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             return info
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -241,8 +241,8 @@ class TestAllocation:
         client = dep.new_client("app", service="svc1")
 
         def scenario():
-            first = yield from client.allocate(10 * MB)
-            second = yield from client.allocate(10 * MB)
+            first = yield from client.allocate(10 * MiB)
+            second = yield from client.allocate(10 * MiB)
             return first, second
 
         first, second = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -255,8 +255,8 @@ class TestAllocation:
         b = dep.new_client("app-b", service="svc-b")
 
         def scenario():
-            first = yield from a.allocate(10 * MB)
-            second = yield from b.allocate(10 * MB)
+            first = yield from a.allocate(10 * MiB)
+            second = yield from b.allocate(10 * MiB)
             return first, second
 
         first, second = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -268,7 +268,7 @@ class TestAllocation:
         client = dep.new_client("app", service="svc1")
 
         def scenario():
-            info = yield from client.allocate(10 * MB, locality_hint="host3")
+            info = yield from client.allocate(10 * MiB, locality_hint="host3")
             return info
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -279,8 +279,8 @@ class TestAllocation:
         client = dep.new_client("app", service="svc1")
 
         def scenario():
-            first = yield from client.allocate(10 * MB)
-            second = yield from client.allocate(10 * MB)
+            first = yield from client.allocate(10 * MiB)
+            second = yield from client.allocate(10 * MiB)
             return first, second
 
         first, second = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -295,7 +295,7 @@ class TestAllocation:
         each other: the first reserves its extent before committing."""
         dep = fresh()
         clients = [dep.new_client(f"app{i}", service="svc") for i in range(2)]
-        calls = [dep.sim.process(client.allocate(32 * MB)) for client in clients]
+        calls = [dep.sim.process(client.allocate(32 * MiB)) for client in clients]
         infos = dep.sim.run_until_event(dep.sim.all_of(calls))
         master = dep.active_master()
         r1, r2 = (master.records[info["space_id"]] for info in infos)
@@ -315,7 +315,7 @@ class TestAllocation:
 
         monkeypatch.setattr(master.coord, "create", refuse)
         with pytest.raises(RemoteError):
-            dep.sim.run_until_event(dep.sim.process(client.allocate(32 * MB)))
+            dep.sim.run_until_event(dep.sim.process(client.allocate(32 * MiB)))
         assert master.records == {}
 
     def test_release_withdraws_target(self):
@@ -323,7 +323,7 @@ class TestAllocation:
         client = dep.new_client("app", service="svc1")
 
         def scenario():
-            info = yield from client.allocate(10 * MB)
+            info = yield from client.allocate(10 * MiB)
             yield from client.mount(info["space_id"])
             ok = yield from client.release(info["space_id"])
             return info, ok
@@ -366,9 +366,9 @@ class TestHostFailover:
         client = dep.new_client("app", service="svc1")
 
         def setup():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             space = yield from client.mount(info["space_id"])
-            yield from space.write(0, 1 * MB)
+            yield from space.write(0, 1 * MiB)
             return info, space
 
         info, space = dep.sim.run_until_event(dep.sim.process(setup()))
@@ -376,7 +376,7 @@ class TestHostFailover:
         start = dep.sim.now
 
         def after():
-            result = yield from space.write(1 * MB, 1 * MB)
+            result = yield from space.write(1 * MiB, 1 * MiB)
             return result
 
         result = dep.sim.run_until_event(dep.sim.process(after()))
@@ -394,7 +394,7 @@ class TestHostFailover:
         client.on_status_change(lambda sid, ev: events.append(ev))
 
         def setup():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             space = yield from client.mount(info["space_id"])
             return info, space
 
@@ -402,7 +402,7 @@ class TestHostFailover:
         dep.crash_host(info["host_id"])
 
         def after():
-            yield from space.read(0, 4 * KB)
+            yield from space.read(0, 4 * KiB)
 
         dep.sim.run_until_event(dep.sim.process(after()))
         assert "remounting" in events and "remounted" in events
@@ -417,7 +417,7 @@ class TestHostFailover:
         client = dep.new_client("app", service="svc1")
 
         def scenario():
-            info = yield from client.allocate(10 * MB)
+            info = yield from client.allocate(10 * MiB)
             return info
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -433,7 +433,7 @@ class TestHostFailover:
         standby = [m for m in dep.masters if m is not active][0]
 
         def setup():
-            info = yield from client.allocate(10 * MB)
+            info = yield from client.allocate(10 * MiB)
             return info
 
         info = dep.sim.run_until_event(dep.sim.process(setup()))
@@ -454,7 +454,7 @@ class TestHostFailover:
         client = dep.new_client("app", service="svc1")
 
         def setup():
-            info = yield from client.allocate(64 * MB)
+            info = yield from client.allocate(64 * MiB)
             return info
 
         info = dep.sim.run_until_event(dep.sim.process(setup()))

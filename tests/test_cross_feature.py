@@ -6,7 +6,7 @@ from repro.backup import BackupService, provision_archive, synthetic_dataset
 from repro.cluster import DeploymentConfig, build_deployment
 from repro.net import RemoteError, RpcClient
 from repro.sim import RngRegistry
-from repro.workload import MB
+from repro.units import MiB
 
 
 class TestBackupUnderFailover:
@@ -17,11 +17,11 @@ class TestBackupUnderFailover:
         dep.settle(15.0)
         sim = dep.sim
         store = sim.run_until_event(
-            sim.process(provision_archive(dep, num_spaces=2, space_bytes=2048 * MB))
+            sim.process(provision_archive(dep, num_spaces=2, space_bytes=2048 * MiB))
         )
         rng = RngRegistry(31)
         service = BackupService(dep, store, rng, change_fraction=0.1)
-        service.load_dataset(synthetic_dataset(rng, num_files=30, mean_file_mb=8.0))
+        service.load_dataset(synthetic_dataset(rng, num_files=30, mean_file_mib=8.0))
 
         # Crash the host serving the first arena mid-snapshot.
         victim_disk = store.spaces[0].space_id.split("/")[2]
@@ -47,11 +47,11 @@ class TestBackupUnderFailover:
         dep.settle(15.0)
         sim = dep.sim
         store = sim.run_until_event(
-            sim.process(provision_archive(dep, num_spaces=1, space_bytes=1024 * MB))
+            sim.process(provision_archive(dep, num_spaces=1, space_bytes=1024 * MiB))
         )
         rng = RngRegistry(33)
         service = BackupService(dep, store, rng)
-        service.load_dataset(synthetic_dataset(rng, num_files=10, mean_file_mb=4.0))
+        service.load_dataset(synthetic_dataset(rng, num_files=10, mean_file_mib=4.0))
 
         def backup():
             return (yield from service.run_rounds(1))

@@ -15,7 +15,8 @@ from repro.disk import (
     TOSHIBA_POWER_USB,
 )
 from repro.sim import Simulator
-from repro.workload import KB, MB, TABLE2_WORKLOADS, AccessPattern, WorkloadSpec
+from repro.units import KiB, MiB
+from repro.workload import TABLE2_WORKLOADS, AccessPattern, WorkloadSpec
 
 # Table II of the paper, columns in TABLE2_WORKLOADS order:
 # 4KB Seq (IO/s) R/50/W, 4KB Rand (IO/s) R/50/W,
@@ -47,7 +48,7 @@ class TestTable2Calibration:
         model = DiskModel(connection=connection)
         for spec, expected in zip(TABLE2_WORKLOADS, TABLE2[connection]):
             estimate = model.throughput(spec)
-            value = estimate.iops if spec.transfer_size == 4 * KB else estimate.mb_per_second
+            value = estimate.iops if spec.transfer_size == 4 * KiB else estimate.mb_per_second
             error = abs(value - expected) / expected
             assert error <= TOLERANCE, (
                 f"{connection.value} {spec.name}: model {value:.1f} "
@@ -56,14 +57,14 @@ class TestTable2Calibration:
 
     def test_sata_faster_than_usb_for_small_sequential(self):
         """§VII-A: direct SATA is ~2x USB on 4KB sequential reads."""
-        spec = WorkloadSpec(4 * KB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * KiB, AccessPattern.SEQUENTIAL, 1.0)
         sata = DiskModel(connection=ConnectionType.SATA).throughput(spec).iops
         usb = DiskModel(connection=ConnectionType.USB).throughput(spec).iops
         assert 1.8 <= sata / usb <= 3.0
 
     def test_large_transfers_unaffected_by_connection(self):
         """§VII-A: for large I/O the bridge/hub/switch have no impact."""
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         rates = [
             DiskModel(connection=c).throughput(spec).mb_per_second
             for c in ConnectionType
@@ -80,27 +81,27 @@ class TestTable2Calibration:
 
     def test_random_slower_than_sequential(self):
         model = DiskModel(connection=ConnectionType.SATA)
-        for size in (4 * KB, 4 * MB):
+        for size in (4 * KiB, 4 * MiB):
             seq = model.throughput(WorkloadSpec(size, AccessPattern.SEQUENTIAL, 1.0))
             rand = model.throughput(WorkloadSpec(size, AccessPattern.RANDOM, 1.0))
             assert rand.bytes_per_second < seq.bytes_per_second
 
     def test_mix_penalty_zero_for_pure(self):
         model = DiskModel()
-        assert model.mix_penalty(WorkloadSpec(4 * KB, AccessPattern.SEQUENTIAL, 1.0)) == 0
-        assert model.mix_penalty(WorkloadSpec(4 * KB, AccessPattern.SEQUENTIAL, 0.0)) == 0
+        assert model.mix_penalty(WorkloadSpec(4 * KiB, AccessPattern.SEQUENTIAL, 1.0)) == 0
+        assert model.mix_penalty(WorkloadSpec(4 * KiB, AccessPattern.SEQUENTIAL, 0.0)) == 0
 
     def test_mix_penalty_maximal_at_half(self):
         model = DiskModel()
         penalties = [
-            model.mix_penalty(WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, p))
+            model.mix_penalty(WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, p))
             for p in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert penalties[2] == max(penalties)
 
     def test_service_time_monotone_in_size(self):
         model = DiskModel()
-        sizes = [4 * KB, 64 * KB, 1 * MB, 4 * MB]
+        sizes = [4 * KiB, 64 * KiB, 1 * MiB, 4 * MiB]
         times = [
             model.service_time(WorkloadSpec(s, AccessPattern.SEQUENTIAL, 1.0))
             for s in sizes
@@ -114,13 +115,13 @@ class TestWorkloadSpec:
             assert WorkloadSpec.parse(spec.name) == spec
 
     def test_name_format(self):
-        assert WorkloadSpec(4 * KB, AccessPattern.SEQUENTIAL, 1.0).name == "4KB-S-R"
-        assert WorkloadSpec(4 * MB, AccessPattern.RANDOM, 0.0).name == "4MB-R-W"
-        assert WorkloadSpec(4 * MB, AccessPattern.RANDOM, 0.5).name == "4MB-R-50%R"
+        assert WorkloadSpec(4 * KiB, AccessPattern.SEQUENTIAL, 1.0).name == "4KB-S-R"
+        assert WorkloadSpec(4 * MiB, AccessPattern.RANDOM, 0.0).name == "4MB-R-W"
+        assert WorkloadSpec(4 * MiB, AccessPattern.RANDOM, 0.5).name == "4MB-R-50%R"
 
     def test_invalid_read_fraction(self):
         with pytest.raises(ValueError):
-            WorkloadSpec(4 * KB, AccessPattern.RANDOM, 1.5)
+            WorkloadSpec(4 * KiB, AccessPattern.RANDOM, 1.5)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -174,40 +175,40 @@ class TestSimulatedDisk:
 
     def test_io_takes_model_time(self):
         sim, disk = self.make_disk()
-        done = disk.submit(IoRequest(offset=0, size=4 * MB, is_read=True))
+        done = disk.submit(IoRequest(offset=0, size=4 * MiB, is_read=True))
         service = sim.run_until_event(done)
         expected = disk.model.service_time(
-            WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+            WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         )
         assert service == pytest.approx(expected)
         assert sim.now == pytest.approx(expected)
 
     def test_sequential_detection(self):
         sim, disk = self.make_disk()
-        first = disk.submit(IoRequest(offset=0, size=1 * MB, is_read=True))
+        first = disk.submit(IoRequest(offset=0, size=1 * MiB, is_read=True))
         sim.run_until_event(first)
         t0 = sim.now
-        nxt = disk.submit(IoRequest(offset=1 * MB, size=1 * MB, is_read=True))
+        nxt = disk.submit(IoRequest(offset=1 * MiB, size=1 * MiB, is_read=True))
         sim.run_until_event(nxt)
         seq_time = sim.now - t0
         t1 = sim.now
-        jump = disk.submit(IoRequest(offset=100 * MB, size=1 * MB, is_read=True))
+        jump = disk.submit(IoRequest(offset=100 * MiB, size=1 * MiB, is_read=True))
         sim.run_until_event(jump)
         rand_time = sim.now - t1
         assert rand_time > seq_time
 
     def test_queue_serializes(self):
         sim, disk = self.make_disk()
-        a = disk.submit(IoRequest(offset=0, size=4 * MB, is_read=True))
-        b = disk.submit(IoRequest(offset=4 * MB, size=4 * MB, is_read=True))
+        a = disk.submit(IoRequest(offset=0, size=4 * MiB, is_read=True))
+        b = disk.submit(IoRequest(offset=4 * MiB, size=4 * MiB, is_read=True))
         sim.run_until_event(sim.all_of([a, b]))
-        single = disk.model.service_time(WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0))
+        single = disk.model.service_time(WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0))
         assert sim.now == pytest.approx(2 * single)
 
     def test_failed_disk_rejects_io(self):
         sim, disk = self.make_disk()
         disk.fail()
-        done = disk.submit(IoRequest(offset=0, size=4 * KB, is_read=True))
+        done = disk.submit(IoRequest(offset=0, size=4 * KiB, is_read=True))
         with pytest.raises(DiskOfflineError):
             sim.run_until_event(done)
 
@@ -215,7 +216,7 @@ class TestSimulatedDisk:
         """A disk that fails mid-service must not stay ACTIVE: it would be
         billed active watts for the whole failure and never spin down."""
         sim, disk = self.make_disk()
-        request = IoRequest(offset=0, size=256 * MB, is_read=True)
+        request = IoRequest(offset=0, size=256 * MiB, is_read=True)
         service = disk.model.service_time(disk._spec_for(request))
         done = disk.submit(request)
         sim.defer(service / 2, disk.fail)
@@ -232,7 +233,7 @@ class TestSimulatedDisk:
         sim, disk = self.make_disk()
         disk.spin_down()
         disk.power_off()
-        done = disk.submit(IoRequest(offset=0, size=4 * KB, is_read=True))
+        done = disk.submit(IoRequest(offset=0, size=4 * KiB, is_read=True))
         with pytest.raises(DiskOfflineError):
             sim.run_until_event(done)
 
@@ -240,7 +241,7 @@ class TestSimulatedDisk:
         sim, disk = self.make_disk()
         disk.spin_down()
         assert disk.power_state is DiskPowerState.SPUN_DOWN
-        done = disk.submit(IoRequest(offset=0, size=4 * KB, is_read=True))
+        done = disk.submit(IoRequest(offset=0, size=4 * KiB, is_read=True))
         sim.run_until_event(done)
         assert sim.now >= disk.spec.spin_up_time
         assert disk.power_state is DiskPowerState.IDLE
@@ -289,7 +290,7 @@ class TestSimulatedDisk:
         disk.spin_down()
         disk.spin_up()
         sim.run(until=1.0)
-        request = IoRequest(offset=0, size=4 * KB, is_read=True)
+        request = IoRequest(offset=0, size=4 * KiB, is_read=True)
         service = disk.model.service_time(disk._spec_for(request))
         sim.run_until_event(disk.submit(request))
         assert sim.now == disk.spec.spin_up_time + service
@@ -297,11 +298,11 @@ class TestSimulatedDisk:
 
     def test_io_counters(self):
         sim, disk = self.make_disk()
-        sim.run_until_event(disk.submit(IoRequest(offset=0, size=4 * KB, is_read=True)))
-        sim.run_until_event(disk.submit(IoRequest(offset=4 * KB, size=8 * KB, is_read=False)))
+        sim.run_until_event(disk.submit(IoRequest(offset=0, size=4 * KiB, is_read=True)))
+        sim.run_until_event(disk.submit(IoRequest(offset=4 * KiB, size=8 * KiB, is_read=False)))
         assert disk.completed_ios == 2
-        assert disk.bytes_read == 4 * KB
-        assert disk.bytes_written == 8 * KB
+        assert disk.bytes_read == 4 * KiB
+        assert disk.bytes_written == 8 * KiB
 
     def test_power_draw_by_state(self):
         sim, disk = self.make_disk()

@@ -37,7 +37,7 @@ from repro.obs import (
 from repro.power import PowerMeter
 from repro.power.systems import PSU_EFFICIENCY
 from repro.sim import Simulator
-from repro.workload import MB
+from repro.units import MiB
 
 TENANT = TenantSpec(name="t0", weight=1.0, slo_seconds=600.0, max_queue_depth=64)
 
@@ -158,7 +158,7 @@ def test_closed_form_single_disk():
     disk = SimulatedDisk(sim, "disk0", initial_state=DiskPowerState.SPUN_DOWN)
     ledger = EnergyLedger()
     ledger.watch(disk, dc_watts(disk))
-    request = IoRequest(offset=0, size=8 * MB, is_read=True)
+    request = IoRequest(offset=0, size=8 * MiB, is_read=True)
     service = disk.model.service_time(disk._spec_for(request))
     spin_up = disk.spec.spin_up_time
 
@@ -194,7 +194,7 @@ def build_metered(seed=13, **config_kwargs):
     tracer = RequestTracer()
     dep = build_deployment(config=DeploymentConfig(seed=seed), tracer=tracer)
     dep.settle(15.0)
-    objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+    objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
     for disk_id in sorted(dep.disks):
         dep.disks[disk_id].spin_down()
     ledger = EnergyLedger()
@@ -223,7 +223,7 @@ def test_clean_run_conservation_and_tenant_charges():
     def burst():
         for i in range(4):
             gateway.submit_op(
-                ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))
+                ReadObject("t0", ObjectRef(target.space_id, i * MiB, 1 * MiB))
             )
 
     dep.sim.defer(0.0, burst)
@@ -248,7 +248,7 @@ def test_spin_up_blame_carries_exact_time():
     dep.sim.defer(
         0.333,
         lambda: gateway.submit_op(
-            ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))
+            ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB))
         ),
     )
     drain(dep, gateway)
@@ -272,7 +272,7 @@ def test_mid_batch_crash_remount_conservation():
     def burst():
         for i in range(6):
             gateway.submit_op(
-                ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))
+                ReadObject("t0", ObjectRef(target.space_id, i * MiB, 1 * MiB))
             )
 
     dep.sim.defer(0.0, burst)
@@ -378,7 +378,7 @@ def test_unowned_disk_activity_books_to_system():
     ledger.watch(disk, dc_watts(disk))
 
     def io():
-        yield disk.submit(IoRequest(offset=0, size=256 * MB, is_read=True))
+        yield disk.submit(IoRequest(offset=0, size=256 * MiB, is_read=True))
 
     sim.defer(0.5, lambda: sim.process(io()))
     sim.run(until=12.0)
@@ -435,7 +435,7 @@ def test_fine_sampling_converges_on_the_books():
 
     def burst(space, count):
         for i in range(count):
-            gateway.submit_op(ReadObject("t0", ObjectRef(space, i * MB, 1 * MB)))
+            gateway.submit_op(ReadObject("t0", ObjectRef(space, i * MiB, 1 * MiB)))
 
     for at, target in ((0.3, 0), (11.7, 5), (23.1, 9), (37.9, 0)):
         dep.sim.defer(at, lambda t=target: burst(objects[t].space_id, 3))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import build_deployment
 from repro.ec import DecodeError, RSCode, StripedStore
 from repro.ec import gf256 as gf
-from repro.workload import MB
+from repro.units import MiB
 
 
 class TestGf256:
@@ -132,20 +132,20 @@ class TestStripedStore:
             from repro.cluster.namespace import parse_space_id
 
             for _ in range(k + m):
-                info = yield from client.allocate(256 * MB, exclude_disks=used)
+                info = yield from client.allocate(256 * MiB, exclude_disks=used)
                 used.append(parse_space_id(info["space_id"])[1])
                 space = yield from client.mount(info["space_id"])
                 spaces.append(space)
 
         dep.sim.run_until_event(dep.sim.process(provision()))
         store = StripedStore(
-            sim=dep.sim, code=RSCode(k, m), spaces=spaces, space_bytes=256 * MB
+            sim=dep.sim, code=RSCode(k, m), spaces=spaces, space_bytes=256 * MiB
         )
         return dep, client, store, used
 
     def test_put_get_round_trip(self):
         dep, client, store, used = self.build()
-        payload = bytes(i % 256 for i in range(3 * MB))
+        payload = bytes(i % 256 for i in range(3 * MiB))
 
         def scenario():
             yield from store.put("obj1", payload)
@@ -192,7 +192,7 @@ class TestStripedStore:
         def repair_and_read():
             from repro.cluster.namespace import parse_space_id
 
-            info = yield from client.allocate(256 * MB, exclude_disks=used)
+            info = yield from client.allocate(256 * MiB, exclude_disks=used)
             replacement = yield from client.mount(info["space_id"])
             rebuilt = yield from store.repair(1, replacement)
             data = yield from store.get("obj1")
@@ -205,7 +205,7 @@ class TestStripedStore:
     def test_wrong_space_count_rejected(self):
         dep = build_deployment()
         with pytest.raises(ValueError):
-            StripedStore(sim=dep.sim, code=RSCode(4, 2), spaces=[], space_bytes=MB)
+            StripedStore(sim=dep.sim, code=RSCode(4, 2), spaces=[], space_bytes=MiB)
 
     def test_duplicate_object_rejected(self):
         dep, client, store, used = self.build(k=2, m=1)

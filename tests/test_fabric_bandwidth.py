@@ -4,7 +4,8 @@ import pytest
 
 from repro.disk import ConnectionType, DiskModel
 from repro.fabric import BandwidthModel, Flow, prototype_fabric, plan_switches, execute_plan
-from repro.workload import KB, MB, AccessPattern, WorkloadSpec
+from repro.units import KiB, MiB
+from repro.workload import AccessPattern, WorkloadSpec
 
 MODEL = DiskModel(connection=ConnectionType.HUB_AND_SWITCH)
 
@@ -56,7 +57,7 @@ def gather_disks_on_host(fabric, host, wanted):
 class TestAllocation:
     def test_single_disk_disk_limited(self):
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         flows = flows_on_host(f, "host0", spec, count=1)
         allocation = BandwidthModel(f).allocate(flows)
         assert allocation.total() == pytest.approx(
@@ -66,7 +67,7 @@ class TestAllocation:
     def test_two_disks_saturate_root(self):
         """§VII-A: two disks fill the ~300MB/s root port on large I/O."""
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         flows = flows_on_host(f, "host0", spec, count=2)
         allocation = BandwidthModel(f).allocate(flows)
         assert allocation.total() == pytest.approx(300e6, rel=1e-6)
@@ -74,7 +75,7 @@ class TestAllocation:
     def test_share_is_even(self):
         """§VII-A: bandwidth is shared evenly among disks on one host."""
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         flows = flows_on_host(f, "host0", spec, count=4)
         allocation = BandwidthModel(f).allocate(flows)
         rates = list(allocation.rates.values())
@@ -84,11 +85,11 @@ class TestAllocation:
     def test_duplex_reaches_540(self):
         """§VII-A: half reads + half writes total 540MB/s on one port."""
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         demand = MODEL.demand_bytes_per_second(spec)
         disks = [d for d, h in f.attachment_map().items() if h == "host0"]
         flows = [
-            Flow(f"f{i}", d, demand, is_read=(i % 2 == 0), io_size=4 * MB)
+            Flow(f"f{i}", d, demand, is_read=(i % 2 == 0), io_size=4 * MiB)
             for i, d in enumerate(disks)
         ]
         allocation = BandwidthModel(f).allocate(flows)
@@ -96,7 +97,7 @@ class TestAllocation:
 
     def test_one_direction_capped_at_300(self):
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         flows = flows_on_host(f, "host0", spec, count=4)
         allocation = BandwidthModel(f).allocate(flows)
         assert allocation.total() == pytest.approx(300e6, rel=1e-6)
@@ -104,7 +105,7 @@ class TestAllocation:
     def test_small_io_hits_command_rate(self):
         """4KB flows saturate the per-port IOPS budget, not bytes."""
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * KB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * KiB, AccessPattern.SEQUENTIAL, 1.0)
         flows = flows_on_host(f, "host0", spec, count=4)
         for extra_host in ("host1", "host2", "host3"):
             flows += flows_on_host(f, extra_host, spec, count=4)
@@ -119,16 +120,16 @@ class TestAllocation:
         f = prototype_fabric()
         disks = gather_disks_on_host(f, "host0", 12)
         assert len(disks) == 12
-        spec = WorkloadSpec(4 * KB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * KiB, AccessPattern.SEQUENTIAL, 1.0)
         demand = MODEL.demand_bytes_per_second(spec)
-        flows = [Flow(f"f{d}", d, demand, is_read=True, io_size=4 * KB) for d in disks]
+        flows = [Flow(f"f{d}", d, demand, is_read=True, io_size=4 * KiB) for d in disks]
         allocation = BandwidthModel(f).allocate(flows)
-        total_iops = allocation.total() / (4 * KB)
+        total_iops = allocation.total() / (4 * KiB)
         assert total_iops == pytest.approx(45_000, rel=1e-6)
 
     def test_flows_on_different_hosts_independent(self):
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         flows = flows_on_host(f, "host0", spec, count=2) + flows_on_host(
             f, "host1", spec, count=2
         )
@@ -138,7 +139,7 @@ class TestAllocation:
     def test_four_port_aggregate_2160(self):
         """§VII-A: 4 root paths at 540MB/s duplex total 2160MB/s."""
         f = prototype_fabric()
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         demand = MODEL.demand_bytes_per_second(spec)
         flows = []
         for host_index in range(4):
@@ -147,7 +148,7 @@ class TestAllocation:
             ]
             for i, d in enumerate(disks):
                 flows.append(
-                    Flow(f"f{d}", d, demand, is_read=(i % 2 == 0), io_size=4 * MB)
+                    Flow(f"f{d}", d, demand, is_read=(i % 2 == 0), io_size=4 * MiB)
                 )
         allocation = BandwidthModel(f).allocate(flows)
         assert allocation.total() == pytest.approx(2160e6, rel=1e-6)

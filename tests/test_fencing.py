@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import build_deployment, target_name
 from repro.net import RemoteError, RpcClient
 from repro.obs import RequestTracer
-from repro.workload import MB
+from repro.units import MiB
 
 HOST1_DISKS = ["disk10", "disk11", "disk2", "disk3"]
 
@@ -117,7 +117,7 @@ def step_down_at_first_switch():
     def allocate():
         spaces = []
         for client in clients:
-            info = yield from client.allocate(10 * MB, locality_hint="host1")
+            info = yield from client.allocate(10 * MiB, locality_hint="host1")
             spaces.append(info["space_id"])
         return spaces
 

@@ -51,14 +51,14 @@ from repro.gateway import (
 from repro.gateway.gateway import POLL_INTERVAL
 from repro.obs import MetricsRegistry, export_json
 from repro.sim import EventDigest, Simulator
-from repro.workload import KB, MB
+from repro.units import KiB, MiB
 
 
 def request(
     rid,
     tenant,
     disk="disk0",
-    size=1 * MB,
+    size=1 * MiB,
     arrival=0.0,
     deadline=60.0,
 ):
@@ -234,7 +234,7 @@ def test_queue_index_matches_scan_oracle(seed):
             fields = dict(
                 tenant=rng.choice(("a", "a", "b", "b", "c", "nobody")),
                 disk=rng.choice(ORACLE_DISKS),
-                size=rng.choice((1, 512 * 1024, 1 * MB, 4 * MB)),
+                size=rng.choice((1, 512 * 1024, 1 * MiB, 4 * MiB)),
                 arrival=arrival,
                 deadline=arrival + rng.choice((30.0, 60.0, 120.0)),
             )
@@ -285,7 +285,7 @@ def test_queue_work_does_not_grow_with_other_disks_backlog():
                 space_id=f"/unit0/{disk}/space0",
                 disk_id=disk,
                 offset=0,
-                size=1 * MB,
+                size=1 * MiB,
                 is_read=True,
                 arrival=0.0,
                 deadline=60.0,
@@ -536,7 +536,7 @@ class TestCoalesceBatch:
             self.req(0, 0, 100, is_read=False),
             self.req(1, 100, 100, is_read=False),
         ]
-        passes = coalesce_batch(batch, gap_bytes=1 * MB)
+        passes = coalesce_batch(batch, gap_bytes=1 * MiB)
         assert len(passes) == 2
         assert all(not p.is_read for p in passes)
 
@@ -545,22 +545,22 @@ class TestCoalesceBatch:
             self.req(0, 0, 100, disk="disk0"),
             self.req(1, 0, 100, disk="disk1"),
         ]
-        assert len(coalesce_batch(batch, gap_bytes=1 * MB)) == 2
+        assert len(coalesce_batch(batch, gap_bytes=1 * MiB)) == 2
 
     def test_unmerged_batch_preserves_legacy_order(self):
         batch = [
-            self.req(0, 5 * MB, 100),
+            self.req(0, 5 * MiB, 100),
             self.req(1, 0, 100),
-            self.req(2, 2 * MB, 100, is_read=False),
+            self.req(2, 2 * MiB, 100, is_read=False),
         ]
         passes = coalesce_batch(batch)
         assert [p.requests[0].request_id for p in passes] == [0, 1, 2]
 
     def test_pass_order_follows_earliest_member(self):
         batch = [
-            self.req(0, 5 * MB, 100),
+            self.req(0, 5 * MiB, 100),
             self.req(1, 0, 100),
-            self.req(2, 5 * MB + 100, 100),  # merges with request 0
+            self.req(2, 5 * MiB + 100, 100),  # merges with request 0
         ]
         passes = coalesce_batch(batch)
         assert len(passes) == 2
@@ -599,7 +599,7 @@ def build_gateway(scheduler="batch", tenants=(TENANT,), seed=7, **config_kwargs)
     """A settled 16-disk deployment fronted by a gateway, disks cold."""
     dep = build_deployment(config=DeploymentConfig(seed=seed))
     dep.settle(15.0)
-    objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+    objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
     for disk_id in sorted(dep.disks):
         dep.disks[disk_id].spin_down()
     gateway = Gateway(
@@ -631,7 +631,7 @@ class TestGatewayDispatch:
         def burst():
             for i in range(6):
                 requests.append(
-                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
+                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MiB, 1 * MiB)))
                 )
 
         dep.sim.defer(0.0, burst)
@@ -653,7 +653,7 @@ class TestGatewayDispatch:
         def burst():
             for i in range(6):
                 try:
-                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))
                 except QueueFullError as exc:
                     rejects.append(exc)
 
@@ -668,7 +668,7 @@ class TestGatewayDispatch:
     def test_unknown_space_is_a_gateway_error(self):
         dep, gateway, _ = build_gateway("batch")
         with pytest.raises(GatewayError):
-            gateway.submit_op(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
+            gateway.submit_op(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MiB)))
 
     def test_unknown_space_is_counted_nowhere(self):
         """A refused space is refused before any counter moves, so
@@ -676,12 +676,12 @@ class TestGatewayDispatch:
         registry = MetricsRegistry()
         dep = build_deployment(config=DeploymentConfig(seed=7), metrics=registry)
         dep.settle(15.0)
-        objects, spaces = mount_gateway_spaces(dep, 64 * MB, max_spaces=2)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MiB, max_spaces=2)
         gateway = Gateway(dep.sim, (TENANT,), GatewayConfig())
         gateway.attach(objects, spaces, dep.disks, host_of=dep.host_of_disk)
         gateway.start()
         with pytest.raises(GatewayError, match="unknown space"):
-            gateway.submit_op(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MB)))
+            gateway.submit_op(ReadObject("t0", ObjectRef("/unit9/disk99/space0", 0, 1 * MiB)))
         stats = gateway.stats
         assert stats.submitted == stats.admitted + stats.rejected == 0
         assert registry.dump()["counters"]["gateway.submitted"] == 0
@@ -694,7 +694,7 @@ class TestGatewayDispatch:
         dep.sim.defer(
             0.0,
             lambda: holder.append(
-                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))
             ),
         )
         drain(dep, gateway)
@@ -714,7 +714,7 @@ class TestGatewayDispatch:
 
         def burst():
             for target in targets:
-                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))
 
         dep.sim.defer(0.0, burst)
         samples = []
@@ -749,14 +749,14 @@ class TestGatewayDispatch:
         reclaims the first, whose idle clock started earlier."""
         dep, gateway, objects = build_gateway("batch", power_budget_watts=16.0)
         served, woken, wanted = (dep.disks[obj.disk_id] for obj in objects[:3])
-        gateway.submit_op(ReadObject("t0", ObjectRef(objects[0].space_id, 0, 4 * KB)))
+        gateway.submit_op(ReadObject("t0", ObjectRef(objects[0].space_id, 0, 4 * KiB)))
         dep.sim.run(until=dep.sim.now + 9.0)  # an 8 s spin-up, then the read
         assert gateway.stats.completed == 1
         assert served.power_state is DiskPowerState.IDLE
         woken.spin_up()
         dep.sim.run(until=dep.sim.now + woken.spec.spin_up_time + 0.5)
         assert woken.power_state is DiskPowerState.IDLE
-        gateway.submit_op(ReadObject("t0", ObjectRef(objects[2].space_id, 0, 4 * KB)))
+        gateway.submit_op(ReadObject("t0", ObjectRef(objects[2].space_id, 0, 4 * KiB)))
         dep.sim.run(until=dep.sim.now + 1.0)
         assert gateway.stats.reclaim_spin_downs == 1
         assert served.power_state is DiskPowerState.SPUN_DOWN
@@ -769,7 +769,7 @@ class TestGatewayDispatch:
             config=DeploymentConfig(seed=7), metrics=registry
         )
         dep.settle(15.0)
-        objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
         for disk_id in sorted(dep.disks):
             dep.disks[disk_id].spin_down()
         gateway = Gateway(dep.sim, (TENANT,), GatewayConfig())
@@ -777,7 +777,7 @@ class TestGatewayDispatch:
         gateway.start()
         target = objects[0]
         dep.sim.defer(
-            0.0, lambda: gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+            0.0, lambda: gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))
         )
         drain(dep, gateway)
         counters = registry.dump()["counters"]
@@ -810,7 +810,7 @@ class TestDispatchPasses:
     def test_a_gateway_run_starts_no_process_from_gateway_code(self, monkeypatch):
         dep = build_deployment(config=DeploymentConfig(seed=7))
         dep.settle(15.0)
-        objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
         for disk_id in sorted(dep.disks):
             dep.disks[disk_id].spin_down()
         started = []
@@ -828,8 +828,8 @@ class TestDispatchPasses:
 
         def burst():
             for target in objects[:3]:
-                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
-            gateway.submit_op(WriteObject("t0", ObjectRef(objects[0].space_id, 2 * MB, 4 * KB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))
+            gateway.submit_op(WriteObject("t0", ObjectRef(objects[0].space_id, 2 * MiB, 4 * KiB)))
 
         dep.sim.defer(0.0, burst)
         drain(dep, gateway)
@@ -844,7 +844,7 @@ class TestDispatchPasses:
         counts = []
         for read in (False, True):
             dep, gateway, objects = build_gateway("batch")
-            ref = ObjectRef(objects[0].space_id, 0, 4 * KB)
+            ref = ObjectRef(objects[0].space_id, 0, 4 * KiB)
             if spinning:  # a first read spins the disk up
                 gateway.submit_op(ReadObject("t0", ref))
                 dep.sim.run(until=dep.sim.now + self.WINDOW)
@@ -887,7 +887,7 @@ class TestDispatchPasses:
         # Half a poll off the spin-up's own instants, so no tie decides.
         submitted = dep.sim.now + 0.5
         holder = []
-        ref = ObjectRef(objects[1].space_id, 0, 4 * KB)
+        ref = ObjectRef(objects[1].space_id, 0, 4 * KiB)
         dep.sim.defer(0.5, lambda: holder.append(gateway.submit_op(ReadObject("t0", ref))))
         drain(dep, gateway)
         polls = math.ceil((idle_at - submitted) / POLL_INTERVAL)
@@ -906,7 +906,7 @@ class TestDispatchPasses:
 
         def submit(*targets):
             for target in targets:
-                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 4 * KB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 4 * KiB)))
 
         dep.sim.defer(0.5, lambda: submit(objects[1], objects[3]))  # two wakes, one pass
         dep.sim.defer(2.75, lambda: submit(objects[2]))
@@ -926,13 +926,13 @@ class TestLegacySubmitShim:
         """Only the typed op is accepted; the positional shape is gone."""
         dep, gateway, objects = build_gateway("batch")
         target = objects[0]
-        op = ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))
+        op = ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB))
         with pytest.raises(TypeError):
-            gateway.submit_op(op, target.space_id, 0, 1 * MB)
+            gateway.submit_op(op, target.space_id, 0, 1 * MiB)
         with pytest.raises(TypeError):
             gateway.submit_op()
         with pytest.raises(TypeError):
-            gateway.submit_op("t0", target.space_id, 0, 1 * MB)
+            gateway.submit_op("t0", target.space_id, 0, 1 * MiB)
 
     def test_typed_submit_does_not_warn(self):
         dep, gateway, objects = build_gateway("batch")
@@ -941,7 +941,7 @@ class TestLegacySubmitShim:
 
         def typed_submit():
             holder.append(
-                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))
             )
 
         with warnings.catch_warnings():

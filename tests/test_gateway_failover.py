@@ -18,7 +18,7 @@ from repro.gateway import (
     TenantSpec,
     mount_gateway_spaces,
 )
-from repro.workload import MB
+from repro.units import MiB
 
 TENANT = TenantSpec(name="t0", weight=1.0, slo_seconds=600.0, max_queue_depth=64)
 
@@ -26,7 +26,7 @@ TENANT = TenantSpec(name="t0", weight=1.0, slo_seconds=600.0, max_queue_depth=64
 def build(seed=13, **config_kwargs):
     dep = build_deployment(config=DeploymentConfig(seed=seed))
     dep.settle(15.0)
-    objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+    objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
     for disk_id in sorted(dep.disks):
         dep.disks[disk_id].spin_down()
     gateway = Gateway(
@@ -55,7 +55,7 @@ def test_mid_batch_host_death_completes_exactly_once():
     def burst():
         for i in range(6):
             requests.append(
-                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MiB, 1 * MiB)))
             )
 
     dep.sim.defer(0.0, burst)
@@ -101,7 +101,7 @@ def test_queued_work_behind_the_crash_is_not_lost():
         for target in (first, second):
             for i in range(3):
                 requests.append(
-                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB)))
+                    gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MiB, 1 * MiB)))
                 )
 
     dep.sim.defer(0.0, burst)
@@ -129,7 +129,7 @@ def test_requests_submitted_during_outage_complete():
     requests = []
 
     def submit_one():
-        requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB))))
+        requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB))))
 
     dep.sim.defer(0.0, submit_one)
     dep.sim.run(until=dep.sim.now + 8.5)

@@ -6,7 +6,7 @@ from repro.cluster import build_deployment
 from repro.fabric import SwitchConflict, plan_switches
 from repro.hdfs import build_hdfs_on_ustore
 from repro.net import RpcClient
-from repro.workload import MB
+from repro.units import MiB
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +51,13 @@ class TestReadWrite:
         client = hdfs.new_client("app")
 
         def scenario():
-            report = yield from client.write_file("/f", 96 * MB)
+            report = yield from client.write_file("/f", 96 * MiB)
             result = yield from client.read_file("/f")
             return report, result
 
         report, result = dep.sim.run_until_event(dep.sim.process(scenario()))
-        assert report.bytes_written == 96 * MB
-        assert result["bytes_read"] == 96 * MB
+        assert report.bytes_written == 96 * MiB
+        assert result["bytes_read"] == 96 * MiB
         assert report.errors == 0
 
     def test_blocks_are_replicated_three_ways(self):
@@ -65,7 +65,7 @@ class TestReadWrite:
         client = hdfs.new_client("app")
 
         def scenario():
-            yield from client.write_file("/f", 96 * MB)
+            yield from client.write_file("/f", 96 * MiB)
 
         dep.sim.run_until_event(dep.sim.process(scenario()))
         for block in hdfs.namenode.blocks.values():
@@ -76,7 +76,7 @@ class TestReadWrite:
         client = hdfs.new_client("app")
 
         def scenario():
-            report = yield from client.write_file("/f", 130 * MB)  # 3 blocks
+            report = yield from client.write_file("/f", 130 * MiB)  # 3 blocks
             return report
 
         report = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -88,8 +88,8 @@ class TestReadWrite:
         from repro.net import RemoteError
 
         def scenario():
-            yield from client.write_file("/f", 4 * MB)
-            yield from client.write_file("/f", 4 * MB)
+            yield from client.write_file("/f", 4 * MiB)
+            yield from client.write_file("/f", 4 * MiB)
 
         with pytest.raises(RemoteError, match="FileExistsError"):
             dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -127,10 +127,10 @@ class TestDiskSwitchDuringWrite:
         sim.process(migrate())
 
         def write():
-            return (yield from client.write_file("/big", 192 * MB))
+            return (yield from client.write_file("/big", 192 * MiB))
 
         report = sim.run_until_event(sim.process(write()))
-        assert report.bytes_written == 192 * MB
+        assert report.bytes_written == 192 * MiB
         # The client saw at most a seconds-long hiccup: either an error
         # + retry or one slow packet, never a failed write.
         assert report.slowest_packet < 15.0
@@ -145,7 +145,7 @@ class TestDiskSwitchDuringWrite:
         client = hdfs.new_client("app")
 
         def write():
-            return (yield from client.write_file("/big", 96 * MB))
+            return (yield from client.write_file("/big", 96 * MiB))
 
         sim.run_until_event(sim.process(write()))
         disk = hdfs.backing_disk_of("dn0")
@@ -163,7 +163,7 @@ class TestDiskSwitchDuringWrite:
             return (yield from client.read_file("/big"))
 
         result = sim.run_until_event(sim.process(read()))
-        assert result["bytes_read"] == 96 * MB
+        assert result["bytes_read"] == 96 * MiB
 
     def test_datanode_crash_drops_from_pipeline(self):
         dep, hdfs = fresh_stack()
@@ -177,9 +177,9 @@ class TestDiskSwitchDuringWrite:
         sim.process(crash_later())
 
         def write():
-            return (yield from client.write_file("/big", 128 * MB))
+            return (yield from client.write_file("/big", 128 * MiB))
 
         report = sim.run_until_event(sim.process(write()))
-        assert report.bytes_written == 128 * MB
+        assert report.bytes_written == 128 * MiB
         assert report.errors > 0
         assert report.pipelines_rebuilt >= 1

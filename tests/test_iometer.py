@@ -5,9 +5,8 @@ import pytest
 from repro.disk import ConnectionType, DiskModel, SimulatedDisk
 from repro.fabric import prototype_fabric
 from repro.sim import RngRegistry, Simulator
+from repro.units import KiB, MiB
 from repro.workload import (
-    KB,
-    MB,
     AccessPattern,
     IometerRun,
     WorkloadSpec,
@@ -21,14 +20,14 @@ class TestModelThroughput:
     def test_matches_bandwidth_allocation(self):
         fabric = prototype_fabric()
         disks = [d for d, h in fabric.attachment_map().items() if h == "host0"]
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         result = model_throughput(fabric, disks, spec)
         assert result["total_bytes_per_second"] == pytest.approx(300e6, rel=1e-6)
 
     def test_mixed_spec_splits_directions(self):
         fabric = prototype_fabric()
         disks = [d for d, h in fabric.attachment_map().items() if h == "host0"]
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 0.5)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 0.5)
         result = model_throughput(fabric, disks, spec)
         # Each direction carries half of each disk's mixed demand; with 4
         # disks the total stays below the one-direction cap but uses both.
@@ -40,7 +39,7 @@ class TestModelThroughput:
     def test_duplex_split(self):
         fabric = prototype_fabric()
         disks = [d for d, h in fabric.attachment_map().items() if h == "host0"]
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         result = model_throughput(fabric, disks, spec, duplex_split=True)
         assert result["total_bytes_per_second"] == pytest.approx(540e6, rel=1e-6)
 
@@ -57,28 +56,28 @@ class TestIometerRun:
         return sim, IometerRun(sim, fabric, disks, spec, rng=RngRegistry(3))
 
     def test_sequential_read_rate_close_to_model(self):
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         sim, run = self.make_run(spec, count=1)
         result = run.run(duration=30.0)
         expected = DiskModel().demand_bytes_per_second(spec)
         assert result["total_bytes_per_second"] == pytest.approx(expected, rel=0.05)
 
     def test_two_disks_fabric_limited(self):
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         sim, run = self.make_run(spec, count=2)
         result = run.run(duration=30.0)
         # Two disks want 2x186 MB/s but share a 300 MB/s port.
         assert result["total_bytes_per_second"] == pytest.approx(300e6, rel=0.06)
 
     def test_random_read_iops_close_to_model(self):
-        spec = WorkloadSpec(4 * KB, AccessPattern.RANDOM, 1.0)
+        spec = WorkloadSpec(4 * KiB, AccessPattern.RANDOM, 1.0)
         sim, run = self.make_run(spec, count=1)
         result = run.run(duration=30.0)
         model = DiskModel().throughput(spec).iops
         assert result["total_iops"] == pytest.approx(model, rel=0.10)
 
     def test_mixed_workload_alternates(self):
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 0.5)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 0.5)
         sim, run = self.make_run(spec, count=1)
         result = run.run(duration=20.0)
         disk = list(run.disks.values())[0]
@@ -88,19 +87,19 @@ class TestIometerRun:
         # well below the pure-read rate.
         mixed = DiskModel().demand_bytes_per_second(spec)
         pure = DiskModel().demand_bytes_per_second(
-            WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+            WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         )
         assert result["total_bytes_per_second"] == pytest.approx(mixed, rel=0.06)
         assert result["total_bytes_per_second"] < 0.75 * pure
 
     def test_stats_accumulate(self):
-        spec = WorkloadSpec(4 * MB, AccessPattern.SEQUENTIAL, 1.0)
+        spec = WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0)
         sim, run = self.make_run(spec, count=2)
         result = run.run(duration=10.0)
         assert set(result["per_disk"]) == set(run.disks)
         for stats in run.stats.values():
             assert stats.completed > 0
-            assert stats.bytes_moved == stats.completed * 4 * MB
+            assert stats.bytes_moved == stats.completed * 4 * MiB
 
 
 class TestTraces:
@@ -122,8 +121,8 @@ class TestTraces:
         events = archival_batch_trace(
             duration=3 * 24 * 3600.0,
             batch_interval=24 * 3600.0,
-            batch_bytes=16 * MB,
-            write_size=4 * MB,
+            batch_bytes=16 * MiB,
+            write_size=4 * MiB,
         )
         assert len(events) == 2 * 4  # two full batches fit before t=3d
         assert all(not e.is_read for e in events)
@@ -133,6 +132,6 @@ class TestTraces:
 
     def test_archival_trace_first_batch_at(self):
         events = archival_batch_trace(
-            duration=100.0, batch_interval=1000.0, batch_bytes=4 * MB, first_batch_at=10.0
+            duration=100.0, batch_interval=1000.0, batch_bytes=4 * MiB, first_batch_at=10.0
         )
         assert events and events[0].time == 10.0

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import DeploymentConfig, build_deployment
 from repro.monitor import render_dashboard, snapshot
 from repro.obs import MetricsRegistry
-from repro.workload import MB
+from repro.units import MiB
 
 
 class TestSnapshot:
@@ -26,7 +26,7 @@ class TestSnapshot:
         client = dep.new_client("mon-app", service="mon")
 
         def scenario():
-            info = yield from client.allocate(32 * MB)
+            info = yield from client.allocate(32 * MiB)
             return info
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import DeploymentConfig, build_deployment, parse_space_id
 from repro.obs import MetricsRegistry
-from repro.workload import MB
+from repro.units import MiB
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ class TestAllocationAcrossUnits:
         client = dep.new_client("mu-app", service="mu-svc")
 
         def scenario():
-            a = yield from client.allocate(32 * MB, locality_hint="unit1.host2")
+            a = yield from client.allocate(32 * MiB, locality_hint="unit1.host2")
             return a
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -77,7 +77,7 @@ class TestAllocationAcrossUnits:
         unit0_disks = sorted(dep.units["unit0"].disks)
 
         def scenario():
-            info = yield from client.allocate(32 * MB, exclude_disks=unit0_disks)
+            info = yield from client.allocate(32 * MiB, exclude_disks=unit0_disks)
             return info
 
         info = dep.sim.run_until_event(dep.sim.process(scenario()))
@@ -87,12 +87,12 @@ class TestAllocationAcrossUnits:
         client = dep.new_client("mu-app3", service="mu-svc3")
 
         def scenario():
-            a = yield from client.allocate(32 * MB, locality_hint="unit0.host0")
-            b = yield from client.allocate(32 * MB, locality_hint="unit1.host0")
+            a = yield from client.allocate(32 * MiB, locality_hint="unit0.host0")
+            b = yield from client.allocate(32 * MiB, locality_hint="unit1.host0")
             sa = yield from client.mount(a["space_id"])
             sb = yield from client.mount(b["space_id"])
-            ra = yield from sa.write(0, 4 * MB)
-            rb = yield from sb.write(0, 4 * MB)
+            ra = yield from sa.write(0, 4 * MiB)
+            rb = yield from sb.write(0, 4 * MiB)
             return ra, rb
 
         ra, rb = dep.sim.run_until_event(dep.sim.process(scenario()))

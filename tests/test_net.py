@@ -19,7 +19,7 @@ from repro.net import (
     StorageVolume,
 )
 from repro.sim import Event, EventDigest, Interrupt, RngRegistry, Simulator
-from repro.workload import KB, MB
+from repro.units import KiB, MiB
 
 
 def make_net():
@@ -689,7 +689,7 @@ class TestIscsi:
         net = Network(sim, jitter=0.0)
         target = IscsiTargetServer(sim, net, "host0")
         disk = SimulatedDisk(sim, "disk0")
-        target.expose("tgt-disk0", StorageVolume("vol0", disk, offset=0, length=100 * MB))
+        target.expose("tgt-disk0", StorageVolume("vol0", disk, offset=0, length=100 * MiB))
         initiator = IscsiInitiator(sim, net, "client0")
         return sim, net, target, disk, initiator
 
@@ -698,23 +698,23 @@ class TestIscsi:
 
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
-            result = yield from session.read(0, 4 * MB)
+            result = yield from session.read(0, 4 * MiB)
             return result
 
         result = sim.run_until_event(sim.process(scenario()))
         assert result["ok"]
         assert disk.completed_ios == 1
-        assert disk.bytes_read == 4 * MB
+        assert disk.bytes_read == 4 * MiB
 
     def test_write(self):
         sim, net, target, disk, initiator = self.setup_stack()
 
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
-            yield from session.write(0, 1 * MB)
+            yield from session.write(0, 1 * MiB)
 
         sim.run_until_event(sim.process(scenario()))
-        assert disk.bytes_written == 1 * MB
+        assert disk.bytes_written == 1 * MiB
 
     def test_login_missing_target(self):
         sim, net, target, disk, initiator = self.setup_stack()
@@ -730,7 +730,7 @@ class TestIscsi:
 
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
-            yield from session.read(99 * MB, 4 * MB)
+            yield from session.read(99 * MiB, 4 * MiB)
 
         with pytest.raises(SessionError):
             sim.run_until_event(sim.process(scenario()))
@@ -741,7 +741,7 @@ class TestIscsi:
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
             target.withdraw("tgt-disk0")
-            yield from session.read(0, 4 * KB)
+            yield from session.read(0, 4 * KiB)
 
         with pytest.raises(SessionError):
             sim.run_until_event(sim.process(scenario()))
@@ -753,7 +753,7 @@ class TestIscsi:
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
             net.set_alive("host0", False)
-            yield from session.read(0, 4 * KB)
+            yield from session.read(0, 4 * KiB)
 
         with pytest.raises(SessionError):
             sim.run_until_event(sim.process(scenario()))
@@ -768,7 +768,7 @@ class TestIscsi:
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
             start = sim.now
-            yield from session.read(0, 1 * MB)
+            yield from session.read(0, 1 * MiB)
             return sim.now - start
 
         elapsed = sim.run_until_event(sim.process(scenario()))
@@ -791,7 +791,7 @@ class TestIscsi:
         sim.process(login())
         sim.run()
         before = digest.events
-        read = sim.process(sessions[0].read(0, 4 * KB))
+        read = sim.process(sessions[0].read(0, 4 * KiB))
         sim.run()
         assert read.value["ok"] and disk.completed_ios == 1
         return digest.events - before
@@ -820,7 +820,7 @@ class TestIscsi:
             sim.defer(1.0, lambda: net.set_alive("host0", False))
             ready_at = sim.now + disk.spec.spin_up_time  # within a hop
             try:
-                yield from session.read(0, 1 * MB)
+                yield from session.read(0, 1 * MiB)
             except SessionError:
                 failed.append((sim.now, ready_at))
 
@@ -840,7 +840,7 @@ class TestIscsi:
             net.set_alive("host0", False)
             start = sim.now
             try:
-                yield from session.read(0, 1 * MB)
+                yield from session.read(0, 1 * MiB)
             except SessionError:
                 failed.append(sim.now - start)
 
@@ -863,7 +863,7 @@ class TestIscsi:
         def scenario():
             session = yield from initiator.login("host0", "tgt-disk0")
             yield from session.logout()
-            yield from session.read(0, 4 * KB)
+            yield from session.read(0, 4 * KiB)
 
         with pytest.raises(SessionError):
             sim.run_until_event(sim.process(scenario()))
@@ -871,10 +871,10 @@ class TestIscsi:
     def test_volume_translation(self):
         sim = Simulator()
         disk = SimulatedDisk(sim, "d")
-        volume = StorageVolume("v", disk, offset=10 * MB, length=10 * MB)
-        sim.run_until_event(sim.process(volume.serve(0, 4 * KB, is_read=True)))
+        volume = StorageVolume("v", disk, offset=10 * MiB, length=10 * MiB)
+        sim.run_until_event(sim.process(volume.serve(0, 4 * KiB, is_read=True)))
         # The disk's sequential detector saw offset 10MB, not 0.
-        assert disk._last_offset_end == 10 * MB + 4 * KB
+        assert disk._last_offset_end == 10 * MiB + 4 * KiB
 
     def test_double_expose_rejected(self):
         sim, net, target, disk, initiator = self.setup_stack()

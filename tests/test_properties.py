@@ -14,7 +14,9 @@ from repro.fabric import (
     SwitchConflict,
     validate_fabric,
 )
-from repro.workload import KB, MB, AccessPattern, WorkloadSpec
+from repro.fabric.bandwidth import DUPLEX_CAPACITY, PER_DIRECTION_CAPACITY
+from repro.units import KiB, MiB
+from repro.workload import AccessPattern, WorkloadSpec
 
 # ----------------------------------------------------------------------
 # Fabric invariants
@@ -149,7 +151,7 @@ class TestBandwidthProperties:
         fabric = prototype_fabric()
         disks = [d.node_id for d in fabric.disks][: len(demands)]
         flows = [
-            Flow(f"f{i}", disks[i], demands[i], is_read=reads[i], io_size=4 * MB)
+            Flow(f"f{i}", disks[i], demands[i], is_read=reads[i], io_size=4 * MiB)
             for i in range(len(disks))
         ]
         model = BandwidthModel(fabric)
@@ -167,13 +169,13 @@ class TestBandwidthProperties:
                     if f.is_read is direction
                     and fabric.trace_up(f.disk_id)[-1] == port.node_id
                 )
-                assert total <= model.per_direction_capacity * (1 + eps)
+                assert total <= PER_DIRECTION_CAPACITY * (1 + eps)
             both = sum(
                 allocation.rate(f.flow_id)
                 for f in flows
                 if fabric.trace_up(f.disk_id)[-1] == port.node_id
             )
-            assert both <= model.duplex_capacity * (1 + eps)
+            assert both <= DUPLEX_CAPACITY * (1 + eps)
 
     @given(
         demand=st.floats(min_value=1e6, max_value=5e8),
@@ -208,7 +210,7 @@ class TestBandwidthProperties:
 
 class TestDiskModelProperties:
     @given(
-        size=st.integers(min_value=512, max_value=16 * MB),
+        size=st.integers(min_value=512, max_value=16 * MiB),
         read_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
         connection=st.sampled_from(list(ConnectionType)),
     )
@@ -221,7 +223,7 @@ class TestDiskModelProperties:
             assert 0 < t < 10.0
 
     @given(
-        size=st.integers(min_value=4 * KB, max_value=8 * MB),
+        size=st.integers(min_value=4 * KiB, max_value=8 * MiB),
         connection=st.sampled_from(list(ConnectionType)),
     )
     @settings(max_examples=40, deadline=None)
@@ -233,7 +235,7 @@ class TestDiskModelProperties:
             assert rand >= seq
 
     @given(
-        small=st.integers(min_value=512, max_value=1 * MB),
+        small=st.integers(min_value=512, max_value=1 * MiB),
         factor=st.integers(min_value=2, max_value=16),
     )
     @settings(max_examples=40, deadline=None)

@@ -15,9 +15,7 @@ from repro.reliability import (
     network_rebuild,
 )
 from repro.sim import RngRegistry, Simulator
-from repro.workload import MB
-
-GB = 1024 * MB
+from repro.units import GiB, MiB
 
 
 class TestAvailabilityStudy:
@@ -69,7 +67,7 @@ class TestRebuildEstimates:
     def test_network_wins_for_tiny_rebuilds(self):
         """The 5 s switch overhead dominates tiny copies — a crossover
         the Master's policy would need to respect."""
-        size = 64 * MB
+        size = 64 * MiB
         assert network_rebuild(size).seconds < fabric_assisted_rebuild(size).seconds
 
 
@@ -86,11 +84,11 @@ class TestRebuildDrill:
 
         def run(assisted):
             return (
-                yield from drill.run(source, destination, 2 * GB, fabric_assisted=assisted)
+                yield from drill.run(source, destination, 2 * GiB, fabric_assisted=assisted)
             )
 
         network = dep.sim.run_until_event(dep.sim.process(run(False)))
-        assert network["network_bytes"] == 2 * GB
+        assert network["network_bytes"] == 2 * GiB
         # Now the fabric-assisted drill: it migrates disk2 to host0.
         assisted = dep.sim.run_until_event(dep.sim.process(run(True)))
         assert assisted["network_bytes"] == 0
@@ -118,7 +116,7 @@ class TestLatentErrors:
         sim, disk, model = make_lse_stack(annual_rate=0.001)
 
         def scenario():
-            yield from model.read(0, 4 * MB)
+            yield from model.read(0, 4 * MiB)
 
         sim.run_until_event(sim.process(scenario()))
 
@@ -127,7 +125,7 @@ class TestLatentErrors:
         model.errors.add(0)  # first region
 
         def scenario():
-            yield from model.read(0, 4 * MB)
+            yield from model.read(0, 4 * MiB)
 
         with pytest.raises(MediaError):
             sim.run_until_event(sim.process(scenario()))
@@ -149,7 +147,7 @@ class TestScrubber:
             sim,
             model,
             scrub_interval=3600.0,
-            scan_bytes=64 * MB,
+            scan_bytes=64 * MiB,
         )
         sim.run(until=2 * 3600.0 + 100.0)
         assert scrubber.passes_completed >= 1
@@ -161,7 +159,7 @@ class TestScrubber:
             sim, disk, model = make_lse_stack(annual_rate=0.0001, seed=11)
             injected_at = 1000.0
             sim.defer(injected_at, lambda: model.errors.add(0))
-            Scrubber(sim, model, scrub_interval=interval, scan_bytes=64 * MB)
+            Scrubber(sim, model, scrub_interval=interval, scan_bytes=64 * MiB)
             sim.run(until=12 * 3600.0)
             assert model.detected, f"interval {interval}: never detected"
             return model.detected[0][0] - injected_at

@@ -48,11 +48,10 @@ from repro.shardstore import (
     stable_hash,
 )
 from repro.sim import Simulator
-from repro.workload import KB, MB
+from repro.units import KiB, MiB
 
 from tests.test_gateway import build_gateway, drain
 
-MiB = 1 << 20
 DATE = "2015-06-01"
 
 
@@ -324,7 +323,7 @@ class TestShardStoreBookkeeping:
             return route("any", date, store.layout.shards_per_day).name
 
         for i in range(12):
-            store.put(f"u{i}", self.DATES[i % 3], 40 * KB + i)
+            store.put(f"u{i}", self.DATES[i % 3], 40 * KiB + i)
             check()
         request = store.flush_shard(shard_of(self.DATES[0]))
         check()
@@ -333,10 +332,10 @@ class TestShardStoreBookkeeping:
         assert store.flush_shard(shard_of(self.DATES[0])) is None  # nothing buffered
         assert store.flush_shard("no-such-shard") is None
         check()
-        store.put("big", self.DATES[1], 600 * KB)
+        store.put("big", self.DATES[1], 600 * KiB)
         check()
         with pytest.raises(ShardCapacityError):
-            store.put("too-big", self.DATES[1], 400 * KB)
+            store.put("too-big", self.DATES[1], 400 * KiB)
         check()
         failed, *flushed = store.flush_all()
         check()
@@ -346,9 +345,9 @@ class TestShardStoreBookkeeping:
             gateway.complete(request)
             check()
         assert store.stats.flush_failures == 1
-        store.put("late", self.DATES[2], 1 * KB)  # reopens a flushed shard
+        store.put("late", self.DATES[2], 1 * KiB)  # reopens a flushed shard
         check()
-        store.put("trip", self.DATES[2], 750 * KB)  # crosses the fill threshold
+        store.put("trip", self.DATES[2], 750 * KiB)  # crosses the fill threshold
         assert store.stats.flushes == 4
         check()
 
@@ -367,7 +366,7 @@ class TestShardStoreBookkeeping:
         per_put = []
         for i in range(2000):
             before = reads[0]
-            store.put(f"uid-{i}", DATE, 1 * KB)
+            store.put(f"uid-{i}", DATE, 1 * KiB)
             per_put.append(reads[0] - before)
         assert store.stats.flushes == 0  # every object is still buffered
         assert per_put[1999] <= per_put[9]
@@ -411,10 +410,10 @@ class TestShardStore:
 
         def ingest():
             for i in range(16):
-                records.append(store.put(f"uid-{i}", DATE, 32 * KB))
+                records.append(store.put(f"uid-{i}", DATE, 32 * KiB))
             with pytest.raises(QueueFullError):
                 store.flush_all()
-            records.append(store.put("trip", DATE, 900 * KB))
+            records.append(store.put("trip", DATE, 900 * KiB))
             refused.extend(r for r in records if r.state is ObjectState.BUFFERED)
             assert_totals_match_the_buffers(store)
 
@@ -445,7 +444,7 @@ class TestShardStore:
 
         def ingest():
             for i in range(16):
-                records.append(store.put(f"uid-{i}", DATE, 32 * KB))
+                records.append(store.put(f"uid-{i}", DATE, 32 * KiB))
             with pytest.raises(FlushRefusedError) as info:
                 store.flush_all()
             assert isinstance(info.value, QueueFullError)
@@ -485,7 +484,7 @@ class TestShardStore:
         with pytest.raises(ShardStoreError):
             ShardStore(
                 gateway,
-                ShardStoreConfig(tenant="t0", shard_capacity_bytes=128 * MB),
+                ShardStoreConfig(tenant="t0", shard_capacity_bytes=128 * MiB),
             )
 
     def test_put_flush_ack_roundtrip(self):
@@ -496,7 +495,7 @@ class TestShardStore:
 
         def ingest():
             for i in range(40):
-                records.append(store.put(f"uid-{i}", DATE, 64 * KB))
+                records.append(store.put(f"uid-{i}", DATE, 64 * KiB))
             store.flush_all()
 
         dep.sim.defer(0.0, ingest)
@@ -522,7 +521,7 @@ class TestShardStore:
 
         def ingest():
             for i in range(7):
-                store.put(f"uid-{i}", DATE, 128 * KB)
+                store.put(f"uid-{i}", DATE, 128 * KiB)
 
         dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
@@ -531,7 +530,7 @@ class TestShardStore:
         assert store.stats.acked == 7
         # The routed shard is now full: the capacity error surfaces.
         with pytest.raises(ShardCapacityError):
-            store.put("uid-overflow", DATE, 128 * KB)
+            store.put("uid-overflow", DATE, 128 * KiB)
 
     def test_get_is_a_coalescible_range_read(self):
         """Same-shard retrievals in one batch share a disk pass."""
@@ -542,7 +541,7 @@ class TestShardStore:
 
         def ingest():
             for i in range(12):
-                store.put(f"uid-{i}", DATE, 64 * KB)
+                store.put(f"uid-{i}", DATE, 64 * KiB)
             store.flush_all()
 
         def retrieve():
@@ -566,7 +565,7 @@ class TestShardStore:
         holder = []
 
         def ingest():
-            record = store.put("uid-0", DATE, 64 * KB)
+            record = store.put("uid-0", DATE, 64 * KiB)
             store.flush_all()
             holder.append(record)
 

@@ -11,7 +11,7 @@ once.  If that holds, the store genuinely needs no metadata database.
 import pytest
 
 from repro.shardstore import ObjectNotFoundError, ObjectState
-from repro.workload import KB
+from repro.units import KiB
 
 from tests.test_gateway import drain
 from tests.test_shardstore import DATE, build_store
@@ -32,7 +32,7 @@ def ingest_then_crash(config_kwargs=None):
 
     def ingest():
         for i in range(NUM_OBJECTS):
-            records.append(store.put(f"uid-{i}", DATE, 64 * KB))
+            records.append(store.put(f"uid-{i}", DATE, 64 * KiB))
         flushes.extend(store.flush_all())
 
     dep.sim.defer(0.0, ingest)

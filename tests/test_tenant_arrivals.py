@@ -15,15 +15,14 @@ import pytest
 from repro.gateway.api import ObjectRef, ReadObject, WriteObject
 from repro.gateway.tenants import OpenLoopTrafficGenerator, TenantSpec
 from repro.sim import RngRegistry, Simulator
-
-MB = 1024 * 1024
+from repro.units import MiB
 
 TENANT = TenantSpec(
     name="archive",
     users=50,
     rate_per_user=0.2,
     read_fraction=0.7,
-    object_sizes=((1 * MB, 3.0), (4 * MB, 1.0), (16 * MB, 0.5)),
+    object_sizes=((1 * MiB, 3.0), (4 * MiB, 1.0), (16 * MiB, 0.5)),
 )
 
 #: A 1:3 mix of two sizes, both far below every object's region.
@@ -53,9 +52,9 @@ class _StubGateway:
         self.sim = sim
         self.spec = spec
         self._objects = [
-            _StubObject("space-a", 64 * MB),
-            _StubObject("space-b", 48 * MB),
-            _StubObject("space-c", 20 * MB),
+            _StubObject("space-a", 64 * MiB),
+            _StubObject("space-b", 48 * MiB),
+            _StubObject("space-c", 20 * MiB),
         ]
         self.submissions: List[Submission] = []
 

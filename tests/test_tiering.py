@@ -38,7 +38,7 @@ from repro.tiering import (
     TieringError,
     pinned_disks_for,
 )
-from repro.workload import KB, MB
+from repro.units import KiB, MiB
 
 from tests.test_gateway import drain
 
@@ -46,7 +46,7 @@ ARCHIVE = TenantSpec(name="archive", slo_seconds=120.0, max_queue_depth=10_000)
 MIGRATION = TenantSpec(
     name="migration", weight=0.5, slo_seconds=600.0, max_queue_depth=10_000
 )
-OBJECT_BYTES = 256 * KB
+OBJECT_BYTES = 256 * KiB
 
 
 def staged_obj(uid, size=OBJECT_BYTES, cold_space="/u/d1/s"):
@@ -133,9 +133,9 @@ class TestStagingBuffer:
         assert [o.uid for o in rest] == ["u2", "u3", "u4"]
 
     def test_oversized_single_object_still_demotes(self):
-        buffer = StagingBuffer(capacity_bytes=10 * MB)
-        buffer.enqueue(staged_obj("big", size=4 * MB))
-        batch = buffer.take_batch("/u/d1/s", 1 * MB)
+        buffer = StagingBuffer(capacity_bytes=10 * MiB)
+        buffer.enqueue(staged_obj("big", size=4 * MiB))
+        batch = buffer.take_batch("/u/d1/s", 1 * MiB)
         assert [o.uid for o in batch] == ["big"]
 
     def test_requeue_preserves_fifo_order(self):
@@ -186,7 +186,7 @@ def build_tiered(
     """A settled 16-disk deployment: pinned hot tier + tiered store."""
     dep = build_deployment(config=DeploymentConfig(seed=seed), tracer=tracer)
     dep.settle(15.0)
-    objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+    objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
     for disk_id in sorted(dep.disks):
         dep.disks[disk_id].spin_down()
     pinned = pinned_disks_for(objects, hot_spaces)
@@ -293,15 +293,15 @@ class TestTieredStoreStaging:
         but is refused by the hot log; it must give its reservation
         back, or the next write that fits is refused as well."""
         dep, gateway, store, _ = build_tiered(
-            start_orchestrator=False, staging_capacity_bytes=2 * 64 * MB
+            start_orchestrator=False, staging_capacity_bytes=2 * 64 * MiB
         )
         staged_after_refusal = []
 
         def ingest():
             with pytest.raises(TieringError, match="exceeds hot log"):
-                store.write("uid-big", 100 * MB)
+                store.write("uid-big", 100 * MiB)
             staged_after_refusal.append(store.staging.staged_bytes)
-            store.write("uid-next", 40 * MB)
+            store.write("uid-next", 40 * MiB)
 
         dep.sim.defer(0.0, ingest)
         drain(dep, gateway)
@@ -410,7 +410,7 @@ class TestMigration:
                 gateway.submit_op(
                     ReadObject(
                         tenant="archive",
-                        ref=ObjectRef(cold_space, i * MB, 1 * MB),
+                        ref=ObjectRef(cold_space, i * MiB, 1 * MiB),
                     )
                 )
 
@@ -513,7 +513,7 @@ class TestPromotion:
 
         def read_twice_behind_a_full_migration_queue():
             gateway.submit_op(
-                ReadObject(tenant="migration", ref=ObjectRef(filler_space, 0, 1 * MB))
+                ReadObject(tenant="migration", ref=ObjectRef(filler_space, 0, 1 * MiB))
             )
             reads.append(store.read(uid))
             reads.append(store.read(uid))  # earns the promotion, which is refused
@@ -583,7 +583,7 @@ class TestMigrationAttribution:
         tracer = RequestTracer()
         dep = build_deployment(config=DeploymentConfig(seed=7), tracer=tracer)
         dep.settle(15.0)
-        objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
         for disk_id in sorted(dep.disks):
             dep.disks[disk_id].spin_down()
         migration = TenantSpec(
@@ -647,7 +647,7 @@ class TestGatewayPowerHelpers:
     def test_pinned_disk_must_be_attached(self):
         dep = build_deployment(config=DeploymentConfig(seed=7))
         dep.settle(15.0)
-        objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
         gateway = Gateway(
             dep.sim,
             (ARCHIVE, MIGRATION),
@@ -661,7 +661,7 @@ class TestGatewayPowerHelpers:
     def test_store_requires_pinned_hot_disks(self):
         dep = build_deployment(config=DeploymentConfig(seed=7))
         dep.settle(15.0)
-        objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+        objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
         gateway = Gateway(dep.sim, (ARCHIVE, MIGRATION), GatewayConfig())
         gateway.attach(objects, spaces, dep.disks, host_of=dep.host_of_disk)
         with pytest.raises(TieringError):

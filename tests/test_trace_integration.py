@@ -31,7 +31,7 @@ from repro.obs import (
     export_chrome_trace,
     export_trace_jsonl,
 )
-from repro.workload import MB
+from repro.units import MiB
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,7 +42,7 @@ def build_traced(seed=13, **config_kwargs):
     tracer = RequestTracer()
     dep = build_deployment(config=DeploymentConfig(seed=seed), tracer=tracer)
     dep.settle(15.0)
-    objects, spaces = mount_gateway_spaces(dep, 64 * MB)
+    objects, spaces = mount_gateway_spaces(dep, 64 * MiB)
     for disk_id in sorted(dep.disks):
         dep.disks[disk_id].spin_down()
     gateway = Gateway(
@@ -92,7 +92,7 @@ def test_clean_run_attribution_identity():
 
     def burst():
         for i in range(4):
-            requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
+            requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MiB, 1 * MiB))))
 
     dep.sim.defer(0.0, burst)
     drain(dep, gateway)
@@ -116,7 +116,7 @@ def test_fault_free_cold_read_charges_spinup_not_failover():
     target = objects[0]
     requests = []
     dep.sim.defer(0.0, lambda: requests.append(
-        gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))))
+        gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))))
     drain(dep, gateway)
     (traced,) = assert_identity(tracer)
     components = CriticalPathAnalyzer().analyze(traced)["components"]
@@ -139,7 +139,7 @@ def test_mid_batch_crash_remount_attribution_identity():
 
     def burst():
         for i in range(6):
-            requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MB, 1 * MB))))
+            requests.append(gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, i * MiB, 1 * MiB))))
 
     dep.sim.defer(0.0, burst)
     # Mid spin-up: the target has sent NOT READY when it dies, so the
@@ -206,7 +206,7 @@ def test_rejected_requests_are_traced_as_rejected():
     def flood():
         for i in range(TENANT.max_queue_depth + 8):
             try:
-                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MB)))
+                gateway.submit_op(ReadObject("t0", ObjectRef(target.space_id, 0, 1 * MiB)))
             except Exception:
                 pass
         done.append(True)
