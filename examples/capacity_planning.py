@@ -12,6 +12,7 @@ Run:  python examples/capacity_planning.py
 from repro.cost import render_cost_table, ustore_estimate
 from repro.cost.systems import DISK_CAPACITY_BYTES, SATA_DISK_PRICE, TARGET_CAPACITY_BYTES
 from repro.fabric import dual_tree_fabric, ring_fabric, validate_fabric
+from repro.units import TB
 
 
 def main() -> None:
@@ -57,7 +58,7 @@ def main() -> None:
     print("Scaling: how many units and disks for common targets")
     print("=" * 64)
     for petabytes in (1, 10, 50):
-        capacity = petabytes * 10**15
+        capacity = petabytes * 1000 * TB
         disks = -(-capacity // DISK_CAPACITY_BYTES)  # ceil
         units = -(-disks // 64)
         media = disks * SATA_DISK_PRICE / 1e6

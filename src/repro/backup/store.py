@@ -84,7 +84,6 @@ class ArchiveStore:
         self,
         snapshot_id: str,
         files: List[FileVersion],
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> Generator[Event, None, SnapshotStats]:
         """Back up ``files``; only chunks never seen before hit disks."""
         if snapshot_id in self.snapshots:
@@ -93,7 +92,7 @@ class ArchiveStore:
         manifest: List[Tuple[str, List[Chunk]]] = []
         start = self.sim.now
         for version in files:
-            chunks = chunk_file(version, chunk_bytes)
+            chunks = chunk_file(version, DEFAULT_CHUNK_BYTES)
             manifest.append((version.name, chunks))
             for chunk in chunks:
                 stats.chunks_total += 1

@@ -227,7 +227,8 @@ class SimulatedDisk:
             self._enter_state(DiskPowerState.IDLE)
             self.spinup_owner = None
             self._spin_up_done = None
-            done.succeed()
+            # The I/Os queued behind the spin-up resume inside its end.
+            done.fire_in_place()
 
         self.sim.defer(self.spec.spin_up_time, finish)
         return done
@@ -291,7 +292,8 @@ class SimulatedDisk:
             raise DiskOfflineError(f"{self.disk_id}: disk failed")
         if self.states.state is DiskPowerState.POWERED_OFF:
             raise DiskOfflineError(f"{self.disk_id}: disk powered off")
-        yield self._queue.request()
+        if not self._queue.take():
+            yield self._queue.request()  # held: wait in FIFO order
         scope.phase("disk_queue")
         try:
             if self.failed:

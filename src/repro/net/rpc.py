@@ -336,10 +336,13 @@ class RpcClient:
         request_size: int = 256,
         response_size: int = 256,
     ) -> Generator[Event, Any, Any]:
-        """Generator process performing one call; yields the result.
+        """Generator performing one call; returns the result.
 
         Use as ``result = yield sim.process(client.call(...))`` or
-        ``yield from`` inside another process.
+        ``yield from`` inside another process.  The caller resumes
+        inside the reply's delivery, or inside the deadline's pop when
+        the call times out (:func:`settle`), so a call pops only its
+        messages.
         """
         waiter = self.sim.event()
         self.invoke(
@@ -356,12 +359,7 @@ class RpcClient:
 
 
 def settle(waiter: Event) -> Done:
-    """A ``done`` callback that fires ``waiter`` with the call's outcome."""
-
-    def done(result: Any, error: Optional[Exception]) -> None:
-        if error is None:
-            waiter.succeed(result)
-        else:
-            waiter.fail(error)
-
-    return done
+    """A ``done`` callback that fires ``waiter`` in place with the call's
+    outcome, so its waiter resumes inside the reply's delivery (or the
+    deadline's pop) with no wake-up event of its own."""
+    return waiter.fire_in_place

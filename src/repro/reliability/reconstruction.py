@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 GBE_PAYLOAD = 125e6  # bytes/s on the DC network path
+#: Bytes one step of a drill's copy reads and writes.
+REBUILD_CHUNK_BYTES = 4 * MiB
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,8 @@ class RebuildDrill:
     onto the destination disk's host, then the copy is host-local.
     """
 
-    def __init__(self, deployment: Deployment, chunk_bytes: int = 4 * MiB):
+    def __init__(self, deployment: Deployment):
         self.deployment = deployment
-        self.chunk_bytes = chunk_bytes
         self.rpc = RpcClient(
             deployment.sim, deployment.network, "rebuild-drill"
         )
@@ -119,7 +120,7 @@ class RebuildDrill:
         from repro.disk.device import IoRequest
 
         while offset < rebuild_bytes:
-            size = min(self.chunk_bytes, rebuild_bytes - offset)
+            size = min(REBUILD_CHUNK_BYTES, rebuild_bytes - offset)
             yield disks[source].submit(
                 IoRequest(offset=offset, size=size, is_read=True)
             )

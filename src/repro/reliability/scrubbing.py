@@ -26,6 +26,9 @@ __all__ = ["LatentErrorModel", "MediaError", "Scrubber"]
 
 YEAR = 365.0 * 24 * 3600.0
 
+#: Bytes one scrub read covers.
+SCRUB_CHUNK_BYTES = 64 * MiB
+
 
 class MediaError(Exception):
     """A read touched a latent sector error."""
@@ -117,13 +120,11 @@ class Scrubber:
         sim: Simulator,
         model: LatentErrorModel,
         scrub_interval: float = 14 * 24 * 3600.0,
-        chunk_bytes: int = 64 * MiB,
         scan_bytes: Optional[int] = None,
     ):
         self.sim = sim
         self.model = model
         self.scrub_interval = scrub_interval
-        self.chunk_bytes = chunk_bytes
         # Scanning a whole 3 TB disk is millions of events; studies can
         # bound the scanned extent to the allocated region.
         self.scan_bytes = scan_bytes or model.disk.spec.capacity_bytes
@@ -140,7 +141,7 @@ class Scrubber:
     def _scrub_pass(self) -> Generator[Event, None, None]:
         offset = 0
         while offset < self.scan_bytes:
-            size = min(self.chunk_bytes, self.scan_bytes - offset)
+            size = min(SCRUB_CHUNK_BYTES, self.scan_bytes - offset)
             yield self.model.disk.submit(
                 IoRequest(offset=offset, size=size, is_read=True)
             )

@@ -240,6 +240,29 @@ class Event:
         self.sim._push(self, delay, priority)
         return self
 
+    def fire_in_place(self, value: Any = None, error: Optional[BaseException] = None) -> None:
+        """Trigger this event and run its callbacks now, inside the running event.
+
+        ``succeed(value)``, or ``fail(error)`` when ``error`` is given,
+        with no push and no pop: the callbacks have run when this
+        returns, and the event reads as processed.  It equals
+        ``succeed``/``fail`` whenever the pop they would push comes
+        next: the caller fires as the running event's last act, and no
+        other item is due at this instant (DESIGN.md §13).  A failure
+        that no callback defuses raises here, inside the running event,
+        as its pop would have.  A process that yields the event later
+        resumes through the URGENT relay, as for any processed event.
+        """
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._triggered = True
+        if error is None:
+            self._value = value
+        else:
+            self._value = error
+            self._ok = False
+        self._process()
+
     def defuse(self) -> None:
         """Mark a failed event as handled even if nobody waits on it."""
         self._defused = True

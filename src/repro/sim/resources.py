@@ -5,8 +5,9 @@ Provides:
 * :class:`Resource` — a lock: one holder at a time, FIFO waiters.
 * :class:`Store` — an unbounded FIFO buffer of Python objects.
 
-All requests are events, so processes compose them with timeouts via
-``Simulator.any_of`` for bounded waits.
+A request is an event, so a process can compose it with a timeout
+via ``Simulator.any_of`` for a bounded wait; :meth:`Resource.take`
+holds a free slot with no event at all.
 """
 
 from __future__ import annotations
@@ -50,6 +51,21 @@ class Resource:
         else:
             self._waiters.append(event)
         return event
+
+    def take(self) -> bool:
+        """Hold the slot now, with no event, if it is free; True if taken.
+
+        What :meth:`request` does on a free slot, without the grant's
+        pop, for a caller that would resume in that pop at once.  A held
+        slot changes nothing: the caller then waits with :meth:`request`.
+        Pair a take with :meth:`release` as a request is paired.
+        """
+        if self.users:
+            return False
+        if self.name is not None:
+            self.sim.touch_resource(self.name, write=True)
+        self.users = 1
+        return True
 
     def release(self) -> None:
         """Give back the slot, handing it to the next waiter if any."""

@@ -23,6 +23,7 @@ from repro.fabric import (
     ring_fabric,
 )
 from repro.fabric.bandwidth import DUPLEX_CAPACITY, PER_DIRECTION_CAPACITY, ROOT_IOPS_LIMIT
+from repro.units import KiB, MiB
 from tests.reference_alloc import reference_allocate
 
 NUM_RANDOM_CASES = 55
@@ -67,7 +68,7 @@ def build_random_case(seed: int):
                 disk_id=disk_id,
                 demand=demand,
                 is_read=rng.random() < 0.5,
-                io_size=rng.choice([4 * 1024, 4 * 1024 * 1024]),
+                io_size=rng.choice([4 * KiB, 4 * MiB]),
             )
         )
     return fabric, flows

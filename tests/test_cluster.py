@@ -14,7 +14,7 @@ from repro.cluster import (
 )
 from repro.cluster.namespace import MASTER_POINTER
 from repro.coord import Role
-from repro.units import KiB, MiB
+from repro.units import TB, KiB, MiB
 
 #: An idle deployment's sends per 100 sim-s after ``settle()``, by RPC
 #: method or message kind: the coordination leader's appends, the two
@@ -340,7 +340,7 @@ class TestAllocation:
         from repro.net import RemoteError
 
         def scenario():
-            yield from client.allocate(100 * 10**12)  # 100 TB > any disk
+            yield from client.allocate(100 * TB)  # 100 TB > any disk
 
         with pytest.raises(RemoteError, match="AllocationError"):
             dep.sim.run_until_event(dep.sim.process(scenario()))

@@ -14,7 +14,7 @@ from repro.disk import (
     TOSHIBA_POWER_SATA,
     TOSHIBA_POWER_USB,
 )
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
 from repro.units import KiB, MiB
 from repro.workload import TABLE2_WORKLOADS, AccessPattern, WorkloadSpec
 
@@ -204,6 +204,50 @@ class TestSimulatedDisk:
         sim.run_until_event(sim.all_of([a, b]))
         single = disk.model.service_time(WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0))
         assert sim.now == pytest.approx(2 * single)
+
+    def test_a_free_queue_grants_without_an_event(self):
+        sim, disk = self.make_disk()
+        request = IoRequest(offset=0, size=4 * KiB, is_read=True)
+        service = disk.model.service_time(disk._spec_for(request))
+        assert sim.run_until_event(disk.submit(request)) == service
+        assert sim.now == service
+        assert sim.events == 3  # the process's start, the service timeout, its end
+
+    def test_two_ios_submitted_at_once_serve_fifo_the_second_through_request(
+        self, monkeypatch
+    ):
+        sim, disk = self.make_disk()
+        requested = []
+        real_request = Resource.request
+
+        def recording(resource):
+            requested.append((resource.name, sim.now))
+            return real_request(resource)
+
+        monkeypatch.setattr(Resource, "request", recording)
+        ends = []
+        for name, offset, size in (("first", 0, 4 * MiB), ("second", 64 * MiB, 4 * KiB)):
+            io = disk.submit(IoRequest(offset=offset, size=size, is_read=True))
+            io.callbacks.append(lambda ev, name=name: ends.append((name, sim.now)))
+        sim.run()
+        # The first takes the free queue with no event; the second finds
+        # it held and waits in FIFO order.
+        assert requested == [("disk-queue:d0", 0.0)]
+        first = disk.model.service_time(WorkloadSpec(4 * MiB, AccessPattern.SEQUENTIAL, 1.0))
+        second = disk.model.service_time(WorkloadSpec(4 * KiB, AccessPattern.RANDOM, 1.0))
+        assert ends == [("first", first), ("second", first + second)]
+
+    def test_the_eventless_grant_still_touches_the_queue_for_the_race_detector(self):
+        sim = Simulator(detect_races=True)
+        disk = SimulatedDisk(sim, "d0")
+        for offset in (0, 4 * KiB):
+            disk.submit(IoRequest(offset=offset, size=4 * KiB, is_read=True))
+        sim.run()
+        # Both starts share one instant and priority: the first takes the
+        # free queue, the second requests it, and both touches count.
+        (race,) = sim.races
+        assert race.resource == "disk-queue:d0"
+        assert race.writes == 2 and len(race.seqs) == 2
 
     def test_failed_disk_rejects_io(self):
         sim, disk = self.make_disk()

@@ -50,7 +50,8 @@ from repro.gateway import (
 )
 from repro.gateway.gateway import POLL_INTERVAL
 from repro.obs import MetricsRegistry, export_json
-from repro.sim import EventDigest, Simulator
+from repro.sim import SCHEDULERS, EventDigest, HeapScheduler, Simulator, observe_pops, use_scheduler
+from repro.sim.kernel import _describe_event
 from repro.units import KiB, MiB
 
 
@@ -234,7 +235,7 @@ def test_queue_index_matches_scan_oracle(seed):
             fields = dict(
                 tenant=rng.choice(("a", "a", "b", "b", "c", "nobody")),
                 disk=rng.choice(ORACLE_DISKS),
-                size=rng.choice((1, 512 * 1024, 1 * MiB, 4 * MiB)),
+                size=rng.choice((1, 512 * KiB, 1 * MiB, 4 * MiB)),
                 arrival=arrival,
                 deadline=arrival + rng.choice((30.0, 60.0, 120.0)),
             )
@@ -838,29 +839,69 @@ class TestDispatchPasses:
         assert gateway.stats.reclaim_spin_downs >= 1
         assert [name for name in started if name.startswith("repro.gateway")] == []
 
-    def _read_cost(self, spinning):
-        """Events one 4 KiB read adds to a window, counted against the
-        same window without it."""
-        counts = []
+    def _read_pops(self, spinning):
+        """The pops one 4 KiB read adds to a window, by the label
+        ``_describe_event`` gives each, against the same window without it."""
+        windows = []
         for read in (False, True):
-            dep, gateway, objects = build_gateway("batch")
+            labels = Counter()
+            recording = []
+
+            def label(item):
+                if recording:
+                    labels[_describe_event(item[3])] += 1
+                return item
+
+            SCHEDULERS["labelled"] = observe_pops(HeapScheduler, label)
+            try:
+                with use_scheduler("labelled"):
+                    dep, gateway, objects = build_gateway("batch")
+            finally:
+                del SCHEDULERS["labelled"]
             ref = ObjectRef(objects[0].space_id, 0, 4 * KiB)
             if spinning:  # a first read spins the disk up
                 gateway.submit_op(ReadObject("t0", ref))
                 dep.sim.run(until=dep.sim.now + self.WINDOW)
             start = dep.sim.events
+            recording.append(True)
             if read:
                 dep.sim.defer(0.0, lambda: gateway.submit_op(ReadObject("t0", ref)))
             dep.sim.run(until=dep.sim.now + self.WINDOW)
             assert gateway.stats.completed == int(spinning) + int(read)
-            counts.append(dep.sim.events - start)
-        return counts[1] - counts[0]
+            assert sum(labels.values()) == dep.sim.events - start
+            windows.append(labels)
+        without, with_read = windows
+        assert without - with_read == Counter()  # the read removes no pop
+        return with_read - without
 
-    def test_a_read_on_a_spinning_disk_pops_8_events(self):
-        assert self._read_cost(spinning=True) == 8
+    #: The labels of the read's submit, its two passes, its deliveries
+    #: and the handler's resumption by the service timeout.
+    SUBMIT = "deferred:TestDispatchPasses._read_pops.<locals>.<lambda>"
+    PASS = "deferred:Gateway._dispatch"
+    DELIVERY = "deferred:Network.send.<locals>.<lambda>"
+    SERVICE = "resume:IscsiTargetServer._io"
 
-    def test_a_read_on_a_spun_down_disk_pops_12_events(self):
-        assert self._read_cost(spinning=False) == 12
+    def test_a_read_on_a_spinning_disk_pops_6_events(self):
+        # The submit, its pass, the request delivery (the target takes
+        # the free disk queue inside it), the service timeout (the reply
+        # leaves from it), the reply delivery (the batch resumes inside
+        # it and ends) and the pass the batch's end wakes.
+        assert self._read_pops(spinning=True) == Counter(
+            {self.SUBMIT: 1, self.PASS: 2, self.DELIVERY: 2, self.SERVICE: 1}
+        )
+
+    def test_a_read_on_a_spun_down_disk_pops_9_events(self):
+        # The spinning read's six, plus the NOT READY delivery, the
+        # spin-up's end (the handler resumes inside it) and the deadline
+        # the server filed while the handler waited.
+        assert self._read_pops(spinning=False) == Counter({
+            self.SUBMIT: 1,
+            self.PASS: 2,
+            self.DELIVERY: 3,
+            "deferred:SimulatedDisk.spin_up.<locals>.finish": 1,
+            "deferred:Deadline._pop": 1,
+            self.SERVICE: 1,
+        })
 
     def _held_budget(self, monkeypatch):
         """A one-disk budget, held by a disk spinning up outside the

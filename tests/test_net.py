@@ -450,8 +450,9 @@ class TestRpc:
             RpcClient(sim, net, "node")
 
     def test_plain_call_event_count(self):
-        # Caller start, request delivery, reply delivery, the caller's
-        # wake-up and its finish: an answered call files no deadline.
+        # Caller start, request delivery, reply delivery (inside which
+        # the caller resumes) and the caller's finish: an answered call
+        # files no deadline and pops no wake-up.
         with EventDigest().under() as digest:
             sim, net = make_net()
         server = RpcServer(sim, net, "server")
@@ -460,10 +461,10 @@ class TestRpc:
         call = sim.process(client.call("server", "add", 2, 3))
         sim.run()
         assert call.value == 5
-        assert digest.events == 5
+        assert digest.events == 4
 
     def test_generator_call_event_count(self):
-        # The plain call's five events, plus the handler's timeout, from
+        # The plain call's four events, plus the handler's timeout, from
         # which the reply leaves, and the deadline the server filed
         # while the handler waited.
         with EventDigest().under() as digest:
@@ -479,7 +480,7 @@ class TestRpc:
         call = sim.process(client.call("server", "add", 2, 3))
         sim.run()
         assert call.value == 5
-        assert digest.events == 7
+        assert digest.events == 6
 
     def test_callback_call_costs_its_two_deliveries(self, monkeypatch):
         with EventDigest().under() as digest:
@@ -798,16 +799,17 @@ class TestIscsi:
 
     def test_read_from_a_spinning_disk_pops_its_messages_and_disk_work(self):
         # Caller start, request delivery (the target steps the handler
-        # into the disk's service), the queue grant, the service
-        # timeout (from which the reply leaves), reply delivery, the
-        # caller's wake-up and finish, and the deadline filed while the
-        # disk served.  No process runs the handler or the disk's work.
-        assert self.read_events(spun_down=False) == 8
+        # into the disk's service, which takes the free queue with no
+        # event), the service timeout (from which the reply leaves),
+        # reply delivery (inside which the caller resumes), the caller's
+        # finish, and the deadline filed while the disk served.  No
+        # process runs the handler or the disk's work.
+        assert self.read_events(spun_down=False) == 6
 
     def test_read_from_a_spun_down_disk_adds_the_spin_up_and_its_notice(self):
-        # The spinning read's eight, plus the NOT READY delivery, the
-        # spin-up's end and the event it fires.
-        assert self.read_events(spun_down=True) == 11
+        # The spinning read's six, plus the NOT READY delivery and the
+        # spin-up's end, inside which the queued I/O resumes.
+        assert self.read_events(spun_down=True) == 8
 
     def test_target_death_after_not_ready_times_out_at_ready_plus_timeout(self):
         sim, net, target, disk, initiator = self.setup_stack()

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.cost.physical import MAX_DISKS_4U, unit_spec
+from repro.units import TB
 
 
 class TestUnitSpec:
     def test_paper_envelope_200tb(self):
         """§V-A: ~50x 4TB disks give ~200TB raw in a 4U unit."""
-        spec = unit_spec(num_disks=50, disk_capacity_bytes=4 * 10**12)
+        spec = unit_spec(num_disks=50, disk_capacity_bytes=4 * TB)
         assert spec.raw_capacity_tb == pytest.approx(200.0)
         assert spec.fits_4u
 
@@ -29,11 +30,11 @@ class TestUnitSpec:
     def test_power_density_reasonable(self):
         """A cold-storage 4U unit draws on the order of 10W or less per
         raw TB while spinning."""
-        spec = unit_spec(num_disks=64, disk_capacity_bytes=3 * 10**12)
+        spec = unit_spec(num_disks=64, disk_capacity_bytes=3 * TB)
         assert 1.0 < spec.watts_per_tb < 10.0
 
     def test_density_per_rack_unit(self):
-        spec = unit_spec(num_disks=64, disk_capacity_bytes=4 * 10**12)
+        spec = unit_spec(num_disks=64, disk_capacity_bytes=4 * TB)
         assert spec.capacity_per_rack_unit_tb == pytest.approx(64.0)
 
     def test_invalid_args(self):

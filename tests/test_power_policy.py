@@ -13,6 +13,7 @@ from repro.disk.device import IoRequest, SimulatedDisk
 from repro.disk.states import DiskPowerState
 from repro.power.policy import AdaptiveTimeoutPolicy, FixedTimeoutPolicy, run_policy
 from repro.sim import Simulator
+from repro.units import MiB
 
 
 class TestFixedTimeoutPolicy:
@@ -181,7 +182,7 @@ class TestRunPolicyIntegration:
 
         def busy():
             for i in range(20):
-                yield disk.submit(IoRequest(offset=0, size=1 << 20, is_read=True))
+                yield disk.submit(IoRequest(offset=0, size=MiB, is_read=True))
                 yield sim.timeout(0.5)
 
         sim.run_until_event(sim.process(busy()))

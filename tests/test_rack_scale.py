@@ -154,7 +154,7 @@ class TestBenchCli:
         argv = ["bench", "gateway_slo", "--smoke", "--out-dir", str(tmp_path)]
         assert cli_main(argv) == 0
         out = capsys.readouterr().out
-        assert "events: 19171 sim events" in out
+        assert "events: 18544 sim events" in out
         assert "anchors: 4 of 4 hold" in out
         (record,) = json.loads((tmp_path / "BENCH_gateway_slo.json").read_text())
         assert record["schema_version"] == 3
@@ -163,7 +163,7 @@ class TestBenchCli:
         assert record["params"] == {"duration": 60.0, "energy": False}
         assert record["anchors"] and all(record["anchors"].values())
         # Exact for the code and the default seed, on any machine.
-        assert record["sim_events"] == 19171
+        assert record["sim_events"] == 18544
         assert record["counters"]["gateway.completed"] > 0
         assert record["counters"]["gateway.batches"] > 0
 

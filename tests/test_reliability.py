@@ -15,7 +15,7 @@ from repro.reliability import (
     network_rebuild,
 )
 from repro.sim import RngRegistry, Simulator
-from repro.units import GiB, MiB
+from repro.units import TB, GiB, MiB
 
 
 class TestAvailabilityStudy:
@@ -51,17 +51,17 @@ class TestAvailabilityStudy:
 
 class TestRebuildEstimates:
     def test_network_bottlenecked_by_gbe(self):
-        estimate = network_rebuild(3 * 10**12)
+        estimate = network_rebuild(3 * TB)
         assert estimate.rate_mb_s == pytest.approx(125.0, rel=0.01)
-        assert estimate.network_bytes == 3 * 10**12
+        assert estimate.network_bytes == 3 * TB
 
     def test_fabric_assisted_runs_at_disk_speed(self):
-        estimate = fabric_assisted_rebuild(3 * 10**12)
+        estimate = fabric_assisted_rebuild(3 * TB)
         assert estimate.rate_mb_s > 170.0
         assert estimate.network_bytes == 0
 
     def test_fabric_wins_for_large_rebuilds(self):
-        size = 3 * 10**12
+        size = 3 * TB
         assert fabric_assisted_rebuild(size).seconds < network_rebuild(size).seconds
 
     def test_network_wins_for_tiny_rebuilds(self):

@@ -11,7 +11,7 @@ once.  If that holds, the store genuinely needs no metadata database.
 import pytest
 
 from repro.shardstore import ObjectNotFoundError, ObjectState
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 from tests.test_gateway import drain
 from tests.test_shardstore import DATE, build_store
@@ -24,7 +24,7 @@ def ingest_then_crash(config_kwargs=None):
     while its write is in flight; drain to completion."""
     dep, gateway, store = build_store(
         shards_per_day=4,
-        shard_capacity=4 * (1 << 20),
+        shard_capacity=4 * MiB,
         **(config_kwargs or {}),
     )
     records = []

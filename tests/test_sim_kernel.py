@@ -504,6 +504,113 @@ class TestStepInPlace:
         assert in_place_events == process_events - 2
 
 
+class TestFireInPlace:
+    """``fire_in_place`` triggers an event and runs its callbacks with no pop."""
+
+    def test_callbacks_run_before_it_returns_and_the_event_reads_processed(self):
+        sim = Simulator()
+        event = sim.event()
+        log = []
+        event.callbacks.append(lambda ev: log.append(("callback", ev.value, ev.processed)))
+
+        def fire():
+            event.fire_in_place("v")
+            log.append(("returned", event.triggered, event.processed, event.ok, event.value))
+
+        sim.defer(1.0, fire)
+        sim.run()
+        assert log == [("callback", "v", True), ("returned", True, True, True, "v")]
+        assert sim.events == 1  # the deferred callback: no push, no pop
+
+    def test_a_second_trigger_raises(self):
+        sim = Simulator()
+        fired = sim.event()
+        fired.fire_in_place()
+        with pytest.raises(SimulationError, match="already triggered"):
+            fired.fire_in_place()
+        with pytest.raises(SimulationError, match="already triggered"):
+            fired.succeed()
+        scheduled = sim.event()
+        scheduled.succeed()
+        with pytest.raises(SimulationError, match="already triggered"):
+            scheduled.fire_in_place()
+
+    def test_a_failure_reaches_a_waiting_generator_inside_the_firing_event(self):
+        sim = Simulator()
+        event = sim.event()
+        log = []
+
+        def waiter():
+            try:
+                yield event
+            except KeyError as exc:
+                log.append(("caught", exc.args[0], sim.now))
+
+        def fire():
+            event.fire_in_place(error=KeyError("lost"))
+            log.append("returned")
+
+        step_in_place(sim, waiter(), lambda *outcome: log.append(("done", outcome)))
+        sim.defer(1.0, fire)
+        sim.run()
+        assert log == [("caught", "lost", 1.0), ("done", (None, None)), "returned"]
+        assert not event.ok and sim.events == 1
+
+    def test_a_failure_nobody_defused_raises_inside_the_running_event(self):
+        sim = Simulator()
+        event = sim.event()
+        sim.defer(1.0, lambda: event.fire_in_place(error=KeyError("unheard")))
+        with pytest.raises(KeyError, match="unheard"):
+            sim.run()
+        assert sim.now == 1.0 and event.processed
+
+    def test_a_waiter_after_the_fire_resumes_through_the_urgent_relay(self):
+        sim = Simulator()
+        event = sim.event()
+        log = []
+
+        def waiter():
+            value = yield event
+            log.append((value, sim.now))
+
+        def caller():
+            # Queued first at the same instant, but NORMAL: the relay is
+            # URGENT, so the waiter resumes before it.
+            sim.defer(0.0, lambda: log.append("normal"))
+            step_in_place(sim, waiter(), lambda *outcome: log.append("done"))
+
+        event.fire_in_place("early")
+        sim.defer(1.0, caller)
+        sim.run()
+        assert log == [("early", 1.0), "done", "normal"]
+        assert sim.events == 3  # the caller, the relay, the NORMAL callback
+
+    def test_same_resumption_as_succeed_with_one_pop_fewer(self):
+        """Fired as its event's last act, with nothing else due at the
+        instant, the waiter sees what ``succeed`` would have shown it."""
+
+        def run(fire):
+            sim = Simulator()
+            seen = []
+            event = sim.event()
+
+            def waiter():
+                value = yield event
+                seen.append((sim.now, value))
+                yield sim.timeout(1.0)
+                seen.append((sim.now, "after"))
+
+            sim.process(waiter())
+            sim.defer(2.0, lambda: fire(event))
+            sim.run()
+            return seen, sim.events
+
+        scheduled_seen, scheduled_events = run(lambda event: event.succeed("v"))
+        in_place_seen, in_place_events = run(lambda event: event.fire_in_place("v"))
+        assert in_place_seen == scheduled_seen == [(2.0, "v"), (3.0, "after")]
+        assert in_place_events == scheduled_events - 1
+
+
 class TestResource:
     def test_fifo_grant_order(self):
         sim = Simulator()
@@ -528,6 +635,20 @@ class TestResource:
         res = Resource(sim)
         with pytest.raises(SimulationError):
             res.release()
+
+    def test_take_holds_a_free_slot_with_no_event_and_leaves_a_held_one_alone(self):
+        sim = Simulator()
+        res = Resource(sim)
+        assert res.take() and res.users == 1
+        assert not res.take()
+        assert res.users == 1 and res.queue_length == 0
+        waiter = res.request()  # a held slot queues through request()
+        res.release()
+        assert res.users == 1  # handed to the waiter
+        sim.run()
+        assert waiter.processed and sim.events == 1
+        res.release()
+        assert res.users == 0
 
 
 class TestStore:
