@@ -36,10 +36,13 @@ proof), the record's wall first scaled by how much slower the machine
 runs a fixed loop now than when the record was taken (both records'
 ``calibration_s``; never scaled down, and a record without one is not
 scaled), ``sim_events`` no more than the record's (an exact count for
-the code and seed, so it does not depend on the machine), no iSCSI
-session error (no smoke injects a fault, so one would be a storm of I/O
-timeouts), and every anchor true.  Each experiment prints one wall, one
-events, one session-errors and one anchors line.
+the code and seed, so it does not depend on the machine), every other
+recorded counter equal to the record's (a change that only saves
+events must leave every simulated count alone), no iSCSI session error
+(no smoke injects a fault, so one would be a storm of I/O timeouts),
+and every anchor true.  Each experiment prints one wall, one events,
+one counters, one session-errors and one anchors line, plus one line
+per counter that moved.
 
 Default-path runs finish with an energy-ledger leg: one small
 gateway_slo point with the ledger armed must satisfy the DESIGN §15
@@ -262,10 +265,11 @@ def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) ->
     more than a smoke's.  Fails when the wall time exceeds
     ``wall_factor`` x that wall plus SMOKE_WALL_GRACE_SECONDS or that
     wall, whichever is less, when ``sim_events`` exceeds the baseline's
-    at all, when ``iscsi.session_errors`` is
-    nonzero, or when any anchor is false.  With no baseline the two
-    comparisons are skipped loudly; the session errors and anchors are
-    checked either way.
+    at all, when any other recorded counter differs from the baseline's
+    (each one that moved prints its own line), when
+    ``iscsi.session_errors`` is nonzero, or when any anchor is false.
+    With no baseline the three comparisons are skipped loudly; the
+    session errors and anchors are checked either way.
     """
     name = record["experiment"]
     baseline = None
@@ -282,7 +286,7 @@ def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) ->
     if baseline is None:
         print(
             f"perf: {name} smoke: no committed smoke record in "
-            f"{baseline_path.name}, wall and events comparison skipped"
+            f"{baseline_path.name}, wall, events and counters comparison skipped"
         )
     else:
         wall, base_wall = record["wall_seconds"], baseline["wall_seconds"]
@@ -316,6 +320,23 @@ def check_smoke_record(record: Dict, baseline_path: Path, wall_factor: float) ->
             f"{base_events:.0f}, no rise allowed) {verdict}"
         )
         if events > base_events:
+            status = 1
+        # Every other count is a simulated result: fewer events may not
+        # move one.
+        counters, base_counters = record["counters"], baseline["counters"]
+        compared = sorted((set(counters) | set(base_counters)) - {"sim.events"})
+        moved = [c for c in compared if counters.get(c) != base_counters.get(c)]
+        for counter in moved:
+            print(
+                f"perf: {name} smoke counter {counter}: {counters.get(counter)} "
+                f"(baseline {base_counters.get(counter)}) MOVED"
+            )
+        verdict = f"MOVED: {', '.join(moved)}" if moved else "OK"
+        print(
+            f"perf: {name} smoke counters: {len(compared) - len(moved)} of "
+            f"{len(compared)} equal the baseline's (sim.events aside) {verdict}"
+        )
+        if moved:
             status = 1
     # No smoke injects a fault: a session error is an I/O timeout storm.
     session_errors = record["counters"].get("iscsi.session_errors", 0.0)

@@ -351,10 +351,14 @@ class Gateway:
         return self.outstanding() == 0
 
     def _wake(self) -> None:
-        """Defer one dispatch pass to this instant, unless one is due."""
+        """Defer one dispatch pass to this instant, unless one is due.
+
+        The pass runs inside the running event when it would pop next
+        (``Simulator.defer_now``).
+        """
         if self._started and not self._pass_due:
             self._pass_due = True
-            self.sim.defer(0.0, self._dispatch)
+            self.sim.defer_now(self._dispatch)
 
     def _poll(self, armed: int) -> None:
         """Deferred poll: wake the gateway iff no pass ran since pass ``armed``."""
@@ -385,21 +389,25 @@ class Gateway:
         ]
         if not pending:
             return False
+        tracing = self._tracer.enabled
+        if not self._scheduler.head_of_line and not any(
+            power.can_afford(entry.disk_id) for entry in pending
+        ):
+            # The loop below would refuse every disk: skip its ordering.
+            if tracing:
+                for entry in pending:
+                    self._refused(entry.disk_id)
+            return False
         busy_hosts: List[str] = []
         for disk_id in sorted(self._in_flight):
             host = self._host_of(disk_id)
             if host is not None:
                 busy_hosts.append(host)
         dispatched = False
-        tracing = self._tracer.enabled
         for entry in self._scheduler.order(pending, busy_hosts, self._host_of):
             if not power.can_afford(entry.disk_id):
                 if tracing:
-                    # First refusal marks when the budget became the
-                    # binding constraint for this disk's queued work.
-                    self._power_blocked_since.setdefault(
-                        entry.disk_id, self.sim.now
-                    )
+                    self._refused(entry.disk_id)
                 if self._scheduler.head_of_line:
                     break  # the naive baseline stalls behind its head
                 continue  # already-spinning disks may still be free
@@ -435,6 +443,11 @@ class Gateway:
         if dispatched:
             self._update_depth_gauges()
         return dispatched
+
+    def _refused(self, disk_id: str) -> None:
+        """The budget refused the disk: mark when it first became the
+        binding constraint for the disk's queued work (tracing only)."""
+        self._power_blocked_since.setdefault(disk_id, self.sim.now)
 
     def _serve_batch(self, batch: List[GatewayRequest]) -> Generator[Event, None, None]:
         for disk_pass in coalesce_batch(batch, self.config.coalesce_gap_bytes):
@@ -531,25 +544,22 @@ class Gateway:
         costs nothing), then least-recently-used among the rest — the
         classic trade of one extra spin cycle for forward progress.
         """
-        queued_disks = {entry.disk_id for entry in self.queue.pending_by_disk()}
-        pinned = set(self.config.pinned_disks)
-        candidates: List[Tuple[int, float, str]] = []
-        for disk_id in sorted(self._disks):
-            if disk_id in self._in_flight or disk_id in pinned:
+        power = self._power
+        assert power is not None  # start() guarantees attach() ran
+        pinned = self.config.pinned_disks
+        idle: List[str] = []
+        for disk_id in power.drawing_disks():  # IDLE disks draw power
+            if disk_id in self._in_flight or disk_id in pinned or power.granted(disk_id):
                 continue
-            power = self._power
-            if power is not None and power.granted(disk_id):
-                continue
-            disk = self._disks[disk_id]
-            if disk.power_state is not DiskPowerState.IDLE:
-                continue
-            candidates.append(
-                (1 if disk_id in queued_disks else 0, disk.idle_since, disk_id)
-            )
-        if not candidates:
+            if self._disks[disk_id].power_state is DiskPowerState.IDLE:
+                idle.append(disk_id)
+        if not idle:
             return False
-        candidates.sort()
-        _, _, victim = candidates[0]
+        queued_disks = {entry.disk_id for entry in self.queue.pending_by_disk()}
+        _, _, victim = min(
+            (1 if disk_id in queued_disks else 0, self._disks[disk_id].idle_since, disk_id)
+            for disk_id in idle
+        )
         self._disks[victim].spin_down()
         self.stats.reclaim_spin_downs += 1
         return True

@@ -109,6 +109,10 @@ class PowerAccountant:
         """Whether the disk currently draws (budget-relevant) power."""
         return disk_id in self._drawing
 
+    def drawing_disks(self) -> List[str]:
+        """The disks that currently draw power, by id."""
+        return sorted(self._drawing)
+
     def in_use_watts(self) -> Watts:
         """Watts consumed by spinning disks plus outstanding grants.
 

@@ -116,6 +116,10 @@ class HeapScheduler:
     def peek_time(self) -> float:
         return self._heap[0][0] if self._heap else _INFINITY
 
+    def pops_first(self, item: _ScheduledItem) -> bool:
+        """Whether ``item`` sorts before every queued item."""
+        return not self._heap or item < self._heap[0]
+
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -159,11 +163,13 @@ def observe_pops(
     """A subclass of ``queue_class`` whose ``pop`` hands each item to
     ``observer`` and returns what the observer returns.
 
-    The one way to watch the event stream: every pop is an event the
-    simulator runs, so an observer sees each event once, in order.
-    :class:`repro.sim.trace.EventDigest` folds the items it is handed;
-    the race detector hands back the item with its callable bracketed.
-    Pushes are untouched, so the pop order is the queue's own.
+    The one way to watch the event stream: an observer sees each pop
+    once, in order.  A callable that :meth:`Simulator.defer_now` runs in
+    place is no pop, so it is not handed over (the race detector
+    brackets it itself).  :class:`repro.sim.trace.EventDigest` folds
+    the items it is handed; the race detector hands back the item with
+    its callable bracketed.  Pushes are untouched, so the pop order is
+    the queue's own.
     """
     base_pop = queue_class.pop
 
@@ -300,7 +306,8 @@ def _describe_event(target: Callable[[], None]) -> str:
     duck typing on ``generator`` because the generator steppers of
     :mod:`repro.sim.process` live downstream of this module.
     ``target`` is the scheduled callable — an ``Event._process`` bound
-    method, or a raw callback from :meth:`Simulator.defer`.
+    method, or a raw callback from :meth:`Simulator.defer` or
+    :meth:`Simulator.defer_now`.
     """
     if isinstance(target, partial):
         target = target.func  # a deadline's pop names its owner's method
@@ -347,7 +354,8 @@ class Simulator:
         sim.process(my_generator_function(sim))
         sim.run(until=100.0)
 
-    :attr:`events` counts the events run so far; a metrics registry
+    :attr:`events` counts the events popped so far (a callable that
+    :meth:`defer_now` runs in place is not one); a metrics registry
     reports it as ``sim.events``.  With ``detect_races=True`` the
     simulator records, for every ``(time, priority)`` bucket holding
     more than one event, which shared resources the callbacks touched
@@ -374,6 +382,10 @@ class Simulator:
             self._sched = watched()
         self._seq = itertools.count()
         self.events = 0
+        # What defer_now() left for the end of the running event, and
+        # whether a run() loop is there to see it.
+        self._parked: Optional[_ScheduledItem] = None
+        self._running = False
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.metrics.bind_clock(lambda: self._now)
         self.metrics.publish("sim", self, ("events",))
@@ -518,6 +530,42 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
         self._sched.push((time, priority, next(self._seq), fn))
 
+    def defer_now(self, fn: Callable[[], None]) -> None:
+        """``defer(0.0, fn)``, run inside the running event when it would pop next.
+
+        The item takes its seq now.  Inside :meth:`run`, ``fn`` runs at
+        the end of the running event if no queued item then sorts
+        before ``(now, NORMAL, seq)``; otherwise, and outside
+        :meth:`run` (set-up, :meth:`step`, :meth:`run_until_event`),
+        the item is pushed with that seq.  So ``fn`` runs exactly where
+        its pop would have (DESIGN.md §13).  An in-place run counts
+        toward ``max_events`` but not toward :attr:`events`, and the
+        race detector brackets it as its own event.
+        """
+        item = (self._now, NORMAL, next(self._seq), fn)
+        if self._running and self._parked is None:
+            self._parked = item
+        else:
+            self._sched.push(item)
+
+    def _run_parked(self, limit: int) -> int:
+        """Run the parked item in place, or push it if a queued item sorts
+        before it; repeat, up to ``limit`` runs, for one that it parks.
+        Returns how many ran in place."""
+        detector = self._race_detector
+        ran = 0
+        while self._parked is not None and ran < limit:
+            item, self._parked = self._parked, None
+            if not self._sched.pops_first(item):
+                self._sched.push(item)
+                break
+            ran += 1
+            if detector is None:
+                item[3]()
+            else:
+                _watch_races(detector)(item)[3]()
+        return ran
+
     # -- running ---------------------------------------------------------
 
     def step(self) -> None:
@@ -533,35 +581,46 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains, or until simulated time ``until``.
 
-        Returns the simulated time at which the run stopped.  The
-        ``max_events`` guard turns accidental infinite event loops into a
-        loud error instead of a hang.
+        Returns the simulated time at which the run stopped.  An
+        ``until`` before the clock raises: the clock never runs back.
+        The ``max_events`` guard turns accidental infinite event loops
+        into a loud error instead of a hang.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(f"cannot run back in time: {until} < {self._now}")
+        if self._running:
+            raise SimulationError("the simulator is already running")
         sched = self._sched
         pop = sched.pop
         processed = 0
+        in_place = 0
+        self._running = True
         try:
+            # The try/except around each bare pop is free until the
+            # queue drains (zero-cost exceptions), replacing a
+            # per-event emptiness check; an empty queue peeks at inf.
             if until is not None:
                 peek = sched.peek_time
-                while sched:
-                    if peek() > until:
-                        self._now = until
-                        return self._now
-                    item = pop()
+                while peek() <= until:
+                    try:
+                        item = pop()
+                    except IndexError:  # ``until`` is inf and the queue drained
+                        break
                     self._now = item[0]
                     processed += 1
                     item[3]()
+                    if self._parked is not None:
+                        ran = self._run_parked(max_events - processed)
+                        processed += ran
+                        in_place += ran
                     if processed >= max_events:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
                             "possible runaway event loop"
                         )
-                self._now = max(self._now, until)
+                self._now = until
                 return self._now
             while True:
-                # The try/except around the bare pop is free until the
-                # queue drains (zero-cost exceptions), replacing a
-                # per-event emptiness check.
                 try:
                     item = pop()
                 except IndexError:
@@ -569,13 +628,21 @@ class Simulator:
                 self._now = item[0]
                 processed += 1
                 item[3]()
+                if self._parked is not None:
+                    ran = self._run_parked(max_events - processed)
+                    processed += ran
+                    in_place += ran
                 if processed >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible runaway event loop"
                     )
             return self._now
         finally:
-            self.events += processed
+            if self._parked is not None:  # the running event raised
+                sched.push(self._parked)
+                self._parked = None
+            self._running = False
+            self.events += processed - in_place
 
     def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
         """Run until ``event`` is processed; return its value.
@@ -583,6 +650,8 @@ class Simulator:
         Raises :class:`SimulationError` if the queue drains or ``limit``
         is reached before the event fires.
         """
+        if self._running:
+            raise SimulationError("the simulator is already running")
         while not event.processed:
             if not self._sched:
                 raise SimulationError("event queue drained before target event fired")

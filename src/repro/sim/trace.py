@@ -1,6 +1,6 @@
 """Replay fingerprinting for simulations.
 
-:class:`EventDigest` folds every processed kernel event into a running
+:class:`EventDigest` folds every popped kernel event into a running
 SHA-256, so two runs can be compared for exact replay equality without
 storing their event streams.  Telemetry (counters, gauges, request
 traces) lives in :mod:`repro.obs`.
@@ -20,7 +20,7 @@ __all__ = ["EventDigest"]
 class EventDigest:
     """Streaming fingerprint of a kernel's event execution order.
 
-    Every processed event folds its ``(time, priority, seq)`` triple
+    Every popped event folds its ``(time, priority, seq)`` triple
     into a running SHA-256.  Identical digests mean the runs popped
     exactly the same events in exactly the same order — the strongest
     replay-equality check we have, without storing millions of

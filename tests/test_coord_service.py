@@ -560,8 +560,8 @@ class TestLease:
         # Acknowledged pings renew it; one every third of the session
         # timeout after the last reply.
         assert lapsed == [] and len(pings) == 4
-        cut = pings[-1] + 0.25  # between two pings; the last one was answered
-        sim.run(until=cut)
+        # Cut now: between two pings, and the last one was answered.
+        assert pings[-1] < sim.now < pings[-1] + session.session_timeout / 3
         for replica in replicas:
             net.partition("leased", replica.address)
         acked = pings[-1]

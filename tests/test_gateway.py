@@ -13,6 +13,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -802,6 +803,85 @@ class TestGatewayDispatch:
             Gateway(dep.sim, (TENANT, TENANT), GatewayConfig())
 
 
+def scan_every_disk(gateway):
+    """Oracle: the reclaim's candidates, sorted, by a scan of every
+    gateway disk, as the reclaim found them before it read only the
+    disks that draw power; the first is the victim."""
+    queued_disks = {entry.disk_id for entry in gateway.queue.pending_by_disk()}
+    pinned = set(gateway.config.pinned_disks)
+    candidates = []
+    for disk_id in sorted(gateway._disks):
+        if disk_id in gateway._in_flight or disk_id in pinned:
+            continue
+        if gateway.power_accountant.granted(disk_id):
+            continue
+        disk = gateway._disks[disk_id]
+        if disk.power_state is not DiskPowerState.IDLE:
+            continue
+        candidates.append((1 if disk_id in queued_disks else 0, disk.idle_since, disk_id))
+    candidates.sort()
+    return candidates
+
+
+class TestReclaimVictim:
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_the_drawing_disks_give_the_victim_of_a_scan_of_every_disk(
+        self, seed, monkeypatch
+    ):
+        # The default three-disk budget; six busy disks, one of them pinned.
+        dep, gateway, objects = build_gateway("batch", seed=seed, pinned_disks=("disk0",))
+        busy = objects[:6]
+        assert "disk0" in {target.disk_id for target in busy}
+        seen = Counter()
+        reclaim = gateway._reclaim_idle
+
+        def checked():
+            candidates = scan_every_disk(gateway)
+            pending = gateway.queue.pending_by_disk()
+            # Every queued request's disk is in flight: no queued work
+            # waits for watts, yet the pass reclaims (a ROADMAP item,
+            # left as it is because its fix moves energy).
+            nothing_waiting = all(e.disk_id in gateway._in_flight for e in pending)
+            reclaimed = reclaim()
+            assert reclaimed == bool(candidates)
+            if candidates:
+                _, _, victim = candidates[0]
+                assert gateway._disks[victim].power_state is DiskPowerState.SPUN_DOWN
+            seen[(nothing_waiting, reclaimed)] += 1
+            if candidates and min(candidates, key=lambda c: c[1:])[0] == 1:
+                # The disk idle longest has queued work: the victim is
+                # another, by the preference for disks with none.
+                seen["spared for its queued work"] += 1
+            return reclaimed
+
+        monkeypatch.setattr(gateway, "_reclaim_idle", checked)
+        rng = random.Random(seed)
+        at = 0.0
+        for count in range(80):
+            at += rng.expovariate(0.5)
+            ref = ObjectRef(
+                rng.choice(busy).space_id,
+                rng.randrange(32) * MiB,
+                rng.choice((4 * KiB, 256 * KiB, 1 * MiB)),
+            )
+            op = ReadObject("t0", ref) if rng.random() < 0.7 else WriteObject("t0", ref)
+            dep.sim.defer(at, partial(gateway.submit_op, op))
+            if count % 10 == 0:
+                # Spun up from outside the gateway, they push the draw
+                # over the budget, so the budget refuses even an IDLE
+                # disk with queued work, which becomes a reclaim
+                # candidate beside IDLE disks with none.
+                for target in rng.sample(busy, 3):
+                    dep.sim.defer(at, dep.disks[target.disk_id].spin_up)
+        dep.sim.run(until=dep.sim.now + at)
+        drain(dep, gateway, cap=600.0)
+        assert gateway.stats.completed == 80
+        assert seen[(False, True)] and seen[(False, False)]  # a victim, and none
+        assert seen[(True, True)]  # the reclaim with nothing waiting
+        assert seen["spared for its queued work"]
+        assert gateway.stats.reclaim_spin_downs == seen[(False, True)] + seen[(True, True)]
+
+
 class TestDispatchPasses:
     """Each wake defers one dispatch pass; each batch is stepped in place."""
 
@@ -841,7 +921,8 @@ class TestDispatchPasses:
 
     def _read_pops(self, spinning):
         """The pops one 4 KiB read adds to a window, by the label
-        ``_describe_event`` gives each, against the same window without it."""
+        ``_describe_event`` gives each, and the dispatch passes it adds,
+        against the same window without it."""
         windows = []
         for read in (False, True):
             labels = Counter()
@@ -862,46 +943,47 @@ class TestDispatchPasses:
             if spinning:  # a first read spins the disk up
                 gateway.submit_op(ReadObject("t0", ref))
                 dep.sim.run(until=dep.sim.now + self.WINDOW)
-            start = dep.sim.events
+            start, passes = dep.sim.events, gateway._passes
             recording.append(True)
             if read:
                 dep.sim.defer(0.0, lambda: gateway.submit_op(ReadObject("t0", ref)))
             dep.sim.run(until=dep.sim.now + self.WINDOW)
             assert gateway.stats.completed == int(spinning) + int(read)
             assert sum(labels.values()) == dep.sim.events - start
-            windows.append(labels)
-        without, with_read = windows
+            windows.append((labels, gateway._passes - passes))
+        (without, passes_without), (with_read, passes_with) = windows
         assert without - with_read == Counter()  # the read removes no pop
-        return with_read - without
+        return with_read - without, passes_with - passes_without
 
-    #: The labels of the read's submit, its two passes, its deliveries
-    #: and the handler's resumption by the service timeout.
+    #: The labels of the read's submit, its deliveries and the
+    #: handler's resumption by the service timeout.
     SUBMIT = "deferred:TestDispatchPasses._read_pops.<locals>.<lambda>"
-    PASS = "deferred:Gateway._dispatch"
     DELIVERY = "deferred:Network.send.<locals>.<lambda>"
     SERVICE = "resume:IscsiTargetServer._io"
 
-    def test_a_read_on_a_spinning_disk_pops_6_events(self):
-        # The submit, its pass, the request delivery (the target takes
-        # the free disk queue inside it), the service timeout (the reply
-        # leaves from it), the reply delivery (the batch resumes inside
-        # it and ends) and the pass the batch's end wakes.
-        assert self._read_pops(spinning=True) == Counter(
-            {self.SUBMIT: 1, self.PASS: 2, self.DELIVERY: 2, self.SERVICE: 1}
-        )
+    def test_a_read_on_a_spinning_disk_pops_4_events(self):
+        # The submit (its pass runs inside it), the request delivery
+        # (the target takes the free disk queue inside it), the service
+        # timeout (the reply leaves from it) and the reply delivery (the
+        # batch resumes inside it and ends, and the pass its end wakes
+        # runs inside it too).
+        pops, passes = self._read_pops(spinning=True)
+        assert pops == Counter({self.SUBMIT: 1, self.DELIVERY: 2, self.SERVICE: 1})
+        assert passes == 2
 
-    def test_a_read_on_a_spun_down_disk_pops_9_events(self):
-        # The spinning read's six, plus the NOT READY delivery, the
+    def test_a_read_on_a_spun_down_disk_pops_7_events(self):
+        # The spinning read's four, plus the NOT READY delivery, the
         # spin-up's end (the handler resumes inside it) and the deadline
         # the server filed while the handler waited.
-        assert self._read_pops(spinning=False) == Counter({
+        pops, passes = self._read_pops(spinning=False)
+        assert pops == Counter({
             self.SUBMIT: 1,
-            self.PASS: 2,
             self.DELIVERY: 3,
             "deferred:SimulatedDisk.spin_up.<locals>.finish": 1,
             "deferred:Deadline._pop": 1,
             self.SERVICE: 1,
         })
+        assert passes == 2
 
     def _held_budget(self, monkeypatch):
         """A one-disk budget, held by a disk spinning up outside the
@@ -960,6 +1042,32 @@ class TestDispatchPasses:
         assert passes == pytest.approx(
             [t0 + dt for dt in (0.0, 0.5, 1.5, 2.5, 2.75, 3.75, 4.75)]
         )
+
+    def test_a_futile_pass_neither_orders_nor_rescans_the_queue(self, monkeypatch):
+        dep, gateway, objects, idle_at, passes = self._held_budget(monkeypatch)
+        calls = Counter()
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(gateway._scheduler, "order")
+        counting(gateway.queue, "pending_by_disk")
+        t0 = dep.sim.now
+        ref = ObjectRef(objects[1].space_id, 0, 4 * KiB)
+        dep.sim.defer(0.5, lambda: gateway.submit_op(ReadObject("t0", ref)))
+        dep.sim.run(until=t0 + 3.0)
+        assert idle_at > t0 + 3.0  # blocked throughout, by a disk not IDLE
+        assert gateway.stats.batches == 0 and gateway.stats.reclaim_spin_downs == 0
+        # start()'s pass, the submit's and the polls at 1.5 and 2.5: one
+        # queue scan each, and no ordering of disks it cannot afford.
+        assert passes == pytest.approx([t0 + dt for dt in (0.0, 0.5, 1.5, 2.5)])
+        assert calls == Counter({"pending_by_disk": len(passes)})
 
 
 class TestLegacySubmitShim:

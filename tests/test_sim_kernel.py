@@ -13,6 +13,7 @@ from repro.sim import (
     Store,
     step_in_place,
 )
+from repro.sim.kernel import URGENT
 
 
 class TestEventBasics:
@@ -45,6 +46,18 @@ class TestEventBasics:
         sim = Simulator()
         sim.run(until=50.0)
         assert sim.now == 50.0
+
+    def test_run_until_an_instant_before_the_clock_raises(self):
+        for queued in (False, True):
+            sim = Simulator()
+            if queued:
+                sim.defer(5.0, lambda: None)
+            sim.run(until=3.0)
+            with pytest.raises(SimulationError, match="back in time"):
+                sim.run(until=1.0)
+            assert sim.now == 3.0
+            sim.run(until=3.0)  # the clock's own instant is not before it
+            assert sim.now == 3.0
 
     def test_event_value_before_trigger_raises(self):
         sim = Simulator()
@@ -609,6 +622,124 @@ class TestFireInPlace:
         in_place_seen, in_place_events = run(lambda event: event.fire_in_place("v"))
         assert in_place_seen == scheduled_seen == [(2.0, "v"), (3.0, "after")]
         assert in_place_events == scheduled_events - 1
+
+
+class TestDeferNow:
+    """``defer_now`` runs a callable inside the running event exactly
+    where the pop of ``defer(0.0, fn)`` would have come."""
+
+    def test_runs_in_place_at_the_end_of_the_event_when_nothing_is_due(self):
+        with EventDigest().under() as digest:
+            sim = Simulator()
+        log = []
+
+        def wake():
+            sim.defer_now(lambda: log.append(("pass", sim.now)))
+            log.append("woke")
+
+        sim.defer(1.0, wake)
+        sim.defer(2.0, lambda: log.append(("later", sim.now)))
+        sim.run()
+        assert log == ["woke", ("pass", 1.0), ("later", 2.0)]
+        assert sim.events == digest.events == 2  # the pass is no pop
+
+    def test_is_pushed_with_its_own_seq_behind_a_normal_item_due_now(self):
+        sim = Simulator()
+        log = []
+
+        def wake():
+            sim.defer_now(lambda: log.append("pass"))
+            sim.defer(0.0, lambda: log.append("queued after the call"))
+
+        sim.defer(1.0, wake)
+        sim.defer(1.0, lambda: log.append("queued before the call"))
+        sim.run()
+        # Pushed, it pops by the seq it took at the call.
+        assert log == ["queued before the call", "pass", "queued after the call"]
+        assert sim.events == 4
+
+    def test_is_pushed_when_an_urgent_item_due_now_is_pushed_after_the_call(self):
+        sim = Simulator()
+        log = []
+
+        def wake():
+            sim.defer_now(lambda: log.append("pass"))
+            sim.defer(0.0, lambda: log.append("urgent"), URGENT)
+
+        sim.defer(1.0, wake)
+        sim.run()
+        assert log == ["urgent", "pass"]
+        assert sim.events == 3
+
+    def test_is_pushed_in_set_up_and_in_a_bare_step(self):
+        sim = Simulator()
+        log = []
+        sim.defer_now(lambda: log.append("set-up"))
+        sim.defer(1.0, lambda: sim.defer_now(lambda: log.append("stepped")))
+        sim.step()
+        assert log == ["set-up"]
+        sim.step()  # the wake: its pass is queued, not run
+        assert log == ["set-up"] and sim.now == 1.0
+        sim.step()
+        assert log == ["set-up", "stepped"] and sim.events == 3
+
+    def test_is_pushed_in_run_until_event(self):
+        sim = Simulator()
+        log = []
+        target = sim.event()
+
+        def wake():
+            sim.defer_now(lambda: log.append(("pass", sim.now)))
+            sim.defer(0.0, target.succeed)
+
+        sim.defer(1.0, wake)
+        sim.run_until_event(target)
+        # The pass popped as an event of its own, before the target.
+        assert log == [("pass", 1.0)] and sim.events == 4
+
+    def test_a_nested_loop_raises(self):
+        sim = Simulator()
+        errors = []
+
+        def nested(loop):
+            try:
+                loop()
+            except SimulationError as exc:
+                errors.append(str(exc))
+
+        sim.defer(1.0, lambda: nested(sim.run))
+        sim.defer(2.0, lambda: nested(lambda: sim.run_until_event(sim.event())))
+        sim.run()
+        assert errors == ["the simulator is already running"] * 2
+
+    def test_the_race_detector_sees_the_same_events_as_for_its_pop(self):
+        def report(defer_pass):
+            sim = Simulator(detect_races=True)
+
+            def wake():
+                sim.touch_resource("r")
+                defer_pass(sim, lambda: sim.touch_resource("r"))
+
+            sim.defer(1.0, wake)
+            sim.run()
+            return [race.render() for race in sim.races], sim.events
+
+        in_place, in_place_events = report(lambda sim, fn: sim.defer_now(fn))
+        popped, popped_events = report(lambda sim, fn: sim.defer(0.0, fn))
+        assert len(in_place) == 1 and "2 events" in in_place[0]
+        assert in_place == popped  # the same seqs and labels
+        assert in_place_events == popped_events - 1
+
+    def test_counts_toward_max_events(self):
+        sim = Simulator()
+
+        def again():
+            sim.defer_now(again)
+
+        sim.defer(1.0, again)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=100)
+        assert sim.events == 1  # one pop; 99 runs in place
 
 
 class TestResource:

@@ -208,6 +208,52 @@ def test_smoke_gate_checks_events_and_anchors(
 
 
 @pytest.mark.parametrize(
+    "counters, status, verdicts",
+    [
+        # Fewer events, every simulated count unchanged.
+        (
+            {"gateway.completed": 180.0, "iscsi.session_errors": 0.0, "sim.events": 47000.0},
+            0,
+            ["counters: 2 of 2 equal the baseline's (sim.events aside) OK"],
+        ),
+        (
+            {"gateway.completed": 179.0, "iscsi.session_errors": 0.0, "sim.events": 48004.0},
+            1,
+            [
+                "counter gateway.completed: 179.0 (baseline 180.0) MOVED",
+                "counters: 1 of 2 equal the baseline's (sim.events aside) "
+                "MOVED: gateway.completed",
+            ],
+        ),
+        # A count the record does not hold has moved too.
+        (
+            {
+                "gateway.completed": 180.0,
+                "gateway.failed": 0.0,
+                "iscsi.session_errors": 0.0,
+                "sim.events": 48004.0,
+            },
+            1,
+            ["counter gateway.failed: 0.0 (baseline None) MOVED"],
+        ),
+    ],
+    ids=["only-events-moved", "one-moved", "one-new"],
+)
+def test_smoke_gate_holds_every_counter_but_events_to_the_record(
+    tmp_path, capsys, counters, status, verdicts
+):
+    module = _load_script_module()
+    baseline = tmp_path / "BENCH_gateway_slo.json"
+    recorded = {"gateway.completed": 180.0, "iscsi.session_errors": 0.0, "sim.events": 48004.0}
+    baseline.write_text(json.dumps([_smoke_record(counters=recorded)]))
+    record = _smoke_record(sim_events=counters["sim.events"], counters=counters)
+    assert module.check_smoke_record(record, baseline, wall_factor=1.1) == status
+    out = capsys.readouterr().out
+    for verdict in verdicts:
+        assert verdict in out
+
+
+@pytest.mark.parametrize(
     "base_wall, wall, status, verdict",
     [
         (0.1, 0.2, 0, "wall: 0.2s (baseline 0.1s, limit 0.21s = 1.1x + 0.1s) OK"),
@@ -297,7 +343,7 @@ def test_smoke_gate_skips_comparison_when_file_missing(tmp_path, capsys):
     assert module.check_smoke_record(_smoke_record(), missing, wall_factor=1.1) == 0
     out = capsys.readouterr().out
     assert "no committed smoke record in BENCH_gateway_slo.json" in out
-    assert "wall:" not in out and "events:" not in out
+    assert "wall:" not in out and "events:" not in out and "counters:" not in out
 
 
 def test_control_plane_gate_names_the_kind_that_moved(monkeypatch, capsys):
